@@ -23,8 +23,6 @@ from .driver import (
     config_online_3rd,
     nc_descent_step,
     run_driver,
-    run_finite,
-    run_online,
 )
 from .epoch import (
     EpochResult,
@@ -54,7 +52,6 @@ from .problems import (
     make_saddle_problem,
     make_streaming_quadratic_problem,
     make_streaming_saddle_problem,
-    minibatch_gradient,
     sample_indices_without_replacement,
     spawn_rngs,
 )
@@ -85,8 +82,6 @@ __all__ = [
     "config_online_3rd",
     "nc_descent_step",
     "run_driver",
-    "run_finite",
-    "run_online",
     "EpochResult",
     "EpochState",
     "draw_epoch_length",
@@ -110,7 +105,6 @@ __all__ = [
     "make_saddle_problem",
     "make_streaming_quadratic_problem",
     "make_streaming_saddle_problem",
-    "minibatch_gradient",
     "sample_indices_without_replacement",
     "spawn_rngs",
     "DampingSeries",

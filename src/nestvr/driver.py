@@ -1,4 +1,4 @@
-"""Outer drivers: variance-reduced descent until the gradient is small, then a
+"""Outer driver: variance-reduced descent until the gradient is small, then a
 negative-curvature probe that either certifies a second-order stationary point
 or takes a Rademacher-signed escape step.
 
@@ -21,7 +21,6 @@ import numpy as np
 from .epoch import run_epoch
 from .ncfinder import (
     NCQuery,
-    NCResult,
     find_nc_direction_finite,
     find_nc_direction_online,
 )
@@ -42,6 +41,10 @@ DELTA_FLOOR = 1e-8
 EVENT_KINDS = ("epoch", "grad-check", "nc-probe", "nc-step", "terminate")
 STATUS_CERTIFIED = "certified-SOSP"
 STATUS_EXHAUSTED = "budget-exhausted"
+STATUS_DIVERGED = "diverged"
+
+#: derived config values a desk-scale run may override
+OVERRIDE_KEYS = ("B0", "U", "M", "eta")
 
 
 @dataclass
@@ -154,32 +157,52 @@ def _ceil_at_least_one(x: float) -> int:
     return max(1, math.ceil(x))
 
 
-def _apply_overrides(
+def _make_config(
+    problem: Problem,
+    eps: float,
+    eps_H: float,
     overrides: dict | None,
     *,
-    B0: int,
+    mode: str,
+    smoothness_order: int,
+    delta: float,
     U: int,
-    M: float,
     eta: float,
-) -> tuple[int, int, float, float, dict[str, float]]:
+    B0: int,
+    M: float,
+    rho: float | None = None,
+) -> DriverConfig:
+    """Apply overrides to derived values, clamp the schedule and build the config.
+
+    Every replaced value is recorded in ``derived``.  The schedule is clamped
+    at ``problem.n``, a no-op for streaming problems, so the gradient test's
+    batch is the (clamped) base batch in both modes.
+    """
+    values: dict[str, float] = {"B0": B0, "U": U, "M": M, "eta": eta}
     derived: dict[str, float] = {}
     if overrides:
-        unknown = set(overrides) - {"B0", "U", "M", "eta"}
+        unknown = set(overrides) - set(OVERRIDE_KEYS)
         if unknown:
             raise ValueError(f"unknown override keys: {sorted(unknown)}")
-        if "B0" in overrides:
-            derived["B0"] = B0
-            B0 = int(overrides["B0"])
-        if "U" in overrides:
-            derived["U"] = U
-            U = int(overrides["U"])
-        if "M" in overrides:
-            derived["M"] = M
-            M = float(overrides["M"])
-        if "eta" in overrides:
-            derived["eta"] = eta
-            eta = float(overrides["eta"])
-    return B0, U, M, eta, derived
+        # B0 and U are counts, M and eta reals
+        for key, cast in zip(OVERRIDE_KEYS, (int, int, float, float)):
+            if key in overrides:
+                derived[key] = values[key]
+                values[key] = cast(overrides[key])
+    schedule = clamp_schedule(derive_schedule(values["B0"], values["M"]), problem.n)
+    return DriverConfig(
+        eps=eps,
+        eps_H=eps_H,
+        U=values["U"],
+        eta=values["eta"],
+        delta=delta,
+        mode=mode,
+        smoothness_order=smoothness_order,
+        B0_check=schedule.B0,
+        schedule=schedule,
+        rho=rho,
+        derived=derived,
+    )
 
 
 def config_finite_2nd(
@@ -198,19 +221,9 @@ def config_finite_2nd(
         24.0 * s.L2**2 * s.delta_F / eps_H**3 + 1800.0 * s.L1 * s.delta_F / (eps**2 * math.sqrt(n))
     )
     eta = eps_H / s.L2
-    B0, U, M, eta, derived = _apply_overrides(overrides, B0=n, U=U, M=6.0 * s.L1, eta=eta)
-    schedule = clamp_schedule(derive_schedule(B0, M), n)
-    return DriverConfig(
-        eps=eps,
-        eps_H=eps_H,
-        U=U,
-        eta=eta,
-        delta=delta,
-        mode="finite",
-        smoothness_order=2,
-        B0_check=min(B0, n),
-        schedule=schedule,
-        derived=derived,
+    return _make_config(
+        problem, eps, eps_H, overrides, mode="finite", smoothness_order=2,
+        delta=delta, U=U, eta=eta, B0=n, M=6.0 * s.L1,
     )
 
 
@@ -234,19 +247,9 @@ def config_finite_3rd(
         + 1800.0 * C * s.L1 * s.delta_F / (eps**2 * math.sqrt(n))
     )
     eta = math.sqrt(3.0 * eps_H / s.L3)
-    B0, U, M, eta, derived = _apply_overrides(overrides, B0=n, U=U, M=6.0 * s.L1, eta=eta)
-    schedule = clamp_schedule(derive_schedule(B0, M), n)
-    return DriverConfig(
-        eps=eps,
-        eps_H=eps_H,
-        U=U,
-        eta=eta,
-        delta=delta,
-        mode="finite",
-        smoothness_order=3,
-        B0_check=min(B0, n),
-        schedule=schedule,
-        derived=derived,
+    return _make_config(
+        problem, eps, eps_H, overrides, mode="finite", smoothness_order=3,
+        delta=delta, U=U, eta=eta, B0=n, M=6.0 * s.L1,
     )
 
 
@@ -286,20 +289,9 @@ def config_online_2nd(
     )
     eta = eps_H / s.L2
     M = 2.0 * rho * s.L1
-    B0, U, M, eta, derived = _apply_overrides(overrides, B0=B0, U=U, M=M, eta=eta)
-    schedule = derive_schedule(B0, M)
-    return DriverConfig(
-        eps=eps,
-        eps_H=eps_H,
-        U=U,
-        eta=eta,
-        delta=delta,
-        mode="online",
-        smoothness_order=2,
-        B0_check=B0,
-        schedule=schedule,
-        rho=rho,
-        derived=derived,
+    return _make_config(
+        problem, eps, eps_H, overrides, mode="online", smoothness_order=2,
+        delta=delta, U=U, eta=eta, B0=B0, M=M, rho=rho,
     )
 
 
@@ -334,20 +326,9 @@ def config_online_3rd(
     )
     eta = math.sqrt((3.0 if wide_step else 1.0) * eps_H / s.L3)
     M = 2.0 * rho * s.L1
-    B0, U, M, eta, derived = _apply_overrides(overrides, B0=B0, U=U, M=M, eta=eta)
-    schedule = derive_schedule(B0, M)
-    return DriverConfig(
-        eps=eps,
-        eps_H=eps_H,
-        U=U,
-        eta=eta,
-        delta=delta,
-        mode="online",
-        smoothness_order=3,
-        B0_check=B0,
-        schedule=schedule,
-        rho=rho,
-        derived=derived,
+    return _make_config(
+        problem, eps, eps_H, overrides, mode="online", smoothness_order=3,
+        delta=delta, U=U, eta=eta, B0=B0, M=M, rho=rho,
     )
 
 
@@ -371,7 +352,17 @@ def _measured_gradient(
     return problem.sample_batch_grad(z, config.B0_check, rng)
 
 
-def _run(problem: Problem, config: DriverConfig, rng: np.random.Generator) -> DriverOutcome:
+def _is_finite(grad_norm: float, z: Array) -> bool:
+    return math.isfinite(grad_norm) and bool(np.isfinite(z).all())
+
+
+def run_driver(problem: Problem, config: DriverConfig, rng: np.random.Generator) -> DriverOutcome:
+    """Gradient test, then an epoch or a probe-and-step, until certified or out of budget.
+
+    The finite-sum test measures the full gradient (charged n) against eps;
+    the streaming test a fresh batch of ``B0_check`` samples against eps / 2.
+    A non-finite measured gradient or iterate ends the run as diverged.
+    """
     if config.mode == "finite" and not problem.is_finite_sum:
         raise ValueError("finite-mode driver needs a finite-sum problem")
     if config.mode == "online" and problem.is_finite_sum:
@@ -388,7 +379,19 @@ def _run(problem: Problem, config: DriverConfig, rng: np.random.Generator) -> Dr
     nc_delta = min(max(config.delta, DELTA_FLOOR), 0.5)
     z = np.asarray(problem.x0, dtype=float).copy()
     out_of_domain = False
-    gnorm = math.nan
+
+    def finish(status: str, u: int, grad_norm: float, **kw) -> DriverOutcome:
+        trace.add(
+            "terminate", u, counter.count, f_value=problem.value(z), grad_norm=grad_norm, **kw
+        )
+        return DriverOutcome(
+            z_final=z,
+            status=status,
+            trace=trace,
+            grads_total=counter.count,
+            final_grad_norm=grad_norm,
+            out_of_domain=out_of_domain,
+        )
 
     for u in range(1, config.U + 1):
         g = _measured_gradient(problem, z, config, rng, counter)
@@ -396,6 +399,10 @@ def _run(problem: Problem, config: DriverConfig, rng: np.random.Generator) -> Dr
         trace.add(
             "grad-check", u, counter.count, f_value=problem.value(z), grad_norm=gnorm
         )
+        if not _is_finite(gnorm, z):
+            # a NaN norm fails the threshold test too; without this stop the
+            # probe's abstention on NaN products would read as a certificate
+            return finish(STATUS_DIVERGED, u, gnorm)
         if gnorm >= threshold:
             res = run_epoch(z, problem, config.schedule, rng, counter)
             z = res.x_out
@@ -409,47 +416,13 @@ def _run(problem: Problem, config: DriverConfig, rng: np.random.Generator) -> Dr
                 rayleigh=nc.rayleigh_estimate,
             )
             if nc.is_bottom:
-                trace.add(
-                    "terminate", u, counter.count, f_value=problem.value(z),
-                    grad_norm=gnorm, rayleigh=nc.rayleigh_estimate,
-                )
-                return DriverOutcome(
-                    z_final=z,
-                    status=STATUS_CERTIFIED,
-                    trace=trace,
-                    grads_total=counter.count,
-                    final_grad_norm=gnorm,
-                    out_of_domain=out_of_domain,
-                )
+                return finish(STATUS_CERTIFIED, u, gnorm, rayleigh=nc.rayleigh_estimate)
             z = nc_descent_step(z, nc.direction, config.eta, rng)
             trace.add("nc-step", u, counter.count, f_value=problem.value(z))
 
     final_norm = float(np.linalg.norm(problem.full_grad(z)))  # verification, uncharged
-    trace.add(
-        "terminate", config.U, counter.count, f_value=problem.value(z), grad_norm=final_norm
-    )
-    return DriverOutcome(
-        z_final=z,
-        status=STATUS_EXHAUSTED,
-        trace=trace,
-        grads_total=counter.count,
-        final_grad_norm=final_norm,
-        out_of_domain=out_of_domain,
-    )
-
-
-def run_finite(problem: FiniteSumProblem, config: DriverConfig, rng: np.random.Generator) -> DriverOutcome:
-    """Finite-sum driver: full-gradient test at eps, epoch or probe-and-step."""
-    return _run(problem, config, rng)
-
-
-def run_online(problem: StreamingProblem, config: DriverConfig, rng: np.random.Generator) -> DriverOutcome:
-    """Streaming driver: fresh-batch gradient test at eps/2, otherwise identical."""
-    return _run(problem, config, rng)
-
-
-def run_driver(problem: Problem, config: DriverConfig, rng: np.random.Generator) -> DriverOutcome:
-    return _run(problem, config, rng)
+    status = STATUS_EXHAUSTED if _is_finite(final_norm, z) else STATUS_DIVERGED
+    return finish(status, config.U, final_norm)
 
 
 def boost(
@@ -462,17 +435,16 @@ def boost(
 
     Returns the first certified outcome (remaining repetitions are skipped);
     if none certifies, the finished outcome with the smallest measured final
-    gradient norm is returned.
+    gradient norm is returned, diverged runs last.
     """
     if not 0.0 < p_target < 1.0:
         raise ValueError(f"p_target must lie in (0, 1), got {p_target}")
     repeats = max(1, math.ceil(math.log2(1.0 / p_target)))
-    best: DriverOutcome | None = None
+    finished = []
     for rng in spawn_rngs(rng_seed, repeats):
-        outcome = _run(problem, config, rng)
+        outcome = run_driver(problem, config, rng)
         if outcome.status == STATUS_CERTIFIED:
             return outcome
-        if best is None or outcome.final_grad_norm < best.final_grad_norm:
-            best = outcome
-    assert best is not None
-    return best
+        finished.append(outcome)
+    # diverged runs rank last: their NaN norm would never compare smaller
+    return min(finished, key=lambda o: (o.status == STATUS_DIVERGED, o.final_grad_norm))

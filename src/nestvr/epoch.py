@@ -55,7 +55,6 @@ class EpochResult:
     x_out: Array
     T: int
     grads_used: int
-    trajectory: list[tuple[int, float]] | None = None
     out_of_domain: bool = False
     truncated: bool = False
     history: list[EpochState] | None = None
@@ -102,8 +101,6 @@ def update_reference_gradients(
     schedule: NestedSchedule,
     rng: np.random.Generator,
     counter: GradCounter,
-    *,
-    force_full_batch: bool = False,
 ) -> list[Array]:
     """Refresh reference gradients for reset level r.
 
@@ -120,15 +117,8 @@ def update_reference_gradients(
     dim = refs[0].shape[0]
     new = list(old_grads[:r])
 
-    def batch_size(level: int) -> int:
-        if force_full_batch:
-            if problem.n is None:
-                raise ValueError("force_full_batch requires a finite-sum problem")
-            return problem.n
-        return schedule.batch(level)
-
     if r == 0:
-        B0 = batch_size(0)
+        B0 = schedule.batch(0)
         if problem.is_finite_sum:
             idx = sample_indices_without_replacement(problem.n, B0, rng)
             anchor = problem.batch_grad(refs[0], idx)
@@ -137,7 +127,7 @@ def update_reference_gradients(
         counter.add(B0)
         new.append(anchor)
     else:
-        B_r = batch_size(r)
+        B_r = schedule.batch(r)
         if problem.is_finite_sum:
             idx = sample_indices_without_replacement(problem.n, B_r, rng)
             corr = problem.batch_grad_diff(refs[r], refs[r - 1], idx)
@@ -148,7 +138,7 @@ def update_reference_gradients(
 
     for level in range(r + 1, K + 1):
         new.append(np.zeros(dim))
-        counter.add(2 * batch_size(level))
+        counter.add(2 * schedule.batch(level))
     return new
 
 
@@ -159,8 +149,6 @@ def run_epoch(
     rng: np.random.Generator,
     counter: GradCounter | None = None,
     *,
-    force_full_batch: bool = False,
-    record_trajectory: bool = False,
     keep_history: bool = False,
     length_override: int | None = None,
 ) -> EpochResult:
@@ -188,7 +176,6 @@ def run_epoch(
     x = np.asarray(x0, dtype=float).copy()
     refs = [x] * (K + 1)
     grads = [np.zeros(problem.dim)] * (K + 1)
-    trajectory: list[tuple[int, float]] | None = [] if record_trajectory else None
     history: list[EpochState] | None = [] if keep_history else None
     out_of_domain = False
 
@@ -199,14 +186,10 @@ def run_epoch(
     for t in range(T):
         r = reset_level(t, schedule)
         refs = update_reference_points(refs, x, r)
-        grads = update_reference_gradients(
-            grads, refs, r, problem, schedule, rng, counter, force_full_batch=force_full_batch
-        )
+        grads = update_reference_gradients(grads, refs, r, problem, schedule, rng, counter)
         v = np.sum(grads, axis=0)
         if history is not None:
             history.append(EpochState(t=t, x=x, x_ref=list(refs), g_ref=list(grads), v=v))
-        if trajectory is not None:
-            trajectory.append((t, float(np.linalg.norm(v))))
         x = x - step * v
         if radius is not None and float(np.linalg.norm(x - center)) > radius * (1 + 1e-9):
             out_of_domain = True
@@ -215,7 +198,6 @@ def run_epoch(
         x_out=x,
         T=T,
         grads_used=counter.count - start_count,
-        trajectory=trajectory,
         out_of_domain=out_of_domain,
         truncated=truncated,
         history=history,

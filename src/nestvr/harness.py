@@ -117,7 +117,7 @@ class AlgorithmSpec:
             )
         if not (0.0 < self.eps < 1.0 and 0.0 < self.eps_H < 1.0):
             raise ConfigError("algorithm.eps/eps_H: must lie in (0, 1)")
-        unknown = set(self.overrides) - {"B0", "U", "M", "eta"}
+        unknown = set(self.overrides) - set(drv.OVERRIDE_KEYS)
         if unknown:
             raise ConfigError(f"algorithm.overrides: unknown keys {sorted(unknown)}")
 
@@ -244,9 +244,11 @@ def run_experiment(config: ExperimentConfig) -> list[TrialResult]:
     results = []
     for trial, rng in enumerate(spawn_rngs(config.seed, config.trials)):
         outcome = drv.run_driver(problem, driver_config, rng)
-        lam = classify_point(
-            problem, outcome.z_final, config.algorithm.eps, config.algorithm.eps_H
-        ).lambda_min
+        lam = math.nan  # a diverged point has no spectrum to take
+        if np.isfinite(outcome.z_final).all():
+            lam = classify_point(
+                problem, outcome.z_final, config.algorithm.eps, config.algorithm.eps_H
+            ).lambda_min
         results.append(TrialResult(trial=trial, outcome=outcome, final_lambda_min=lam))
     return results
 
@@ -259,8 +261,13 @@ def _fmt(value: float | int | None) -> str:
     return repr(float(value))
 
 
+def _json_float(value: float) -> float | None:
+    """JSON has no NaN or infinity; such values are written as null."""
+    return value if math.isfinite(value) else None
+
+
 def write_trace(results: list[TrialResult], out_dir: str | Path) -> Path:
-    """Persist an experiment: one events CSV plus a summary JSON per trial."""
+    """Persist an experiment: one events CSV plus a strict-JSON summary per trial."""
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -286,11 +293,11 @@ def write_trace(results: list[TrialResult], out_dir: str | Path) -> Path:
             summary = {
                 "status": res.outcome.status,
                 "grads_total": res.outcome.grads_total,
-                "final_grad_norm": res.outcome.final_grad_norm,
-                "final_lambda_min": res.final_lambda_min,
+                "final_grad_norm": _json_float(res.outcome.final_grad_norm),
+                "final_lambda_min": _json_float(res.final_lambda_min),
             }
             (out / f"summary_{res.trial:03d}.json").write_text(
-                json.dumps(summary, indent=2) + "\n"
+                json.dumps(summary, indent=2, allow_nan=False) + "\n"
             )
     except OSError as exc:
         raise OSError(f"writing traces under {out}: {exc}") from exc
@@ -417,8 +424,6 @@ def verify_epoch_decrease(
     schedule: NestedSchedule,
     trials: int,
     rng: np.random.Generator,
-    *,
-    force_full_batch: bool = False,
 ) -> EpochDecreaseReport:
     """Monte-Carlo check of the per-epoch gradient-norm decrease inequality.
 
@@ -439,7 +444,7 @@ def verify_epoch_decrease(
     counts = np.empty(trials)
     for i in range(trials):
         counter = GradCounter()
-        res = run_epoch(x0, problem, schedule, rng, counter, force_full_batch=force_full_batch)
+        res = run_epoch(x0, problem, schedule, rng, counter)
         g = problem.full_grad(res.x_out)
         lhs[i] = float(g @ g)
         decrease = f0 - problem.value(res.x_out)

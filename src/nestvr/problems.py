@@ -114,9 +114,6 @@ class FiniteSumProblem:
     def batch_grad_diff(self, x: Array, y: Array, idx: Array) -> Array:
         return self.batch_grad(x, idx) - self.batch_grad(y, idx)
 
-    def component_grad(self, x: Array, i: int) -> Array:
-        return self.batch_grad(x, np.asarray([i]))
-
     def full_grad(self, x: Array) -> Array:
         """Verification oracle: exact gradient of F."""
         raise NotImplementedError
@@ -145,10 +142,6 @@ class StreamingProblem:
     known_min_value: float | None = None
 
     def value(self, x: Array) -> float:
-        raise NotImplementedError
-
-    def sample_grad(self, x: Array, rng: np.random.Generator) -> Array:
-        """One stochastic gradient with a fresh sample."""
         raise NotImplementedError
 
     def sample_batch_grad(self, x: Array, size: int, rng: np.random.Generator) -> Array:
@@ -184,33 +177,6 @@ def sample_indices_without_replacement(n: int, m: int, rng: np.random.Generator)
     if m > n:
         raise ValueError(f"batch size {m} exceeds population size {n}; clamp the schedule first")
     return rng.choice(n, size=m, replace=False)
-
-
-def minibatch_gradient(
-    problem: FiniteSumProblem,
-    points: Array | tuple[Array, Array],
-    indices: Array,
-    counter: GradCounter | None = None,
-) -> Array:
-    """Averaged component gradient (one point) or gradient difference (two).
-
-    Charges ``|I|`` units for a single point and ``2 |I|`` for a two-point
-    difference, reflecting that each component gradient is evaluated at both
-    points.
-    """
-    indices = np.asarray(indices)
-    if indices.size == 0:
-        raise ValueError("empty index set")
-    if isinstance(points, tuple):
-        x, y = points
-        out = problem.batch_grad_diff(np.asarray(x, dtype=float), np.asarray(y, dtype=float), indices)
-        if counter is not None:
-            counter.add(2 * indices.size)
-        return out
-    out = problem.batch_grad(np.asarray(points, dtype=float), indices)
-    if counter is not None:
-        counter.add(indices.size)
-    return out
 
 
 def _zero_sum_noise(n: int, dim: int, scale: float, rng: np.random.Generator) -> Array:
@@ -482,9 +448,6 @@ class AdditiveNoiseStreamingProblem(StreamingProblem):
 
     def value(self, x: Array) -> float:
         return self.core.value(x)
-
-    def sample_grad(self, x: Array, rng: np.random.Generator) -> Array:
-        return self.core.full_grad(x) + self.noise_std * rng.standard_normal(self.dim)
 
     def sample_batch_grad(self, x: Array, size: int, rng: np.random.Generator) -> Array:
         if size < 1:

@@ -36,7 +36,6 @@ class NestedSchedule:
     B: tuple[int, ...]
     p: float
     clamped: bool = False
-    clamp_n: int | None = None
 
     @property
     def loop_product(self) -> int:
@@ -107,7 +106,7 @@ def clamp_schedule(schedule: NestedSchedule, n: int | float | None) -> NestedSch
     changed = B0 != schedule.B0 or B != schedule.B
     if not changed:
         return schedule
-    return replace(schedule, B0=B0, B=B, clamped=True, clamp_n=n)
+    return replace(schedule, B0=B0, B=B, clamped=True)
 
 
 def expected_epoch_cost(schedule: NestedSchedule) -> int:

@@ -35,9 +35,8 @@ from nestvr import (
     make_streaming_quadratic_problem,
     make_streaming_saddle_problem,
     rayleigh,
+    run_driver,
     run_epoch,
-    run_finite,
-    run_online,
     spawn_rngs,
 )
 from nestvr.harness import (
@@ -128,7 +127,6 @@ def test_criterion_04_full_batch_estimator_identity():
         problem,
         schedule,
         make_rng(404),
-        force_full_batch=True,
         keep_history=True,
         length_override=100,
     )
@@ -199,7 +197,7 @@ def test_criterion_07_saddle_escape_end_to_end():
     certified = 0
     all_good = True
     for rng in spawn_rngs(707, 100):
-        out = run_finite(problem, config, rng)
+        out = run_driver(problem, config, rng)
         if out.status == "certified-SOSP":
             certified += 1
             cls = classify_point(problem, out.z_final, eps=2e-3, eps_H=0.2)
@@ -312,7 +310,7 @@ def test_criterion_11_online_gradient_test():
             problem, eps=eps, eps_H=0.5, overrides={"B0": 16, "U": 1, "M": 12.0}
         )
         cfg = dataclasses.replace(cfg, B0_check=B0_check)
-        out = run_online(problem, cfg, make_rng(seed))
+        out = run_driver(problem, cfg, make_rng(seed))
         kinds = {e.kind for e in out.trace.events}
         return "epoch" in kinds
 

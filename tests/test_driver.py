@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -19,8 +20,7 @@ from nestvr import (
     make_saddle_problem,
     make_streaming_quadratic_problem,
     nc_descent_step,
-    run_finite,
-    run_online,
+    run_driver,
 )
 
 
@@ -163,14 +163,14 @@ class TestRunFinite:
         # start already second-order stationary: one probe, immediate certificate
         prob = make_quadratic_problem(np.eye(4), 16, seed=1, noise=0.05)
         cfg = config_finite_2nd(prob, eps=0.5, eps_H=0.5, overrides={"U": 10})
-        out = run_finite(prob, cfg, make_rng(5))
+        out = run_driver(prob, cfg, make_rng(5))
         assert out.status == "certified-SOSP"
         kinds = [e.kind for e in out.trace.events]
         assert kinds == ["grad-check", "nc-probe", "terminate"]
 
     def test_saddle_start_probes_before_any_epoch(self):
         prob, cfg = saddle_and_config(seed=1)
-        out = run_finite(prob, cfg, make_rng(7))
+        out = run_driver(prob, cfg, make_rng(7))
         actions = [e.kind for e in out.trace.events if e.kind in ("epoch", "nc-probe", "nc-step")]
         assert actions[0] == "nc-probe"
         assert actions[1] == "nc-step"
@@ -180,21 +180,21 @@ class TestRunFinite:
         start = np.full(6, 0.3)
         prob.x0 = start  # gradient here is far above eps
         cfg = config_finite_2nd(prob, eps=1e-3, eps_H=0.1, overrides={"U": 1})
-        out = run_finite(prob, cfg, make_rng(9))
+        out = run_driver(prob, cfg, make_rng(9))
         assert out.status == "budget-exhausted"
         kinds = [e.kind for e in out.trace.events]
         assert kinds == ["grad-check", "epoch", "terminate"]
 
     def test_escapes_saddle_and_certifies(self):
         prob, cfg = saddle_and_config(seed=3)
-        out = run_finite(prob, cfg, make_rng(11))
+        out = run_driver(prob, cfg, make_rng(11))
         assert out.status == "certified-SOSP"
         cls = classify_point(prob, out.z_final, 2e-3, 0.2)
         assert cls.is_sosp
 
     def test_branch_exclusivity_and_terminal_probe(self):
         prob, cfg = saddle_and_config(seed=4)
-        out = run_finite(prob, cfg, make_rng(13))
+        out = run_driver(prob, cfg, make_rng(13))
         per_u = {}
         for e in out.trace.events:
             per_u.setdefault(e.u, []).append(e.kind)
@@ -208,15 +208,15 @@ class TestRunFinite:
 
     def test_counter_monotone_in_trace(self):
         prob, cfg = saddle_and_config(seed=5)
-        out = run_finite(prob, cfg, make_rng(17))
+        out = run_driver(prob, cfg, make_rng(17))
         counts = [e.grads_cum for e in out.trace.events]
         assert counts == sorted(counts)
         assert out.grads_total == counts[-1]
 
     def test_deterministic_given_seed(self):
         prob, cfg = saddle_and_config(seed=6)
-        a = run_finite(prob, cfg, make_rng(19))
-        b = run_finite(prob, cfg, make_rng(19))
+        a = run_driver(prob, cfg, make_rng(19))
+        b = run_driver(prob, cfg, make_rng(19))
         assert np.array_equal(a.z_final, b.z_final)
         assert [e.kind for e in a.trace.events] == [e.kind for e in b.trace.events]
         assert [e.grads_cum for e in a.trace.events] == [e.grads_cum for e in b.trace.events]
@@ -224,15 +224,31 @@ class TestRunFinite:
 
     def test_full_gradient_charged_n_per_check(self):
         prob, cfg = saddle_and_config(seed=7, U=3)
-        out = run_finite(prob, cfg, make_rng(23))
+        out = run_driver(prob, cfg, make_rng(23))
         first = out.trace.events[0]
         assert first.kind == "grad-check" and first.grads_cum == prob.n
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("U", [50, 2])
+    def test_divergence_is_not_certified(self, U):
+        # M far below 6 L1: the step 1/(10 M) overshoots and the epoch of
+        # iteration 2 blows the iterate up.  With budget left, the NaN gradient
+        # check of iteration 3 must end the run instead of reaching the probe;
+        # with U = 2 the budget runs out on the non-finite iterate.
+        prob = make_saddle_problem(10, 256, -1.0, seed=7)
+        cfg = config_finite_2nd(prob, 1e-3, 0.1, overrides={"U": U, "M": 1e-3})
+        out = run_driver(prob, cfg, make_rng(0))
+        assert out.status == "diverged"
+        assert not np.isfinite(out.z_final).all()
+        assert math.isnan(out.final_grad_norm)
+        assert out.trace.events[-1].kind == "terminate"
+        assert "nc-probe" not in [e.kind for e in out.trace.events if e.u > 1]
 
     def test_mode_mismatch_rejected(self):
         prob, cfg = saddle_and_config(seed=8)
         sprob = make_streaming_quadratic_problem(np.eye(4), seed=0)
         with pytest.raises(ValueError):
-            run_finite(sprob, cfg, make_rng(0))
+            run_driver(sprob, cfg, make_rng(0))
 
 
 class TestRunOnline:
@@ -243,37 +259,34 @@ class TestRunOnline:
         cfg = config_online_2nd(
             prob, eps=0.1, eps_H=0.5, overrides={"B0": 64, "U": 1, "M": 12.0}
         )
-        cfg = drv.DriverConfig(
-            eps=cfg.eps, eps_H=cfg.eps_H, U=cfg.U, eta=cfg.eta, delta=cfg.delta,
-            mode=cfg.mode, smoothness_order=cfg.smoothness_order,
-            B0_check=drv.subgaussian_check_batch(prob.smoothness.sigma2, 0.1 / 4, 0.05),
-            schedule=cfg.schedule, rho=cfg.rho, derived=cfg.derived,
+        cfg = dataclasses.replace(
+            cfg, B0_check=drv.subgaussian_check_batch(prob.smoothness.sigma2, 0.1 / 4, 0.05)
         )
         return prob, cfg
 
     def test_grad_check_fires_above_threshold(self):
         prob, cfg = self.make_case(norm=0.1)  # true norm == eps
-        out = run_online(prob, cfg, make_rng(29))
+        out = run_driver(prob, cfg, make_rng(29))
         kinds = [e.kind for e in out.trace.events]
         assert "epoch" in kinds  # fired: took the descent branch
 
     def test_grad_check_abstains_below_threshold(self):
         prob, cfg = self.make_case(norm=0.1 / 8)
-        out = run_online(prob, cfg, make_rng(31))
+        out = run_driver(prob, cfg, make_rng(31))
         kinds = [e.kind for e in out.trace.events]
         assert "nc-probe" in kinds and "epoch" not in kinds
 
     def test_deterministic_trace(self):
         prob, cfg = self.make_case(norm=0.05, seed=1)
-        a = run_online(prob, cfg, make_rng(37))
-        b = run_online(prob, cfg, make_rng(37))
+        a = run_driver(prob, cfg, make_rng(37))
+        b = run_driver(prob, cfg, make_rng(37))
         assert [e.kind for e in a.trace.events] == [e.kind for e in b.trace.events]
         assert [e.grads_cum for e in a.trace.events] == [e.grads_cum for e in b.trace.events]
         assert np.array_equal(a.z_final, b.z_final)
 
     def test_check_charged_at_B0_check(self):
         prob, cfg = self.make_case(norm=0.1)
-        out = run_online(prob, cfg, make_rng(41))
+        out = run_driver(prob, cfg, make_rng(41))
         assert out.trace.events[0].grads_cum == cfg.B0_check
 
 
@@ -281,13 +294,13 @@ class TestBoost:
     def test_repeat_counts(self, monkeypatch):
         prob, cfg = saddle_and_config(seed=9, U=2)
         calls = []
-        real = drv._run
+        real = drv.run_driver
 
         def counting(problem, config, rng):
             calls.append(1)
             return real(problem, config, rng)
 
-        monkeypatch.setattr(drv, "_run", counting)
+        monkeypatch.setattr(drv, "run_driver", counting)
         boost(prob, cfg, 101, p_target=0.5)
         assert len(calls) == 1  # ceil(log2 2)
         calls.clear()
@@ -298,13 +311,13 @@ class TestBoost:
         prob = make_quadratic_problem(np.eye(4), 16, seed=2, noise=0.05)
         cfg = config_finite_2nd(prob, eps=0.5, eps_H=0.5, overrides={"U": 5})
         calls = []
-        real = drv._run
+        real = drv.run_driver
 
         def counting(problem, config, rng):
             calls.append(1)
             return real(problem, config, rng)
 
-        monkeypatch.setattr(drv, "_run", counting)
+        monkeypatch.setattr(drv, "run_driver", counting)
         out = boost(prob, cfg, 107, p_target=1 / 16)
         assert out.status == "certified-SOSP"
         assert len(calls) == 1  # runs 2..4 skipped
@@ -314,6 +327,26 @@ class TestBoost:
         prob.x0 = np.full(6, 0.4)
         cfg = config_finite_2nd(prob, eps=1e-6, eps_H=0.1, overrides={"U": 2})
         out = boost(prob, cfg, 109, p_target=1 / 4)
+        assert out.status == "budget-exhausted"
+        assert math.isfinite(out.final_grad_norm)
+
+
+    def test_diverged_run_ranks_last(self, monkeypatch):
+        prob, cfg = saddle_and_config(seed=9, U=2)
+        real = drv.run_driver
+        statuses = iter(["diverged", "budget-exhausted"])
+
+        def first_diverges(problem, config, rng):
+            out = real(problem, config, rng)
+            if next(statuses) == "diverged":
+                out = drv.DriverOutcome(
+                    z_final=out.z_final * math.nan, status="diverged", trace=out.trace,
+                    grads_total=out.grads_total, final_grad_norm=math.nan,
+                )
+            return out
+
+        monkeypatch.setattr(drv, "run_driver", first_diverges)
+        out = boost(prob, cfg, 113, p_target=1 / 4)
         assert out.status == "budget-exhausted"
         assert math.isfinite(out.final_grad_norm)
 
@@ -348,7 +381,7 @@ class TestClassifyPoint:
 
 def test_running_minimum_of_prepoch_gradients_nonincreasing():
     prob, cfg = saddle_and_config(seed=14)
-    out = run_finite(prob, cfg, make_rng(43))
+    out = run_driver(prob, cfg, make_rng(43))
     pre_epoch = [
         e.grad_norm
         for e in out.trace.events

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -170,25 +171,14 @@ class TestRunEpoch:
         assert np.array_equal(a.x_out, b.x_out)
         assert a.grads_used == b.grads_used
 
-    def test_trajectory_off_by_default_and_harmless(self):
-        prob = make_regularized_problem(4, 30, seed=5)
-        sched = clamp_schedule(derive_schedule(16, M=6.0 * prob.smoothness.L1), 30)
-        plain = run_epoch(prob.x0, prob, sched, make_rng(3), length_override=12)
-        traced = run_epoch(
-            prob.x0, prob, sched, make_rng(3), length_override=12, record_trajectory=True
-        )
-        assert plain.trajectory is None
-        assert len(traced.trajectory) == 12
-        assert np.array_equal(plain.x_out, traced.x_out)
-
     def test_full_batch_estimator_identity(self):
-        # all batches forced to [n]: the update direction telescopes to the
+        # all batches set to [n]: the update direction telescopes to the
         # exact gradient at every step
         prob = make_regularized_problem(6, 40, seed=6)
         sched = clamp_schedule(derive_schedule(16, M=6.0 * prob.smoothness.L1), 40)
+        sched = dataclasses.replace(sched, B0=40, B=(40,) * sched.K)
         res = run_epoch(
-            prob.x0, prob, sched, make_rng(11),
-            force_full_batch=True, keep_history=True, length_override=64,
+            prob.x0, prob, sched, make_rng(11), keep_history=True, length_override=64
         )
         worst = 0.0
         for state in res.history:

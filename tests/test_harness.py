@@ -196,12 +196,11 @@ class TestVerifySuites:
         assert report.passed
 
     def test_epoch_decrease_full_batch_override(self, rng):
-        # degenerate mode: every batch forced to [n]; the check still runs
+        # degenerate mode: clamping at n = B0 sets every batch to [n]; the
+        # check still runs
         problem = make_regularized_problem(dim=10, n=128, seed=4)
         schedule = clamp_schedule(derive_schedule(128, M=6.0 * problem.smoothness.L1), 128)
-        report = verify_epoch_decrease(
-            problem, schedule, trials=80, rng=rng, force_full_batch=True
-        )
+        report = verify_epoch_decrease(problem, schedule, trials=80, rng=rng)
         assert report.passed
 
     def test_epoch_decrease_rejects_small_M(self, rng):
@@ -250,6 +249,24 @@ class TestCli:
         a = (tmp_path / "s1" / "summary_000.json").read_text()
         b = (tmp_path / "s2" / "summary_000.json").read_text()
         assert a != b
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_run_survives_diverged_trial(self, tmp_path):
+        # M far below 6 L1 blows the iterate up: the trial is recorded as
+        # diverged and its non-finite summary values are written as null
+        cfg = dict(BASE_CONFIG, trials=1)
+        cfg["problem"] = dict(cfg["problem"], dim=10, seed=7, radius=2.0)
+        cfg["algorithm"] = dict(cfg["algorithm"], overrides={"U": 50, "M": 1e-3})
+        path = write_config(tmp_path, cfg)
+        assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "d")]) == 0
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        text = (tmp_path / "d" / "summary_000.json").read_text()
+        doc = json.loads(text, parse_constant=reject)
+        assert doc["status"] == "diverged"
+        assert doc["final_grad_norm"] is None and doc["final_lambda_min"] is None
 
     def test_run_malformed_config_exits_1(self, tmp_path, capsys):
         path = write_config(tmp_path, dict(BASE_CONFIG, mystery=1))

@@ -11,7 +11,6 @@ from nestvr import (
     make_rng,
     make_saddle_problem,
     make_streaming_saddle_problem,
-    minibatch_gradient,
     sample_indices_without_replacement,
     spawn_rngs,
 )
@@ -52,17 +51,19 @@ class TestSampling:
 
 
 class TestMinibatchGradient:
+    """The batch oracles, batch_grad and batch_grad_diff."""
+
     def test_two_identical_points_vanish(self, rng):
         prob = make_regularized_problem(6, 20, seed=1)
         x = rng.standard_normal(6)
         idx = sample_indices_without_replacement(20, 5, rng)
-        out = minibatch_gradient(prob, (x, x), idx)
+        out = prob.batch_grad_diff(x, x, idx)
         assert np.allclose(out, 0.0, atol=1e-14)
 
     def test_full_batch_is_exact_gradient(self, rng):
         prob = make_regularized_problem(6, 20, seed=2)
         x = rng.standard_normal(6)
-        g = minibatch_gradient(prob, x, np.arange(20))
+        g = prob.batch_grad(x, np.arange(20))
         full = prob.full_grad(x)
         assert np.linalg.norm(g - full) <= 1e-10 * (1 + np.linalg.norm(full))
 
@@ -71,24 +72,8 @@ class TestMinibatchGradient:
         rng = make_rng(5)
         a = rng.standard_normal((4, 3))
         prob = QuadraticProblem(np.zeros((3, 3)), a.mean(axis=0), a - a.mean(axis=0))
-        out = minibatch_gradient(prob, np.zeros(3), np.array([0, 1]))
+        out = prob.batch_grad(np.zeros(3), np.array([0, 1]))
         assert np.allclose(out, (a[0] + a[1]) / 2, atol=1e-14)
-
-    def test_counter_charges(self, rng):
-        prob = make_regularized_problem(4, 12, seed=3)
-        counter = GradCounter()
-        x, y = rng.standard_normal(4), rng.standard_normal(4)
-        minibatch_gradient(prob, x, np.arange(5), counter)
-        assert counter.count == 5
-        minibatch_gradient(prob, (x, y), np.arange(7), counter)
-        assert counter.count == 5 + 14
-        minibatch_gradient(prob, x, np.array([3]), counter)
-        assert counter.count == 5 + 14 + 1
-
-    def test_empty_batch_rejected(self, rng):
-        prob = make_regularized_problem(4, 12, seed=3)
-        with pytest.raises(ValueError):
-            minibatch_gradient(prob, prob.x0, np.array([], dtype=int))
 
 
 class TestSaddleProblem:
@@ -125,7 +110,7 @@ class TestSaddleProblem:
         prob = make_saddle_problem(4, 17, -1.0, seed=3)
         for _ in range(100):
             x = rng.uniform(-1, 1, size=4)
-            mean = np.mean([prob.component_grad(x, i) for i in range(17)], axis=0)
+            mean = np.mean([prob.batch_grad(x, np.array([i])) for i in range(17)], axis=0)
             full = prob.full_grad(x)
             assert np.linalg.norm(mean - full) <= 1e-10 * (1 + np.linalg.norm(full))
 
@@ -194,7 +179,7 @@ class TestStreaming:
     def test_single_samples_average_out(self, rng):
         prob = make_streaming_saddle_problem(3, -1.0, seed=10, noise=0.5)
         x = np.zeros(3)
-        samples = np.array([prob.sample_grad(x, rng) for _ in range(4000)])
+        samples = np.array([prob.sample_batch_grad(x, 1, rng) for _ in range(4000)])
         assert np.allclose(samples.mean(axis=0), 0.0, atol=5 * 0.5 / math.sqrt(4000))
         var = float(np.einsum("ij,ij->i", samples, samples).mean())
         assert var == pytest.approx(prob.smoothness.sigma2, rel=0.15)

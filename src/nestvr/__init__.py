@@ -30,8 +30,6 @@ from .epoch import (
     draw_epoch_length,
     reset_level,
     run_epoch,
-    update_reference_gradients,
-    update_reference_points,
 )
 from .ncfinder import (
     NCQuery,
@@ -87,8 +85,6 @@ __all__ = [
     "draw_epoch_length",
     "reset_level",
     "run_epoch",
-    "update_reference_gradients",
-    "update_reference_points",
     "NCQuery",
     "NCResult",
     "find_nc_direction_finite",

@@ -79,67 +79,20 @@ def reset_level(t: int, schedule: NestedSchedule) -> int:
     """
     if t < 0:
         raise ValueError(f"iteration index must be >= 0, got {t}")
-    for j in range(schedule.K + 1):
-        if t % schedule.level_divisor(j) == 0:
+    for j, period in enumerate(schedule.level_divisors):
+        if t % period == 0:
             return j
     raise AssertionError("unreachable: level K always divides")
 
 
-def update_reference_points(old_refs: list[Array], x: Array, r: int) -> list[Array]:
-    """Keep levels below r, snap levels r..K to the current iterate."""
-    K = len(old_refs) - 1
-    if not 0 <= r <= K:
-        raise ValueError(f"reset level {r} out of range 0..{K}")
-    return old_refs[:r] + [x] * (K + 1 - r)
+def _reset_charges(batches: tuple[int, ...]) -> list[int]:
+    """Gradients charged at a step of reset level r, for r = 0..K.
 
-
-def update_reference_gradients(
-    old_grads: list[Array],
-    refs: list[Array],
-    r: int,
-    problem: Problem,
-    schedule: NestedSchedule,
-    rng: np.random.Generator,
-    counter: GradCounter,
-) -> list[Array]:
-    """Refresh reference gradients for reset level r.
-
-    r = 0: level 0 becomes a plain batch-B0 gradient at x^(0) (charged B0);
-    r > 0: levels below r are kept and level r becomes the batch-B_r mean of
-    gradient differences between x^(r) and x^(r-1) (charged 2 B_r).  Levels
-    above r are reset to zero and charged 2 B_l each: their refresh pairs
-    x^(l) = x^(l-1), so the averaged difference vanishes identically and is
-    written without evaluating component gradients.
+    The refreshed level costs B0 (r = 0) or 2 B_r, and every zeroed level above
+    it 2 B_l.
     """
-    K = len(old_grads) - 1
-    if not 0 <= r <= K:
-        raise ValueError(f"reset level {r} out of range 0..{K}")
-    dim = refs[0].shape[0]
-    new = list(old_grads[:r])
-
-    if r == 0:
-        B0 = schedule.batch(0)
-        if problem.is_finite_sum:
-            idx = sample_indices_without_replacement(problem.n, B0, rng)
-            anchor = problem.batch_grad(refs[0], idx)
-        else:
-            anchor = problem.sample_batch_grad(refs[0], B0, rng)
-        counter.add(B0)
-        new.append(anchor)
-    else:
-        B_r = schedule.batch(r)
-        if problem.is_finite_sum:
-            idx = sample_indices_without_replacement(problem.n, B_r, rng)
-            corr = problem.batch_grad_diff(refs[r], refs[r - 1], idx)
-        else:
-            corr = problem.sample_batch_grad_diff(refs[r], refs[r - 1], B_r, rng)
-        counter.add(2 * B_r)
-        new.append(corr)
-
-    for level in range(r + 1, K + 1):
-        new.append(np.zeros(dim))
-        counter.add(2 * schedule.batch(level))
-    return new
+    pair = [2 * b for b in batches]
+    return [(batches[0] if r == 0 else pair[r]) + sum(pair[r + 1 :]) for r in range(len(batches))]
 
 
 def run_epoch(
@@ -174,25 +127,50 @@ def run_epoch(
         T, truncated = draw_epoch_length(schedule.p, rng, cap)
 
     x = np.asarray(x0, dtype=float).copy()
+    zero = np.zeros(problem.dim)
+    zero.flags.writeable = False
     refs = [x] * (K + 1)
-    grads = [np.zeros(problem.dim)] * (K + 1)
+    grads = [zero] * (K + 1)
+    # prefix[j] = 0.0 + g_0 + ... + g_{j-1}, added in the order np.sum(grads,
+    # axis=0) uses.  No partial sum is -0.0 (x + y is -0.0 only when both
+    # are), so the zeroed levels add nothing and v = prefix[r] + g_r is that
+    # sum bit for bit.
+    prefix = [zero] * (K + 1)
+    batches = (schedule.B0, *schedule.B)
+    charges = _reset_charges(batches)
+    finite = problem.is_finite_sum
     history: list[EpochState] | None = [] if keep_history else None
     out_of_domain = False
 
     radius = problem.smoothness.radius
+    limit = None if radius is None else radius * (1 + 1e-9)
     center = problem.x0
 
     step = 1.0 / (10.0 * schedule.M)
     for t in range(T):
         r = reset_level(t, schedule)
-        refs = update_reference_points(refs, x, r)
-        grads = update_reference_gradients(grads, refs, r, problem, schedule, rng, counter)
-        v = np.sum(grads, axis=0)
+        refs[r:] = [x] * (K + 1 - r)
+        batch = batches[r]
+        if finite:
+            idx = sample_indices_without_replacement(problem.n, batch, rng)
+            if r == 0:
+                g = problem.batch_grad(x, idx)
+            else:
+                g = problem.batch_grad_diff(x, refs[r - 1], idx)
+        elif r == 0:
+            g = problem.sample_batch_grad(x, batch, rng)
+        else:
+            g = problem.sample_batch_grad_diff(x, refs[r - 1], batch, rng)
+        counter.add(charges[r])
+        grads[r:] = [g] + [zero] * (K - r)
+        v = prefix[r] + g
+        prefix[r + 1 :] = [v] * (K - r)
         if history is not None:
             history.append(EpochState(t=t, x=x, x_ref=list(refs), g_ref=list(grads), v=v))
         x = x - step * v
-        if radius is not None and float(np.linalg.norm(x - center)) > radius * (1 + 1e-9):
-            out_of_domain = True
+        if limit is not None and not out_of_domain:
+            offset = x - center
+            out_of_domain = math.sqrt(offset.dot(offset)) > limit
 
     return EpochResult(
         x_out=x,

@@ -28,6 +28,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -60,7 +61,14 @@ from .schedule import (
 
 CSV_HEADER = ("trial", "u", "event", "grads_cum", "f_value", "grad_norm", "rayleigh", "wall_ms")
 
-PROBLEM_FAMILIES = ("saddle", "regularized", "streaming-saddle", "streaming-quadratic")
+#: the problem fields each family reads, besides ``family``, ``dim`` and
+#: ``seed``; a config that sets any other field is rejected
+FAMILY_FIELDS = {
+    "saddle": ("n", "negative_eigenvalue", "noise", "quartic", "radius"),
+    "regularized": ("n",),
+    "streaming-saddle": ("negative_eigenvalue", "noise", "quartic", "radius"),
+    "streaming-quadratic": ("noise",),
+}
 
 
 class ConfigError(ValueError):
@@ -90,10 +98,9 @@ class ProblemSpec:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        if self.family not in PROBLEM_FAMILIES:
-            raise ConfigError(
-                f"problem.family: {self.family!r} not one of {list(PROBLEM_FAMILIES)}"
-            )
+        families = list(FAMILY_FIELDS)
+        if self.family not in families:
+            raise ConfigError(f"problem.family: {self.family!r} not one of {families}")
         if self.dim < 1:
             raise ConfigError(f"problem.dim: must be >= 1, got {self.dim}")
         if self.family in ("saddle", "regularized") and (self.n is None or self.n < 1):
@@ -135,8 +142,10 @@ class ExperimentConfig:
             raise ConfigError(f"trials: must be >= 1, got {self.trials}")
 
     def to_dict(self) -> dict:
+        own = ("family", "dim", *FAMILY_FIELDS[self.problem.family], "seed")
+        problem = asdict(self.problem)
         doc = {
-            "problem": {k: v for k, v in asdict(self.problem).items() if v is not None},
+            "problem": {k: problem[k] for k in own if problem[k] is not None},
             "algorithm": asdict(self.algorithm),
             "trials": self.trials,
             "seed": self.seed,
@@ -163,7 +172,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if not isinstance(overrides, dict):
         raise ConfigError("algorithm.overrides: expected an object")
     try:
-        return ExperimentConfig(
+        config = ExperimentConfig(
             problem=ProblemSpec(**p),
             algorithm=AlgorithmSpec(
                 mode=a["mode"],
@@ -178,6 +187,12 @@ def parse_config(doc: dict) -> ExperimentConfig:
         )
     except TypeError as exc:
         raise ConfigError(f"config: {exc}") from exc
+    family = config.problem.family
+    ignored = sorted(set(p) - {"family", "dim", "seed", *FAMILY_FIELDS[family]})
+    if ignored:
+        paths = ", ".join(f"problem.{key}" for key in ignored)
+        raise ConfigError(f"{paths}: not used by family {family!r}")
+    return config
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -266,29 +281,49 @@ def _json_float(value: float) -> float | None:
     return value if math.isfinite(value) else None
 
 
+def _write_atomically(path: Path, write, newline: str | None = None) -> None:
+    """Call ``write(fh)`` on a temporary file beside ``path``, then rename it
+    over ``path``: readers see the old file or the whole new one, never part."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("w", newline=newline) as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _write_events(fh, results: list[TrialResult]) -> None:
+    writer = csv.writer(fh)
+    writer.writerow(CSV_HEADER)
+    for res in results:
+        for ev in res.outcome.trace.events:
+            writer.writerow(
+                [
+                    res.trial,
+                    ev.u,
+                    ev.kind,
+                    ev.grads_cum,
+                    _fmt(ev.f_value),
+                    _fmt(ev.grad_norm),
+                    _fmt(ev.rayleigh),
+                    _fmt(ev.wall_ms),
+                ]
+            )
+
+
 def write_trace(results: list[TrialResult], out_dir: str | Path) -> Path:
-    """Persist an experiment: one events CSV plus a strict-JSON summary per trial."""
+    """Persist an experiment: one events CSV plus a strict-JSON summary per trial.
+
+    Each file is written atomically, so an interrupted write leaves the
+    previous file in place.
+    """
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
         events_path = out / "events.csv"
-        with events_path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_HEADER)
-            for res in results:
-                for ev in res.outcome.trace.events:
-                    writer.writerow(
-                        [
-                            res.trial,
-                            ev.u,
-                            ev.kind,
-                            ev.grads_cum,
-                            _fmt(ev.f_value),
-                            _fmt(ev.grad_norm),
-                            _fmt(ev.rayleigh),
-                            _fmt(ev.wall_ms),
-                        ]
-                    )
+        _write_atomically(events_path, lambda fh: _write_events(fh, results), newline="")
         for res in results:
             summary = {
                 "status": res.outcome.status,
@@ -296,9 +331,8 @@ def write_trace(results: list[TrialResult], out_dir: str | Path) -> Path:
                 "final_grad_norm": _json_float(res.outcome.final_grad_norm),
                 "final_lambda_min": _json_float(res.final_lambda_min),
             }
-            (out / f"summary_{res.trial:03d}.json").write_text(
-                json.dumps(summary, indent=2, allow_nan=False) + "\n"
-            )
+            text = json.dumps(summary, indent=2, allow_nan=False) + "\n"
+            _write_atomically(out / f"summary_{res.trial:03d}.json", lambda fh: fh.write(text))
     except OSError as exc:
         raise OSError(f"writing traces under {out}: {exc}") from exc
     return events_path
@@ -524,7 +558,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", default=None, help="override the config output directory")
     p_run.add_argument(
         "--jobs", type=int, default=1,
-        help="trial-level parallelism bound (default 1 for bit-stable CSV order)",
+        help="worker bound, at least 1; trials run sequentially in trial order",
     )
 
     p_verify = sub.add_parser("verify", help="run the numeric verification suite")
@@ -553,6 +587,8 @@ def cli_main(argv: list[str] | None = None) -> int:
             return 0
 
         if args.command == "run":
+            if args.jobs < 1:
+                raise ConfigError(f"--jobs: must be >= 1, got {args.jobs}")
             config = load_config(args.config)
             if args.seed is not None:
                 config = ExperimentConfig(
@@ -565,10 +601,6 @@ def cli_main(argv: list[str] | None = None) -> int:
             out_dir = args.out or config.out
             if out_dir is None:
                 raise ConfigError("no output directory: set 'out' in the config or pass --out")
-            if args.jobs != 1:
-                # bounded parallelism is accepted but trials are merged in
-                # index order either way; sequential keeps CSV bit-stable
-                pass
             results = run_experiment(config)
             path = write_trace(results, out_dir)
             certified = sum(1 for r in results if r.outcome.status == drv.STATUS_CERTIFIED)

@@ -95,8 +95,9 @@ def hvp_estimate(
 ) -> Array:
     """Forward-difference Hessian-vector product estimate at displacement q.
 
-    ``batch`` is an index array for finite-sum problems and a fresh-sample
-    count for streaming ones (``rng`` required).  Charges ``2 |batch|``.
+    For finite-sum problems ``batch`` is a non-empty index array or the
+    integer ``problem.n`` (every component, read in place); for streaming ones
+    it is a fresh-sample count (``rng`` required).  Charges ``2 |batch|``.
     """
     if not q > 0.0:
         raise ValueError(f"displacement must be positive, got {q}")
@@ -105,12 +106,19 @@ def hvp_estimate(
         raise ValueError("direction must be unit norm")
     z = np.asarray(z, dtype=float)
     if problem.is_finite_sum:
-        idx = np.asarray(batch)
-        if idx.size == 0:
-            raise ValueError("empty index set")
+        if np.ndim(batch) == 0 and batch == problem.n:
+            idx, size = problem.n, problem.n
+        else:
+            idx = np.asarray(batch)
+            size = idx.size
+            if idx.ndim == 0 or size == 0:
+                raise ValueError(
+                    f"batch must be a non-empty index array or the population size "
+                    f"{problem.n}, got {batch!r}"
+                )
         diff = problem.batch_grad_diff(z + q * v, z, idx)
         if counter is not None:
-            counter.add(2 * idx.size)
+            counter.add(2 * size)
     else:
         size = int(batch)
         if size < 1:
@@ -160,8 +168,7 @@ def _certify(
     """
     taylor = 0.5 * query.L2 * q
     if problem.is_finite_sum:
-        idx = np.arange(problem.n)
-        w = hvp_estimate(problem, query.z, v, q, idx, counter=counter)
+        w = hvp_estimate(problem, query.z, v, q, problem.n, counter=counter)
         val = float(v @ w)
         return val, taylor + 1e-9 * (1.0 + abs(val))
     size = max(ONLINE_CERT_BATCH_MIN, ONLINE_POWER_BATCH_MIN)
@@ -189,7 +196,7 @@ def _find_direction(
     stall_tol = STALL_TOL_FACTOR * query.eps_H
 
     if problem.is_finite_sum:
-        power_batch: Array | int = np.arange(problem.n)
+        power_batch = problem.n
     else:
         power_batch = max(ONLINE_POWER_BATCH_MIN, math.ceil(4.0 * query.L1 / query.eps_H))
 

@@ -95,6 +95,10 @@ class FiniteSumProblem:
     ``hessian``; ``batch_grad_diff`` defaults to two ``batch_grad`` calls and
     may be overridden when the component structure lets the difference be
     formed more cheaply (the result must match the generic form).
+
+    A batch is an index array or the integer ``n``: every component in index
+    order, read in place without gathering rows.  Its result equals the one
+    for ``np.arange(n)`` bit for bit.
     """
 
     n: int
@@ -107,11 +111,11 @@ class FiniteSumProblem:
     def value(self, x: Array) -> float:
         raise NotImplementedError
 
-    def batch_grad(self, x: Array, idx: Array) -> Array:
+    def batch_grad(self, x: Array, idx: Array | int) -> Array:
         """Mean of component gradients over ``idx``. Does not touch counters."""
         raise NotImplementedError
 
-    def batch_grad_diff(self, x: Array, y: Array, idx: Array) -> Array:
+    def batch_grad_diff(self, x: Array, y: Array, idx: Array | int) -> Array:
         return self.batch_grad(x, idx) - self.batch_grad(y, idx)
 
     def full_grad(self, x: Array) -> Array:
@@ -179,6 +183,15 @@ def sample_indices_without_replacement(n: int, m: int, rng: np.random.Generator)
     return rng.choice(n, size=m, replace=False)
 
 
+def _is_population(idx: Array | int, n: int) -> bool:
+    """True for the integer batch ``n`` (every component); False for an index array."""
+    if np.ndim(idx) != 0:
+        return False
+    if idx != n:
+        raise ValueError(f"an integer batch must be the population size {n}, got {idx}")
+    return True
+
+
 def _zero_sum_noise(n: int, dim: int, scale: float, rng: np.random.Generator) -> Array:
     """Rows of per-component linear-noise vectors summing exactly to zero."""
     if n == 1 or scale == 0.0:
@@ -198,7 +211,8 @@ class _SeparableQuarticProblem(FiniteSumProblem):
     def __init__(self, diag: Array, quartic: float, noise_rows: Array, radius: float):
         self.diag = np.asarray(diag, dtype=float)
         self.quartic = float(quartic)
-        self.noise = np.asarray(noise_rows, dtype=float)
+        # C order, so that reading all rows in place sums them as a gather would
+        self.noise = np.ascontiguousarray(noise_rows, dtype=float)
         self.n = self.noise.shape[0]
         self.dim = self.diag.size
         self.x0 = np.zeros(self.dim)
@@ -231,10 +245,11 @@ class _SeparableQuarticProblem(FiniteSumProblem):
     def _common_grad(self, x: Array) -> Array:
         return self.diag * x + 4.0 * self.quartic * x**3
 
-    def batch_grad(self, x: Array, idx: Array) -> Array:
-        return self._common_grad(x) + self.noise[idx].mean(axis=0)
+    def batch_grad(self, x: Array, idx: Array | int) -> Array:
+        noise = self.noise if _is_population(idx, self.n) else self.noise[idx]
+        return self._common_grad(x) + noise.mean(axis=0)
 
-    def batch_grad_diff(self, x: Array, y: Array, idx: Array) -> Array:
+    def batch_grad_diff(self, x: Array, y: Array, idx: Array | int) -> Array:
         # Per-component linear noise is identical at both points and drops out.
         return self._common_grad(x) - self._common_grad(y)
 
@@ -283,8 +298,8 @@ class _RegularizedLeastSquaresProblem(FiniteSumProblem):
     """
 
     def __init__(self, A: Array, y: Array):
-        self.A = np.asarray(A, dtype=float)
-        self.y = np.asarray(y, dtype=float)
+        self.A = np.ascontiguousarray(A, dtype=float)
+        self.y = np.ascontiguousarray(y, dtype=float)
         self.n, self.dim = self.A.shape
         self.x0 = np.zeros(self.dim)
 
@@ -327,14 +342,20 @@ class _RegularizedLeastSquaresProblem(FiniteSumProblem):
         res = self.A @ x - self.y
         return float(0.5 * (res * res).mean() + self._reg_value(x))
 
-    def batch_grad(self, x: Array, idx: Array) -> Array:
-        rows = self.A[idx]
-        res = rows @ x - self.y[idx]
-        return rows.T @ res / idx.size + self._reg_grad(x)
+    def _rows(self, idx: Array | int) -> tuple[Array, Array, int]:
+        """Design rows, targets and size of a batch; the population is read in place."""
+        if _is_population(idx, self.n):
+            return self.A, self.y, self.n
+        return self.A[idx], self.y[idx], idx.size
 
-    def batch_grad_diff(self, x: Array, y: Array, idx: Array) -> Array:
-        rows = self.A[idx]
-        return rows.T @ (rows @ (x - y)) / idx.size + self._reg_grad(x) - self._reg_grad(y)
+    def batch_grad(self, x: Array, idx: Array | int) -> Array:
+        rows, targets, size = self._rows(idx)
+        res = rows @ x - targets
+        return rows.T @ res / size + self._reg_grad(x)
+
+    def batch_grad_diff(self, x: Array, y: Array, idx: Array | int) -> Array:
+        rows, _, size = self._rows(idx)
+        return rows.T @ (rows @ (x - y)) / size + self._reg_grad(x) - self._reg_grad(y)
 
     def full_grad(self, x: Array) -> Array:
         res = self.A @ x - self.y
@@ -370,7 +391,7 @@ class QuadraticProblem(FiniteSumProblem):
             raise ValueError("quadratic matrix must be symmetric")
         self.dim = self.H.shape[0]
         self.b = np.zeros(self.dim) if b is None else np.asarray(b, dtype=float)
-        self.noise = np.asarray(noise_rows, dtype=float)
+        self.noise = np.ascontiguousarray(noise_rows, dtype=float)
         self.n = self.noise.shape[0]
         self.x0 = np.zeros(self.dim) if x0 is None else np.asarray(x0, dtype=float)
 
@@ -393,10 +414,11 @@ class QuadraticProblem(FiniteSumProblem):
     def value(self, x: Array) -> float:
         return float(0.5 * x @ self.H @ x + self.b @ x)
 
-    def batch_grad(self, x: Array, idx: Array) -> Array:
-        return self.H @ x + self.b + self.noise[idx].mean(axis=0)
+    def batch_grad(self, x: Array, idx: Array | int) -> Array:
+        noise = self.noise if _is_population(idx, self.n) else self.noise[idx]
+        return self.H @ x + self.b + noise.mean(axis=0)
 
-    def batch_grad_diff(self, x: Array, y: Array, idx: Array) -> Array:
+    def batch_grad_diff(self, x: Array, y: Array, idx: Array | int) -> Array:
         return self.H @ (x - y)
 
     def full_grad(self, x: Array) -> Array:

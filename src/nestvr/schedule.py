@@ -14,6 +14,7 @@ epoch length is geometric with p = 1 / (1 + prod_l T_l).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 import math
 
 from fractions import Fraction
@@ -42,17 +43,11 @@ class NestedSchedule:
         """prod_{l=1}^K T_l; equals sqrt(B0) exactly for canonical sizes."""
         return math.prod(self.T)
 
-    def level_divisor(self, j: int) -> int:
-        """prod_{l=j+1}^K T_l, the refresh period of level j (empty product = 1)."""
-        if not 0 <= j <= self.K:
-            raise ValueError(f"level {j} out of range 0..{self.K}")
-        return math.prod(self.T[j:])
-
-    def batch(self, level: int) -> int:
-        """Effective batch size at a level: B0 at level 0, B_l above."""
-        if level == 0:
-            return self.B0
-        return self.B[level - 1]
+    @cached_property
+    def level_divisors(self) -> tuple[int, ...]:
+        """Refresh periods prod_{l=j+1}^K T_l of levels j = 0..K (level K: the
+        empty product 1), computed once per schedule."""
+        return tuple(math.prod(self.T[j:]) for j in range(self.K + 1))
 
     def as_dict(self) -> dict:
         return {
@@ -138,8 +133,7 @@ def exact_expected_epoch_cost(schedule: NestedSchedule) -> float:
     """
     q = Fraction(schedule.loop_product, 1 + schedule.loop_product)
     total = Fraction(0)
-    for j in range(0, schedule.K + 1):
-        D = schedule.level_divisor(j)
+    for j, D in enumerate(schedule.level_divisors):
         expected_refreshes = q / (1 - q**D)
         charge = schedule.B0 if j == 0 else 2 * schedule.B[j - 1]
         total += charge * expected_refreshes

@@ -1,11 +1,13 @@
 import dataclasses
 import math
 
+from hypothesis import given, strategies as st
 import numpy as np
 import pytest
 
 from nestvr import (
     GradCounter,
+    NestedSchedule,
     clamp_schedule,
     derive_schedule,
     draw_epoch_length,
@@ -18,9 +20,8 @@ from nestvr import (
     make_streaming_saddle_problem,
     reset_level,
     run_epoch,
-    update_reference_gradients,
-    update_reference_points,
 )
+from nestvr.problems import QuadraticProblem
 
 
 @pytest.fixture
@@ -48,69 +49,125 @@ class TestResetLevel:
         with pytest.raises(ValueError):
             reset_level(-1, sched256)
 
+    @given(
+        T=st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=6),
+        t=st.integers(min_value=0, max_value=10**7),
+    )
+    def test_matches_definition(self, T, t):
+        # the least j with t % prod(T[j:]) == 0, on arbitrary loop lengths
+        K = len(T)
+        sched = NestedSchedule(B0=4, K=K, M=6.0, T=tuple(T), B=(1,) * K, p=0.5)
+        want = min(j for j in range(K + 1) if t % math.prod(T[j:]) == 0)
+        assert reset_level(t, sched) == want
+
+
+def epoch_history(problem, schedule, length, x0=None, seed=0):
+    x0 = problem.x0 if x0 is None else x0
+    return run_epoch(
+        x0, problem, schedule, make_rng(seed), keep_history=True, length_override=length
+    ).history
+
 
 class TestReferencePoints:
-    def test_full_reset(self):
-        old = [np.zeros(2) + i for i in range(4)]
-        x = np.full(2, 9.0)
-        new = update_reference_points(old, x, 0)
-        assert all(np.array_equal(ref, x) for ref in new)
+    def test_full_reset(self, sched256):
+        # steps of reset level 0 snap every reference point to the iterate
+        prob = make_streaming_saddle_problem(4, -1.0, seed=1)
+        for state in epoch_history(prob, sched256, 2 * sched256.loop_product + 1):
+            if state.t % sched256.loop_product == 0:
+                assert all(np.array_equal(ref, state.x) for ref in state.x_ref)
 
-    def test_minimal_reset_touches_only_last(self):
-        old = [np.zeros(2) + i for i in range(4)]
-        x = np.full(2, 9.0)
-        new = update_reference_points(old, x, 3)
-        assert all(np.array_equal(new[i], old[i]) for i in range(3))
-        assert np.array_equal(new[3], x)
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            update_reference_points([np.zeros(2)] * 3, np.zeros(2), 3)
+    def test_minimal_reset_touches_only_last(self, sched256):
+        # steps of reset level K keep the points and gradients of the levels
+        # below K and snap only the last point
+        prob = make_streaming_saddle_problem(4, -1.0, seed=1)
+        history = epoch_history(prob, sched256, 8)
+        K = sched256.K
+        for prev, state in zip(history, history[1:]):
+            if reset_level(state.t, sched256) == K:
+                for i in range(K):
+                    assert np.array_equal(state.x_ref[i], prev.x_ref[i])
+                    assert np.array_equal(state.g_ref[i], prev.g_ref[i])
+                assert np.array_equal(state.x_ref[K], state.x)
+                assert not np.array_equal(state.x_ref[K], prev.x_ref[K])
 
 
 class TestReferenceGradients:
-    def test_anchor_reset_zeroes_higher_levels(self, sched256, rng):
+    def test_anchor_reset_zeroes_higher_levels(self, sched256):
         prob = make_saddle_problem(4, 60000, -1.0, seed=1)
-        counter = GradCounter()
-        x = np.full(4, 0.3)
-        refs = [x] * 4
-        old = [np.ones(4)] * 4
-        new = update_reference_gradients(old, refs, 0, prob, sched256, rng, counter)
-        assert all(np.all(new[l] == 0.0) for l in range(1, 4))
+        res = run_epoch(
+            np.full(4, 0.3), prob, sched256, make_rng(2), keep_history=True, length_override=1
+        )
+        (state,) = res.history
+        assert all(np.all(state.g_ref[l] == 0.0) for l in range(1, 4))
         # anchor plus the zero refreshes of levels 1..K are all charged
-        assert counter.count == 256 + 2 * (55296 + 2304 + 96)
+        assert res.grads_used == 256 + 2 * (55296 + 2304 + 96)
 
-    def test_sum_after_anchor_is_anchor(self, sched256, rng):
+    def test_sum_after_anchor_is_anchor(self, sched256):
         prob = make_saddle_problem(4, 60000, -1.0, seed=1)
-        refs = [np.full(4, 0.3)] * 4
-        new = update_reference_gradients(
-            [np.ones(4)] * 4, refs, 0, prob, sched256, rng, GradCounter()
-        )
-        assert np.array_equal(np.sum(new, axis=0), new[0])
+        (state,) = epoch_history(prob, sched256, 1, x0=np.full(4, 0.3))
+        assert np.array_equal(state.v, state.g_ref[0])
 
-    def test_equal_reference_points_give_zero_correction(self, sched256, rng):
-        prob = make_saddle_problem(4, 60000, -1.0, seed=1)
-        x = np.full(4, 0.3)
-        refs = [x, x, x, x]
-        counter = GradCounter()
-        new = update_reference_gradients(
-            [np.ones(4)] * 4, refs, 2, prob, sched256, rng, counter
-        )
-        assert np.allclose(new[2], 0.0, atol=1e-15)
+    def test_equal_reference_points_give_zero_correction(self, sched256):
+        # noise-free saddle started at its stationary point: the iterate never
+        # moves, so every correction pairs equal points
+        prob = make_saddle_problem(4, 60000, -1.0, seed=1, noise=0.0)
+        history = epoch_history(prob, sched256, 5)
+        prev, state = history[3], history[4]
+        assert reset_level(4, sched256) == 2
+        assert all(np.array_equal(ref, prob.x0) for ref in state.x_ref)
+        assert np.allclose(state.g_ref[2], 0.0, atol=1e-15)
         # levels below r preserved
-        assert np.array_equal(new[0], np.ones(4))
-        assert np.array_equal(new[1], np.ones(4))
+        assert np.array_equal(state.g_ref[0], prev.g_ref[0])
+        assert np.array_equal(state.g_ref[1], prev.g_ref[1])
         # level r charged 2 B_r, level r+1..K zero-refreshed at 2 B_l each
-        assert counter.count == 2 * 2304 + 2 * 96
+        costs = [
+            run_epoch(prob.x0, prob, sched256, make_rng(3), length_override=T).grads_used
+            for T in (4, 5)
+        ]
+        assert costs[1] - costs[0] == 2 * 2304 + 2 * 96
 
-    def test_full_batch_anchor_is_exact_gradient(self, rng):
+    def test_full_batch_anchor_is_exact_gradient(self):
         prob = make_saddle_problem(4, 16, -1.0, seed=2)
         sched = clamp_schedule(derive_schedule(16, M=6.0), 16)
         x = np.full(4, 0.2)
-        new = update_reference_gradients(
-            [np.zeros(4)] * 3, [x] * 3, 0, prob, sched, rng, GradCounter()
-        )
-        assert np.allclose(new[0], prob.full_grad(x), atol=1e-14)
+        (state,) = epoch_history(prob, sched, 1, x0=x)
+        assert np.allclose(state.g_ref[0], prob.full_grad(x), atol=1e-14)
+
+
+class TestUpdateDirection:
+    """The running prefix sum gives the direction np.sum(g_ref) would, bit for bit."""
+
+    @staticmethod
+    def assert_direction_is_sum(history):
+        for state in history:
+            want = np.sum(state.g_ref, axis=0)
+            # byte equality: array_equal would not tell -0.0 from 0.0
+            assert state.v.tobytes() == want.tobytes()
+
+    def test_finite_sum(self):
+        prob = make_regularized_problem(6, 300, seed=12)
+        sched = clamp_schedule(derive_schedule(256, M=6.0 * prob.smoothness.L1), 300)
+        assert sched.K == 3
+        self.assert_direction_is_sum(epoch_history(prob, sched, 40, seed=5))
+
+    def test_signed_zeros(self):
+        # np.sum starts from +0.0, so an anchor of -0.0 sums to +0.0
+        class NegativeZeroOracle(QuadraticProblem):
+            def batch_grad(self, x, idx):
+                return np.full(self.dim, -0.0)
+
+            def batch_grad_diff(self, x, y, idx):
+                return np.full(self.dim, -0.0)
+
+        prob = NegativeZeroOracle(np.eye(3), None, np.zeros((8, 3)))
+        sched = clamp_schedule(derive_schedule(16, M=6.0), 8)
+        self.assert_direction_is_sum(epoch_history(prob, sched, 9))
+
+    def test_streaming_deep_nest(self):
+        prob = make_streaming_saddle_problem(6, -1.0, seed=13)
+        sched = derive_schedule(65536, M=6.0 * prob.smoothness.L1)
+        assert sched.K == 4
+        self.assert_direction_is_sum(epoch_history(prob, sched, 2 * sched.loop_product + 7))
 
 
 class TestGeometricLength:
@@ -196,7 +253,7 @@ class TestRunEpoch:
         for state in res.history:
             assert np.array_equal(state.x_ref[sched.K], state.x)
             for level in range(sched.K + 1):
-                D = sched.level_divisor(level)
+                D = sched.level_divisors[level]
                 anchor_t = (state.t // D) * D
                 assert np.array_equal(state.x_ref[level], iterates[anchor_t])
 

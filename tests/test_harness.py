@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 
@@ -6,6 +7,7 @@ import pytest
 
 from nestvr import classify_point, clamp_schedule, derive_schedule, make_regularized_problem
 from nestvr.harness import (
+    FAMILY_FIELDS,
     ConfigError,
     ExperimentConfig,
     build_problem,
@@ -97,6 +99,31 @@ class TestConfig:
             assert problem.dim == 4
 
 
+class TestStrictProblemFields:
+    """A config may set only the problem fields its family reads."""
+
+    @pytest.mark.parametrize(
+        "family,base,ignored",
+        [
+            ("saddle", {"n": 8}, []),
+            ("regularized", {"n": 16}, ["negative_eigenvalue", "quartic", "radius", "noise"]),
+            ("streaming-saddle", {}, ["n"]),
+            ("streaming-quadratic", {}, ["n", "negative_eigenvalue", "quartic", "radius"]),
+        ],
+    )
+    def test_ignored_fields_rejected_with_path(self, family, base, ignored):
+        value = {"n": 8, "negative_eigenvalue": -0.5, "quartic": 0.5, "radius": 1.0, "noise": 0.2}
+        for key in ignored:
+            doc = {"family": family, "dim": 4, **base, key: value[key]}
+            with pytest.raises(ConfigError, match=rf"problem\.{key}: not used by family '{family}'"):
+                parse_config(dict(BASE_CONFIG, problem=doc))
+        # every field the family does read is accepted, and round-trips
+        doc = {"family": family, "dim": 4, "seed": 3, **{k: value[k] for k in FAMILY_FIELDS[family]}}
+        cfg = parse_config(dict(BASE_CONFIG, problem=doc))
+        assert cfg.to_dict()["problem"] == doc
+        assert parse_config(cfg.to_dict()) == cfg
+
+
 @pytest.fixture(scope="module")
 def results():
     return run_experiment(parse_config(BASE_CONFIG))
@@ -154,6 +181,26 @@ class TestTracePersistence:
         s1 = sorted((tmp_path / "a").glob("summary_*.json"))
         s2 = sorted((tmp_path / "b").glob("summary_*.json"))
         assert [p.read_text() for p in s1] == [p.read_text() for p in s2]
+
+
+    def test_interrupted_write_keeps_previous_file(self, results, tmp_path):
+        path = write_trace(results, tmp_path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        # a value the CSV writer cannot format, in the last trial's events:
+        # the write fails after the earlier rows have gone out
+        last = results[-1]
+        events = list(last.outcome.trace.events)
+        events[-1] = dataclasses.replace(events[-1], f_value="not a number")
+        broken = dataclasses.replace(
+            last,
+            outcome=dataclasses.replace(
+                last.outcome, trace=dataclasses.replace(last.outcome.trace, events=events)
+            ),
+        )
+        with pytest.raises(ValueError):
+            write_trace(results[:-1] + [broken], tmp_path)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        assert path.read_bytes() == before["events.csv"]
 
 
 class TestVerifySuites:
@@ -298,6 +345,14 @@ class TestCli:
         path = write_config(tmp_path, cfg)
         assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "j"),
                          "--jobs", "2"]) == 0
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_run_rejects_jobs_below_one(self, tmp_path, capsys, jobs):
+        path = write_config(tmp_path, BASE_CONFIG)
+        out = tmp_path / "j"
+        assert cli_main(["run", "--config", str(path), "--out", str(out), "--jobs", jobs]) == 1
+        assert "--jobs" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_classify_subcommand(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, BASE_CONFIG)

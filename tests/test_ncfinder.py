@@ -84,6 +84,24 @@ class TestHvpEstimate:
         hvp_estimate(sprob, sprob.x0, v, 1e-3, 8, rng=rng, counter=counter)
         assert counter.count == 10 + 16
 
+    def test_population_batch_charges_two_n(self):
+        prob, _ = random_symmetric_fixture(4, -0.5, seed=3)
+        v = np.array([0.0, 1.0, 0, 0])
+        counter = GradCounter()
+        est = hvp_estimate(prob, prob.x0, v, 1e-3, prob.n, counter=counter)
+        assert counter.count == 2 * prob.n
+        assert np.array_equal(est, hvp_estimate(prob, prob.x0, v, 1e-3, np.arange(prob.n)))
+
+    @pytest.mark.parametrize("batch", [5, np.asarray(5), 0, np.array([], dtype=int)])
+    def test_bad_finite_batch_rejected(self, batch):
+        # n = 6: an integer other than n is no longer read as one component
+        # index, and an empty index set is refused
+        prob, _ = random_symmetric_fixture(4, -0.5, seed=3)
+        counter = GradCounter()
+        with pytest.raises(ValueError):
+            hvp_estimate(prob, prob.x0, np.array([1.0, 0, 0, 0]), 1e-3, batch, counter=counter)
+        assert counter.count == 0
+
     def test_zero_displacement_rejected(self):
         prob, _ = random_symmetric_fixture(4, -0.5, seed=4)
         with pytest.raises(ValueError):

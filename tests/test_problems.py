@@ -76,6 +76,30 @@ class TestMinibatchGradient:
         assert np.allclose(out, (a[0] + a[1]) / 2, atol=1e-14)
 
 
+FINITE_FAMILIES = {
+    "saddle": lambda: make_saddle_problem(5, 40, -1.0, seed=21),
+    "regularized": lambda: make_regularized_problem(7, 45, seed=22),
+    "quadratic": lambda: make_quadratic_problem(np.diag([2.0, -1.0, 0.5]), 30, seed=23),
+}
+
+
+@pytest.mark.parametrize("family", sorted(FINITE_FAMILIES))
+class TestPopulationBatch:
+    """The integer n is every component in index order, read in place."""
+
+    def test_same_bits_as_index_array(self, family, rng):
+        prob = FINITE_FAMILIES[family]()
+        x, y = rng.standard_normal((2, prob.dim))
+        every = np.arange(prob.n)
+        assert np.array_equal(prob.batch_grad(x, prob.n), prob.batch_grad(x, every))
+        assert np.array_equal(prob.batch_grad_diff(x, y, prob.n), prob.batch_grad_diff(x, y, every))
+
+    def test_other_integers_rejected(self, family):
+        prob = FINITE_FAMILIES[family]()
+        with pytest.raises(ValueError, match="population size"):
+            prob.batch_grad(prob.x0, 3)
+
+
 class TestSaddleProblem:
     def test_origin_is_strict_saddle(self):
         prob = make_saddle_problem(2, 1, -1.0, seed=0)

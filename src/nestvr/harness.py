@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
@@ -281,36 +282,17 @@ def _json_float(value: float) -> float | None:
     return value if math.isfinite(value) else None
 
 
-def _write_atomically(path: Path, write, newline: str | None = None) -> None:
-    """Call ``write(fh)`` on a temporary file beside ``path``, then rename it
-    over ``path``: readers see the old file or the whole new one, never part."""
+def _replace_file(path: Path, text: str) -> None:
+    """Write ``text`` to a temporary file beside ``path``, then rename it over
+    ``path``: readers see the old file or the whole new one, never part."""
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with tmp.open("w", newline=newline) as fh:
-            write(fh)
+        with tmp.open("w", newline="") as fh:
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-
-
-def _write_events(fh, results: list[TrialResult]) -> None:
-    writer = csv.writer(fh)
-    writer.writerow(CSV_HEADER)
-    for res in results:
-        for ev in res.outcome.trace.events:
-            writer.writerow(
-                [
-                    res.trial,
-                    ev.u,
-                    ev.kind,
-                    ev.grads_cum,
-                    _fmt(ev.f_value),
-                    _fmt(ev.grad_norm),
-                    _fmt(ev.rayleigh),
-                    _fmt(ev.wall_ms),
-                ]
-            )
 
 
 def write_trace(results: list[TrialResult], out_dir: str | Path) -> Path:
@@ -322,8 +304,25 @@ def write_trace(results: list[TrialResult], out_dir: str | Path) -> Path:
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
+        events = io.StringIO()
+        writer = csv.writer(events)
+        writer.writerow(CSV_HEADER)
+        for res in results:
+            for ev in res.outcome.trace.events:
+                writer.writerow(
+                    [
+                        res.trial,
+                        ev.u,
+                        ev.kind,
+                        ev.grads_cum,
+                        _fmt(ev.f_value),
+                        _fmt(ev.grad_norm),
+                        _fmt(ev.rayleigh),
+                        _fmt(ev.wall_ms),
+                    ]
+                )
         events_path = out / "events.csv"
-        _write_atomically(events_path, lambda fh: _write_events(fh, results), newline="")
+        _replace_file(events_path, events.getvalue())
         for res in results:
             summary = {
                 "status": res.outcome.status,
@@ -332,7 +331,7 @@ def write_trace(results: list[TrialResult], out_dir: str | Path) -> Path:
                 "final_lambda_min": _json_float(res.final_lambda_min),
             }
             text = json.dumps(summary, indent=2, allow_nan=False) + "\n"
-            _write_atomically(out / f"summary_{res.trial:03d}.json", lambda fh: fh.write(text))
+            _replace_file(out / f"summary_{res.trial:03d}.json", text)
     except OSError as exc:
         raise OSError(f"writing traces under {out}: {exc}") from exc
     return events_path

@@ -26,6 +26,7 @@ from .problems import (
     GradCounter,
     Problem,
     StreamingProblem,
+    _is_population,
 )
 
 #: power steps per restart scale as POWER_BUDGET_FACTOR * (L1/eps_H) * log2(d/delta)
@@ -106,17 +107,14 @@ def hvp_estimate(
         raise ValueError("direction must be unit norm")
     z = np.asarray(z, dtype=float)
     if problem.is_finite_sum:
-        if np.ndim(batch) == 0 and batch == problem.n:
-            idx, size = problem.n, problem.n
+        if _is_population(batch, problem.n):
+            size = problem.n
         else:
-            idx = np.asarray(batch)
-            size = idx.size
-            if idx.ndim == 0 or size == 0:
-                raise ValueError(
-                    f"batch must be a non-empty index array or the population size "
-                    f"{problem.n}, got {batch!r}"
-                )
-        diff = problem.batch_grad_diff(z + q * v, z, idx)
+            batch = np.asarray(batch)
+            size = batch.size
+            if size == 0:
+                raise ValueError("batch must be a non-empty index array")
+        diff = problem.batch_grad_diff(z + q * v, z, batch)
         if counter is not None:
             counter.add(2 * size)
     else:

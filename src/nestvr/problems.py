@@ -251,6 +251,7 @@ class _SeparableQuarticProblem(FiniteSumProblem):
 
     def batch_grad_diff(self, x: Array, y: Array, idx: Array | int) -> Array:
         # Per-component linear noise is identical at both points and drops out.
+        _is_population(idx, self.n)
         return self._common_grad(x) - self._common_grad(y)
 
     def full_grad(self, x: Array) -> Array:
@@ -419,6 +420,7 @@ class QuadraticProblem(FiniteSumProblem):
         return self.H @ x + self.b + noise.mean(axis=0)
 
     def batch_grad_diff(self, x: Array, y: Array, idx: Array | int) -> Array:
+        _is_population(idx, self.n)
         return self.H @ (x - y)
 
     def full_grad(self, x: Array) -> Array:

@@ -92,19 +92,27 @@ class TestReferencePoints:
 
 
 class TestReferenceGradients:
-    def test_anchor_reset_zeroes_higher_levels(self, sched256):
+    @staticmethod
+    def second_anchor(sched):
+        # the step t = loop_product resets level 0 again, after the finer
+        # levels have held nonzero corrections
         prob = make_saddle_problem(4, 60000, -1.0, seed=1)
-        res = run_epoch(
-            np.full(4, 0.3), prob, sched256, make_rng(2), keep_history=True, length_override=1
-        )
-        (state,) = res.history
+        history = epoch_history(prob, sched, sched.loop_product + 1, x0=np.full(4, 0.3))
+        prev, state = history[-2:]
+        assert state.t == sched.loop_product and reset_level(state.t, sched) == 0
+        assert np.any(prev.g_ref[sched.K] != 0.0)
+        return state
+
+    def test_anchor_reset_zeroes_higher_levels(self, sched256):
+        state = self.second_anchor(sched256)
         assert all(np.all(state.g_ref[l] == 0.0) for l in range(1, 4))
         # anchor plus the zero refreshes of levels 1..K are all charged
+        prob = make_saddle_problem(4, 60000, -1.0, seed=1)
+        res = run_epoch(np.full(4, 0.3), prob, sched256, make_rng(2), length_override=1)
         assert res.grads_used == 256 + 2 * (55296 + 2304 + 96)
 
     def test_sum_after_anchor_is_anchor(self, sched256):
-        prob = make_saddle_problem(4, 60000, -1.0, seed=1)
-        (state,) = epoch_history(prob, sched256, 1, x0=np.full(4, 0.3))
+        state = self.second_anchor(sched256)
         assert np.array_equal(state.v, state.g_ref[0])
 
     def test_equal_reference_points_give_zero_correction(self, sched256):

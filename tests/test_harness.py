@@ -183,14 +183,23 @@ class TestTracePersistence:
         assert [p.read_text() for p in s1] == [p.read_text() for p in s2]
 
 
-    def test_interrupted_write_keeps_previous_file(self, results, tmp_path):
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            # a value that cannot be formatted: the CSV fails while it is rendered
+            ("f_value", "not a number"),
+            # a lone surrogate cannot be encoded: the temporary file has been
+            # created when the write fails
+            ("kind", "\ud800"),
+        ],
+    )
+    def test_interrupted_write_keeps_previous_file(self, results, tmp_path, field, value):
         path = write_trace(results, tmp_path)
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-        # a value the CSV writer cannot format, in the last trial's events:
-        # the write fails after the earlier rows have gone out
+        # the bad value sits in the last trial's last event, after the earlier rows
         last = results[-1]
         events = list(last.outcome.trace.events)
-        events[-1] = dataclasses.replace(events[-1], f_value="not a number")
+        events[-1] = dataclasses.replace(events[-1], **{field: value})
         broken = dataclasses.replace(
             last,
             outcome=dataclasses.replace(

@@ -98,6 +98,8 @@ class TestPopulationBatch:
         prob = FINITE_FAMILIES[family]()
         with pytest.raises(ValueError, match="population size"):
             prob.batch_grad(prob.x0, 3)
+        with pytest.raises(ValueError, match="population size"):
+            prob.batch_grad_diff(prob.x0, prob.x0, 3)
 
 
 class TestSaddleProblem:

@@ -11,12 +11,12 @@ level 0, a two-point batch-B_r correction above), and finer levels restart
 from zero.  The update direction is the sum of all reference gradients and
 the step is x <- x - v / (10 M).
 
-Cost model: every level whose period divides t is charged at that step --
-B0 gradients for the level-0 anchor, 2 B_l for each level above, including
-the levels above r whose refreshed difference pairs identical points and is
-therefore identically zero (the zero is written without evaluating
-gradients; the charge is still made so the tally matches the closed-form
-epoch cost).
+Cost model: every level whose period divides t is charged at that step, at
+``NestedSchedule.level_costs`` (B0 gradients for the level-0 anchor, 2 B_l for
+each level above), including the levels above r whose refreshed difference
+pairs identical points and is therefore identically zero (the zero is written
+without evaluating gradients; the charge is still made so the tally matches
+the closed-form epoch cost).
 """
 
 from __future__ import annotations
@@ -85,16 +85,6 @@ def reset_level(t: int, schedule: NestedSchedule) -> int:
     raise AssertionError("unreachable: level K always divides")
 
 
-def _reset_charges(batches: tuple[int, ...]) -> list[int]:
-    """Gradients charged at a step of reset level r, for r = 0..K.
-
-    The refreshed level costs B0 (r = 0) or 2 B_r, and every zeroed level above
-    it 2 B_l.
-    """
-    pair = [2 * b for b in batches]
-    return [(batches[0] if r == 0 else pair[r]) + sum(pair[r + 1 :]) for r in range(len(batches))]
-
-
 def run_epoch(
     x0: Array,
     problem: Problem,
@@ -137,7 +127,8 @@ def run_epoch(
     # sum bit for bit.
     prefix = [zero] * (K + 1)
     batches = (schedule.B0, *schedule.B)
-    charges = _reset_charges(batches)
+    # a step of reset level r pays for level r and every zeroed level above it
+    charges = [sum(schedule.level_costs[r:]) for r in range(K + 1)]
     finite = problem.is_finite_sum
     history: list[EpochState] | None = [] if keep_history else None
     out_of_domain = False

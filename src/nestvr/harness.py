@@ -6,16 +6,18 @@ Config documents are a single JSON object::
     {
       "problem": {"family": "saddle", "dim": 10, "n": 256,
                   "negative_eigenvalue": -1.0, "noise": 0.1, "seed": 7},
-      "algorithm": {"mode": "finite", "smoothness_order": 2,
-                    "eps": 1e-3, "eps_H": 0.1,
+      "algorithm": {"smoothness_order": 2, "eps": 1e-3, "eps_H": 0.1,
                     "overrides": {"U": 500}},
       "trials": 4,
       "seed": 12345,
       "out": "results/"
     }
 
-Unknown keys are rejected with a field-path diagnostic.  Event streams are
-written as CSV with the fixed header
+The family fixes the algorithm: the finite-sum families (those that read
+``n``) run the finite-sum algorithm, the others the streaming one.  An
+``algorithm.mode`` of ``"finite"`` or ``"online"`` may be given but must
+match.  Unknown keys are rejected with a field-path diagnostic.  Event
+streams are written as CSV with the fixed header
 ``trial,u,event,grads_cum,f_value,grad_norm,rayleigh,wall_ms`` (empty fields
 where a column does not apply, floats in shortest round-trip form) plus one
 summary JSON per trial.  The wall_ms column is informational only and is
@@ -31,8 +33,9 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -43,7 +46,6 @@ from .problems import (
     FiniteSumProblem,
     GradCounter,
     Problem,
-    StreamingProblem,
     make_regularized_problem,
     make_rng,
     make_saddle_problem,
@@ -62,13 +64,33 @@ from .schedule import (
 
 CSV_HEADER = ("trial", "u", "event", "grads_cum", "f_value", "grad_norm", "rayleigh", "wall_ms")
 
-#: the problem fields each family reads, besides ``family``, ``dim`` and
-#: ``seed``; a config that sets any other field is rejected
-FAMILY_FIELDS = {
-    "saddle": ("n", "negative_eigenvalue", "noise", "quartic", "radius"),
-    "regularized": ("n",),
-    "streaming-saddle": ("negative_eigenvalue", "noise", "quartic", "radius"),
-    "streaming-quadratic": ("noise",),
+
+@dataclass(frozen=True)
+class Family:
+    """How one problem family is built: ``factory`` takes ``dim``, ``seed`` and
+    each of ``fields`` as keywords.  A config that sets a problem field outside
+    ``fields``, other than ``family``, ``dim`` and ``seed``, is rejected."""
+
+    factory: Callable[..., Problem]
+    fields: tuple[str, ...]
+
+    @property
+    def is_finite_sum(self) -> bool:
+        """The finite-sum families are exactly the ones with a component count."""
+        return "n" in self.fields
+
+
+def _streaming_quadratic(dim: int, seed: int, noise: float) -> Problem:
+    return make_streaming_quadratic_problem(np.eye(dim), seed, noise=noise)
+
+
+FAMILIES = {
+    "saddle": Family(make_saddle_problem, ("n", "negative_eigenvalue", "noise", "quartic", "radius")),
+    "regularized": Family(make_regularized_problem, ("n",)),
+    "streaming-saddle": Family(
+        make_streaming_saddle_problem, ("negative_eigenvalue", "noise", "quartic", "radius")
+    ),
+    "streaming-quadratic": Family(_streaming_quadratic, ("noise",)),
 }
 
 
@@ -99,26 +121,23 @@ class ProblemSpec:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        families = list(FAMILY_FIELDS)
+        families = list(FAMILIES)
         if self.family not in families:
             raise ConfigError(f"problem.family: {self.family!r} not one of {families}")
         if self.dim < 1:
             raise ConfigError(f"problem.dim: must be >= 1, got {self.dim}")
-        if self.family in ("saddle", "regularized") and (self.n is None or self.n < 1):
+        if FAMILIES[self.family].is_finite_sum and (self.n is None or self.n < 1):
             raise ConfigError(f"problem.n: finite-sum family needs n >= 1, got {self.n}")
 
 
 @dataclass(frozen=True)
 class AlgorithmSpec:
-    mode: str
     smoothness_order: int
     eps: float
     eps_H: float
     overrides: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.mode not in ("finite", "online"):
-            raise ConfigError(f"algorithm.mode: must be 'finite' or 'online', got {self.mode!r}")
         if self.smoothness_order not in (2, 3):
             raise ConfigError(
                 f"algorithm.smoothness_order: must be 2 or 3, got {self.smoothness_order}"
@@ -143,7 +162,7 @@ class ExperimentConfig:
             raise ConfigError(f"trials: must be >= 1, got {self.trials}")
 
     def to_dict(self) -> dict:
-        own = ("family", "dim", *FAMILY_FIELDS[self.problem.family], "seed")
+        own = ("family", "dim", *FAMILIES[self.problem.family].fields, "seed")
         problem = asdict(self.problem)
         doc = {
             "problem": {k: problem[k] for k in own if problem[k] is not None},
@@ -159,16 +178,10 @@ class ExperimentConfig:
 def parse_config(doc: dict) -> ExperimentConfig:
     _require_keys(doc, "config", {"problem", "algorithm", "trials", "seed"}, {"out"})
     p = doc["problem"]
-    _require_keys(
-        p,
-        "problem",
-        {"family", "dim"},
-        {"n", "negative_eigenvalue", "noise", "quartic", "radius", "seed"},
-    )
+    fields = {name for family in FAMILIES.values() for name in family.fields}
+    _require_keys(p, "problem", {"family", "dim"}, {*fields, "seed"})
     a = doc["algorithm"]
-    _require_keys(
-        a, "algorithm", {"mode", "smoothness_order", "eps", "eps_H"}, {"overrides"}
-    )
+    _require_keys(a, "algorithm", {"smoothness_order", "eps", "eps_H"}, {"mode", "overrides"})
     overrides = a.get("overrides", {})
     if not isinstance(overrides, dict):
         raise ConfigError("algorithm.overrides: expected an object")
@@ -176,7 +189,6 @@ def parse_config(doc: dict) -> ExperimentConfig:
         config = ExperimentConfig(
             problem=ProblemSpec(**p),
             algorithm=AlgorithmSpec(
-                mode=a["mode"],
                 smoothness_order=int(a["smoothness_order"]),
                 eps=float(a["eps"]),
                 eps_H=float(a["eps_H"]),
@@ -189,10 +201,16 @@ def parse_config(doc: dict) -> ExperimentConfig:
     except TypeError as exc:
         raise ConfigError(f"config: {exc}") from exc
     family = config.problem.family
-    ignored = sorted(set(p) - {"family", "dim", "seed", *FAMILY_FIELDS[family]})
+    ignored = sorted(set(p) - {"family", "dim", "seed", *FAMILIES[family].fields})
     if ignored:
         paths = ", ".join(f"problem.{key}" for key in ignored)
         raise ConfigError(f"{paths}: not used by family {family!r}")
+    mode = "finite" if FAMILIES[family].is_finite_sum else "online"
+    given = a.get("mode", mode)
+    if given not in ("finite", "online"):
+        raise ConfigError(f"algorithm.mode: must be 'finite' or 'online', got {given!r}")
+    if given != mode:
+        raise ConfigError(f"algorithm.mode: family {family!r} runs in {mode!r} mode, got {given!r}")
     return config
 
 
@@ -207,35 +225,15 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 def build_problem(spec: ProblemSpec, default_seed: int) -> Problem:
     seed = spec.seed if spec.seed is not None else default_seed
-    if spec.family == "saddle":
-        return make_saddle_problem(
-            spec.dim,
-            spec.n,
-            spec.negative_eigenvalue,
-            seed,
-            quartic=spec.quartic,
-            radius=spec.radius,
-            noise=spec.noise,
-        )
-    if spec.family == "regularized":
-        return make_regularized_problem(spec.dim, spec.n, seed)
-    if spec.family == "streaming-saddle":
-        return make_streaming_saddle_problem(
-            spec.dim,
-            spec.negative_eigenvalue,
-            seed,
-            quartic=spec.quartic,
-            radius=spec.radius,
-            noise=spec.noise,
-        )
-    if spec.family == "streaming-quadratic":
-        return make_streaming_quadratic_problem(np.eye(spec.dim), seed, noise=spec.noise)
-    raise ConfigError(f"problem.family: unhandled family {spec.family!r}")
+    family = FAMILIES[spec.family]
+    return family.factory(
+        dim=spec.dim, seed=seed, **{name: getattr(spec, name) for name in family.fields}
+    )
 
 
 def build_driver_config(problem: Problem, alg: AlgorithmSpec) -> DriverConfig:
     overrides = alg.overrides or None
-    if alg.mode == "finite":
+    if problem.is_finite_sum:
         builder = drv.config_finite_2nd if alg.smoothness_order == 2 else drv.config_finite_3rd
     else:
         builder = drv.config_online_2nd if alg.smoothness_order == 2 else drv.config_online_3rd
@@ -513,26 +511,22 @@ def _epoch_decrease_suite(rng: np.random.Generator) -> SuiteResult:
     return SuiteResult("epoch-decrease", report.passed, detail)
 
 
-SUITES = ("schedule", "geom-tail", "subsample-variance", "series-domination", "epoch-decrease")
+#: each suite by name, called with the generator the suites of one run share
+SUITES: dict[str, Callable[[np.random.Generator], SuiteResult]] = {
+    "schedule": lambda rng: verify_schedule_identities(),
+    "geom-tail": verify_geometric_tail_inequality,
+    "subsample-variance": verify_subsample_variance,
+    "series-domination": lambda rng: verify_series_domination(),
+    "epoch-decrease": _epoch_decrease_suite,
+}
 
 
 def run_verify_suite(names: list[str], seed: int) -> list[SuiteResult]:
-    rng = make_rng(seed)
-    results = []
     for name in names:
-        if name == "schedule":
-            results.append(verify_schedule_identities())
-        elif name == "geom-tail":
-            results.append(verify_geometric_tail_inequality(rng))
-        elif name == "subsample-variance":
-            results.append(verify_subsample_variance(rng))
-        elif name == "series-domination":
-            results.append(verify_series_domination())
-        elif name == "epoch-decrease":
-            results.append(_epoch_decrease_suite(rng))
-        else:
+        if name not in SUITES:
             raise ConfigError(f"unknown verify suite {name!r}; choose from {list(SUITES)}")
-    return results
+    rng = make_rng(seed)
+    return [SUITES[name](rng) for name in names]
 
 
 # ---------------------------------------------------------------------------
@@ -590,13 +584,7 @@ def cli_main(argv: list[str] | None = None) -> int:
                 raise ConfigError(f"--jobs: must be >= 1, got {args.jobs}")
             config = load_config(args.config)
             if args.seed is not None:
-                config = ExperimentConfig(
-                    problem=config.problem,
-                    algorithm=config.algorithm,
-                    trials=config.trials,
-                    seed=args.seed,
-                    out=config.out,
-                )
+                config = replace(config, seed=args.seed)
             out_dir = args.out or config.out
             if out_dir is None:
                 raise ConfigError("no output directory: set 'out' in the config or pass --out")

@@ -5,12 +5,15 @@ Hessian-vector products are approximated by forward gradient differences
 sampling noise), so the search consumes only stochastic gradients.  The
 finder runs shifted power iteration on shift*I - H from several random unit
 starts; a candidate that drives the Rayleigh quotient below -3/4 eps_H is
-re-measured with a full-batch (finite-sum) or large-batch (streaming)
-certification pass and returned only when the certified estimate plus its
-error budget clears -eps_H / 2.  Self-certification makes soundness of
-returned directions unconditional; failure to certify within the iteration
-budget yields the abstention signal (direction ``None``), indistinguishable
-by contract from a genuine absence of curvature below the threshold.
+returned only when a certified estimate plus its error budget clears
+-eps_H / 2.  On a finite sum every power step is a full-population product,
+deterministic given z, v and q, so the candidate's own power-step value is
+the certified estimate and its error budget is the Taylor term alone; a
+streaming candidate is re-measured over several large batches.
+Self-certification makes soundness of returned directions unconditional;
+failure to certify within the iteration budget yields the abstention signal
+(direction ``None``), indistinguishable by contract from a genuine absence of
+curvature below the threshold.
 """
 
 from __future__ import annotations
@@ -90,15 +93,15 @@ def hvp_estimate(
     z: Array,
     v: Array,
     q: float,
-    batch: Array | int,
+    batch: int,
     rng: np.random.Generator | None = None,
     counter: GradCounter | None = None,
 ) -> Array:
     """Forward-difference Hessian-vector product estimate at displacement q.
 
-    For finite-sum problems ``batch`` is a non-empty index array or the
-    integer ``problem.n`` (every component, read in place); for streaming ones
-    it is a fresh-sample count (``rng`` required).  Charges ``2 |batch|``.
+    For finite-sum problems ``batch`` is the integer ``problem.n`` (every
+    component, read in place); for streaming ones it is a fresh-sample count
+    (``rng`` required).  Charges ``2 batch``.
     """
     if not q > 0.0:
         raise ValueError(f"displacement must be positive, got {q}")
@@ -107,25 +110,17 @@ def hvp_estimate(
         raise ValueError("direction must be unit norm")
     z = np.asarray(z, dtype=float)
     if problem.is_finite_sum:
-        if _is_population(batch, problem.n):
-            size = problem.n
-        else:
-            batch = np.asarray(batch)
-            size = batch.size
-            if size == 0:
-                raise ValueError("batch must be a non-empty index array")
+        if not _is_population(batch, problem.n):
+            raise ValueError(f"a finite-sum batch must be the population size {problem.n}")
         diff = problem.batch_grad_diff(z + q * v, z, batch)
-        if counter is not None:
-            counter.add(2 * size)
     else:
-        size = int(batch)
-        if size < 1:
-            raise ValueError(f"batch size must be >= 1, got {size}")
+        if batch < 1:
+            raise ValueError(f"batch size must be >= 1, got {batch}")
         if rng is None:
             raise ValueError("streaming HVP needs a generator")
-        diff = problem.sample_batch_grad_diff(z + q * v, z, size, rng)
-        if counter is not None:
-            counter.add(2 * size)
+        diff = problem.sample_batch_grad_diff(z + q * v, z, batch, rng)
+    if counter is not None:
+        counter.add(2 * int(batch))
     return diff / q
 
 
@@ -151,31 +146,23 @@ def _random_unit(dim: int, rng: np.random.Generator) -> Array:
 
 
 def _certify(
-    problem: Problem,
+    problem: StreamingProblem,
     query: NCQuery,
     v: Array,
     q: float,
     rng: np.random.Generator,
     counter: GradCounter,
 ) -> tuple[float, float]:
-    """Measured Rayleigh value of ``v`` and an error budget covering it.
-
-    Finite-sum: one full-batch product, error = Taylor term only.  Streaming:
-    several independent batches; error adds a 5-standard-error allowance from
-    their spread.
-    """
-    taylor = 0.5 * query.L2 * q
-    if problem.is_finite_sum:
-        w = hvp_estimate(problem, query.z, v, q, problem.n, counter=counter)
-        val = float(v @ w)
-        return val, taylor + 1e-9 * (1.0 + abs(val))
+    """Streaming Rayleigh value of ``v`` over several independent batches,
+    and an error budget covering it: the Taylor term plus a 5-standard-error
+    allowance from their spread."""
     size = max(ONLINE_CERT_BATCH_MIN, ONLINE_POWER_BATCH_MIN)
     vals = np.empty(ONLINE_CERT_BATCHES)
     for i in range(ONLINE_CERT_BATCHES):
         w = hvp_estimate(problem, query.z, v, q, size, rng=rng, counter=counter)
         vals[i] = float(v @ w)
     spread = float(vals.std(ddof=1)) / math.sqrt(ONLINE_CERT_BATCHES)
-    return float(vals.mean()), taylor + 5.0 * spread + 1e-9
+    return float(vals.mean()), 0.5 * query.L2 * q + 5.0 * spread + 1e-9
 
 
 def _find_direction(
@@ -226,7 +213,11 @@ def _find_direction(
             v = s / norm
         best_ray = min(best_ray, cand_ray)
         if cand_ray <= candidate_bar and cand_v is not None:
-            cert, err = _certify(problem, query, cand_v, q, rng, counter)
+            if problem.is_finite_sum:
+                # the power step already measured cand_v on the whole population
+                cert, err = cand_ray, 0.5 * query.L2 * q + 1e-9 * (1.0 + abs(cand_ray))
+            else:
+                cert, err = _certify(problem, query, cand_v, q, rng, counter)
             if cert + err <= accept_bar:
                 direction = cand_v / np.linalg.norm(cand_v)
                 return NCResult(

@@ -453,19 +453,18 @@ class AdditiveNoiseStreamingProblem(StreamingProblem):
     xi at both points, where the additive noise cancels identically.
     """
 
-    def __init__(self, core: FiniteSumProblem, noise_std: float, rescale_sigma: bool = True):
+    def __init__(self, core: FiniteSumProblem, noise_std: float):
         self.core = core
         self.noise_std = float(noise_std)
         self.dim = core.dim
         self.x0 = core.x0.copy()
         self.known_min_value = core.known_min_value
         s = core.smoothness
-        sigma2 = self.dim * self.noise_std**2 if rescale_sigma else s.sigma2
         self.smoothness = SmoothnessSpec(
             L1=s.L1,
             L2=s.L2,
             L3=s.L3,
-            sigma2=max(sigma2, 1e-12),
+            sigma2=max(self.dim * self.noise_std**2, 1e-12),
             delta_F=s.delta_F,
             radius=s.radius,
         )

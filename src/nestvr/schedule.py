@@ -49,6 +49,12 @@ class NestedSchedule:
         empty product 1), computed once per schedule."""
         return tuple(math.prod(self.T[j:]) for j in range(self.K + 1))
 
+    @cached_property
+    def level_costs(self) -> tuple[int, ...]:
+        """Gradients one refresh of level j = 0..K costs: B0 for the level-0
+        anchor, 2 B_j for a two-point correction above it."""
+        return (self.B0, *(2 * b for b in self.B))
+
     def as_dict(self) -> dict:
         return {
             "B0": self.B0,
@@ -84,16 +90,15 @@ def derive_schedule(B0: int, M: float) -> NestedSchedule:
     return NestedSchedule(B0=B0, K=K, M=float(M), T=tuple(T), B=tuple(B), p=p)
 
 
-def clamp_schedule(schedule: NestedSchedule, n: int | float | None) -> NestedSchedule:
+def clamp_schedule(schedule: NestedSchedule, n: int | None) -> NestedSchedule:
     """Cap every batch size at the component count ``n``.
 
-    ``None`` or ``inf`` (the streaming sentinel) leaves the schedule untouched.
-    A clamped schedule is flagged: the variance analysis' batch-size hypothesis
+    ``None`` (the streaming sentinel) leaves the schedule untouched.  A
+    clamped schedule is flagged: the variance analysis' batch-size hypothesis
     no longer holds and verification suites report it as not applicable.
     """
-    if n is None or (isinstance(n, float) and math.isinf(n)):
+    if n is None:
         return schedule
-    n = int(n)
     if n < 1:
         raise ValueError(f"component count must be >= 1, got {n}")
     B0 = min(schedule.B0, n)
@@ -109,17 +114,16 @@ def expected_epoch_cost(schedule: NestedSchedule) -> int:
 
     Level l is refreshed whenever the iteration index is divisible by its
     period, i.e. prod_{j<=l} T_j times per full sweep of prod T_j steps, at
-    2 B_l gradients per refresh (B0 for the level-0 anchor).  With the mean
-    epoch length equal to prod T_j this gives
+    ``level_costs[l]`` gradients per refresh.  With the mean epoch length
+    equal to prod T_j this gives
 
         B0 + 2 sum_{l=1}^K B_l prod_{j=1}^l T_j.
     """
-    total = schedule.B0
-    prefix = 1
-    for l in range(1, schedule.K + 1):
-        prefix *= schedule.T[l - 1]
-        total += 2 * schedule.B[l - 1] * prefix
-    return total
+    sweep = schedule.loop_product
+    return sum(
+        cost * (sweep // period)
+        for cost, period in zip(schedule.level_costs, schedule.level_divisors)
+    )
 
 
 def exact_expected_epoch_cost(schedule: NestedSchedule) -> float:
@@ -133,10 +137,8 @@ def exact_expected_epoch_cost(schedule: NestedSchedule) -> float:
     """
     q = Fraction(schedule.loop_product, 1 + schedule.loop_product)
     total = Fraction(0)
-    for j, D in enumerate(schedule.level_divisors):
-        expected_refreshes = q / (1 - q**D)
-        charge = schedule.B0 if j == 0 else 2 * schedule.B[j - 1]
-        total += charge * expected_refreshes
+    for cost, D in zip(schedule.level_costs, schedule.level_divisors):
+        total += cost * q / (1 - q**D)
     return float(total)
 
 

@@ -2,14 +2,27 @@ import csv
 import dataclasses
 import json
 import math
+from pathlib import Path
+import re
 
+import numpy as np
 import pytest
 
-from nestvr import classify_point, clamp_schedule, derive_schedule, make_regularized_problem
+from nestvr import (
+    classify_point,
+    clamp_schedule,
+    derive_schedule,
+    make_regularized_problem,
+    make_saddle_problem,
+    make_streaming_quadratic_problem,
+    make_streaming_saddle_problem,
+)
+import nestvr.harness as hz
 from nestvr.harness import (
-    FAMILY_FIELDS,
+    FAMILIES,
+    SUITES,
     ConfigError,
-    ExperimentConfig,
+    build_driver_config,
     build_problem,
     cli_main,
     load_config,
@@ -43,6 +56,12 @@ BASE_CONFIG = {
     "trials": 2,
     "seed": 424242,
 }
+
+
+def with_problem(problem, **algorithm):
+    """BASE_CONFIG with another problem; its mode is left to the family."""
+    alg = {k: v for k, v in BASE_CONFIG["algorithm"].items() if k != "mode"}
+    return dict(BASE_CONFIG, problem=problem, algorithm={**alg, **algorithm})
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -87,16 +106,50 @@ class TestConfig:
             load_config(path)
 
     def test_build_problem_families(self):
-        for family, extra in [
-            ("saddle", {"n": 8}),
-            ("regularized", {"n": 16}),
-            ("streaming-saddle", {}),
-            ("streaming-quadratic", {}),
-        ]:
-            doc = {"family": family, "dim": 4, **extra}
-            cfg = parse_config(dict(BASE_CONFIG, problem=doc))
+        # the table hands each field the family reads to its factory, and the
+        # family alone picks the algorithm
+        fields = {"n": 8, "negative_eigenvalue": -0.5, "quartic": 0.5, "radius": 1.0, "noise": 0.2}
+        direct = {
+            "saddle": make_saddle_problem(4, 8, -0.5, 3, quartic=0.5, radius=1.0, noise=0.2),
+            "regularized": make_regularized_problem(4, 8, 3),
+            "streaming-saddle": make_streaming_saddle_problem(
+                4, -0.5, 3, quartic=0.5, radius=1.0, noise=0.2
+            ),
+            "streaming-quadratic": make_streaming_quadratic_problem(np.eye(4), 3, noise=0.2),
+        }
+        x = np.linspace(-0.5, 0.5, 4)
+        for family, want in direct.items():
+            own = {k: fields[k] for k in FAMILIES[family].fields}
+            cfg = parse_config(with_problem({"family": family, "dim": 4, "seed": 3, **own}))
             problem = build_problem(cfg.problem, cfg.seed)
-            assert problem.dim == 4
+            assert problem.is_finite_sum == FAMILIES[family].is_finite_sum == ("n" in own)
+            assert problem.smoothness == want.smoothness
+            assert problem.value(x) == want.value(x)
+            assert np.array_equal(problem.hessian(x), want.hessian(x))
+            mode = "finite" if problem.is_finite_sum else "online"
+            assert build_driver_config(problem, cfg.algorithm).mode == mode
+
+    @pytest.mark.parametrize("family,extra", [("saddle", {"n": 8}), ("streaming-saddle", {})])
+    def test_matching_mode_accepted(self, family, extra):
+        doc = {"family": family, "dim": 4, **extra}
+        mode = "finite" if extra else "online"
+        assert parse_config(with_problem(doc, mode=mode)) == parse_config(with_problem(doc))
+
+    @pytest.mark.parametrize(
+        "family,extra,mode",
+        [("streaming-saddle", {}, "finite"), ("streaming-quadratic", {}, "finite"),
+         ("saddle", {"n": 8}, "online"), ("regularized", {"n": 8}, "online")],
+    )
+    def test_mismatched_mode_rejected(self, family, extra, mode):
+        doc = {"family": family, "dim": 4, **extra}
+        with pytest.raises(ConfigError, match=rf"^algorithm\.mode: family '{family}'"):
+            parse_config(with_problem(doc, mode=mode))
+
+    def test_unknown_mode_rejected(self):
+        doc = json.loads(json.dumps(BASE_CONFIG))
+        doc["algorithm"]["mode"] = "batch"
+        with pytest.raises(ConfigError, match="algorithm.mode: must be 'finite' or 'online'"):
+            parse_config(doc)
 
 
 class TestStrictProblemFields:
@@ -116,10 +169,10 @@ class TestStrictProblemFields:
         for key in ignored:
             doc = {"family": family, "dim": 4, **base, key: value[key]}
             with pytest.raises(ConfigError, match=rf"problem\.{key}: not used by family '{family}'"):
-                parse_config(dict(BASE_CONFIG, problem=doc))
+                parse_config(with_problem(doc))
         # every field the family does read is accepted, and round-trips
-        doc = {"family": family, "dim": 4, "seed": 3, **{k: value[k] for k in FAMILY_FIELDS[family]}}
-        cfg = parse_config(dict(BASE_CONFIG, problem=doc))
+        doc = {"family": family, "dim": 4, "seed": 3, **{k: value[k] for k in FAMILIES[family].fields}}
+        cfg = parse_config(with_problem(doc))
         assert cfg.to_dict()["problem"] == doc
         assert parse_config(cfg.to_dict()) == cfg
 
@@ -269,6 +322,13 @@ class TestVerifySuites:
         with pytest.raises(ConfigError):
             run_verify_suite(["nonsense"], seed=0)
 
+    def test_unknown_suite_rejected_before_any_runs(self, monkeypatch):
+        ran = []
+        monkeypatch.setitem(SUITES, "schedule", lambda rng: ran.append("schedule"))
+        with pytest.raises(ConfigError, match="nonsense"):
+            run_verify_suite(["schedule", "nonsense"], seed=0)
+        assert ran == []
+
 
 class TestCli:
     def test_derive_schedule_json(self, capsys):
@@ -329,6 +389,20 @@ class TestCli:
         assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "x")]) == 1
         assert "mystery" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "family,extra,mode", [("streaming-saddle", {}, "finite"), ("saddle", {"n": 8}, "online")]
+    )
+    def test_run_rejects_mismatched_mode(self, tmp_path, capsys, monkeypatch, family, extra, mode):
+        built = []
+        monkeypatch.setattr(hz, "build_problem", lambda *args: built.append(args))
+        doc = with_problem({"family": family, "dim": 4, **extra}, mode=mode)
+        path = write_config(tmp_path, doc)
+        out = tmp_path / "m"
+        assert cli_main(["run", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: algorithm.mode:") and "Traceback" not in err
+        assert built == [] and not out.exists()
+
     def test_verify_fast_suites_pass(self, capsys):
         assert cli_main(["verify", "--suite", "schedule"]) == 0
         assert cli_main(["verify", "--suite", "series-domination"]) == 0
@@ -339,8 +413,6 @@ class TestCli:
         assert cli_main(["verify", "--suite", "wat"]) == 1
 
     def test_verify_failure_exits_2(self, monkeypatch, capsys):
-        import nestvr.harness as hz
-
         def failing(names, seed):
             return [hz.SuiteResult("schedule", False, "forced failure")]
 
@@ -377,3 +449,18 @@ class TestCli:
         point_path = tmp_path / "pt.json"
         point_path.write_text(json.dumps([0.0] * 3))
         assert cli_main(["classify", "--config", str(cfg_path), "--point", str(point_path)]) == 1
+
+
+class TestReadme:
+    """README's config example and name lists follow the code."""
+
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+    def test_run_config_example_parses(self):
+        example = re.search(r"`run` consumes a JSON config:\s*```json\n(.*?)```", self.text, re.S)
+        cfg = parse_config(json.loads(example.group(1)))
+        assert cfg.to_dict()["problem"]["family"] in FAMILIES
+
+    @pytest.mark.parametrize("name", [*FAMILIES, *SUITES])
+    def test_lists_every_family_and_suite(self, name):
+        assert f"`{name}`" in self.text

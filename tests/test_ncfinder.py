@@ -5,6 +5,7 @@ import pytest
 
 from conftest import random_symmetric_fixture
 
+import nestvr.ncfinder as ncf
 from nestvr import (
     GradCounter,
     NCQuery,
@@ -54,13 +55,13 @@ class TestHvpEstimate:
         v = rng.standard_normal(6)
         v /= np.linalg.norm(v)
         for q in (1e-1, 1e-4):
-            est = hvp_estimate(prob, prob.x0, v, q, np.arange(prob.n))
+            est = hvp_estimate(prob, prob.x0, v, q, prob.n)
             assert np.allclose(est, H @ v, atol=1e-9)
 
     def test_basis_action_on_diagonal(self):
         prob = make_quadratic_problem(np.diag([3.0, -2.0]), 2, seed=0, noise=0.0)
         e1 = np.array([1.0, 0.0])
-        est = hvp_estimate(prob, prob.x0, e1, 1e-3, np.arange(2))
+        est = hvp_estimate(prob, prob.x0, e1, 1e-3, prob.n)
         assert np.allclose(est, [3.0, 0.0], atol=1e-10)
 
     def test_quartic_taylor_bound(self):
@@ -70,7 +71,7 @@ class TestHvpEstimate:
         z = np.array([1.0, 0.0])
         v = np.array([1.0, 0.0])
         q = 1e-4
-        est = hvp_estimate(prob, z, v, q, np.arange(1))
+        est = hvp_estimate(prob, z, v, q, prob.n)
         # hessian entry along v at z: 1 + 3 z^2 = 4
         assert abs(est[0] - 4.0) <= 3 * 6.0 * q
 
@@ -78,11 +79,11 @@ class TestHvpEstimate:
         prob, _ = random_symmetric_fixture(4, -0.5, seed=3)
         counter = GradCounter()
         v = np.array([1.0, 0, 0, 0])
-        hvp_estimate(prob, prob.x0, v, 1e-3, np.arange(5), counter=counter)
-        assert counter.count == 10
+        hvp_estimate(prob, prob.x0, v, 1e-3, prob.n, counter=counter)
+        assert counter.count == 2 * 6
         sprob, _ = random_symmetric_fixture(4, -0.5, seed=3, streaming=True)
         hvp_estimate(sprob, sprob.x0, v, 1e-3, 8, rng=rng, counter=counter)
-        assert counter.count == 10 + 16
+        assert counter.count == 2 * 6 + 2 * 8
 
     def test_population_batch_charges_two_n(self):
         prob, _ = random_symmetric_fixture(4, -0.5, seed=3)
@@ -90,12 +91,15 @@ class TestHvpEstimate:
         counter = GradCounter()
         est = hvp_estimate(prob, prob.x0, v, 1e-3, prob.n, counter=counter)
         assert counter.count == 2 * prob.n
-        assert np.array_equal(est, hvp_estimate(prob, prob.x0, v, 1e-3, np.arange(prob.n)))
+        diff = prob.batch_grad_diff(prob.x0 + 1e-3 * v, prob.x0, np.arange(prob.n))
+        assert np.array_equal(est, diff / 1e-3)
 
-    @pytest.mark.parametrize("batch", [5, np.asarray(5), 0, np.array([], dtype=int)])
+    @pytest.mark.parametrize(
+        "batch", [5, np.asarray(5), 0, np.array([], dtype=int), np.arange(6), np.arange(3)]
+    )
     def test_bad_finite_batch_rejected(self, batch):
-        # n = 6: an integer other than n is no longer read as one component
-        # index, and an empty index set is refused
+        # n = 6: a finite-sum product covers the whole population, so any
+        # other integer and every index array, even all of them, is refused
         prob, _ = random_symmetric_fixture(4, -0.5, seed=3)
         counter = GradCounter()
         with pytest.raises(ValueError):
@@ -105,7 +109,7 @@ class TestHvpEstimate:
     def test_zero_displacement_rejected(self):
         prob, _ = random_symmetric_fixture(4, -0.5, seed=4)
         with pytest.raises(ValueError):
-            hvp_estimate(prob, prob.x0, np.array([1.0, 0, 0, 0]), 0.0, np.arange(4))
+            hvp_estimate(prob, prob.x0, np.array([1.0, 0, 0, 0]), 0.0, prob.n)
 
     def test_forward_difference_error_slope(self):
         # full-batch estimates converge at rate O(q): log-log slope 1 +- 0.2
@@ -116,7 +120,7 @@ class TestHvpEstimate:
         qs = np.array([1e-2, 1e-3, 1e-4, 1e-5])
         errs = []
         for q in qs:
-            est = hvp_estimate(prob, z, v, float(q), np.arange(prob.n))
+            est = hvp_estimate(prob, z, v, float(q), prob.n)
             errs.append(np.linalg.norm(est - H @ v))
         slope = np.polyfit(np.log(qs), np.log(errs), 1)[0]
         assert abs(slope - 1.0) <= 0.2
@@ -131,6 +135,28 @@ class TestFinderContracts:
         assert res.direction is not None
         assert np.linalg.norm(res.direction) == pytest.approx(1.0, abs=1e-12)
         assert rayleigh(prob, prob.x0, res.direction) <= -0.25 + 1e-6
+
+    def test_found_direction_costs_only_its_power_steps(self, monkeypatch):
+        # every finite-sum power step is a full-population product charged
+        # 2 n; the candidate's certificate is its power-step value, so no
+        # product is taken twice
+        prob = make_saddle_problem(6, 12, -1.0, seed=6)
+        directions = []
+
+        def spy(problem, z, v, q, batch, rng=None, counter=None):
+            assert batch == prob.n
+            directions.append(np.asarray(v).tobytes())
+            return hvp(problem, z, v, q, batch, rng, counter)
+
+        hvp = ncf.hvp_estimate
+        monkeypatch.setattr(ncf, "hvp_estimate", spy)
+        counter = GradCounter()
+        res = find_nc_direction_finite(
+            prob, query_for(prob, prob.x0, eps_H=0.5), make_rng(31), counter
+        )
+        assert res.direction is not None
+        assert len(set(directions)) == len(directions)
+        assert res.grads_used == counter.count == 2 * prob.n * len(directions)
 
     def test_convex_quadratic_abstains(self):
         prob = make_quadratic_problem(np.eye(8), 4, seed=1, noise=0.1)

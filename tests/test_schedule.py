@@ -1,15 +1,21 @@
 import math
 from fractions import Fraction
 
+from hypothesis import given, strategies as st
 import pytest
 
 from nestvr import (
+    GradCounter,
     check_series_domination,
     clamp_schedule,
     damping_series,
     derive_schedule,
     exact_expected_epoch_cost,
     expected_epoch_cost,
+    make_rng,
+    make_streaming_saddle_problem,
+    reset_level,
+    run_epoch,
 )
 
 
@@ -75,9 +81,8 @@ def test_clamp_schedule():
     assert clamped.clamped
     assert clamped.B == (1000, 1000, 96)
     assert clamped.B0 == 256
-    # streaming sentinels leave the schedule untouched
+    # the streaming sentinel leaves the schedule untouched
     assert clamp_schedule(sch, None) is sch
-    assert clamp_schedule(sch, math.inf) is sch
 
 
 def test_clamp_all_levels():
@@ -176,3 +181,61 @@ def test_schedule_json_dict():
     d = derive_schedule(256, M=6.0).as_dict()
     assert d["K"] == 3 and d["T"] == [2, 2, 4]
     assert d["expected_epoch_cost"] == 242944
+
+
+class TestScheduleProperties:
+    """Invariants of derive_schedule and clamp_schedule over random bases."""
+
+    bases = st.integers(min_value=4, max_value=2**64)
+
+    @given(B0=bases)
+    def test_derived_identities(self, B0):
+        sch = derive_schedule(B0, M=6.0)
+        # K = floor(log2 log2 B0): 2^(2^K) <= B0 < 2^(2^(K+1))
+        assert 2 ** (2**sch.K) <= B0 < 2 ** (2 ** (sch.K + 1))
+        assert sch.T == (2, *(2 ** (2 ** (l - 2)) for l in range(2, sch.K + 1)))
+        assert sch.loop_product**2 <= B0
+        assert sch.p == 1.0 / (1 + sch.loop_product)
+        assert sch.B[0] == 6**sch.K * B0
+        for l in range(1, sch.K + 1):
+            tail = math.prod(sch.T[l - 1 :])
+            assert sch.B[l - 1] >= 6 ** (sch.K - l + 1) * tail**2
+            if l >= 2:
+                # the least integer at or above 6^(K-l+1) B0 / 2^(2^(l-1))
+                num, den = 6 ** (sch.K - l + 1) * B0, 2 ** (2 ** (l - 1))
+                assert (sch.B[l - 1] - 1) * den < num <= sch.B[l - 1] * den
+        assert sch.level_costs == (B0, *(2 * b for b in sch.B))
+
+    @given(B0=bases, n=st.integers(min_value=1, max_value=2**72))
+    def test_clamp_invariants(self, B0, n):
+        sch = derive_schedule(B0, M=6.0)
+        out = clamp_schedule(sch, n)
+        assert out.B0 == min(B0, n) and out.B == tuple(min(b, n) for b in sch.B)
+        changed = (out.B0, out.B) != (sch.B0, sch.B)
+        assert out.clamped == changed
+        if not changed:
+            assert out is sch
+        assert (out.K, out.T, out.M, out.p) == (sch.K, sch.T, sch.M, sch.p)
+        assert clamp_schedule(out, n) is out
+
+    @given(B0=bases, length=st.integers(min_value=1, max_value=40))
+    def test_step_charge_is_tail_of_level_costs(self, B0, length):
+        # streaming batch means cost O(d) whatever the batch size, so even
+        # the largest bases run an epoch quickly
+        class Recording(GradCounter):
+            __slots__ = ("charges",)
+
+            def __init__(self):
+                super().__init__()
+                self.charges = []
+
+            def add(self, units):
+                self.charges.append(units)
+                super().add(units)
+
+        prob = make_streaming_saddle_problem(2, -1.0, seed=3)
+        sch = derive_schedule(B0, M=6.0 * prob.smoothness.L1)
+        counter = Recording()
+        run_epoch(prob.x0, prob, sch, make_rng(B0 % 997), counter, length_override=length)
+        want = [sum(sch.level_costs[reset_level(t, sch) :]) for t in range(length)]
+        assert counter.charges == want

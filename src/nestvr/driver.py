@@ -43,8 +43,8 @@ STATUS_CERTIFIED = "certified-SOSP"
 STATUS_EXHAUSTED = "budget-exhausted"
 STATUS_DIVERGED = "diverged"
 
-#: derived config values a desk-scale run may override
-OVERRIDE_KEYS = ("B0", "U", "M", "eta")
+#: derived config values a desk-scale run may override, each with its type
+OVERRIDE_KEYS = {"B0": int, "U": int, "M": float, "eta": float}
 
 
 @dataclass
@@ -88,8 +88,6 @@ class DriverConfig:
     U: int
     eta: float
     delta: float
-    mode: str  # "finite" | "online"
-    smoothness_order: int  # 2 | 3
     B0_check: int
     schedule: NestedSchedule
     rho: float | None = None
@@ -103,10 +101,6 @@ class DriverConfig:
             raise ValueError(f"U must be >= 1, got {self.U}")
         if not self.eta > 0.0:
             raise ValueError(f"eta must be positive, got {self.eta}")
-        if self.mode not in ("finite", "online"):
-            raise ValueError(f"mode must be 'finite' or 'online', got {self.mode!r}")
-        if self.smoothness_order not in (2, 3):
-            raise ValueError(f"smoothness_order must be 2 or 3, got {self.smoothness_order}")
 
 
 @dataclass
@@ -163,8 +157,6 @@ def _make_config(
     eps_H: float,
     overrides: dict | None,
     *,
-    mode: str,
-    smoothness_order: int,
     delta: float,
     U: int,
     eta: float,
@@ -184,11 +176,10 @@ def _make_config(
         unknown = set(overrides) - set(OVERRIDE_KEYS)
         if unknown:
             raise ValueError(f"unknown override keys: {sorted(unknown)}")
-        # B0 and U are counts, M and eta reals
-        for key, cast in zip(OVERRIDE_KEYS, (int, int, float, float)):
+        for key, kind in OVERRIDE_KEYS.items():
             if key in overrides:
                 derived[key] = values[key]
-                values[key] = cast(overrides[key])
+                values[key] = kind(overrides[key])
     schedule = clamp_schedule(derive_schedule(values["B0"], values["M"]), problem.n)
     return DriverConfig(
         eps=eps,
@@ -196,8 +187,6 @@ def _make_config(
         U=values["U"],
         eta=values["eta"],
         delta=delta,
-        mode=mode,
-        smoothness_order=smoothness_order,
         B0_check=schedule.B0,
         schedule=schedule,
         rho=rho,
@@ -222,8 +211,7 @@ def config_finite_2nd(
     )
     eta = eps_H / s.L2
     return _make_config(
-        problem, eps, eps_H, overrides, mode="finite", smoothness_order=2,
-        delta=delta, U=U, eta=eta, B0=n, M=6.0 * s.L1,
+        problem, eps, eps_H, overrides, delta=delta, U=U, eta=eta, B0=n, M=6.0 * s.L1,
     )
 
 
@@ -248,8 +236,7 @@ def config_finite_3rd(
     )
     eta = math.sqrt(3.0 * eps_H / s.L3)
     return _make_config(
-        problem, eps, eps_H, overrides, mode="finite", smoothness_order=3,
-        delta=delta, U=U, eta=eta, B0=n, M=6.0 * s.L1,
+        problem, eps, eps_H, overrides, delta=delta, U=U, eta=eta, B0=n, M=6.0 * s.L1,
     )
 
 
@@ -290,8 +277,7 @@ def config_online_2nd(
     eta = eps_H / s.L2
     M = 2.0 * rho * s.L1
     return _make_config(
-        problem, eps, eps_H, overrides, mode="online", smoothness_order=2,
-        delta=delta, U=U, eta=eta, B0=B0, M=M, rho=rho,
+        problem, eps, eps_H, overrides, delta=delta, U=U, eta=eta, B0=B0, M=M, rho=rho,
     )
 
 
@@ -327,8 +313,7 @@ def config_online_3rd(
     eta = math.sqrt((3.0 if wide_step else 1.0) * eps_H / s.L3)
     M = 2.0 * rho * s.L1
     return _make_config(
-        problem, eps, eps_H, overrides, mode="online", smoothness_order=3,
-        delta=delta, U=U, eta=eta, B0=B0, M=M, rho=rho,
+        problem, eps, eps_H, overrides, delta=delta, U=U, eta=eta, B0=B0, M=M, rho=rho,
     )
 
 
@@ -342,16 +327,6 @@ def nc_descent_step(z: Array, v: Array, eta: float, rng: np.random.Generator) ->
     return np.asarray(z, dtype=float) + zeta * eta * np.asarray(v, dtype=float)
 
 
-def _measured_gradient(
-    problem: Problem, z: Array, config: DriverConfig, rng: np.random.Generator, counter: GradCounter
-) -> Array:
-    if config.mode == "finite":
-        counter.add(problem.n)  # full gradient charged at n stochastic evaluations
-        return problem.full_grad(z)
-    counter.add(config.B0_check)
-    return problem.sample_batch_grad(z, config.B0_check, rng)
-
-
 def _is_finite(grad_norm: float, z: Array) -> bool:
     return math.isfinite(grad_norm) and bool(np.isfinite(z).all())
 
@@ -359,20 +334,17 @@ def _is_finite(grad_norm: float, z: Array) -> bool:
 def run_driver(problem: Problem, config: DriverConfig, rng: np.random.Generator) -> DriverOutcome:
     """Gradient test, then an epoch or a probe-and-step, until certified or out of budget.
 
-    The finite-sum test measures the full gradient (charged n) against eps;
-    the streaming test a fresh batch of ``B0_check`` samples against eps / 2.
-    A non-finite measured gradient or iterate ends the run as diverged.
+    The problem's oracle family picks the gradient test, its threshold and the
+    finder: on a finite sum the full gradient (charged n) against eps, on a
+    stream a fresh batch of ``B0_check`` samples against eps / 2.  A
+    non-finite measured gradient or iterate ends the run as diverged.
     """
-    if config.mode == "finite" and not problem.is_finite_sum:
-        raise ValueError("finite-mode driver needs a finite-sum problem")
-    if config.mode == "online" and problem.is_finite_sum:
-        raise ValueError("online-mode driver needs a streaming problem")
-
+    finite = problem.is_finite_sum
     counter = GradCounter()
     trace = RunTrace()
     s = problem.smoothness
-    threshold = config.eps if config.mode == "finite" else config.eps / 2.0
-    probe = find_nc_direction_finite if config.mode == "finite" else find_nc_direction_online
+    threshold = config.eps if finite else config.eps / 2.0
+    probe = find_nc_direction_finite if finite else find_nc_direction_online
     # the derived per-call failure probability can degenerate in both
     # directions (tiny at theory scale, above 1 when L2 or L3 is nearly zero);
     # clamp it to a usable probability before handing it to the finder
@@ -394,7 +366,12 @@ def run_driver(problem: Problem, config: DriverConfig, rng: np.random.Generator)
         )
 
     for u in range(1, config.U + 1):
-        g = _measured_gradient(problem, z, config, rng, counter)
+        if finite:
+            counter.add(problem.n)  # full gradient charged at n stochastic evaluations
+            g = problem.full_grad(z)
+        else:
+            counter.add(config.B0_check)
+            g = problem.sample_batch_grad(z, config.B0_check, rng)
         gnorm = float(np.linalg.norm(g))
         trace.add(
             "grad-check", u, counter.count, f_value=problem.value(z), grad_norm=gnorm

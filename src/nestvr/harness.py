@@ -69,10 +69,13 @@ CSV_HEADER = ("trial", "u", "event", "grads_cum", "f_value", "grad_norm", "rayle
 class Family:
     """How one problem family is built: ``factory`` takes ``dim``, ``seed`` and
     each of ``fields`` as keywords.  A config that sets a problem field outside
-    ``fields``, other than ``family``, ``dim`` and ``seed``, is rejected."""
+    ``fields``, other than ``family``, ``dim`` and ``seed``, is rejected, and
+    so is one below the factory's smallest ``dim`` or ``n``."""
 
     factory: Callable[..., Problem]
     fields: tuple[str, ...]
+    min_dim: int = 1
+    min_n: int = 1
 
     @property
     def is_finite_sum(self) -> bool:
@@ -85,10 +88,13 @@ def _streaming_quadratic(dim: int, seed: int, noise: float) -> Problem:
 
 
 FAMILIES = {
-    "saddle": Family(make_saddle_problem, ("n", "negative_eigenvalue", "noise", "quartic", "radius")),
-    "regularized": Family(make_regularized_problem, ("n",)),
+    "saddle": Family(
+        make_saddle_problem, ("n", "negative_eigenvalue", "noise", "quartic", "radius"), min_dim=2
+    ),
+    "regularized": Family(make_regularized_problem, ("n",), min_n=2),
     "streaming-saddle": Family(
-        make_streaming_saddle_problem, ("negative_eigenvalue", "noise", "quartic", "radius")
+        make_streaming_saddle_problem, ("negative_eigenvalue", "noise", "quartic", "radius"),
+        min_dim=2,
     ),
     "streaming-quadratic": Family(_streaming_quadratic, ("noise",)),
 }
@@ -109,6 +115,14 @@ def _require_keys(obj: dict, path: str, required: set[str], optional: set[str]) 
         raise ConfigError(f"{path}: missing keys {sorted(missing)}")
 
 
+def _check_number(path: str, value: object, integer: bool) -> None:
+    """Counts take JSON integers, reals any JSON number; booleans are neither."""
+    kinds = int if integer else (int, float)
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        kind = "an integer" if integer else "a number"
+        raise ConfigError(f"{path}: expected {kind}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
     family: str
@@ -124,10 +138,19 @@ class ProblemSpec:
         families = list(FAMILIES)
         if self.family not in families:
             raise ConfigError(f"problem.family: {self.family!r} not one of {families}")
-        if self.dim < 1:
-            raise ConfigError(f"problem.dim: must be >= 1, got {self.dim}")
-        if FAMILIES[self.family].is_finite_sum and (self.n is None or self.n < 1):
-            raise ConfigError(f"problem.n: finite-sum family needs n >= 1, got {self.n}")
+        for name in ("dim", "n", "seed", "negative_eigenvalue", "noise", "quartic", "radius"):
+            value = getattr(self, name)
+            if value is not None or name not in ("n", "seed"):  # only these may be absent
+                _check_number(f"problem.{name}", value, integer=name in ("dim", "n", "seed"))
+        family = FAMILIES[self.family]
+        if self.dim < family.min_dim:
+            raise ConfigError(
+                f"problem.dim: family {self.family!r} needs dim >= {family.min_dim}, got {self.dim}"
+            )
+        if family.is_finite_sum and (self.n is None or self.n < family.min_n):
+            raise ConfigError(
+                f"problem.n: family {self.family!r} needs n >= {family.min_n}, got {self.n}"
+            )
 
 
 @dataclass(frozen=True)
@@ -138,15 +161,21 @@ class AlgorithmSpec:
     overrides: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        _check_number("algorithm.smoothness_order", self.smoothness_order, integer=True)
         if self.smoothness_order not in (2, 3):
             raise ConfigError(
                 f"algorithm.smoothness_order: must be 2 or 3, got {self.smoothness_order}"
             )
+        _check_number("algorithm.eps", self.eps, integer=False)
+        _check_number("algorithm.eps_H", self.eps_H, integer=False)
         if not (0.0 < self.eps < 1.0 and 0.0 < self.eps_H < 1.0):
             raise ConfigError("algorithm.eps/eps_H: must lie in (0, 1)")
         unknown = set(self.overrides) - set(drv.OVERRIDE_KEYS)
         if unknown:
             raise ConfigError(f"algorithm.overrides: unknown keys {sorted(unknown)}")
+        for key, value in self.overrides.items():
+            integer = drv.OVERRIDE_KEYS[key] is int
+            _check_number(f"algorithm.overrides.{key}", value, integer=integer)
 
 
 @dataclass(frozen=True)
@@ -158,6 +187,10 @@ class ExperimentConfig:
     out: str | None = None
 
     def __post_init__(self) -> None:
+        _check_number("trials", self.trials, integer=True)
+        _check_number("seed", self.seed, integer=True)
+        if self.out is not None and not isinstance(self.out, str):
+            raise ConfigError(f"out: expected a string, got {self.out!r}")
         if self.trials < 1:
             raise ConfigError(f"trials: must be >= 1, got {self.trials}")
 
@@ -185,21 +218,18 @@ def parse_config(doc: dict) -> ExperimentConfig:
     overrides = a.get("overrides", {})
     if not isinstance(overrides, dict):
         raise ConfigError("algorithm.overrides: expected an object")
-    try:
-        config = ExperimentConfig(
-            problem=ProblemSpec(**p),
-            algorithm=AlgorithmSpec(
-                smoothness_order=int(a["smoothness_order"]),
-                eps=float(a["eps"]),
-                eps_H=float(a["eps_H"]),
-                overrides=dict(overrides),
-            ),
-            trials=int(doc["trials"]),
-            seed=int(doc["seed"]),
-            out=doc.get("out"),
-        )
-    except TypeError as exc:
-        raise ConfigError(f"config: {exc}") from exc
+    config = ExperimentConfig(
+        problem=ProblemSpec(**p),
+        algorithm=AlgorithmSpec(
+            smoothness_order=a["smoothness_order"],
+            eps=a["eps"],
+            eps_H=a["eps_H"],
+            overrides=dict(overrides),
+        ),
+        trials=doc["trials"],
+        seed=doc["seed"],
+        out=doc.get("out"),
+    )
     family = config.problem.family
     ignored = sorted(set(p) - {"family", "dim", "seed", *FAMILIES[family].fields})
     if ignored:
@@ -549,10 +579,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", required=True, help="path to a JSON experiment config")
     p_run.add_argument("--seed", type=int, default=None, help="override the config seed")
     p_run.add_argument("--out", default=None, help="override the config output directory")
-    p_run.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker bound, at least 1; trials run sequentially in trial order",
-    )
 
     p_verify = sub.add_parser("verify", help="run the numeric verification suite")
     p_verify.add_argument("--suite", default="all", help=f"one of {list(SUITES)} or 'all'")
@@ -580,8 +606,6 @@ def cli_main(argv: list[str] | None = None) -> int:
             return 0
 
         if args.command == "run":
-            if args.jobs < 1:
-                raise ConfigError(f"--jobs: must be >= 1, got {args.jobs}")
             config = load_config(args.config)
             if args.seed is not None:
                 config = replace(config, seed=args.seed)

@@ -71,7 +71,6 @@ class NCResult:
     direction: Array | None
     rayleigh_estimate: float
     grads_used: int
-    budget_exhausted: bool = False
 
     @property
     def is_bottom(self) -> bool:
@@ -229,7 +228,6 @@ def _find_direction(
         direction=None,
         rayleigh_estimate=best_ray,
         grads_used=counter.count - start_count,
-        budget_exhausted=True,
     )
 
 

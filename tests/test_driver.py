@@ -244,12 +244,6 @@ class TestRunFinite:
         assert out.trace.events[-1].kind == "terminate"
         assert "nc-probe" not in [e.kind for e in out.trace.events if e.u > 1]
 
-    def test_mode_mismatch_rejected(self):
-        prob, cfg = saddle_and_config(seed=8)
-        sprob = make_streaming_quadratic_problem(np.eye(4), seed=0)
-        with pytest.raises(ValueError):
-            run_driver(sprob, cfg, make_rng(0))
-
 
 class TestRunOnline:
     def make_case(self, norm, seed=0):

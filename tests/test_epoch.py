@@ -1,7 +1,7 @@
 import dataclasses
 import math
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -27,6 +27,21 @@ from nestvr.problems import QuadraticProblem
 @pytest.fixture
 def sched256():
     return derive_schedule(256, M=6.0)
+
+
+def epoch_case(B0, n, seed):
+    """A problem and its schedule for base batch ``B0``: a streaming saddle
+    when ``n`` is None, else an ``n``-row regularized finite sum with the
+    schedule clamped at ``n``."""
+    if n is None:
+        prob = make_streaming_saddle_problem(6, -1.0, seed=seed)
+    else:
+        prob = make_regularized_problem(5, n, seed=seed)
+    return prob, clamp_schedule(derive_schedule(B0, M=6.0 * prob.smoothness.L1), n)
+
+
+base_batches = st.integers(min_value=4, max_value=4096)
+populations = st.none() | st.integers(min_value=2, max_value=512)
 
 
 class TestResetLevel:
@@ -252,11 +267,15 @@ class TestRunEpoch:
             worst = max(worst, err)
         assert worst <= 1e-10
 
-    def test_reference_point_law(self):
+    @settings(max_examples=50)
+    @given(B0=base_batches, n=populations, length=st.integers(min_value=1, max_value=200))
+    @example(B0=16, n=64, length=40)
+    def test_reference_point_law(self, B0, n, length):
         # x_t^(l) always equals the iterate recorded at floor(t / D_l) * D_l
-        prob = make_regularized_problem(5, 64, seed=7)
-        sched = clamp_schedule(derive_schedule(16, M=6.0 * prob.smoothness.L1), 64)
-        res = run_epoch(prob.x0, prob, sched, make_rng(13), keep_history=True, length_override=40)
+        prob, sched = epoch_case(B0, n, seed=7)
+        res = run_epoch(
+            prob.x0, prob, sched, make_rng(13), keep_history=True, length_override=length
+        )
         iterates = [state.x for state in res.history]
         for state in res.history:
             assert np.array_equal(state.x_ref[sched.K], state.x)
@@ -265,12 +284,16 @@ class TestRunEpoch:
                 anchor_t = (state.t // D) * D
                 assert np.array_equal(state.x_ref[level], iterates[anchor_t])
 
-    def test_counter_is_periodic_multiple_of_closed_form(self, sched256):
-        prob = make_streaming_saddle_problem(6, -1.0, seed=8)
-        sched = derive_schedule(256, M=6.0 * prob.smoothness.L1)
-        for k in (1, 2, 3):
-            res = run_epoch(prob.x0, prob, sched, make_rng(17), length_override=16 * k)
-            assert res.grads_used == k * expected_epoch_cost(sched)
+    @settings(max_examples=50)
+    @given(B0=base_batches, n=populations, k=st.integers(min_value=1, max_value=4))
+    @example(B0=256, n=None, k=1)
+    @example(B0=256, n=None, k=2)
+    @example(B0=256, n=None, k=3)
+    def test_counter_is_periodic_multiple_of_closed_form(self, B0, n, k):
+        prob, sched = epoch_case(B0, n, seed=8)
+        length = k * sched.loop_product
+        res = run_epoch(prob.x0, prob, sched, make_rng(17), length_override=length)
+        assert res.grads_used == k * expected_epoch_cost(sched)
 
     def test_counter_mean_matches_exact_expectation(self):
         # Monte-Carlo mean of the tally against the analytic refresh-count law

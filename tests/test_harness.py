@@ -17,6 +17,7 @@ from nestvr import (
     make_streaming_quadratic_problem,
     make_streaming_saddle_problem,
 )
+import nestvr.driver as drv
 import nestvr.harness as hz
 from nestvr.harness import (
     FAMILIES,
@@ -110,15 +111,22 @@ class TestConfig:
         # family alone picks the algorithm
         fields = {"n": 8, "negative_eigenvalue": -0.5, "quartic": 0.5, "radius": 1.0, "noise": 0.2}
         direct = {
-            "saddle": make_saddle_problem(4, 8, -0.5, 3, quartic=0.5, radius=1.0, noise=0.2),
-            "regularized": make_regularized_problem(4, 8, 3),
-            "streaming-saddle": make_streaming_saddle_problem(
-                4, -0.5, 3, quartic=0.5, radius=1.0, noise=0.2
+            "saddle": (
+                make_saddle_problem(4, 8, -0.5, 3, quartic=0.5, radius=1.0, noise=0.2),
+                drv.config_finite_2nd,
             ),
-            "streaming-quadratic": make_streaming_quadratic_problem(np.eye(4), 3, noise=0.2),
+            "regularized": (make_regularized_problem(4, 8, 3), drv.config_finite_2nd),
+            "streaming-saddle": (
+                make_streaming_saddle_problem(4, -0.5, 3, quartic=0.5, radius=1.0, noise=0.2),
+                drv.config_online_2nd,
+            ),
+            "streaming-quadratic": (
+                make_streaming_quadratic_problem(np.eye(4), 3, noise=0.2),
+                drv.config_online_2nd,
+            ),
         }
         x = np.linspace(-0.5, 0.5, 4)
-        for family, want in direct.items():
+        for family, (want, builder) in direct.items():
             own = {k: fields[k] for k in FAMILIES[family].fields}
             cfg = parse_config(with_problem({"family": family, "dim": 4, "seed": 3, **own}))
             problem = build_problem(cfg.problem, cfg.seed)
@@ -126,8 +134,9 @@ class TestConfig:
             assert problem.smoothness == want.smoothness
             assert problem.value(x) == want.value(x)
             assert np.array_equal(problem.hessian(x), want.hessian(x))
-            mode = "finite" if problem.is_finite_sum else "online"
-            assert build_driver_config(problem, cfg.algorithm).mode == mode
+            assert build_driver_config(problem, cfg.algorithm) == builder(
+                want, 1e-3, 0.1, {"U": 400}
+            )
 
     @pytest.mark.parametrize("family,extra", [("saddle", {"n": 8}), ("streaming-saddle", {})])
     def test_matching_mode_accepted(self, family, extra):
@@ -150,6 +159,55 @@ class TestConfig:
         doc["algorithm"]["mode"] = "batch"
         with pytest.raises(ConfigError, match="algorithm.mode: must be 'finite' or 'online'"):
             parse_config(doc)
+
+    @pytest.mark.parametrize(
+        "path,value,kind",
+        [
+            ("trials", 2.5, "an integer"),
+            ("trials", True, "an integer"),
+            ("seed", 1.9, "an integer"),
+            ("out", 5, "a string"),
+            ("problem.dim", "4", "an integer"),
+            ("problem.n", 2.5, "an integer"),
+            ("problem.n", True, "an integer"),
+            ("problem.seed", 7.0, "an integer"),
+            ("problem.noise", "0.1", "a number"),
+            ("algorithm.smoothness_order", 2.9, "an integer"),
+            ("algorithm.smoothness_order", 3.7, "an integer"),
+            ("algorithm.eps", "0.001", "a number"),
+            ("algorithm.eps_H", True, "a number"),
+            ("algorithm.overrides.B0", "x", "an integer"),
+            ("algorithm.overrides.U", 2.5, "an integer"),
+            ("algorithm.overrides.M", None, "a number"),
+        ],
+    )
+    def test_number_types_checked_with_path(self, path, value, kind):
+        doc = json.loads(json.dumps(BASE_CONFIG))
+        *parents, key = path.split(".")
+        node = doc
+        for name in parents:
+            node = node[name]
+        node[key] = value
+        with pytest.raises(ConfigError, match=rf"^{re.escape(path)}: expected {kind}, got "):
+            parse_config(doc)
+
+    @pytest.mark.parametrize(
+        "family,key,problem",
+        [
+            ("saddle", "dim", {"dim": 1, "n": 8}),
+            ("streaming-saddle", "dim", {"dim": 1}),
+            ("regularized", "n", {"dim": 4, "n": 1}),
+        ],
+    )
+    def test_family_minimum_rejected_with_path(self, family, key, problem):
+        doc = with_problem({"family": family, **problem})
+        with pytest.raises(
+            ConfigError, match=rf"^problem\.{key}: family '{family}' needs {key} >= 2, got 1$"
+        ):
+            parse_config(doc)
+        # the declared minimum is the factory's own
+        cfg = parse_config(with_problem({"family": family, **problem, key: 2}))
+        assert build_problem(cfg.problem, cfg.seed).dim == cfg.problem.dim
 
 
 class TestStrictProblemFields:
@@ -420,19 +478,24 @@ class TestCli:
         assert cli_main(["verify", "--suite", "schedule"]) == 2
         assert "FAIL" in capsys.readouterr().out
 
-    def test_run_accepts_jobs_flag(self, tmp_path):
-        cfg = dict(BASE_CONFIG, trials=2)
-        cfg["algorithm"] = dict(cfg["algorithm"], overrides={"U": 20})
-        path = write_config(tmp_path, cfg)
-        assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "j"),
-                         "--jobs", "2"]) == 0
-
-    @pytest.mark.parametrize("jobs", ["0", "-2"])
-    def test_run_rejects_jobs_below_one(self, tmp_path, capsys, jobs):
+    def test_run_has_no_jobs_flag(self, tmp_path, capsys):
         path = write_config(tmp_path, BASE_CONFIG)
         out = tmp_path / "j"
-        assert cli_main(["run", "--config", str(path), "--out", str(out), "--jobs", jobs]) == 1
-        assert "--jobs" in capsys.readouterr().err
+        assert cli_main(["run", "--config", str(path), "--out", str(out), "--jobs", "2"]) == 1
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "problem",
+        [{"family": "saddle", "dim": 1, "n": 8}, {"family": "regularized", "dim": 4, "n": 1}],
+        ids=["saddle-dim", "regularized-n"],
+    )
+    def test_run_rejects_family_minimum(self, tmp_path, capsys, problem):
+        path = write_config(tmp_path, with_problem(problem))
+        out = tmp_path / "m"
+        assert cli_main(["run", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: problem.") and "Traceback" not in err
         assert not out.exists()
 
     def test_classify_subcommand(self, tmp_path, capsys):

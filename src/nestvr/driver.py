@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 import math
+import numbers
 import time
 
 import numpy as np
@@ -45,6 +46,9 @@ STATUS_DIVERGED = "diverged"
 
 #: derived config values a desk-scale run may override, each with its type
 OVERRIDE_KEYS = {"B0": int, "U": int, "M": float, "eta": float}
+#: the smallest value each count override may take; real overrides must be
+#: positive and finite
+_OVERRIDE_MIN = {"B0": 4, "U": 1}
 
 
 @dataclass
@@ -147,6 +151,26 @@ def subgaussian_check_batch(sigma2: float, radius: float, delta: float) -> int:
     return math.ceil(2.0 * sigma2 / radius**2 * (1.0 + math.sqrt(math.log2(1.0 / delta))) ** 2)
 
 
+def check_override(key: str, value: object, path: str | None = None) -> int | float:
+    """``value`` as override ``key``'s type, or a ValueError that names
+    ``path`` (default ``overrides.<key>``).  Booleans and non-numbers are
+    refused, counts must be integers at or above their minimum (``B0 >= 4``,
+    ``U >= 1``), and reals positive and finite."""
+    path = path or f"overrides.{key}"
+    integer = OVERRIDE_KEYS[key] is int
+    kinds = numbers.Integral if integer else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        kind = "an integer" if integer else "a number"
+        raise ValueError(f"{path}: expected {kind}, got {value!r}")
+    if integer:
+        if value < _OVERRIDE_MIN[key]:
+            raise ValueError(f"{path}: must be >= {_OVERRIDE_MIN[key]}, got {value}")
+        return int(value)
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{path}: must be positive and finite, got {value}")
+    return float(value)
+
+
 def _ceil_at_least_one(x: float) -> int:
     return max(1, math.ceil(x))
 
@@ -176,10 +200,10 @@ def _make_config(
         unknown = set(overrides) - set(OVERRIDE_KEYS)
         if unknown:
             raise ValueError(f"unknown override keys: {sorted(unknown)}")
-        for key, kind in OVERRIDE_KEYS.items():
+        for key in OVERRIDE_KEYS:
             if key in overrides:
                 derived[key] = values[key]
-                values[key] = kind(overrides[key])
+                values[key] = check_override(key, overrides[key])
     schedule = clamp_schedule(derive_schedule(values["B0"], values["M"]), problem.n)
     return DriverConfig(
         eps=eps,

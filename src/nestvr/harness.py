@@ -142,6 +142,17 @@ class ProblemSpec:
             value = getattr(self, name)
             if value is not None or name not in ("n", "seed"):  # only these may be absent
                 _check_number(f"problem.{name}", value, integer=name in ("dim", "n", "seed"))
+        for name, ok, rule in (
+            ("negative_eigenvalue", self.negative_eigenvalue < 0.0, "negative"),
+            ("noise", self.noise >= 0.0, ">= 0"),
+            ("quartic", self.quartic > 0.0, "positive"),
+            ("radius", self.radius > 0.0, "positive"),
+        ):
+            value = getattr(self, name)
+            if not (ok and math.isfinite(value)):
+                raise ConfigError(f"problem.{name}: must be {rule} and finite, got {value}")
+        if self.seed is not None and self.seed < 0:
+            raise ConfigError(f"problem.seed: must be >= 0, got {self.seed}")
         family = FAMILIES[self.family]
         if self.dim < family.min_dim:
             raise ConfigError(
@@ -174,8 +185,10 @@ class AlgorithmSpec:
         if unknown:
             raise ConfigError(f"algorithm.overrides: unknown keys {sorted(unknown)}")
         for key, value in self.overrides.items():
-            integer = drv.OVERRIDE_KEYS[key] is int
-            _check_number(f"algorithm.overrides.{key}", value, integer=integer)
+            try:
+                drv.check_override(key, value, f"algorithm.overrides.{key}")
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -193,6 +206,8 @@ class ExperimentConfig:
             raise ConfigError(f"out: expected a string, got {self.out!r}")
         if self.trials < 1:
             raise ConfigError(f"trials: must be >= 1, got {self.trials}")
+        if self.seed < 0:
+            raise ConfigError(f"seed: must be >= 0, got {self.seed}")
 
     def to_dict(self) -> dict:
         own = ("family", "dim", *FAMILIES[self.problem.family].fields, "seed")

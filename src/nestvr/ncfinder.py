@@ -2,18 +2,27 @@
 
 Hessian-vector products are approximated by forward gradient differences
 (H v ~ [grad F(z + q v) - grad F(z)] / q, error at most L2 q / 2 plus
-sampling noise), so the search consumes only stochastic gradients.  The
-finder runs shifted power iteration on shift*I - H from several random unit
-starts; a candidate that drives the Rayleigh quotient below -3/4 eps_H is
-returned only when a certified estimate plus its error budget clears
--eps_H / 2.  On a finite sum every power step is a full-population product,
-deterministic given z, v and q, so the candidate's own power-step value is
-the certified estimate and its error budget is the Taylor term alone; a
-streaming candidate is re-measured over several large batches.
+sampling noise), so the search consumes only stochastic gradients.  A
+candidate whose curvature estimate reaches -3/4 eps_H is returned only when
+a certified estimate plus its error budget clears -eps_H / 2.
+
+On a finite sum every product covers the whole population and is
+deterministic given z, v and q, so the finder runs Lanczos with full
+reorthogonalization from one random unit start.  One LDL^T pivot per step
+keeps the Sturm count of T_k + 3/4 eps_H I, the number of Ritz values below
+the candidate bar; when it rises, the smallest Ritz vector is certified by
+one fresh population product, whose error budget is the Taylor term alone.
+The run ends at the Kuczynski-Wozniakowski step count for accuracy eps_H / 4
+with probability 1 - delta (never more than d steps), or earlier when the
+Krylov space becomes invariant.  Streaming products carry sampling noise,
+which breaks Lanczos' orthogonality, so the streaming finder runs shifted
+power iteration on shift*I - H from several random unit starts and
+re-measures a candidate over several large batches.
+
 Self-certification makes soundness of returned directions unconditional;
-failure to certify within the iteration budget yields the abstention signal
-(direction ``None``), indistinguishable by contract from a genuine absence of
-curvature below the threshold.
+failure to certify yields the abstention signal (direction ``None``),
+indistinguishable by contract from a genuine absence of curvature below the
+threshold.
 """
 
 from __future__ import annotations
@@ -32,15 +41,20 @@ from .problems import (
     _is_population,
 )
 
-#: power steps per restart scale as POWER_BUDGET_FACTOR * (L1/eps_H) * log2(d/delta)
+#: a Lanczos residual at most this fraction of max(1, |alpha_k|) ends the
+#: finite-sum search: the Krylov space is invariant
+BREAKDOWN_TOL = 1e-12
+#: streaming power steps per restart scale as
+#: POWER_BUDGET_FACTOR * (L1/eps_H) * log2(d/delta)
 POWER_BUDGET_FACTOR = 8
-#: break a restart after this many steps without Rayleigh improvement
+#: break a streaming restart after this many steps without Rayleigh improvement
 STALL_WINDOW = 25
 STALL_TOL_FACTOR = 0.01  # improvement threshold, in units of eps_H
 #: streaming batch sizes for power steps and certification
 ONLINE_POWER_BATCH_MIN = 64
 ONLINE_CERT_BATCHES = 8
 ONLINE_CERT_BATCH_MIN = 256
+_TINY = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -64,8 +78,9 @@ class NCQuery:
 class NCResult:
     """Either a unit direction of certified negative curvature, or abstention.
 
-    ``rayleigh_estimate`` carries the certified value for a returned direction
-    and the best value seen for an abstention (diagnostic only).
+    ``rayleigh_estimate`` carries the certified value for a returned direction.
+    At abstention it is a diagnostic only: on a finite sum the smallest Ritz
+    value of the Lanczos run, on a stream the best power-step value seen.
     """
 
     direction: Array | None
@@ -139,6 +154,30 @@ def _power_budget(query: NCQuery, dim: int) -> int:
     return math.ceil(POWER_BUDGET_FACTOR * ratio * math.log2(max(dim, 2) / query.delta))
 
 
+def _lanczos_steps(query: NCQuery, dim: int) -> int:
+    """Kuczynski-Wozniakowski step count, capped at ``dim``: from a random
+    start, Lanczos on L1 I - H (spectrum in [0, 2 L1]) finds its top
+    eigenvalue to relative accuracy eps_H / (8 L1), i.e. absolute eps_H / 4,
+    with probability at least 1 - delta."""
+    rel = query.eps_H / (8.0 * query.L1)
+    steps = math.ceil(0.5 + math.log(1.648 * math.sqrt(dim) / query.delta) / (2.0 * math.sqrt(rel)))
+    return min(dim, steps)
+
+
+def _ldl_pivot(alpha: float, beta_prev: float, pivot_prev: float, bar: float) -> float:
+    """Next pivot of the LDL^T factorization of T - bar I, for T symmetric
+    tridiagonal with diagonal ``alpha`` and off-diagonal ``beta``; start with
+    ``pivot_prev = inf``.  By Sylvester's law of inertia the negative pivots
+    of the leading k x k block count its eigenvalues below ``bar``.  A zero
+    pivot is nudged positive, so an eigenvalue at ``bar`` is not counted."""
+    pivot = (alpha - bar) - beta_prev * beta_prev / pivot_prev
+    return pivot if pivot != 0.0 else _TINY
+
+
+def _tridiagonal(alpha: Array, beta: Array) -> Array:
+    return np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
+
+
 def _random_unit(dim: int, rng: np.random.Generator) -> Array:
     v = rng.standard_normal(dim)
     return v / np.linalg.norm(v)
@@ -164,12 +203,66 @@ def _certify(
     return float(vals.mean()), 0.5 * query.L2 * q + 5.0 * spread + 1e-9
 
 
-def _find_direction(
-    problem: Problem,
+def _lanczos_search(
+    problem: FiniteSumProblem,
     query: NCQuery,
     rng: np.random.Generator,
     counter: GradCounter,
 ) -> NCResult:
+    """One Lanczos run over population products (see the module docstring).
+
+    A Ritz vector that fails its certificate is not measured again until
+    another Ritz value crosses the bar."""
+    start_count = counter.count
+    dim = query.z.shape[0]
+    q = _displacement(query)
+    candidate_bar = -0.75 * query.eps_H
+    accept_bar = -0.5 * query.eps_H
+    steps = _lanczos_steps(query, dim)
+    basis = np.empty((steps, dim))
+    alpha = np.empty(steps)
+    beta = np.empty(steps)
+    v = _random_unit(dim, rng)
+    pivot, b = math.inf, 0.0
+    below = tried = 0  # Ritz values below the bar, and at the last certificate
+    for k in range(steps):
+        basis[k] = v
+        w = hvp_estimate(problem, query.z, v, q, problem.n, counter=counter)
+        a = float(v @ w)
+        pivot = _ldl_pivot(a, b, pivot, candidate_bar)
+        below += pivot < 0.0
+        V = basis[: k + 1]
+        for _ in range(2):
+            w -= V.T @ (V @ w)
+        b = float(np.linalg.norm(w))
+        alpha[k], beta[k] = a, b
+        if below > tried:
+            tried = below
+            _, ritz = np.linalg.eigh(_tridiagonal(alpha[: k + 1], beta[:k]))
+            u = V.T @ ritz[:, 0]
+            u /= np.linalg.norm(u)
+            w_u = hvp_estimate(problem, query.z, u, q, problem.n, counter=counter)
+            cert = float(u @ w_u)
+            if cert + 0.5 * query.L2 * q + 1e-9 * (1.0 + abs(cert)) <= accept_bar:
+                return NCResult(
+                    direction=u, rayleigh_estimate=cert, grads_used=counter.count - start_count
+                )
+        if not b > BREAKDOWN_TOL * max(1.0, abs(a)):
+            break  # the Krylov space is invariant: its Ritz values are eigenvalues
+        v = w / b
+    smallest = float(np.linalg.eigvalsh(_tridiagonal(alpha[: k + 1], beta[:k]))[0])
+    return NCResult(
+        direction=None, rayleigh_estimate=smallest, grads_used=counter.count - start_count
+    )
+
+
+def _power_search(
+    problem: StreamingProblem,
+    query: NCQuery,
+    rng: np.random.Generator,
+    counter: GradCounter,
+) -> NCResult:
+    """Restarted shifted power iteration over streaming products."""
     start_count = counter.count
     dim = query.z.shape[0]
     q = _displacement(query)
@@ -178,11 +271,7 @@ def _find_direction(
     candidate_bar = -0.75 * query.eps_H
     accept_bar = -0.5 * query.eps_H
     stall_tol = STALL_TOL_FACTOR * query.eps_H
-
-    if problem.is_finite_sum:
-        power_batch = problem.n
-    else:
-        power_batch = max(ONLINE_POWER_BATCH_MIN, math.ceil(4.0 * query.L1 / query.eps_H))
+    power_batch = max(ONLINE_POWER_BATCH_MIN, math.ceil(4.0 * query.L1 / query.eps_H))
 
     best_ray = math.inf  # across restarts, diagnostic only
     for _ in range(_num_restarts(query.delta)):
@@ -212,11 +301,7 @@ def _find_direction(
             v = s / norm
         best_ray = min(best_ray, cand_ray)
         if cand_ray <= candidate_bar and cand_v is not None:
-            if problem.is_finite_sum:
-                # the power step already measured cand_v on the whole population
-                cert, err = cand_ray, 0.5 * query.L2 * q + 1e-9 * (1.0 + abs(cand_ray))
-            else:
-                cert, err = _certify(problem, query, cand_v, q, rng, counter)
+            cert, err = _certify(problem, query, cand_v, q, rng, counter)
             if cert + err <= accept_bar:
                 direction = cand_v / np.linalg.norm(cand_v)
                 return NCResult(
@@ -237,7 +322,7 @@ def find_nc_direction_finite(
     rng: np.random.Generator,
     counter: GradCounter,
 ) -> NCResult:
-    """Negative-curvature search against a finite-sum oracle.
+    """Negative-curvature search against a finite-sum oracle: one Lanczos run.
 
     Contract: a returned direction v satisfies v' H(z) v <= -eps_H / 2 (it is
     certified before being returned); if lambda_min(H(z)) < -eps_H a direction
@@ -247,7 +332,7 @@ def find_nc_direction_finite(
     """
     if not problem.is_finite_sum:
         raise ValueError("expected a finite-sum problem")
-    return _find_direction(problem, query, rng, counter)
+    return _lanczos_search(problem, query, rng, counter)
 
 
 def find_nc_direction_online(
@@ -256,7 +341,8 @@ def find_nc_direction_online(
     rng: np.random.Generator,
     counter: GradCounter,
 ) -> NCResult:
-    """Negative-curvature search against a streaming oracle; same contract."""
+    """Negative-curvature search against a streaming oracle by restarted power
+    iteration; same contract."""
     if problem.is_finite_sum:
         raise ValueError("expected a streaming problem")
-    return _find_direction(problem, query, rng, counter)
+    return _power_search(problem, query, rng, counter)

@@ -119,6 +119,34 @@ class TestConfigFormulas:
         with pytest.raises(ValueError):
             config_finite_2nd(prob, eps=0.1, eps_H=0.5, overrides={"bogus": 1})
 
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [
+            ("U", 2.5, "expected an integer"),
+            ("B0", 4.9, "expected an integer"),
+            ("U", True, "expected an integer"),
+            ("M", False, "expected a number"),
+            ("eta", "0.1", "expected a number"),
+            ("M", None, "expected a number"),
+            ("B0", 2, "must be >= 4"),
+            ("U", 0, "must be >= 1"),
+            ("M", -1.0, "must be positive and finite"),
+            ("eta", 0.0, "must be positive and finite"),
+            ("eta", math.inf, "must be positive and finite"),
+        ],
+    )
+    def test_override_values_checked_by_key(self, key, value, message):
+        # a library call is held to the config file's rules: no silent casts
+        prob = DeclaredSpecProblem(100, 4, spec())
+        with pytest.raises(ValueError, match=rf"^overrides\.{key}: {message}, got "):
+            config_finite_2nd(prob, eps=0.1, eps_H=0.5, overrides={key: value})
+
+    def test_integer_like_overrides_accepted(self):
+        prob = DeclaredSpecProblem(100, 4, spec())
+        cfg = config_finite_2nd(prob, 0.1, 0.5, {"U": np.int64(7), "B0": 16, "M": 12, "eta": 1})
+        assert (cfg.U, cfg.schedule.B0, cfg.schedule.M, cfg.eta) == (7, 16, 12.0, 1.0)
+        assert type(cfg.U) is int and type(cfg.eta) is float
+
 
 class TestNCDescentStep:
     def test_zero_step(self, rng):

@@ -65,6 +65,17 @@ def with_problem(problem, **algorithm):
     return dict(BASE_CONFIG, problem=problem, algorithm={**alg, **algorithm})
 
 
+def with_value(path, value):
+    """A copy of BASE_CONFIG with the field at dotted ``path`` set to ``value``."""
+    doc = json.loads(json.dumps(BASE_CONFIG))
+    *parents, key = path.split(".")
+    node = doc
+    for name in parents:
+        node = node[name]
+    node[key] = value
+    return doc
+
+
 def write_config(tmp_path, doc, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -182,14 +193,8 @@ class TestConfig:
         ],
     )
     def test_number_types_checked_with_path(self, path, value, kind):
-        doc = json.loads(json.dumps(BASE_CONFIG))
-        *parents, key = path.split(".")
-        node = doc
-        for name in parents:
-            node = node[name]
-        node[key] = value
         with pytest.raises(ConfigError, match=rf"^{re.escape(path)}: expected {kind}, got "):
-            parse_config(doc)
+            parse_config(with_value(path, value))
 
     @pytest.mark.parametrize(
         "family,key,problem",
@@ -208,6 +213,27 @@ class TestConfig:
         # the declared minimum is the factory's own
         cfg = parse_config(with_problem({"family": family, **problem, key: 2}))
         assert build_problem(cfg.problem, cfg.seed).dim == cfg.problem.dim
+
+    @pytest.mark.parametrize(
+        "path,value,rule",
+        [
+            ("problem.noise", -1.0, "must be >= 0 and finite"),
+            ("problem.radius", -1.0, "must be positive and finite"),
+            ("problem.radius", 0, "must be positive and finite"),
+            ("problem.negative_eigenvalue", 0.5, "must be negative and finite"),
+            ("problem.negative_eigenvalue", -math.inf, "must be negative and finite"),
+            ("problem.quartic", 0.0, "must be positive and finite"),
+            ("problem.seed", -1, "must be >= 0"),
+            ("seed", -1, "must be >= 0"),
+            ("algorithm.overrides.B0", 2, "must be >= 4"),
+            ("algorithm.overrides.U", 0, "must be >= 1"),
+            ("algorithm.overrides.M", -1.0, "must be positive and finite"),
+            ("algorithm.overrides.eta", 0.0, "must be positive and finite"),
+        ],
+    )
+    def test_value_ranges_checked_with_path(self, path, value, rule):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(path)}: {rule}, got "):
+            parse_config(with_value(path, value))
 
 
 class TestStrictProblemFields:
@@ -496,6 +522,27 @@ class TestCli:
         assert cli_main(["run", "--config", str(path), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: problem.") and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "change",
+        [{"noise": -1.0}, {"radius": -1.0}, {"negative_eigenvalue": 0.5}, {"seed": -1}],
+        ids=["noise", "radius", "negative_eigenvalue", "seed"],
+    )
+    def test_run_rejects_out_of_range_problem(self, tmp_path, capsys, change):
+        doc = dict(BASE_CONFIG, problem={**BASE_CONFIG["problem"], **change})
+        path = write_config(tmp_path, doc)
+        out = tmp_path / "r"
+        assert cli_main(["run", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: problem.") and "Traceback" not in err
+        assert not out.exists()
+
+    def test_run_rejects_negative_seed_flag(self, tmp_path, capsys):
+        path = write_config(tmp_path, BASE_CONFIG)
+        out = tmp_path / "s"
+        assert cli_main(["run", "--config", str(path), "--out", str(out), "--seed", "-1"]) == 1
+        assert capsys.readouterr().err.startswith("config error: seed: must be >= 0")
         assert not out.exists()
 
     def test_classify_subcommand(self, tmp_path, capsys):

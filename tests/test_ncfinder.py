@@ -1,5 +1,6 @@
 import math
 
+from hypothesis import assume, given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -126,6 +127,31 @@ class TestHvpEstimate:
         assert abs(slope - 1.0) <= 0.2
 
 
+def _tridiagonal(alpha, beta):
+    return np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
+
+
+entries = st.floats(min_value=-4.0, max_value=4.0)
+
+
+@settings(max_examples=300)
+@given(
+    alpha=st.lists(entries, min_size=1, max_size=12),
+    beta=st.lists(entries, min_size=11, max_size=11),
+    bar=entries,
+)
+def test_sturm_count_matches_eigenvalues(alpha, beta, bar):
+    # the finder's pivot recurrence counts, for every leading block T_k, the
+    # eigenvalues of T_k below the bar (away from ties at roundoff level)
+    pivot, count = math.inf, 0
+    for k, a in enumerate(alpha):
+        pivot = ncf._ldl_pivot(a, beta[k - 1] if k else 0.0, pivot, bar)
+        count += pivot < 0.0
+        eigs = np.linalg.eigvalsh(_tridiagonal(alpha[: k + 1], beta[:k]))
+        assume(np.abs(eigs - bar).min() > 1e-9 * (1.0 + np.abs(eigs).max()))
+        assert count == int((eigs < bar).sum())
+
+
 class TestFinderContracts:
     def test_saddle_direction_found_and_sound(self):
         prob = make_saddle_problem(6, 12, -1.0, seed=6)
@@ -136,17 +162,20 @@ class TestFinderContracts:
         assert np.linalg.norm(res.direction) == pytest.approx(1.0, abs=1e-12)
         assert rayleigh(prob, prob.x0, res.direction) <= -0.25 + 1e-6
 
-    def test_found_direction_costs_only_its_power_steps(self, monkeypatch):
-        # every finite-sum power step is a full-population product charged
-        # 2 n; the candidate's certificate is its power-step value, so no
-        # product is taken twice
+    def test_found_direction_costs_its_lanczos_steps_and_one_certificate(self, monkeypatch):
+        # every finite-sum product covers the population and is charged 2 n;
+        # the Lanczos steps take orthonormal directions, and the returned
+        # Ritz vector is measured once more to certify it
         prob = make_saddle_problem(6, 12, -1.0, seed=6)
         directions = []
 
         def spy(problem, z, v, q, batch, rng=None, counter=None):
             assert batch == prob.n
-            directions.append(np.asarray(v).tobytes())
-            return hvp(problem, z, v, q, batch, rng, counter)
+            before = counter.count
+            out = hvp(problem, z, v, q, batch, rng, counter)
+            assert counter.count - before == 2 * prob.n
+            directions.append(np.array(v))
+            return out
 
         hvp = ncf.hvp_estimate
         monkeypatch.setattr(ncf, "hvp_estimate", spy)
@@ -155,8 +184,62 @@ class TestFinderContracts:
             prob, query_for(prob, prob.x0, eps_H=0.5), make_rng(31), counter
         )
         assert res.direction is not None
-        assert len(set(directions)) == len(directions)
-        assert res.grads_used == counter.count == 2 * prob.n * len(directions)
+        assert len({v.tobytes() for v in directions}) == len(directions)
+        steps = np.array(directions[:-1])
+        assert np.allclose(steps @ steps.T, np.eye(len(steps)), atol=1e-10)
+        assert np.array_equal(directions[-1], res.direction)
+        assert res.grads_used == counter.count == 2 * prob.n * (len(steps) + 1)
+
+    def test_saddle_at_origin_found_in_three_products(self, monkeypatch):
+        # H(0) = diag(1, ..., 1, -1): the Krylov space of a random start is
+        # spanned by it and the last axis, so two Lanczos steps hold the exact
+        # eigenvalue -1, and one more product certifies its Ritz vector
+        prob = make_saddle_problem(6, 12, -1.0, seed=6)
+        counter = GradCounter()
+        res = find_nc_direction_finite(
+            prob, query_for(prob, prob.x0, eps_H=0.5), make_rng(31), counter
+        )
+        assert res.direction is not None
+        assert res.grads_used == counter.count == 3 * 2 * prob.n
+        # up to the forward difference's cubic term, 4 a q^2 v_j^3 ~ 2e-5
+        assert res.rayleigh_estimate == pytest.approx(-1.0, abs=1e-4)
+        assert abs(res.direction[-1]) == pytest.approx(1.0, abs=1e-4)
+
+    def test_failed_certificate_is_not_returned(self, monkeypatch):
+        # the certificate is a fresh product: when it misses -eps_H / 2 the
+        # Ritz vector is dropped and the run goes on, here to abstention
+        prob = make_saddle_problem(6, 12, -1.0, seed=6)
+        steps = []
+
+        def spy(problem, z, v, q, batch, rng=None, counter=None):
+            out = hvp(problem, z, v, q, batch, rng, counter)
+            if steps and np.linalg.norm(np.array(steps) @ v) > 0.5:
+                return out + 2.0 * v  # a Ritz vector, measured 2 too high
+            steps.append(np.array(v))  # a Lanczos step, orthogonal to the others
+            return out
+
+        hvp = ncf.hvp_estimate
+        monkeypatch.setattr(ncf, "hvp_estimate", spy)
+        counter = GradCounter()
+        query = query_for(prob, prob.x0, eps_H=0.5)
+        res = find_nc_direction_finite(prob, query, make_rng(31), counter)
+        assert res.is_bottom
+        assert len(steps) == ncf._lanczos_steps(query, 6)
+        # one certificate: the failed Ritz value is not re-measured at each step
+        assert counter.count == 2 * prob.n * (len(steps) + 1)
+        assert res.rayleigh_estimate == pytest.approx(-1.0, abs=1e-4)
+
+    def test_convex_abstention_reports_smallest_eigenvalue(self):
+        # with d within the step budget the Krylov space is exhausted, so the
+        # smallest Ritz value is the Hessian's smallest eigenvalue
+        prob, eigs = random_symmetric_fixture(8, 0.05, seed=11)
+        query = query_for(prob, prob.x0)
+        counter = GradCounter()
+        res = find_nc_direction_finite(prob, query, make_rng(53), counter)
+        assert res.is_bottom
+        assert counter.count <= 2 * prob.n * ncf._lanczos_steps(query, 8)
+        lam = float(np.linalg.eigvalsh(prob.hessian(prob.x0)).min())
+        assert abs(res.rayleigh_estimate - lam) <= 1e-8 * (1.0 + abs(lam))
 
     def test_convex_quadratic_abstains(self):
         prob = make_quadratic_problem(np.eye(8), 4, seed=1, noise=0.1)

@@ -144,6 +144,11 @@ def run_epoch(
         batch = batches[r]
         if finite:
             idx = sample_indices_without_replacement(problem.n, batch, rng)
+            if batch == problem.n:
+                # a clamped level is the whole population, which the oracle
+                # answers without a gather; the draw above only keeps the RNG
+                # stream unchanged
+                idx = problem.n
             if r == 0:
                 g = problem.batch_grad(x, idx)
             else:

@@ -17,6 +17,7 @@ correction over a batch of size ``B`` costs ``2 B`` units.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 import math
 
 import numpy as np
@@ -96,9 +97,12 @@ class FiniteSumProblem:
     may be overridden when the component structure lets the difference be
     formed more cheaply (the result must match the generic form).
 
-    A batch is an index array or the integer ``n``: every component in index
-    order, read in place without gathering rows.  Its result equals the one
-    for ``np.arange(n)`` bit for bit.
+    A batch is an index array or the integer ``n``: every component, answered
+    without gathering rows and charged as ``n`` components like any other
+    batch.  Its result equals the one for ``np.arange(n)`` to roundoff (about
+    1e-15 relative), not necessarily bit for bit: a family may serve it from
+    population statistics computed once, as the regularized family does from
+    its Gram matrix.
     """
 
     n: int
@@ -211,7 +215,7 @@ class _SeparableQuarticProblem(FiniteSumProblem):
     def __init__(self, diag: Array, quartic: float, noise_rows: Array, radius: float):
         self.diag = np.asarray(diag, dtype=float)
         self.quartic = float(quartic)
-        # C order, so that reading all rows in place sums them as a gather would
+        # C order, so that the population mean sums the rows as a gather would
         self.noise = np.ascontiguousarray(noise_rows, dtype=float)
         self.n = self.noise.shape[0]
         self.dim = self.diag.size
@@ -245,9 +249,15 @@ class _SeparableQuarticProblem(FiniteSumProblem):
     def _common_grad(self, x: Array) -> Array:
         return self.diag * x + 4.0 * self.quartic * x**3
 
+    @cached_property
+    def noise_mean(self) -> Array:
+        """Mean of all noise rows, bit for bit the mean of a gather of them.
+        Kept after the first population query, which alone reads the rows."""
+        return self.noise.mean(axis=0)
+
     def batch_grad(self, x: Array, idx: Array | int) -> Array:
-        noise = self.noise if _is_population(idx, self.n) else self.noise[idx]
-        return self._common_grad(x) + noise.mean(axis=0)
+        noise = self.noise_mean if _is_population(idx, self.n) else self.noise[idx].mean(axis=0)
+        return self._common_grad(x) + noise
 
     def batch_grad_diff(self, x: Array, y: Array, idx: Array | int) -> Array:
         # Per-component linear noise is identical at both points and drops out.
@@ -296,6 +306,12 @@ class _RegularizedLeastSquaresProblem(FiniteSumProblem):
 
     The nonconvex regularizer has r''(0) = 2, |r''| <= 2 and |r'''| <= 12,
     giving global L1 = max_i |a_i|^2 + 2 and L2 = 12.
+
+    Population queries (the integer batch ``n``, ``full_grad`` and
+    ``hessian``) are served in O(d^2) from the least-squares part's
+    sufficient statistics ``gram = A^T A / n`` and ``Aty = A^T y / n``,
+    computed once here.  They match the index-order row sum to roundoff, not
+    bit for bit.  Index-array batches gather their rows.
     """
 
     def __init__(self, A: Array, y: Array):
@@ -303,28 +319,37 @@ class _RegularizedLeastSquaresProblem(FiniteSumProblem):
         self.y = np.ascontiguousarray(y, dtype=float)
         self.n, self.dim = self.A.shape
         self.x0 = np.zeros(self.dim)
+        self.gram = self.A.T @ self.A / self.n
+        self.Aty = self.A.T @ self.y / self.n
 
         row_sq = np.einsum("ij,ij->i", self.A, self.A)
         L1 = float(row_sq.max()) + 2.0
         L2 = 12.0
-        sigma2 = self._max_probe_variance()
+        sigma2 = self._max_probe_variance(row_sq)
         # F >= 0 everywhere, so F(x0) bounds the optimal gap.
         delta_F = self.value(self.x0)
         self.smoothness = SmoothnessSpec(
             L1=L1, L2=L2, sigma2=max(sigma2, 1e-12), delta_F=max(delta_F, 1e-12)
         )
 
-    def _max_probe_variance(self) -> float:
-        """Exact population variance of component gradients, maximized over probes."""
+    def _variance_probes(self) -> Array:
+        """The start point and ten fixed random points, one per row."""
         rng = make_rng(np.random.SeedSequence(entropy=0xC0FFEE, spawn_key=(self.n, self.dim)))
         probes = [self.x0] + [rng.standard_normal(self.dim) / math.sqrt(self.dim) for _ in range(10)]
-        worst = 0.0
-        for x in probes:
-            res = self.A @ x - self.y
-            per = self.A * res[:, None]
-            dev = per - per.mean(axis=0)
-            worst = max(worst, float(np.einsum("ij,ij->i", dev, dev).mean()))
-        return worst
+        return np.array(probes)
+
+    def _max_probe_variance(self, row_sq: Array) -> float:
+        """Exact population variance of component gradients, maximized over probes.
+
+        The least-squares component gradients are r_i a_i with residuals
+        r = A x - y, so their variance is mean_i r_i^2 |a_i|^2 less the squared
+        norm of their mean A^T r / n; ``row_sq`` holds the |a_i|^2.
+        """
+        probes = self._variance_probes()
+        res = probes @ self.A.T - self.y
+        mean = probes @ self.gram - self.Aty
+        variances = (res * res) @ row_sq / self.n - np.einsum("ij,ij->i", mean, mean)
+        return float(variances.max())
 
     @staticmethod
     def _reg_value(x: Array) -> float:
@@ -343,28 +368,26 @@ class _RegularizedLeastSquaresProblem(FiniteSumProblem):
         res = self.A @ x - self.y
         return float(0.5 * (res * res).mean() + self._reg_value(x))
 
-    def _rows(self, idx: Array | int) -> tuple[Array, Array, int]:
-        """Design rows, targets and size of a batch; the population is read in place."""
-        if _is_population(idx, self.n):
-            return self.A, self.y, self.n
-        return self.A[idx], self.y[idx], idx.size
-
     def batch_grad(self, x: Array, idx: Array | int) -> Array:
-        rows, targets, size = self._rows(idx)
-        res = rows @ x - targets
-        return rows.T @ res / size + self._reg_grad(x)
+        if _is_population(idx, self.n):
+            return self.gram @ x - self.Aty + self._reg_grad(x)
+        rows = self.A[idx]
+        res = rows @ x - self.y[idx]
+        return rows.T @ res / idx.size + self._reg_grad(x)
 
     def batch_grad_diff(self, x: Array, y: Array, idx: Array | int) -> Array:
-        rows, _, size = self._rows(idx)
-        return rows.T @ (rows @ (x - y)) / size + self._reg_grad(x) - self._reg_grad(y)
+        if _is_population(idx, self.n):
+            quad = self.gram @ (x - y)
+        else:
+            rows = self.A[idx]
+            quad = rows.T @ (rows @ (x - y)) / idx.size
+        return quad + self._reg_grad(x) - self._reg_grad(y)
 
     def full_grad(self, x: Array) -> Array:
-        res = self.A @ x - self.y
-        return self.A.T @ res / self.n + self._reg_grad(x)
+        return self.gram @ x - self.Aty + self._reg_grad(x)
 
     def hessian(self, x: Array) -> Array:
-        H = self.A.T @ self.A / self.n
-        return H + np.diag(self._reg_hess_diag(x))
+        return self.gram + np.diag(self._reg_hess_diag(x))
 
 
 def make_regularized_problem(dim: int, n: int, seed: int | np.random.SeedSequence) -> FiniteSumProblem:
@@ -392,6 +415,7 @@ class QuadraticProblem(FiniteSumProblem):
             raise ValueError("quadratic matrix must be symmetric")
         self.dim = self.H.shape[0]
         self.b = np.zeros(self.dim) if b is None else np.asarray(b, dtype=float)
+        # C order, so that the population mean sums the rows as a gather would
         self.noise = np.ascontiguousarray(noise_rows, dtype=float)
         self.n = self.noise.shape[0]
         self.x0 = np.zeros(self.dim) if x0 is None else np.asarray(x0, dtype=float)
@@ -415,9 +439,15 @@ class QuadraticProblem(FiniteSumProblem):
     def value(self, x: Array) -> float:
         return float(0.5 * x @ self.H @ x + self.b @ x)
 
+    @cached_property
+    def noise_mean(self) -> Array:
+        """Mean of all noise rows, bit for bit the mean of a gather of them.
+        Kept after the first population query, which alone reads the rows."""
+        return self.noise.mean(axis=0)
+
     def batch_grad(self, x: Array, idx: Array | int) -> Array:
-        noise = self.noise if _is_population(idx, self.n) else self.noise[idx]
-        return self.H @ x + self.b + noise.mean(axis=0)
+        noise = self.noise_mean if _is_population(idx, self.n) else self.noise[idx].mean(axis=0)
+        return self.H @ x + self.b + noise
 
     def batch_grad_diff(self, x: Array, y: Array, idx: Array | int) -> Array:
         _is_population(idx, self.n)

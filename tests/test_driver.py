@@ -16,12 +16,14 @@ from nestvr import (
     config_online_2nd,
     config_online_3rd,
     make_quadratic_problem,
+    make_regularized_problem,
     make_rng,
     make_saddle_problem,
     make_streaming_quadratic_problem,
     nc_descent_step,
     run_driver,
 )
+from nestvr.problems import _RegularizedLeastSquaresProblem
 
 
 def spec(L1=1.0, L2=1.0, L3=None, sigma2=1.0, delta_F=1.0):
@@ -271,6 +273,39 @@ class TestRunFinite:
         assert math.isnan(out.final_grad_norm)
         assert out.trace.events[-1].kind == "terminate"
         assert "nc-probe" not in [e.kind for e in out.trace.events if e.u > 1]
+
+
+    def test_gram_population_queries_keep_the_run(self):
+        # the regularized family answers population queries from its Gram
+        # matrix; answering them from the index-order rows instead changes
+        # no branch, count or charge, and the logged values only at roundoff
+        class RowPopulation(_RegularizedLeastSquaresProblem):
+            def _indices(self, idx):
+                return np.arange(self.n) if np.ndim(idx) == 0 else idx
+
+            def batch_grad(self, x, idx):
+                return super().batch_grad(x, self._indices(idx))
+
+            def batch_grad_diff(self, x, y, idx):
+                return super().batch_grad_diff(x, y, self._indices(idx))
+
+            def full_grad(self, x):
+                return super().batch_grad(x, np.arange(self.n))
+
+            def hessian(self, x):
+                return self.A.T @ self.A / self.n + np.diag(self._reg_hess_diag(x))
+
+        prob = make_regularized_problem(20, 300, seed=0)
+        rows = RowPopulation(prob.A, prob.y)
+        cfg = config_finite_2nd(prob, eps=1e-3, eps_H=0.1, overrides={"U": 300})
+        gram_run = run_driver(prob, cfg, make_rng(5)).trace.events
+        rows_run = run_driver(rows, cfg, make_rng(5)).trace.events
+        assert {"epoch", "nc-probe"} <= {e.kind for e in gram_run}
+        for field in ("kind", "u", "grads_cum"):
+            assert [getattr(e, field) for e in gram_run] == [getattr(e, field) for e in rows_run]
+        for got, ref in zip(gram_run, rows_run):
+            for field in ("f_value", "grad_norm", "rayleigh"):
+                assert getattr(got, field) == pytest.approx(getattr(ref, field), rel=1e-12)
 
 
 class TestRunOnline:

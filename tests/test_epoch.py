@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 from hypothesis import example, given, settings, strategies as st
@@ -20,7 +21,9 @@ from nestvr import (
     make_streaming_saddle_problem,
     reset_level,
     run_epoch,
+    sample_indices_without_replacement,
 )
+from nestvr.epoch import LENGTH_CAP_MULTIPLIER
 from nestvr.problems import QuadraticProblem
 
 
@@ -74,6 +77,11 @@ class TestResetLevel:
         sched = NestedSchedule(B0=4, K=K, M=6.0, T=tuple(T), B=(1,) * K, p=0.5)
         want = min(j for j in range(K + 1) if t % math.prod(T[j:]) == 0)
         assert reset_level(t, sched) == want
+
+
+def generator_state(rng):
+    """``bit_generator.state`` as a comparable string (it holds arrays)."""
+    return json.dumps(rng.bit_generator.state, default=np.ndarray.tolist, sort_keys=True)
 
 
 def epoch_history(problem, schedule, length, x0=None, seed=0):
@@ -306,6 +314,46 @@ class TestRunEpoch:
         exact = exact_expected_epoch_cost(sched)
         se = tallies.std(ddof=1) / math.sqrt(tallies.size)
         assert abs(tallies.mean() - exact) <= 4 * se
+
+    def test_clamped_levels_read_the_population(self):
+        # n = 300 clamps levels 1 and 2 (B = 55296, 2304) but not level 0
+        # (B0 = 256) or level 3 (96).  Clamped levels reach the oracle as the
+        # integer n, yet still draw the permutation an index batch would.
+        batches = []
+
+        class Recording(QuadraticProblem):
+            def batch_grad(self, x, idx):
+                batches.append(idx)
+                return super().batch_grad(x, idx)
+
+            def batch_grad_diff(self, x, y, idx):
+                batches.append(idx)
+                return super().batch_grad_diff(x, y, idx)
+
+        n = 300
+        prob = Recording(np.diag([1.0, -0.5, 2.0]), None, make_rng(1).standard_normal((n, 3)))
+        sched = clamp_schedule(derive_schedule(256, M=6.0 * prob.smoothness.L1), n)
+        sizes = (sched.B0, *sched.B)
+        assert sizes == (256, n, n, 96)
+        rng, replay = make_rng(31), make_rng(31)
+        cap = LENGTH_CAP_MULTIPLIER * sched.loop_product
+        clamped_seen = set()
+        for _ in range(8):
+            batches.clear()
+            T = run_epoch(prob.x0, prob, sched, rng).T
+            assert len(batches) == T
+            # replay the epoch's draws directly: its length, then one index set per step
+            assert draw_epoch_length(sched.p, replay, cap) == (T, False)
+            for t, idx in enumerate(batches):
+                size = sizes[reset_level(t, sched)]
+                drawn = sample_indices_without_replacement(n, size, replay)
+                if size == n:
+                    assert np.ndim(idx) == 0 and idx == n
+                else:
+                    assert np.array_equal(idx, drawn)
+                clamped_seen.add(size == n)
+            assert generator_state(rng) == generator_state(replay)
+        assert clamped_seen == {True, False}
 
     def test_out_of_domain_flagged(self):
         # start outside the certified ball: the first step trips the flag

@@ -83,10 +83,10 @@ FINITE_FAMILIES = {
 }
 
 
-@pytest.mark.parametrize("family", sorted(FINITE_FAMILIES))
 class TestPopulationBatch:
-    """The integer n is every component in index order, read in place."""
+    """The integer n is every component, answered without gathering rows."""
 
+    @pytest.mark.parametrize("family", ["quadratic", "saddle"])
     def test_same_bits_as_index_array(self, family, rng):
         prob = FINITE_FAMILIES[family]()
         x, y = rng.standard_normal((2, prob.dim))
@@ -94,6 +94,34 @@ class TestPopulationBatch:
         assert np.array_equal(prob.batch_grad(x, prob.n), prob.batch_grad(x, every))
         assert np.array_equal(prob.batch_grad_diff(x, y, prob.n), prob.batch_grad_diff(x, y, every))
 
+    def test_regularized_gram_matches_rows(self, rng):
+        # served from the Gram matrix: equal to the index-order row sums to roundoff
+        prob = FINITE_FAMILIES["regularized"]()
+        A, every = prob.A, np.arange(prob.n)
+
+        def close(got, ref):
+            assert np.all(np.abs(got - ref) <= 1e-12 * (1 + np.abs(ref)))
+
+        for _ in range(5):
+            x, y = 2 * rng.standard_normal((2, prob.dim))
+            rows_grad = A.T @ (A @ x - prob.y) / prob.n + prob._reg_grad(x)
+            close(prob.batch_grad(x, prob.n), prob.batch_grad(x, every))
+            close(prob.batch_grad_diff(x, y, prob.n), prob.batch_grad_diff(x, y, every))
+            close(prob.full_grad(x), rows_grad)
+            close(prob.hessian(x), A.T @ A / prob.n + np.diag(prob._reg_hess_diag(x)))
+
+    def test_regularized_variance_closed_form(self):
+        # mean r_i^2 |a_i|^2 - |A^T r / n|^2 against the explicit deviations
+        for dim, n in ((7, 45), (20, 300), (3, 2)):
+            prob = make_regularized_problem(dim, n, seed=dim)
+            worst = 0.0
+            for x in prob._variance_probes():
+                per = prob.A * (prob.A @ x - prob.y)[:, None]
+                dev = per - per.mean(axis=0)
+                worst = max(worst, float(np.einsum("ij,ij->i", dev, dev).mean()))
+            assert prob.smoothness.sigma2 == pytest.approx(worst, rel=1e-12)
+
+    @pytest.mark.parametrize("family", sorted(FINITE_FAMILIES))
     def test_other_integers_rejected(self, family):
         prob = FINITE_FAMILIES[family]()
         with pytest.raises(ValueError, match="population size"):

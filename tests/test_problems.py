@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,12 @@ from nestvr import (
     sample_indices_without_replacement,
     spawn_rngs,
 )
-from nestvr.problems import QuadraticProblem, subsample_variance_report
+from nestvr.problems import (
+    GRAD_MEMO_SIZE,
+    QuadraticProblem,
+    _RegularizedLeastSquaresProblem,
+    subsample_variance_report,
+)
 
 
 def test_smoothness_spec_rejects_nonpositive():
@@ -129,6 +135,80 @@ class TestPopulationBatch:
         with pytest.raises(ValueError, match="population size"):
             prob.batch_grad_diff(prob.x0, prob.x0, 3)
 
+    @pytest.mark.parametrize("family", sorted(FINITE_FAMILIES))
+    def test_empty_index_batch_rejected(self, family):
+        prob = FINITE_FAMILIES[family]()
+        empty = np.array([], dtype=np.intp)
+        with pytest.raises(ValueError, match="empty"):
+            prob.batch_grad(prob.x0, empty)
+        with pytest.raises(ValueError, match="empty"):
+            prob.batch_grad_diff(prob.x0 + 1.0, prob.x0, empty)
+
+
+class TestRegularizedRowBlocks:
+    """Index batches are summed block by block, equal to one gather to roundoff."""
+
+    @staticmethod
+    def close(got, ref):
+        assert np.all(np.abs(got - ref) <= 1e-12 * (1 + np.abs(ref)))
+
+    def test_blocked_batches_match_single_gather(self, rng):
+        prob = make_regularized_problem(64, 1200, seed=31)
+        block = prob.block_rows
+        assert 1 < block < prob.n // 2
+        A = prob.A
+        batches = [np.arange(prob.n)]
+        for m in (1, block - 1, block, block + 1, 2 * block + 7):
+            batches.append(rng.permutation(prob.n)[:m])  # unsorted, distinct
+            batches.append(rng.integers(0, 40, size=m))  # repeated rows
+        for idx in batches:
+            x, y = 2 * rng.standard_normal((2, prob.dim))
+            rows = A[idx]
+            grad = rows.T @ (rows @ x - prob.y[idx]) / idx.size + prob._reg_grad(x)
+            diff = rows.T @ (rows @ (x - y)) / idx.size + prob._reg_grad(x) - prob._reg_grad(y)
+            self.close(prob.batch_grad(x, idx), grad)
+            self.close(prob.batch_grad_diff(x, y, idx), diff)
+
+    def test_value_matches_rows(self, rng):
+        prob = make_regularized_problem(20, 300, seed=32)
+        for scale in (0.0, 0.1, 1.0, 10.0, 30.0):  # |x| is about scale
+            for _ in range(5):
+                x = scale * rng.standard_normal(prob.dim) / math.sqrt(prob.dim)
+                res = prob.A @ x - prob.y
+                ref = 0.5 * (res * res).mean() + prob._reg_value(x)
+                assert abs(prob.value(x) - ref) <= 1e-12 * (1 + abs(ref))
+        assert prob.smoothness.delta_F == prob.value(prob.x0)
+
+    def test_value_nonnegative_at_interpolating_point(self):
+        # dim > n: the least-squares part reaches 0, where cancellation in
+        # x.gram.x - 2 x.Aty + mean y^2 must not read as a negative mean square.
+        # A design scaled by 1e9 puts the interpolating point so near 0 that
+        # the regularizer (~1e-17) no longer hides that cancellation.
+        for scale in (1.0, 1e9):
+            for seed in range(20):
+                base = make_regularized_problem(30, 8, seed=seed)
+                prob = _RegularizedLeastSquaresProblem(scale * base.A, base.y)
+                x = np.linalg.lstsq(prob.A, prob.y, rcond=None)[0]
+                assert np.abs(prob.A @ x - prob.y).max() < 1e-12
+                reg = prob._reg_value(x)
+                assert reg <= prob.value(x) <= reg + 1e-12
+
+    def test_subsampled_batch_allocates_no_batch_sized_rows(self, rng):
+        n, m, d = 4096, 2048, 64
+        prob = make_regularized_problem(d, n, seed=33)
+        idx = sample_indices_without_replacement(n, m, rng)
+        x, y = rng.standard_normal((2, d))
+        tracemalloc.start()
+        try:
+            for call in (lambda: prob.batch_grad_diff(x, y, idx), lambda: prob.batch_grad(x, idx)):
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                call()
+                peak = tracemalloc.get_traced_memory()[1] - base
+                assert peak < m * d * 8, peak  # an m x d gather takes m * d * 8 bytes
+        finally:
+            tracemalloc.stop()
+
 
 class TestSaddleProblem:
     def test_origin_is_strict_saddle(self):
@@ -167,6 +247,46 @@ class TestSaddleProblem:
             mean = np.mean([prob.batch_grad(x, np.array([i])) for i in range(17)], axis=0)
             full = prob.full_grad(x)
             assert np.linalg.norm(mean - full) <= 1e-10 * (1 + np.linalg.norm(full))
+
+
+class TestGradientMemo:
+    """The separable quartic family keeps the exact gradient of recent points."""
+
+    @staticmethod
+    def formula(prob, x):
+        x = np.asarray(x, dtype=float)
+        return prob.diag * x + 4.0 * prob.quartic * x**3
+
+    def test_same_bits_bounded_and_read_only(self, rng):
+        prob = make_saddle_problem(5, 40, -1.0, seed=21)
+        points = rng.standard_normal((3 * GRAD_MEMO_SIZE, prob.dim))
+        for i in rng.integers(0, len(points), size=400):
+            g = prob.full_grad(points[i])
+            assert g.tobytes() == self.formula(prob, points[i]).tobytes()
+            assert not g.flags.writeable
+            assert len(prob._grad_memo) <= GRAD_MEMO_SIZE
+        x, y = points[:2]
+        first = prob.full_grad(x)
+        assert prob.full_grad(x.copy()) is first  # a hit, keyed on the values
+        diff = prob.batch_grad_diff(x, y, np.array([0, 3]))
+        assert diff.tobytes() == (self.formula(prob, x) - self.formula(prob, y)).tobytes()
+        assert diff.flags.writeable
+
+    def test_other_dtypes_do_not_collide(self):
+        prob = make_saddle_problem(4, 3, -1.0, seed=22)
+        ints = np.array([1, -2, 3, 0])
+        aliased = ints.view(np.float64)  # tiny subnormals with the same bytes
+        prob.full_grad(aliased)
+        assert np.array_equal(prob.full_grad(ints), self.formula(prob, ints))
+
+    def test_streaming_saddle_shares_the_memo(self, rng):
+        prob = make_streaming_saddle_problem(4, -1.0, seed=23, noise=0.2)
+        z, v = rng.standard_normal((2, 4))
+        for q in (1e-3, 2e-3, 1e-3):
+            d = prob.sample_batch_grad_diff(z + q * v, z, 8, rng)
+            ref = self.formula(prob.core, z + q * v) - self.formula(prob.core, z)
+            assert d.tobytes() == ref.tobytes()
+        assert len(prob.core._grad_memo) == 3
 
 
 class TestRegularizedProblem:
@@ -291,3 +411,13 @@ def test_counter_monotone_and_rejects_negative():
     assert c.count == 3
     with pytest.raises(ValueError):
         c.add(-1)
+    c.add(np.int64(2))
+    assert c.count == 5
+
+
+@pytest.mark.parametrize("units", [2.5, 2.0, np.float64(3.0), "2", None])
+def test_counter_rejects_non_integral_charges(units):
+    c = GradCounter()
+    with pytest.raises(TypeError):
+        c.add(units)
+    assert c.count == 0

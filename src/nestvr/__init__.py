@@ -28,7 +28,6 @@ from .epoch import (
     EpochResult,
     EpochState,
     draw_epoch_length,
-    reset_level,
     run_epoch,
 )
 from .ncfinder import (
@@ -83,7 +82,6 @@ __all__ = [
     "EpochResult",
     "EpochState",
     "draw_epoch_length",
-    "reset_level",
     "run_epoch",
     "NCQuery",
     "NCResult",

@@ -191,8 +191,8 @@ def _make_config(
     """Apply overrides to derived values, clamp the schedule and build the config.
 
     Every replaced value is recorded in ``derived``.  The schedule is clamped
-    at ``problem.n``, a no-op for streaming problems, so the gradient test's
-    batch is the (clamped) base batch in both modes.
+    at ``problem.n``, a no-op for streaming problems.  The gradient test's
+    batch is the population ``n`` on a finite sum, else the base batch.
     """
     values: dict[str, float] = {"B0": B0, "U": U, "M": M, "eta": eta}
     derived: dict[str, float] = {}
@@ -211,7 +211,7 @@ def _make_config(
         U=values["U"],
         eta=values["eta"],
         delta=delta,
-        B0_check=schedule.B0,
+        B0_check=problem.n or schedule.B0,
         schedule=schedule,
         rho=rho,
         derived=derived,
@@ -358,10 +358,10 @@ def _is_finite(grad_norm: float, z: Array) -> bool:
 def run_driver(problem: Problem, config: DriverConfig, rng: np.random.Generator) -> DriverOutcome:
     """Gradient test, then an epoch or a probe-and-step, until certified or out of budget.
 
-    The problem's oracle family picks the gradient test, its threshold and the
-    finder: on a finite sum the full gradient (charged n) against eps, on a
-    stream a fresh batch of ``B0_check`` samples against eps / 2.  A
-    non-finite measured gradient or iterate ends the run as diverged.
+    The gradient test is a batch of ``B0_check`` samples, against eps on a
+    finite sum (whose batch is the population) and eps / 2 on a stream; the
+    oracle family also picks the finder.  A non-finite measured gradient or
+    iterate ends the run as diverged.
     """
     finite = problem.is_finite_sum
     counter = GradCounter()
@@ -390,12 +390,8 @@ def run_driver(problem: Problem, config: DriverConfig, rng: np.random.Generator)
         )
 
     for u in range(1, config.U + 1):
-        if finite:
-            counter.add(problem.n)  # full gradient charged at n stochastic evaluations
-            g = problem.full_grad(z)
-        else:
-            counter.add(config.B0_check)
-            g = problem.sample_batch_grad(z, config.B0_check, rng)
+        counter.add(config.B0_check)
+        g = problem.sample_batch_grad(z, config.B0_check, rng)
         gnorm = float(np.linalg.norm(g))
         trace.add(
             "grad-check", u, counter.count, f_value=problem.value(z), grad_norm=gnorm

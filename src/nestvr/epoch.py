@@ -9,7 +9,10 @@ decides which references refresh: points at levels r..K snap to the current
 iterate, the level-r gradient is re-sampled (a plain batch-B0 gradient at
 level 0, a two-point batch-B_r correction above), and finer levels restart
 from zero.  The update direction is the sum of all reference gradients and
-the step is x <- x - v / (10 M).
+the step is x <- x - v / (10 M).  The loop steps r(t) with one countdown per
+level.  Each step makes one sampled oracle call at its level's batch size,
+which draws from the epoch's generator only what it reads: on a finite sum,
+nothing for a clamped level or for a difference that reads no rows.
 
 Cost model: every level whose period divides t is charged at that step, at
 ``NestedSchedule.level_costs`` (B0 gradients for the level-0 anchor, 2 B_l for
@@ -26,12 +29,9 @@ import math
 
 import numpy as np
 
-from .problems import (
-    Array,
-    GradCounter,
-    Problem,
-    sample_indices_without_replacement,
-)
+from .problems import Array, GradCounter, Problem
+# re-exported: perfbench/spans.py wraps it here as its "problems.sample" site
+from .problems import sample_indices_without_replacement
 from .schedule import NestedSchedule
 
 #: epochs are cut off at this many multiples of the mean length; the truncated
@@ -69,20 +69,6 @@ def draw_epoch_length(p: float, rng: np.random.Generator, cap: int) -> tuple[int
     if T > cap:
         return cap, True
     return T, False
-
-
-def reset_level(t: int, schedule: NestedSchedule) -> int:
-    """Least level j in [0, K] whose refresh period divides t.
-
-    Level K has the empty product 1 as its period, so every step refreshes at
-    least the finest level; t = 0 refreshes everything (r = 0).
-    """
-    if t < 0:
-        raise ValueError(f"iteration index must be >= 0, got {t}")
-    for j, period in enumerate(schedule.level_divisors):
-        if t % period == 0:
-            return j
-    raise AssertionError("unreachable: level K always divides")
 
 
 def run_epoch(
@@ -129,7 +115,9 @@ def run_epoch(
     batches = (schedule.B0, *schedule.B)
     # a step of reset level r pays for level r and every zeroed level above it
     charges = [sum(schedule.level_costs[r:]) for r in range(K + 1)]
-    finite = problem.is_finite_sum
+    loops = (0, *schedule.T)  # loops[l] = T_l: level-l refreshes per level l - 1 one
+    left = list(loops)  # level-l refreshes left before level l - 1 refreshes
+    r = 0
     history: list[EpochState] | None = [] if keep_history else None
     out_of_domain = False
 
@@ -139,24 +127,11 @@ def run_epoch(
 
     step = 1.0 / (10.0 * schedule.M)
     for t in range(T):
-        r = reset_level(t, schedule)
         refs[r:] = [x] * (K + 1 - r)
-        batch = batches[r]
-        if finite:
-            idx = sample_indices_without_replacement(problem.n, batch, rng)
-            if batch == problem.n:
-                # a clamped level is the whole population, which the oracle
-                # answers without a gather; the draw above only keeps the RNG
-                # stream unchanged
-                idx = problem.n
-            if r == 0:
-                g = problem.batch_grad(x, idx)
-            else:
-                g = problem.batch_grad_diff(x, refs[r - 1], idx)
-        elif r == 0:
-            g = problem.sample_batch_grad(x, batch, rng)
+        if r == 0:
+            g = problem.sample_batch_grad(x, batches[0], rng)
         else:
-            g = problem.sample_batch_grad_diff(x, refs[r - 1], batch, rng)
+            g = problem.sample_batch_grad_diff(x, refs[r - 1], batches[r], rng)
         counter.add(charges[r])
         grads[r:] = [g] + [zero] * (K - r)
         v = prefix[r] + g
@@ -167,6 +142,15 @@ def run_epoch(
         if limit is not None and not out_of_domain:
             offset = x - center
             out_of_domain = math.sqrt(offset.dot(offset)) > limit
+        # the next step's reset level: count down level K and carry each
+        # countdown that runs out one level up; r = 0 when all have run out
+        r = K
+        while r:
+            left[r] -= 1
+            if left[r]:
+                break
+            left[r] = loops[r]
+            r -= 1
 
     return EpochResult(
         x_out=x,

@@ -303,8 +303,8 @@ def run_experiment(config: ExperimentConfig) -> list[TrialResult]:
     results = []
     for trial, rng in enumerate(spawn_rngs(config.seed, config.trials)):
         outcome = drv.run_driver(problem, driver_config, rng)
-        lam = math.nan  # a diverged point has no spectrum to take
-        if np.isfinite(outcome.z_final).all():
+        lam = math.nan  # a diverged run's point is not classified, even when finite
+        if outcome.status != drv.STATUS_DIVERGED:
             lam = classify_point(
                 problem, outcome.z_final, config.algorithm.eps, config.algorithm.eps_H
             ).lambda_min

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import math
+import numbers
 
 import numpy as np
 
@@ -38,7 +39,6 @@ from .problems import (
     GradCounter,
     Problem,
     StreamingProblem,
-    _is_population,
 )
 
 #: a Lanczos residual at most this fraction of max(1, |alpha_k|) ends the
@@ -113,26 +113,21 @@ def hvp_estimate(
 ) -> Array:
     """Forward-difference Hessian-vector product estimate at displacement q.
 
-    For finite-sum problems ``batch`` is the integer ``problem.n`` (every
-    component, read in place); for streaming ones it is a fresh-sample count
-    (``rng`` required).  Charges ``2 batch``.
+    ``batch`` is a sample size, drawn from ``rng`` by the oracle.  On a finite
+    sum it lies in 1..n, and ``problem.n`` (every component, read in place)
+    needs no generator.  Charges ``2 batch``.
     """
     if not q > 0.0:
         raise ValueError(f"displacement must be positive, got {q}")
     v = np.asarray(v, dtype=float)
     if abs(float(np.linalg.norm(v)) - 1.0) > 1e-6:
         raise ValueError("direction must be unit norm")
+    if not (isinstance(batch, numbers.Integral) and batch >= 1):
+        raise ValueError(f"batch must be a sample size >= 1, got {batch!r}")
+    if rng is None and batch != problem.n:
+        raise ValueError(f"a product over {batch} sampled components needs a generator")
     z = np.asarray(z, dtype=float)
-    if problem.is_finite_sum:
-        if not _is_population(batch, problem.n):
-            raise ValueError(f"a finite-sum batch must be the population size {problem.n}")
-        diff = problem.batch_grad_diff(z + q * v, z, batch)
-    else:
-        if batch < 1:
-            raise ValueError(f"batch size must be >= 1, got {batch}")
-        if rng is None:
-            raise ValueError("streaming HVP needs a generator")
-        diff = problem.sample_batch_grad_diff(z + q * v, z, batch, rng)
+    diff = problem.sample_batch_grad_diff(z + q * v, z, batch, rng)
     if counter is not None:
         counter.add(2 * int(batch))
     return diff / q

@@ -92,7 +92,43 @@ class SmoothnessSpec:
             raise ValueError(f"SmoothnessSpec.radius must be positive and finite, got {self.radius}")
 
 
-class FiniteSumProblem:
+class Problem:
+    """An objective F with the sampled stochastic-gradient oracle that epochs,
+    curvature probes and gradient tests call: the mean over ``size`` sampled
+    components of their gradients at x, or of their differences between x and
+    y.  It draws from ``rng`` only what it reads.  ``n`` is the number of
+    components, None for a stream."""
+
+    dim: int
+    x0: Array
+    smoothness: SmoothnessSpec
+    n: int | None = None
+    #: exact global minimum value when analytically known (test oracle)
+    known_min_value: float | None = None
+
+    def value(self, x: Array) -> float:
+        raise NotImplementedError
+
+    def sample_batch_grad(self, x: Array, size: int, rng: np.random.Generator) -> Array:
+        raise NotImplementedError
+
+    def sample_batch_grad_diff(self, x: Array, y: Array, size: int, rng: np.random.Generator) -> Array:
+        raise NotImplementedError
+
+    def full_grad(self, x: Array) -> Array:
+        """Verification oracle: exact gradient of F."""
+        raise NotImplementedError
+
+    def hessian(self, x: Array) -> Array:
+        """Verification oracle: exact (symmetric) Hessian of F."""
+        raise NotImplementedError
+
+    @property
+    def is_finite_sum(self) -> bool:
+        return self.n is not None
+
+
+class FiniteSumProblem(Problem):
     """Average of ``n`` components, F(x) = (1/n) sum_i f_i(x).
 
     Subclasses implement ``value``, ``batch_grad``, ``full_grad`` and
@@ -107,17 +143,15 @@ class FiniteSumProblem:
     1e-15 relative, not necessarily bit for bit: a family may serve the
     population from statistics computed once, as the regularized family does
     from its Gram matrix, and may sum an index array's rows block by block.
+
+    A sampled call's ``size`` lies in 1..n.  It passes the row-level method
+    the integer ``n`` for size n, with no draw, and else a uniform subset
+    drawn from ``rng``.  A family whose difference reads no rows passes the
+    leading ``size`` indices there instead (:func:`_leading_rows`) and draws
+    nothing, since every index set gives it the same result.
     """
 
     n: int
-    dim: int
-    x0: Array
-    smoothness: SmoothnessSpec
-    #: exact global minimum value when analytically known (test oracle)
-    known_min_value: float | None = None
-
-    def value(self, x: Array) -> float:
-        raise NotImplementedError
 
     def batch_grad(self, x: Array, idx: Array | int) -> Array:
         """Mean of component gradients over ``idx``. Does not touch counters."""
@@ -126,56 +160,22 @@ class FiniteSumProblem:
     def batch_grad_diff(self, x: Array, y: Array, idx: Array | int) -> Array:
         return self.batch_grad(x, idx) - self.batch_grad(y, idx)
 
-    def full_grad(self, x: Array) -> Array:
-        """Verification oracle: exact gradient of F."""
-        raise NotImplementedError
-
-    def hessian(self, x: Array) -> Array:
-        """Verification oracle: exact (symmetric) Hessian of F."""
-        raise NotImplementedError
-
-    @property
-    def is_finite_sum(self) -> bool:
-        return True
-
-
-class StreamingProblem:
-    """Expectation objective with a fresh-sample stochastic-gradient oracle.
-
-    The epoch engine treats an "index" as "fresh sample": without-replacement
-    sampling degenerates to independent draws, and two-point corrections pair
-    the same sample at both points.
-    """
-
-    dim: int
-    x0: Array
-    smoothness: SmoothnessSpec
-    n = None
-    known_min_value: float | None = None
-
-    def value(self, x: Array) -> float:
-        raise NotImplementedError
-
     def sample_batch_grad(self, x: Array, size: int, rng: np.random.Generator) -> Array:
-        """Mean of ``size`` fresh stochastic gradients."""
-        raise NotImplementedError
+        return self.batch_grad(x, self._draw(size, rng))
 
     def sample_batch_grad_diff(self, x: Array, y: Array, size: int, rng: np.random.Generator) -> Array:
-        """Mean over ``size`` fresh samples of grad F(x; xi) - grad F(y; xi)."""
-        raise NotImplementedError
+        return self.batch_grad_diff(x, y, self._draw(size, rng))
 
-    def full_grad(self, x: Array) -> Array:
-        raise NotImplementedError
-
-    def hessian(self, x: Array) -> Array:
-        raise NotImplementedError
-
-    @property
-    def is_finite_sum(self) -> bool:
-        return False
+    def _draw(self, size: int, rng: np.random.Generator) -> Array | int:
+        if size == self.n:
+            return self.n
+        return sample_indices_without_replacement(self.n, size, rng)
 
 
-Problem = FiniteSumProblem | StreamingProblem
+class StreamingProblem(Problem):
+    """Expectation objective: a sampled call draws ``size`` fresh samples,
+    with no bound on ``size``, and a two-point correction pairs the same
+    samples at both points."""
 
 
 def sample_indices_without_replacement(n: int, m: int, rng: np.random.Generator) -> Array:
@@ -189,6 +189,14 @@ def sample_indices_without_replacement(n: int, m: int, rng: np.random.Generator)
     if m > n:
         raise ValueError(f"batch size {m} exceeds population size {n}; clamp the schedule first")
     return rng.choice(n, size=m, replace=False)
+
+
+def _leading_rows(n: int, size: int) -> Array | int:
+    """The batch a difference that reads no rows takes for ``size``
+    components: the integer ``n``, or the first ``size`` indices."""
+    if not 1 <= size <= n:
+        raise ValueError(f"batch size must lie in 1..{n}, got {size}")
+    return n if size == n else np.arange(size)
 
 
 def _is_population(idx: Array | int, n: int) -> bool:
@@ -222,7 +230,8 @@ class _SeparableQuarticProblem(FiniteSumProblem):
 
     f_i(x) = F(x) + c_i . x with sum_i c_i = 0, so the mean recovers F exactly
     and every component shares F's Hessian.  The linear noise cancels exactly
-    in two-point gradient differences, which ``batch_grad_diff`` exploits.
+    in two-point gradient differences, which therefore read no rows and draw
+    no indices.
     """
 
     def __init__(self, diag: Array, quartic: float, noise_rows: Array, radius: float):
@@ -296,6 +305,9 @@ class _SeparableQuarticProblem(FiniteSumProblem):
         # Per-component linear noise is identical at both points and drops out.
         _is_population(idx, self.n)
         return self._common_grad(x) - self._common_grad(y)
+
+    def sample_batch_grad_diff(self, x: Array, y: Array, size: int, rng: np.random.Generator) -> Array:
+        return self.batch_grad_diff(x, y, _leading_rows(self.n, size))
 
     def full_grad(self, x: Array) -> Array:
         return self._common_grad(x)
@@ -462,7 +474,8 @@ class QuadraticProblem(FiniteSumProblem):
     """F(x) = 1/2 x^T H x + b . x with linear component noise; exact oracles.
 
     Constant Hessian makes finite-difference Hessian-vector products exact up
-    to roundoff, which the curvature-search tests rely on.
+    to roundoff, which the curvature-search tests rely on.  The noise cancels
+    in differences, which read no rows and draw no indices.
     """
 
     def __init__(self, H: Array, b: Array | None, noise_rows: Array, x0: Array | None = None):
@@ -508,6 +521,9 @@ class QuadraticProblem(FiniteSumProblem):
     def batch_grad_diff(self, x: Array, y: Array, idx: Array | int) -> Array:
         _is_population(idx, self.n)
         return self.H @ (x - y)
+
+    def sample_batch_grad_diff(self, x: Array, y: Array, size: int, rng: np.random.Generator) -> Array:
+        return self.batch_grad_diff(x, y, _leading_rows(self.n, size))
 
     def full_grad(self, x: Array) -> Array:
         return self.H @ x + self.b

@@ -46,6 +46,21 @@ class DeclaredSpecStreaming:
         self.smoothness = spec
 
 
+def reset_level(t, schedule):
+    """Least level j in [0, K] whose refresh period divides t: the modulo rule
+    that ``run_epoch`` steps with countdowns, kept here as its test oracle.
+
+    Level K has the empty product 1 as its period, so every step refreshes at
+    least the finest level; t = 0 refreshes everything (r = 0).
+    """
+    if t < 0:
+        raise ValueError(f"iteration index must be >= 0, got {t}")
+    for j, period in enumerate(schedule.level_divisors):
+        if t % period == 0:
+            return j
+    raise AssertionError("unreachable: level K always divides")
+
+
 @pytest.fixture
 def rng():
     return make_rng(20240612)

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 import numpy as np
 import pytest
 
+from conftest import reset_level
 from nestvr import (
     GradCounter,
     NestedSchedule,
@@ -19,12 +20,15 @@ from nestvr import (
     make_rng,
     make_saddle_problem,
     make_streaming_saddle_problem,
-    reset_level,
     run_epoch,
     sample_indices_without_replacement,
 )
 from nestvr.epoch import LENGTH_CAP_MULTIPLIER
-from nestvr.problems import QuadraticProblem
+from nestvr.problems import (
+    QuadraticProblem,
+    _RegularizedLeastSquaresProblem,
+    _SeparableQuarticProblem,
+)
 
 
 @pytest.fixture
@@ -77,6 +81,51 @@ class TestResetLevel:
         sched = NestedSchedule(B0=4, K=K, M=6.0, T=tuple(T), B=(1,) * K, p=0.5)
         want = min(j for j in range(K + 1) if t % math.prod(T[j:]) == 0)
         assert reset_level(t, sched) == want
+
+
+def recording(cls):
+    """``cls`` keeping every row-level batch it is passed, in ``batches``."""
+
+    class Recording(cls):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.batches = []
+
+        def batch_grad(self, x, idx):
+            self.batches.append(idx)
+            return super().batch_grad(x, idx)
+
+        def batch_grad_diff(self, x, y, idx):
+            self.batches.append(idx)
+            return super().batch_grad_diff(x, y, idx)
+
+    return Recording
+
+
+def replay_epochs(prob, sched, draws, epochs=8):
+    """Run ``epochs`` epochs of a ``recording`` problem and replay each one's
+    randomness on a twin generator: its length, then one index set for each
+    step whose (level, size) ``draws`` names, which must be the batch the
+    step passed.  The two generators must end level.  Returns every step's
+    (level, size, batch)."""
+    sizes = (sched.B0, *sched.B)
+    rng, replay = make_rng(31), make_rng(31)
+    cap = LENGTH_CAP_MULTIPLIER * sched.loop_product
+    steps = []
+    for _ in range(epochs):
+        prob.batches.clear()
+        T = run_epoch(prob.x0, prob, sched, rng).T
+        assert len(prob.batches) == T
+        assert draw_epoch_length(sched.p, replay, cap) == (T, False)
+        for t, idx in enumerate(prob.batches):
+            level = reset_level(t, sched)
+            size = sizes[level]
+            if draws(level, size):
+                drawn = sample_indices_without_replacement(prob.n, size, replay)
+                assert np.array_equal(idx, drawn)
+            steps.append((level, size, idx))
+        assert generator_state(rng) == generator_state(replay)
+    return steps
 
 
 def generator_state(rng):
@@ -318,42 +367,51 @@ class TestRunEpoch:
     def test_clamped_levels_read_the_population(self):
         # n = 300 clamps levels 1 and 2 (B = 55296, 2304) but not level 0
         # (B0 = 256) or level 3 (96).  Clamped levels reach the oracle as the
-        # integer n, yet still draw the permutation an index batch would.
-        batches = []
-
-        class Recording(QuadraticProblem):
-            def batch_grad(self, x, idx):
-                batches.append(idx)
-                return super().batch_grad(x, idx)
-
-            def batch_grad_diff(self, x, y, idx):
-                batches.append(idx)
-                return super().batch_grad_diff(x, y, idx)
-
+        # integer n and draw nothing.  The quadratic's differences read no
+        # rows, so level 3 draws nothing either and passes its leading 96
+        # indices; only the subsampled anchor draws an index set.
         n = 300
-        prob = Recording(np.diag([1.0, -0.5, 2.0]), None, make_rng(1).standard_normal((n, 3)))
+        prob = recording(QuadraticProblem)(
+            np.diag([1.0, -0.5, 2.0]), None, make_rng(1).standard_normal((n, 3))
+        )
         sched = clamp_schedule(derive_schedule(256, M=6.0 * prob.smoothness.L1), n)
-        sizes = (sched.B0, *sched.B)
-        assert sizes == (256, n, n, 96)
-        rng, replay = make_rng(31), make_rng(31)
-        cap = LENGTH_CAP_MULTIPLIER * sched.loop_product
-        clamped_seen = set()
-        for _ in range(8):
-            batches.clear()
-            T = run_epoch(prob.x0, prob, sched, rng).T
-            assert len(batches) == T
-            # replay the epoch's draws directly: its length, then one index set per step
-            assert draw_epoch_length(sched.p, replay, cap) == (T, False)
-            for t, idx in enumerate(batches):
-                size = sizes[reset_level(t, sched)]
-                drawn = sample_indices_without_replacement(n, size, replay)
-                if size == n:
-                    assert np.ndim(idx) == 0 and idx == n
-                else:
-                    assert np.array_equal(idx, drawn)
-                clamped_seen.add(size == n)
-            assert generator_state(rng) == generator_state(replay)
-        assert clamped_seen == {True, False}
+        assert (sched.B0, *sched.B) == (256, n, n, 96)
+        steps = replay_epochs(prob, sched, lambda level, size: level == 0 and size < n)
+        kinds = set()
+        for level, size, idx in steps:
+            if size == n:
+                assert np.ndim(idx) == 0 and idx == n
+                kinds.add("population")
+            elif level > 0:
+                assert np.array_equal(idx, np.arange(size))
+                kinds.add("leading")
+            else:
+                kinds.add("drawn")
+        assert kinds == {"population", "leading", "drawn"}
+
+    def test_saddle_epoch_draws_only_its_length(self):
+        # the criterion-07 saddle (d = 10, n = 256): levels 0..2 are clamped
+        # and level 3's differences read no rows, so an epoch leaves the
+        # generator exactly where drawing its length alone leaves it
+        n = 256
+        prob = recording(_SeparableQuarticProblem)(
+            np.r_[np.ones(9), -1.0], 0.25, make_rng(2).standard_normal((n, 10)) * 0.1, 1.5
+        )
+        sched = clamp_schedule(derive_schedule(256, M=6.0 * prob.smoothness.L1), n)
+        assert (sched.B0, *sched.B) == (n, n, n, 96)
+        steps = replay_epochs(prob, sched, lambda level, size: False)
+        assert {size for _, size, _ in steps} == {n, 96}
+
+    def test_regularized_draws_one_index_set_per_subsampled_step(self):
+        # the regularized family reads rows at every subsampled level (the
+        # anchor's 256 and level 3's 96 of 300) and nowhere else
+        n = 300
+        base = make_regularized_problem(4, n, seed=5)
+        prob = recording(_RegularizedLeastSquaresProblem)(base.A, base.y)
+        sched = clamp_schedule(derive_schedule(256, M=6.0 * prob.smoothness.L1), n)
+        assert (sched.B0, *sched.B) == (256, n, n, 96)
+        steps = replay_epochs(prob, sched, lambda level, size: size < n)
+        assert {size for _, size, _ in steps} == {256, n, 96}
 
     def test_out_of_domain_flagged(self):
         # start outside the certified ball: the first step trips the flag

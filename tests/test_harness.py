@@ -414,6 +414,23 @@ class TestVerifySuites:
         assert ran == []
 
 
+def test_diverged_trial_at_a_finite_point_is_not_classified(monkeypatch):
+    # a run can diverge while its iterate is still finite, when the gradient
+    # overflows first; its point is not classified all the same
+    def diverged(problem, config, rng):
+        return drv.DriverOutcome(
+            z_final=np.full(problem.dim, 1e63),
+            status=drv.STATUS_DIVERGED,
+            trace=drv.RunTrace(),
+            grads_total=0,
+            final_grad_norm=math.inf,
+        )
+
+    monkeypatch.setattr(drv, "run_driver", diverged)
+    (result,) = run_experiment(parse_config(dict(BASE_CONFIG, trials=1)))
+    assert math.isnan(result.final_lambda_min)
+
+
 class TestCli:
     def test_derive_schedule_json(self, capsys):
         assert cli_main(["derive-schedule", "--b0", "256"]) == 0

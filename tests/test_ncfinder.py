@@ -99,8 +99,9 @@ class TestHvpEstimate:
         "batch", [5, np.asarray(5), 0, np.array([], dtype=int), np.arange(6), np.arange(3)]
     )
     def test_bad_finite_batch_rejected(self, batch):
-        # n = 6: a finite-sum product covers the whole population, so any
-        # other integer and every index array, even all of them, is refused
+        # n = 6: without a generator a finite-sum product covers the whole
+        # population, so any other size and every index array, even all of
+        # them, is refused
         prob, _ = random_symmetric_fixture(4, -0.5, seed=3)
         counter = GradCounter()
         with pytest.raises(ValueError):

@@ -1,9 +1,10 @@
 import math
 from fractions import Fraction
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 import pytest
 
+from conftest import reset_level
 from nestvr import (
     GradCounter,
     check_series_domination,
@@ -14,7 +15,6 @@ from nestvr import (
     expected_epoch_cost,
     make_rng,
     make_streaming_saddle_problem,
-    reset_level,
     run_epoch,
 )
 
@@ -219,9 +219,16 @@ class TestScheduleProperties:
         assert clamp_schedule(out, n) is out
 
     @given(B0=bases, length=st.integers(min_value=1, max_value=40))
+    @example(B0=4, length=3 * 2)
+    @example(B0=16, length=3 * 4)
+    @example(B0=256, length=3 * 16)
+    @example(B0=65536, length=3 * 256)
     def test_step_charge_is_tail_of_level_costs(self, B0, length):
         # streaming batch means cost O(d) whatever the batch size, so even
-        # the largest bases run an epoch quickly
+        # the largest bases run an epoch quickly.  The tails strictly fall
+        # with the level, so the charges name the levels run_epoch's
+        # countdowns step through; the examples cover three whole sweeps of
+        # the canonical schedules, K = 1..4
         class Recording(GradCounter):
             __slots__ = ("charges",)
 

@@ -15,7 +15,6 @@ from .driver import (
     PointClassification,
     RunTrace,
     TraceEvent,
-    boost,
     classify_point,
     config_finite_2nd,
     config_finite_3rd,
@@ -71,7 +70,6 @@ __all__ = [
     "PointClassification",
     "RunTrace",
     "TraceEvent",
-    "boost",
     "classify_point",
     "config_finite_2nd",
     "config_finite_3rd",

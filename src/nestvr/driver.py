@@ -31,7 +31,6 @@ from .problems import (
     GradCounter,
     Problem,
     StreamingProblem,
-    spawn_rngs,
 )
 from .schedule import NestedSchedule, clamp_schedule, derive_schedule
 
@@ -310,17 +309,13 @@ def config_online_3rd(
     eps: float,
     eps_H: float,
     overrides: dict | None = None,
-    *,
-    wide_step: bool = False,
 ) -> DriverConfig:
     """Third-order-smooth streaming configuration.
 
     rho = max{36 sigma^2 L3 / (L1 eps_H^2 sqrt(B0)), 6}, M = 2 rho L1,
     delta = 1 / (1000 dF L3 eps_H^-2),
     U = 72 dF L3 eps_H^-2 + 96 C1 rho dF L1 eps^-2 / sqrt(B0),
-    eta = sqrt(eps_H / L3).  ``wide_step`` switches to the sqrt(3)-larger
-    variant of the escape step, whose supporting decrease bound uses it; the
-    default keeps the headline value.
+    eta = sqrt(eps_H / L3).
     """
     s = problem.smoothness
     if s.L3 is None:
@@ -334,7 +329,7 @@ def config_online_3rd(
         72.0 * s.delta_F * s.L3 / eps_H**2
         + 96.0 * C1 * rho * s.delta_F * s.L1 / (math.sqrt(B0) * eps**2)
     )
-    eta = math.sqrt((3.0 if wide_step else 1.0) * eps_H / s.L3)
+    eta = math.sqrt(eps_H / s.L3)
     M = 2.0 * rho * s.L1
     return _make_config(
         problem, eps, eps_H, overrides, delta=delta, U=U, eta=eta, B0=B0, M=M, rho=rho,
@@ -421,27 +416,3 @@ def run_driver(problem: Problem, config: DriverConfig, rng: np.random.Generator)
     status = STATUS_EXHAUSTED if _is_finite(final_norm, z) else STATUS_DIVERGED
     return finish(status, config.U, final_norm)
 
-
-def boost(
-    problem: Problem,
-    config: DriverConfig,
-    rng_seed: int | np.random.SeedSequence,
-    p_target: float,
-) -> DriverOutcome:
-    """Repeat the driver ceil(log2(1/p_target)) times on independent streams.
-
-    Returns the first certified outcome (remaining repetitions are skipped);
-    if none certifies, the finished outcome with the smallest measured final
-    gradient norm is returned, diverged runs last.
-    """
-    if not 0.0 < p_target < 1.0:
-        raise ValueError(f"p_target must lie in (0, 1), got {p_target}")
-    repeats = max(1, math.ceil(math.log2(1.0 / p_target)))
-    finished = []
-    for rng in spawn_rngs(rng_seed, repeats):
-        outcome = run_driver(problem, config, rng)
-        if outcome.status == STATUS_CERTIFIED:
-            return outcome
-        finished.append(outcome)
-    # diverged runs rank last: their NaN norm would never compare smaller
-    return min(finished, key=lambda o: (o.status == STATUS_DIVERGED, o.final_grad_norm))

@@ -6,18 +6,27 @@ sampling noise), so the search consumes only stochastic gradients.  A
 candidate whose curvature estimate reaches -3/4 eps_H is returned only when
 a certified estimate plus its error budget clears -eps_H / 2.
 
-On a finite sum every product covers the whole population and is
-deterministic given z, v and q, so the finder runs Lanczos with full
-reorthogonalization from one random unit start.  One LDL^T pivot per step
-keeps the Sturm count of T_k + 3/4 eps_H I, the number of Ritz values below
-the candidate bar; when it rises, the smallest Ritz vector is certified by
-one fresh population product, whose error budget is the Taylor term alone.
-The run ends at the Kuczynski-Wozniakowski step count for accuracy eps_H / 4
-with probability 1 - delta (never more than d steps), or earlier when the
-Krylov space becomes invariant.  Streaming products carry sampling noise,
-which breaks Lanczos' orthogonality, so the streaming finder runs shifted
-power iteration on shift*I - H from several random unit starts and
-re-measures a candidate over several large batches.
+On a finite sum the finder runs Lanczos with full reorthogonalization from
+one random unit start, over the products of one fixed operator, so that each
+product is deterministic given z, v and q.  The operator is the population,
+unless the family declares its component-Hessian spread (sigma_H^2, R_H) and
+matrix Bernstein then needs b < n rows: b rows drawn without replacement put
+H_S within s = eps_H / 8 of H with probability 1 - delta / 2 once
+b >= 2 (sigma_H^2 + R_H s / 3) ln(4 d / delta) / s^2, and the probe draws
+one such subsample S.  One LDL^T pivot per step keeps the Sturm count of
+T_k + 3/4 eps_H I, the number of Ritz values below the candidate bar; when
+it rises, the smallest Ritz vector is certified by one fresh population
+product, whose error budget is the Taylor term alone.  The run ends at the
+Kuczynski-Wozniakowski step count (never more than d steps), or earlier when
+the Krylov space becomes invariant.  That count is for accuracy eps_H / 4
+with probability 1 - delta over the population, and for eps_H / 8 with
+probability 1 - delta / 2 over a subsample, whose error s takes the other
+eighth and the other half of delta: a Ritz value then lies within
+s + eps_H / 8 of lambda_min(H), and a Ritz vector's Rayleigh value on H
+within s of its value on H_S, which keeps both bars.  Streaming products
+carry sampling noise, which breaks Lanczos' orthogonality, so the streaming
+finder runs shifted power iteration on shift*I - H from several random unit
+starts and re-measures a candidate over several large batches.
 
 Self-certification makes soundness of returned directions unconditional;
 failure to certify yields the abstention signal (direction ``None``),
@@ -39,6 +48,7 @@ from .problems import (
     GradCounter,
     Problem,
     StreamingProblem,
+    sample_indices_without_replacement,
 )
 
 #: a Lanczos residual at most this fraction of max(1, |alpha_k|) ends the
@@ -80,7 +90,9 @@ class NCResult:
 
     ``rayleigh_estimate`` carries the certified value for a returned direction.
     At abstention it is a diagnostic only: on a finite sum the smallest Ritz
-    value of the Lanczos run, on a stream the best power-step value seen.
+    value of the Lanczos run (over a row subsample S, a Ritz value of H_S,
+    whose smallest eigenvalue lies within eps_H / 8 of H's with probability
+    1 - delta / 2), on a stream the best power-step value seen.
     """
 
     direction: Array | None
@@ -149,14 +161,31 @@ def _power_budget(query: NCQuery, dim: int) -> int:
     return math.ceil(POWER_BUDGET_FACTOR * ratio * math.log2(max(dim, 2) / query.delta))
 
 
-def _lanczos_steps(query: NCQuery, dim: int) -> int:
+def _lanczos_steps(query: NCQuery, dim: int, subsampled: bool = False) -> int:
     """Kuczynski-Wozniakowski step count, capped at ``dim``: from a random
     start, Lanczos on L1 I - H (spectrum in [0, 2 L1]) finds its top
     eigenvalue to relative accuracy eps_H / (8 L1), i.e. absolute eps_H / 4,
-    with probability at least 1 - delta."""
-    rel = query.eps_H / (8.0 * query.L1)
-    steps = math.ceil(0.5 + math.log(1.648 * math.sqrt(dim) / query.delta) / (2.0 * math.sqrt(rel)))
+    with probability at least 1 - delta.  A ``subsampled`` operator leaves
+    half of each to its sampling error: eps_H / (16 L1) at 1 - delta / 2."""
+    share = 2.0 if subsampled else 1.0
+    rel = query.eps_H / (8.0 * share * query.L1)
+    delta = query.delta / share
+    steps = math.ceil(0.5 + math.log(1.648 * math.sqrt(dim) / delta) / (2.0 * math.sqrt(rel)))
     return min(dim, steps)
+
+
+def _subsample_size(problem: FiniteSumProblem, query: NCQuery) -> int:
+    """Rows b whose subsample Hessian lies within eps_H / 8 of the
+    population's with probability 1 - delta / 2, by matrix Bernstein over the
+    declared spread (see the module docstring); ``n`` when none is declared
+    or b would reach it."""
+    spread = problem.hessian_spread
+    if spread is None:
+        return problem.n
+    var, R = spread
+    s = query.eps_H / 8.0
+    log_term = math.log(4.0 * query.z.shape[0] / query.delta)
+    return min(problem.n, math.ceil(2.0 * (var + R * s / 3.0) * log_term / s**2))
 
 
 def _ldl_pivot(alpha: float, beta_prev: float, pivot_prev: float, bar: float) -> float:
@@ -204,7 +233,9 @@ def _lanczos_search(
     rng: np.random.Generator,
     counter: GradCounter,
 ) -> NCResult:
-    """One Lanczos run over population products (see the module docstring).
+    """One Lanczos run over the products of the population or of one row
+    subsample, each Ritz candidate certified by a population product (see
+    the module docstring).
 
     A Ritz vector that fails its certificate is not measured again until
     another Ritz value crosses the bar."""
@@ -213,7 +244,11 @@ def _lanczos_search(
     q = _displacement(query)
     candidate_bar = -0.75 * query.eps_H
     accept_bar = -0.5 * query.eps_H
-    steps = _lanczos_steps(query, dim)
+    rows = _subsample_size(problem, query)
+    operator = problem
+    if rows < problem.n:
+        operator = problem.subsample(sample_indices_without_replacement(problem.n, rows, rng))
+    steps = _lanczos_steps(query, dim, subsampled=operator is not problem)
     basis = np.empty((steps, dim))
     alpha = np.empty(steps)
     beta = np.empty(steps)
@@ -222,7 +257,7 @@ def _lanczos_search(
     below = tried = 0  # Ritz values below the bar, and at the last certificate
     for k in range(steps):
         basis[k] = v
-        w = hvp_estimate(problem, query.z, v, q, problem.n, counter=counter)
+        w = hvp_estimate(operator, query.z, v, q, operator.n, counter=counter)
         a = float(v @ w)
         pivot = _ldl_pivot(a, b, pivot, candidate_bar)
         below += pivot < 0.0
@@ -317,13 +352,16 @@ def find_nc_direction_finite(
     rng: np.random.Generator,
     counter: GradCounter,
 ) -> NCResult:
-    """Negative-curvature search against a finite-sum oracle: one Lanczos run.
+    """Negative-curvature search against a finite-sum oracle: one Lanczos run,
+    over one row subsample when the problem's declared ``hessian_spread``
+    allows fewer than n rows.
 
     Contract: a returned direction v satisfies v' H(z) v <= -eps_H / 2 (it is
-    certified before being returned); if lambda_min(H(z)) < -eps_H a direction
-    is found with probability at least 1 - delta; if lambda_min >= -eps_H / 2
-    abstention is returned with probability at least 1 - delta.  The band in
-    between carries no contract.
+    certified by a population product before being returned, whatever the
+    declared spread); if lambda_min(H(z)) < -eps_H a direction is found with
+    probability at least 1 - delta; if lambda_min >= -eps_H / 2 abstention is
+    returned with probability at least 1 - delta.  The band in between
+    carries no contract.
     """
     if not problem.is_finite_sum:
         raise ValueError("expected a finite-sum problem")

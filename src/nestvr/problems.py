@@ -149,9 +149,18 @@ class FiniteSumProblem(Problem):
     drawn from ``rng``.  A family whose difference reads no rows passes the
     leading ``size`` indices there instead (:func:`_leading_rows`) and draws
     nothing, since every index set gives it the same result.
+
+    ``hessian_spread`` is the family's declared component-Hessian spread
+    ``(sigma_H^2, R_H)``: at every point, ``|mean_i (H_i - H)^2| <= sigma_H^2``
+    and ``max_i |H_i - H| <= R_H`` in spectral norm, where ``H_i`` is the
+    Hessian of ``f_i`` and ``H`` their mean.  A family that declares it
+    implements ``subsample(idx)``, the finite sum of the rows ``idx`` alone,
+    whose population products the curvature search runs on.  ``None`` (the
+    default) declares nothing, and that search reads the whole population.
     """
 
     n: int
+    hessian_spread: tuple[float, float] | None = None
 
     def batch_grad(self, x: Array, idx: Array | int) -> Array:
         """Mean of component gradients over ``idx``. Does not touch counters."""
@@ -170,6 +179,12 @@ class FiniteSumProblem(Problem):
         if size == self.n:
             return self.n
         return sample_indices_without_replacement(self.n, size, rng)
+
+    def subsample(self, idx: Array) -> FiniteSumProblem:
+        """The finite sum of the components ``idx`` (distinct indices) alone:
+        its population is those rows.  Implemented by the families that
+        declare a ``hessian_spread``."""
+        raise NotImplementedError
 
 
 class StreamingProblem(Problem):
@@ -366,6 +381,13 @@ class _RegularizedLeastSquaresProblem(FiniteSumProblem):
     products while it is still in cache, so no batch-sized copy of the rows
     is made.  Both match the single-gather row form to roundoff, not bit for
     bit.
+
+    The regularizer is common to every component, so H_i - H = a_i a_i^T - G
+    with G = ``gram``, and mean_i (H_i - H)^2 = mean_i |a_i|^2 a_i a_i^T - G^2
+    lies between 0 and max_i |a_i|^2 G.  The declared spread is therefore
+    sigma_H^2 = max_i |a_i|^2 lambda_max(G) and R_H = max(max_i |a_i|^2,
+    lambda_max(G)), found by one d x d eigensolve on the first curvature
+    probe, not at construction.
     """
 
     def __init__(self, A: Array, y: Array):
@@ -379,7 +401,8 @@ class _RegularizedLeastSquaresProblem(FiniteSumProblem):
         self.block_rows = max(1, ROW_BLOCK_BYTES // (self.A.itemsize * self.dim))
 
         row_sq = np.einsum("ij,ij->i", self.A, self.A)
-        L1 = float(row_sq.max()) + 2.0
+        self.max_row_sq = float(row_sq.max())
+        L1 = self.max_row_sq + 2.0
         L2 = 12.0
         sigma2 = self._max_probe_variance(row_sq)
         # F >= 0 everywhere, so F(x0) bounds the optimal gap.
@@ -426,18 +449,34 @@ class _RegularizedLeastSquaresProblem(FiniteSumProblem):
         lsq = x @ (0.5 * (self.gram @ x) - self.Aty) + 0.5 * self.mean_y2
         return float((0.0 if lsq < 0.0 else lsq) + self._reg_value(x))
 
+    def _gathered(self, idx: Array):
+        """The rows of ``idx``, gathered ``block_rows`` at a time, each with
+        its indices."""
+        for start in range(0, idx.size, self.block_rows):
+            block = idx[start : start + self.block_rows]
+            yield block, self.A[block]
+
     def _row_blocks(self, idx: Array, u: Array, targets: bool) -> Array:
         """(1/m) sum over the m indices of a_i (a_i . u - t_i), where t_i is
         y_i with ``targets`` and 0 without, gathered in row blocks."""
         out = np.zeros(self.dim)
-        for start in range(0, idx.size, self.block_rows):
-            block = idx[start : start + self.block_rows]
-            rows = self.A[block]
+        for block, rows in self._gathered(idx):
             res = rows @ u
             if targets:
                 res -= self.y[block]
             out += rows.T @ res
         return out / idx.size
+
+    @cached_property
+    def hessian_spread(self) -> tuple[float, float]:
+        lam = float(np.linalg.eigvalsh(self.gram)[-1])
+        return self.max_row_sq * lam, max(self.max_row_sq, lam)
+
+    def subsample(self, idx: Array) -> FiniteSumProblem:
+        gram = np.zeros((self.dim, self.dim))
+        for _, rows in self._gathered(idx):
+            gram += rows.T @ rows
+        return _RegularizedRowView(gram / idx.size, idx.size)
 
     def batch_grad(self, x: Array, idx: Array | int) -> Array:
         if _is_population(idx, self.n):
@@ -456,6 +495,23 @@ class _RegularizedLeastSquaresProblem(FiniteSumProblem):
 
     def hessian(self, x: Array) -> Array:
         return self.gram + np.diag(self._reg_hess_diag(x))
+
+
+class _RegularizedRowView(FiniteSumProblem):
+    """The finite sum of some rows of a regularized problem, held as their
+    Gram matrix alone, so that it answers population differences, the one
+    query a curvature probe makes, in O(d^2) and never copies the rows."""
+
+    def __init__(self, gram: Array, n: int):
+        self.gram = gram
+        self.n = n
+        self.dim = gram.shape[0]
+
+    def batch_grad_diff(self, x: Array, y: Array, idx: Array | int) -> Array:
+        if not _is_population(idx, self.n):
+            raise ValueError("a row view answers population queries only")
+        reg_grad = _RegularizedLeastSquaresProblem._reg_grad
+        return self.gram @ (x - y) + reg_grad(x) - reg_grad(y)
 
 
 def make_regularized_problem(dim: int, n: int, seed: int | np.random.SeedSequence) -> FiniteSumProblem:

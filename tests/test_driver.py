@@ -9,7 +9,6 @@ from conftest import DeclaredSpecProblem, DeclaredSpecStreaming
 import nestvr.driver as drv
 from nestvr import (
     SmoothnessSpec,
-    boost,
     classify_point,
     config_finite_2nd,
     config_finite_3rd,
@@ -109,8 +108,6 @@ class TestConfigFormulas:
         prob = DeclaredSpecStreaming(4, spec(L1=1.0, L3=1.0, sigma2=1e-4))
         cfg = config_online_3rd(prob, eps=0.1, eps_H=0.25)
         assert cfg.rho == pytest.approx(6.0, rel=1e-12)
-        wide = config_online_3rd(prob, eps=0.1, eps_H=0.25, wide_step=True)
-        assert wide.eta == pytest.approx(math.sqrt(3.0) * cfg.eta, rel=1e-12)
 
     def test_overrides_record_derived_values(self):
         prob = DeclaredSpecProblem(100, 4, spec())
@@ -345,67 +342,6 @@ class TestRunOnline:
         prob, cfg = self.make_case(norm=0.1)
         out = run_driver(prob, cfg, make_rng(41))
         assert out.trace.events[0].grads_cum == cfg.B0_check
-
-
-class TestBoost:
-    def test_repeat_counts(self, monkeypatch):
-        prob, cfg = saddle_and_config(seed=9, U=2)
-        calls = []
-        real = drv.run_driver
-
-        def counting(problem, config, rng):
-            calls.append(1)
-            return real(problem, config, rng)
-
-        monkeypatch.setattr(drv, "run_driver", counting)
-        boost(prob, cfg, 101, p_target=0.5)
-        assert len(calls) == 1  # ceil(log2 2)
-        calls.clear()
-        boost(prob, cfg, 103, p_target=1 / 16)
-        assert len(calls) == 4  # ceil(log2 16)
-
-    def test_short_circuits_on_first_certificate(self, monkeypatch):
-        prob = make_quadratic_problem(np.eye(4), 16, seed=2, noise=0.05)
-        cfg = config_finite_2nd(prob, eps=0.5, eps_H=0.5, overrides={"U": 5})
-        calls = []
-        real = drv.run_driver
-
-        def counting(problem, config, rng):
-            calls.append(1)
-            return real(problem, config, rng)
-
-        monkeypatch.setattr(drv, "run_driver", counting)
-        out = boost(prob, cfg, 107, p_target=1 / 16)
-        assert out.status == "certified-SOSP"
-        assert len(calls) == 1  # runs 2..4 skipped
-
-    def test_best_of_failures_by_measured_norm(self):
-        prob = make_saddle_problem(6, 64, -1.0, seed=10, radius=1.5)
-        prob.x0 = np.full(6, 0.4)
-        cfg = config_finite_2nd(prob, eps=1e-6, eps_H=0.1, overrides={"U": 2})
-        out = boost(prob, cfg, 109, p_target=1 / 4)
-        assert out.status == "budget-exhausted"
-        assert math.isfinite(out.final_grad_norm)
-
-
-    def test_diverged_run_ranks_last(self, monkeypatch):
-        prob, cfg = saddle_and_config(seed=9, U=2)
-        real = drv.run_driver
-        statuses = iter(["diverged", "budget-exhausted"])
-
-        def first_diverges(problem, config, rng):
-            out = real(problem, config, rng)
-            if next(statuses) == "diverged":
-                out = drv.DriverOutcome(
-                    z_final=out.z_final * math.nan, status="diverged", trace=out.trace,
-                    grads_total=out.grads_total, final_grad_norm=math.nan,
-                )
-            return out
-
-        monkeypatch.setattr(drv, "run_driver", first_diverges)
-        out = boost(prob, cfg, 113, p_target=1 / 4)
-        assert out.status == "budget-exhausted"
-        assert math.isfinite(out.final_grad_norm)
 
 
 class TestClassifyPoint:

@@ -14,6 +14,7 @@ from nestvr import (
     find_nc_direction_online,
     hvp_estimate,
     make_quadratic_problem,
+    make_regularized_problem,
     make_rng,
     make_saddle_problem,
     make_streaming_quadratic_problem,
@@ -309,3 +310,133 @@ class TestFinderContracts:
             NCQuery(z=np.zeros(2), eps_H=1.5, delta=0.1, L1=1.0, L2=1.0)
         with pytest.raises(ValueError):
             NCQuery(z=np.zeros(2), eps_H=0.1, delta=0.0, L1=1.0, L2=1.0)
+
+
+def regularized_bent(seed, n=4000, dim=20):
+    """A regularized problem and a point whose first three coordinates sit at
+    1, where r'' = -1/2 puts lambda_min near -0.45, below -eps_H = -0.3."""
+    prob = make_regularized_problem(dim, n, seed=seed)
+    z = np.zeros(dim)
+    z[:3] = 1.0
+    return prob, z
+
+
+class TestSubsampledLanczos:
+    """A declared Hessian spread lets the finite-sum search run on one row
+    subsample of b < n rows; certificates stay population products."""
+
+    eps_H, delta = 0.3, 0.1
+
+    def spy_run(self, monkeypatch, prob, z, seed):
+        calls, subsamples = [], []
+        hvp = ncf.hvp_estimate
+
+        def spy(problem, z, v, q, batch, rng=None, counter=None):
+            before = counter.count
+            out = hvp(problem, z, v, q, batch, rng, counter)
+            calls.append((problem, batch, counter.count - before))
+            return out
+
+        def subsample(idx):
+            view = type(prob).subsample(prob, idx)
+            subsamples.append((np.array(idx), view))
+            return view
+
+        monkeypatch.setattr(ncf, "hvp_estimate", spy)
+        monkeypatch.setattr(prob, "subsample", subsample)
+        counter = GradCounter()
+        query = query_for(prob, z, self.eps_H, self.delta)
+        res = find_nc_direction_finite(prob, query, make_rng(seed), counter)
+        return res, counter, calls, subsamples
+
+    def test_error_budget_split(self):
+        # the subsample's error s = eps_H / 8 at delta / 2 (matrix Bernstein)
+        # and Lanczos' accuracy eps_H / 8 at delta / 2 share the population
+        # search's eps_H / 4 at delta
+        prob, z = regularized_bent(seed=3)
+        query = query_for(prob, z, self.eps_H, self.delta)
+        var, R = prob.hessian_spread
+        s = self.eps_H / 8
+        bernstein = 2 * (var + R * s / 3) * math.log(4 * prob.dim / self.delta) / s**2
+        assert ncf._subsample_size(prob, query) == math.ceil(bernstein)
+        dim = 10**6  # above the step count, which the cap at d would hide
+        rel = self.eps_H / (16 * prob.smoothness.L1)
+        kw = 0.5 + math.log(1.648 * math.sqrt(dim) / (self.delta / 2)) / (2 * math.sqrt(rel))
+        assert ncf._lanczos_steps(query, dim, subsampled=True) == math.ceil(kw)
+
+    @pytest.mark.parametrize("bent", [True, False])
+    def test_products_read_one_index_set_and_certificates_the_population(self, monkeypatch, bent):
+        # at d = 60 the step count for a subsample (40) lies below d, and
+        # above the population's (25)
+        prob, z = regularized_bent(seed=3, dim=60)
+        if not bent:
+            z = np.zeros(prob.dim)
+        query = query_for(prob, z, self.eps_H, self.delta)
+        budget = ncf._lanczos_steps(query, prob.dim, subsampled=True)
+        assert ncf._lanczos_steps(query, prob.dim) < budget < prob.dim
+        res, counter, calls, subsamples = self.spy_run(monkeypatch, prob, z, seed=5)
+        assert len(subsamples) == 1
+        idx, view = subsamples[0]
+        b = idx.size
+        assert b < prob.n and np.unique(idx).size == b
+        rows = prob.A[idx]
+        assert np.allclose(view.gram, rows.T @ rows / b, rtol=0, atol=1e-14)
+        steps = [c for c in calls if c[0] is view]
+        certs = [c for c in calls if c[0] is not view]
+        assert all(batch == b and charge == 2 * b for _, batch, charge in steps)
+        assert all(p is prob and batch == prob.n and charge == 2 * prob.n
+                   for p, batch, charge in certs)
+        # an abstaining run takes every step of its budget
+        assert len(steps) <= budget if bent else len(steps) == budget
+        assert len(certs) == (1 if bent else 0)
+        assert res.is_bottom is not bent
+        assert res.grads_used == counter.count == 2 * b * len(steps) + 2 * prob.n * len(certs)
+
+    @pytest.mark.parametrize("bent", [True, False])
+    def test_population_search_when_subsample_reaches_n(self, monkeypatch, bent):
+        # n = 300 lies below the Bernstein size, so the search is the
+        # population one: no draw, and the result of an undeclared spread
+        prob, z = regularized_bent(seed=4, n=300)
+        if not bent:
+            z = np.zeros(prob.dim)
+        query = query_for(prob, z, self.eps_H, self.delta)
+        assert ncf._subsample_size(prob, query) == prob.n
+        undeclared, _ = regularized_bent(seed=4, n=300)
+        undeclared.hessian_spread = None
+        monkeypatch.setattr(prob, "subsample", None)  # never called
+        results = []
+        for p in (prob, undeclared):
+            rng, counter = make_rng(9), GradCounter()
+            res = find_nc_direction_finite(p, query, rng, counter)
+            # the next draw matches only if neither search took an index set
+            results.append((res, counter.count, rng.random()))
+        (a, count_a, next_a), (b, count_b, next_b) = results
+        assert (a.direction is None) == (b.direction is None) == (not bent)
+        if bent:
+            assert np.array_equal(a.direction, b.direction)
+        assert a.rayleigh_estimate == b.rayleigh_estimate
+        assert a.grads_used == b.grads_used and count_a == count_b
+        assert next_a == next_b
+
+    def test_statistical_contracts_on_subsamples(self):
+        # the floors of test_statistical_contracts_small, over regularized
+        # instances whose probes run on b < n rows
+        eps_H, delta = self.eps_H, self.delta
+        floor = math.floor((1 - delta) * 40 - 3 * math.sqrt(40 * delta * (1 - delta)))
+        found = sound = bottom = 0
+        for s in range(40):
+            prob, z = regularized_bent(seed=2000 + s)
+            query = query_for(prob, z, eps_H, delta)
+            assert ncf._subsample_size(prob, query) < prob.n
+            assert np.linalg.eigvalsh(prob.hessian(z))[0] < -eps_H
+            res = find_nc_direction_finite(prob, query, make_rng(2500 + s), GradCounter())
+            if res.direction is not None:
+                found += 1
+                sound += rayleigh(prob, z, res.direction) <= -eps_H / 2 + 1e-6
+            origin = query_for(prob, prob.x0, eps_H, delta)
+            assert np.linalg.eigvalsh(prob.hessian(prob.x0))[0] >= -eps_H / 2
+            res = find_nc_direction_finite(prob, origin, make_rng(3500 + s), GradCounter())
+            bottom += res.is_bottom
+        assert sound == found
+        assert found >= floor
+        assert bottom >= floor

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -208,6 +209,57 @@ class TestRegularizedRowBlocks:
                 assert peak < m * d * 8, peak  # an m x d gather takes m * d * 8 bytes
         finally:
             tracemalloc.stop()
+
+    def test_subsample_view_is_the_rows_population(self, rng):
+        prob = make_regularized_problem(64, 1200, seed=34)
+        for m in (1, prob.block_rows + 1, 700):
+            idx = sample_indices_without_replacement(prob.n, m, rng)
+            view = prob.subsample(idx)
+            assert view.n == m and view.dim == prob.dim
+            x, y = 2 * rng.standard_normal((2, prob.dim))
+            rows = prob.A[idx]
+            diff = rows.T @ (rows @ (x - y)) / m + prob._reg_grad(x) - prob._reg_grad(y)
+            self.close(view.batch_grad_diff(x, y, m), diff)
+            with pytest.raises(ValueError):
+                view.batch_grad_diff(x, y, np.arange(m))
+
+    def test_subsample_view_allocates_no_batch_sized_rows(self, rng):
+        n, m, d = 4096, 2048, 64
+        prob = make_regularized_problem(d, n, seed=35)
+        idx = sample_indices_without_replacement(n, m, rng)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            prob.subsample(idx)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < m * d * 8, peak  # an m x d gather takes m * d * 8 bytes
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.integers(min_value=1, max_value=8),
+    n=st.integers(min_value=2, max_value=40),
+    seed=st.integers(min_value=0, max_value=2**16),
+    scale=st.sampled_from([1e-3, 1.0, 30.0]),
+)
+def test_regularized_hessian_spread_bounds_the_exact_spread(dim, n, seed, scale):
+    # H_i - H = a_i a_i^T - gram: the regularizer is common to every component
+    base = make_regularized_problem(dim, n, seed=seed)
+    prob = _RegularizedLeastSquaresProblem(scale * base.A, base.y)
+    dev = np.einsum("ij,ik->ijk", prob.A, prob.A) - prob.gram
+    sigma2, R = prob.hessian_spread
+    exact_var = float(np.linalg.eigvalsh(np.mean(dev @ dev, axis=0))[-1])
+    exact_range = float(np.abs(np.linalg.eigvalsh(dev)).max())
+    tol = 1e-12 * max(1.0, R * R)
+    assert exact_var <= sigma2 + tol
+    assert exact_range <= R + tol
+
+
+def test_finite_sums_declare_no_spread_by_default():
+    assert make_saddle_problem(4, 8, -1.0, seed=0).hessian_spread is None
+    assert make_quadratic_problem(np.eye(3), 4, seed=0).hessian_spread is None
 
 
 class TestSaddleProblem:

@@ -649,10 +649,13 @@ def cli_main(argv: list[str] | None = None) -> int:
                 raise ConfigError(
                     f"point: expected {problem.dim} coordinates, got shape {point.shape}"
                 )
+            if not np.isfinite(point).all():
+                raise ConfigError("point: coordinates must be finite")
             eps = args.eps if args.eps is not None else config.algorithm.eps
             eps_H = args.eps_H if args.eps_H is not None else config.algorithm.eps_H
             cls = classify_point(problem, point, eps, eps_H)
-            print(json.dumps(asdict(cls), indent=2))
+            doc = {k: _json_float(v) if isinstance(v, float) else v for k, v in asdict(cls).items()}
+            print(json.dumps(doc, indent=2, allow_nan=False))
             return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -6,27 +6,28 @@ sampling noise), so the search consumes only stochastic gradients.  A
 candidate whose curvature estimate reaches -3/4 eps_H is returned only when
 a certified estimate plus its error budget clears -eps_H / 2.
 
-On a finite sum the finder runs Lanczos with full reorthogonalization from
-one random unit start, over the products of one fixed operator, so that each
-product is deterministic given z, v and q.  The operator is the population,
-unless the family declares its component-Hessian spread (sigma_H^2, R_H) and
-matrix Bernstein then needs b < n rows: b rows drawn without replacement put
-H_S within s = eps_H / 8 of H with probability 1 - delta / 2 once
-b >= 2 (sigma_H^2 + R_H s / 3) ln(4 d / delta) / s^2, and the probe draws
-one such subsample S.  One LDL^T pivot per step keeps the Sturm count of
-T_k + 3/4 eps_H I, the number of Ritz values below the candidate bar; when
-it rises, the smallest Ritz vector is certified by one fresh population
-product, whose error budget is the Taylor term alone.  The run ends at the
-Kuczynski-Wozniakowski step count (never more than d steps), or earlier when
-the Krylov space becomes invariant.  That count is for accuracy eps_H / 4
-with probability 1 - delta over the population, and for eps_H / 8 with
-probability 1 - delta / 2 over a subsample, whose error s takes the other
-eighth and the other half of delta: a Ritz value then lies within
-s + eps_H / 8 of lambda_min(H), and a Ritz vector's Rayleigh value on H
-within s of its value on H_S, which keeps both bars.  Streaming products
-carry sampling noise, which breaks Lanczos' orthogonality, so the streaming
-finder runs shifted power iteration on shift*I - H from several random unit
-starts and re-measures a candidate over several large batches.
+Both oracle families run one search: Lanczos with full reorthogonalization
+from one random unit start, over the products of one operator.  One LDL^T
+pivot per step keeps the Sturm count of T_k + 3/4 eps_H I, the number of
+Ritz values below the candidate bar; when it rises, the smallest Ritz vector
+is certified.  The run ends at the Kuczynski-Wozniakowski step count (never
+more than d steps), or earlier when the Krylov space becomes invariant.
+That count is for accuracy eps_H / 4 with probability 1 - delta.
+
+Only the operator and the certificate depend on the family.  On a finite sum
+each product is deterministic given z, v and q.  The operator is the
+population, unless the family declares its component-Hessian spread
+(sigma_H^2, R_H) and matrix Bernstein then needs b < n rows: b rows drawn
+without replacement put H_S within s = eps_H / 8 of H with probability
+1 - delta / 2 once b >= 2 (sigma_H^2 + R_H s / 3) ln(4 d / delta) / s^2, and
+the probe draws one such subsample S.  The step count is then for eps_H / 8
+with probability 1 - delta / 2, and s takes the other eighth and the other
+half of delta: a Ritz value lies within s + eps_H / 8 of lambda_min(H), and a
+Ritz vector's Rayleigh value on H within s of its value on H_S, which keeps
+both bars.  A finite-sum certificate is one fresh population product, whose
+error budget is the Taylor term alone.  On a stream each step draws a fresh
+batch, and a certificate re-measures the candidate over several large
+batches, adding a 5-standard-error allowance from their spread.
 
 Self-certification makes soundness of returned directions unconditional;
 failure to certify yields the abstention signal (direction ``None``),
@@ -52,16 +53,10 @@ from .problems import (
 )
 
 #: a Lanczos residual at most this fraction of max(1, |alpha_k|) ends the
-#: finite-sum search: the Krylov space is invariant
+#: search: the Krylov space is invariant
 BREAKDOWN_TOL = 1e-12
-#: streaming power steps per restart scale as
-#: POWER_BUDGET_FACTOR * (L1/eps_H) * log2(d/delta)
-POWER_BUDGET_FACTOR = 8
-#: break a streaming restart after this many steps without Rayleigh improvement
-STALL_WINDOW = 25
-STALL_TOL_FACTOR = 0.01  # improvement threshold, in units of eps_H
-#: streaming batch sizes for power steps and certification
-ONLINE_POWER_BATCH_MIN = 64
+#: streaming batch sizes for Lanczos products and certification
+ONLINE_PRODUCT_BATCH_MIN = 64
 ONLINE_CERT_BATCHES = 8
 ONLINE_CERT_BATCH_MIN = 256
 _TINY = float(np.finfo(float).tiny)
@@ -89,10 +84,9 @@ class NCResult:
     """Either a unit direction of certified negative curvature, or abstention.
 
     ``rayleigh_estimate`` carries the certified value for a returned direction.
-    At abstention it is a diagnostic only: on a finite sum the smallest Ritz
-    value of the Lanczos run (over a row subsample S, a Ritz value of H_S,
-    whose smallest eigenvalue lies within eps_H / 8 of H's with probability
-    1 - delta / 2), on a stream the best power-step value seen.
+    At abstention it is a diagnostic only: the smallest Ritz value of the
+    Lanczos run (over a row subsample S, a Ritz value of H_S, whose smallest
+    eigenvalue lies within eps_H / 8 of H's with probability 1 - delta / 2).
     """
 
     direction: Array | None
@@ -152,15 +146,6 @@ def _displacement(query: NCQuery) -> float:
     return 1e-5 * (1.0 + float(np.linalg.norm(query.z)))
 
 
-def _num_restarts(delta: float) -> int:
-    return max(1, math.ceil(math.log2(1.0 / delta)))
-
-
-def _power_budget(query: NCQuery, dim: int) -> int:
-    ratio = max(query.L1 / query.eps_H, 1.0)
-    return math.ceil(POWER_BUDGET_FACTOR * ratio * math.log2(max(dim, 2) / query.delta))
-
-
 def _lanczos_steps(query: NCQuery, dim: int, subsampled: bool = False) -> int:
     """Kuczynski-Wozniakowski step count, capped at ``dim``: from a random
     start, Lanczos on L1 I - H (spectrum in [0, 2 L1]) finds its top
@@ -208,34 +193,38 @@ def _random_unit(dim: int, rng: np.random.Generator) -> Array:
 
 
 def _certify(
-    problem: StreamingProblem,
+    problem: Problem,
     query: NCQuery,
     v: Array,
     q: float,
     rng: np.random.Generator,
     counter: GradCounter,
 ) -> tuple[float, float]:
-    """Streaming Rayleigh value of ``v`` over several independent batches,
-    and an error budget covering it: the Taylor term plus a 5-standard-error
-    allowance from their spread."""
-    size = max(ONLINE_CERT_BATCH_MIN, ONLINE_POWER_BATCH_MIN)
+    """Rayleigh value of ``v`` and its sampling allowance, to which the
+    Taylor term is added: on a finite sum one population product, with a
+    roundoff allowance; on a stream the mean over several independent
+    batches, with a 5-standard-error allowance from their spread."""
+    if problem.is_finite_sum:
+        w = hvp_estimate(problem, query.z, v, q, problem.n, counter=counter)
+        value = float(v @ w)
+        return value, 1e-9 * (1.0 + abs(value))
     vals = np.empty(ONLINE_CERT_BATCHES)
     for i in range(ONLINE_CERT_BATCHES):
-        w = hvp_estimate(problem, query.z, v, q, size, rng=rng, counter=counter)
+        w = hvp_estimate(problem, query.z, v, q, ONLINE_CERT_BATCH_MIN, rng=rng, counter=counter)
         vals[i] = float(v @ w)
     spread = float(vals.std(ddof=1)) / math.sqrt(ONLINE_CERT_BATCHES)
-    return float(vals.mean()), 0.5 * query.L2 * q + 5.0 * spread + 1e-9
+    return float(vals.mean()), 5.0 * spread + 1e-9
 
 
 def _lanczos_search(
-    problem: FiniteSumProblem,
+    problem: Problem,
     query: NCQuery,
     rng: np.random.Generator,
     counter: GradCounter,
 ) -> NCResult:
-    """One Lanczos run over the products of the population or of one row
-    subsample, each Ritz candidate certified by a population product (see
-    the module docstring).
+    """One Lanczos run over the products of the population, of one row
+    subsample or of fresh stream batches, each Ritz candidate certified by
+    :func:`_certify` (see the module docstring).
 
     A Ritz vector that fails its certificate is not measured again until
     another Ritz value crosses the bar."""
@@ -244,10 +233,15 @@ def _lanczos_search(
     q = _displacement(query)
     candidate_bar = -0.75 * query.eps_H
     accept_bar = -0.5 * query.eps_H
-    rows = _subsample_size(problem, query)
-    operator = problem
-    if rows < problem.n:
-        operator = problem.subsample(sample_indices_without_replacement(problem.n, rows, rng))
+    operator, draws = problem, None
+    if problem.is_finite_sum:
+        rows = _subsample_size(problem, query)
+        if rows < problem.n:
+            operator = problem.subsample(sample_indices_without_replacement(problem.n, rows, rng))
+        batch = operator.n
+    else:
+        draws = rng  # each product reads a fresh batch
+        batch = max(ONLINE_PRODUCT_BATCH_MIN, math.ceil(4.0 * query.L1 / query.eps_H))
     steps = _lanczos_steps(query, dim, subsampled=operator is not problem)
     basis = np.empty((steps, dim))
     alpha = np.empty(steps)
@@ -257,7 +251,7 @@ def _lanczos_search(
     below = tried = 0  # Ritz values below the bar, and at the last certificate
     for k in range(steps):
         basis[k] = v
-        w = hvp_estimate(operator, query.z, v, q, operator.n, counter=counter)
+        w = hvp_estimate(operator, query.z, v, q, batch, rng=draws, counter=counter)
         a = float(v @ w)
         pivot = _ldl_pivot(a, b, pivot, candidate_bar)
         below += pivot < 0.0
@@ -271,9 +265,8 @@ def _lanczos_search(
             _, ritz = np.linalg.eigh(_tridiagonal(alpha[: k + 1], beta[:k]))
             u = V.T @ ritz[:, 0]
             u /= np.linalg.norm(u)
-            w_u = hvp_estimate(problem, query.z, u, q, problem.n, counter=counter)
-            cert = float(u @ w_u)
-            if cert + 0.5 * query.L2 * q + 1e-9 * (1.0 + abs(cert)) <= accept_bar:
+            cert, allowance = _certify(problem, query, u, q, rng, counter)
+            if cert + 0.5 * query.L2 * q + allowance <= accept_bar:
                 return NCResult(
                     direction=u, rayleigh_estimate=cert, grads_used=counter.count - start_count
                 )
@@ -283,66 +276,6 @@ def _lanczos_search(
     smallest = float(np.linalg.eigvalsh(_tridiagonal(alpha[: k + 1], beta[:k]))[0])
     return NCResult(
         direction=None, rayleigh_estimate=smallest, grads_used=counter.count - start_count
-    )
-
-
-def _power_search(
-    problem: StreamingProblem,
-    query: NCQuery,
-    rng: np.random.Generator,
-    counter: GradCounter,
-) -> NCResult:
-    """Restarted shifted power iteration over streaming products."""
-    start_count = counter.count
-    dim = query.z.shape[0]
-    q = _displacement(query)
-    shift = query.L1
-    budget = _power_budget(query, dim)
-    candidate_bar = -0.75 * query.eps_H
-    accept_bar = -0.5 * query.eps_H
-    stall_tol = STALL_TOL_FACTOR * query.eps_H
-    power_batch = max(ONLINE_POWER_BATCH_MIN, math.ceil(4.0 * query.L1 / query.eps_H))
-
-    best_ray = math.inf  # across restarts, diagnostic only
-    for _ in range(_num_restarts(query.delta)):
-        v = _random_unit(dim, rng)
-        stall = 0
-        prev = math.inf
-        cand_ray = math.inf
-        cand_v: Array | None = None
-        for _ in range(budget):
-            w = hvp_estimate(problem, query.z, v, q, power_batch, rng=rng, counter=counter)
-            ray = float(v @ w)
-            if ray < cand_ray:
-                cand_ray, cand_v = ray, v
-            if cand_ray <= candidate_bar - 0.05 * query.eps_H:
-                break
-            if ray > prev - stall_tol:
-                stall += 1
-                if stall >= STALL_WINDOW:
-                    break
-            else:
-                stall = 0
-            prev = ray
-            s = shift * v - w
-            norm = float(np.linalg.norm(s))
-            if norm == 0.0:
-                break
-            v = s / norm
-        best_ray = min(best_ray, cand_ray)
-        if cand_ray <= candidate_bar and cand_v is not None:
-            cert, err = _certify(problem, query, cand_v, q, rng, counter)
-            if cert + err <= accept_bar:
-                direction = cand_v / np.linalg.norm(cand_v)
-                return NCResult(
-                    direction=direction,
-                    rayleigh_estimate=cert,
-                    grads_used=counter.count - start_count,
-                )
-    return NCResult(
-        direction=None,
-        rayleigh_estimate=best_ray,
-        grads_used=counter.count - start_count,
     )
 
 
@@ -374,8 +307,16 @@ def find_nc_direction_online(
     rng: np.random.Generator,
     counter: GradCounter,
 ) -> NCResult:
-    """Negative-curvature search against a streaming oracle by restarted power
-    iteration; same contract."""
+    """Negative-curvature search against a streaming oracle: one Lanczos run
+    over fresh batches of max(64, ceil(4 L1 / eps_H)) samples per product.
+
+    Contract: soundness is unconditional, as for a finite sum: a direction
+    is returned only when its certificate, whose allowance grows with the
+    spread it measures, clears -eps_H / 2, however noisy the products.
+    Detection and abstention at probability 1 - delta, as for a finite sum,
+    assume exact paired differences (each product deterministic given z, v
+    and q), as every stream in :mod:`nestvr.problems` has.
+    """
     if problem.is_finite_sum:
         raise ValueError("expected a streaming problem")
-    return _power_search(problem, query, rng, counter)
+    return _lanczos_search(problem, query, rng, counter)

@@ -80,8 +80,8 @@ def derive_schedule(B0: int, M: float) -> NestedSchedule:
     """
     if B0 < 4:
         raise ValueError(f"B0 must be >= 4 (nesting depth would underflow), got {B0}")
-    if not M > 0:
-        raise ValueError(f"M must be positive, got {M}")
+    if not (math.isfinite(M) and M > 0):
+        raise ValueError(f"M must be positive and finite, got {M}")
     # K = floor(log2 log2 B0) in exact integer arithmetic.
     K = (B0.bit_length() - 1).bit_length() - 1
     T = [2] + [2 ** (2 ** (l - 2)) for l in range(2, K + 1)]

@@ -442,6 +442,12 @@ class TestCli:
     def test_derive_schedule_rejects_small_base(self, capsys):
         assert cli_main(["derive-schedule", "--b0", "2"]) == 1
 
+    @pytest.mark.parametrize("M", ["inf", "nan", "0", "-1"])
+    def test_derive_schedule_rejects_bad_step_parameter(self, capsys, M):
+        assert cli_main(["derive-schedule", "--b0", "16", "--m", M]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: M must be positive and finite")
+
     def test_run_twice_same_seed_identical_modulo_wall(self, tmp_path, capsys):
         cfg = dict(BASE_CONFIG, trials=1)
         cfg["algorithm"] = dict(cfg["algorithm"], overrides={"U": 60})
@@ -576,6 +582,32 @@ class TestCli:
         point_path = tmp_path / "pt.json"
         point_path.write_text(json.dumps([0.0] * 3))
         assert cli_main(["classify", "--config", str(cfg_path), "--point", str(point_path)]) == 1
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_classify_rejects_non_finite_point(self, tmp_path, capsys, token):
+        # Python's JSON reader accepts these tokens; the point is refused
+        cfg_path = write_config(tmp_path, BASE_CONFIG)
+        point_path = tmp_path / "pt.json"
+        point_path.write_text(f"[{token}" + ", 0.0" * 7 + "]")
+        assert cli_main(["classify", "--config", str(cfg_path), "--point", str(point_path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("config error: point:")
+
+    def test_classify_writes_non_finite_results_as_null(self, tmp_path, capsys):
+        # the quartic overflows at a finite point: its gradient norm is
+        # infinite, and the output stays strict JSON
+        cfg_path = write_config(tmp_path, BASE_CONFIG)
+        point_path = tmp_path / "pt.json"
+        point_path.write_text(json.dumps([1e200] + [0.0] * 7))
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = cli_main(["classify", "--config", str(cfg_path), "--point", str(point_path)])
+        assert code == 0
+
+        def reject(token):
+            raise AssertionError(f"non-JSON token {token}")
+
+        doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert doc["gradient_norm"] is None and doc["is_sosp"] is False
 
 
 class TestReadme:

@@ -18,13 +18,34 @@ from nestvr import (
     make_rng,
     make_saddle_problem,
     make_streaming_quadratic_problem,
+    make_streaming_saddle_problem,
     rayleigh,
 )
+from nestvr.problems import StreamingProblem
 
 
 def query_for(problem, z, eps_H=0.1, delta=0.1):
     s = problem.smoothness
     return NCQuery(z=np.asarray(z, dtype=float), eps_H=eps_H, delta=delta, L1=s.L1, L2=s.L2)
+
+
+class HessianNoiseStream(StreamingProblem):
+    """A stream whose samples carry Hessian noise: f(x; xi) = F(x) +
+    x' E_xi x / 2 around a quadratic core, with E_xi symmetric Gaussian of
+    mean zero and entry scale ``noise``.  A paired difference over B samples
+    is (H + E)(x - y), E their mean noise, drawn from its exact law."""
+
+    def __init__(self, core, noise):
+        self.core, self.noise = core, noise
+        self.dim, self.x0, self.smoothness = core.dim, core.x0, core.smoothness
+
+    def sample_batch_grad_diff(self, x, y, size, rng):
+        G = rng.standard_normal((self.dim, self.dim))
+        E = self.noise / math.sqrt(size) * (G + G.T) / math.sqrt(2.0)
+        return self.core.full_grad(x) - self.core.full_grad(y) + E @ (x - y)
+
+    def hessian(self, x):
+        return self.core.hessian(x)
 
 
 class TestRayleigh:
@@ -164,33 +185,45 @@ class TestFinderContracts:
         assert np.linalg.norm(res.direction) == pytest.approx(1.0, abs=1e-12)
         assert rayleigh(prob, prob.x0, res.direction) <= -0.25 + 1e-6
 
-    def test_found_direction_costs_its_lanczos_steps_and_one_certificate(self, monkeypatch):
-        # every finite-sum product covers the population and is charged 2 n;
-        # the Lanczos steps take orthonormal directions, and the returned
-        # Ritz vector is measured once more to certify it
-        prob = make_saddle_problem(6, 12, -1.0, seed=6)
-        directions = []
+    @pytest.mark.parametrize("streaming", [False, True])
+    def test_found_direction_costs_its_lanczos_steps_and_one_certificate(self, monkeypatch, streaming):
+        # a finite-sum product covers the population and is charged 2 n; a
+        # stream's Lanczos product reads max(64, ceil(4 L1 / eps_H)) fresh
+        # samples, and its certificate 8 batches of 256.  The Lanczos steps
+        # take orthonormal directions, at most the step count, and the
+        # returned Ritz vector is measured once more to certify it
+        if streaming:
+            prob = make_streaming_saddle_problem(6, -1.0, seed=6)
+            step_batch = max(64, math.ceil(4 * prob.smoothness.L1 / 0.5))
+            cert_batch, cert_products = 256, 8
+        else:
+            prob = make_saddle_problem(6, 12, -1.0, seed=6)
+            step_batch = cert_batch = prob.n
+            cert_products = 1
+        calls = []
 
         def spy(problem, z, v, q, batch, rng=None, counter=None):
-            assert batch == prob.n
             before = counter.count
             out = hvp(problem, z, v, q, batch, rng, counter)
-            assert counter.count - before == 2 * prob.n
-            directions.append(np.array(v))
+            calls.append((np.array(v), batch, counter.count - before))
             return out
 
         hvp = ncf.hvp_estimate
         monkeypatch.setattr(ncf, "hvp_estimate", spy)
+        finder = find_nc_direction_online if streaming else find_nc_direction_finite
+        query = query_for(prob, prob.x0, eps_H=0.5)
         counter = GradCounter()
-        res = find_nc_direction_finite(
-            prob, query_for(prob, prob.x0, eps_H=0.5), make_rng(31), counter
-        )
+        res = finder(prob, query, make_rng(31), counter)
         assert res.direction is not None
-        assert len({v.tobytes() for v in directions}) == len(directions)
-        steps = np.array(directions[:-1])
-        assert np.allclose(steps @ steps.T, np.eye(len(steps)), atol=1e-10)
-        assert np.array_equal(directions[-1], res.direction)
-        assert res.grads_used == counter.count == 2 * prob.n * (len(steps) + 1)
+        steps, certs = calls[:-cert_products], calls[-cert_products:]
+        assert all(batch == step_batch and charge == 2 * step_batch for _, batch, charge in steps)
+        assert all(np.array_equal(v, res.direction) and batch == cert_batch and charge == 2 * cert_batch
+                   for v, batch, charge in certs)
+        V = np.array([v for v, _, _ in steps])
+        assert len({v.tobytes() for v in [*V, res.direction]}) == len(V) + 1
+        assert np.allclose(V @ V.T, np.eye(len(V)), atol=1e-10)
+        assert len(V) <= ncf._lanczos_steps(query, prob.dim)
+        assert res.grads_used == counter.count == 2 * (step_batch * len(V) + cert_batch * cert_products)
 
     def test_saddle_at_origin_found_in_three_products(self, monkeypatch):
         # H(0) = diag(1, ..., 1, -1): the Krylov space of a random start is
@@ -287,6 +320,40 @@ class TestFinderContracts:
             res = finder(prob, query_for(prob, prob.x0, eps_H, delta), make_rng(1500 + s), GradCounter())
             bottom += res.is_bottom
         assert bottom >= math.floor((1 - delta) * 40 - 3 * math.sqrt(40 * delta * (1 - delta)))
+
+    @pytest.mark.parametrize("noise", [0.5, 2.0])
+    def test_certificate_keeps_noisy_streams_sound(self, monkeypatch, noise):
+        # products with Hessian noise, where detection carries no contract:
+        # the certificate alone keeps returns sound.  On the flat spectrum
+        # every curvature lies in [-0.45 eps_H, 0.2 eps_H], above the accept
+        # bar, so noisy Ritz values that cross the candidate bar must all be
+        # refused by their certificates
+        eps_H, delta = 0.1, 0.1
+        certificates = []
+        certify = ncf._certify
+
+        def spy(*args):
+            certificates.append(args[0])
+            return certify(*args)
+
+        monkeypatch.setattr(ncf, "_certify", spy)
+        flat_certificates = 0
+        for s in range(40):
+            bent, _ = random_symmetric_fixture(12, -2 * eps_H, seed=100 + s, streaming=True)
+            flat, _ = random_symmetric_fixture(
+                12, -0.45 * eps_H, seed=900 + s, streaming=True, lambda_rest=(-0.4 * eps_H, 0.2 * eps_H)
+            )
+            for core in (bent, flat):
+                prob = HessianNoiseStream(core, noise)
+                before = len(certificates)
+                res = find_nc_direction_online(
+                    prob, query_for(prob, prob.x0, eps_H, delta), make_rng(500 + s), GradCounter()
+                )
+                if res.direction is not None:
+                    assert rayleigh(prob, prob.x0, res.direction) <= -eps_H / 2
+                if core is flat:
+                    flat_certificates += len(certificates) - before
+        assert flat_certificates > 0
 
     def test_wrong_problem_kind_rejected(self):
         fprob, _ = random_symmetric_fixture(4, -0.5, seed=8)

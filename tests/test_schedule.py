@@ -56,6 +56,13 @@ def test_small_base_rejected(B0):
         derive_schedule(B0, M=1.0)
 
 
+@pytest.mark.parametrize("M", [math.inf, math.nan, 0.0, -1.0])
+def test_step_parameter_must_be_positive_and_finite(M):
+    # the rule check_override applies to an M override
+    with pytest.raises(ValueError, match="M must be positive and finite"):
+        derive_schedule(16, M=M)
+
+
 def test_non_power_base_rounds_batches_up():
     sch = derive_schedule(1000, M=6.0)
     assert sch.K == 3

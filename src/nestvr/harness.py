@@ -209,19 +209,6 @@ class ExperimentConfig:
         if self.seed < 0:
             raise ConfigError(f"seed: must be >= 0, got {self.seed}")
 
-    def to_dict(self) -> dict:
-        own = ("family", "dim", *FAMILIES[self.problem.family].fields, "seed")
-        problem = asdict(self.problem)
-        doc = {
-            "problem": {k: problem[k] for k in own if problem[k] is not None},
-            "algorithm": asdict(self.algorithm),
-            "trials": self.trials,
-            "seed": self.seed,
-        }
-        if self.out is not None:
-            doc["out"] = self.out
-        return doc
-
 
 def parse_config(doc: dict) -> ExperimentConfig:
     _require_keys(doc, "config", {"problem", "algorithm", "trials", "seed"}, {"out"})
@@ -651,6 +638,9 @@ def cli_main(argv: list[str] | None = None) -> int:
                 )
             if not np.isfinite(point).all():
                 raise ConfigError("point: coordinates must be finite")
+            for flag, value in (("--eps", args.eps), ("--eps-H", args.eps_H)):
+                if value is not None and not 0.0 < value < 1.0:  # NaN fails too
+                    raise ConfigError(f"{flag}: must lie in (0, 1), got {value}")
             eps = args.eps if args.eps is not None else config.algorithm.eps
             eps_H = args.eps_H if args.eps_H is not None else config.algorithm.eps_H
             cls = classify_point(problem, point, eps, eps_H)

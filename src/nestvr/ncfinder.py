@@ -77,6 +77,10 @@ class NCQuery:
             raise ValueError(f"eps_H must lie in (0, 1), got {self.eps_H}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
+        for name in ("L1", "L2"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass
@@ -141,9 +145,7 @@ def hvp_estimate(
 
 def _displacement(query: NCQuery) -> float:
     """Keep the Taylor error L2 q / 2 at eps_H / 20, an order below threshold."""
-    if query.L2 > 0.0:
-        return query.eps_H / (10.0 * query.L2)
-    return 1e-5 * (1.0 + float(np.linalg.norm(query.z)))
+    return query.eps_H / (10.0 * query.L2)
 
 
 def _lanczos_steps(query: NCQuery, dim: int, subsampled: bool = False) -> int:

@@ -17,7 +17,7 @@ correction over a batch of size ``B`` costs ``2 B`` units.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 import math
 import operator
@@ -131,10 +131,8 @@ class Problem:
 class FiniteSumProblem(Problem):
     """Average of ``n`` components, F(x) = (1/n) sum_i f_i(x).
 
-    Subclasses implement ``value``, ``batch_grad``, ``full_grad`` and
-    ``hessian``; ``batch_grad_diff`` defaults to two ``batch_grad`` calls and
-    may be overridden when the component structure lets the difference be
-    formed more cheaply (the result must match the generic form).
+    Subclasses implement ``value``, ``batch_grad``, ``batch_grad_diff``,
+    ``full_grad`` and ``hessian``.
 
     A batch is a non-empty index array or the integer ``n``: every component,
     answered without gathering rows and charged as ``n`` components like any
@@ -167,7 +165,8 @@ class FiniteSumProblem(Problem):
         raise NotImplementedError
 
     def batch_grad_diff(self, x: Array, y: Array, idx: Array | int) -> Array:
-        return self.batch_grad(x, idx) - self.batch_grad(y, idx)
+        """Mean over ``idx`` of component-gradient differences between x and y."""
+        raise NotImplementedError
 
     def sample_batch_grad(self, x: Array, size: int, rng: np.random.Generator) -> Array:
         return self.batch_grad(x, self._draw(size, rng))
@@ -234,55 +233,36 @@ def _zero_sum_noise(n: int, dim: int, scale: float, rng: np.random.Generator) ->
     return c - c.mean(axis=0)
 
 
-#: exact gradients a separable quartic problem keeps: an epoch's reference
-#: points (one per level below the finest, K <= 6 in practice), the current
-#: iterate and a curvature probe's centre
+#: exact gradients a linear-noise problem keeps: an epoch's reference points
+#: (one per level below the finest, K <= 6 in practice), the current iterate
+#: and a curvature probe's centre
 GRAD_MEMO_SIZE = 8
 
 
-class _SeparableQuarticProblem(FiniteSumProblem):
-    """F(x) = 1/2 x^T diag(h) x + a * sum_j x_j^4, components differ by linear noise.
-
-    f_i(x) = F(x) + c_i . x with sum_i c_i = 0, so the mean recovers F exactly
+class _LinearNoiseProblem(FiniteSumProblem):
+    """f_i(x) = F(x) + c_i . x with sum_i c_i = 0: the mean recovers F exactly
     and every component shares F's Hessian.  The linear noise cancels exactly
     in two-point gradient differences, which therefore read no rows and draw
     no indices.
+
+    Subclasses set ``dim``, ``x0`` and ``smoothness`` and implement ``value``,
+    ``hessian`` and ``_exact_grad``, the uncached gradient of F.  The oracle
+    methods reach it through the memo ``_common_grad``, never through
+    ``full_grad``, so that a wrapper on an instance's ``full_grad`` sees only
+    the verification calls.
     """
 
-    def __init__(self, diag: Array, quartic: float, noise_rows: Array, radius: float):
-        self.diag = np.asarray(diag, dtype=float)
-        self.quartic = float(quartic)
+    def __init__(self, noise_rows: Array):
         # C order, so that the population mean sums the rows as a gather would
         self.noise = np.ascontiguousarray(noise_rows, dtype=float)
         self.n = self.noise.shape[0]
-        self.dim = self.diag.size
-        self.x0 = np.zeros(self.dim)
+        rows = self.noise
+        sigma2 = float(np.einsum("ij,ij->i", rows, rows).mean()) if self.n > 1 else 0.0
+        self.sigma2 = max(sigma2, 1e-12)  # the spec's variance proxy must be positive
         self._grad_memo: OrderedDict[bytes, Array] = OrderedDict()
 
-        a = self.quartic
-        lam_min = float(self.diag.min())
-        lam_max = float(self.diag.max())
-        # Hessian eigenvalues on the ball lie in [lam_min, lam_max + 12 a R^2].
-        L1 = max(abs(lam_min), abs(lam_max) + 12.0 * a * radius**2)
-        L2 = 24.0 * a * radius
-        L3 = 24.0 * a
-        sigma2 = float(np.einsum("ij,ij->i", self.noise, self.noise).mean()) if self.n > 1 else 0.0
-        # At x0 = 0 the optimal gap is the sum of the per-coordinate well depths
-        # h_j^2 / (16 a) over negative-curvature coordinates.
-        neg = self.diag[self.diag < 0]
-        gap = float((neg**2).sum() / (16.0 * a)) if neg.size else 0.0
-        self.known_min_value = -gap
-        self.smoothness = SmoothnessSpec(
-            L1=L1,
-            L2=L2,
-            L3=L3,
-            sigma2=max(sigma2, 1e-12),
-            delta_F=max(gap, 1e-12),
-            radius=radius,
-        )
-
-    def value(self, x: Array) -> float:
-        return float(0.5 * (self.diag * x * x).sum() + self.quartic * (x**4).sum())
+    def _exact_grad(self, x: Array) -> Array:
+        raise NotImplementedError
 
     def _common_grad(self, x: Array) -> Array:
         """Exact gradient of F, kept for the last ``GRAD_MEMO_SIZE`` points.
@@ -299,7 +279,7 @@ class _SeparableQuarticProblem(FiniteSumProblem):
         if g is not None:
             memo.move_to_end(key)
             return g
-        g = self.diag * x + 4.0 * self.quartic * x**3
+        g = self._exact_grad(x)
         g.setflags(write=False)
         memo[key] = g
         if len(memo) > GRAD_MEMO_SIZE:
@@ -326,6 +306,44 @@ class _SeparableQuarticProblem(FiniteSumProblem):
 
     def full_grad(self, x: Array) -> Array:
         return self._common_grad(x)
+
+
+class _SeparableQuarticProblem(_LinearNoiseProblem):
+    """F(x) = 1/2 x^T diag(h) x + a * sum_j x_j^4, components differ by linear noise."""
+
+    def __init__(self, diag: Array, quartic: float, noise_rows: Array, radius: float):
+        super().__init__(noise_rows)
+        self.diag = np.asarray(diag, dtype=float)
+        self.quartic = float(quartic)
+        self.dim = self.diag.size
+        self.x0 = np.zeros(self.dim)
+
+        a = self.quartic
+        lam_min = float(self.diag.min())
+        lam_max = float(self.diag.max())
+        # Hessian eigenvalues on the ball lie in [lam_min, lam_max + 12 a R^2].
+        L1 = max(abs(lam_min), abs(lam_max) + 12.0 * a * radius**2)
+        L2 = 24.0 * a * radius
+        L3 = 24.0 * a
+        # At x0 = 0 the optimal gap is the sum of the per-coordinate well depths
+        # h_j^2 / (16 a) over negative-curvature coordinates.
+        neg = self.diag[self.diag < 0]
+        gap = float((neg**2).sum() / (16.0 * a)) if neg.size else 0.0
+        self.known_min_value = -gap
+        self.smoothness = SmoothnessSpec(
+            L1=L1,
+            L2=L2,
+            L3=L3,
+            sigma2=self.sigma2,
+            delta_F=max(gap, 1e-12),
+            radius=radius,
+        )
+
+    def value(self, x: Array) -> float:
+        return float(0.5 * (self.diag * x * x).sum() + self.quartic * (x**4).sum())
+
+    def _exact_grad(self, x: Array) -> Array:
+        return self.diag * x + 4.0 * self.quartic * x**3
 
     def hessian(self, x: Array) -> Array:
         return np.diag(self.diag + 12.0 * self.quartic * x * x)
@@ -526,36 +544,34 @@ def make_regularized_problem(dim: int, n: int, seed: int | np.random.SeedSequenc
     return _RegularizedLeastSquaresProblem(A, y)
 
 
-class QuadraticProblem(FiniteSumProblem):
+class QuadraticProblem(_LinearNoiseProblem):
     """F(x) = 1/2 x^T H x + b . x with linear component noise; exact oracles.
 
     Constant Hessian makes finite-difference Hessian-vector products exact up
-    to roundoff, which the curvature-search tests rely on.  The noise cancels
-    in differences, which read no rows and draw no indices.
+    to roundoff, which the curvature-search tests rely on.
     """
 
     def __init__(self, H: Array, b: Array | None, noise_rows: Array, x0: Array | None = None):
+        super().__init__(noise_rows)
         self.H = np.asarray(H, dtype=float)
         if not np.allclose(self.H, self.H.T, atol=1e-12):
             raise ValueError("quadratic matrix must be symmetric")
         self.dim = self.H.shape[0]
         self.b = np.zeros(self.dim) if b is None else np.asarray(b, dtype=float)
-        # C order, so that the population mean sums the rows as a gather would
-        self.noise = np.ascontiguousarray(noise_rows, dtype=float)
-        self.n = self.noise.shape[0]
         self.x0 = np.zeros(self.dim) if x0 is None else np.asarray(x0, dtype=float)
 
         eigs = np.linalg.eigvalsh(self.H)
         L1 = max(float(np.abs(eigs).max()), 1e-6)
-        sigma2 = float(np.einsum("ij,ij->i", self.noise, self.noise).mean()) if self.n > 1 else 0.0
         # Quadratics have no Hessian curvature; keep a tiny positive L2 so the
         # spec's positivity invariant holds while Taylor error terms stay nil.
         self.smoothness = SmoothnessSpec(
-            L1=L1, L2=1e-9, sigma2=max(sigma2, 1e-12), delta_F=max(self._gap(), 1e-12)
+            L1=L1,
+            L2=1e-9,
+            sigma2=self.sigma2,
+            delta_F=max(self._gap(eigs), 1e-12),
         )
 
-    def _gap(self) -> float:
-        eigs = np.linalg.eigvalsh(self.H)
+    def _gap(self, eigs: Array) -> float:
         if eigs.min() <= 1e-9 * max(float(np.abs(eigs).max()), 1.0):
             return 1.0  # unbounded below or singular; nominal gap, fixtures override budgets
         xstar = np.linalg.solve(self.H, -self.b)
@@ -564,24 +580,7 @@ class QuadraticProblem(FiniteSumProblem):
     def value(self, x: Array) -> float:
         return float(0.5 * x @ self.H @ x + self.b @ x)
 
-    @cached_property
-    def noise_mean(self) -> Array:
-        """Mean of all noise rows, bit for bit the mean of a gather of them.
-        Kept after the first population query, which alone reads the rows."""
-        return self.noise.mean(axis=0)
-
-    def batch_grad(self, x: Array, idx: Array | int) -> Array:
-        noise = self.noise_mean if _is_population(idx, self.n) else self.noise[idx].mean(axis=0)
-        return self.H @ x + self.b + noise
-
-    def batch_grad_diff(self, x: Array, y: Array, idx: Array | int) -> Array:
-        _is_population(idx, self.n)
-        return self.H @ (x - y)
-
-    def sample_batch_grad_diff(self, x: Array, y: Array, size: int, rng: np.random.Generator) -> Array:
-        return self.batch_grad_diff(x, y, _leading_rows(self.n, size))
-
-    def full_grad(self, x: Array) -> Array:
+    def _exact_grad(self, x: Array) -> Array:
         return self.H @ x + self.b
 
     def hessian(self, x: Array) -> Array:
@@ -617,15 +616,7 @@ class AdditiveNoiseStreamingProblem(StreamingProblem):
         self.dim = core.dim
         self.x0 = core.x0.copy()
         self.known_min_value = core.known_min_value
-        s = core.smoothness
-        self.smoothness = SmoothnessSpec(
-            L1=s.L1,
-            L2=s.L2,
-            L3=s.L3,
-            sigma2=max(self.dim * self.noise_std**2, 1e-12),
-            delta_F=s.delta_F,
-            radius=s.radius,
-        )
+        self.smoothness = replace(core.smoothness, sigma2=max(self.dim * self.noise_std**2, 1e-12))
 
     def value(self, x: Array) -> float:
         return self.core.value(x)

@@ -7,6 +7,7 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from nestvr import ncfinder
@@ -55,6 +56,15 @@ def test_oracle_batch_positions(family):
             # the points come first, then the batch (an index set or a size)
             assert params[:pos] == ["x", "y"][:pos], attr
             assert params[pos] in ("idx", "size"), attr
+    if problem.is_finite_sum:
+        # every wrapped method answers, so a family missing one fails here
+        # and not inside the traced benchmark
+        x, y = np.random.default_rng(0).standard_normal((2, problem.dim))
+        for attr, pos in methods.items():
+            for batch in (problem.n, np.array([0, 2])):
+                args = (x,) if pos is None else (x, y)[:pos] + (batch,)
+                out = getattr(problem, attr)(*args)
+                assert out.shape == (problem.dim,) and np.isfinite(out).all(), (attr, batch)
 
 
 def test_hvp_batch_is_fifth_argument():

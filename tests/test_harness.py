@@ -83,11 +83,6 @@ def write_config(tmp_path, doc, name="cfg.json"):
 
 
 class TestConfig:
-    def test_round_trip_identity(self):
-        cfg = parse_config(BASE_CONFIG)
-        again = parse_config(cfg.to_dict())
-        assert again == cfg
-
     def test_unknown_top_level_key_rejected(self):
         doc = dict(BASE_CONFIG, bogus=1)
         with pytest.raises(ConfigError, match="bogus"):
@@ -254,11 +249,10 @@ class TestStrictProblemFields:
             doc = {"family": family, "dim": 4, **base, key: value[key]}
             with pytest.raises(ConfigError, match=rf"problem\.{key}: not used by family '{family}'"):
                 parse_config(with_problem(doc))
-        # every field the family does read is accepted, and round-trips
+        # every field the family does read is accepted and lands on the spec
         doc = {"family": family, "dim": 4, "seed": 3, **{k: value[k] for k in FAMILIES[family].fields}}
         cfg = parse_config(with_problem(doc))
-        assert cfg.to_dict()["problem"] == doc
-        assert parse_config(cfg.to_dict()) == cfg
+        assert {key: getattr(cfg.problem, key) for key in doc} == doc
 
 
 @pytest.fixture(scope="module")
@@ -593,6 +587,17 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("config error: point:")
 
+    @pytest.mark.parametrize("flag", ["--eps", "--eps-H"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-5", "1.5"])
+    def test_classify_rejects_bad_tolerance(self, tmp_path, capsys, flag, value):
+        cfg_path = write_config(tmp_path, BASE_CONFIG)
+        point_path = tmp_path / "pt.json"
+        point_path.write_text(json.dumps([0.0] * 8))
+        argv = ["classify", "--config", str(cfg_path), "--point", str(point_path), flag, value]
+        assert cli_main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"config error: {flag}: must lie in (0, 1)")
+
     def test_classify_writes_non_finite_results_as_null(self, tmp_path, capsys):
         # the quartic overflows at a finite point: its gradient norm is
         # infinite, and the output stays strict JSON
@@ -618,7 +623,7 @@ class TestReadme:
     def test_run_config_example_parses(self):
         example = re.search(r"`run` consumes a JSON config:\s*```json\n(.*?)```", self.text, re.S)
         cfg = parse_config(json.loads(example.group(1)))
-        assert cfg.to_dict()["problem"]["family"] in FAMILIES
+        assert cfg.problem.family in FAMILIES
 
     @pytest.mark.parametrize("name", [*FAMILIES, *SUITES])
     def test_lists_every_family_and_suite(self, name):

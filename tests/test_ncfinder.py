@@ -377,6 +377,11 @@ class TestFinderContracts:
             NCQuery(z=np.zeros(2), eps_H=1.5, delta=0.1, L1=1.0, L2=1.0)
         with pytest.raises(ValueError):
             NCQuery(z=np.zeros(2), eps_H=0.1, delta=0.0, L1=1.0, L2=1.0)
+        for name in ("L1", "L2"):
+            for value in (0.0, -1.0, math.nan, math.inf):
+                constants = {"L1": 1.0, "L2": 1.0, name: value}
+                with pytest.raises(ValueError, match=rf"^{name} must be positive and finite"):
+                    NCQuery(z=np.zeros(2), eps_H=0.1, delta=0.1, **constants)
 
 
 def regularized_bent(seed, n=4000, dim=20):

@@ -12,6 +12,7 @@ from nestvr import (
     make_regularized_problem,
     make_rng,
     make_saddle_problem,
+    make_streaming_quadratic_problem,
     make_streaming_saddle_problem,
     sample_indices_without_replacement,
     spawn_rngs,
@@ -301,16 +302,33 @@ class TestSaddleProblem:
             assert np.linalg.norm(mean - full) <= 1e-10 * (1 + np.linalg.norm(full))
 
 
+def memo_problem(family, dim, n, seed):
+    """A linear-noise instance, with ``n=None`` its streaming counterpart."""
+    if family == "saddle":
+        if n is None:
+            return make_streaming_saddle_problem(dim, -1.0, seed=seed, noise=0.2)
+        return make_saddle_problem(dim, n, -1.0, seed=seed)
+    gen = np.random.default_rng(seed)
+    M = gen.standard_normal((dim, dim))
+    H = (M + M.T) / 2
+    if n is None:
+        return make_streaming_quadratic_problem(H, seed=seed, noise=0.2)
+    return make_quadratic_problem(H, n, seed=seed, b=gen.standard_normal(dim))
+
+
+@pytest.mark.parametrize("family", ["saddle", "quadratic"])
 class TestGradientMemo:
-    """The separable quartic family keeps the exact gradient of recent points."""
+    """The linear-noise families keep the exact gradient of recent points."""
 
     @staticmethod
     def formula(prob, x):
         x = np.asarray(x, dtype=float)
+        if isinstance(prob, QuadraticProblem):
+            return prob.H @ x + prob.b
         return prob.diag * x + 4.0 * prob.quartic * x**3
 
-    def test_same_bits_bounded_and_read_only(self, rng):
-        prob = make_saddle_problem(5, 40, -1.0, seed=21)
+    def test_same_bits_bounded_and_read_only(self, family, rng):
+        prob = memo_problem(family, 5, 40, seed=21)
         points = rng.standard_normal((3 * GRAD_MEMO_SIZE, prob.dim))
         for i in rng.integers(0, len(points), size=400):
             g = prob.full_grad(points[i])
@@ -324,15 +342,15 @@ class TestGradientMemo:
         assert diff.tobytes() == (self.formula(prob, x) - self.formula(prob, y)).tobytes()
         assert diff.flags.writeable
 
-    def test_other_dtypes_do_not_collide(self):
-        prob = make_saddle_problem(4, 3, -1.0, seed=22)
+    def test_other_dtypes_do_not_collide(self, family):
+        prob = memo_problem(family, 4, 3, seed=22)
         ints = np.array([1, -2, 3, 0])
         aliased = ints.view(np.float64)  # tiny subnormals with the same bytes
         prob.full_grad(aliased)
         assert np.array_equal(prob.full_grad(ints), self.formula(prob, ints))
 
-    def test_streaming_saddle_shares_the_memo(self, rng):
-        prob = make_streaming_saddle_problem(4, -1.0, seed=23, noise=0.2)
+    def test_streaming_shares_the_memo(self, family, rng):
+        prob = memo_problem(family, 4, None, seed=23)
         z, v = rng.standard_normal((2, 4))
         for q in (1e-3, 2e-3, 1e-3):
             d = prob.sample_batch_grad_diff(z + q * v, z, 8, rng)

@@ -4,8 +4,9 @@ local-minimum search.
 The package splits into oracle definitions (:mod:`nestvr.problems`), the
 nested loop/batch schedule (:mod:`nestvr.schedule`), the single-epoch engine
 (:mod:`nestvr.epoch`), first-order negative-curvature search
-(:mod:`nestvr.ncfinder`), the outer drivers and their configuration formulas
-(:mod:`nestvr.driver`), and the experiment harness / CLI
+(:mod:`nestvr.ncfinder`), the outer driver and ``configure``, which picks its
+configuration formulas from the problem's oracle family and the smoothness
+order (:mod:`nestvr.driver`), and the experiment harness / CLI
 (:mod:`nestvr.harness`).
 """
 
@@ -16,10 +17,7 @@ from .driver import (
     RunTrace,
     TraceEvent,
     classify_point,
-    config_finite_2nd,
-    config_finite_3rd,
-    config_online_2nd,
-    config_online_3rd,
+    configure,
     nc_descent_step,
     run_driver,
 )
@@ -71,10 +69,7 @@ __all__ = [
     "RunTrace",
     "TraceEvent",
     "classify_point",
-    "config_finite_2nd",
-    "config_finite_3rd",
-    "config_online_2nd",
-    "config_online_3rd",
+    "configure",
     "nc_descent_step",
     "run_driver",
     "EpochResult",

@@ -2,12 +2,12 @@
 negative-curvature probe that either certifies a second-order stationary point
 or takes a Rademacher-signed escape step.
 
-Configuration builders derive every budget (failure probability, outer
-iteration cap, escape step size, base batch size, inner step parameter) from
-the smoothness constants, in both second- and third-order-smooth flavors and
-for both finite-sum and streaming oracles.  The derived values are often
-astronomical by design; desk-scale runs override them while the originally
-derived numbers stay recorded on the config.
+:func:`configure` derives every budget (failure probability, outer iteration
+cap, escape step size, base batch size, inner step parameter) from the
+smoothness constants at second- or third-order smoothness, with the formulas
+of the problem's oracle family, finite sum or stream.  The derived values are
+often astronomical by design; desk-scale runs override them while the
+originally derived numbers stay recorded on the config.
 """
 
 from __future__ import annotations
@@ -25,13 +25,7 @@ from .ncfinder import (
     find_nc_direction_finite,
     find_nc_direction_online,
 )
-from .problems import (
-    Array,
-    FiniteSumProblem,
-    GradCounter,
-    Problem,
-    StreamingProblem,
-)
+from .problems import Array, GradCounter, Problem
 from .schedule import NestedSchedule, clamp_schedule, derive_schedule
 
 #: per-call failure probabilities below this are floored before reaching the
@@ -137,19 +131,6 @@ def classify_point(problem: Problem, z: Array, eps: float, eps_H: float) -> Poin
     )
 
 
-def subgaussian_check_batch(sigma2: float, radius: float, delta: float) -> int:
-    """Sample size making a subsampled gradient ``radius``-accurate w.p. 1 - delta.
-
-    2 sigma^2 / radius^2 * (1 + sqrt(log2(1/delta)))^2, the sub-Gaussian
-    concentration sizing used for the online gradient test.
-    """
-    if not radius > 0.0:
-        raise ValueError(f"radius must be positive, got {radius}")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    return math.ceil(2.0 * sigma2 / radius**2 * (1.0 + math.sqrt(math.log2(1.0 / delta))) ** 2)
-
-
 def check_override(key: str, value: object, path: str | None = None) -> int | float:
     """``value`` as override ``key``'s type, or a ValueError that names
     ``path`` (default ``overrides.<key>``).  Booleans and non-numbers are
@@ -170,30 +151,58 @@ def check_override(key: str, value: object, path: str | None = None) -> int | fl
     return float(value)
 
 
-def _ceil_at_least_one(x: float) -> int:
-    return max(1, math.ceil(x))
-
-
-def _make_config(
-    problem: Problem,
-    eps: float,
-    eps_H: float,
-    overrides: dict | None,
-    *,
-    delta: float,
-    U: int,
-    eta: float,
-    B0: int,
-    M: float,
-    rho: float | None = None,
+def configure(
+    problem: Problem, eps: float, eps_H: float, *, order: int, overrides: dict | None = None
 ) -> DriverConfig:
-    """Apply overrides to derived values, clamp the schedule and build the config.
+    """The theorem's configuration for ``problem``'s oracle family
+    (``problem.is_finite_sum``) at smoothness ``order`` (2 or 3).
 
-    Every replaced value is recorded in ``derived``.  The schedule is clamped
-    at ``problem.n``, a no-op for streaming problems.  The gradient test's
-    batch is the population ``n`` on a finite sum, else the base batch.
+    With (c, g) = (L2^2, eps_H^3) at order 2 and (L3, eps_H^2) at order 3:
+
+    * finite sum: B0 = n, M = 6 L1, delta = g / (a c dF),
+      U = u c dF / g + b L1 dF eps^-2 n^-1/2, where (a, u, b) is
+      (144, 24, 1800) at order 2 and (72, 12, 1800 * 600) at order 3;
+    * stream: B0 = sigma^2 eps^-2 max{64 (1 + log2[2500 C1 r' dF L1 eps^-2]),
+      96 C1} (at least 4) with C1 = 200 and r' = max{r sigma^2 c / (L1 g), 6},
+      rho = max{r sigma^2 c / (L1 g sqrt(B0)), 6}, M = 2 rho L1,
+      delta = 1 / (q dF c / g), U = u dF c / g + 96 C1 rho dF L1 eps^-2 / sqrt(B0),
+      where (r, q, u) is (54, 3000, 216) at order 2 and (36, 1000, 72) at 3.
+
+    eta = eps_H / L2 at order 2.  At order 3 it is sqrt(3 eps_H / L3) on a
+    finite sum and sqrt(eps_H / L3) on a stream: the larger step that the
+    extra smoothness buys.  ``overrides`` replace the derived ``B0``, ``U``,
+    ``M`` or ``eta`` (checked by :func:`check_override`), and each replaced
+    value stays recorded in ``derived``.  The schedule is clamped at ``n``,
+    and the gradient test's batch is ``n`` on a finite sum, else the base
+    batch.
     """
-    values: dict[str, float] = {"B0": B0, "U": U, "M": M, "eta": eta}
+    if isinstance(order, bool) or not isinstance(order, numbers.Integral) or order not in (2, 3):
+        raise ValueError(f"order: must be 2 or 3, got {order!r}")
+    s = problem.smoothness
+    finite = problem.is_finite_sum
+    if order == 2:
+        c, g, eta = s.L2**2, eps_H**3, eps_H / s.L2
+    elif s.L3 is None:
+        raise ValueError("third-order configuration needs the problem's L3 constant")
+    else:
+        c, g, eta = s.L3, eps_H**2, math.sqrt((3.0 if finite else 1.0) * eps_H / s.L3)
+    if finite:
+        a, u, b = (144.0, 24.0, 1800.0) if order == 2 else (72.0, 12.0, 1800.0 * 600.0)
+        B0, M, rho = problem.n, 6.0 * s.L1, None
+        delta = g / (a * c * s.delta_F)
+        U = u * c * s.delta_F / g + b * s.L1 * s.delta_F / (eps**2 * math.sqrt(B0))
+    else:
+        r, q, u = (54.0, 3000.0, 216.0) if order == 2 else (36.0, 1000.0, 72.0)
+        C1 = 200.0
+        log_arg = 2500.0 * C1 * max(r * s.sigma2 * c / (s.L1 * g), 6.0) * s.delta_F * s.L1 / eps**2
+        branch = max(64.0 * (1.0 + math.log2(log_arg)), 96.0 * C1)
+        # nesting needs B0 >= 4 even when sigma^2 eps^-2 is degenerately small
+        B0 = max(4, math.ceil(s.sigma2 / eps**2 * branch))
+        rho = max(r * s.sigma2 * c / (s.L1 * g * math.sqrt(B0)), 6.0)
+        M = 2.0 * rho * s.L1
+        delta = 1.0 / (q * s.delta_F * c / g)
+        U = u * s.delta_F * c / g + 96.0 * C1 * rho * s.delta_F * s.L1 / (math.sqrt(B0) * eps**2)
+    values: dict[str, float] = {"B0": B0, "U": max(1, math.ceil(U)), "M": M, "eta": eta}
     derived: dict[str, float] = {}
     if overrides:
         unknown = set(overrides) - set(OVERRIDE_KEYS)
@@ -214,125 +223,6 @@ def _make_config(
         schedule=schedule,
         rho=rho,
         derived=derived,
-    )
-
-
-def config_finite_2nd(
-    problem: FiniteSumProblem, eps: float, eps_H: float, overrides: dict | None = None
-) -> DriverConfig:
-    """Second-order-smooth finite-sum configuration.
-
-    delta = eps_H^3 / (144 L2^2 dF), U = 24 L2^2 dF eps_H^-3
-    + 1800 L1 dF eps^-2 n^-1/2 (rounded up), B0 = n, M = 6 L1,
-    eta = eps_H / L2.
-    """
-    s = problem.smoothness
-    n = problem.n
-    delta = eps_H**3 / (144.0 * s.L2**2 * s.delta_F)
-    U = _ceil_at_least_one(
-        24.0 * s.L2**2 * s.delta_F / eps_H**3 + 1800.0 * s.L1 * s.delta_F / (eps**2 * math.sqrt(n))
-    )
-    eta = eps_H / s.L2
-    return _make_config(
-        problem, eps, eps_H, overrides, delta=delta, U=U, eta=eta, B0=n, M=6.0 * s.L1,
-    )
-
-
-def config_finite_3rd(
-    problem: FiniteSumProblem, eps: float, eps_H: float, overrides: dict | None = None
-) -> DriverConfig:
-    """Third-order-smooth finite-sum configuration.
-
-    delta = eps_H^2 / (72 L3 dF), U = 12 L3 dF eps_H^-2
-    + 1800 C L1 dF eps^-2 n^-1/2 with C = 600, eta = sqrt(3 eps_H / L3);
-    the larger step is what the extra smoothness buys.
-    """
-    s = problem.smoothness
-    if s.L3 is None:
-        raise ValueError("third-order configuration needs the problem's L3 constant")
-    n = problem.n
-    C = 600.0
-    delta = eps_H**2 / (72.0 * s.L3 * s.delta_F)
-    U = _ceil_at_least_one(
-        12.0 * s.L3 * s.delta_F / eps_H**2
-        + 1800.0 * C * s.L1 * s.delta_F / (eps**2 * math.sqrt(n))
-    )
-    eta = math.sqrt(3.0 * eps_H / s.L3)
-    return _make_config(
-        problem, eps, eps_H, overrides, delta=delta, U=U, eta=eta, B0=n, M=6.0 * s.L1,
-    )
-
-
-def _online_base_batch(sigma2: float, eps: float, inner_max: float, delta_F: float, L1: float) -> int:
-    """Base batch size for streaming configurations.
-
-    sigma^2 eps^-2 * max{ 64 (1 + log2[2500 C1 inner_max dF L1 eps^-2]), 96 C1 }
-    with C1 = 200 and ``inner_max`` the curvature-dependent factor of the
-    calling configuration.
-    """
-    C1 = 200.0
-    log_arg = 2500.0 * C1 * inner_max * delta_F * L1 / eps**2
-    branch = max(64.0 * (1.0 + math.log2(log_arg)), 96.0 * C1)
-    # nesting needs B0 >= 4 even when sigma^2 eps^-2 is degenerately small
-    return max(4, _ceil_at_least_one(sigma2 / eps**2 * branch))
-
-
-def config_online_2nd(
-    problem: StreamingProblem, eps: float, eps_H: float, overrides: dict | None = None
-) -> DriverConfig:
-    """Second-order-smooth streaming configuration.
-
-    rho = max{54 sigma^2 L2^2 / (L1 eps_H^3 sqrt(B0)), 6}, M = 2 rho L1,
-    delta = 1 / (3000 dF L2^2 eps_H^-3),
-    U = 216 dF L2^2 eps_H^-3 + 96 C1 rho dF L1 eps^-2 / sqrt(B0),
-    eta = eps_H / L2.  The gradient test uses a fresh batch of size B0.
-    """
-    s = problem.smoothness
-    C1 = 200.0
-    inner_max = max(54.0 * s.sigma2 * s.L2**2 / (s.L1 * eps_H**3), 6.0)
-    B0 = _online_base_batch(s.sigma2, eps, inner_max, s.delta_F, s.L1)
-    rho = max(54.0 * s.sigma2 * s.L2**2 / (s.L1 * eps_H**3 * math.sqrt(B0)), 6.0)
-    delta = 1.0 / (3000.0 * s.delta_F * s.L2**2 / eps_H**3)
-    U = _ceil_at_least_one(
-        216.0 * s.delta_F * s.L2**2 / eps_H**3
-        + 96.0 * C1 * rho * s.delta_F * s.L1 / (math.sqrt(B0) * eps**2)
-    )
-    eta = eps_H / s.L2
-    M = 2.0 * rho * s.L1
-    return _make_config(
-        problem, eps, eps_H, overrides, delta=delta, U=U, eta=eta, B0=B0, M=M, rho=rho,
-    )
-
-
-def config_online_3rd(
-    problem: StreamingProblem,
-    eps: float,
-    eps_H: float,
-    overrides: dict | None = None,
-) -> DriverConfig:
-    """Third-order-smooth streaming configuration.
-
-    rho = max{36 sigma^2 L3 / (L1 eps_H^2 sqrt(B0)), 6}, M = 2 rho L1,
-    delta = 1 / (1000 dF L3 eps_H^-2),
-    U = 72 dF L3 eps_H^-2 + 96 C1 rho dF L1 eps^-2 / sqrt(B0),
-    eta = sqrt(eps_H / L3).
-    """
-    s = problem.smoothness
-    if s.L3 is None:
-        raise ValueError("third-order configuration needs the problem's L3 constant")
-    C1 = 200.0
-    inner_max = max(36.0 * s.sigma2 * s.L3 / (s.L1 * eps_H**2), 6.0)
-    B0 = _online_base_batch(s.sigma2, eps, inner_max, s.delta_F, s.L1)
-    rho = max(36.0 * s.sigma2 * s.L3 / (s.L1 * eps_H**2 * math.sqrt(B0)), 6.0)
-    delta = 1.0 / (1000.0 * s.delta_F * s.L3 / eps_H**2)
-    U = _ceil_at_least_one(
-        72.0 * s.delta_F * s.L3 / eps_H**2
-        + 96.0 * C1 * rho * s.delta_F * s.L1 / (math.sqrt(B0) * eps**2)
-    )
-    eta = math.sqrt(eps_H / s.L3)
-    M = 2.0 * rho * s.L1
-    return _make_config(
-        problem, eps, eps_H, overrides, delta=delta, U=U, eta=eta, B0=B0, M=M, rho=rho,
     )
 
 

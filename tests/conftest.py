@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,19 @@ def reset_level(t, schedule):
         if t % period == 0:
             return j
     raise AssertionError("unreachable: level K always divides")
+
+
+def subgaussian_check_batch(sigma2: float, radius: float, delta: float) -> int:
+    """Sample size making a subsampled gradient ``radius``-accurate w.p. 1 - delta.
+
+    2 sigma^2 / radius^2 * (1 + sqrt(log2(1/delta)))^2, the sub-Gaussian
+    concentration sizing used for the online gradient test.
+    """
+    if not radius > 0.0:
+        raise ValueError(f"radius must be positive, got {radius}")
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    return math.ceil(2.0 * sigma2 / radius**2 * (1.0 + math.sqrt(math.log2(1.0 / delta))) ** 2)
 
 
 @pytest.fixture

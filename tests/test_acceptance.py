@@ -10,19 +10,20 @@ import math
 import numpy as np
 import pytest
 
-from conftest import DeclaredSpecProblem, DeclaredSpecStreaming, random_symmetric_fixture
+from conftest import (
+    DeclaredSpecProblem,
+    DeclaredSpecStreaming,
+    random_symmetric_fixture,
+    subgaussian_check_batch,
+)
 
-import nestvr.driver as drv
 from nestvr import (
     GradCounter,
     NCQuery,
     SmoothnessSpec,
     classify_point,
     clamp_schedule,
-    config_finite_2nd,
-    config_finite_3rd,
-    config_online_2nd,
-    config_online_3rd,
+    configure,
     derive_schedule,
     draw_epoch_length,
     exact_expected_epoch_cost,
@@ -193,7 +194,7 @@ def test_criterion_06_nc_finder_contracts():
 
 def test_criterion_07_saddle_escape_end_to_end():
     problem = make_saddle_problem(10, 256, -1.0, seed=707, radius=1.5)
-    config = config_finite_2nd(problem, eps=1e-3, eps_H=0.1, overrides={"U": 500})
+    config = configure(problem, eps=1e-3, eps_H=0.1, order=2, overrides={"U": 500})
     certified = 0
     all_good = True
     for rng in spawn_rngs(707, 100):
@@ -215,8 +216,8 @@ def test_criterion_08_nc_step_decrease():
     sm = problem.smoothness
     assert sm.L2 == pytest.approx(1.0) and sm.L3 == pytest.approx(1.0)
     eps_H = 0.01
-    eta2 = config_finite_2nd(problem, eps=1e-3, eps_H=eps_H).eta
-    eta3 = config_finite_3rd(problem, eps=1e-3, eps_H=eps_H).eta
+    eta2 = configure(problem, eps=1e-3, eps_H=eps_H, order=2).eta
+    eta3 = configure(problem, eps=1e-3, eps_H=eps_H, order=3).eta
     assert eta2 == pytest.approx(eps_H / sm.L2, rel=1e-12)
     assert eta3 == pytest.approx(math.sqrt(3 * eps_H / sm.L3), rel=1e-12)
 
@@ -254,30 +255,31 @@ def test_criterion_09_config_constants_exact():
         checks.append(abs(got - want) <= 1e-12 * max(1.0, abs(want)))
 
     spec2 = SmoothnessSpec(L1=1.0, L2=2.0, sigma2=1.0, delta_F=1.0)
-    close(config_finite_2nd(DeclaredSpecProblem(100, 4, spec2), 0.1, 0.1).eta, 0.05)
+    close(configure(DeclaredSpecProblem(100, 4, spec2), 0.1, 0.1, order=2).eta, 0.05)
     spec_d = SmoothnessSpec(L1=1.0, L2=1.0, sigma2=1.0, delta_F=1.0)
-    close(config_finite_2nd(DeclaredSpecProblem(100, 4, spec_d), 0.1, 0.1).delta, 1e-3 / 144.0)
-    checks.append(config_finite_2nd(DeclaredSpecProblem(100, 4, spec_d), 0.1, 0.5).U == 18192)
+    close(configure(DeclaredSpecProblem(100, 4, spec_d), 0.1, 0.1, order=2).delta, 1e-3 / 144.0)
+    checks.append(configure(DeclaredSpecProblem(100, 4, spec_d), 0.1, 0.5, order=2).U == 18192)
 
     tiny = SmoothnessSpec(L1=1.0, L2=1.0, sigma2=1e-4, delta_F=1.0)
-    cfg = config_online_2nd(DeclaredSpecStreaming(4, tiny), 0.1, 0.5)
+    cfg = configure(DeclaredSpecStreaming(4, tiny), 0.1, 0.5, order=2)
     close(cfg.rho, 6.0)
     close(cfg.schedule.M, 12.0)
     unit = SmoothnessSpec(L1=1.0, L2=1.0, sigma2=1.0, delta_F=1.0)
-    checks.append(config_online_2nd(DeclaredSpecStreaming(4, unit), 0.1, 0.5).schedule.B0 == 1_920_000)
+    B0 = configure(DeclaredSpecStreaming(4, unit), 0.1, 0.5, order=2).schedule.B0
+    checks.append(B0 == 1_920_000)
 
     spec3 = SmoothnessSpec(L1=1.0, L2=1.0, L3=1.0, sigma2=1.0, delta_F=1.0)
-    close(config_finite_3rd(DeclaredSpecProblem(100, 4, spec3), 0.1, 0.3).eta, math.sqrt(0.9))
+    close(configure(DeclaredSpecProblem(100, 4, spec3), 0.1, 0.3, order=3).eta, math.sqrt(0.9))
     spec3b = SmoothnessSpec(L1=1.0, L2=1.0, L3=2.0, sigma2=1.0, delta_F=1.0)
-    close(config_finite_3rd(DeclaredSpecProblem(100, 4, spec3b), 0.1, 0.1).delta, 0.01 / 144.0)
-    eta3 = config_finite_3rd(DeclaredSpecProblem(100, 4, spec3), 0.1, 0.01).eta
-    eta2 = config_finite_2nd(DeclaredSpecProblem(100, 4, spec3), 0.1, 0.01).eta
+    close(configure(DeclaredSpecProblem(100, 4, spec3b), 0.1, 0.1, order=3).delta, 0.01 / 144.0)
+    eta3 = configure(DeclaredSpecProblem(100, 4, spec3), 0.1, 0.01, order=3).eta
+    eta2 = configure(DeclaredSpecProblem(100, 4, spec3), 0.1, 0.01, order=2).eta
     close(eta3 / eta2, math.sqrt(0.03) / 0.01)
 
-    close(config_online_3rd(DeclaredSpecStreaming(4, spec3), 0.1, 0.25).eta, 0.5)
-    close(config_online_3rd(DeclaredSpecStreaming(4, spec3), 0.1, 0.1).delta, 1e-5)
+    close(configure(DeclaredSpecStreaming(4, spec3), 0.1, 0.25, order=3).eta, 0.5)
+    close(configure(DeclaredSpecStreaming(4, spec3), 0.1, 0.1, order=3).delta, 1e-5)
     tiny3 = SmoothnessSpec(L1=1.0, L2=1.0, L3=1.0, sigma2=1e-4, delta_F=1.0)
-    close(config_online_3rd(DeclaredSpecStreaming(4, tiny3), 0.1, 0.25).rho, 6.0)
+    close(configure(DeclaredSpecStreaming(4, tiny3), 0.1, 0.25, order=3).rho, 6.0)
 
     ok = all(checks)
     assert report(9, ok, f"{sum(checks)}/{len(checks)} constant derivations exact to 1e-12")
@@ -300,14 +302,14 @@ def test_criterion_10_series_and_subsampling_suites():
 def test_criterion_11_online_gradient_test():
     eps, dim, noise = 0.1, 20, 0.5
     sigma2 = dim * noise**2
-    B0_check = drv.subgaussian_check_batch(sigma2, eps / 4.0, delta=0.05)
+    B0_check = subgaussian_check_batch(sigma2, eps / 4.0, delta=0.05)
 
     def trial_fires(norm: float, seed: int) -> bool:
         x0 = np.zeros(dim)
         x0[0] = norm
         problem = make_streaming_quadratic_problem(np.eye(dim), seed=seed, noise=noise, x0=x0)
-        cfg = config_online_2nd(
-            problem, eps=eps, eps_H=0.5, overrides={"B0": 16, "U": 1, "M": 12.0}
+        cfg = configure(
+            problem, eps=eps, eps_H=0.5, order=2, overrides={"B0": 16, "U": 1, "M": 12.0}
         )
         cfg = dataclasses.replace(cfg, B0_check=B0_check)
         out = run_driver(problem, cfg, make_rng(seed))

@@ -4,21 +4,21 @@ import math
 import numpy as np
 import pytest
 
-from conftest import DeclaredSpecProblem, DeclaredSpecStreaming
+from conftest import DeclaredSpecProblem, DeclaredSpecStreaming, subgaussian_check_batch
 
-import nestvr.driver as drv
 from nestvr import (
+    DriverConfig,
     SmoothnessSpec,
+    clamp_schedule,
     classify_point,
-    config_finite_2nd,
-    config_finite_3rd,
-    config_online_2nd,
-    config_online_3rd,
+    configure,
+    derive_schedule,
     make_quadratic_problem,
     make_regularized_problem,
     make_rng,
     make_saddle_problem,
     make_streaming_quadratic_problem,
+    make_streaming_saddle_problem,
     nc_descent_step,
     run_driver,
 )
@@ -32,91 +32,96 @@ def spec(L1=1.0, L2=1.0, L3=None, sigma2=1.0, delta_F=1.0):
 class TestConfigFormulas:
     def test_finite_2nd_eta(self):
         prob = DeclaredSpecProblem(100, 4, spec(L2=2.0))
-        cfg = config_finite_2nd(prob, eps=0.1, eps_H=0.1)
+        cfg = configure(prob, eps=0.1, eps_H=0.1, order=2)
         assert cfg.eta == pytest.approx(0.05, rel=1e-12)
 
     def test_finite_2nd_delta(self):
         prob = DeclaredSpecProblem(100, 4, spec(L2=1.0, delta_F=1.0))
-        cfg = config_finite_2nd(prob, eps=0.1, eps_H=0.1)
+        cfg = configure(prob, eps=0.1, eps_H=0.1, order=2)
         assert cfg.delta == pytest.approx(1e-3 / 144.0, rel=1e-12)
 
     def test_finite_2nd_iteration_budget(self):
         prob = DeclaredSpecProblem(100, 4, spec(L1=1.0, L2=1.0, delta_F=1.0))
-        cfg = config_finite_2nd(prob, eps=0.1, eps_H=0.5)
+        cfg = configure(prob, eps=0.1, eps_H=0.5, order=2)
         assert cfg.U == 18192  # ceil(24 * 8 + 1800 * 100 / 10)
 
     def test_finite_2nd_base_batch_and_step(self):
         prob = DeclaredSpecProblem(100, 4, spec(L1=3.0))
-        cfg = config_finite_2nd(prob, eps=0.1, eps_H=0.1)
+        cfg = configure(prob, eps=0.1, eps_H=0.1, order=2)
         assert cfg.schedule.B0 == 100  # B0 = n, then clamped at n
         assert cfg.schedule.M == pytest.approx(18.0, rel=1e-12)  # 6 L1
 
     def test_online_2nd_rho_floor_and_M(self):
         prob = DeclaredSpecStreaming(4, spec(L1=1.0, L2=1.0, sigma2=1e-4))
-        cfg = config_online_2nd(prob, eps=0.1, eps_H=0.5)
+        cfg = configure(prob, eps=0.1, eps_H=0.5, order=2)
         assert cfg.rho == pytest.approx(6.0, rel=1e-12)
         assert cfg.schedule.M == pytest.approx(12.0, rel=1e-12)  # 2 rho L1
 
     def test_online_2nd_base_batch_flat_branch(self):
         # sigma = 1, eps = 0.1: the flat branch 96 C1 dominates the log branch
         prob = DeclaredSpecStreaming(4, spec(L1=1.0, L2=1.0, sigma2=1.0, delta_F=1.0))
-        cfg = config_online_2nd(prob, eps=0.1, eps_H=0.5)
+        cfg = configure(prob, eps=0.1, eps_H=0.5, order=2)
         assert cfg.schedule.B0 == 1_920_000  # sigma^2 eps^-2 * 96 * 200
         assert cfg.B0_check == cfg.schedule.B0
 
     def test_online_2nd_delta(self):
         prob = DeclaredSpecStreaming(4, spec(L2=1.0, delta_F=1.0))
-        cfg = config_online_2nd(prob, eps=0.1, eps_H=0.1)
+        cfg = configure(prob, eps=0.1, eps_H=0.1, order=2)
         assert cfg.delta == pytest.approx(1e-3 / 3000.0, rel=1e-12)
 
     def test_online_2nd_iteration_budget_formula(self):
         prob = DeclaredSpecStreaming(4, spec(L1=1.0, L2=1.0, sigma2=1.0, delta_F=1.0))
-        cfg = config_online_2nd(prob, eps=0.1, eps_H=0.5)
+        cfg = configure(prob, eps=0.1, eps_H=0.5, order=2)
         B0 = cfg.schedule.B0
         expect = 216 * 8 + 96 * 200 * cfg.rho * 100 / math.sqrt(B0)
         assert cfg.U == math.ceil(expect)
 
     def test_finite_3rd_eta(self):
         prob = DeclaredSpecProblem(100, 4, spec(L3=1.0))
-        cfg = config_finite_3rd(prob, eps=0.1, eps_H=0.3)
+        cfg = configure(prob, eps=0.1, eps_H=0.3, order=3)
         assert cfg.eta == pytest.approx(math.sqrt(0.9), rel=1e-12)
 
     def test_third_order_step_much_larger(self):
         prob = DeclaredSpecProblem(100, 4, spec(L2=1.0, L3=1.0))
-        eta3 = config_finite_3rd(prob, eps=0.1, eps_H=0.01).eta
-        eta2 = config_finite_2nd(prob, eps=0.1, eps_H=0.01).eta
+        eta3 = configure(prob, eps=0.1, eps_H=0.01, order=3).eta
+        eta2 = configure(prob, eps=0.1, eps_H=0.01, order=2).eta
         assert eta3 / eta2 == pytest.approx(math.sqrt(0.03) / 0.01, rel=1e-12)  # ~17.3
 
     def test_finite_3rd_delta(self):
         prob = DeclaredSpecProblem(100, 4, spec(L3=2.0, delta_F=1.0))
-        cfg = config_finite_3rd(prob, eps=0.1, eps_H=0.1)
+        cfg = configure(prob, eps=0.1, eps_H=0.1, order=3)
         assert cfg.delta == pytest.approx(0.01 / 144.0, rel=1e-12)
 
     def test_finite_3rd_requires_L3(self):
         prob = DeclaredSpecProblem(100, 4, spec())
         with pytest.raises(ValueError):
-            config_finite_3rd(prob, eps=0.1, eps_H=0.1)
+            configure(prob, eps=0.1, eps_H=0.1, order=3)
+
+    def test_online_3rd_requires_L3(self):
+        prob = DeclaredSpecStreaming(4, spec())
+        with pytest.raises(ValueError, match="needs the problem's L3 constant"):
+            configure(prob, eps=0.1, eps_H=0.1, order=3)
 
     def test_online_3rd_eta_and_delta(self):
         prob = DeclaredSpecStreaming(4, spec(L3=1.0, delta_F=1.0))
-        cfg = config_online_3rd(prob, eps=0.1, eps_H=0.25)
+        cfg = configure(prob, eps=0.1, eps_H=0.25, order=3)
         assert cfg.eta == pytest.approx(0.5, rel=1e-12)
-        cfg2 = config_online_3rd(prob, eps=0.1, eps_H=0.1)
+        cfg2 = configure(prob, eps=0.1, eps_H=0.1, order=3)
         assert cfg2.delta == pytest.approx(1e-5, rel=1e-12)
 
     def test_online_3rd_rho_floor_and_wide_step(self):
         prob = DeclaredSpecStreaming(4, spec(L1=1.0, L3=1.0, sigma2=1e-4))
-        cfg = config_online_3rd(prob, eps=0.1, eps_H=0.25)
+        cfg = configure(prob, eps=0.1, eps_H=0.25, order=3)
         assert cfg.rho == pytest.approx(6.0, rel=1e-12)
 
     def test_overrides_record_derived_values(self):
         prob = DeclaredSpecProblem(100, 4, spec())
-        cfg = config_finite_2nd(prob, eps=0.1, eps_H=0.5, overrides={"U": 7, "M": 2.5})
+        cfg = configure(prob, eps=0.1, eps_H=0.5, order=2, overrides={"U": 7, "M": 2.5})
         assert cfg.U == 7 and cfg.schedule.M == 2.5
         assert cfg.derived["U"] == 18192
         assert cfg.derived["M"] == 6.0
         with pytest.raises(ValueError):
-            config_finite_2nd(prob, eps=0.1, eps_H=0.5, overrides={"bogus": 1})
+            configure(prob, eps=0.1, eps_H=0.5, order=2, overrides={"bogus": 1})
 
     @pytest.mark.parametrize(
         "key,value,message",
@@ -138,13 +143,121 @@ class TestConfigFormulas:
         # a library call is held to the config file's rules: no silent casts
         prob = DeclaredSpecProblem(100, 4, spec())
         with pytest.raises(ValueError, match=rf"^overrides\.{key}: {message}, got "):
-            config_finite_2nd(prob, eps=0.1, eps_H=0.5, overrides={key: value})
+            configure(prob, eps=0.1, eps_H=0.5, order=2, overrides={key: value})
 
     def test_integer_like_overrides_accepted(self):
         prob = DeclaredSpecProblem(100, 4, spec())
-        cfg = config_finite_2nd(prob, 0.1, 0.5, {"U": np.int64(7), "B0": 16, "M": 12, "eta": 1})
+        cfg = configure(
+            prob, 0.1, 0.5, order=2, overrides={"U": np.int64(7), "B0": 16, "M": 12, "eta": 1}
+        )
         assert (cfg.U, cfg.schedule.B0, cfg.schedule.M, cfg.eta) == (7, 16, 12.0, 1.0)
         assert type(cfg.U) is int and type(cfg.eta) is float
+
+
+#: each oracle family's metadata shell, by name
+SHELLS = {
+    "finite": lambda s: DeclaredSpecProblem(1000, 4, s),
+    "stream": lambda s: DeclaredSpecStreaming(4, s),
+}
+
+
+def stream_base_batch(s, eps, inner):
+    """sigma^2 eps^-2 max{64 (1 + log2[2500 C1 inner dF L1 eps^-2]), 96 C1}, at least 4."""
+    log_arg = 2500.0 * 200.0 * max(inner, 6.0) * s.delta_F * s.L1 / eps**2
+    branch = max(64.0 * (1.0 + math.log2(log_arg)), 96.0 * 200.0)
+    return max(4, math.ceil(s.sigma2 / eps**2 * branch))
+
+
+def theorem_cell(family, order, s, eps, eps_H, n):
+    """(U before rounding, eta, delta, B0, M, rho) as the theorem states each
+    cell, in the floating-point order of ``configure``."""
+    if (family, order) == ("finite", 2):
+        U = 24.0 * s.L2**2 * s.delta_F / eps_H**3 + 1800.0 * s.L1 * s.delta_F / (
+            eps**2 * math.sqrt(n)
+        )
+        delta = eps_H**3 / (144.0 * s.L2**2 * s.delta_F)
+        return U, eps_H / s.L2, delta, n, 6.0 * s.L1, None
+    if (family, order) == ("finite", 3):
+        U = 12.0 * s.L3 * s.delta_F / eps_H**2 + 1800.0 * 600.0 * s.L1 * s.delta_F / (
+            eps**2 * math.sqrt(n)
+        )
+        delta = eps_H**2 / (72.0 * s.L3 * s.delta_F)
+        return U, math.sqrt(3.0 * eps_H / s.L3), delta, n, 6.0 * s.L1, None
+    if order == 2:
+        B0 = stream_base_batch(s, eps, 54.0 * s.sigma2 * s.L2**2 / (s.L1 * eps_H**3))
+        rho = max(54.0 * s.sigma2 * s.L2**2 / (s.L1 * eps_H**3 * math.sqrt(B0)), 6.0)
+        U = 216.0 * s.delta_F * s.L2**2 / eps_H**3 + 96.0 * 200.0 * rho * s.delta_F * s.L1 / (
+            math.sqrt(B0) * eps**2
+        )
+        delta = 1.0 / (3000.0 * s.delta_F * s.L2**2 / eps_H**3)
+        return U, eps_H / s.L2, delta, B0, 2.0 * rho * s.L1, rho
+    B0 = stream_base_batch(s, eps, 36.0 * s.sigma2 * s.L3 / (s.L1 * eps_H**2))
+    rho = max(36.0 * s.sigma2 * s.L3 / (s.L1 * eps_H**2 * math.sqrt(B0)), 6.0)
+    U = 72.0 * s.delta_F * s.L3 / eps_H**2 + 96.0 * 200.0 * rho * s.delta_F * s.L1 / (
+        math.sqrt(B0) * eps**2
+    )
+    delta = 1.0 / (1000.0 * s.delta_F * s.L3 / eps_H**2)
+    return U, math.sqrt(eps_H / s.L3), delta, B0, 2.0 * rho * s.L1, rho
+
+
+class TestConfigure:
+    @pytest.mark.parametrize("overrides", [{}, {"U": 7, "eta": 0.5}])
+    @pytest.mark.parametrize(
+        "smooth",
+        [
+            spec(L1=1.0, L2=1.0, L3=1.0, sigma2=1.0, delta_F=1.0),
+            spec(L1=2.5, L2=0.4, L3=3.0, sigma2=0.05, delta_F=7.0),
+            spec(L1=0.3, L2=5.0, L3=0.2, sigma2=40.0, delta_F=0.5),
+            spec(L1=1.0, L2=1.0, L3=1.0, sigma2=1e-7, delta_F=1.0),  # stream B0 floored at 4
+        ],
+    )
+    @pytest.mark.parametrize("eps,eps_H", [(0.1, 0.1), (0.02, 0.3)])
+    @pytest.mark.parametrize("order", [2, 3])
+    @pytest.mark.parametrize("family", list(SHELLS))
+    def test_every_field_is_the_theorem_cell(self, family, order, eps, eps_H, smooth, overrides):
+        problem = SHELLS[family](smooth)
+        U, eta, delta, B0, M, rho = theorem_cell(family, order, smooth, eps, eps_H, problem.n)
+        values = {"B0": B0, "U": max(1, math.ceil(U)), "M": M, "eta": eta}
+        derived = {key: values[key] for key in overrides}
+        values.update(overrides)
+        schedule = clamp_schedule(derive_schedule(values["B0"], values["M"]), problem.n)
+        want = DriverConfig(
+            eps=eps,
+            eps_H=eps_H,
+            U=values["U"],
+            eta=values["eta"],
+            delta=delta,
+            B0_check=problem.n or schedule.B0,
+            schedule=schedule,
+            rho=rho,
+            derived=derived,
+        )
+        got = configure(problem, eps, eps_H, order=order, overrides=overrides)
+        for f in dataclasses.fields(DriverConfig):
+            assert getattr(got, f.name) == getattr(want, f.name), f.name
+
+    @pytest.mark.parametrize("order", [1, 4, 2.5, True, "2"])
+    @pytest.mark.parametrize("family", list(SHELLS))
+    def test_order_must_be_2_or_3(self, family, order):
+        problem = SHELLS[family](spec(L3=1.0))
+        with pytest.raises(ValueError, match=r"^order: must be 2 or 3, got "):
+            configure(problem, 0.1, 0.1, order=order)
+
+    def test_family_comes_from_the_problem(self):
+        # the criterion-07 saddle, a finite sum, gets the finite-sum formulas,
+        # and a stream (n = None) gets the streaming ones
+        saddle = make_saddle_problem(10, 256, -1.0, seed=707, radius=1.5)
+        s = saddle.smoothness
+        cfg = configure(saddle, 1e-3, 0.1, order=2, overrides={"U": 500})
+        assert cfg.delta == 0.1**3 / (144.0 * s.L2**2 * s.delta_F)
+        assert cfg.schedule.M == 6.0 * s.L1
+        assert cfg.rho is None and cfg.B0_check == saddle.n
+        stream = make_streaming_saddle_problem(10, -1.0, seed=707, radius=1.5)
+        s = stream.smoothness
+        cfg = configure(stream, 1e-3, 0.1, order=2, overrides={"U": 500})
+        assert cfg.delta == 1.0 / (3000.0 * s.delta_F * s.L2**2 / 0.1**3)
+        assert cfg.schedule.M == 2.0 * cfg.rho * s.L1
+        assert cfg.B0_check == cfg.schedule.B0
 
 
 class TestNCDescentStep:
@@ -181,7 +294,7 @@ class TestNCDescentStep:
 
 def saddle_and_config(seed=0, U=500):
     prob = make_saddle_problem(10, 256, -1.0, seed=seed, radius=1.5)
-    cfg = config_finite_2nd(prob, eps=1e-3, eps_H=0.1, overrides={"U": U})
+    cfg = configure(prob, eps=1e-3, eps_H=0.1, order=2, overrides={"U": U})
     return prob, cfg
 
 
@@ -189,7 +302,7 @@ class TestRunFinite:
     def test_certifies_at_sosp_start(self):
         # start already second-order stationary: one probe, immediate certificate
         prob = make_quadratic_problem(np.eye(4), 16, seed=1, noise=0.05)
-        cfg = config_finite_2nd(prob, eps=0.5, eps_H=0.5, overrides={"U": 10})
+        cfg = configure(prob, eps=0.5, eps_H=0.5, order=2, overrides={"U": 10})
         out = run_driver(prob, cfg, make_rng(5))
         assert out.status == "certified-SOSP"
         kinds = [e.kind for e in out.trace.events]
@@ -206,7 +319,7 @@ class TestRunFinite:
         prob = make_saddle_problem(6, 64, -1.0, seed=2, radius=1.5)
         start = np.full(6, 0.3)
         prob.x0 = start  # gradient here is far above eps
-        cfg = config_finite_2nd(prob, eps=1e-3, eps_H=0.1, overrides={"U": 1})
+        cfg = configure(prob, eps=1e-3, eps_H=0.1, order=2, overrides={"U": 1})
         out = run_driver(prob, cfg, make_rng(9))
         assert out.status == "budget-exhausted"
         kinds = [e.kind for e in out.trace.events]
@@ -263,7 +376,7 @@ class TestRunFinite:
         # check of iteration 3 must end the run instead of reaching the probe;
         # with U = 2 the budget runs out on the non-finite iterate.
         prob = make_saddle_problem(10, 256, -1.0, seed=7)
-        cfg = config_finite_2nd(prob, 1e-3, 0.1, overrides={"U": U, "M": 1e-3})
+        cfg = configure(prob, 1e-3, 0.1, order=2, overrides={"U": U, "M": 1e-3})
         out = run_driver(prob, cfg, make_rng(0))
         assert out.status == "diverged"
         assert not np.isfinite(out.z_final).all()
@@ -294,7 +407,7 @@ class TestRunFinite:
 
         prob = make_regularized_problem(20, 300, seed=0)
         rows = RowPopulation(prob.A, prob.y)
-        cfg = config_finite_2nd(prob, eps=1e-3, eps_H=0.1, overrides={"U": 300})
+        cfg = configure(prob, eps=1e-3, eps_H=0.1, order=2, overrides={"U": 300})
         gram_run = run_driver(prob, cfg, make_rng(5)).trace.events
         rows_run = run_driver(rows, cfg, make_rng(5)).trace.events
         assert {"epoch", "nc-probe"} <= {e.kind for e in gram_run}
@@ -310,11 +423,9 @@ class TestRunOnline:
         x0 = np.zeros(12)
         x0[0] = norm
         prob = make_streaming_quadratic_problem(np.eye(12), seed=seed, noise=0.5, x0=x0)
-        cfg = config_online_2nd(
-            prob, eps=0.1, eps_H=0.5, overrides={"B0": 64, "U": 1, "M": 12.0}
-        )
+        cfg = configure(prob, eps=0.1, eps_H=0.5, order=2, overrides={"B0": 64, "U": 1, "M": 12.0})
         cfg = dataclasses.replace(
-            cfg, B0_check=drv.subgaussian_check_batch(prob.smoothness.sigma2, 0.1 / 4, 0.05)
+            cfg, B0_check=subgaussian_check_batch(prob.smoothness.sigma2, 0.1 / 4, 0.05)
         )
         return prob, cfg
 

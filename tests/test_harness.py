@@ -117,22 +117,15 @@ class TestConfig:
         # family alone picks the algorithm
         fields = {"n": 8, "negative_eigenvalue": -0.5, "quartic": 0.5, "radius": 1.0, "noise": 0.2}
         direct = {
-            "saddle": (
-                make_saddle_problem(4, 8, -0.5, 3, quartic=0.5, radius=1.0, noise=0.2),
-                drv.config_finite_2nd,
+            "saddle": make_saddle_problem(4, 8, -0.5, 3, quartic=0.5, radius=1.0, noise=0.2),
+            "regularized": make_regularized_problem(4, 8, 3),
+            "streaming-saddle": make_streaming_saddle_problem(
+                4, -0.5, 3, quartic=0.5, radius=1.0, noise=0.2
             ),
-            "regularized": (make_regularized_problem(4, 8, 3), drv.config_finite_2nd),
-            "streaming-saddle": (
-                make_streaming_saddle_problem(4, -0.5, 3, quartic=0.5, radius=1.0, noise=0.2),
-                drv.config_online_2nd,
-            ),
-            "streaming-quadratic": (
-                make_streaming_quadratic_problem(np.eye(4), 3, noise=0.2),
-                drv.config_online_2nd,
-            ),
+            "streaming-quadratic": make_streaming_quadratic_problem(np.eye(4), 3, noise=0.2),
         }
         x = np.linspace(-0.5, 0.5, 4)
-        for family, (want, builder) in direct.items():
+        for family, want in direct.items():
             own = {k: fields[k] for k in FAMILIES[family].fields}
             cfg = parse_config(with_problem({"family": family, "dim": 4, "seed": 3, **own}))
             problem = build_problem(cfg.problem, cfg.seed)
@@ -140,9 +133,9 @@ class TestConfig:
             assert problem.smoothness == want.smoothness
             assert problem.value(x) == want.value(x)
             assert np.array_equal(problem.hessian(x), want.hessian(x))
-            assert build_driver_config(problem, cfg.algorithm) == builder(
-                want, 1e-3, 0.1, {"U": 400}
-            )
+            config = build_driver_config(problem, cfg.algorithm)
+            assert config == drv.configure(want, 1e-3, 0.1, order=2, overrides={"U": 400})
+            assert (config.rho is None) == problem.is_finite_sum
 
     @pytest.mark.parametrize("family,extra", [("saddle", {"n": 8}), ("streaming-saddle", {})])
     def test_matching_mode_accepted(self, family, extra):
@@ -587,6 +580,28 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("config error: point:")
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ('{"x": 0.0}', "point: expected an array of 8 numbers, got dict"),
+            ("0.0", "point: expected an array of 8 numbers, got float"),
+            ("[1, 2, true" + ", 0" * 5 + "]", "point[2]: expected a number, got True"),
+            ('["0"' + ', "0"' * 7 + "]", "point[0]: expected a number, got '0'"),
+            ("[[0.0]" + ", 0.0" * 7 + "]", "point[0]: expected a number, got [0.0]"),
+            ("[0.0, null" + ", 0.0" * 6 + "]", "point[1]: expected a number, got None"),
+            ("[1" + "0" * 400 + ", 0.0" * 7 + "]", "point: int too large to convert to float"),
+            ("[0.0, 0.0\n 0.0]", "point: {path}: line 2 column 2: Expecting ',' delimiter"),
+        ],
+        ids=["object", "scalar", "boolean", "strings", "nested", "null", "huge-int", "malformed"],
+    )
+    def test_classify_rejects_malformed_point(self, tmp_path, capsys, text, message):
+        cfg_path = write_config(tmp_path, BASE_CONFIG)
+        point_path = tmp_path / "pt.json"
+        point_path.write_text(text)
+        assert cli_main(["classify", "--config", str(cfg_path), "--point", str(point_path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"config error: {message.format(path=point_path)}\n"
+
     @pytest.mark.parametrize("flag", ["--eps", "--eps-H"])
     @pytest.mark.parametrize("value", ["nan", "inf", "0", "-5", "1.5"])
     def test_classify_rejects_bad_tolerance(self, tmp_path, capsys, flag, value):
@@ -624,6 +639,13 @@ class TestReadme:
         example = re.search(r"`run` consumes a JSON config:\s*```json\n(.*?)```", self.text, re.S)
         cfg = parse_config(json.loads(example.group(1)))
         assert cfg.problem.family in FAMILIES
+
+    def test_python_example_runs(self, capsys):
+        example = re.search(r"A minimal end-to-end run:\s*```python\n(.*?)```", self.text, re.S)
+        namespace = {}
+        exec(example.group(1), namespace)
+        assert namespace["outcome"].status == drv.STATUS_CERTIFIED
+        assert capsys.readouterr().out.startswith("certified-SOSP PointClassification(")
 
     @pytest.mark.parametrize("name", [*FAMILIES, *SUITES])
     def test_lists_every_family_and_suite(self, name):

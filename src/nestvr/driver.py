@@ -85,9 +85,7 @@ class DriverConfig:
     U: int
     eta: float
     delta: float
-    B0_check: int
     schedule: NestedSchedule
-    rho: float | None = None
     #: originally derived values for any field replaced by an override
     derived: dict[str, float] = field(default_factory=dict)
 
@@ -172,9 +170,7 @@ def configure(
     finite sum and sqrt(eps_H / L3) on a stream: the larger step that the
     extra smoothness buys.  ``overrides`` replace the derived ``B0``, ``U``,
     ``M`` or ``eta`` (checked by :func:`check_override`), and each replaced
-    value stays recorded in ``derived``.  The schedule is clamped at ``n``,
-    and the gradient test's batch is ``n`` on a finite sum, else the base
-    batch.
+    value stays recorded in ``derived``.  The schedule is clamped at ``n``.
     """
     if isinstance(order, bool) or not isinstance(order, numbers.Integral) or order not in (2, 3):
         raise ValueError(f"order: must be 2 or 3, got {order!r}")
@@ -188,7 +184,7 @@ def configure(
         c, g, eta = s.L3, eps_H**2, math.sqrt((3.0 if finite else 1.0) * eps_H / s.L3)
     if finite:
         a, u, b = (144.0, 24.0, 1800.0) if order == 2 else (72.0, 12.0, 1800.0 * 600.0)
-        B0, M, rho = problem.n, 6.0 * s.L1, None
+        B0, M = problem.n, 6.0 * s.L1
         delta = g / (a * c * s.delta_F)
         U = u * c * s.delta_F / g + b * s.L1 * s.delta_F / (eps**2 * math.sqrt(B0))
     else:
@@ -219,9 +215,7 @@ def configure(
         U=values["U"],
         eta=values["eta"],
         delta=delta,
-        B0_check=problem.n or schedule.B0,
         schedule=schedule,
-        rho=rho,
         derived=derived,
     )
 
@@ -243,15 +237,15 @@ def _is_finite(grad_norm: float, z: Array) -> bool:
 def run_driver(problem: Problem, config: DriverConfig, rng: np.random.Generator) -> DriverOutcome:
     """Gradient test, then an epoch or a probe-and-step, until certified or out of budget.
 
-    The gradient test is a batch of ``B0_check`` samples, against eps on a
-    finite sum (whose batch is the population) and eps / 2 on a stream; the
-    oracle family also picks the finder.  A non-finite measured gradient or
-    iterate ends the run as diverged.
+    The gradient test's batch is ``n`` on a finite sum (the population,
+    against eps), else the base batch (against eps / 2); the oracle family
+    also picks the finder.  A non-finite measured gradient or iterate ends
+    the run as diverged.
     """
     finite = problem.is_finite_sum
     counter = GradCounter()
     trace = RunTrace()
-    s = problem.smoothness
+    check_batch = problem.n if finite else config.schedule.B0
     threshold = config.eps if finite else config.eps / 2.0
     probe = find_nc_direction_finite if finite else find_nc_direction_online
     # the derived per-call failure probability can degenerate in both
@@ -275,8 +269,8 @@ def run_driver(problem: Problem, config: DriverConfig, rng: np.random.Generator)
         )
 
     for u in range(1, config.U + 1):
-        counter.add(config.B0_check)
-        g = problem.sample_batch_grad(z, config.B0_check, rng)
+        counter.add(check_batch)
+        g = problem.sample_batch_grad(z, check_batch, rng)
         gnorm = float(np.linalg.norm(g))
         trace.add(
             "grad-check", u, counter.count, f_value=problem.value(z), grad_norm=gnorm
@@ -291,7 +285,7 @@ def run_driver(problem: Problem, config: DriverConfig, rng: np.random.Generator)
             out_of_domain = out_of_domain or res.out_of_domain
             trace.add("epoch", u, counter.count, f_value=problem.value(z))
         else:
-            query = NCQuery(z=z, eps_H=config.eps_H, delta=nc_delta, L1=s.L1, L2=s.L2)
+            query = NCQuery(z=z, eps_H=config.eps_H, delta=nc_delta)
             nc = probe(problem, query, rng, counter)
             trace.add(
                 "nc-probe", u, counter.count, f_value=problem.value(z),

@@ -34,11 +34,6 @@ from .problems import Array, GradCounter, Problem
 from .problems import sample_indices_without_replacement
 from .schedule import NestedSchedule
 
-#: epochs are cut off at this many multiples of the mean length; the truncated
-#: tail has probability below exp(-1e6) and the cut is flagged on the result.
-LENGTH_CAP_MULTIPLIER = 10**6
-
-
 @dataclass
 class EpochState:
     """Snapshot of the inner-loop state after step t."""
@@ -56,19 +51,20 @@ class EpochResult:
     T: int
     grads_used: int
     out_of_domain: bool = False
-    truncated: bool = False
     history: list[EpochState] | None = None
 
 
-def draw_epoch_length(p: float, rng: np.random.Generator, cap: int) -> tuple[int, bool]:
-    """Inverse-CDF draw from Geom(p) with P(T = k) = p (1-p)^k, k >= 0."""
+def draw_epoch_length(p: float, rng: np.random.Generator) -> int:
+    """Inverse-CDF draw from Geom(p) with P(T = k) = p (1-p)^k, k >= 0.
+
+    ``rng.random()`` has 53-bit resolution, so u >= 2^-53 and T is at most
+    53 ln 2 / -ln(1 - p) <= 36.8 / p: for the schedule's p = 1 / (1 + L),
+    under 37 (1 + L) steps, where L is the loop product.
+    """
     if not 0.0 < p < 1.0:
         raise ValueError(f"geometric parameter must lie in (0, 1), got {p}")
     u = 1.0 - rng.random()  # uniform on (0, 1]
-    T = int(math.log(u) / math.log1p(-p))
-    if T > cap:
-        return cap, True
-    return T, False
+    return int(math.log(u) / math.log1p(-p))
 
 
 def run_epoch(
@@ -93,14 +89,12 @@ def run_epoch(
     start_count = counter.count
     K = schedule.K
 
-    truncated = False
     if length_override is not None:
         if length_override < 0:
             raise ValueError(f"length override must be >= 0, got {length_override}")
         T = int(length_override)
     else:
-        cap = LENGTH_CAP_MULTIPLIER * schedule.loop_product
-        T, truncated = draw_epoch_length(schedule.p, rng, cap)
+        T = draw_epoch_length(schedule.p, rng)
 
     x = np.asarray(x0, dtype=float).copy()
     zero = np.zeros(problem.dim)
@@ -157,6 +151,5 @@ def run_epoch(
         T=T,
         grads_used=counter.count - start_count,
         out_of_domain=out_of_domain,
-        truncated=truncated,
         history=history,
     )

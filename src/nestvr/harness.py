@@ -70,10 +70,13 @@ class Family:
     """How one problem family is built: ``factory`` takes ``dim``, ``seed`` and
     each of ``fields`` as keywords.  A config that sets a problem field outside
     ``fields``, other than ``family``, ``dim`` and ``seed``, is rejected, and
-    so is one below the factory's smallest ``dim`` or ``n``."""
+    so is one below the factory's smallest ``dim`` or ``n``.  ``has_L3``
+    declares whether the built problem's smoothness carries an L3 constant,
+    which smoothness order 3 needs."""
 
     factory: Callable[..., Problem]
     fields: tuple[str, ...]
+    has_L3: bool
     min_dim: int = 1
     min_n: int = 1
 
@@ -89,14 +92,15 @@ def _streaming_quadratic(dim: int, seed: int, noise: float) -> Problem:
 
 FAMILIES = {
     "saddle": Family(
-        make_saddle_problem, ("n", "negative_eigenvalue", "noise", "quartic", "radius"), min_dim=2
+        make_saddle_problem, ("n", "negative_eigenvalue", "noise", "quartic", "radius"),
+        has_L3=True, min_dim=2,
     ),
-    "regularized": Family(make_regularized_problem, ("n",), min_n=2),
+    "regularized": Family(make_regularized_problem, ("n",), has_L3=False, min_n=2),
     "streaming-saddle": Family(
         make_streaming_saddle_problem, ("negative_eigenvalue", "noise", "quartic", "radius"),
-        min_dim=2,
+        has_L3=True, min_dim=2,
     ),
-    "streaming-quadratic": Family(_streaming_quadratic, ("noise",)),
+    "streaming-quadratic": Family(_streaming_quadratic, ("noise",), has_L3=False),
 }
 
 
@@ -233,11 +237,25 @@ def parse_config(doc: dict) -> ExperimentConfig:
         out=doc.get("out"),
     )
     family = config.problem.family
-    ignored = sorted(set(p) - {"family", "dim", "seed", *FAMILIES[family].fields})
+    fam = FAMILIES[family]
+    ignored = sorted(set(p) - {"family", "dim", "seed", *fam.fields})
     if ignored:
         paths = ", ".join(f"problem.{key}" for key in ignored)
         raise ConfigError(f"{paths}: not used by family {family!r}")
-    mode = "finite" if FAMILIES[family].is_finite_sum else "online"
+    if config.algorithm.smoothness_order == 3 and not fam.has_L3:
+        raise ConfigError(
+            f"algorithm.smoothness_order: family {family!r} has no L3 constant, "
+            "so it runs at order 2 only, got 3"
+        )
+    if fam.is_finite_sum and "B0" not in overrides:
+        # the derived base batch is n, which must meet B0's minimum
+        try:
+            drv.check_override("B0", config.problem.n, "problem.n")
+        except ValueError as exc:
+            raise ConfigError(
+                f"{exc}; it is the base batch unless algorithm.overrides.B0 is set"
+            ) from None
+    mode = "finite" if fam.is_finite_sum else "online"
     given = a.get("mode", mode)
     if given not in ("finite", "online"):
         raise ConfigError(f"algorithm.mode: must be 'finite' or 'online', got {given!r}")
@@ -424,7 +442,7 @@ def verify_schedule_identities() -> SuiteResult:
 
 def verify_geometric_tail_inequality(rng: np.random.Generator, cases: int = 100) -> SuiteResult:
     """For random nonnegative series a with partial sums dominated by b,
-    check (1-p)/p * E a(G) <= E b(G) for G geometric, by truncated summation
+    check (1-p)/p * E a(G) <= E b(G) for G geometric, by summing a finite prefix
     with a certified tail below 1e-12."""
     worst = math.inf
     for _ in range(cases):

@@ -64,23 +64,18 @@ _TINY = float(np.finfo(float).tiny)
 
 @dataclass(frozen=True)
 class NCQuery:
-    """Curvature query at a point: thresholds and smoothness constants."""
+    """Curvature query at a point: the threshold eps_H and the failure
+    probability delta.  The smoothness constants are the problem's own."""
 
     z: Array
     eps_H: float
     delta: float
-    L1: float
-    L2: float
 
     def __post_init__(self) -> None:
         if not 0.0 < self.eps_H < 1.0:
             raise ValueError(f"eps_H must lie in (0, 1), got {self.eps_H}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
-        for name in ("L1", "L2"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass
@@ -143,19 +138,19 @@ def hvp_estimate(
     return diff / q
 
 
-def _displacement(query: NCQuery) -> float:
+def _displacement(query: NCQuery, L2: float) -> float:
     """Keep the Taylor error L2 q / 2 at eps_H / 20, an order below threshold."""
-    return query.eps_H / (10.0 * query.L2)
+    return query.eps_H / (10.0 * L2)
 
 
-def _lanczos_steps(query: NCQuery, dim: int, subsampled: bool = False) -> int:
+def _lanczos_steps(query: NCQuery, L1: float, dim: int, subsampled: bool = False) -> int:
     """Kuczynski-Wozniakowski step count, capped at ``dim``: from a random
     start, Lanczos on L1 I - H (spectrum in [0, 2 L1]) finds its top
     eigenvalue to relative accuracy eps_H / (8 L1), i.e. absolute eps_H / 4,
     with probability at least 1 - delta.  A ``subsampled`` operator leaves
     half of each to its sampling error: eps_H / (16 L1) at 1 - delta / 2."""
     share = 2.0 if subsampled else 1.0
-    rel = query.eps_H / (8.0 * share * query.L1)
+    rel = query.eps_H / (8.0 * share * L1)
     delta = query.delta / share
     steps = math.ceil(0.5 + math.log(1.648 * math.sqrt(dim) / delta) / (2.0 * math.sqrt(rel)))
     return min(dim, steps)
@@ -232,7 +227,8 @@ def _lanczos_search(
     another Ritz value crosses the bar."""
     start_count = counter.count
     dim = query.z.shape[0]
-    q = _displacement(query)
+    s = problem.smoothness  # the parent's constants, also over a row subsample
+    q = _displacement(query, s.L2)
     candidate_bar = -0.75 * query.eps_H
     accept_bar = -0.5 * query.eps_H
     operator, draws = problem, None
@@ -243,8 +239,8 @@ def _lanczos_search(
         batch = operator.n
     else:
         draws = rng  # each product reads a fresh batch
-        batch = max(ONLINE_PRODUCT_BATCH_MIN, math.ceil(4.0 * query.L1 / query.eps_H))
-    steps = _lanczos_steps(query, dim, subsampled=operator is not problem)
+        batch = max(ONLINE_PRODUCT_BATCH_MIN, math.ceil(4.0 * s.L1 / query.eps_H))
+    steps = _lanczos_steps(query, s.L1, dim, subsampled=operator is not problem)
     basis = np.empty((steps, dim))
     alpha = np.empty(steps)
     beta = np.empty(steps)
@@ -268,7 +264,7 @@ def _lanczos_search(
             u = V.T @ ritz[:, 0]
             u /= np.linalg.norm(u)
             cert, allowance = _certify(problem, query, u, q, rng, counter)
-            if cert + 0.5 * query.L2 * q + allowance <= accept_bar:
+            if cert + 0.5 * s.L2 * q + allowance <= accept_bar:
                 return NCResult(
                     direction=u, rayleigh_estimate=cert, grads_used=counter.count - start_count
                 )

@@ -103,8 +103,6 @@ class Problem:
     x0: Array
     smoothness: SmoothnessSpec
     n: int | None = None
-    #: exact global minimum value when analytically known (test oracle)
-    known_min_value: float | None = None
 
     def value(self, x: Array) -> float:
         raise NotImplementedError
@@ -329,7 +327,6 @@ class _SeparableQuarticProblem(_LinearNoiseProblem):
         # h_j^2 / (16 a) over negative-curvature coordinates.
         neg = self.diag[self.diag < 0]
         gap = float((neg**2).sum() / (16.0 * a)) if neg.size else 0.0
-        self.known_min_value = -gap
         self.smoothness = SmoothnessSpec(
             L1=L1,
             L2=L2,
@@ -615,7 +612,6 @@ class AdditiveNoiseStreamingProblem(StreamingProblem):
         self.noise_std = float(noise_std)
         self.dim = core.dim
         self.x0 = core.x0.copy()
-        self.known_min_value = core.known_min_value
         self.smoothness = replace(core.smoothness, sigma2=max(self.dim * self.noise_std**2, 1e-12))
 
     def value(self, x: Array) -> float:

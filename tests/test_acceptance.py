@@ -4,7 +4,6 @@ Each test prints one `[criterion NN] PASS/FAIL` line (run with `-s` or read
 captured output) and then asserts, so the suite doubles as a report.
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -105,9 +104,7 @@ def test_criterion_03_geometric_epoch_length():
     schedule = derive_schedule(256, M=6.0)
     p = schedule.p
     rng = make_rng(303)
-    draws = np.array(
-        [draw_epoch_length(p, rng, cap=10**9)[0] for _ in range(100_000)], dtype=float
-    )
+    draws = np.array([draw_epoch_length(p, rng) for _ in range(100_000)], dtype=float)
     mean_ok = abs(draws.mean() - 16.0) <= 0.5
     pmf_ok = True
     for k in (0, 1, 2):
@@ -161,8 +158,7 @@ def test_criterion_06_nc_finder_contracts():
             problem, _ = random_symmetric_fixture(
                 20, -2 * eps_H, seed=6000 + s, streaming=streaming
             )
-            sm = problem.smoothness
-            query = NCQuery(z=problem.x0, eps_H=eps_H, delta=delta, L1=sm.L1, L2=sm.L2)
+            query = NCQuery(z=problem.x0, eps_H=eps_H, delta=delta)
             res = finder(problem, query, make_rng(6500 + s), GradCounter())
             if res.direction is not None:
                 found += 1
@@ -173,8 +169,7 @@ def test_criterion_06_nc_finder_contracts():
             problem, _ = random_symmetric_fixture(
                 20, 0.0, seed=7000 + s, streaming=streaming, lambda_rest=(0.0, 1.0)
             )
-            sm = problem.smoothness
-            query = NCQuery(z=problem.x0, eps_H=eps_H, delta=delta, L1=sm.L1, L2=sm.L2)
+            query = NCQuery(z=problem.x0, eps_H=eps_H, delta=delta)
             res = finder(problem, query, make_rng(7500 + s), GradCounter())
             if res.direction is None:
                 bottoms += 1
@@ -221,7 +216,7 @@ def test_criterion_08_nc_step_decrease():
     assert eta2 == pytest.approx(eps_H / sm.L2, rel=1e-12)
     assert eta3 == pytest.approx(math.sqrt(3 * eps_H / sm.L3), rel=1e-12)
 
-    query = NCQuery(z=problem.x0, eps_H=eps_H, delta=0.1, L1=sm.L1, L2=sm.L2)
+    query = NCQuery(z=problem.x0, eps_H=eps_H, delta=0.1)
     res = find_nc_direction_finite(problem, query, make_rng(808), GradCounter())
     assert res.direction is not None
     v = res.direction
@@ -262,8 +257,7 @@ def test_criterion_09_config_constants_exact():
 
     tiny = SmoothnessSpec(L1=1.0, L2=1.0, sigma2=1e-4, delta_F=1.0)
     cfg = configure(DeclaredSpecStreaming(4, tiny), 0.1, 0.5, order=2)
-    close(cfg.rho, 6.0)
-    close(cfg.schedule.M, 12.0)
+    close(cfg.schedule.M, 12.0)  # 2 rho L1 at the floor rho = 6
     unit = SmoothnessSpec(L1=1.0, L2=1.0, sigma2=1.0, delta_F=1.0)
     B0 = configure(DeclaredSpecStreaming(4, unit), 0.1, 0.5, order=2).schedule.B0
     checks.append(B0 == 1_920_000)
@@ -279,7 +273,7 @@ def test_criterion_09_config_constants_exact():
     close(configure(DeclaredSpecStreaming(4, spec3), 0.1, 0.25, order=3).eta, 0.5)
     close(configure(DeclaredSpecStreaming(4, spec3), 0.1, 0.1, order=3).delta, 1e-5)
     tiny3 = SmoothnessSpec(L1=1.0, L2=1.0, L3=1.0, sigma2=1e-4, delta_F=1.0)
-    close(configure(DeclaredSpecStreaming(4, tiny3), 0.1, 0.25, order=3).rho, 6.0)
+    close(configure(DeclaredSpecStreaming(4, tiny3), 0.1, 0.25, order=3).schedule.M, 12.0)
 
     ok = all(checks)
     assert report(9, ok, f"{sum(checks)}/{len(checks)} constant derivations exact to 1e-12")
@@ -302,16 +296,15 @@ def test_criterion_10_series_and_subsampling_suites():
 def test_criterion_11_online_gradient_test():
     eps, dim, noise = 0.1, 20, 0.5
     sigma2 = dim * noise**2
-    B0_check = subgaussian_check_batch(sigma2, eps / 4.0, delta=0.05)
+    B0 = subgaussian_check_batch(sigma2, eps / 4.0, delta=0.05)
 
     def trial_fires(norm: float, seed: int) -> bool:
         x0 = np.zeros(dim)
         x0[0] = norm
         problem = make_streaming_quadratic_problem(np.eye(dim), seed=seed, noise=noise, x0=x0)
         cfg = configure(
-            problem, eps=eps, eps_H=0.5, order=2, overrides={"B0": 16, "U": 1, "M": 12.0}
+            problem, eps=eps, eps_H=0.5, order=2, overrides={"B0": B0, "U": 1, "M": 12.0}
         )
-        cfg = dataclasses.replace(cfg, B0_check=B0_check)
         out = run_driver(problem, cfg, make_rng(seed))
         kinds = {e.kind for e in out.trace.events}
         return "epoch" in kinds
@@ -322,6 +315,6 @@ def test_criterion_11_online_gradient_test():
     assert report(
         11,
         ok,
-        f"B0_check={B0_check}: fired {fired}/200 at |grad|=eps, "
+        f"B0={B0}: fired {fired}/200 at |grad|=eps, "
         f"abstained {abstained}/200 at |grad|=eps/8 (both need >= 190)",
     )

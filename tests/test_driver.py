@@ -54,15 +54,13 @@ class TestConfigFormulas:
     def test_online_2nd_rho_floor_and_M(self):
         prob = DeclaredSpecStreaming(4, spec(L1=1.0, L2=1.0, sigma2=1e-4))
         cfg = configure(prob, eps=0.1, eps_H=0.5, order=2)
-        assert cfg.rho == pytest.approx(6.0, rel=1e-12)
-        assert cfg.schedule.M == pytest.approx(12.0, rel=1e-12)  # 2 rho L1
+        assert cfg.schedule.M == pytest.approx(12.0, rel=1e-12)  # 2 rho L1 at the floor rho = 6
 
     def test_online_2nd_base_batch_flat_branch(self):
         # sigma = 1, eps = 0.1: the flat branch 96 C1 dominates the log branch
         prob = DeclaredSpecStreaming(4, spec(L1=1.0, L2=1.0, sigma2=1.0, delta_F=1.0))
         cfg = configure(prob, eps=0.1, eps_H=0.5, order=2)
         assert cfg.schedule.B0 == 1_920_000  # sigma^2 eps^-2 * 96 * 200
-        assert cfg.B0_check == cfg.schedule.B0
 
     def test_online_2nd_delta(self):
         prob = DeclaredSpecStreaming(4, spec(L2=1.0, delta_F=1.0))
@@ -73,7 +71,8 @@ class TestConfigFormulas:
         prob = DeclaredSpecStreaming(4, spec(L1=1.0, L2=1.0, sigma2=1.0, delta_F=1.0))
         cfg = configure(prob, eps=0.1, eps_H=0.5, order=2)
         B0 = cfg.schedule.B0
-        expect = 216 * 8 + 96 * 200 * cfg.rho * 100 / math.sqrt(B0)
+        rho = cfg.schedule.M / (2.0 * prob.smoothness.L1)
+        expect = 216 * 8 + 96 * 200 * rho * 100 / math.sqrt(B0)
         assert cfg.U == math.ceil(expect)
 
     def test_finite_3rd_eta(self):
@@ -112,7 +111,7 @@ class TestConfigFormulas:
     def test_online_3rd_rho_floor_and_wide_step(self):
         prob = DeclaredSpecStreaming(4, spec(L1=1.0, L3=1.0, sigma2=1e-4))
         cfg = configure(prob, eps=0.1, eps_H=0.25, order=3)
-        assert cfg.rho == pytest.approx(6.0, rel=1e-12)
+        assert cfg.schedule.M / (2.0 * prob.smoothness.L1) == pytest.approx(6.0, rel=1e-12)
 
     def test_overrides_record_derived_values(self):
         prob = DeclaredSpecProblem(100, 4, spec())
@@ -169,20 +168,20 @@ def stream_base_batch(s, eps, inner):
 
 
 def theorem_cell(family, order, s, eps, eps_H, n):
-    """(U before rounding, eta, delta, B0, M, rho) as the theorem states each
+    """(U before rounding, eta, delta, B0, M) as the theorem states each
     cell, in the floating-point order of ``configure``."""
     if (family, order) == ("finite", 2):
         U = 24.0 * s.L2**2 * s.delta_F / eps_H**3 + 1800.0 * s.L1 * s.delta_F / (
             eps**2 * math.sqrt(n)
         )
         delta = eps_H**3 / (144.0 * s.L2**2 * s.delta_F)
-        return U, eps_H / s.L2, delta, n, 6.0 * s.L1, None
+        return U, eps_H / s.L2, delta, n, 6.0 * s.L1
     if (family, order) == ("finite", 3):
         U = 12.0 * s.L3 * s.delta_F / eps_H**2 + 1800.0 * 600.0 * s.L1 * s.delta_F / (
             eps**2 * math.sqrt(n)
         )
         delta = eps_H**2 / (72.0 * s.L3 * s.delta_F)
-        return U, math.sqrt(3.0 * eps_H / s.L3), delta, n, 6.0 * s.L1, None
+        return U, math.sqrt(3.0 * eps_H / s.L3), delta, n, 6.0 * s.L1
     if order == 2:
         B0 = stream_base_batch(s, eps, 54.0 * s.sigma2 * s.L2**2 / (s.L1 * eps_H**3))
         rho = max(54.0 * s.sigma2 * s.L2**2 / (s.L1 * eps_H**3 * math.sqrt(B0)), 6.0)
@@ -190,14 +189,14 @@ def theorem_cell(family, order, s, eps, eps_H, n):
             math.sqrt(B0) * eps**2
         )
         delta = 1.0 / (3000.0 * s.delta_F * s.L2**2 / eps_H**3)
-        return U, eps_H / s.L2, delta, B0, 2.0 * rho * s.L1, rho
+        return U, eps_H / s.L2, delta, B0, 2.0 * rho * s.L1
     B0 = stream_base_batch(s, eps, 36.0 * s.sigma2 * s.L3 / (s.L1 * eps_H**2))
     rho = max(36.0 * s.sigma2 * s.L3 / (s.L1 * eps_H**2 * math.sqrt(B0)), 6.0)
     U = 72.0 * s.delta_F * s.L3 / eps_H**2 + 96.0 * 200.0 * rho * s.delta_F * s.L1 / (
         math.sqrt(B0) * eps**2
     )
     delta = 1.0 / (1000.0 * s.delta_F * s.L3 / eps_H**2)
-    return U, math.sqrt(eps_H / s.L3), delta, B0, 2.0 * rho * s.L1, rho
+    return U, math.sqrt(eps_H / s.L3), delta, B0, 2.0 * rho * s.L1
 
 
 class TestConfigure:
@@ -216,7 +215,7 @@ class TestConfigure:
     @pytest.mark.parametrize("family", list(SHELLS))
     def test_every_field_is_the_theorem_cell(self, family, order, eps, eps_H, smooth, overrides):
         problem = SHELLS[family](smooth)
-        U, eta, delta, B0, M, rho = theorem_cell(family, order, smooth, eps, eps_H, problem.n)
+        U, eta, delta, B0, M = theorem_cell(family, order, smooth, eps, eps_H, problem.n)
         values = {"B0": B0, "U": max(1, math.ceil(U)), "M": M, "eta": eta}
         derived = {key: values[key] for key in overrides}
         values.update(overrides)
@@ -227,9 +226,7 @@ class TestConfigure:
             U=values["U"],
             eta=values["eta"],
             delta=delta,
-            B0_check=problem.n or schedule.B0,
             schedule=schedule,
-            rho=rho,
             derived=derived,
         )
         got = configure(problem, eps, eps_H, order=order, overrides=overrides)
@@ -251,13 +248,11 @@ class TestConfigure:
         cfg = configure(saddle, 1e-3, 0.1, order=2, overrides={"U": 500})
         assert cfg.delta == 0.1**3 / (144.0 * s.L2**2 * s.delta_F)
         assert cfg.schedule.M == 6.0 * s.L1
-        assert cfg.rho is None and cfg.B0_check == saddle.n
         stream = make_streaming_saddle_problem(10, -1.0, seed=707, radius=1.5)
         s = stream.smoothness
         cfg = configure(stream, 1e-3, 0.1, order=2, overrides={"U": 500})
         assert cfg.delta == 1.0 / (3000.0 * s.delta_F * s.L2**2 / 0.1**3)
-        assert cfg.schedule.M == 2.0 * cfg.rho * s.L1
-        assert cfg.B0_check == cfg.schedule.B0
+        assert cfg.schedule.M == 2.0 * 6.0 * s.L1  # 2 rho L1 at the floor rho = 6
 
 
 class TestNCDescentStep:
@@ -362,11 +357,14 @@ class TestRunFinite:
         assert [e.grads_cum for e in a.trace.events] == [e.grads_cum for e in b.trace.events]
         assert [e.f_value for e in a.trace.events] == [e.f_value for e in b.trace.events]
 
-    def test_full_gradient_charged_n_per_check(self):
-        prob, cfg = saddle_and_config(seed=7, U=3)
+    @pytest.mark.parametrize("overrides", [{}, {"B0": 16}])
+    def test_full_gradient_charged_n_per_check(self, overrides):
+        # the check reads the population, whatever the base batch
+        prob = make_saddle_problem(10, 256, -1.0, seed=7, radius=1.5)
+        cfg = configure(prob, eps=1e-3, eps_H=0.1, order=2, overrides={"U": 3, **overrides})
         out = run_driver(prob, cfg, make_rng(23))
         first = out.trace.events[0]
-        assert first.kind == "grad-check" and first.grads_cum == prob.n
+        assert first.kind == "grad-check" and first.grads_cum == prob.n == 256
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("U", [50, 2])
@@ -423,10 +421,8 @@ class TestRunOnline:
         x0 = np.zeros(12)
         x0[0] = norm
         prob = make_streaming_quadratic_problem(np.eye(12), seed=seed, noise=0.5, x0=x0)
-        cfg = configure(prob, eps=0.1, eps_H=0.5, order=2, overrides={"B0": 64, "U": 1, "M": 12.0})
-        cfg = dataclasses.replace(
-            cfg, B0_check=subgaussian_check_batch(prob.smoothness.sigma2, 0.1 / 4, 0.05)
-        )
+        B0 = subgaussian_check_batch(prob.smoothness.sigma2, 0.1 / 4, 0.05)
+        cfg = configure(prob, eps=0.1, eps_H=0.5, order=2, overrides={"B0": B0, "U": 1, "M": 12.0})
         return prob, cfg
 
     def test_grad_check_fires_above_threshold(self):
@@ -449,10 +445,11 @@ class TestRunOnline:
         assert [e.grads_cum for e in a.trace.events] == [e.grads_cum for e in b.trace.events]
         assert np.array_equal(a.z_final, b.z_final)
 
-    def test_check_charged_at_B0_check(self):
+    def test_check_charged_at_base_batch(self):
         prob, cfg = self.make_case(norm=0.1)
         out = run_driver(prob, cfg, make_rng(41))
-        assert out.trace.events[0].grads_cum == cfg.B0_check
+        first = out.trace.events[0]
+        assert first.kind == "grad-check" and first.grads_cum == cfg.schedule.B0
 
 
 class TestClassifyPoint:

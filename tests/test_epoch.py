@@ -23,7 +23,6 @@ from nestvr import (
     run_epoch,
     sample_indices_without_replacement,
 )
-from nestvr.epoch import LENGTH_CAP_MULTIPLIER
 from nestvr.problems import (
     QuadraticProblem,
     _RegularizedLeastSquaresProblem,
@@ -110,13 +109,12 @@ def replay_epochs(prob, sched, draws, epochs=8):
     (level, size, batch)."""
     sizes = (sched.B0, *sched.B)
     rng, replay = make_rng(31), make_rng(31)
-    cap = LENGTH_CAP_MULTIPLIER * sched.loop_product
     steps = []
     for _ in range(epochs):
         prob.batches.clear()
         T = run_epoch(prob.x0, prob, sched, rng).T
         assert len(prob.batches) == T
-        assert draw_epoch_length(sched.p, replay, cap) == (T, False)
+        assert draw_epoch_length(sched.p, replay) == T
         for t, idx in enumerate(prob.batches):
             level = reset_level(t, sched)
             size = sizes[level]
@@ -253,13 +251,18 @@ class TestUpdateDirection:
 class TestGeometricLength:
     def test_inverse_cdf_bounds(self, rng):
         for _ in range(1000):
-            T, truncated = draw_epoch_length(0.2, rng, cap=10**6)
-            assert T >= 0 and not truncated
+            T = draw_epoch_length(0.2, rng)
+            assert isinstance(T, int) and T >= 0
 
-    def test_cap_flags_truncation(self):
-        rng = make_rng(0)
-        T, truncated = draw_epoch_length(1e-9, rng, cap=5)
-        assert T == 5 and truncated
+    @pytest.mark.parametrize("B0", [4, 16, 256, 65536, 2**32])
+    def test_longest_draw_is_bounded(self, B0):
+        # the largest double below 1 gives u = 2^-53, the smallest draw
+        class Largest:
+            def random(self):
+                return 1.0 - 2.0**-53
+
+        sched = derive_schedule(B0, M=6.0)
+        assert draw_epoch_length(sched.p, Largest()) <= 37 * (1 + sched.loop_product)
 
     def test_mean_and_pmf(self):
         # B0=256 schedule: p = 1/17, mean (1-p)/p = 16
@@ -276,9 +279,9 @@ class TestGeometricLength:
 
     def test_invalid_parameter_rejected(self, rng):
         with pytest.raises(ValueError):
-            draw_epoch_length(0.0, rng, cap=10)
+            draw_epoch_length(0.0, rng)
         with pytest.raises(ValueError):
-            draw_epoch_length(1.0, rng, cap=10)
+            draw_epoch_length(1.0, rng)
 
 
 class TestRunEpoch:

@@ -131,11 +131,13 @@ class TestConfig:
             problem = build_problem(cfg.problem, cfg.seed)
             assert problem.is_finite_sum == FAMILIES[family].is_finite_sum == ("n" in own)
             assert problem.smoothness == want.smoothness
+            assert FAMILIES[family].has_L3 == (problem.smoothness.L3 is not None)
             assert problem.value(x) == want.value(x)
             assert np.array_equal(problem.hessian(x), want.hessian(x))
             config = build_driver_config(problem, cfg.algorithm)
             assert config == drv.configure(want, 1e-3, 0.1, order=2, overrides={"U": 400})
-            assert (config.rho is None) == problem.is_finite_sum
+            # M = 6 L1 on a finite sum, 2 rho L1 with rho >= 6 on a stream
+            assert (config.schedule.M == 6.0 * problem.smoothness.L1) == problem.is_finite_sum
 
     @pytest.mark.parametrize("family,extra", [("saddle", {"n": 8}), ("streaming-saddle", {})])
     def test_matching_mode_accepted(self, family, extra):
@@ -198,8 +200,10 @@ class TestConfig:
             ConfigError, match=rf"^problem\.{key}: family '{family}' needs {key} >= 2, got 1$"
         ):
             parse_config(doc)
-        # the declared minimum is the factory's own
-        cfg = parse_config(with_problem({"family": family, **problem, key: 2}))
+        # the declared minimum is the factory's own; a population below 4
+        # needs a base batch override
+        doc = with_problem({"family": family, **problem, key: 2}, overrides={"B0": 4})
+        cfg = parse_config(doc)
         assert build_problem(cfg.problem, cfg.seed).dim == cfg.problem.dim
 
     @pytest.mark.parametrize(
@@ -547,6 +551,32 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error: problem.") and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "problem,order,message",
+        [
+            ({"family": "saddle", "dim": 4, "n": 3}, 2, r"problem\.n: .*algorithm\.overrides\.B0"),
+            ({"family": "regularized", "dim": 4, "n": 8}, 3, r"algorithm\.smoothness_order: "),
+            ({"family": "streaming-quadratic", "dim": 4}, 3, r"algorithm\.smoothness_order: "),
+        ],
+        ids=["small-n", "regularized-order-3", "streaming-quadratic-order-3"],
+    )
+    def test_run_rejects_unbuildable_pair_before_building(
+        self, tmp_path, capsys, monkeypatch, problem, order, message
+    ):
+        built = []
+        monkeypatch.setattr(hz, "build_problem", lambda *args: built.append(args))
+        path = write_config(tmp_path, with_problem(problem, smoothness_order=order))
+        out = tmp_path / "u"
+        assert cli_main(["run", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert re.match(f"config error: {message}", err) and "Traceback" not in err
+        assert built == [] and not out.exists()
+
+    def test_run_small_population_with_base_batch_override(self, tmp_path):
+        problem = {"family": "saddle", "dim": 4, "n": 3}
+        path = write_config(tmp_path, with_problem(problem, overrides={"U": 5, "B0": 4}))
+        assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
 
     def test_run_rejects_negative_seed_flag(self, tmp_path, capsys):
         path = write_config(tmp_path, BASE_CONFIG)

@@ -24,9 +24,8 @@ from nestvr import (
 from nestvr.problems import StreamingProblem
 
 
-def query_for(problem, z, eps_H=0.1, delta=0.1):
-    s = problem.smoothness
-    return NCQuery(z=np.asarray(z, dtype=float), eps_H=eps_H, delta=delta, L1=s.L1, L2=s.L2)
+def query_for(z, eps_H=0.1, delta=0.1):
+    return NCQuery(z=np.asarray(z, dtype=float), eps_H=eps_H, delta=delta)
 
 
 class HessianNoiseStream(StreamingProblem):
@@ -179,7 +178,7 @@ class TestFinderContracts:
     def test_saddle_direction_found_and_sound(self):
         prob = make_saddle_problem(6, 12, -1.0, seed=6)
         res = find_nc_direction_finite(
-            prob, query_for(prob, prob.x0, eps_H=0.5), make_rng(31), GradCounter()
+            prob, query_for(prob.x0, eps_H=0.5), make_rng(31), GradCounter()
         )
         assert res.direction is not None
         assert np.linalg.norm(res.direction) == pytest.approx(1.0, abs=1e-12)
@@ -211,7 +210,7 @@ class TestFinderContracts:
         hvp = ncf.hvp_estimate
         monkeypatch.setattr(ncf, "hvp_estimate", spy)
         finder = find_nc_direction_online if streaming else find_nc_direction_finite
-        query = query_for(prob, prob.x0, eps_H=0.5)
+        query = query_for(prob.x0, eps_H=0.5)
         counter = GradCounter()
         res = finder(prob, query, make_rng(31), counter)
         assert res.direction is not None
@@ -222,7 +221,7 @@ class TestFinderContracts:
         V = np.array([v for v, _, _ in steps])
         assert len({v.tobytes() for v in [*V, res.direction]}) == len(V) + 1
         assert np.allclose(V @ V.T, np.eye(len(V)), atol=1e-10)
-        assert len(V) <= ncf._lanczos_steps(query, prob.dim)
+        assert len(V) <= ncf._lanczos_steps(query, prob.smoothness.L1, prob.dim)
         assert res.grads_used == counter.count == 2 * (step_batch * len(V) + cert_batch * cert_products)
 
     def test_saddle_at_origin_found_in_three_products(self, monkeypatch):
@@ -232,7 +231,7 @@ class TestFinderContracts:
         prob = make_saddle_problem(6, 12, -1.0, seed=6)
         counter = GradCounter()
         res = find_nc_direction_finite(
-            prob, query_for(prob, prob.x0, eps_H=0.5), make_rng(31), counter
+            prob, query_for(prob.x0, eps_H=0.5), make_rng(31), counter
         )
         assert res.direction is not None
         assert res.grads_used == counter.count == 3 * 2 * prob.n
@@ -256,10 +255,10 @@ class TestFinderContracts:
         hvp = ncf.hvp_estimate
         monkeypatch.setattr(ncf, "hvp_estimate", spy)
         counter = GradCounter()
-        query = query_for(prob, prob.x0, eps_H=0.5)
+        query = query_for(prob.x0, eps_H=0.5)
         res = find_nc_direction_finite(prob, query, make_rng(31), counter)
         assert res.is_bottom
-        assert len(steps) == ncf._lanczos_steps(query, 6)
+        assert len(steps) == ncf._lanczos_steps(query, prob.smoothness.L1, 6)
         # one certificate: the failed Ritz value is not re-measured at each step
         assert counter.count == 2 * prob.n * (len(steps) + 1)
         assert res.rayleigh_estimate == pytest.approx(-1.0, abs=1e-4)
@@ -268,32 +267,32 @@ class TestFinderContracts:
         # with d within the step budget the Krylov space is exhausted, so the
         # smallest Ritz value is the Hessian's smallest eigenvalue
         prob, eigs = random_symmetric_fixture(8, 0.05, seed=11)
-        query = query_for(prob, prob.x0)
+        query = query_for(prob.x0)
         counter = GradCounter()
         res = find_nc_direction_finite(prob, query, make_rng(53), counter)
         assert res.is_bottom
-        assert counter.count <= 2 * prob.n * ncf._lanczos_steps(query, 8)
+        assert counter.count <= 2 * prob.n * ncf._lanczos_steps(query, prob.smoothness.L1, 8)
         lam = float(np.linalg.eigvalsh(prob.hessian(prob.x0)).min())
         assert abs(res.rayleigh_estimate - lam) <= 1e-8 * (1.0 + abs(lam))
 
     def test_convex_quadratic_abstains(self):
         prob = make_quadratic_problem(np.eye(8), 4, seed=1, noise=0.1)
         res = find_nc_direction_finite(
-            prob, query_for(prob, prob.x0), make_rng(37), GradCounter()
+            prob, query_for(prob.x0), make_rng(37), GradCounter()
         )
         assert res.is_bottom
 
     def test_streaming_convex_abstains(self):
         prob = make_streaming_quadratic_problem(np.eye(8), seed=2, noise=0.1)
         res = find_nc_direction_online(
-            prob, query_for(prob, prob.x0), make_rng(41), GradCounter()
+            prob, query_for(prob.x0), make_rng(41), GradCounter()
         )
         assert res.is_bottom
 
     def test_streaming_saddle_found(self):
         prob, eigs = random_symmetric_fixture(10, -0.4, seed=7, streaming=True)
         res = find_nc_direction_online(
-            prob, query_for(prob, prob.x0, eps_H=0.2), make_rng(43), GradCounter()
+            prob, query_for(prob.x0, eps_H=0.2), make_rng(43), GradCounter()
         )
         assert res.direction is not None
         assert rayleigh(prob, prob.x0, res.direction) <= -0.1 + 1e-6
@@ -306,7 +305,7 @@ class TestFinderContracts:
         found = sound = 0
         for s in range(40):
             prob, _ = random_symmetric_fixture(12, -2 * eps_H, seed=100 + s, streaming=streaming)
-            res = finder(prob, query_for(prob, prob.x0, eps_H, delta), make_rng(500 + s), GradCounter())
+            res = finder(prob, query_for(prob.x0, eps_H, delta), make_rng(500 + s), GradCounter())
             if res.direction is not None:
                 found += 1
                 sound += rayleigh(prob, prob.x0, res.direction) <= -eps_H / 2 + 1e-6
@@ -317,7 +316,7 @@ class TestFinderContracts:
             prob, _ = random_symmetric_fixture(
                 12, 0.02, seed=900 + s, streaming=streaming, lambda_rest=(0.02, 1.0)
             )
-            res = finder(prob, query_for(prob, prob.x0, eps_H, delta), make_rng(1500 + s), GradCounter())
+            res = finder(prob, query_for(prob.x0, eps_H, delta), make_rng(1500 + s), GradCounter())
             bottom += res.is_bottom
         assert bottom >= math.floor((1 - delta) * 40 - 3 * math.sqrt(40 * delta * (1 - delta)))
 
@@ -347,7 +346,7 @@ class TestFinderContracts:
                 prob = HessianNoiseStream(core, noise)
                 before = len(certificates)
                 res = find_nc_direction_online(
-                    prob, query_for(prob, prob.x0, eps_H, delta), make_rng(500 + s), GradCounter()
+                    prob, query_for(prob.x0, eps_H, delta), make_rng(500 + s), GradCounter()
                 )
                 if res.direction is not None:
                     assert rayleigh(prob, prob.x0, res.direction) <= -eps_H / 2
@@ -358,7 +357,7 @@ class TestFinderContracts:
     def test_wrong_problem_kind_rejected(self):
         fprob, _ = random_symmetric_fixture(4, -0.5, seed=8)
         sprob, _ = random_symmetric_fixture(4, -0.5, seed=8, streaming=True)
-        q = query_for(fprob, fprob.x0)
+        q = query_for(fprob.x0)
         with pytest.raises(ValueError):
             find_nc_direction_finite(sprob, q, make_rng(0), GradCounter())
         with pytest.raises(ValueError):
@@ -367,21 +366,16 @@ class TestFinderContracts:
     def test_abstention_reports_best_estimate(self):
         prob = make_quadratic_problem(np.eye(5), 4, seed=3, noise=0.0)
         res = find_nc_direction_finite(
-            prob, query_for(prob, prob.x0), make_rng(47), GradCounter()
+            prob, query_for(prob.x0), make_rng(47), GradCounter()
         )
         assert res.is_bottom
         assert res.rayleigh_estimate >= 0.5  # spectrum is all ones
 
     def test_query_validation(self):
         with pytest.raises(ValueError):
-            NCQuery(z=np.zeros(2), eps_H=1.5, delta=0.1, L1=1.0, L2=1.0)
+            NCQuery(z=np.zeros(2), eps_H=1.5, delta=0.1)
         with pytest.raises(ValueError):
-            NCQuery(z=np.zeros(2), eps_H=0.1, delta=0.0, L1=1.0, L2=1.0)
-        for name in ("L1", "L2"):
-            for value in (0.0, -1.0, math.nan, math.inf):
-                constants = {"L1": 1.0, "L2": 1.0, name: value}
-                with pytest.raises(ValueError, match=rf"^{name} must be positive and finite"):
-                    NCQuery(z=np.zeros(2), eps_H=0.1, delta=0.1, **constants)
+            NCQuery(z=np.zeros(2), eps_H=0.1, delta=0.0)
 
 
 def regularized_bent(seed, n=4000, dim=20):
@@ -417,7 +411,7 @@ class TestSubsampledLanczos:
         monkeypatch.setattr(ncf, "hvp_estimate", spy)
         monkeypatch.setattr(prob, "subsample", subsample)
         counter = GradCounter()
-        query = query_for(prob, z, self.eps_H, self.delta)
+        query = query_for(z, self.eps_H, self.delta)
         res = find_nc_direction_finite(prob, query, make_rng(seed), counter)
         return res, counter, calls, subsamples
 
@@ -426,7 +420,7 @@ class TestSubsampledLanczos:
         # and Lanczos' accuracy eps_H / 8 at delta / 2 share the population
         # search's eps_H / 4 at delta
         prob, z = regularized_bent(seed=3)
-        query = query_for(prob, z, self.eps_H, self.delta)
+        query = query_for(z, self.eps_H, self.delta)
         var, R = prob.hessian_spread
         s = self.eps_H / 8
         bernstein = 2 * (var + R * s / 3) * math.log(4 * prob.dim / self.delta) / s**2
@@ -434,7 +428,7 @@ class TestSubsampledLanczos:
         dim = 10**6  # above the step count, which the cap at d would hide
         rel = self.eps_H / (16 * prob.smoothness.L1)
         kw = 0.5 + math.log(1.648 * math.sqrt(dim) / (self.delta / 2)) / (2 * math.sqrt(rel))
-        assert ncf._lanczos_steps(query, dim, subsampled=True) == math.ceil(kw)
+        assert ncf._lanczos_steps(query, prob.smoothness.L1, dim, subsampled=True) == math.ceil(kw)
 
     @pytest.mark.parametrize("bent", [True, False])
     def test_products_read_one_index_set_and_certificates_the_population(self, monkeypatch, bent):
@@ -443,9 +437,9 @@ class TestSubsampledLanczos:
         prob, z = regularized_bent(seed=3, dim=60)
         if not bent:
             z = np.zeros(prob.dim)
-        query = query_for(prob, z, self.eps_H, self.delta)
-        budget = ncf._lanczos_steps(query, prob.dim, subsampled=True)
-        assert ncf._lanczos_steps(query, prob.dim) < budget < prob.dim
+        query = query_for(z, self.eps_H, self.delta)
+        budget = ncf._lanczos_steps(query, prob.smoothness.L1, prob.dim, subsampled=True)
+        assert ncf._lanczos_steps(query, prob.smoothness.L1, prob.dim) < budget < prob.dim
         res, counter, calls, subsamples = self.spy_run(monkeypatch, prob, z, seed=5)
         assert len(subsamples) == 1
         idx, view = subsamples[0]
@@ -471,7 +465,7 @@ class TestSubsampledLanczos:
         prob, z = regularized_bent(seed=4, n=300)
         if not bent:
             z = np.zeros(prob.dim)
-        query = query_for(prob, z, self.eps_H, self.delta)
+        query = query_for(z, self.eps_H, self.delta)
         assert ncf._subsample_size(prob, query) == prob.n
         undeclared, _ = regularized_bent(seed=4, n=300)
         undeclared.hessian_spread = None
@@ -498,14 +492,14 @@ class TestSubsampledLanczos:
         found = sound = bottom = 0
         for s in range(40):
             prob, z = regularized_bent(seed=2000 + s)
-            query = query_for(prob, z, eps_H, delta)
+            query = query_for(z, eps_H, delta)
             assert ncf._subsample_size(prob, query) < prob.n
             assert np.linalg.eigvalsh(prob.hessian(z))[0] < -eps_H
             res = find_nc_direction_finite(prob, query, make_rng(2500 + s), GradCounter())
             if res.direction is not None:
                 found += 1
                 sound += rayleigh(prob, z, res.direction) <= -eps_H / 2 + 1e-6
-            origin = query_for(prob, prob.x0, eps_H, delta)
+            origin = query_for(prob.x0, eps_H, delta)
             assert np.linalg.eigvalsh(prob.hessian(prob.x0))[0] >= -eps_H / 2
             res = find_nc_direction_finite(prob, origin, make_rng(3500 + s), GradCounter())
             bottom += res.is_bottom

@@ -27,9 +27,13 @@ from nestvr.problems import (
 
 def test_smoothness_spec_rejects_nonpositive():
     with pytest.raises(ValueError):
-        SmoothnessSpec(L1=0.0, L2=1.0, sigma2=1.0, delta_F=1.0)
-    with pytest.raises(ValueError):
         SmoothnessSpec(L1=1.0, L2=1.0, sigma2=1.0, delta_F=1.0, L3=-2.0)
+    for name in ("L1", "L2"):
+        for value in (0.0, -1.0, math.nan, math.inf):
+            constants = {"L1": 1.0, "L2": 1.0, name: value}
+            message = rf"^SmoothnessSpec\.{name} must be positive and finite"
+            with pytest.raises(ValueError, match=message):
+                SmoothnessSpec(sigma2=1.0, delta_F=1.0, **constants)
 
 
 class TestSampling:
@@ -263,6 +267,13 @@ def test_finite_sums_declare_no_spread_by_default():
     assert make_quadratic_problem(np.eye(3), 4, seed=0).hessian_spread is None
 
 
+def quartic_min_value(prob):
+    """The separable quartic's minimum, -sum h_j^2 / (16 a) over h_j < 0:
+    each negative-curvature coordinate sits in a well of that depth."""
+    neg = prob.diag[prob.diag < 0]
+    return -float((neg**2).sum()) / (16.0 * prob.quartic)
+
+
 class TestSaddleProblem:
     def test_origin_is_strict_saddle(self):
         prob = make_saddle_problem(2, 1, -1.0, seed=0)
@@ -276,7 +287,7 @@ class TestSaddleProblem:
             x = np.array([0.0, sign])
             assert np.allclose(prob.full_grad(x), 0.0, atol=1e-14)
             assert prob.value(x) == pytest.approx(-0.25, abs=1e-15)
-        assert prob.known_min_value == pytest.approx(-0.25)
+        assert quartic_min_value(prob) == pytest.approx(-0.25)
 
     def test_quartic_hessian_term(self, rng):
         # hessian of the quartic part is diag(3 x_j^2) at the default strength
@@ -290,7 +301,7 @@ class TestSaddleProblem:
 
     def test_delta_F_upper_bounds_gap(self):
         prob = make_saddle_problem(5, 3, -0.7, seed=2)
-        gap = prob.value(prob.x0) - prob.known_min_value
+        gap = prob.value(prob.x0) - quartic_min_value(prob)
         assert prob.smoothness.delta_F >= gap - 1e-12
 
     def test_component_mean_matches_full_gradient(self, rng):

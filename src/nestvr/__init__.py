@@ -23,7 +23,6 @@ from .driver import (
 )
 from .epoch import (
     EpochResult,
-    EpochState,
     draw_epoch_length,
     run_epoch,
 )
@@ -33,7 +32,6 @@ from .ncfinder import (
     find_nc_direction_finite,
     find_nc_direction_online,
     hvp_estimate,
-    rayleigh,
 )
 from .problems import (
     FiniteSumProblem,
@@ -73,7 +71,6 @@ __all__ = [
     "nc_descent_step",
     "run_driver",
     "EpochResult",
-    "EpochState",
     "draw_epoch_length",
     "run_epoch",
     "NCQuery",
@@ -81,7 +78,6 @@ __all__ = [
     "find_nc_direction_finite",
     "find_nc_direction_online",
     "hvp_estimate",
-    "rayleigh",
     "FiniteSumProblem",
     "GradCounter",
     "SmoothnessSpec",

@@ -171,9 +171,12 @@ def configure(
     extra smoothness buys.  ``overrides`` replace the derived ``B0``, ``U``,
     ``M`` or ``eta`` (checked by :func:`check_override`), and each replaced
     value stays recorded in ``derived``.  The schedule is clamped at ``n``.
+    ``eps`` and ``eps_H`` must lie in (0, 1), checked before any formula.
     """
     if isinstance(order, bool) or not isinstance(order, numbers.Integral) or order not in (2, 3):
         raise ValueError(f"order: must be 2 or 3, got {order!r}")
+    if not (0.0 < eps < 1.0 and 0.0 < eps_H < 1.0):  # NaN fails too
+        raise ValueError(f"eps and eps_H must lie in (0, 1), got eps={eps!r}, eps_H={eps_H!r}")
     s = problem.smoothness
     finite = problem.is_finite_sum
     if order == 2:

@@ -35,23 +35,11 @@ from .problems import sample_indices_without_replacement
 from .schedule import NestedSchedule
 
 @dataclass
-class EpochState:
-    """Snapshot of the inner-loop state after step t."""
-
-    t: int
-    x: Array
-    x_ref: list[Array]
-    g_ref: list[Array]
-    v: Array
-
-
-@dataclass
 class EpochResult:
     x_out: Array
     T: int
     grads_used: int
     out_of_domain: bool = False
-    history: list[EpochState] | None = None
 
 
 def draw_epoch_length(p: float, rng: np.random.Generator) -> int:
@@ -72,39 +60,28 @@ def run_epoch(
     problem: Problem,
     schedule: NestedSchedule,
     rng: np.random.Generator,
-    counter: GradCounter | None = None,
-    *,
-    keep_history: bool = False,
-    length_override: int | None = None,
+    counter: GradCounter,
 ) -> EpochResult:
     """Run one epoch from ``x0`` and return the final iterate.
 
-    The length T is geometric with the schedule's parameter p (an override is
-    accepted for diagnostics and deterministic tests).  A drawn T = 0 performs
-    no gradient work at all -- the loop body never executes, so not even the
-    level-0 anchor is sampled.  Deterministic given the generator state.
+    The length T is drawn from Geom(p) with the schedule's parameter p.  A
+    drawn T = 0 performs no gradient work at all -- the loop body never
+    executes, so not even the level-0 anchor is sampled.  Every refresh is
+    charged to ``counter``.  Deterministic given the generator state.
     """
-    if counter is None:
-        counter = GradCounter()
     start_count = counter.count
     K = schedule.K
-
-    if length_override is not None:
-        if length_override < 0:
-            raise ValueError(f"length override must be >= 0, got {length_override}")
-        T = int(length_override)
-    else:
-        T = draw_epoch_length(schedule.p, rng)
+    T = draw_epoch_length(schedule.p, rng)
 
     x = np.asarray(x0, dtype=float).copy()
     zero = np.zeros(problem.dim)
     zero.flags.writeable = False
     refs = [x] * (K + 1)
-    grads = [zero] * (K + 1)
-    # prefix[j] = 0.0 + g_0 + ... + g_{j-1}, added in the order np.sum(grads,
-    # axis=0) uses.  No partial sum is -0.0 (x + y is -0.0 only when both
-    # are), so the zeroed levels add nothing and v = prefix[r] + g_r is that
-    # sum bit for bit.
+    # prefix[j] = 0.0 + g_0 + ... + g_{j-1}, the levels' latest reference
+    # gradients added in level order.  No partial sum is -0.0 (x + y is -0.0
+    # only when both are), so the levels above r, which restart from zero,
+    # add nothing: v = prefix[r] + g_r is the level-ordered sum of all K + 1
+    # reference gradients bit for bit.
     prefix = [zero] * (K + 1)
     batches = (schedule.B0, *schedule.B)
     # a step of reset level r pays for level r and every zeroed level above it
@@ -112,7 +89,6 @@ def run_epoch(
     loops = (0, *schedule.T)  # loops[l] = T_l: level-l refreshes per level l - 1 one
     left = list(loops)  # level-l refreshes left before level l - 1 refreshes
     r = 0
-    history: list[EpochState] | None = [] if keep_history else None
     out_of_domain = False
 
     radius = problem.smoothness.radius
@@ -120,18 +96,15 @@ def run_epoch(
     center = problem.x0
 
     step = 1.0 / (10.0 * schedule.M)
-    for t in range(T):
+    for _ in range(T):
         refs[r:] = [x] * (K + 1 - r)
         if r == 0:
             g = problem.sample_batch_grad(x, batches[0], rng)
         else:
             g = problem.sample_batch_grad_diff(x, refs[r - 1], batches[r], rng)
         counter.add(charges[r])
-        grads[r:] = [g] + [zero] * (K - r)
         v = prefix[r] + g
         prefix[r + 1 :] = [v] * (K - r)
-        if history is not None:
-            history.append(EpochState(t=t, x=x, x_ref=list(refs), g_ref=list(grads), v=v))
         x = x - step * v
         if limit is not None and not out_of_domain:
             offset = x - center
@@ -151,5 +124,4 @@ def run_epoch(
         T=T,
         grads_used=counter.count - start_count,
         out_of_domain=out_of_domain,
-        history=history,
     )

@@ -32,6 +32,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -369,7 +370,9 @@ def write_trace(results: list[TrialResult], out_dir: str | Path) -> Path:
     """Persist an experiment: one events CSV plus a strict-JSON summary per trial.
 
     Each file is written atomically, so an interrupted write leaves the
-    previous file in place.
+    previous file in place.  Once every new file is in place, the summaries
+    of trials that ``results`` does not hold, left by an earlier run into the
+    same directory, are deleted.
     """
     out = Path(out_dir)
     try:
@@ -402,6 +405,11 @@ def write_trace(results: list[TrialResult], out_dir: str | Path) -> Path:
             }
             text = json.dumps(summary, indent=2, allow_nan=False) + "\n"
             _replace_file(out / f"summary_{res.trial:03d}.json", text)
+        trials = {res.trial for res in results}
+        for path in out.glob("summary_*.json"):
+            match = re.fullmatch(r"summary_([0-9]+)\.json", path.name)
+            if match and int(match[1]) not in trials:
+                path.unlink(missing_ok=True)
     except OSError as exc:
         raise OSError(f"writing traces under {out}: {exc}") from exc
     return events_path
@@ -440,10 +448,11 @@ def verify_schedule_identities() -> SuiteResult:
     return SuiteResult("schedule", True, "identities hold for B0 in {4,16,256,65536}")
 
 
-def verify_geometric_tail_inequality(rng: np.random.Generator, cases: int = 100) -> SuiteResult:
-    """For random nonnegative series a with partial sums dominated by b,
+def verify_geometric_tail_inequality(rng: np.random.Generator) -> SuiteResult:
+    """For 100 random nonnegative series a with partial sums dominated by b,
     check (1-p)/p * E a(G) <= E b(G) for G geometric, by summing a finite prefix
     with a certified tail below 1e-12."""
+    cases = 100
     worst = math.inf
     for _ in range(cases):
         p = float(rng.uniform(0.05, 0.95))
@@ -474,8 +483,10 @@ def verify_geometric_tail_inequality(rng: np.random.Generator, cases: int = 100)
     return SuiteResult("geom-tail", True, f"{cases} cases, worst margin {worst:.3e}")
 
 
-def verify_subsample_variance(rng: np.random.Generator, families: int = 50, draws: int = 10**5) -> SuiteResult:
-    """Monte-Carlo check of the without-replacement subsampling variance bound."""
+def verify_subsample_variance(rng: np.random.Generator) -> SuiteResult:
+    """Monte-Carlo check of the without-replacement subsampling variance bound
+    on 50 random families, 10^5 subsample draws each."""
+    families, draws = 50, 10**5
     worst_ratio = 0.0
     for _ in range(families):
         N = int(rng.integers(2, 13))

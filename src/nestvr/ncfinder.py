@@ -97,16 +97,6 @@ class NCResult:
         return self.direction is None
 
 
-def rayleigh(problem: Problem, z: Array, v: Array) -> float:
-    """Exact Rayleigh quotient via the verification Hessian; never charged."""
-    v = np.asarray(v, dtype=float)
-    nv2 = float(v @ v)
-    if nv2 == 0.0:
-        raise ValueError("direction must be nonzero")
-    H = problem.hessian(np.asarray(z, dtype=float))
-    return float(v @ H @ v) / nv2
-
-
 def hvp_estimate(
     problem: Problem,
     z: Array,
@@ -114,13 +104,14 @@ def hvp_estimate(
     q: float,
     batch: int,
     rng: np.random.Generator | None = None,
-    counter: GradCounter | None = None,
+    *,
+    counter: GradCounter,
 ) -> Array:
     """Forward-difference Hessian-vector product estimate at displacement q.
 
     ``batch`` is a sample size, drawn from ``rng`` by the oracle.  On a finite
     sum it lies in 1..n, and ``problem.n`` (every component, read in place)
-    needs no generator.  Charges ``2 batch``.
+    needs no generator.  Charges ``2 batch`` to ``counter``.
     """
     if not q > 0.0:
         raise ValueError(f"displacement must be positive, got {q}")
@@ -133,8 +124,7 @@ def hvp_estimate(
         raise ValueError(f"a product over {batch} sampled components needs a generator")
     z = np.asarray(z, dtype=float)
     diff = problem.sample_batch_grad_diff(z + q * v, z, batch, rng)
-    if counter is not None:
-        counter.add(2 * int(batch))
+    counter.add(2 * int(batch))
     return diff / q
 
 

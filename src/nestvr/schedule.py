@@ -25,18 +25,26 @@ class NestedSchedule:
     """Parameter bundle for one nested variance-reduction epoch.
 
     ``T[l-1]`` and ``B[l-1]`` hold the level-l loop length and batch size for
-    l = 1..K.  ``p`` is the geometric epoch-length parameter.  ``clamped``
-    records whether any batch size was capped at a finite component count
-    (which voids the batch-size hypothesis of the variance analysis).
+    l = 1..K, so the depth K is ``len(T)``.  ``clamped`` records whether any
+    batch size was capped at a finite component count (which voids the
+    batch-size hypothesis of the variance analysis).
     """
 
     B0: int
-    K: int
     M: float
     T: tuple[int, ...]
     B: tuple[int, ...]
-    p: float
     clamped: bool = False
+
+    @property
+    def K(self) -> int:
+        """Nesting depth: the number of levels above the level-0 anchor."""
+        return len(self.T)
+
+    @property
+    def p(self) -> float:
+        """Geometric epoch-length parameter 1 / (1 + prod_l T_l)."""
+        return 1.0 / (1 + self.loop_product)
 
     @property
     def loop_product(self) -> int:
@@ -86,8 +94,7 @@ def derive_schedule(B0: int, M: float) -> NestedSchedule:
     K = (B0.bit_length() - 1).bit_length() - 1
     T = [2] + [2 ** (2 ** (l - 2)) for l in range(2, K + 1)]
     B = [6**K * B0] + [_ceil_div(6 ** (K - l + 1) * B0, 2 ** (2 ** (l - 1))) for l in range(2, K + 1)]
-    p = 1.0 / (1 + math.prod(T))
-    return NestedSchedule(B0=B0, K=K, M=float(M), T=tuple(T), B=tuple(B), p=p)
+    return NestedSchedule(B0=B0, M=float(M), T=tuple(T), B=tuple(B))
 
 
 def clamp_schedule(schedule: NestedSchedule, n: int | None) -> NestedSchedule:

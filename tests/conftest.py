@@ -1,4 +1,7 @@
+from contextlib import contextmanager
+import copy
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -74,6 +77,61 @@ def subgaussian_check_batch(sigma2: float, radius: float, delta: float) -> int:
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     return math.ceil(2.0 * sigma2 / radius**2 * (1.0 + math.sqrt(math.log2(1.0 / delta))) ** 2)
+
+
+def rayleigh(problem, z, v):
+    """Exact Rayleigh quotient via the verification Hessian; never charged."""
+    v = np.asarray(v, dtype=float)
+    nv2 = float(v @ v)
+    if nv2 == 0.0:
+        raise ValueError("direction must be nonzero")
+    H = problem.hessian(np.asarray(z, dtype=float))
+    return float(v @ H @ v) / nv2
+
+
+@contextmanager
+def fixed_length(T):
+    """Within the block, every epoch runs exactly ``T`` steps.
+
+    The length is not drawn, so an epoch's generator stream is the one its
+    steps alone consume.
+    """
+    with mock.patch("nestvr.epoch.draw_epoch_length", lambda p, rng: T):
+        yield
+
+
+def recording(problem):
+    """A shallow copy of ``problem`` that records the oracle calls it answers.
+
+    ``steps`` gets ``(x, y, size, g)`` for each sampled call: its points
+    (``y`` is None for a plain batch gradient), its sample size and the mean
+    it returned.  ``batches`` gets each row-level batch that a finite sum's
+    sampled calls pass on.
+    """
+
+    class Recording(type(problem)):
+        def sample_batch_grad(self, x, size, rng):
+            g = super().sample_batch_grad(x, size, rng)
+            self.steps.append((x, None, size, g))
+            return g
+
+        def sample_batch_grad_diff(self, x, y, size, rng):
+            g = super().sample_batch_grad_diff(x, y, size, rng)
+            self.steps.append((x, y, size, g))
+            return g
+
+        def batch_grad(self, x, idx):
+            self.batches.append(idx)
+            return super().batch_grad(x, idx)
+
+        def batch_grad_diff(self, x, y, idx):
+            self.batches.append(idx)
+            return super().batch_grad_diff(x, y, idx)
+
+    proxy = copy.copy(problem)
+    proxy.__class__ = Recording
+    proxy.steps, proxy.batches = [], []
+    return proxy
 
 
 @pytest.fixture

@@ -240,6 +240,18 @@ class TestConfigure:
         with pytest.raises(ValueError, match=r"^order: must be 2 or 3, got "):
             configure(problem, 0.1, 0.1, order=order)
 
+    @pytest.mark.parametrize("bad", [0.0, math.nan, -0.1, 1.0])
+    @pytest.mark.parametrize("name", ["eps", "eps_H"])
+    @pytest.mark.parametrize("order", [2, 3])
+    @pytest.mark.parametrize("family", list(SHELLS))
+    def test_thresholds_checked_before_use(self, family, order, name, bad):
+        # 0 divides by zero and NaN fails an integer conversion inside the
+        # formulas; both are rejected before any formula reads them
+        problem = SHELLS[family](spec(L3=1.0))
+        thresholds = {"eps": 0.1, "eps_H": 0.1, name: bad}
+        with pytest.raises(ValueError, match=r"^eps and eps_H must lie in \(0, 1\), got "):
+            configure(problem, thresholds["eps"], thresholds["eps_H"], order=order)
+
     def test_family_comes_from_the_problem(self):
         # the criterion-07 saddle, a finite sum, gets the finite-sum formulas,
         # and a stream (n = None) gets the streaming ones

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 import numpy as np
 import pytest
 
-from conftest import reset_level
+from conftest import fixed_length, recording, reset_level
 from nestvr import (
     GradCounter,
     NestedSchedule,
@@ -25,7 +25,6 @@ from nestvr import (
 )
 from nestvr.problems import (
     QuadraticProblem,
-    _RegularizedLeastSquaresProblem,
     _SeparableQuarticProblem,
 )
 
@@ -77,28 +76,9 @@ class TestResetLevel:
     def test_matches_definition(self, T, t):
         # the least j with t % prod(T[j:]) == 0, on arbitrary loop lengths
         K = len(T)
-        sched = NestedSchedule(B0=4, K=K, M=6.0, T=tuple(T), B=(1,) * K, p=0.5)
+        sched = NestedSchedule(B0=4, M=6.0, T=tuple(T), B=(1,) * K)
         want = min(j for j in range(K + 1) if t % math.prod(T[j:]) == 0)
         assert reset_level(t, sched) == want
-
-
-def recording(cls):
-    """``cls`` keeping every row-level batch it is passed, in ``batches``."""
-
-    class Recording(cls):
-        def __init__(self, *args):
-            super().__init__(*args)
-            self.batches = []
-
-        def batch_grad(self, x, idx):
-            self.batches.append(idx)
-            return super().batch_grad(x, idx)
-
-        def batch_grad_diff(self, x, y, idx):
-            self.batches.append(idx)
-            return super().batch_grad_diff(x, y, idx)
-
-    return Recording
 
 
 def replay_epochs(prob, sched, draws, epochs=8):
@@ -112,7 +92,7 @@ def replay_epochs(prob, sched, draws, epochs=8):
     steps = []
     for _ in range(epochs):
         prob.batches.clear()
-        T = run_epoch(prob.x0, prob, sched, rng).T
+        T = run_epoch(prob.x0, prob, sched, rng, GradCounter()).T
         assert len(prob.batches) == T
         assert draw_epoch_length(sched.p, replay) == T
         for t, idx in enumerate(prob.batches):
@@ -131,105 +111,71 @@ def generator_state(rng):
     return json.dumps(rng.bit_generator.state, default=np.ndarray.tolist, sort_keys=True)
 
 
-def epoch_history(problem, schedule, length, x0=None, seed=0):
+def epoch_steps(problem, schedule, length, x0=None, seed=0):
+    """Run one ``length``-step epoch of a ``recording`` copy of ``problem``
+    from ``x0`` (default the problem's); return its oracle calls and its
+    final iterate."""
+    proxy = recording(problem)
     x0 = problem.x0 if x0 is None else x0
-    return run_epoch(
-        x0, problem, schedule, make_rng(seed), keep_history=True, length_override=length
-    ).history
+    with fixed_length(length):
+        res = run_epoch(x0, proxy, schedule, make_rng(seed), GradCounter())
+    assert len(proxy.steps) == length
+    if length:
+        assert proxy.steps[0][0].tobytes() == np.asarray(x0, dtype=float).tobytes()
+    return proxy.steps, res.x_out
 
 
-class TestReferencePoints:
-    def test_full_reset(self, sched256):
-        # steps of reset level 0 snap every reference point to the iterate
+def assert_epoch_law(steps, x_out, schedule):
+    """The epoch law, read from outside through its oracle calls.
+
+    Step t makes one call at the iterate x_t.  With r its reset level, it is a
+    batch-B0 gradient when r = 0, else a batch-B_r difference against the
+    iterate at level r - 1's last refresh, step floor(t / D) D with D that
+    level's period.  Its result becomes level r's reference gradient, the
+    levels above r restart from zero, and x_{t+1} is x_t minus 1 / (10 M)
+    times 0.0 + g_0 + ... + g_K, bit for bit.
+    """
+    K = schedule.K
+    sizes = (schedule.B0, *schedule.B)
+    step = 1.0 / (10.0 * schedule.M)
+    iterates = [x for x, *_ in steps] + [x_out]
+    zero = np.zeros_like(x_out)
+    latest = [zero] * (K + 1)
+    for t, (x, y, size, g) in enumerate(steps):
+        r = reset_level(t, schedule)
+        assert size == sizes[r]
+        if r == 0:
+            assert y is None
+        else:
+            D = schedule.level_divisors[r - 1]
+            assert np.array_equal(y, iterates[t // D * D])
+        latest[r:] = [g] + [zero] * (K - r)
+        want = x - step * sum(latest, 0.0)
+        # byte equality: array_equal would not tell -0.0 from 0.0
+        assert iterates[t + 1].tobytes() == want.tobytes()
+
+
+class TestEpochLaw:
+    def test_stream(self, sched256):
+        # two full sweeps of the B0 = 256 nest and one more anchor
         prob = make_streaming_saddle_problem(4, -1.0, seed=1)
-        for state in epoch_history(prob, sched256, 2 * sched256.loop_product + 1):
-            if state.t % sched256.loop_product == 0:
-                assert all(np.array_equal(ref, state.x) for ref in state.x_ref)
-
-    def test_minimal_reset_touches_only_last(self, sched256):
-        # steps of reset level K keep the points and gradients of the levels
-        # below K and snap only the last point
-        prob = make_streaming_saddle_problem(4, -1.0, seed=1)
-        history = epoch_history(prob, sched256, 8)
-        K = sched256.K
-        for prev, state in zip(history, history[1:]):
-            if reset_level(state.t, sched256) == K:
-                for i in range(K):
-                    assert np.array_equal(state.x_ref[i], prev.x_ref[i])
-                    assert np.array_equal(state.g_ref[i], prev.g_ref[i])
-                assert np.array_equal(state.x_ref[K], state.x)
-                assert not np.array_equal(state.x_ref[K], prev.x_ref[K])
-
-
-class TestReferenceGradients:
-    @staticmethod
-    def second_anchor(sched):
-        # the step t = loop_product resets level 0 again, after the finer
-        # levels have held nonzero corrections
-        prob = make_saddle_problem(4, 60000, -1.0, seed=1)
-        history = epoch_history(prob, sched, sched.loop_product + 1, x0=np.full(4, 0.3))
-        prev, state = history[-2:]
-        assert state.t == sched.loop_product and reset_level(state.t, sched) == 0
-        assert np.any(prev.g_ref[sched.K] != 0.0)
-        return state
-
-    def test_anchor_reset_zeroes_higher_levels(self, sched256):
-        state = self.second_anchor(sched256)
-        assert all(np.all(state.g_ref[l] == 0.0) for l in range(1, 4))
-        # anchor plus the zero refreshes of levels 1..K are all charged
-        prob = make_saddle_problem(4, 60000, -1.0, seed=1)
-        res = run_epoch(np.full(4, 0.3), prob, sched256, make_rng(2), length_override=1)
-        assert res.grads_used == 256 + 2 * (55296 + 2304 + 96)
-
-    def test_sum_after_anchor_is_anchor(self, sched256):
-        state = self.second_anchor(sched256)
-        assert np.array_equal(state.v, state.g_ref[0])
-
-    def test_equal_reference_points_give_zero_correction(self, sched256):
-        # noise-free saddle started at its stationary point: the iterate never
-        # moves, so every correction pairs equal points
-        prob = make_saddle_problem(4, 60000, -1.0, seed=1, noise=0.0)
-        history = epoch_history(prob, sched256, 5)
-        prev, state = history[3], history[4]
-        assert reset_level(4, sched256) == 2
-        assert all(np.array_equal(ref, prob.x0) for ref in state.x_ref)
-        assert np.allclose(state.g_ref[2], 0.0, atol=1e-15)
-        # levels below r preserved
-        assert np.array_equal(state.g_ref[0], prev.g_ref[0])
-        assert np.array_equal(state.g_ref[1], prev.g_ref[1])
-        # level r charged 2 B_r, level r+1..K zero-refreshed at 2 B_l each
-        costs = [
-            run_epoch(prob.x0, prob, sched256, make_rng(3), length_override=T).grads_used
-            for T in (4, 5)
-        ]
-        assert costs[1] - costs[0] == 2 * 2304 + 2 * 96
-
-    def test_full_batch_anchor_is_exact_gradient(self):
-        prob = make_saddle_problem(4, 16, -1.0, seed=2)
-        sched = clamp_schedule(derive_schedule(16, M=6.0), 16)
-        x = np.full(4, 0.2)
-        (state,) = epoch_history(prob, sched, 1, x0=x)
-        assert np.allclose(state.g_ref[0], prob.full_grad(x), atol=1e-14)
-
-
-class TestUpdateDirection:
-    """The running prefix sum gives the direction np.sum(g_ref) would, bit for bit."""
-
-    @staticmethod
-    def assert_direction_is_sum(history):
-        for state in history:
-            want = np.sum(state.g_ref, axis=0)
-            # byte equality: array_equal would not tell -0.0 from 0.0
-            assert state.v.tobytes() == want.tobytes()
+        assert_epoch_law(*epoch_steps(prob, sched256, 2 * sched256.loop_product + 1), sched256)
 
     def test_finite_sum(self):
         prob = make_regularized_problem(6, 300, seed=12)
         sched = clamp_schedule(derive_schedule(256, M=6.0 * prob.smoothness.L1), 300)
         assert sched.K == 3
-        self.assert_direction_is_sum(epoch_history(prob, sched, 40, seed=5))
+        assert_epoch_law(*epoch_steps(prob, sched, 40, seed=5), sched)
+
+    def test_streaming_deep_nest(self):
+        prob = make_streaming_saddle_problem(6, -1.0, seed=13)
+        sched = derive_schedule(65536, M=6.0 * prob.smoothness.L1)
+        assert sched.K == 4
+        assert_epoch_law(*epoch_steps(prob, sched, 2 * sched.loop_product + 7), sched)
 
     def test_signed_zeros(self):
-        # np.sum starts from +0.0, so an anchor of -0.0 sums to +0.0
+        # the sum starts from +0.0, so an anchor of -0.0 moves nothing; from
+        # an iterate of -0.0, a direction of -0.0 would step to +0.0
         class NegativeZeroOracle(QuadraticProblem):
             def batch_grad(self, x, idx):
                 return np.full(self.dim, -0.0)
@@ -239,13 +185,56 @@ class TestUpdateDirection:
 
         prob = NegativeZeroOracle(np.eye(3), None, np.zeros((8, 3)))
         sched = clamp_schedule(derive_schedule(16, M=6.0), 8)
-        self.assert_direction_is_sum(epoch_history(prob, sched, 9))
+        steps, x_out = epoch_steps(prob, sched, 9, x0=np.full(3, -0.0))
+        assert_epoch_law(steps, x_out, sched)
+        assert x_out.tobytes() == np.full(3, -0.0).tobytes()
 
-    def test_streaming_deep_nest(self):
-        prob = make_streaming_saddle_problem(6, -1.0, seed=13)
-        sched = derive_schedule(65536, M=6.0 * prob.smoothness.L1)
-        assert sched.K == 4
-        self.assert_direction_is_sum(epoch_history(prob, sched, 2 * sched.loop_product + 7))
+    def test_anchor_after_corrections(self, sched256):
+        # the step t = loop_product resets level 0 again, after the finer
+        # levels have held nonzero corrections, which it zeroes
+        prob = make_saddle_problem(4, 60000, -1.0, seed=1)
+        steps, x_out = epoch_steps(prob, sched256, sched256.loop_product + 1, x0=np.full(4, 0.3))
+        assert reset_level(sched256.loop_product, sched256) == 0
+        assert np.any(steps[-2][3] != 0.0)
+        assert_epoch_law(steps, x_out, sched256)
+        # anchor plus the zero refreshes of levels 1..K are all charged
+        with fixed_length(1):
+            res = run_epoch(np.full(4, 0.3), prob, sched256, make_rng(2), GradCounter())
+        assert res.grads_used == 256 + 2 * (55296 + 2304 + 96)
+
+    @settings(max_examples=50)
+    @given(B0=base_batches, n=populations, length=st.integers(min_value=1, max_value=200))
+    @example(B0=16, n=64, length=40)
+    def test_law_on_random_nests(self, B0, n, length):
+        prob, sched = epoch_case(B0, n, seed=7)
+        assert_epoch_law(*epoch_steps(prob, sched, length, seed=13), sched)
+
+
+class TestReferenceGradients:
+    def test_equal_reference_points_give_zero_correction(self, sched256):
+        # noise-free saddle started at its stationary point: the iterate never
+        # moves, so every correction pairs equal points
+        prob = make_saddle_problem(4, 60000, -1.0, seed=1, noise=0.0)
+        steps, x_out = epoch_steps(prob, sched256, 5)
+        assert_epoch_law(steps, x_out, sched256)
+        x, y, _, g = steps[4]
+        assert reset_level(4, sched256) == 2
+        assert np.array_equal(x, prob.x0) and np.array_equal(y, prob.x0)
+        assert np.allclose(g, 0.0, atol=1e-15)
+        # level r charged 2 B_r, level r+1..K zero-refreshed at 2 B_l each
+        costs = []
+        for T in (4, 5):
+            with fixed_length(T):
+                res = run_epoch(prob.x0, prob, sched256, make_rng(3), GradCounter())
+            costs.append(res.grads_used)
+        assert costs[1] - costs[0] == 2 * 2304 + 2 * 96
+
+    def test_full_batch_anchor_is_exact_gradient(self):
+        prob = make_saddle_problem(4, 16, -1.0, seed=2)
+        sched = clamp_schedule(derive_schedule(16, M=6.0), 16)
+        x = np.full(4, 0.2)
+        ((_, _, _, g),), _ = epoch_steps(prob, sched, 1, x0=x)
+        assert np.allclose(g, prob.full_grad(x), atol=1e-14)
 
 
 class TestGeometricLength:
@@ -289,7 +278,8 @@ class TestRunEpoch:
         prob = make_saddle_problem(3, 8, -1.0, seed=3)
         sched = clamp_schedule(derive_schedule(4, M=6.0), 8)
         counter = GradCounter()
-        res = run_epoch(prob.x0, prob, sched, make_rng(0), counter, length_override=0)
+        with fixed_length(0):
+            res = run_epoch(prob.x0, prob, sched, make_rng(0), counter)
         assert res.T == 0
         assert np.array_equal(res.x_out, prob.x0)
         assert res.grads_used == 0 and counter.count == 0
@@ -299,7 +289,8 @@ class TestRunEpoch:
         # a single step contracts by exactly (1 - 1/(10 M))
         prob = make_quadratic_problem(np.eye(3), 1, seed=0, noise=0.0, x0=np.full(3, 2.0))
         sched = clamp_schedule(derive_schedule(4, M=6.0), 1)
-        res = run_epoch(prob.x0, prob, sched, make_rng(1), length_override=1)
+        with fixed_length(1):
+            res = run_epoch(prob.x0, prob, sched, make_rng(1), GradCounter())
         assert np.allclose(res.x_out, prob.x0 * (1 - 1 / 60.0), atol=1e-15)
 
     def test_deterministic_given_seed(self):
@@ -312,37 +303,20 @@ class TestRunEpoch:
         assert a.grads_used == b.grads_used
 
     def test_full_batch_estimator_identity(self):
-        # all batches set to [n]: the update direction telescopes to the
-        # exact gradient at every step
+        # all batches set to [n]: the update direction, read off consecutive
+        # iterates as 10 M (x_t - x_{t+1}), telescopes to the exact gradient
         prob = make_regularized_problem(6, 40, seed=6)
         sched = clamp_schedule(derive_schedule(16, M=6.0 * prob.smoothness.L1), 40)
         sched = dataclasses.replace(sched, B0=40, B=(40,) * sched.K)
-        res = run_epoch(
-            prob.x0, prob, sched, make_rng(11), keep_history=True, length_override=64
-        )
+        steps, x_out = epoch_steps(prob, sched, 64, seed=11)
+        iterates = [x for x, *_ in steps] + [x_out]
         worst = 0.0
-        for state in res.history:
-            g = prob.full_grad(state.x)
-            err = np.linalg.norm(state.v - g) / (1 + np.linalg.norm(g))
+        for x, x_next in zip(iterates, iterates[1:]):
+            g = prob.full_grad(x)
+            v = 10.0 * sched.M * (x - x_next)
+            err = np.linalg.norm(v - g) / (1 + np.linalg.norm(g))
             worst = max(worst, err)
         assert worst <= 1e-10
-
-    @settings(max_examples=50)
-    @given(B0=base_batches, n=populations, length=st.integers(min_value=1, max_value=200))
-    @example(B0=16, n=64, length=40)
-    def test_reference_point_law(self, B0, n, length):
-        # x_t^(l) always equals the iterate recorded at floor(t / D_l) * D_l
-        prob, sched = epoch_case(B0, n, seed=7)
-        res = run_epoch(
-            prob.x0, prob, sched, make_rng(13), keep_history=True, length_override=length
-        )
-        iterates = [state.x for state in res.history]
-        for state in res.history:
-            assert np.array_equal(state.x_ref[sched.K], state.x)
-            for level in range(sched.K + 1):
-                D = sched.level_divisors[level]
-                anchor_t = (state.t // D) * D
-                assert np.array_equal(state.x_ref[level], iterates[anchor_t])
 
     @settings(max_examples=50)
     @given(B0=base_batches, n=populations, k=st.integers(min_value=1, max_value=4))
@@ -351,8 +325,8 @@ class TestRunEpoch:
     @example(B0=256, n=None, k=3)
     def test_counter_is_periodic_multiple_of_closed_form(self, B0, n, k):
         prob, sched = epoch_case(B0, n, seed=8)
-        length = k * sched.loop_product
-        res = run_epoch(prob.x0, prob, sched, make_rng(17), length_override=length)
+        with fixed_length(k * sched.loop_product):
+            res = run_epoch(prob.x0, prob, sched, make_rng(17), GradCounter())
         assert res.grads_used == k * expected_epoch_cost(sched)
 
     def test_counter_mean_matches_exact_expectation(self):
@@ -374,8 +348,8 @@ class TestRunEpoch:
         # rows, so level 3 draws nothing either and passes its leading 96
         # indices; only the subsampled anchor draws an index set.
         n = 300
-        prob = recording(QuadraticProblem)(
-            np.diag([1.0, -0.5, 2.0]), None, make_rng(1).standard_normal((n, 3))
+        prob = recording(
+            QuadraticProblem(np.diag([1.0, -0.5, 2.0]), None, make_rng(1).standard_normal((n, 3)))
         )
         sched = clamp_schedule(derive_schedule(256, M=6.0 * prob.smoothness.L1), n)
         assert (sched.B0, *sched.B) == (256, n, n, 96)
@@ -397,8 +371,10 @@ class TestRunEpoch:
         # and level 3's differences read no rows, so an epoch leaves the
         # generator exactly where drawing its length alone leaves it
         n = 256
-        prob = recording(_SeparableQuarticProblem)(
-            np.r_[np.ones(9), -1.0], 0.25, make_rng(2).standard_normal((n, 10)) * 0.1, 1.5
+        prob = recording(
+            _SeparableQuarticProblem(
+                np.r_[np.ones(9), -1.0], 0.25, make_rng(2).standard_normal((n, 10)) * 0.1, 1.5
+            )
         )
         sched = clamp_schedule(derive_schedule(256, M=6.0 * prob.smoothness.L1), n)
         assert (sched.B0, *sched.B) == (n, n, n, 96)
@@ -409,8 +385,7 @@ class TestRunEpoch:
         # the regularized family reads rows at every subsampled level (the
         # anchor's 256 and level 3's 96 of 300) and nowhere else
         n = 300
-        base = make_regularized_problem(4, n, seed=5)
-        prob = recording(_RegularizedLeastSquaresProblem)(base.A, base.y)
+        prob = recording(make_regularized_problem(4, n, seed=5))
         sched = clamp_schedule(derive_schedule(256, M=6.0 * prob.smoothness.L1), n)
         assert (sched.B0, *sched.B) == (256, n, n, 96)
         steps = replay_epochs(prob, sched, lambda level, size: size < n)
@@ -421,11 +396,12 @@ class TestRunEpoch:
         prob = make_saddle_problem(3, 8, -1.0, seed=10, radius=0.5)
         sched = clamp_schedule(derive_schedule(4, M=6.0 * prob.smoothness.L1), 8)
         x_far = np.full(3, 5.0)
-        res = run_epoch(x_far, prob, sched, make_rng(23), length_override=3)
+        with fixed_length(3):
+            res = run_epoch(x_far, prob, sched, make_rng(23), GradCounter())
         assert res.out_of_domain
 
     def test_unclamped_finite_schedule_rejected(self):
         prob = make_saddle_problem(3, 8, -1.0, seed=11)
         sched = derive_schedule(256, M=6.0)  # B_1 = 55296 > n = 8
-        with pytest.raises(ValueError):
-            run_epoch(prob.x0, prob, sched, make_rng(29), length_override=1)
+        with fixed_length(1), pytest.raises(ValueError):
+            run_epoch(prob.x0, prob, sched, make_rng(29), GradCounter())

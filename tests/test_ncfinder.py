@@ -4,7 +4,7 @@ from hypothesis import assume, given, settings, strategies as st
 import numpy as np
 import pytest
 
-from conftest import random_symmetric_fixture
+from conftest import random_symmetric_fixture, rayleigh
 
 import nestvr.ncfinder as ncf
 from nestvr import (
@@ -19,7 +19,6 @@ from nestvr import (
     make_saddle_problem,
     make_streaming_quadratic_problem,
     make_streaming_saddle_problem,
-    rayleigh,
 )
 from nestvr.problems import StreamingProblem
 
@@ -77,13 +76,13 @@ class TestHvpEstimate:
         v = rng.standard_normal(6)
         v /= np.linalg.norm(v)
         for q in (1e-1, 1e-4):
-            est = hvp_estimate(prob, prob.x0, v, q, prob.n)
+            est = hvp_estimate(prob, prob.x0, v, q, prob.n, counter=GradCounter())
             assert np.allclose(est, H @ v, atol=1e-9)
 
     def test_basis_action_on_diagonal(self):
         prob = make_quadratic_problem(np.diag([3.0, -2.0]), 2, seed=0, noise=0.0)
         e1 = np.array([1.0, 0.0])
-        est = hvp_estimate(prob, prob.x0, e1, 1e-3, prob.n)
+        est = hvp_estimate(prob, prob.x0, e1, 1e-3, prob.n, counter=GradCounter())
         assert np.allclose(est, [3.0, 0.0], atol=1e-10)
 
     def test_quartic_taylor_bound(self):
@@ -93,7 +92,7 @@ class TestHvpEstimate:
         z = np.array([1.0, 0.0])
         v = np.array([1.0, 0.0])
         q = 1e-4
-        est = hvp_estimate(prob, z, v, q, prob.n)
+        est = hvp_estimate(prob, z, v, q, prob.n, counter=GradCounter())
         # hessian entry along v at z: 1 + 3 z^2 = 4
         assert abs(est[0] - 4.0) <= 3 * 6.0 * q
 
@@ -132,7 +131,8 @@ class TestHvpEstimate:
     def test_zero_displacement_rejected(self):
         prob, _ = random_symmetric_fixture(4, -0.5, seed=4)
         with pytest.raises(ValueError):
-            hvp_estimate(prob, prob.x0, np.array([1.0, 0, 0, 0]), 0.0, prob.n)
+            e1 = np.array([1.0, 0, 0, 0])
+            hvp_estimate(prob, prob.x0, e1, 0.0, prob.n, counter=GradCounter())
 
     def test_forward_difference_error_slope(self):
         # full-batch estimates converge at rate O(q): log-log slope 1 +- 0.2
@@ -143,7 +143,7 @@ class TestHvpEstimate:
         qs = np.array([1e-2, 1e-3, 1e-4, 1e-5])
         errs = []
         for q in qs:
-            est = hvp_estimate(prob, z, v, float(q), prob.n)
+            est = hvp_estimate(prob, z, v, float(q), prob.n, counter=GradCounter())
             errs.append(np.linalg.norm(est - H @ v))
         slope = np.polyfit(np.log(qs), np.log(errs), 1)[0]
         assert abs(slope - 1.0) <= 0.2
@@ -201,9 +201,9 @@ class TestFinderContracts:
             cert_products = 1
         calls = []
 
-        def spy(problem, z, v, q, batch, rng=None, counter=None):
+        def spy(problem, z, v, q, batch, rng=None, *, counter):
             before = counter.count
-            out = hvp(problem, z, v, q, batch, rng, counter)
+            out = hvp(problem, z, v, q, batch, rng, counter=counter)
             calls.append((np.array(v), batch, counter.count - before))
             return out
 
@@ -245,8 +245,8 @@ class TestFinderContracts:
         prob = make_saddle_problem(6, 12, -1.0, seed=6)
         steps = []
 
-        def spy(problem, z, v, q, batch, rng=None, counter=None):
-            out = hvp(problem, z, v, q, batch, rng, counter)
+        def spy(problem, z, v, q, batch, rng=None, *, counter):
+            out = hvp(problem, z, v, q, batch, rng, counter=counter)
             if steps and np.linalg.norm(np.array(steps) @ v) > 0.5:
                 return out + 2.0 * v  # a Ritz vector, measured 2 too high
             steps.append(np.array(v))  # a Lanczos step, orthogonal to the others
@@ -397,9 +397,9 @@ class TestSubsampledLanczos:
         calls, subsamples = [], []
         hvp = ncf.hvp_estimate
 
-        def spy(problem, z, v, q, batch, rng=None, counter=None):
+        def spy(problem, z, v, q, batch, rng=None, *, counter):
             before = counter.count
-            out = hvp(problem, z, v, q, batch, rng, counter)
+            out = hvp(problem, z, v, q, batch, rng, counter=counter)
             calls.append((problem, batch, counter.count - before))
             return out
 

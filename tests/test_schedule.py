@@ -4,7 +4,7 @@ from fractions import Fraction
 from hypothesis import example, given, strategies as st
 import pytest
 
-from conftest import reset_level
+from conftest import fixed_length, reset_level
 from nestvr import (
     GradCounter,
     check_series_domination,
@@ -250,6 +250,7 @@ class TestScheduleProperties:
         prob = make_streaming_saddle_problem(2, -1.0, seed=3)
         sch = derive_schedule(B0, M=6.0 * prob.smoothness.L1)
         counter = Recording()
-        run_epoch(prob.x0, prob, sch, make_rng(B0 % 997), counter, length_override=length)
+        with fixed_length(length):
+            run_epoch(prob.x0, prob, sch, make_rng(B0 % 997), counter)
         want = [sum(sch.level_costs[reset_level(t, sch) :]) for t in range(length)]
         assert counter.charges == want

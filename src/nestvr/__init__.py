@@ -48,7 +48,6 @@ from .problems import (
     spawn_rngs,
 )
 from .schedule import (
-    DampingSeries,
     NestedSchedule,
     check_series_domination,
     clamp_schedule,
@@ -90,7 +89,6 @@ __all__ = [
     "make_streaming_saddle_problem",
     "sample_indices_without_replacement",
     "spawn_rngs",
-    "DampingSeries",
     "NestedSchedule",
     "check_series_domination",
     "clamp_schedule",

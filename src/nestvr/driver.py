@@ -243,7 +243,8 @@ def run_driver(problem: Problem, config: DriverConfig, rng: np.random.Generator)
     The gradient test's batch is ``n`` on a finite sum (the population,
     against eps), else the base batch (against eps / 2); the oracle family
     also picks the finder.  A non-finite measured gradient or iterate ends
-    the run as diverged.
+    the run as diverged.  ``out_of_domain`` is set once an epoch iterate or
+    an escape step leaves the certified ball (:meth:`Problem.outside_ball`).
     """
     finite = problem.is_finite_sum
     counter = GradCounter()
@@ -297,6 +298,7 @@ def run_driver(problem: Problem, config: DriverConfig, rng: np.random.Generator)
             if nc.is_bottom:
                 return finish(STATUS_CERTIFIED, u, gnorm, rayleigh=nc.rayleigh_estimate)
             z = nc_descent_step(z, nc.direction, config.eta, rng)
+            out_of_domain = out_of_domain or problem.outside_ball(z)
             trace.add("nc-step", u, counter.count, f_value=problem.value(z))
 
     final_norm = float(np.linalg.norm(problem.full_grad(z)))  # verification, uncharged

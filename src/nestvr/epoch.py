@@ -91,10 +91,6 @@ def run_epoch(
     r = 0
     out_of_domain = False
 
-    radius = problem.smoothness.radius
-    limit = None if radius is None else radius * (1 + 1e-9)
-    center = problem.x0
-
     step = 1.0 / (10.0 * schedule.M)
     for _ in range(T):
         refs[r:] = [x] * (K + 1 - r)
@@ -106,9 +102,8 @@ def run_epoch(
         v = prefix[r] + g
         prefix[r + 1 :] = [v] * (K - r)
         x = x - step * v
-        if limit is not None and not out_of_domain:
-            offset = x - center
-            out_of_domain = math.sqrt(offset.dot(offset)) > limit
+        if not out_of_domain:
+            out_of_domain = problem.outside_ball(x)
         # the next step's reset level: count down level K and carry each
         # countdown that runs out one level up; r = 0 when all have run out
         r = K

@@ -125,6 +125,16 @@ class Problem:
     def is_finite_sum(self) -> bool:
         return self.n is not None
 
+    def outside_ball(self, x: Array) -> bool:
+        """Whether ``x`` is outside the ball on which the smoothness constants
+        are certified: farther than radius * (1 + 1e-9) from ``x0``.  Nothing
+        is outside when the radius is None (global constants)."""
+        radius = self.smoothness.radius
+        if radius is None:
+            return False
+        offset = x - self.x0
+        return math.sqrt(offset.dot(offset)) > radius * (1 + 1e-9)
+
 
 class FiniteSumProblem(Problem):
     """Average of ``n`` components, F(x) = (1/n) sum_i f_i(x).

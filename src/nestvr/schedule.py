@@ -149,84 +149,60 @@ def exact_expected_epoch_cost(schedule: NestedSchedule) -> float:
     return float(total)
 
 
-@dataclass(frozen=True)
-class DampingSeries:
-    """Backward-recursive constant series attached to one nesting level.
+def damping_series(schedule: NestedSchedule, L: float, s: int) -> tuple[float, ...]:
+    """The level-``s`` damping constants c_0 .. c_{T_s} for smoothness constant ``L``.
 
-    ``values[j]`` holds the j-th constant, j = 0..T_s.  The endpoint is
-    M / (6^(K-s+1) prod_{l=s}^K T_l) and each step backwards multiplies by
-    (1 + 1/T_s) and adds 3 L^2 / M * (prod_{l>s} T_l) / B_s.
-    """
-
-    level: int
-    values: tuple[float, ...]
-
-    @property
-    def endpoint(self) -> float:
-        return self.values[-1]
-
-
-def damping_series(schedule: NestedSchedule, L: float, s: int) -> DampingSeries:
-    """Compute the level-``s`` damping series for smoothness constant ``L``.
-
-    The series is well defined for any M > 0; its ordering guarantees require
+    The endpoint c_{T_s} is M / (6^(K-s+1) prod_{l=s}^K T_l), and each step
+    backwards multiplies by (1 + 1/T_s) and adds 3 L^2 / M * (prod_{l>s} T_l)
+    / B_s.  The constants are defined for any M > 0; their ordering needs
     M >= 6 L and an unclamped schedule (see :func:`check_series_domination`).
+    ``L`` must be finite and >= 0.
     """
     if not 1 <= s <= schedule.K:
         raise ValueError(f"level {s} out of range 1..{schedule.K}")
+    if not (math.isfinite(L) and L >= 0.0):
+        raise ValueError(f"L must be >= 0 and finite, got {L}")
     M = schedule.M
     T_s = schedule.T[s - 1]
     tail = math.prod(schedule.T[s - 1 :])  # prod_{l=s}^K T_l
-    endpoint = M / (6 ** (schedule.K - s + 1) * tail)
+    c = M / (6 ** (schedule.K - s + 1) * tail)
     increment = (3.0 * L * L / M) * (math.prod(schedule.T[s:]) / schedule.B[s - 1])
-    vals = [0.0] * (T_s + 1)
-    vals[T_s] = endpoint
-    for j in range(T_s - 1, -1, -1):
-        vals[j] = (1.0 + 1.0 / T_s) * vals[j + 1] + increment
-    return DampingSeries(level=s, values=tuple(vals))
+    backwards = [c]
+    for _ in range(T_s):
+        c = (1.0 + 1.0 / T_s) * c + increment
+        backwards.append(c)
+    return tuple(reversed(backwards))
 
 
 @dataclass(frozen=True)
 class SeriesDominationReport:
-    """Numeric check that each level's series is dominated by the next endpoint.
+    """Least gap of the damping-series ordering.
 
-    ``cross_level_ok``: c_j^(s-1) (1 + T_{s-1}) < c_{T_s}^(s) for all
-    2 <= s <= K and 0 <= j <= T_{s-1}; ``top_level_ok``: c_j^(K) (1 + T_K) < M
-    for all 0 <= j <= T_K.  ``applicable`` is False when the hypotheses
-    (M >= 6 L, unclamped canonical schedule) are not met, in which case the
-    booleans are reported but carry no guarantee.
+    ``margin`` is the least of c_{T_s}^(s) - c_j^(s-1) (1 + T_{s-1}) over
+    2 <= s <= K, 0 <= j <= T_{s-1}, and of M - c_j^(K) (1 + T_K) over
+    0 <= j <= T_K, so every inequality holds strictly exactly when it is
+    positive (``passed``).  ``applicable`` is False when the hypotheses (M >= 6 L,
+    unclamped canonical schedule) are not met, in which case the margin is
+    reported but carries no guarantee.
     """
 
     applicable: bool
-    cross_level_ok: bool
-    top_level_ok: bool
     margin: float
 
     @property
     def passed(self) -> bool:
-        return self.cross_level_ok and self.top_level_ok
+        return self.margin > 0
 
 
 def check_series_domination(schedule: NestedSchedule, L: float) -> SeriesDominationReport:
-    applicable = schedule.M >= 6.0 * L and not schedule.clamped
-    series = {s: damping_series(schedule, L, s) for s in range(1, schedule.K + 1)}
-    cross_ok = True
-    margin = math.inf
-    for s in range(2, schedule.K + 1):
-        bound = series[s].endpoint
-        T_prev = schedule.T[s - 2]
-        for c in series[s - 1].values:
-            gap = bound - c * (1 + T_prev)
-            margin = min(margin, gap)
-            if gap <= 0:
-                cross_ok = False
-    top_ok = True
-    T_K = schedule.T[-1]
-    for c in series[schedule.K].values:
-        gap = schedule.M - c * (1 + T_K)
-        margin = min(margin, gap)
-        if gap <= 0:
-            top_ok = False
+    series = [damping_series(schedule, L, s) for s in range(1, schedule.K + 1)]
+    # level s's constants are bounded by level s + 1's endpoint, the top level's by M
+    bounds = [values[-1] for values in series[1:]] + [schedule.M]
+    margin = min(
+        bound - c * (1 + T)
+        for values, T, bound in zip(series, schedule.T, bounds)
+        for c in values
+    )
     return SeriesDominationReport(
-        applicable=applicable, cross_level_ok=cross_ok, top_level_ok=top_ok, margin=margin
+        applicable=schedule.M >= 6.0 * L and not schedule.clamped, margin=margin
     )

@@ -1,6 +1,7 @@
 import inspect
 
 import nestvr
+from nestvr.harness import verify_epoch_decrease
 
 
 def test_public_names_resolve_without_duplicates():
@@ -16,3 +17,8 @@ def test_epoch_and_product_take_only_what_the_program_passes():
     counter = inspect.signature(nestvr.hvp_estimate).parameters["counter"]
     assert counter.kind is inspect.Parameter.KEYWORD_ONLY
     assert counter.default is inspect.Parameter.empty
+
+
+def test_epoch_decrease_check_takes_no_trial_count():
+    params = inspect.signature(verify_epoch_decrease).parameters
+    assert list(params) == ["problem", "schedule", "rng"]

@@ -395,6 +395,15 @@ class TestRunFinite:
         assert "nc-probe" not in [e.kind for e in out.trace.events if e.u > 1]
 
 
+    def test_escape_step_out_of_the_ball_is_flagged(self):
+        # the step eta = eps_H / L2 = 1/3 is wider than the certified radius
+        prob = make_saddle_problem(dim=4, n=16, negative_eigenvalue=-1.0, seed=1, radius=0.05)
+        cfg = configure(prob, 1e-3, 0.1, order=2, overrides={"U": 1})
+        out = run_driver(prob, cfg, make_rng(0))
+        assert [e.kind for e in out.trace.events] == ["grad-check", "nc-probe", "nc-step", "terminate"]
+        assert np.linalg.norm(out.z_final - prob.x0) == pytest.approx(1 / 3)
+        assert out.out_of_domain
+
     def test_gram_population_queries_keep_the_run(self):
         # the regularized family answers population queries from its Gram
         # matrix; answering them from the index-order rows instead changes

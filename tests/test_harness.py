@@ -13,6 +13,7 @@ from nestvr import (
     clamp_schedule,
     derive_schedule,
     make_regularized_problem,
+    make_rng,
     make_saddle_problem,
     make_streaming_quadratic_problem,
     make_streaming_saddle_problem,
@@ -240,10 +241,15 @@ class TestStrictProblemFields:
     )
     def test_ignored_fields_rejected_with_path(self, family, base, ignored):
         value = {"n": 8, "negative_eigenvalue": -0.5, "quartic": 0.5, "radius": 1.0, "noise": 0.2}
+        # values of the wrong type or range: an unused field is not checked
+        invalid = [-1.0, 2.5, "x", 0.5, None]
         for key in ignored:
-            doc = {"family": family, "dim": 4, **base, key: value[key]}
-            with pytest.raises(ConfigError, match=rf"problem\.{key}: not used by family '{family}'"):
-                parse_config(with_problem(doc))
+            for given in [value[key], *invalid]:
+                doc = {"family": family, "dim": 4, **base, key: given}
+                with pytest.raises(
+                    ConfigError, match=rf"problem\.{key}: not used by family '{family}'"
+                ):
+                    parse_config(with_problem(doc))
         # every field the family does read is accepted and lands on the spec
         doc = {"family": family, "dim": 4, "seed": 3, **{k: value[k] for k in FAMILIES[family].fields}}
         cfg = parse_config(with_problem(doc))
@@ -366,13 +372,35 @@ class TestVerifySuites:
             assert lhs == pytest.approx(q / p, rel=1e-12)
             assert rhs == pytest.approx(q / p, rel=1e-10)
 
+    def test_geometric_tail_closed_form_matches_long_sum(self, monkeypatch):
+        # each case of `nestvr verify --seed 0`, summed term by term until the
+        # omitted terms are below 1e-16 of the largest b
+        sides_of = hz._geometric_tail_sides
+        cases = []
+
+        def recording(p, a, slack):
+            sides = sides_of(p, a, slack)
+            cases.append((p, a, slack, sides))
+            return sides
+
+        monkeypatch.setattr(hz, "_geometric_tail_sides", recording)
+        assert hz.verify_geometric_tail_inequality(make_rng(0)).passed
+        assert len(cases) == 100
+        for p, a, slack, (lhs, rhs) in cases:
+            q = 1.0 - p
+            k_long = math.ceil(math.log(1e-16) / math.log(q)) + len(a)
+            long_lhs = q / p * sum(p * q**k * (a[k] if k < len(a) else 0.0) for k in range(k_long))
+            long_rhs = sum(p * q**k * (float(a[:k].sum()) + slack) for k in range(k_long))
+            assert abs(lhs - long_lhs) <= 1e-12 * max(1.0, long_rhs)
+            assert abs(rhs - long_rhs) <= 1e-12 * max(1.0, long_rhs)
+
     def test_series_domination(self):
         assert verify_series_domination().passed
 
     def test_epoch_decrease_smoke(self, rng):
         problem = make_regularized_problem(dim=20, n=300, seed=1)
         schedule = clamp_schedule(derive_schedule(64, M=6.0 * problem.smoothness.L1), 300)
-        report = verify_epoch_decrease(problem, schedule, trials=60, rng=rng)
+        report = verify_epoch_decrease(problem, schedule, rng)
         assert report.passed
         assert report.lhs_mean <= report.rhs_mean + report.allowance
 
@@ -381,7 +409,7 @@ class TestVerifySuites:
         # inequality must hold on the descent term alone
         problem = make_regularized_problem(dim=20, n=256, seed=3)
         schedule = clamp_schedule(derive_schedule(256, M=6.0 * problem.smoothness.L1), 256)
-        report = verify_epoch_decrease(problem, schedule, trials=120, rng=rng)
+        report = verify_epoch_decrease(problem, schedule, rng)
         assert report.passed
 
     def test_epoch_decrease_full_batch_override(self, rng):
@@ -389,14 +417,14 @@ class TestVerifySuites:
         # check still runs
         problem = make_regularized_problem(dim=10, n=128, seed=4)
         schedule = clamp_schedule(derive_schedule(128, M=6.0 * problem.smoothness.L1), 128)
-        report = verify_epoch_decrease(problem, schedule, trials=80, rng=rng)
+        report = verify_epoch_decrease(problem, schedule, rng)
         assert report.passed
 
     def test_epoch_decrease_rejects_small_M(self, rng):
         problem = make_regularized_problem(dim=4, n=20, seed=2)
         schedule = clamp_schedule(derive_schedule(16, M=1.0), 20)
         with pytest.raises(ValueError):
-            verify_epoch_decrease(problem, schedule, trials=5, rng=rng)
+            verify_epoch_decrease(problem, schedule, rng)
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(ConfigError):

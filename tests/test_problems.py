@@ -36,6 +36,16 @@ def test_smoothness_spec_rejects_nonpositive():
                 SmoothnessSpec(sigma2=1.0, delta_F=1.0, **constants)
 
 
+def test_outside_ball_rule():
+    # outside means farther than radius (1 + 1e-9) from x0; no radius, no ball
+    prob = make_saddle_problem(2, 4, -1.0, seed=0, radius=0.5)
+    for distance, outside in ((0.5, False), (0.5 * (1 + 5e-10), False), (0.5 * (1 + 2e-9), True)):
+        assert prob.outside_ball(prob.x0 + np.array([0.0, distance])) is outside
+    quad = make_quadratic_problem(np.eye(2), 4, seed=0)
+    assert quad.smoothness.radius is None
+    assert not quad.outside_ball(np.full(2, 1e300))
+
+
 class TestSampling:
     def test_full_set_forced(self, rng):
         idx = sample_indices_without_replacement(5, 5, rng)

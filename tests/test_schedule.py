@@ -148,10 +148,10 @@ def test_damping_series_endpoint_and_recursion():
     sch = derive_schedule(16, M=6.0)
     series = damping_series(sch, L=1.0, s=2)
     # endpoint M / (6^(K-s+1) prod_{l=s}^K T_l) = 6 / (6 * 2)
-    assert series.endpoint == pytest.approx(0.5, rel=1e-15)
+    assert series[-1] == pytest.approx(0.5, rel=1e-15)
     # hand-run recursion: c1 = 1.5 * 0.5 + (3/6) / 24, c0 = 1.5 * c1 + (3/6) / 24
-    assert series.values[1] == pytest.approx(float(Fraction(37, 48)), rel=1e-13)
-    assert series.values[0] == pytest.approx(float(Fraction(113, 96)), rel=1e-13)
+    assert series[1] == pytest.approx(float(Fraction(37, 48)), rel=1e-13)
+    assert series[0] == pytest.approx(float(Fraction(113, 96)), rel=1e-13)
 
 
 def test_damping_series_zero_smoothness_is_pure_geometric():
@@ -159,15 +159,15 @@ def test_damping_series_zero_smoothness_is_pure_geometric():
     for s in range(1, sch.K + 1):
         series = damping_series(sch, L=0.0, s=s)
         T_s = sch.T[s - 1]
-        for j, c in enumerate(series.values):
-            assert c == pytest.approx((1 + 1 / T_s) ** (T_s - j) * series.endpoint, rel=1e-12)
+        for j, c in enumerate(series):
+            assert c == pytest.approx((1 + 1 / T_s) ** (T_s - j) * series[-1], rel=1e-12)
 
 
 def test_series_domination_canonical():
     for B0 in (4, 16, 256):
         report = check_series_domination(derive_schedule(B0, M=6.0), L=1.0)
         assert report.applicable
-        assert report.cross_level_ok and report.top_level_ok
+        assert report.passed
         assert report.margin > 0
 
 
@@ -175,13 +175,77 @@ def test_series_domination_top_level_inequality():
     # every top-level constant times (1 + T_K) stays strictly under M
     sch = derive_schedule(256, M=6.0)
     series = damping_series(sch, L=1.0, s=sch.K)
-    for c in series.values:
+    for c in series:
         assert c * (1 + sch.T[-1]) < sch.M
 
 
 def test_series_domination_flagged_when_hypothesis_unmet():
     report = check_series_domination(derive_schedule(256, M=1.0), L=1.0)
     assert not report.applicable  # M < 6 L: computed anyway, no guarantee
+
+
+def reference_damping_series(schedule, L, s):
+    """The level-s constants filled in backwards from the endpoint, slot by slot."""
+    M = schedule.M
+    T_s = schedule.T[s - 1]
+    endpoint = M / (6 ** (schedule.K - s + 1) * math.prod(schedule.T[s - 1 :]))
+    increment = (3.0 * L * L / M) * (math.prod(schedule.T[s:]) / schedule.B[s - 1])
+    vals = [0.0] * (T_s + 1)
+    vals[T_s] = endpoint
+    for j in range(T_s - 1, -1, -1):
+        vals[j] = (1.0 + 1.0 / T_s) * vals[j + 1] + increment
+    return vals
+
+
+def reference_gaps(schedule, L):
+    """Every gap of the ordering, one per inequality: level s - 1's constants
+    times (1 + T_{s-1}) under level s's endpoint, the top level's under M."""
+    series = {s: reference_damping_series(schedule, L, s) for s in range(1, schedule.K + 1)}
+    gaps = []
+    for s in range(2, schedule.K + 1):
+        bound = series[s][-1]
+        T_prev = schedule.T[s - 2]
+        gaps += [bound - c * (1 + T_prev) for c in series[s - 1]]
+    T_K = schedule.T[-1]
+    gaps += [schedule.M - c * (1 + T_K) for c in series[schedule.K]]
+    return gaps
+
+
+class TestSeriesDominationReference:
+    """The check's one margin against every gap, inequality by inequality."""
+
+    schedules = [
+        derive_schedule(B0, M) for B0 in (4, 16, 256, 65536) for M in (1.0, 6.0, 60.0)
+    ] + [clamp_schedule(derive_schedule(256, M=6.0), 1000)]
+
+    @pytest.mark.parametrize("L", [0.0, 0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("schedule", schedules, ids=lambda s: f"B0={s.B0},M={s.M},{s.clamped}")
+    def test_margin_is_least_gap(self, schedule, L):
+        report = check_series_domination(schedule, L)
+        gaps = reference_gaps(schedule, L)
+        assert report.margin == min(gaps)  # bit for bit
+        assert report.passed == all(gap > 0 for gap in gaps)
+        assert report.applicable == (schedule.M >= 6.0 * L and not schedule.clamped)
+        for s in range(1, schedule.K + 1):
+            assert list(damping_series(schedule, L, s)) == reference_damping_series(schedule, L, s)
+
+    def test_canonical_margins(self):
+        margins = [
+            check_series_domination(derive_schedule(B0, M=6.0), 1.0).margin
+            for B0 in (4, 16, 256, 65536)
+        ]
+        assert margins == [2.46875, 0.20572916666666674, 0.00857204861111111, 8.92921730324074e-05]
+        report = check_series_domination(derive_schedule(256, M=1.0), 1.0)
+        assert report.margin == -0.40950520833333304
+        assert not (report.applicable or report.passed)
+
+    @pytest.mark.parametrize("L", [math.nan, math.inf, -math.inf, -1.0])
+    def test_invalid_smoothness_rejected(self, L):
+        schedule = derive_schedule(256, M=6.0)
+        with pytest.raises(ValueError, match="L must be >= 0 and finite"):
+            damping_series(schedule, L, 1)
+        with pytest.raises(ValueError, match="L must be >= 0 and finite"):
+            check_series_domination(schedule, L)
 
 
 def test_schedule_json_dict():

@@ -29,15 +29,13 @@ from .epoch import (
 from .ncfinder import (
     NCQuery,
     NCResult,
-    find_nc_direction_finite,
-    find_nc_direction_online,
+    find_nc_direction,
     hvp_estimate,
 )
 from .problems import (
     FiniteSumProblem,
     GradCounter,
     SmoothnessSpec,
-    StreamingProblem,
     make_quadratic_problem,
     make_regularized_problem,
     make_rng,
@@ -74,13 +72,11 @@ __all__ = [
     "run_epoch",
     "NCQuery",
     "NCResult",
-    "find_nc_direction_finite",
-    "find_nc_direction_online",
+    "find_nc_direction",
     "hvp_estimate",
     "FiniteSumProblem",
     "GradCounter",
     "SmoothnessSpec",
-    "StreamingProblem",
     "make_quadratic_problem",
     "make_regularized_problem",
     "make_rng",

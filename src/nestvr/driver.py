@@ -20,13 +20,12 @@ import time
 import numpy as np
 
 from .epoch import run_epoch
-from .ncfinder import (
-    NCQuery,
-    find_nc_direction_finite,
-    find_nc_direction_online,
-)
+from .ncfinder import NCQuery, find_nc_direction
 from .problems import Array, GradCounter, Problem
 from .schedule import NestedSchedule, clamp_schedule, derive_schedule
+
+# one search under both names that perfbench/spans.py wraps
+find_nc_direction_finite = find_nc_direction_online = find_nc_direction
 
 #: per-call failure probabilities below this are floored before reaching the
 #: curvature finder, avoiding degenerate log(1/delta) budgets at desk scale
@@ -149,6 +148,13 @@ def check_override(key: str, value: object, path: str | None = None) -> int | fl
     return float(value)
 
 
+def _positive_finite(name: str, value: float) -> float:
+    """``value``, or a ValueError naming it when it is not positive and finite."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"derived {name} = {value!r} is not positive and finite")
+    return value
+
+
 def configure(
     problem: Problem, eps: float, eps_H: float, *, order: int, overrides: dict | None = None
 ) -> DriverConfig:
@@ -172,6 +178,9 @@ def configure(
     ``M`` or ``eta`` (checked by :func:`check_override`), and each replaced
     value stays recorded in ``derived``.  The schedule is clamped at ``n``.
     ``eps`` and ``eps_H`` must lie in (0, 1), checked before any formula.
+    A value that a constant at the edge of the float range takes to 0 or to
+    infinity (the powers c and g, eps^2, ``B0`` or ``U``) is a ValueError that
+    names it, with or without overrides.
     """
     if isinstance(order, bool) or not isinstance(order, numbers.Integral) or order not in (2, 3):
         raise ValueError(f"order: must be 2 or 3, got {order!r}")
@@ -180,11 +189,19 @@ def configure(
     s = problem.smoothness
     finite = problem.is_finite_sum
     if order == 2:
-        c, g, eta = s.L2**2, eps_H**3, eps_H / s.L2
+        try:
+            c = s.L2**2
+        except OverflowError:  # float ** raises where a product reads inf
+            c = math.inf
+        names, g, eta = ("L2^2", "eps_H^3"), eps_H**3, eps_H / s.L2
     elif s.L3 is None:
         raise ValueError("third-order configuration needs the problem's L3 constant")
     else:
-        c, g, eta = s.L3, eps_H**2, math.sqrt((3.0 if finite else 1.0) * eps_H / s.L3)
+        names, c, g = ("L3", "eps_H^2"), s.L3, eps_H**2
+        eta = math.sqrt((3.0 if finite else 1.0) * eps_H / s.L3)
+    # the formulas divide by these: one that underflows to 0 is an error
+    for name, value in ((names[0], c), (names[1], g), ("eps^2", eps**2)):
+        _positive_finite(name, value)
     if finite:
         a, u, b = (144.0, 24.0, 1800.0) if order == 2 else (72.0, 12.0, 1800.0 * 600.0)
         B0, M = problem.n, 6.0 * s.L1
@@ -196,12 +213,13 @@ def configure(
         log_arg = 2500.0 * C1 * max(r * s.sigma2 * c / (s.L1 * g), 6.0) * s.delta_F * s.L1 / eps**2
         branch = max(64.0 * (1.0 + math.log2(log_arg)), 96.0 * C1)
         # nesting needs B0 >= 4 even when sigma^2 eps^-2 is degenerately small
-        B0 = max(4, math.ceil(s.sigma2 / eps**2 * branch))
+        B0 = max(4, math.ceil(_positive_finite("B0", s.sigma2 / eps**2 * branch)))
         rho = max(r * s.sigma2 * c / (s.L1 * g * math.sqrt(B0)), 6.0)
         M = 2.0 * rho * s.L1
         delta = 1.0 / (q * s.delta_F * c / g)
         U = u * s.delta_F * c / g + 96.0 * C1 * rho * s.delta_F * s.L1 / (math.sqrt(B0) * eps**2)
-    values: dict[str, float] = {"B0": B0, "U": max(1, math.ceil(U)), "M": M, "eta": eta}
+    U = max(1, math.ceil(_positive_finite("U", U)))
+    values: dict[str, float] = {"B0": B0, "U": U, "M": M, "eta": eta}
     derived: dict[str, float] = {}
     if overrides:
         unknown = set(overrides) - set(OVERRIDE_KEYS)
@@ -241,10 +259,10 @@ def run_driver(problem: Problem, config: DriverConfig, rng: np.random.Generator)
     """Gradient test, then an epoch or a probe-and-step, until certified or out of budget.
 
     The gradient test's batch is ``n`` on a finite sum (the population,
-    against eps), else the base batch (against eps / 2); the oracle family
-    also picks the finder.  A non-finite measured gradient or iterate ends
-    the run as diverged.  ``out_of_domain`` is set once an epoch iterate or
-    an escape step leaves the certified ball (:meth:`Problem.outside_ball`).
+    against eps), else the base batch (against eps / 2).  A non-finite
+    measured gradient or iterate ends the run as diverged.  ``out_of_domain``
+    is set once an epoch iterate or an escape step leaves the certified ball
+    (:meth:`Problem.outside_ball`).
     """
     finite = problem.is_finite_sum
     counter = GradCounter()
@@ -257,12 +275,11 @@ def run_driver(problem: Problem, config: DriverConfig, rng: np.random.Generator)
     # clamp it to a usable probability before handing it to the finder
     nc_delta = min(max(config.delta, DELTA_FLOOR), 0.5)
     z = np.asarray(problem.x0, dtype=float).copy()
+    f_z = problem.value(z)  # F is evaluated once per new point
     out_of_domain = False
 
     def finish(status: str, u: int, grad_norm: float, **kw) -> DriverOutcome:
-        trace.add(
-            "terminate", u, counter.count, f_value=problem.value(z), grad_norm=grad_norm, **kw
-        )
+        trace.add("terminate", u, counter.count, f_value=f_z, grad_norm=grad_norm, **kw)
         return DriverOutcome(
             z_final=z,
             status=status,
@@ -276,9 +293,7 @@ def run_driver(problem: Problem, config: DriverConfig, rng: np.random.Generator)
         counter.add(check_batch)
         g = problem.sample_batch_grad(z, check_batch, rng)
         gnorm = float(np.linalg.norm(g))
-        trace.add(
-            "grad-check", u, counter.count, f_value=problem.value(z), grad_norm=gnorm
-        )
+        trace.add("grad-check", u, counter.count, f_value=f_z, grad_norm=gnorm)
         if not _is_finite(gnorm, z):
             # a NaN norm fails the threshold test too; without this stop the
             # probe's abstention on NaN products would read as a certificate
@@ -287,19 +302,18 @@ def run_driver(problem: Problem, config: DriverConfig, rng: np.random.Generator)
             res = run_epoch(z, problem, config.schedule, rng, counter)
             z = res.x_out
             out_of_domain = out_of_domain or res.out_of_domain
-            trace.add("epoch", u, counter.count, f_value=problem.value(z))
+            f_z = problem.value(z)
+            trace.add("epoch", u, counter.count, f_value=f_z)
         else:
             query = NCQuery(z=z, eps_H=config.eps_H, delta=nc_delta)
             nc = probe(problem, query, rng, counter)
-            trace.add(
-                "nc-probe", u, counter.count, f_value=problem.value(z),
-                rayleigh=nc.rayleigh_estimate,
-            )
+            trace.add("nc-probe", u, counter.count, f_value=f_z, rayleigh=nc.rayleigh_estimate)
             if nc.is_bottom:
                 return finish(STATUS_CERTIFIED, u, gnorm, rayleigh=nc.rayleigh_estimate)
             z = nc_descent_step(z, nc.direction, config.eta, rng)
             out_of_domain = out_of_domain or problem.outside_ball(z)
-            trace.add("nc-step", u, counter.count, f_value=problem.value(z))
+            f_z = problem.value(z)
+            trace.add("nc-step", u, counter.count, f_value=f_z)
 
     final_norm = float(np.linalg.norm(problem.full_grad(z)))  # verification, uncharged
     status = STATUS_EXHAUSTED if _is_finite(final_norm, z) else STATUS_DIVERGED

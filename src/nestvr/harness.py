@@ -341,12 +341,8 @@ def run_experiment(config: ExperimentConfig) -> list[TrialResult]:
     return results
 
 
-def _fmt(value: float | int | None) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, int):
-        return str(value)
-    return repr(float(value))
+def _fmt(value: float | None) -> str:
+    return "" if value is None else repr(float(value))
 
 
 def _json_float(value: float) -> float | None:

@@ -48,7 +48,6 @@ from .problems import (
     FiniteSumProblem,
     GradCounter,
     Problem,
-    StreamingProblem,
     sample_indices_without_replacement,
 )
 
@@ -103,15 +102,15 @@ def hvp_estimate(
     v: Array,
     q: float,
     batch: int,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
     *,
     counter: GradCounter,
 ) -> Array:
     """Forward-difference Hessian-vector product estimate at displacement q.
 
-    ``batch`` is a sample size, drawn from ``rng`` by the oracle.  On a finite
+    ``batch`` is a sample size, drawn from ``rng`` by the oracle; on a finite
     sum it lies in 1..n, and ``problem.n`` (every component, read in place)
-    needs no generator.  Charges ``2 batch`` to ``counter``.
+    draws nothing.  Charges ``2 batch`` to ``counter``.
     """
     if not q > 0.0:
         raise ValueError(f"displacement must be positive, got {q}")
@@ -120,8 +119,6 @@ def hvp_estimate(
         raise ValueError("direction must be unit norm")
     if not (isinstance(batch, numbers.Integral) and batch >= 1):
         raise ValueError(f"batch must be a sample size >= 1, got {batch!r}")
-    if rng is None and batch != problem.n:
-        raise ValueError(f"a product over {batch} sampled components needs a generator")
     z = np.asarray(z, dtype=float)
     diff = problem.sample_batch_grad_diff(z + q * v, z, batch, rng)
     counter.add(2 * int(batch))
@@ -192,26 +189,38 @@ def _certify(
     roundoff allowance; on a stream the mean over several independent
     batches, with a 5-standard-error allowance from their spread."""
     if problem.is_finite_sum:
-        w = hvp_estimate(problem, query.z, v, q, problem.n, counter=counter)
+        w = hvp_estimate(problem, query.z, v, q, problem.n, rng, counter=counter)
         value = float(v @ w)
         return value, 1e-9 * (1.0 + abs(value))
     vals = np.empty(ONLINE_CERT_BATCHES)
     for i in range(ONLINE_CERT_BATCHES):
-        w = hvp_estimate(problem, query.z, v, q, ONLINE_CERT_BATCH_MIN, rng=rng, counter=counter)
+        w = hvp_estimate(problem, query.z, v, q, ONLINE_CERT_BATCH_MIN, rng, counter=counter)
         vals[i] = float(v @ w)
     spread = float(vals.std(ddof=1)) / math.sqrt(ONLINE_CERT_BATCHES)
     return float(vals.mean()), 5.0 * spread + 1e-9
 
 
-def _lanczos_search(
+def find_nc_direction(
     problem: Problem,
     query: NCQuery,
     rng: np.random.Generator,
     counter: GradCounter,
 ) -> NCResult:
-    """One Lanczos run over the products of the population, of one row
-    subsample or of fresh stream batches, each Ritz candidate certified by
-    :func:`_certify` (see the module docstring).
+    """Negative-curvature search at ``query.z``: one Lanczos run over the
+    products of the population, of one row subsample or of fresh stream
+    batches, each Ritz candidate certified by :func:`_certify` (see the
+    module docstring).  A stream's products read max(64, ceil(4 L1 / eps_H))
+    samples each.
+
+    Contract: a returned direction v satisfies v' H(z) v <= -eps_H / 2,
+    whatever the declared spread or the noise of the products, since it is
+    returned only when its certificate clears that bar; if lambda_min(H(z)) <
+    -eps_H a direction is found with probability at least 1 - delta; if
+    lambda_min >= -eps_H / 2 abstention is returned with probability at least
+    1 - delta.  The band in between carries no contract.  On a stream,
+    detection and abstention assume exact paired differences (each product
+    deterministic given z, v and q), as every stream in
+    :mod:`nestvr.problems` has.
 
     A Ritz vector that fails its certificate is not measured again until
     another Ritz value crosses the bar."""
@@ -221,14 +230,13 @@ def _lanczos_search(
     q = _displacement(query, s.L2)
     candidate_bar = -0.75 * query.eps_H
     accept_bar = -0.5 * query.eps_H
-    operator, draws = problem, None
+    operator = problem
     if problem.is_finite_sum:
         rows = _subsample_size(problem, query)
         if rows < problem.n:
             operator = problem.subsample(sample_indices_without_replacement(problem.n, rows, rng))
         batch = operator.n
     else:
-        draws = rng  # each product reads a fresh batch
         batch = max(ONLINE_PRODUCT_BATCH_MIN, math.ceil(4.0 * s.L1 / query.eps_H))
     steps = _lanczos_steps(query, s.L1, dim, subsampled=operator is not problem)
     basis = np.empty((steps, dim))
@@ -239,7 +247,7 @@ def _lanczos_search(
     below = tried = 0  # Ritz values below the bar, and at the last certificate
     for k in range(steps):
         basis[k] = v
-        w = hvp_estimate(operator, query.z, v, q, batch, rng=draws, counter=counter)
+        w = hvp_estimate(operator, query.z, v, q, batch, rng, counter=counter)
         a = float(v @ w)
         pivot = _ldl_pivot(a, b, pivot, candidate_bar)
         below += pivot < 0.0
@@ -265,46 +273,3 @@ def _lanczos_search(
     return NCResult(
         direction=None, rayleigh_estimate=smallest, grads_used=counter.count - start_count
     )
-
-
-def find_nc_direction_finite(
-    problem: FiniteSumProblem,
-    query: NCQuery,
-    rng: np.random.Generator,
-    counter: GradCounter,
-) -> NCResult:
-    """Negative-curvature search against a finite-sum oracle: one Lanczos run,
-    over one row subsample when the problem's declared ``hessian_spread``
-    allows fewer than n rows.
-
-    Contract: a returned direction v satisfies v' H(z) v <= -eps_H / 2 (it is
-    certified by a population product before being returned, whatever the
-    declared spread); if lambda_min(H(z)) < -eps_H a direction is found with
-    probability at least 1 - delta; if lambda_min >= -eps_H / 2 abstention is
-    returned with probability at least 1 - delta.  The band in between
-    carries no contract.
-    """
-    if not problem.is_finite_sum:
-        raise ValueError("expected a finite-sum problem")
-    return _lanczos_search(problem, query, rng, counter)
-
-
-def find_nc_direction_online(
-    problem: StreamingProblem,
-    query: NCQuery,
-    rng: np.random.Generator,
-    counter: GradCounter,
-) -> NCResult:
-    """Negative-curvature search against a streaming oracle: one Lanczos run
-    over fresh batches of max(64, ceil(4 L1 / eps_H)) samples per product.
-
-    Contract: soundness is unconditional, as for a finite sum: a direction
-    is returned only when its certificate, whose allowance grows with the
-    spread it measures, clears -eps_H / 2, however noisy the products.
-    Detection and abstention at probability 1 - delta, as for a finite sum,
-    assume exact paired differences (each product deterministic given z, v
-    and q), as every stream in :mod:`nestvr.problems` has.
-    """
-    if problem.is_finite_sum:
-        raise ValueError("expected a streaming problem")
-    return _lanczos_search(problem, query, rng, counter)

@@ -1,11 +1,12 @@
 """Objective-function oracles for nested variance-reduced optimization.
 
-Two oracle families are provided:
+Every oracle is a :class:`Problem`, and ``n`` tells its family
+(:attr:`Problem.is_finite_sum`):
 
 * :class:`FiniteSumProblem` -- an average of ``n`` component functions with a
   component-gradient oracle plus verification-only full gradient / Hessian.
-* :class:`StreamingProblem` -- a stochastic-gradient oracle that draws a fresh
-  sample per call (``n`` is unbounded).
+* a stream (``n`` is None) -- a stochastic-gradient oracle that draws fresh
+  samples per call, with no bound on their number.
 
 All synthetic problems carry hand-coded gradients and Hessians (no autodiff)
 and a :class:`SmoothnessSpec` with constants certified on a declared ball.
@@ -97,7 +98,9 @@ class Problem:
     curvature probes and gradient tests call: the mean over ``size`` sampled
     components of their gradients at x, or of their differences between x and
     y.  It draws from ``rng`` only what it reads.  ``n`` is the number of
-    components, None for a stream."""
+    components, None for a stream, whose call draws ``size`` fresh samples,
+    any number of them, and pairs the same samples at both points of a
+    difference."""
 
     dim: int
     x0: Array
@@ -194,12 +197,6 @@ class FiniteSumProblem(Problem):
         raise NotImplementedError
 
 
-class StreamingProblem(Problem):
-    """Expectation objective: a sampled call draws ``size`` fresh samples,
-    with no bound on ``size``, and a two-point correction pairs the same
-    samples at both points."""
-
-
 def sample_indices_without_replacement(n: int, m: int, rng: np.random.Generator) -> Array:
     """Uniformly random size-``m`` subset of ``range(n)``, without replacement.
 
@@ -234,7 +231,9 @@ def _is_population(idx: Array | int, n: int) -> bool:
 
 
 def _zero_sum_noise(n: int, dim: int, scale: float, rng: np.random.Generator) -> Array:
-    """Rows of per-component linear-noise vectors summing exactly to zero."""
+    """Rows of per-component linear-noise vectors, centred on their mean: they
+    sum to zero up to roundoff (a few 1e-15 per entry for 256 rows at scale
+    0.1), which is why the population reads their mean, ``noise_mean``."""
     if n == 1 or scale == 0.0:
         return np.zeros((n, dim))
     c = rng.standard_normal((n, dim)) * scale
@@ -248,10 +247,10 @@ GRAD_MEMO_SIZE = 8
 
 
 class _LinearNoiseProblem(FiniteSumProblem):
-    """f_i(x) = F(x) + c_i . x with sum_i c_i = 0: the mean recovers F exactly
-    and every component shares F's Hessian.  The linear noise cancels exactly
-    in two-point gradient differences, which therefore read no rows and draw
-    no indices.
+    """f_i(x) = F(x) + c_i . x with sum_i c_i = 0 up to roundoff: the mean is F
+    plus the residue's linear term, and every component shares F's Hessian.
+    The linear noise cancels exactly in two-point gradient differences, which
+    therefore read no rows and draw no indices.
 
     Subclasses set ``dim``, ``x0`` and ``smoothness`` and implement ``value``,
     ``hessian`` and ``_exact_grad``, the uncached gradient of F.  The oracle
@@ -330,7 +329,10 @@ class _SeparableQuarticProblem(_LinearNoiseProblem):
         lam_min = float(self.diag.min())
         lam_max = float(self.diag.max())
         # Hessian eigenvalues on the ball lie in [lam_min, lam_max + 12 a R^2].
-        L1 = max(abs(lam_min), abs(lam_max) + 12.0 * a * radius**2)
+        try:
+            L1 = max(abs(lam_min), abs(lam_max) + 12.0 * a * radius**2)
+        except OverflowError:  # float ** raises where a product reads inf
+            L1 = math.inf  # which SmoothnessSpec rejects
         L2 = 24.0 * a * radius
         L3 = 24.0 * a
         # At x0 = 0 the optimal gap is the sum of the per-coordinate well depths
@@ -609,7 +611,7 @@ def make_quadratic_problem(
     return QuadraticProblem(H, b, rows, x0=x0)
 
 
-class AdditiveNoiseStreamingProblem(StreamingProblem):
+class AdditiveNoiseStreamingProblem(Problem):
     """Streaming oracle grad F(x; xi) = grad F(x) + xi, xi ~ N(0, s^2 I).
 
     The mean of a batch of B fresh noises is N(0, s^2/B I), so batch means are
@@ -653,7 +655,7 @@ def make_streaming_saddle_problem(
     quartic: float = 0.25,
     radius: float = 2.0,
     noise: float = 0.1,
-) -> StreamingProblem:
+) -> Problem:
     """Streaming counterpart of :func:`make_saddle_problem`."""
     core = make_saddle_problem(
         dim, 1, negative_eigenvalue, seed, quartic=quartic, radius=radius, noise=0.0
@@ -667,7 +669,7 @@ def make_streaming_quadratic_problem(
     *,
     noise: float = 0.1,
     x0: Array | None = None,
-) -> StreamingProblem:
+) -> Problem:
     core = make_quadratic_problem(H, 1, seed, noise=0.0, x0=x0)
     return AdditiveNoiseStreamingProblem(core, noise)
 

@@ -30,8 +30,7 @@ from nestvr import (
     draw_epoch_length,
     exact_expected_epoch_cost,
     expected_epoch_cost,
-    find_nc_direction_finite,
-    find_nc_direction_online,
+    find_nc_direction,
     make_regularized_problem,
     make_rng,
     make_saddle_problem,
@@ -152,14 +151,13 @@ def test_criterion_06_nc_finder_contracts():
     unsound = 0
     counts = {}
     for mode, streaming in (("finite", False), ("online", True)):
-        finder = find_nc_direction_online if streaming else find_nc_direction_finite
         found = 0
         for s in range(trials):
             problem, _ = random_symmetric_fixture(
                 20, -2 * eps_H, seed=6000 + s, streaming=streaming
             )
             query = NCQuery(z=problem.x0, eps_H=eps_H, delta=delta)
-            res = finder(problem, query, make_rng(6500 + s), GradCounter())
+            res = find_nc_direction(problem, query, make_rng(6500 + s), GradCounter())
             if res.direction is not None:
                 found += 1
                 if rayleigh(problem, problem.x0, res.direction) > -eps_H / 2 + 1e-6:
@@ -170,7 +168,7 @@ def test_criterion_06_nc_finder_contracts():
                 20, 0.0, seed=7000 + s, streaming=streaming, lambda_rest=(0.0, 1.0)
             )
             query = NCQuery(z=problem.x0, eps_H=eps_H, delta=delta)
-            res = finder(problem, query, make_rng(7500 + s), GradCounter())
+            res = find_nc_direction(problem, query, make_rng(7500 + s), GradCounter())
             if res.direction is None:
                 bottoms += 1
             elif rayleigh(problem, problem.x0, res.direction) > -eps_H / 2 + 1e-6:
@@ -217,7 +215,7 @@ def test_criterion_08_nc_step_decrease():
     assert eta3 == pytest.approx(math.sqrt(3 * eps_H / sm.L3), rel=1e-12)
 
     query = NCQuery(z=problem.x0, eps_H=eps_H, delta=0.1)
-    res = find_nc_direction_finite(problem, query, make_rng(808), GradCounter())
+    res = find_nc_direction(problem, query, make_rng(808), GradCounter())
     assert res.direction is not None
     v = res.direction
     ray = rayleigh(problem, problem.x0, v)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from conftest import DeclaredSpecProblem, DeclaredSpecStreaming, subgaussian_che
 
 from nestvr import (
     DriverConfig,
+    RunTrace,
     SmoothnessSpec,
     clamp_schedule,
     classify_point,
@@ -252,6 +254,31 @@ class TestConfigure:
         with pytest.raises(ValueError, match=r"^eps and eps_H must lie in \(0, 1\), got "):
             configure(problem, thresholds["eps"], thresholds["eps_H"], order=order)
 
+    @pytest.mark.parametrize(
+        "order,smooth,eps,eps_H,name",
+        [
+            (2, spec(L2=1e-200), 0.1, 0.1, "L2^2 = 0.0"),
+            (2, spec(L2=1e200), 0.1, 0.1, "L2^2 = inf"),
+            (2, spec(), 0.1, 1e-110, "eps_H^3 = 0.0"),
+            (3, spec(L3=1.0), 0.1, 1e-170, "eps_H^2 = 0.0"),
+            (2, spec(), 1e-200, 0.1, "eps^2 = 0.0"),
+        ],
+    )
+    @pytest.mark.parametrize("family", list(SHELLS))
+    def test_powers_out_of_float_range_rejected(self, family, order, smooth, eps, eps_H, name):
+        # the formulas divide by these; a float ** that overflows raises,
+        # and one that underflows reads 0
+        problem = SHELLS[family](smooth)
+        message = rf"^derived {re.escape(name)} is not positive and finite$"
+        with pytest.raises(ValueError, match=message):
+            configure(problem, eps, eps_H, order=order, overrides={"U": 5})
+
+    @pytest.mark.parametrize("change", [{"eps": 1.0}, {"eps_H": 0.0}, {"U": 0}, {"eta": 0.0}])
+    def test_config_fields_checked(self, change):
+        cfg = configure(DeclaredSpecProblem(100, 4, spec()), 0.1, 0.5, order=2)
+        with pytest.raises(ValueError, match=r"^(eps and eps_H|U|eta) must "):
+            dataclasses.replace(cfg, **change)
+
     def test_family_comes_from_the_problem(self):
         # the criterion-07 saddle, a finite sum, gets the finite-sum formulas,
         # and a stream (n = None) gets the streaming ones
@@ -352,6 +379,30 @@ class TestRunFinite:
             if "nc-probe" in kinds and "nc-step" not in kinds:
                 assert kinds[-1] == "terminate"  # an abstaining probe is terminal
         assert out.trace.events[-1].kind == "terminate"
+
+    def test_value_evaluated_once_per_point(self, monkeypatch):
+        # F is read at the start and after each epoch or escape step; the
+        # check, the probe and the terminate event reuse the value of the
+        # point they stand on
+        prob, cfg = saddle_and_config(seed=3)
+        calls = []
+        value = prob.value
+        monkeypatch.setattr(prob, "value", lambda x: calls.append(1) or value(x))
+        out = run_driver(prob, cfg, make_rng(11))
+        kinds = [e.kind for e in out.trace.events]
+        assert kinds.count("epoch") > 0 and kinds.count("nc-step") > 0
+        assert len(calls) == 1 + kinds.count("epoch") + kinds.count("nc-step")
+        assert out.trace.events[-1].f_value == value(out.z_final)
+
+    @pytest.mark.parametrize(
+        "kind,grads_cum,message", [("bogus", 5, "unknown event kind"), ("epoch", 3, "went backwards")]
+    )
+    def test_trace_rejects_bad_events(self, kind, grads_cum, message):
+        trace = RunTrace()
+        trace.add("grad-check", 1, 4)
+        with pytest.raises(ValueError, match=message):
+            trace.add(kind, 1, grads_cum)
+        assert len(trace.events) == 1
 
     def test_counter_monotone_in_trace(self):
         prob, cfg = saddle_and_config(seed=5)

@@ -216,6 +216,7 @@ class TestConfig:
             ("problem.quartic", 0.0, "must be positive and finite"),
             ("problem.seed", -1, "must be >= 0"),
             ("seed", -1, "must be >= 0"),
+            ("trials", 0, "must be >= 1"),
             ("algorithm.overrides.B0", 2, "must be >= 4"),
             ("algorithm.overrides.U", 0, "must be >= 1"),
             ("algorithm.overrides.M", -1.0, "must be positive and finite"),
@@ -224,6 +225,20 @@ class TestConfig:
     )
     def test_value_ranges_checked_with_path(self, path, value, rule):
         with pytest.raises(ConfigError, match=rf"^{re.escape(path)}: {rule}, got "):
+            parse_config(with_value(path, value))
+
+    @pytest.mark.parametrize(
+        "path,value,message",
+        [
+            ("problem", [1], "problem: expected an object, got list"),
+            ("algorithm.overrides", [1], "algorithm.overrides: expected an object"),
+            ("algorithm.overrides", {"Q": 1}, "algorithm.overrides: unknown keys ['Q']"),
+            ("algorithm.eps", 1.5, "algorithm.eps/eps_H: must lie in (0, 1)"),
+            ("algorithm.eps_H", 0.0, "algorithm.eps/eps_H: must lie in (0, 1)"),
+        ],
+    )
+    def test_malformed_fields_rejected_with_path(self, path, value, message):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(message)}$"):
             parse_config(with_value(path, value))
 
 
@@ -537,8 +552,9 @@ class TestCli:
     def test_verify_fast_suites_pass(self, capsys):
         assert cli_main(["verify", "--suite", "schedule"]) == 0
         assert cli_main(["verify", "--suite", "series-domination"]) == 0
-        out = capsys.readouterr().out
-        assert "PASS" in out
+        assert cli_main(["verify", "--suite", "epoch-decrease", "--seed", "0"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 3 and all("  PASS  " in line for line in lines)
 
     def test_verify_unknown_suite_exits_1(self):
         assert cli_main(["verify", "--suite", "wat"]) == 1
@@ -606,6 +622,36 @@ class TestCli:
         assert re.match(f"config error: {message}", err) and "Traceback" not in err
         assert built == [] and not out.exists()
 
+    @pytest.mark.parametrize(
+        "problem,algorithm,name",
+        [
+            ({"family": "saddle", "n": 256, "quartic": 1e-300}, {}, "L2^2 = 0.0"),
+            ({"family": "saddle", "n": 256, "quartic": 1e300}, {}, "L2^2 = inf"),
+            ({"family": "saddle", "n": 256}, {"eps_H": 1e-110}, "eps_H^3 = 0.0"),
+            ({"family": "saddle", "n": 256}, {"eps": 1e-200}, "eps^2 = 0.0"),
+            ({"family": "saddle", "n": 256, "negative_eigenvalue": -1e150}, {}, "U = inf"),
+            ({"family": "streaming-saddle", "noise": 1e150}, {}, "B0 = inf"),
+            ({"family": "saddle", "n": 256, "radius": 1e200}, {}, "SmoothnessSpec.L1"),
+        ],
+        ids=["quartic-tiny", "quartic-huge", "eps_H", "eps", "negative_eigenvalue", "noise", "radius"],
+    )
+    def test_run_rejects_values_out_of_float_range(
+        self, tmp_path, capsys, problem, algorithm, name
+    ):
+        # each config parses, but a derived constant underflows to 0 or
+        # overflows; the U override does not help
+        path = write_config(tmp_path, with_problem({"dim": 8, **problem}, **algorithm))
+        out = tmp_path / "f"
+        assert cli_main(["run", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and name in err
+        assert "Traceback" not in err and not out.exists()
+
+    def test_run_needs_an_output_directory(self, tmp_path, capsys):
+        path = write_config(tmp_path, BASE_CONFIG)
+        assert cli_main(["run", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("config error: no output directory")
+
     def test_run_small_population_with_base_batch_override(self, tmp_path):
         problem = {"family": "saddle", "dim": 4, "n": 3}
         path = write_config(tmp_path, with_problem(problem, overrides={"U": 5, "B0": 4}))
@@ -626,6 +672,15 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert doc["lambda_min"] == pytest.approx(-1.0, abs=1e-12)
         assert doc["is_sosp"] is False
+
+    def test_classify_rejects_radius_out_of_float_range(self, tmp_path, capsys):
+        doc = with_value("problem.radius", 1e200)
+        cfg_path = write_config(tmp_path, doc)
+        point_path = tmp_path / "pt.json"
+        point_path.write_text(json.dumps([0.0] * 8))
+        assert cli_main(["classify", "--config", str(cfg_path), "--point", str(point_path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: SmoothnessSpec.L1 must be positive and finite")
 
     def test_classify_dimension_mismatch(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, BASE_CONFIG)

@@ -10,8 +10,7 @@ import nestvr.ncfinder as ncf
 from nestvr import (
     GradCounter,
     NCQuery,
-    find_nc_direction_finite,
-    find_nc_direction_online,
+    find_nc_direction,
     hvp_estimate,
     make_quadratic_problem,
     make_regularized_problem,
@@ -20,14 +19,14 @@ from nestvr import (
     make_streaming_quadratic_problem,
     make_streaming_saddle_problem,
 )
-from nestvr.problems import StreamingProblem
+from nestvr.problems import Problem
 
 
 def query_for(z, eps_H=0.1, delta=0.1):
     return NCQuery(z=np.asarray(z, dtype=float), eps_H=eps_H, delta=delta)
 
 
-class HessianNoiseStream(StreamingProblem):
+class HessianNoiseStream(Problem):
     """A stream whose samples carry Hessian noise: f(x; xi) = F(x) +
     x' E_xi x / 2 around a quadratic core, with E_xi symmetric Gaussian of
     mean zero and entry scale ``noise``.  A paired difference over B samples
@@ -76,13 +75,13 @@ class TestHvpEstimate:
         v = rng.standard_normal(6)
         v /= np.linalg.norm(v)
         for q in (1e-1, 1e-4):
-            est = hvp_estimate(prob, prob.x0, v, q, prob.n, counter=GradCounter())
+            est = hvp_estimate(prob, prob.x0, v, q, prob.n, rng, counter=GradCounter())
             assert np.allclose(est, H @ v, atol=1e-9)
 
     def test_basis_action_on_diagonal(self):
         prob = make_quadratic_problem(np.diag([3.0, -2.0]), 2, seed=0, noise=0.0)
         e1 = np.array([1.0, 0.0])
-        est = hvp_estimate(prob, prob.x0, e1, 1e-3, prob.n, counter=GradCounter())
+        est = hvp_estimate(prob, prob.x0, e1, 1e-3, prob.n, make_rng(0), counter=GradCounter())
         assert np.allclose(est, [3.0, 0.0], atol=1e-10)
 
     def test_quartic_taylor_bound(self):
@@ -92,7 +91,7 @@ class TestHvpEstimate:
         z = np.array([1.0, 0.0])
         v = np.array([1.0, 0.0])
         q = 1e-4
-        est = hvp_estimate(prob, z, v, q, prob.n, counter=GradCounter())
+        est = hvp_estimate(prob, z, v, q, prob.n, make_rng(0), counter=GradCounter())
         # hessian entry along v at z: 1 + 3 z^2 = 4
         assert abs(est[0] - 4.0) <= 3 * 6.0 * q
 
@@ -100,39 +99,58 @@ class TestHvpEstimate:
         prob, _ = random_symmetric_fixture(4, -0.5, seed=3)
         counter = GradCounter()
         v = np.array([1.0, 0, 0, 0])
-        hvp_estimate(prob, prob.x0, v, 1e-3, prob.n, counter=counter)
+        hvp_estimate(prob, prob.x0, v, 1e-3, prob.n, rng, counter=counter)
         assert counter.count == 2 * 6
         sprob, _ = random_symmetric_fixture(4, -0.5, seed=3, streaming=True)
-        hvp_estimate(sprob, sprob.x0, v, 1e-3, 8, rng=rng, counter=counter)
+        hvp_estimate(sprob, sprob.x0, v, 1e-3, 8, rng, counter=counter)
         assert counter.count == 2 * 6 + 2 * 8
 
     def test_population_batch_charges_two_n(self):
         prob, _ = random_symmetric_fixture(4, -0.5, seed=3)
         v = np.array([0.0, 1.0, 0, 0])
         counter = GradCounter()
-        est = hvp_estimate(prob, prob.x0, v, 1e-3, prob.n, counter=counter)
+        est = hvp_estimate(prob, prob.x0, v, 1e-3, prob.n, make_rng(0), counter=counter)
         assert counter.count == 2 * prob.n
         diff = prob.batch_grad_diff(prob.x0 + 1e-3 * v, prob.x0, np.arange(prob.n))
         assert np.array_equal(est, diff / 1e-3)
 
     @pytest.mark.parametrize(
-        "batch", [5, np.asarray(5), 0, np.array([], dtype=int), np.arange(6), np.arange(3)]
+        "batch", [7, np.asarray(5), 0, np.array([], dtype=int), np.arange(6), np.arange(3)]
     )
     def test_bad_finite_batch_rejected(self, batch):
-        # n = 6: without a generator a finite-sum product covers the whole
-        # population, so any other size and every index array, even all of
-        # them, is refused
+        # n = 6: a product takes a sample size in 1..n, so a size outside it
+        # and every index array, even all of them, is refused
         prob, _ = random_symmetric_fixture(4, -0.5, seed=3)
         counter = GradCounter()
         with pytest.raises(ValueError):
-            hvp_estimate(prob, prob.x0, np.array([1.0, 0, 0, 0]), 1e-3, batch, counter=counter)
+            e1 = np.array([1.0, 0, 0, 0])
+            hvp_estimate(prob, prob.x0, e1, 1e-3, batch, make_rng(0), counter=counter)
+        assert counter.count == 0
+
+    def test_sampled_finite_batch_charges_two_per_sample(self):
+        # n = 6: size 5 is a product over 5 sampled rows, whose linear noise
+        # cancels, so it equals the population's product
+        prob, _ = random_symmetric_fixture(4, -0.5, seed=3)
+        e1 = np.array([1.0, 0, 0, 0])
+        counter = GradCounter()
+        est = hvp_estimate(prob, prob.x0, e1, 1e-3, 5, make_rng(0), counter=counter)
+        assert counter.count == 10
+        full = hvp_estimate(prob, prob.x0, e1, 1e-3, prob.n, make_rng(0), counter=GradCounter())
+        assert np.array_equal(est, full)
+
+    def test_non_unit_direction_rejected(self):
+        prob, _ = random_symmetric_fixture(4, -0.5, seed=3)
+        counter = GradCounter()
+        with pytest.raises(ValueError, match="unit norm"):
+            v = np.array([1.01, 0, 0, 0])
+            hvp_estimate(prob, prob.x0, v, 1e-3, prob.n, make_rng(0), counter=counter)
         assert counter.count == 0
 
     def test_zero_displacement_rejected(self):
         prob, _ = random_symmetric_fixture(4, -0.5, seed=4)
         with pytest.raises(ValueError):
             e1 = np.array([1.0, 0, 0, 0])
-            hvp_estimate(prob, prob.x0, e1, 0.0, prob.n, counter=GradCounter())
+            hvp_estimate(prob, prob.x0, e1, 0.0, prob.n, make_rng(0), counter=GradCounter())
 
     def test_forward_difference_error_slope(self):
         # full-batch estimates converge at rate O(q): log-log slope 1 +- 0.2
@@ -143,7 +161,7 @@ class TestHvpEstimate:
         qs = np.array([1e-2, 1e-3, 1e-4, 1e-5])
         errs = []
         for q in qs:
-            est = hvp_estimate(prob, z, v, float(q), prob.n, counter=GradCounter())
+            est = hvp_estimate(prob, z, v, float(q), prob.n, make_rng(0), counter=GradCounter())
             errs.append(np.linalg.norm(est - H @ v))
         slope = np.polyfit(np.log(qs), np.log(errs), 1)[0]
         assert abs(slope - 1.0) <= 0.2
@@ -177,7 +195,7 @@ def test_sturm_count_matches_eigenvalues(alpha, beta, bar):
 class TestFinderContracts:
     def test_saddle_direction_found_and_sound(self):
         prob = make_saddle_problem(6, 12, -1.0, seed=6)
-        res = find_nc_direction_finite(
+        res = find_nc_direction(
             prob, query_for(prob.x0, eps_H=0.5), make_rng(31), GradCounter()
         )
         assert res.direction is not None
@@ -201,7 +219,7 @@ class TestFinderContracts:
             cert_products = 1
         calls = []
 
-        def spy(problem, z, v, q, batch, rng=None, *, counter):
+        def spy(problem, z, v, q, batch, rng, *, counter):
             before = counter.count
             out = hvp(problem, z, v, q, batch, rng, counter=counter)
             calls.append((np.array(v), batch, counter.count - before))
@@ -209,10 +227,9 @@ class TestFinderContracts:
 
         hvp = ncf.hvp_estimate
         monkeypatch.setattr(ncf, "hvp_estimate", spy)
-        finder = find_nc_direction_online if streaming else find_nc_direction_finite
         query = query_for(prob.x0, eps_H=0.5)
         counter = GradCounter()
-        res = finder(prob, query, make_rng(31), counter)
+        res = find_nc_direction(prob, query, make_rng(31), counter)
         assert res.direction is not None
         steps, certs = calls[:-cert_products], calls[-cert_products:]
         assert all(batch == step_batch and charge == 2 * step_batch for _, batch, charge in steps)
@@ -230,7 +247,7 @@ class TestFinderContracts:
         # eigenvalue -1, and one more product certifies its Ritz vector
         prob = make_saddle_problem(6, 12, -1.0, seed=6)
         counter = GradCounter()
-        res = find_nc_direction_finite(
+        res = find_nc_direction(
             prob, query_for(prob.x0, eps_H=0.5), make_rng(31), counter
         )
         assert res.direction is not None
@@ -245,7 +262,7 @@ class TestFinderContracts:
         prob = make_saddle_problem(6, 12, -1.0, seed=6)
         steps = []
 
-        def spy(problem, z, v, q, batch, rng=None, *, counter):
+        def spy(problem, z, v, q, batch, rng, *, counter):
             out = hvp(problem, z, v, q, batch, rng, counter=counter)
             if steps and np.linalg.norm(np.array(steps) @ v) > 0.5:
                 return out + 2.0 * v  # a Ritz vector, measured 2 too high
@@ -256,7 +273,7 @@ class TestFinderContracts:
         monkeypatch.setattr(ncf, "hvp_estimate", spy)
         counter = GradCounter()
         query = query_for(prob.x0, eps_H=0.5)
-        res = find_nc_direction_finite(prob, query, make_rng(31), counter)
+        res = find_nc_direction(prob, query, make_rng(31), counter)
         assert res.is_bottom
         assert len(steps) == ncf._lanczos_steps(query, prob.smoothness.L1, 6)
         # one certificate: the failed Ritz value is not re-measured at each step
@@ -269,7 +286,7 @@ class TestFinderContracts:
         prob, eigs = random_symmetric_fixture(8, 0.05, seed=11)
         query = query_for(prob.x0)
         counter = GradCounter()
-        res = find_nc_direction_finite(prob, query, make_rng(53), counter)
+        res = find_nc_direction(prob, query, make_rng(53), counter)
         assert res.is_bottom
         assert counter.count <= 2 * prob.n * ncf._lanczos_steps(query, prob.smoothness.L1, 8)
         lam = float(np.linalg.eigvalsh(prob.hessian(prob.x0)).min())
@@ -277,21 +294,21 @@ class TestFinderContracts:
 
     def test_convex_quadratic_abstains(self):
         prob = make_quadratic_problem(np.eye(8), 4, seed=1, noise=0.1)
-        res = find_nc_direction_finite(
+        res = find_nc_direction(
             prob, query_for(prob.x0), make_rng(37), GradCounter()
         )
         assert res.is_bottom
 
     def test_streaming_convex_abstains(self):
         prob = make_streaming_quadratic_problem(np.eye(8), seed=2, noise=0.1)
-        res = find_nc_direction_online(
+        res = find_nc_direction(
             prob, query_for(prob.x0), make_rng(41), GradCounter()
         )
         assert res.is_bottom
 
     def test_streaming_saddle_found(self):
         prob, eigs = random_symmetric_fixture(10, -0.4, seed=7, streaming=True)
-        res = find_nc_direction_online(
+        res = find_nc_direction(
             prob, query_for(prob.x0, eps_H=0.2), make_rng(43), GradCounter()
         )
         assert res.direction is not None
@@ -300,12 +317,11 @@ class TestFinderContracts:
     @pytest.mark.parametrize("streaming", [False, True])
     def test_statistical_contracts_small(self, streaming):
         # 40-seed smoke version of the full acceptance batteries
-        finder = find_nc_direction_online if streaming else find_nc_direction_finite
         eps_H, delta = 0.1, 0.1
         found = sound = 0
         for s in range(40):
             prob, _ = random_symmetric_fixture(12, -2 * eps_H, seed=100 + s, streaming=streaming)
-            res = finder(prob, query_for(prob.x0, eps_H, delta), make_rng(500 + s), GradCounter())
+            res = find_nc_direction(prob, query_for(prob.x0, eps_H, delta), make_rng(500 + s), GradCounter())
             if res.direction is not None:
                 found += 1
                 sound += rayleigh(prob, prob.x0, res.direction) <= -eps_H / 2 + 1e-6
@@ -316,7 +332,7 @@ class TestFinderContracts:
             prob, _ = random_symmetric_fixture(
                 12, 0.02, seed=900 + s, streaming=streaming, lambda_rest=(0.02, 1.0)
             )
-            res = finder(prob, query_for(prob.x0, eps_H, delta), make_rng(1500 + s), GradCounter())
+            res = find_nc_direction(prob, query_for(prob.x0, eps_H, delta), make_rng(1500 + s), GradCounter())
             bottom += res.is_bottom
         assert bottom >= math.floor((1 - delta) * 40 - 3 * math.sqrt(40 * delta * (1 - delta)))
 
@@ -345,7 +361,7 @@ class TestFinderContracts:
             for core in (bent, flat):
                 prob = HessianNoiseStream(core, noise)
                 before = len(certificates)
-                res = find_nc_direction_online(
+                res = find_nc_direction(
                     prob, query_for(prob.x0, eps_H, delta), make_rng(500 + s), GradCounter()
                 )
                 if res.direction is not None:
@@ -354,18 +370,9 @@ class TestFinderContracts:
                     flat_certificates += len(certificates) - before
         assert flat_certificates > 0
 
-    def test_wrong_problem_kind_rejected(self):
-        fprob, _ = random_symmetric_fixture(4, -0.5, seed=8)
-        sprob, _ = random_symmetric_fixture(4, -0.5, seed=8, streaming=True)
-        q = query_for(fprob.x0)
-        with pytest.raises(ValueError):
-            find_nc_direction_finite(sprob, q, make_rng(0), GradCounter())
-        with pytest.raises(ValueError):
-            find_nc_direction_online(fprob, q, make_rng(0), GradCounter())
-
     def test_abstention_reports_best_estimate(self):
         prob = make_quadratic_problem(np.eye(5), 4, seed=3, noise=0.0)
-        res = find_nc_direction_finite(
+        res = find_nc_direction(
             prob, query_for(prob.x0), make_rng(47), GradCounter()
         )
         assert res.is_bottom
@@ -397,7 +404,7 @@ class TestSubsampledLanczos:
         calls, subsamples = [], []
         hvp = ncf.hvp_estimate
 
-        def spy(problem, z, v, q, batch, rng=None, *, counter):
+        def spy(problem, z, v, q, batch, rng, *, counter):
             before = counter.count
             out = hvp(problem, z, v, q, batch, rng, counter=counter)
             calls.append((problem, batch, counter.count - before))
@@ -412,7 +419,7 @@ class TestSubsampledLanczos:
         monkeypatch.setattr(prob, "subsample", subsample)
         counter = GradCounter()
         query = query_for(z, self.eps_H, self.delta)
-        res = find_nc_direction_finite(prob, query, make_rng(seed), counter)
+        res = find_nc_direction(prob, query, make_rng(seed), counter)
         return res, counter, calls, subsamples
 
     def test_error_budget_split(self):
@@ -473,7 +480,7 @@ class TestSubsampledLanczos:
         results = []
         for p in (prob, undeclared):
             rng, counter = make_rng(9), GradCounter()
-            res = find_nc_direction_finite(p, query, rng, counter)
+            res = find_nc_direction(p, query, rng, counter)
             # the next draw matches only if neither search took an index set
             results.append((res, counter.count, rng.random()))
         (a, count_a, next_a), (b, count_b, next_b) = results
@@ -495,13 +502,13 @@ class TestSubsampledLanczos:
             query = query_for(z, eps_H, delta)
             assert ncf._subsample_size(prob, query) < prob.n
             assert np.linalg.eigvalsh(prob.hessian(z))[0] < -eps_H
-            res = find_nc_direction_finite(prob, query, make_rng(2500 + s), GradCounter())
+            res = find_nc_direction(prob, query, make_rng(2500 + s), GradCounter())
             if res.direction is not None:
                 found += 1
                 sound += rayleigh(prob, z, res.direction) <= -eps_H / 2 + 1e-6
             origin = query_for(prob.x0, eps_H, delta)
             assert np.linalg.eigvalsh(prob.hessian(prob.x0))[0] >= -eps_H / 2
-            res = find_nc_direction_finite(prob, origin, make_rng(3500 + s), GradCounter())
+            res = find_nc_direction(prob, origin, make_rng(3500 + s), GradCounter())
             bottom += res.is_bottom
         assert sound == found
         assert found >= floor

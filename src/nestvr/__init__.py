@@ -36,11 +36,9 @@ from .problems import (
     FiniteSumProblem,
     GradCounter,
     SmoothnessSpec,
-    make_quadratic_problem,
     make_regularized_problem,
     make_rng,
     make_saddle_problem,
-    make_streaming_quadratic_problem,
     make_streaming_saddle_problem,
     sample_indices_without_replacement,
     spawn_rngs,
@@ -77,11 +75,9 @@ __all__ = [
     "FiniteSumProblem",
     "GradCounter",
     "SmoothnessSpec",
-    "make_quadratic_problem",
     "make_regularized_problem",
     "make_rng",
     "make_saddle_problem",
-    "make_streaming_quadratic_problem",
     "make_streaming_saddle_problem",
     "sample_indices_without_replacement",
     "spawn_rngs",

@@ -194,8 +194,6 @@ def configure(
         except OverflowError:  # float ** raises where a product reads inf
             c = math.inf
         names, g, eta = ("L2^2", "eps_H^3"), eps_H**3, eps_H / s.L2
-    elif s.L3 is None:
-        raise ValueError("third-order configuration needs the problem's L3 constant")
     else:
         names, c, g = ("L3", "eps_H^2"), s.L3, eps_H**2
         eta = math.sqrt((3.0 if finite else 1.0) * eps_H / s.L3)

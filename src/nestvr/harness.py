@@ -50,7 +50,6 @@ from .problems import (
     make_regularized_problem,
     make_rng,
     make_saddle_problem,
-    make_streaming_quadratic_problem,
     make_streaming_saddle_problem,
     spawn_rngs,
     subsample_variance_report,
@@ -71,13 +70,10 @@ class Family:
     """How one problem family is built: ``factory`` takes ``dim``, ``seed`` and
     each of ``fields`` as keywords.  A config that sets a problem field outside
     ``fields``, other than ``family``, ``dim`` and ``seed``, is rejected, and
-    so is one below the factory's smallest ``dim`` or ``n``.  ``has_L3``
-    declares whether the built problem's smoothness carries an L3 constant,
-    which smoothness order 3 needs."""
+    so is one below the factory's smallest ``dim`` or ``n``."""
 
     factory: Callable[..., Problem]
     fields: tuple[str, ...]
-    has_L3: bool
     min_dim: int = 1
     min_n: int = 1
 
@@ -87,21 +83,15 @@ class Family:
         return "n" in self.fields
 
 
-def _streaming_quadratic(dim: int, seed: int, noise: float) -> Problem:
-    return make_streaming_quadratic_problem(np.eye(dim), seed, noise=noise)
-
-
 FAMILIES = {
     "saddle": Family(
-        make_saddle_problem, ("n", "negative_eigenvalue", "noise", "quartic", "radius"),
-        has_L3=True, min_dim=2,
+        make_saddle_problem, ("n", "negative_eigenvalue", "noise", "quartic", "radius"), min_dim=2
     ),
-    "regularized": Family(make_regularized_problem, ("n",), has_L3=False, min_n=2),
+    "regularized": Family(make_regularized_problem, ("n",), min_n=2),
     "streaming-saddle": Family(
         make_streaming_saddle_problem, ("negative_eigenvalue", "noise", "quartic", "radius"),
-        has_L3=True, min_dim=2,
+        min_dim=2,
     ),
-    "streaming-quadratic": Family(_streaming_quadratic, ("noise",), has_L3=False),
 }
 
 
@@ -244,11 +234,6 @@ def parse_config(doc: dict) -> ExperimentConfig:
         out=doc.get("out"),
     )
     fam = FAMILIES[family]
-    if config.algorithm.smoothness_order == 3 and not fam.has_L3:
-        raise ConfigError(
-            f"algorithm.smoothness_order: family {family!r} has no L3 constant, "
-            "so it runs at order 2 only, got 3"
-        )
     if fam.is_finite_sum and "B0" not in overrides:
         # the derived base batch is n, which must meet B0's minimum
         try:
@@ -660,6 +645,8 @@ def cli_main(argv: list[str] | None = None) -> int:
             return 0
 
         if args.command == "verify":
+            if args.seed < 0:
+                raise ConfigError(f"--seed: must be >= 0, got {args.seed}")
             names = list(SUITES) if args.suite == "all" else [args.suite]
             results = run_verify_suite(names, args.seed)
             width = max(len(r.name) for r in results)

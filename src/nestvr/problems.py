@@ -68,9 +68,8 @@ class SmoothnessSpec:
     """Smoothness metadata attached to a problem.
 
     ``L1``: gradient Lipschitz constant, ``L2``: Hessian Lipschitz constant,
-    ``L3``: third-derivative Lipschitz constant (``None`` unless the problem
-    is declared third-order smooth), ``sigma2``: variance proxy bounding
-    ``E |grad f_i(x) - grad F(x)|^2``, ``delta_F``: upper bound on
+    ``L3``: third-derivative Lipschitz constant, ``sigma2``: variance proxy
+    bounding ``E |grad f_i(x) - grad F(x)|^2``, ``delta_F``: upper bound on
     ``F(x0) - inf F``.  Constants are certified only on the ball of radius
     ``radius`` around the problem's start point (``None`` means global).
     """
@@ -79,16 +78,14 @@ class SmoothnessSpec:
     L2: float
     sigma2: float
     delta_F: float
-    L3: float | None = None
+    L3: float
     radius: float | None = None
 
     def __post_init__(self) -> None:
-        for name in ("L1", "L2", "sigma2", "delta_F"):
+        for name in ("L1", "L2", "L3", "sigma2", "delta_F"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0):
                 raise ValueError(f"SmoothnessSpec.{name} must be positive and finite, got {v}")
-        if self.L3 is not None and not (math.isfinite(self.L3) and self.L3 > 0):
-            raise ValueError(f"SmoothnessSpec.L3 must be positive and finite, got {self.L3}")
         if self.radius is not None and not (math.isfinite(self.radius) and self.radius > 0):
             raise ValueError(f"SmoothnessSpec.radius must be positive and finite, got {self.radius}")
 
@@ -329,16 +326,14 @@ class _SeparableQuarticProblem(_LinearNoiseProblem):
         lam_min = float(self.diag.min())
         lam_max = float(self.diag.max())
         # Hessian eigenvalues on the ball lie in [lam_min, lam_max + 12 a R^2].
-        try:
-            L1 = max(abs(lam_min), abs(lam_max) + 12.0 * a * radius**2)
-        except OverflowError:  # float ** raises where a product reads inf
-            L1 = math.inf  # which SmoothnessSpec rejects
+        # In Python floats, a constant at the edge of the float range takes
+        # these to inf, which SmoothnessSpec rejects, with no numpy warning.
+        L1 = max(abs(lam_min), abs(lam_max) + 12.0 * a * radius * radius)
         L2 = 24.0 * a * radius
         L3 = 24.0 * a
         # At x0 = 0 the optimal gap is the sum of the per-coordinate well depths
         # h_j^2 / (16 a) over negative-curvature coordinates.
-        neg = self.diag[self.diag < 0]
-        gap = float((neg**2).sum() / (16.0 * a)) if neg.size else 0.0
+        gap = sum(h * h for h in self.diag.tolist() if h < 0) / (16.0 * a)
         self.smoothness = SmoothnessSpec(
             L1=L1,
             L2=L2,
@@ -381,6 +376,8 @@ def make_saddle_problem(
         raise ValueError(f"n must be >= 1, got {n}")
     if not negative_eigenvalue < 0:
         raise ValueError(f"negative_eigenvalue must be < 0, got {negative_eigenvalue}")
+    if not quartic > 0:
+        raise ValueError(f"quartic must be > 0, got {quartic}")
     rng = make_rng(seed)
     diag = np.ones(dim)
     diag[-1] = negative_eigenvalue
@@ -394,10 +391,20 @@ ROW_BLOCK_BYTES = 2**18
 
 
 class _RegularizedLeastSquaresProblem(FiniteSumProblem):
-    """f_i(x) = 1/2 (a_i . x - y_i)^2 + sum_j x_j^2 / (1 + x_j^2).
+    """f_i(x) = 1/2 (a_i . x - y_i)^2 + sum_j r(x_j), r(t) = t^2 / (1 + t^2).
 
     The nonconvex regularizer has r''(0) = 2, |r''| <= 2 and |r'''| <= 12,
     giving global L1 = max_i |a_i|^2 + 2 and L2 = 12.
+
+    L3 = 24 = sup |r''''|, attained at t = 0.  Since r = 1 - 1/(1 + t^2) and
+    the k-th derivative of 1/(1 + t^2) is at most k! in absolute value,
+    |r''''| <= 24, and r''''(0) = -24.  The least-squares part is quadratic,
+    so D^3 f_i(x) = D^3 F(x) is the diagonal tensor with entries r'''(x_j).
+    For a unit u, sum_j |u_j|^3 <= sum_j u_j^2 = 1, so
+    |(D^3 F(x) - D^3 F(y))[u, u, u]| = |sum_j (r'''(x_j) - r'''(y_j)) u_j^3|
+    <= max_j |r'''(x_j) - r'''(y_j)| <= 24 max_j |x_j - y_j| <= 24 |x - y|.
+    The norm of a symmetric trilinear form is its sup over u = v = w, hence
+    |D^3 F(x) - D^3 F(y)| <= 24 |x - y| everywhere.
 
     ``value`` and the population queries (the integer batch ``n``,
     ``full_grad`` and ``hessian``) are served in O(d^2) from the
@@ -435,7 +442,7 @@ class _RegularizedLeastSquaresProblem(FiniteSumProblem):
         # F >= 0 everywhere, so F(x0) bounds the optimal gap.
         delta_F = self.value(self.x0)
         self.smoothness = SmoothnessSpec(
-            L1=L1, L2=L2, sigma2=max(sigma2, 1e-12), delta_F=max(delta_F, 1e-12)
+            L1=L1, L2=L2, L3=24.0, sigma2=max(sigma2, 1e-12), delta_F=max(delta_F, 1e-12)
         )
 
     def _variance_probes(self) -> Array:
@@ -553,64 +560,6 @@ def make_regularized_problem(dim: int, n: int, seed: int | np.random.SeedSequenc
     return _RegularizedLeastSquaresProblem(A, y)
 
 
-class QuadraticProblem(_LinearNoiseProblem):
-    """F(x) = 1/2 x^T H x + b . x with linear component noise; exact oracles.
-
-    Constant Hessian makes finite-difference Hessian-vector products exact up
-    to roundoff, which the curvature-search tests rely on.
-    """
-
-    def __init__(self, H: Array, b: Array | None, noise_rows: Array, x0: Array | None = None):
-        super().__init__(noise_rows)
-        self.H = np.asarray(H, dtype=float)
-        if not np.allclose(self.H, self.H.T, atol=1e-12):
-            raise ValueError("quadratic matrix must be symmetric")
-        self.dim = self.H.shape[0]
-        self.b = np.zeros(self.dim) if b is None else np.asarray(b, dtype=float)
-        self.x0 = np.zeros(self.dim) if x0 is None else np.asarray(x0, dtype=float)
-
-        eigs = np.linalg.eigvalsh(self.H)
-        L1 = max(float(np.abs(eigs).max()), 1e-6)
-        # Quadratics have no Hessian curvature; keep a tiny positive L2 so the
-        # spec's positivity invariant holds while Taylor error terms stay nil.
-        self.smoothness = SmoothnessSpec(
-            L1=L1,
-            L2=1e-9,
-            sigma2=self.sigma2,
-            delta_F=max(self._gap(eigs), 1e-12),
-        )
-
-    def _gap(self, eigs: Array) -> float:
-        if eigs.min() <= 1e-9 * max(float(np.abs(eigs).max()), 1.0):
-            return 1.0  # unbounded below or singular; nominal gap, fixtures override budgets
-        xstar = np.linalg.solve(self.H, -self.b)
-        return self.value(self.x0) - self.value(xstar)
-
-    def value(self, x: Array) -> float:
-        return float(0.5 * x @ self.H @ x + self.b @ x)
-
-    def _exact_grad(self, x: Array) -> Array:
-        return self.H @ x + self.b
-
-    def hessian(self, x: Array) -> Array:
-        return self.H.copy()
-
-
-def make_quadratic_problem(
-    H: Array,
-    n: int,
-    seed: int | np.random.SeedSequence,
-    *,
-    noise: float = 0.1,
-    b: Array | None = None,
-    x0: Array | None = None,
-) -> QuadraticProblem:
-    rng = make_rng(seed)
-    H = np.asarray(H, dtype=float)
-    rows = _zero_sum_noise(n, H.shape[0], noise, rng)
-    return QuadraticProblem(H, b, rows, x0=x0)
-
-
 class AdditiveNoiseStreamingProblem(Problem):
     """Streaming oracle grad F(x; xi) = grad F(x) + xi, xi ~ N(0, s^2 I).
 
@@ -660,17 +609,6 @@ def make_streaming_saddle_problem(
     core = make_saddle_problem(
         dim, 1, negative_eigenvalue, seed, quartic=quartic, radius=radius, noise=0.0
     )
-    return AdditiveNoiseStreamingProblem(core, noise)
-
-
-def make_streaming_quadratic_problem(
-    H: Array,
-    seed: int | np.random.SeedSequence,
-    *,
-    noise: float = 0.1,
-    x0: Array | None = None,
-) -> Problem:
-    core = make_quadratic_problem(H, 1, seed, noise=0.0, x0=x0)
     return AdditiveNoiseStreamingProblem(core, noise)
 
 

@@ -16,6 +16,7 @@ from conftest import (
     random_symmetric_fixture,
     rayleigh,
     recording,
+    streaming_quadratic,
     subgaussian_check_batch,
 )
 
@@ -34,7 +35,6 @@ from nestvr import (
     make_regularized_problem,
     make_rng,
     make_saddle_problem,
-    make_streaming_quadratic_problem,
     make_streaming_saddle_problem,
     run_driver,
     run_epoch,
@@ -247,16 +247,16 @@ def test_criterion_09_config_constants_exact():
     def close(got, want):
         checks.append(abs(got - want) <= 1e-12 * max(1.0, abs(want)))
 
-    spec2 = SmoothnessSpec(L1=1.0, L2=2.0, sigma2=1.0, delta_F=1.0)
+    spec2 = SmoothnessSpec(L1=1.0, L2=2.0, L3=1.0, sigma2=1.0, delta_F=1.0)
     close(configure(DeclaredSpecProblem(100, 4, spec2), 0.1, 0.1, order=2).eta, 0.05)
-    spec_d = SmoothnessSpec(L1=1.0, L2=1.0, sigma2=1.0, delta_F=1.0)
+    spec_d = SmoothnessSpec(L1=1.0, L2=1.0, L3=1.0, sigma2=1.0, delta_F=1.0)
     close(configure(DeclaredSpecProblem(100, 4, spec_d), 0.1, 0.1, order=2).delta, 1e-3 / 144.0)
     checks.append(configure(DeclaredSpecProblem(100, 4, spec_d), 0.1, 0.5, order=2).U == 18192)
 
-    tiny = SmoothnessSpec(L1=1.0, L2=1.0, sigma2=1e-4, delta_F=1.0)
+    tiny = SmoothnessSpec(L1=1.0, L2=1.0, L3=1.0, sigma2=1e-4, delta_F=1.0)
     cfg = configure(DeclaredSpecStreaming(4, tiny), 0.1, 0.5, order=2)
     close(cfg.schedule.M, 12.0)  # 2 rho L1 at the floor rho = 6
-    unit = SmoothnessSpec(L1=1.0, L2=1.0, sigma2=1.0, delta_F=1.0)
+    unit = SmoothnessSpec(L1=1.0, L2=1.0, L3=1.0, sigma2=1.0, delta_F=1.0)
     B0 = configure(DeclaredSpecStreaming(4, unit), 0.1, 0.5, order=2).schedule.B0
     checks.append(B0 == 1_920_000)
 
@@ -299,7 +299,7 @@ def test_criterion_11_online_gradient_test():
     def trial_fires(norm: float, seed: int) -> bool:
         x0 = np.zeros(dim)
         x0[0] = norm
-        problem = make_streaming_quadratic_problem(np.eye(dim), seed=seed, noise=noise, x0=x0)
+        problem = streaming_quadratic(np.eye(dim), seed=seed, noise=noise, x0=x0)
         cfg = configure(
             problem, eps=eps, eps_H=0.5, order=2, overrides={"B0": B0, "U": 1, "M": 12.0}
         )

@@ -5,7 +5,13 @@ import re
 import numpy as np
 import pytest
 
-from conftest import DeclaredSpecProblem, DeclaredSpecStreaming, subgaussian_check_batch
+from conftest import (
+    DeclaredSpecProblem,
+    DeclaredSpecStreaming,
+    make_quadratic_problem,
+    streaming_quadratic,
+    subgaussian_check_batch,
+)
 
 from nestvr import (
     DriverConfig,
@@ -15,11 +21,9 @@ from nestvr import (
     classify_point,
     configure,
     derive_schedule,
-    make_quadratic_problem,
     make_regularized_problem,
     make_rng,
     make_saddle_problem,
-    make_streaming_quadratic_problem,
     make_streaming_saddle_problem,
     nc_descent_step,
     run_driver,
@@ -27,7 +31,7 @@ from nestvr import (
 from nestvr.problems import _RegularizedLeastSquaresProblem
 
 
-def spec(L1=1.0, L2=1.0, L3=None, sigma2=1.0, delta_F=1.0):
+def spec(L1=1.0, L2=1.0, L3=1.0, sigma2=1.0, delta_F=1.0):
     return SmoothnessSpec(L1=L1, L2=L2, L3=L3, sigma2=sigma2, delta_F=delta_F)
 
 
@@ -92,16 +96,6 @@ class TestConfigFormulas:
         prob = DeclaredSpecProblem(100, 4, spec(L3=2.0, delta_F=1.0))
         cfg = configure(prob, eps=0.1, eps_H=0.1, order=3)
         assert cfg.delta == pytest.approx(0.01 / 144.0, rel=1e-12)
-
-    def test_finite_3rd_requires_L3(self):
-        prob = DeclaredSpecProblem(100, 4, spec())
-        with pytest.raises(ValueError):
-            configure(prob, eps=0.1, eps_H=0.1, order=3)
-
-    def test_online_3rd_requires_L3(self):
-        prob = DeclaredSpecStreaming(4, spec())
-        with pytest.raises(ValueError, match="needs the problem's L3 constant"):
-            configure(prob, eps=0.1, eps_H=0.1, order=3)
 
     def test_online_3rd_eta_and_delta(self):
         prob = DeclaredSpecStreaming(4, spec(L3=1.0, delta_F=1.0))
@@ -487,12 +481,24 @@ class TestRunFinite:
             for field in ("f_value", "grad_norm", "rayleigh"):
                 assert getattr(got, field) == pytest.approx(getattr(ref, field), rel=1e-12)
 
+    def test_regularized_certifies_at_order_3(self):
+        # the declared L3 = 24 sets the step and the finder's failure probability
+        prob = make_regularized_problem(20, 500, seed=3)
+        eps, eps_H = 3e-3, 0.1
+        cfg = configure(prob, eps, eps_H, order=3, overrides={"U": 300})
+        assert cfg.eta == math.sqrt(3.0 * eps_H / 24.0)
+        assert cfg.delta == eps_H**2 / (72.0 * 24.0 * prob.smoothness.delta_F)
+        for seed in range(3):
+            out = run_driver(prob, cfg, make_rng(seed))
+            assert out.status == "certified-SOSP" and not out.out_of_domain
+            assert classify_point(prob, out.z_final, eps, eps_H).is_sosp
+
 
 class TestRunOnline:
     def make_case(self, norm, seed=0):
         x0 = np.zeros(12)
         x0[0] = norm
-        prob = make_streaming_quadratic_problem(np.eye(12), seed=seed, noise=0.5, x0=x0)
+        prob = streaming_quadratic(np.eye(12), seed=seed, noise=0.5, x0=x0)
         B0 = subgaussian_check_batch(prob.smoothness.sigma2, 0.1 / 4, 0.05)
         cfg = configure(prob, eps=0.1, eps_H=0.5, order=2, overrides={"B0": B0, "U": 1, "M": 12.0})
         return prob, cfg

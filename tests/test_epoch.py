@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 import numpy as np
 import pytest
 
-from conftest import fixed_length, recording, reset_level
+from conftest import QuadraticProblem, fixed_length, make_quadratic_problem, recording, reset_level
 from nestvr import (
     GradCounter,
     NestedSchedule,
@@ -15,7 +15,6 @@ from nestvr import (
     draw_epoch_length,
     exact_expected_epoch_cost,
     expected_epoch_cost,
-    make_quadratic_problem,
     make_regularized_problem,
     make_rng,
     make_saddle_problem,
@@ -23,10 +22,7 @@ from nestvr import (
     run_epoch,
     sample_indices_without_replacement,
 )
-from nestvr.problems import (
-    QuadraticProblem,
-    _SeparableQuarticProblem,
-)
+from nestvr.problems import _SeparableQuarticProblem
 
 
 @pytest.fixture

@@ -15,7 +15,6 @@ from nestvr import (
     make_regularized_problem,
     make_rng,
     make_saddle_problem,
-    make_streaming_quadratic_problem,
     make_streaming_saddle_problem,
 )
 import nestvr.driver as drv
@@ -121,22 +120,28 @@ class TestConfig:
             "streaming-saddle": make_streaming_saddle_problem(
                 4, -0.5, 3, quartic=0.5, radius=1.0, noise=0.2
             ),
-            "streaming-quadratic": make_streaming_quadratic_problem(np.eye(4), 3, noise=0.2),
         }
+        assert sorted(direct) == sorted(FAMILIES)
         x = np.linspace(-0.5, 0.5, 4)
         for family, want in direct.items():
             own = {k: fields[k] for k in FAMILIES[family].fields}
-            cfg = parse_config(with_problem({"family": family, "dim": 4, "seed": 3, **own}))
+            spec = {"family": family, "dim": 4, "seed": 3, **own}
+            cfg = parse_config(with_problem(spec))
             problem = build_problem(cfg.problem, cfg.seed)
             assert problem.is_finite_sum == FAMILIES[family].is_finite_sum == ("n" in own)
             assert problem.smoothness == want.smoothness
-            assert FAMILIES[family].has_L3 == (problem.smoothness.L3 is not None)
             assert problem.value(x) == want.value(x)
             assert np.array_equal(problem.hessian(x), want.hessian(x))
             config = build_driver_config(problem, cfg.algorithm)
             assert config == drv.configure(want, 1e-3, 0.1, order=2, overrides={"U": 400})
             # M = 6 L1 on a finite sum, 2 rho L1 with rho >= 6 on a stream
             assert (config.schedule.M == 6.0 * problem.smoothness.L1) == problem.is_finite_sum
+            # every family declares L3, so every family runs at order 3, with
+            # the step sqrt(k eps_H / L3): k = 3 on a finite sum, 1 on a stream
+            alg3 = parse_config(with_problem(spec, smoothness_order=3)).algorithm
+            k = 3.0 if problem.is_finite_sum else 1.0
+            eta3 = math.sqrt(k * 0.1 / problem.smoothness.L3)
+            assert build_driver_config(problem, alg3).eta == eta3
 
     @pytest.mark.parametrize("family,extra", [("saddle", {"n": 8}), ("streaming-saddle", {})])
     def test_matching_mode_accepted(self, family, extra):
@@ -146,8 +151,8 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "family,extra,mode",
-        [("streaming-saddle", {}, "finite"), ("streaming-quadratic", {}, "finite"),
-         ("saddle", {"n": 8}, "online"), ("regularized", {"n": 8}, "online")],
+        [("streaming-saddle", {}, "finite"), ("saddle", {"n": 8}, "online"),
+         ("regularized", {"n": 8}, "online")],
     )
     def test_mismatched_mode_rejected(self, family, extra, mode):
         doc = {"family": family, "dim": 4, **extra}
@@ -251,7 +256,6 @@ class TestStrictProblemFields:
             ("saddle", {"n": 8}, []),
             ("regularized", {"n": 16}, ["negative_eigenvalue", "quartic", "radius", "noise"]),
             ("streaming-saddle", {}, ["n"]),
-            ("streaming-quadratic", {}, ["n", "negative_eigenvalue", "quartic", "radius"]),
         ],
     )
     def test_ignored_fields_rejected_with_path(self, family, base, ignored):
@@ -556,6 +560,24 @@ class TestCli:
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 3 and all("  PASS  " in line for line in lines)
 
+    def test_verify_rejects_negative_seed_flag(self, capsys):
+        assert cli_main(["verify", "--suite", "schedule", "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "config error: --seed: must be >= 0, got -1\n"
+        assert captured.out == ""
+
+    def test_run_regularized_at_order_3_certifies(self, tmp_path, capsys):
+        problem = {"family": "regularized", "dim": 20, "n": 500, "seed": 3}
+        doc = with_problem(problem, smoothness_order=3, eps=3e-3, overrides={"U": 300})
+        path = write_config(tmp_path, doc)
+        out = tmp_path / "o3"
+        assert cli_main(["run", "--config", str(path), "--out", str(out)]) == 0
+        assert "(2 certified)" in capsys.readouterr().out
+        for trial in range(2):
+            summary = json.loads((out / f"summary_{trial:03d}.json").read_text())
+            assert summary["status"] == drv.STATUS_CERTIFIED
+            assert summary["final_lambda_min"] >= -0.1
+
     def test_verify_unknown_suite_exits_1(self):
         assert cli_main(["verify", "--suite", "wat"]) == 1
 
@@ -603,12 +625,8 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "problem,order,message",
-        [
-            ({"family": "saddle", "dim": 4, "n": 3}, 2, r"problem\.n: .*algorithm\.overrides\.B0"),
-            ({"family": "regularized", "dim": 4, "n": 8}, 3, r"algorithm\.smoothness_order: "),
-            ({"family": "streaming-quadratic", "dim": 4}, 3, r"algorithm\.smoothness_order: "),
-        ],
-        ids=["small-n", "regularized-order-3", "streaming-quadratic-order-3"],
+        [({"family": "saddle", "dim": 4, "n": 3}, 2, r"problem\.n: .*algorithm\.overrides\.B0")],
+        ids=["small-n"],
     )
     def test_run_rejects_unbuildable_pair_before_building(
         self, tmp_path, capsys, monkeypatch, problem, order, message
@@ -632,8 +650,17 @@ class TestCli:
             ({"family": "saddle", "n": 256, "negative_eigenvalue": -1e150}, {}, "U = inf"),
             ({"family": "streaming-saddle", "noise": 1e150}, {}, "B0 = inf"),
             ({"family": "saddle", "n": 256, "radius": 1e200}, {}, "SmoothnessSpec.L1"),
+            # the well depth h^2 / (16 a) overflows, with no numpy warning on stderr
+            (
+                {"family": "saddle", "n": 256, "negative_eigenvalue": -1e200}, {},
+                "SmoothnessSpec.delta_F",
+            ),
+            ({"family": "saddle", "n": 256, "quartic": 1e-320}, {}, "SmoothnessSpec.delta_F"),
         ],
-        ids=["quartic-tiny", "quartic-huge", "eps_H", "eps", "negative_eigenvalue", "noise", "radius"],
+        ids=[
+            "quartic-tiny", "quartic-huge", "eps_H", "eps", "negative_eigenvalue", "noise",
+            "radius", "negative_eigenvalue-gap", "quartic-gap",
+        ],
     )
     def test_run_rejects_values_out_of_float_range(
         self, tmp_path, capsys, problem, algorithm, name

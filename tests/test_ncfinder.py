@@ -4,7 +4,7 @@ from hypothesis import assume, given, settings, strategies as st
 import numpy as np
 import pytest
 
-from conftest import random_symmetric_fixture, rayleigh
+from conftest import make_quadratic_problem, random_symmetric_fixture, rayleigh, streaming_quadratic
 
 import nestvr.ncfinder as ncf
 from nestvr import (
@@ -12,11 +12,9 @@ from nestvr import (
     NCQuery,
     find_nc_direction,
     hvp_estimate,
-    make_quadratic_problem,
     make_regularized_problem,
     make_rng,
     make_saddle_problem,
-    make_streaming_quadratic_problem,
     make_streaming_saddle_problem,
 )
 from nestvr.problems import Problem
@@ -300,7 +298,7 @@ class TestFinderContracts:
         assert res.is_bottom
 
     def test_streaming_convex_abstains(self):
-        prob = make_streaming_quadratic_problem(np.eye(8), seed=2, noise=0.1)
+        prob = streaming_quadratic(np.eye(8), seed=2, noise=0.1)
         res = find_nc_direction(
             prob, query_for(prob.x0), make_rng(41), GradCounter()
         )

@@ -1,39 +1,41 @@
 import math
 import tracemalloc
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 import numpy as np
 import pytest
+
+from conftest import QuadraticProblem, make_quadratic_problem, streaming_quadratic
 
 from nestvr import (
     GradCounter,
     SmoothnessSpec,
-    make_quadratic_problem,
     make_regularized_problem,
     make_rng,
     make_saddle_problem,
-    make_streaming_quadratic_problem,
     make_streaming_saddle_problem,
     sample_indices_without_replacement,
     spawn_rngs,
 )
 from nestvr.problems import (
     GRAD_MEMO_SIZE,
-    QuadraticProblem,
     _RegularizedLeastSquaresProblem,
     subsample_variance_report,
 )
 
 
 def test_smoothness_spec_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        SmoothnessSpec(L1=1.0, L2=1.0, sigma2=1.0, delta_F=1.0, L3=-2.0)
-    for name in ("L1", "L2"):
+    for name in ("L1", "L2", "L3"):
         for value in (0.0, -1.0, math.nan, math.inf):
-            constants = {"L1": 1.0, "L2": 1.0, name: value}
+            constants = {"L1": 1.0, "L2": 1.0, "L3": 1.0, name: value}
             message = rf"^SmoothnessSpec\.{name} must be positive and finite"
             with pytest.raises(ValueError, match=message):
                 SmoothnessSpec(sigma2=1.0, delta_F=1.0, **constants)
+
+
+def test_smoothness_spec_requires_L3():
+    with pytest.raises(TypeError, match="L3"):
+        SmoothnessSpec(L1=1.0, L2=1.0, sigma2=1.0, delta_F=1.0)
 
 
 def test_outside_ball_rule():
@@ -285,6 +287,11 @@ def quartic_min_value(prob):
 
 
 class TestSaddleProblem:
+    @pytest.mark.parametrize("quartic", [0.0, -0.25])
+    def test_quartic_must_be_positive(self, quartic):
+        with pytest.raises(ValueError, match=r"^quartic must be > 0, got "):
+            make_saddle_problem(2, 1, -1.0, seed=0, quartic=quartic)
+
     def test_origin_is_strict_saddle(self):
         prob = make_saddle_problem(2, 1, -1.0, seed=0)
         assert np.allclose(prob.full_grad(np.zeros(2)), 0.0, atol=1e-15)
@@ -333,7 +340,7 @@ def memo_problem(family, dim, n, seed):
     M = gen.standard_normal((dim, dim))
     H = (M + M.T) / 2
     if n is None:
-        return make_streaming_quadratic_problem(H, seed=seed, noise=0.2)
+        return streaming_quadratic(H, seed=seed, noise=0.2)
     return make_quadratic_problem(H, n, seed=seed, b=gen.standard_normal(dim))
 
 
@@ -401,6 +408,46 @@ class TestRegularizedProblem:
         for _ in range(50):
             assert prob.value(rng.standard_normal(4) * 2) >= 0.0
         assert prob.smoothness.delta_F >= prob.value(prob.x0) - 1e-12
+
+
+def reg_third(t):
+    """Third derivative of the regularizer r(t) = t^2 / (1 + t^2):
+    24 t (t^2 - 1) / (1 + t^2)^4."""
+    t2 = t * t
+    return 24.0 * t * (t2 - 1.0) / (1.0 + t2) ** 4
+
+
+def test_regularizer_fourth_derivative_attains_L3_at_origin():
+    # the third derivative is the slope of the diagonal the regularizer adds
+    # to the Hessian
+    r2 = _RegularizedLeastSquaresProblem._reg_hess_diag
+    t, h = np.linspace(-5.0, 5.0, 101), 1e-5
+    assert np.allclose((r2(t + h) - r2(t - h)) / (2 * h), reg_third(t), rtol=0, atol=1e-8)
+    # the fourth derivative at 0, from the Hessian's own diagonal, is -24:
+    # the declared L3 = 24 is tight
+    h = 1e-3
+    fourth = (r2(np.array(h)) - 2.0 * r2(np.array(0.0)) + r2(np.array(-h))) / h**2
+    assert fourth == pytest.approx(-24.0, abs=1e-3)
+    assert make_regularized_problem(3, 4, seed=0).smoothness.L3 == 24.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pairs=st.lists(
+        st.tuples(st.floats(-20.0, 20.0), st.floats(-20.0, 20.0)), min_size=1, max_size=6
+    )
+)
+@example(pairs=[(1e-3, -1e-3)])
+@example(pairs=[(0.0, 1e-6), (0.5, 0.5)])
+def test_regularized_L3_bounds_the_third_derivative(pairs):
+    # D^3 F(x) is the diagonal tensor of the regularizer's third derivative
+    # at each x_j; its norm is its largest entry in absolute value, so this
+    # is the Lipschitz ratio of D^3 F between x and y
+    x, y = np.array(pairs, dtype=float).T
+    assume(np.linalg.norm(x - y) >= 1e-6)  # far above the roundoff of the differences
+    ratio = float(np.abs(reg_third(x) - reg_third(y)).max() / np.linalg.norm(x - y))
+    L3 = make_regularized_problem(x.size, 2, seed=0).smoothness.L3
+    assert ratio <= L3 * (1.0 + 1e-9)
 
 
 @pytest.mark.parametrize("factory_seed", [0, 1])

@@ -199,6 +199,8 @@ class ExperimentConfig:
         _check_number("seed", self.seed, integer=True)
         if self.out is not None and not isinstance(self.out, str):
             raise ConfigError(f"out: expected a string, got {self.out!r}")
+        if self.out == "":  # would write into, and prune, the working directory
+            raise ConfigError("out: must be a non-empty path")
         if self.trials < 1:
             raise ConfigError(f"trials: must be >= 1, got {self.trials}")
         if self.seed < 0:
@@ -501,19 +503,9 @@ def verify_series_domination() -> SuiteResult:
     return SuiteResult("series-domination", True, "strict domination on canonical schedules")
 
 
-@dataclass
-class EpochDecreaseReport:
-    passed: bool
-    lhs_mean: float
-    rhs_mean: float
-    allowance: float
-    counter_mean: float
-    counter_bound: float
-
-
 def verify_epoch_decrease(
     problem: FiniteSumProblem, schedule: NestedSchedule, rng: np.random.Generator
-) -> EpochDecreaseReport:
+) -> SuiteResult:
     """Monte-Carlo check of the per-epoch gradient-norm decrease inequality.
 
     Over 200 independent epochs from x0, the mean of |grad F(x_T)|^2 must stay
@@ -546,25 +538,19 @@ def verify_epoch_decrease(
     diff = rhs - lhs
     allowance = 3.0 * float(diff.std(ddof=1)) / math.sqrt(trials)
     counter_bound = 7.0 * schedule.B0 * math.log2(schedule.B0) ** 3
-    return EpochDecreaseReport(
-        passed=float(diff.mean()) >= -allowance and float(counts.mean()) <= counter_bound,
-        lhs_mean=float(lhs.mean()),
-        rhs_mean=float(rhs.mean()),
-        allowance=allowance,
-        counter_mean=float(counts.mean()),
-        counter_bound=counter_bound,
+    cost = float(counts.mean())
+    detail = (
+        f"lhs {lhs.mean():.4g} vs rhs {rhs.mean():.4g} (+/- {allowance:.2g}), "
+        f"mean cost {cost:.0f} <= {counter_bound:.0f}"
     )
+    passed = float(diff.mean()) >= -allowance and cost <= counter_bound
+    return SuiteResult("epoch-decrease", passed, detail)
 
 
 def _epoch_decrease_suite(rng: np.random.Generator) -> SuiteResult:
     problem = make_regularized_problem(dim=50, n=1000, seed=20240105)
     schedule = clamp_schedule(derive_schedule(256, M=6.0 * problem.smoothness.L1), problem.n)
-    report = verify_epoch_decrease(problem, schedule, rng)
-    detail = (
-        f"lhs {report.lhs_mean:.4g} vs rhs {report.rhs_mean:.4g} (+/- {report.allowance:.2g}), "
-        f"mean cost {report.counter_mean:.0f} <= {report.counter_bound:.0f}"
-    )
-    return SuiteResult("epoch-decrease", report.passed, detail)
+    return verify_epoch_decrease(problem, schedule, rng)
 
 
 #: each suite by name, called with the generator the suites of one run share
@@ -599,7 +585,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sched = sub.add_parser("derive-schedule", help="print the canonical schedule as JSON")
     p_sched.add_argument("--b0", type=int, required=True, help="base batch size (>= 4)")
-    p_sched.add_argument("--m", type=float, default=6.0, help="step parameter M (default 6.0)")
 
     p_run = sub.add_parser("run", help="execute an experiment config and write traces")
     p_run.add_argument("--config", required=True, help="path to a JSON experiment config")
@@ -627,7 +612,7 @@ def cli_main(argv: list[str] | None = None) -> int:
 
     try:
         if args.command == "derive-schedule":
-            sched = derive_schedule(args.b0, args.m)
+            sched = derive_schedule(args.b0, M=6.0)
             print(json.dumps(sched.as_dict(), indent=2))
             return 0
 
@@ -635,6 +620,8 @@ def cli_main(argv: list[str] | None = None) -> int:
             config = load_config(args.config)
             if args.seed is not None:
                 config = replace(config, seed=args.seed)
+            if args.out == "":
+                raise ConfigError("--out: must be a non-empty path")
             out_dir = args.out or config.out
             if out_dir is None:
                 raise ConfigError("no output directory: set 'out' in the config or pass --out")
@@ -670,7 +657,7 @@ def cli_main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, MemoryError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

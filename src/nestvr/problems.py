@@ -17,9 +17,8 @@ correction over a batch of size ``B`` costs ``2 B`` units.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 import math
 import operator
 
@@ -263,10 +262,17 @@ class _LinearNoiseProblem(FiniteSumProblem):
         rows = self.noise
         sigma2 = float(np.einsum("ij,ij->i", rows, rows).mean()) if self.n > 1 else 0.0
         self.sigma2 = max(sigma2, 1e-12)  # the spec's variance proxy must be positive
-        self._grad_memo: OrderedDict[bytes, Array] = OrderedDict()
+        # per instance, so that entries and hit counts (``cache_info()``)
+        # belong to one problem
+        self._grad_memo = lru_cache(maxsize=GRAD_MEMO_SIZE)(self._grad_at)
 
     def _exact_grad(self, x: Array) -> Array:
         raise NotImplementedError
+
+    def _grad_at(self, key: bytes) -> Array:
+        g = self._exact_grad(np.frombuffer(key))
+        g.setflags(write=False)
+        return g
 
     def _common_grad(self, x: Array) -> Array:
         """Exact gradient of F, kept for the last ``GRAD_MEMO_SIZE`` points.
@@ -276,19 +282,7 @@ class _LinearNoiseProblem(FiniteSumProblem):
         memo is keyed on the point's float64 bytes, so a hit has the bits of
         a fresh evaluation; its entries are read-only, since callers share them.
         """
-        x = np.asarray(x, dtype=float)
-        key = x.tobytes()
-        memo = self._grad_memo
-        g = memo.get(key)
-        if g is not None:
-            memo.move_to_end(key)
-            return g
-        g = self._exact_grad(x)
-        g.setflags(write=False)
-        memo[key] = g
-        if len(memo) > GRAD_MEMO_SIZE:
-            memo.popitem(last=False)
-        return g
+        return self._grad_memo(np.asarray(x, dtype=float).tobytes())
 
     @cached_property
     def noise_mean(self) -> Array:

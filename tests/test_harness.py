@@ -421,7 +421,18 @@ class TestVerifySuites:
         schedule = clamp_schedule(derive_schedule(64, M=6.0 * problem.smoothness.L1), 300)
         report = verify_epoch_decrease(problem, schedule, rng)
         assert report.passed
-        assert report.lhs_mean <= report.rhs_mean + report.allowance
+
+    def test_epoch_decrease_detail_format(self, rng):
+        problem = make_regularized_problem(dim=20, n=300, seed=1)
+        schedule = clamp_schedule(derive_schedule(64, M=6.0 * problem.smoothness.L1), 300)
+        report = verify_epoch_decrease(problem, schedule, rng)
+        assert report.name == "epoch-decrease"
+        # the cost bound is 7 B0 log2(B0)^3 = 7 * 64 * 6^3
+        match = re.fullmatch(
+            r"lhs (\S+) vs rhs (\S+) \(\+/- (\S+)\), mean cost (\d+) <= 96768", report.detail
+        )
+        assert match, report.detail
+        assert all(math.isfinite(float(v)) for v in match.groups())
 
     def test_epoch_decrease_with_base_batch_equal_n(self, rng):
         # B0 = n: the variance term drops out (indicator zero) and the
@@ -481,15 +492,15 @@ class TestCli:
         assert doc["K"] == 3 and doc["T"] == [2, 2, 4]
         assert doc["B"] == [55296, 2304, 96]
         assert doc["expected_epoch_cost"] == 242944
+        assert doc["M"] == 6.0
 
     def test_derive_schedule_rejects_small_base(self, capsys):
         assert cli_main(["derive-schedule", "--b0", "2"]) == 1
 
-    @pytest.mark.parametrize("M", ["inf", "nan", "0", "-1"])
-    def test_derive_schedule_rejects_bad_step_parameter(self, capsys, M):
-        assert cli_main(["derive-schedule", "--b0", "16", "--m", M]) == 1
-        out, err = capsys.readouterr()
-        assert out == "" and err.startswith("error: M must be positive and finite")
+    def test_derive_schedule_has_no_step_flag(self, capsys):
+        # K, T, B, p and the cost do not depend on M, so there is no --m
+        assert cli_main(["derive-schedule", "--b0", "16", "--m", "1"]) == 1
+        assert capsys.readouterr().out == ""
 
     def test_run_twice_same_seed_identical_modulo_wall(self, tmp_path, capsys):
         cfg = dict(BASE_CONFIG, trials=1)
@@ -656,17 +667,24 @@ class TestCli:
                 "SmoothnessSpec.delta_F",
             ),
             ({"family": "saddle", "n": 256, "quartic": 1e-320}, {}, "SmoothnessSpec.delta_F"),
+            # a 14.2 PiB design: the allocation fails at once
+            ({"family": "regularized", "dim": 200, "n": 10**13}, {}, "Unable to allocate"),
+            (
+                {"family": "streaming-saddle"}, {"overrides": {"B0": 10**400, "U": 3}},
+                "int too large to convert to float",
+            ),
         ],
         ids=[
             "quartic-tiny", "quartic-huge", "eps_H", "eps", "negative_eigenvalue", "noise",
-            "radius", "negative_eigenvalue-gap", "quartic-gap",
+            "radius", "negative_eigenvalue-gap", "quartic-gap", "design-memory", "B0-overflow",
         ],
     )
     def test_run_rejects_values_out_of_float_range(
         self, tmp_path, capsys, problem, algorithm, name
     ):
         # each config parses, but a derived constant underflows to 0 or
-        # overflows; the U override does not help
+        # overflows, or the problem cannot be allocated; the U override does
+        # not help
         path = write_config(tmp_path, with_problem({"dim": 8, **problem}, **algorithm))
         out = tmp_path / "f"
         assert cli_main(["run", "--config", str(path), "--out", str(out)]) == 1
@@ -678,6 +696,20 @@ class TestCli:
         path = write_config(tmp_path, BASE_CONFIG)
         assert cli_main(["run", "--config", str(path)]) == 1
         assert capsys.readouterr().err.startswith("config error: no output directory")
+
+    @pytest.mark.parametrize("where", ["out", "--out"])
+    def test_run_rejects_empty_output_path(self, tmp_path, capsys, monkeypatch, where):
+        # an empty path would write into the working directory and prune its
+        # summaries
+        monkeypatch.chdir(tmp_path)
+        planted = tmp_path / "summary_007.json"
+        planted.write_text("{}\n")
+        doc = dict(BASE_CONFIG, out="" if where == "out" else "results")
+        argv = ["run", "--config", str(write_config(tmp_path, doc))]
+        assert cli_main(argv + (["--out", ""] if where == "--out" else [])) == 1
+        assert capsys.readouterr().err == f"config error: {where}: must be a non-empty path\n"
+        assert planted.read_text() == "{}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "summary_007.json"]
 
     def test_run_small_population_with_base_batch_override(self, tmp_path):
         problem = {"family": "saddle", "dim": 4, "n": 3}
@@ -708,6 +740,17 @@ class TestCli:
         assert cli_main(["classify", "--config", str(cfg_path), "--point", str(point_path)]) == 1
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: SmoothnessSpec.L1 must be positive and finite")
+
+    def test_classify_design_too_large_to_allocate(self, tmp_path, capsys):
+        # 14.2 PiB: the allocation fails at once
+        doc = with_problem({"family": "regularized", "dim": 200, "n": 10**13})
+        cfg_path = write_config(tmp_path, doc)
+        point_path = tmp_path / "pt.json"
+        point_path.write_text(json.dumps([0.0] * 200))
+        assert cli_main(["classify", "--config", str(cfg_path), "--point", str(point_path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: Unable to allocate 14.2 PiB")
+        assert err.count("\n") == 1
 
     def test_classify_dimension_mismatch(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, BASE_CONFIG)

@@ -362,10 +362,12 @@ class TestGradientMemo:
             g = prob.full_grad(points[i])
             assert g.tobytes() == self.formula(prob, points[i]).tobytes()
             assert not g.flags.writeable
-            assert len(prob._grad_memo) <= GRAD_MEMO_SIZE
+            assert prob._grad_memo.cache_info().currsize <= GRAD_MEMO_SIZE
         x, y = points[:2]
         first = prob.full_grad(x)
+        hits = prob._grad_memo.cache_info().hits
         assert prob.full_grad(x.copy()) is first  # a hit, keyed on the values
+        assert prob._grad_memo.cache_info().hits == hits + 1
         diff = prob.batch_grad_diff(x, y, np.array([0, 3]))
         assert diff.tobytes() == (self.formula(prob, x) - self.formula(prob, y)).tobytes()
         assert diff.flags.writeable
@@ -384,7 +386,7 @@ class TestGradientMemo:
             d = prob.sample_batch_grad_diff(z + q * v, z, 8, rng)
             ref = self.formula(prob.core, z + q * v) - self.formula(prob.core, z)
             assert d.tobytes() == ref.tobytes()
-        assert len(prob.core._grad_memo) == 3
+        assert prob.core._grad_memo.cache_info().currsize == 3
 
 
 class TestRegularizedProblem:

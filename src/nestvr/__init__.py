@@ -27,7 +27,6 @@ from .epoch import (
     run_epoch,
 )
 from .ncfinder import (
-    NCQuery,
     NCResult,
     find_nc_direction,
     hvp_estimate,
@@ -68,7 +67,6 @@ __all__ = [
     "EpochResult",
     "draw_epoch_length",
     "run_epoch",
-    "NCQuery",
     "NCResult",
     "find_nc_direction",
     "hvp_estimate",

@@ -20,7 +20,7 @@ import time
 import numpy as np
 
 from .epoch import run_epoch
-from .ncfinder import NCQuery, find_nc_direction
+from .ncfinder import find_nc_direction
 from .problems import Array, GradCounter, Problem
 from .schedule import NestedSchedule, clamp_schedule, derive_schedule
 
@@ -303,8 +303,7 @@ def run_driver(problem: Problem, config: DriverConfig, rng: np.random.Generator)
             f_z = problem.value(z)
             trace.add("epoch", u, counter.count, f_value=f_z)
         else:
-            query = NCQuery(z=z, eps_H=config.eps_H, delta=nc_delta)
-            nc = probe(problem, query, rng, counter)
+            nc = probe(problem, z, config.eps_H, nc_delta, rng, counter)
             trace.add("nc-probe", u, counter.count, f_value=f_z, rayleigh=nc.rayleigh_estimate)
             if nc.is_bottom:
                 return finish(STATUS_CERTIFIED, u, gnorm, rayleigh=nc.rayleigh_estimate)

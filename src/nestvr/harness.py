@@ -254,10 +254,18 @@ def parse_config(doc: dict) -> ExperimentConfig:
 
 
 def _read_json(path: str | Path, prefix: str = ""):
-    """The JSON document in ``path``; a malformed one is a ConfigError that
-    names ``prefix``, the file, line and column."""
+    """The JSON document in ``path``; a malformed one, or an object that
+    repeats a key, is a ConfigError that names ``prefix`` and the file."""
+    def unique_keys(pairs: list) -> dict:  # json.loads keeps a repeated key's last value
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ConfigError(f"{prefix}{path}: duplicate key {key!r}")
+            obj[key] = value
+        return obj
+
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text(), object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{prefix}{path}: line {exc.lineno} column {exc.colno}: {exc.msg}"

@@ -61,22 +61,6 @@ ONLINE_CERT_BATCH_MIN = 256
 _TINY = float(np.finfo(float).tiny)
 
 
-@dataclass(frozen=True)
-class NCQuery:
-    """Curvature query at a point: the threshold eps_H and the failure
-    probability delta.  The smoothness constants are the problem's own."""
-
-    z: Array
-    eps_H: float
-    delta: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.eps_H < 1.0:
-            raise ValueError(f"eps_H must lie in (0, 1), got {self.eps_H}")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
-
-
 @dataclass
 class NCResult:
     """Either a unit direction of certified negative curvature, or abstention.
@@ -125,25 +109,25 @@ def hvp_estimate(
     return diff / q
 
 
-def _displacement(query: NCQuery, L2: float) -> float:
+def _displacement(eps_H: float, L2: float) -> float:
     """Keep the Taylor error L2 q / 2 at eps_H / 20, an order below threshold."""
-    return query.eps_H / (10.0 * L2)
+    return eps_H / (10.0 * L2)
 
 
-def _lanczos_steps(query: NCQuery, L1: float, dim: int, subsampled: bool = False) -> int:
+def _lanczos_steps(eps_H: float, delta: float, L1: float, dim: int, subsampled: bool) -> int:
     """Kuczynski-Wozniakowski step count, capped at ``dim``: from a random
     start, Lanczos on L1 I - H (spectrum in [0, 2 L1]) finds its top
     eigenvalue to relative accuracy eps_H / (8 L1), i.e. absolute eps_H / 4,
     with probability at least 1 - delta.  A ``subsampled`` operator leaves
     half of each to its sampling error: eps_H / (16 L1) at 1 - delta / 2."""
     share = 2.0 if subsampled else 1.0
-    rel = query.eps_H / (8.0 * share * L1)
-    delta = query.delta / share
+    rel = eps_H / (8.0 * share * L1)
+    delta /= share
     steps = math.ceil(0.5 + math.log(1.648 * math.sqrt(dim) / delta) / (2.0 * math.sqrt(rel)))
     return min(dim, steps)
 
 
-def _subsample_size(problem: FiniteSumProblem, query: NCQuery) -> int:
+def _subsample_size(problem: FiniteSumProblem, eps_H: float, delta: float) -> int:
     """Rows b whose subsample Hessian lies within eps_H / 8 of the
     population's with probability 1 - delta / 2, by matrix Bernstein over the
     declared spread (see the module docstring); ``n`` when none is declared
@@ -152,8 +136,8 @@ def _subsample_size(problem: FiniteSumProblem, query: NCQuery) -> int:
     if spread is None:
         return problem.n
     var, R = spread
-    s = query.eps_H / 8.0
-    log_term = math.log(4.0 * query.z.shape[0] / query.delta)
+    s = eps_H / 8.0
+    log_term = math.log(4.0 * problem.dim / delta)
     return min(problem.n, math.ceil(2.0 * (var + R * s / 3.0) * log_term / s**2))
 
 
@@ -171,30 +155,20 @@ def _tridiagonal(alpha: Array, beta: Array) -> Array:
     return np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
 
 
-def _random_unit(dim: int, rng: np.random.Generator) -> Array:
-    v = rng.standard_normal(dim)
-    return v / np.linalg.norm(v)
-
-
 def _certify(
-    problem: Problem,
-    query: NCQuery,
-    v: Array,
-    q: float,
-    rng: np.random.Generator,
-    counter: GradCounter,
+    problem: Problem, z: Array, v: Array, q: float, rng: np.random.Generator, counter: GradCounter
 ) -> tuple[float, float]:
     """Rayleigh value of ``v`` and its sampling allowance, to which the
     Taylor term is added: on a finite sum one population product, with a
     roundoff allowance; on a stream the mean over several independent
     batches, with a 5-standard-error allowance from their spread."""
     if problem.is_finite_sum:
-        w = hvp_estimate(problem, query.z, v, q, problem.n, rng, counter=counter)
+        w = hvp_estimate(problem, z, v, q, problem.n, rng, counter=counter)
         value = float(v @ w)
         return value, 1e-9 * (1.0 + abs(value))
     vals = np.empty(ONLINE_CERT_BATCHES)
     for i in range(ONLINE_CERT_BATCHES):
-        w = hvp_estimate(problem, query.z, v, q, ONLINE_CERT_BATCH_MIN, rng, counter=counter)
+        w = hvp_estimate(problem, z, v, q, ONLINE_CERT_BATCH_MIN, rng, counter=counter)
         vals[i] = float(v @ w)
     spread = float(vals.std(ddof=1)) / math.sqrt(ONLINE_CERT_BATCHES)
     return float(vals.mean()), 5.0 * spread + 1e-9
@@ -202,11 +176,14 @@ def _certify(
 
 def find_nc_direction(
     problem: Problem,
-    query: NCQuery,
+    z: Array,
+    eps_H: float,
+    delta: float,
     rng: np.random.Generator,
     counter: GradCounter,
 ) -> NCResult:
-    """Negative-curvature search at ``query.z``: one Lanczos run over the
+    """Negative-curvature search at ``z`` for threshold ``eps_H`` and failure
+    probability ``delta``, both in (0, 1): one Lanczos run over the
     products of the population, of one row subsample or of fresh stream
     batches, each Ritz candidate certified by :func:`_certify` (see the
     module docstring).  A stream's products read max(64, ceil(4 L1 / eps_H))
@@ -224,30 +201,33 @@ def find_nc_direction(
 
     A Ritz vector that fails its certificate is not measured again until
     another Ritz value crosses the bar."""
+    for name, value in (("eps_H", eps_H), ("delta", delta)):
+        if not 0.0 < value < 1.0:  # NaN fails too
+            raise ValueError(f"{name} must lie in (0, 1), got {value}")
     start_count = counter.count
-    dim = query.z.shape[0]
     s = problem.smoothness  # the parent's constants, also over a row subsample
-    q = _displacement(query, s.L2)
-    candidate_bar = -0.75 * query.eps_H
-    accept_bar = -0.5 * query.eps_H
+    q = _displacement(eps_H, s.L2)
+    candidate_bar = -0.75 * eps_H
+    accept_bar = -0.5 * eps_H
     operator = problem
     if problem.is_finite_sum:
-        rows = _subsample_size(problem, query)
+        rows = _subsample_size(problem, eps_H, delta)
         if rows < problem.n:
             operator = problem.subsample(sample_indices_without_replacement(problem.n, rows, rng))
         batch = operator.n
     else:
-        batch = max(ONLINE_PRODUCT_BATCH_MIN, math.ceil(4.0 * s.L1 / query.eps_H))
-    steps = _lanczos_steps(query, s.L1, dim, subsampled=operator is not problem)
-    basis = np.empty((steps, dim))
+        batch = max(ONLINE_PRODUCT_BATCH_MIN, math.ceil(4.0 * s.L1 / eps_H))
+    steps = _lanczos_steps(eps_H, delta, s.L1, problem.dim, operator is not problem)
+    basis = np.empty((steps, problem.dim))
     alpha = np.empty(steps)
     beta = np.empty(steps)
-    v = _random_unit(dim, rng)
+    v = rng.standard_normal(problem.dim)
+    v /= np.linalg.norm(v)  # a random unit start
     pivot, b = math.inf, 0.0
     below = tried = 0  # Ritz values below the bar, and at the last certificate
     for k in range(steps):
         basis[k] = v
-        w = hvp_estimate(operator, query.z, v, q, batch, rng, counter=counter)
+        w = hvp_estimate(operator, z, v, q, batch, rng, counter=counter)
         a = float(v @ w)
         pivot = _ldl_pivot(a, b, pivot, candidate_bar)
         below += pivot < 0.0
@@ -261,7 +241,7 @@ def find_nc_direction(
             _, ritz = np.linalg.eigh(_tridiagonal(alpha[: k + 1], beta[:k]))
             u = V.T @ ritz[:, 0]
             u /= np.linalg.norm(u)
-            cert, allowance = _certify(problem, query, u, q, rng, counter)
+            cert, allowance = _certify(problem, z, u, q, rng, counter)
             if cert + 0.5 * s.L2 * q + allowance <= accept_bar:
                 return NCResult(
                     direction=u, rayleigh_estimate=cert, grads_used=counter.count - start_count

@@ -22,7 +22,6 @@ from conftest import (
 
 from nestvr import (
     GradCounter,
-    NCQuery,
     SmoothnessSpec,
     classify_point,
     clamp_schedule,
@@ -152,8 +151,8 @@ def test_criterion_06_nc_finder_contracts():
             problem, _ = random_symmetric_fixture(
                 20, -2 * eps_H, seed=6000 + s, streaming=streaming
             )
-            query = NCQuery(z=problem.x0, eps_H=eps_H, delta=delta)
-            res = find_nc_direction(problem, query, make_rng(6500 + s), GradCounter())
+            rng = make_rng(6500 + s)
+            res = find_nc_direction(problem, problem.x0, eps_H, delta, rng, GradCounter())
             if res.direction is not None:
                 found += 1
                 if rayleigh(problem, problem.x0, res.direction) > -eps_H / 2 + 1e-6:
@@ -163,8 +162,8 @@ def test_criterion_06_nc_finder_contracts():
             problem, _ = random_symmetric_fixture(
                 20, 0.0, seed=7000 + s, streaming=streaming, lambda_rest=(0.0, 1.0)
             )
-            query = NCQuery(z=problem.x0, eps_H=eps_H, delta=delta)
-            res = find_nc_direction(problem, query, make_rng(7500 + s), GradCounter())
+            rng = make_rng(7500 + s)
+            res = find_nc_direction(problem, problem.x0, eps_H, delta, rng, GradCounter())
             if res.direction is None:
                 bottoms += 1
             elif rayleigh(problem, problem.x0, res.direction) > -eps_H / 2 + 1e-6:
@@ -210,8 +209,7 @@ def test_criterion_08_nc_step_decrease():
     assert eta2 == pytest.approx(eps_H / sm.L2, rel=1e-12)
     assert eta3 == pytest.approx(math.sqrt(3 * eps_H / sm.L3), rel=1e-12)
 
-    query = NCQuery(z=problem.x0, eps_H=eps_H, delta=0.1)
-    res = find_nc_direction(problem, query, make_rng(808), GradCounter())
+    res = find_nc_direction(problem, problem.x0, eps_H, 0.1, make_rng(808), GradCounter())
     assert res.direction is not None
     v = res.direction
     ray = rayleigh(problem, problem.x0, v)

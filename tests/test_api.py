@@ -24,7 +24,7 @@ def test_epoch_and_product_take_only_what_the_program_passes():
 
 def test_one_curvature_search():
     params = inspect.signature(nestvr.find_nc_direction).parameters
-    assert list(params) == ["problem", "query", "rng", "counter"]
+    assert list(params) == ["problem", "z", "eps_H", "delta", "rng", "counter"]
     assert all(p.default is inspect.Parameter.empty for p in params.values())
     # the benchmark wraps the driver's two names; both are the one search
     assert driver.find_nc_direction_finite is driver.find_nc_direction_online

@@ -27,6 +27,7 @@ from nestvr import (
     make_streaming_saddle_problem,
     nc_descent_step,
     run_driver,
+    spawn_rngs,
 )
 from nestvr.problems import _RegularizedLeastSquaresProblem
 
@@ -492,6 +493,30 @@ class TestRunFinite:
             out = run_driver(prob, cfg, make_rng(seed))
             assert out.status == "certified-SOSP" and not out.out_of_domain
             assert classify_point(prob, out.z_final, eps, eps_H).is_sosp
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: make_saddle_problem(10, 256, -1.0, seed=707, radius=1.5),
+        lambda: make_streaming_saddle_problem(10, -1.0, seed=707, radius=1.5),
+    ],
+    ids=["saddle", "streaming-saddle"],
+)
+def test_saddle_families_certify_at_order_3_on_fewer_gradients(make):
+    # the order-3 escape step is longer than the order-2 step eps_H / L2, so
+    # the same seeds certify on fewer charged gradients
+    prob = make()
+    eps, eps_H = 1e-3, 0.1
+    runs = {}
+    for order in (2, 3):
+        cfg = configure(prob, eps, eps_H, order=order, overrides={"U": 500})
+        runs[order] = [run_driver(prob, cfg, rng) for rng in spawn_rngs(5, 8)]
+    for out in runs[3]:
+        assert out.status == "certified-SOSP" and not out.out_of_domain
+        assert classify_point(prob, out.z_final, eps, eps_H).is_sosp
+    median = {order: np.median([out.grads_total for out in outs]) for order, outs in runs.items()}
+    assert median[3] < median[2]
 
 
 class TestRunOnline:

@@ -551,6 +551,29 @@ class TestCli:
         assert "mystery" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "text,key",
+        [
+            ('{"trials": 1, "problem": %s, "algorithm": %s, "seed": 1, "trials": 2}', "trials"),
+            ('{"trials": 1, "problem": %s, "algorithm": %s, "seed": 1}', "negative_eigenvalue"),
+        ],
+        ids=["top-level", "nested"],
+    )
+    def test_run_rejects_duplicate_key(self, tmp_path, capsys, monkeypatch, text, key):
+        # json.loads keeps a repeated key's last value; a config must not
+        # silently run 2 trials, or drop one of two eigenvalues
+        problem = json.dumps(BASE_CONFIG["problem"])
+        if key == "negative_eigenvalue":
+            problem = problem.replace('"radius"', '"negative_eigenvalue": -0.5, "radius"')
+        path = tmp_path / "cfg.json"
+        path.write_text(text % (problem, json.dumps(BASE_CONFIG["algorithm"])))
+        monkeypatch.chdir(tmp_path)
+        out_dir = tmp_path / "out"
+        assert cli_main(["run", "--config", str(path), "--out", str(out_dir)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"config error: {path}: duplicate key '{key}'\n"
+        assert not out_dir.exists() and sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    @pytest.mark.parametrize(
         "family,extra,mode", [("streaming-saddle", {}, "finite"), ("saddle", {"n": 8}, "online")]
     )
     def test_run_rejects_mismatched_mode(self, tmp_path, capsys, monkeypatch, family, extra, mode):
@@ -577,8 +600,13 @@ class TestCli:
         assert captured.err == "config error: --seed: must be >= 0, got -1\n"
         assert captured.out == ""
 
-    def test_run_regularized_at_order_3_certifies(self, tmp_path, capsys):
-        problem = {"family": "regularized", "dim": 20, "n": 500, "seed": 3}
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_run_at_order_3_certifies(self, tmp_path, capsys, family):
+        problem = {
+            "saddle": {"family": "saddle", "dim": 10, "n": 256, "radius": 1.5, "seed": 3},
+            "regularized": {"family": "regularized", "dim": 20, "n": 500, "seed": 3},
+            "streaming-saddle": {"family": "streaming-saddle", "dim": 10, "radius": 1.5, "seed": 3},
+        }[family]
         doc = with_problem(problem, smoothness_order=3, eps=3e-3, overrides={"U": 300})
         path = write_config(tmp_path, doc)
         out = tmp_path / "o3"
@@ -779,8 +807,10 @@ class TestCli:
             ("[0.0, null" + ", 0.0" * 6 + "]", "point[1]: expected a number, got None"),
             ("[1" + "0" * 400 + ", 0.0" * 7 + "]", "point: int too large to convert to float"),
             ("[0.0, 0.0\n 0.0]", "point: {path}: line 2 column 2: Expecting ',' delimiter"),
+            ('{"x": 0.0, "x": 1.0}', "point: {path}: duplicate key 'x'"),
         ],
-        ids=["object", "scalar", "boolean", "strings", "nested", "null", "huge-int", "malformed"],
+        ids=["object", "scalar", "boolean", "strings", "nested", "null", "huge-int", "malformed",
+             "duplicate-key"],
     )
     def test_classify_rejects_malformed_point(self, tmp_path, capsys, text, message):
         cfg_path = write_config(tmp_path, BASE_CONFIG)

@@ -1,4 +1,5 @@
 import math
+import re
 
 from hypothesis import assume, given, settings, strategies as st
 import numpy as np
@@ -9,7 +10,6 @@ from conftest import make_quadratic_problem, random_symmetric_fixture, rayleigh,
 import nestvr.ncfinder as ncf
 from nestvr import (
     GradCounter,
-    NCQuery,
     find_nc_direction,
     hvp_estimate,
     make_regularized_problem,
@@ -18,10 +18,6 @@ from nestvr import (
     make_streaming_saddle_problem,
 )
 from nestvr.problems import Problem
-
-
-def query_for(z, eps_H=0.1, delta=0.1):
-    return NCQuery(z=np.asarray(z, dtype=float), eps_H=eps_H, delta=delta)
 
 
 class HessianNoiseStream(Problem):
@@ -193,9 +189,7 @@ def test_sturm_count_matches_eigenvalues(alpha, beta, bar):
 class TestFinderContracts:
     def test_saddle_direction_found_and_sound(self):
         prob = make_saddle_problem(6, 12, -1.0, seed=6)
-        res = find_nc_direction(
-            prob, query_for(prob.x0, eps_H=0.5), make_rng(31), GradCounter()
-        )
+        res = find_nc_direction(prob, prob.x0, 0.5, 0.1, make_rng(31), GradCounter())
         assert res.direction is not None
         assert np.linalg.norm(res.direction) == pytest.approx(1.0, abs=1e-12)
         assert rayleigh(prob, prob.x0, res.direction) <= -0.25 + 1e-6
@@ -225,9 +219,8 @@ class TestFinderContracts:
 
         hvp = ncf.hvp_estimate
         monkeypatch.setattr(ncf, "hvp_estimate", spy)
-        query = query_for(prob.x0, eps_H=0.5)
         counter = GradCounter()
-        res = find_nc_direction(prob, query, make_rng(31), counter)
+        res = find_nc_direction(prob, prob.x0, 0.5, 0.1, make_rng(31), counter)
         assert res.direction is not None
         steps, certs = calls[:-cert_products], calls[-cert_products:]
         assert all(batch == step_batch and charge == 2 * step_batch for _, batch, charge in steps)
@@ -236,7 +229,7 @@ class TestFinderContracts:
         V = np.array([v for v, _, _ in steps])
         assert len({v.tobytes() for v in [*V, res.direction]}) == len(V) + 1
         assert np.allclose(V @ V.T, np.eye(len(V)), atol=1e-10)
-        assert len(V) <= ncf._lanczos_steps(query, prob.smoothness.L1, prob.dim)
+        assert len(V) <= ncf._lanczos_steps(0.5, 0.1, prob.smoothness.L1, prob.dim, False)
         assert res.grads_used == counter.count == 2 * (step_batch * len(V) + cert_batch * cert_products)
 
     def test_saddle_at_origin_found_in_three_products(self, monkeypatch):
@@ -245,9 +238,7 @@ class TestFinderContracts:
         # eigenvalue -1, and one more product certifies its Ritz vector
         prob = make_saddle_problem(6, 12, -1.0, seed=6)
         counter = GradCounter()
-        res = find_nc_direction(
-            prob, query_for(prob.x0, eps_H=0.5), make_rng(31), counter
-        )
+        res = find_nc_direction(prob, prob.x0, 0.5, 0.1, make_rng(31), counter)
         assert res.direction is not None
         assert res.grads_used == counter.count == 3 * 2 * prob.n
         # up to the forward difference's cubic term, 4 a q^2 v_j^3 ~ 2e-5
@@ -270,10 +261,9 @@ class TestFinderContracts:
         hvp = ncf.hvp_estimate
         monkeypatch.setattr(ncf, "hvp_estimate", spy)
         counter = GradCounter()
-        query = query_for(prob.x0, eps_H=0.5)
-        res = find_nc_direction(prob, query, make_rng(31), counter)
+        res = find_nc_direction(prob, prob.x0, 0.5, 0.1, make_rng(31), counter)
         assert res.is_bottom
-        assert len(steps) == ncf._lanczos_steps(query, prob.smoothness.L1, 6)
+        assert len(steps) == ncf._lanczos_steps(0.5, 0.1, prob.smoothness.L1, 6, False)
         # one certificate: the failed Ritz value is not re-measured at each step
         assert counter.count == 2 * prob.n * (len(steps) + 1)
         assert res.rayleigh_estimate == pytest.approx(-1.0, abs=1e-4)
@@ -282,33 +272,27 @@ class TestFinderContracts:
         # with d within the step budget the Krylov space is exhausted, so the
         # smallest Ritz value is the Hessian's smallest eigenvalue
         prob, eigs = random_symmetric_fixture(8, 0.05, seed=11)
-        query = query_for(prob.x0)
         counter = GradCounter()
-        res = find_nc_direction(prob, query, make_rng(53), counter)
+        res = find_nc_direction(prob, prob.x0, 0.1, 0.1, make_rng(53), counter)
         assert res.is_bottom
-        assert counter.count <= 2 * prob.n * ncf._lanczos_steps(query, prob.smoothness.L1, 8)
+        steps = ncf._lanczos_steps(0.1, 0.1, prob.smoothness.L1, 8, False)
+        assert counter.count <= 2 * prob.n * steps
         lam = float(np.linalg.eigvalsh(prob.hessian(prob.x0)).min())
         assert abs(res.rayleigh_estimate - lam) <= 1e-8 * (1.0 + abs(lam))
 
     def test_convex_quadratic_abstains(self):
         prob = make_quadratic_problem(np.eye(8), 4, seed=1, noise=0.1)
-        res = find_nc_direction(
-            prob, query_for(prob.x0), make_rng(37), GradCounter()
-        )
+        res = find_nc_direction(prob, prob.x0, 0.1, 0.1, make_rng(37), GradCounter())
         assert res.is_bottom
 
     def test_streaming_convex_abstains(self):
         prob = streaming_quadratic(np.eye(8), seed=2, noise=0.1)
-        res = find_nc_direction(
-            prob, query_for(prob.x0), make_rng(41), GradCounter()
-        )
+        res = find_nc_direction(prob, prob.x0, 0.1, 0.1, make_rng(41), GradCounter())
         assert res.is_bottom
 
     def test_streaming_saddle_found(self):
         prob, eigs = random_symmetric_fixture(10, -0.4, seed=7, streaming=True)
-        res = find_nc_direction(
-            prob, query_for(prob.x0, eps_H=0.2), make_rng(43), GradCounter()
-        )
+        res = find_nc_direction(prob, prob.x0, 0.2, 0.1, make_rng(43), GradCounter())
         assert res.direction is not None
         assert rayleigh(prob, prob.x0, res.direction) <= -0.1 + 1e-6
 
@@ -319,7 +303,7 @@ class TestFinderContracts:
         found = sound = 0
         for s in range(40):
             prob, _ = random_symmetric_fixture(12, -2 * eps_H, seed=100 + s, streaming=streaming)
-            res = find_nc_direction(prob, query_for(prob.x0, eps_H, delta), make_rng(500 + s), GradCounter())
+            res = find_nc_direction(prob, prob.x0, eps_H, delta, make_rng(500 + s), GradCounter())
             if res.direction is not None:
                 found += 1
                 sound += rayleigh(prob, prob.x0, res.direction) <= -eps_H / 2 + 1e-6
@@ -330,7 +314,7 @@ class TestFinderContracts:
             prob, _ = random_symmetric_fixture(
                 12, 0.02, seed=900 + s, streaming=streaming, lambda_rest=(0.02, 1.0)
             )
-            res = find_nc_direction(prob, query_for(prob.x0, eps_H, delta), make_rng(1500 + s), GradCounter())
+            res = find_nc_direction(prob, prob.x0, eps_H, delta, make_rng(1500 + s), GradCounter())
             bottom += res.is_bottom
         assert bottom >= math.floor((1 - delta) * 40 - 3 * math.sqrt(40 * delta * (1 - delta)))
 
@@ -359,9 +343,8 @@ class TestFinderContracts:
             for core in (bent, flat):
                 prob = HessianNoiseStream(core, noise)
                 before = len(certificates)
-                res = find_nc_direction(
-                    prob, query_for(prob.x0, eps_H, delta), make_rng(500 + s), GradCounter()
-                )
+                rng = make_rng(500 + s)
+                res = find_nc_direction(prob, prob.x0, eps_H, delta, rng, GradCounter())
                 if res.direction is not None:
                     assert rayleigh(prob, prob.x0, res.direction) <= -eps_H / 2
                 if core is flat:
@@ -370,17 +353,19 @@ class TestFinderContracts:
 
     def test_abstention_reports_best_estimate(self):
         prob = make_quadratic_problem(np.eye(5), 4, seed=3, noise=0.0)
-        res = find_nc_direction(
-            prob, query_for(prob.x0), make_rng(47), GradCounter()
-        )
+        res = find_nc_direction(prob, prob.x0, 0.1, 0.1, make_rng(47), GradCounter())
         assert res.is_bottom
         assert res.rayleigh_estimate >= 0.5  # spectrum is all ones
 
-    def test_query_validation(self):
-        with pytest.raises(ValueError):
-            NCQuery(z=np.zeros(2), eps_H=1.5, delta=0.1)
-        with pytest.raises(ValueError):
-            NCQuery(z=np.zeros(2), eps_H=0.1, delta=0.0)
+    @pytest.mark.parametrize("name", ["eps_H", "delta"])
+    @pytest.mark.parametrize("bad", [0.0, 1.0, 1.5, -0.1, math.nan])
+    def test_threshold_and_probability_lie_in_open_unit_interval(self, name, bad):
+        prob = make_quadratic_problem(np.eye(2), 4, seed=3, noise=0.0)
+        args = {"eps_H": 0.1, "delta": 0.1, name: bad}
+        rng, counter = make_rng(0), GradCounter()
+        with pytest.raises(ValueError, match=re.escape(f"{name} must lie in (0, 1), got {bad}")):
+            find_nc_direction(prob, prob.x0, args["eps_H"], args["delta"], rng, counter)
+        assert counter.count == 0
 
 
 def regularized_bent(seed, n=4000, dim=20):
@@ -416,8 +401,7 @@ class TestSubsampledLanczos:
         monkeypatch.setattr(ncf, "hvp_estimate", spy)
         monkeypatch.setattr(prob, "subsample", subsample)
         counter = GradCounter()
-        query = query_for(z, self.eps_H, self.delta)
-        res = find_nc_direction(prob, query, make_rng(seed), counter)
+        res = find_nc_direction(prob, z, self.eps_H, self.delta, make_rng(seed), counter)
         return res, counter, calls, subsamples
 
     def test_error_budget_split(self):
@@ -425,15 +409,15 @@ class TestSubsampledLanczos:
         # and Lanczos' accuracy eps_H / 8 at delta / 2 share the population
         # search's eps_H / 4 at delta
         prob, z = regularized_bent(seed=3)
-        query = query_for(z, self.eps_H, self.delta)
         var, R = prob.hessian_spread
         s = self.eps_H / 8
         bernstein = 2 * (var + R * s / 3) * math.log(4 * prob.dim / self.delta) / s**2
-        assert ncf._subsample_size(prob, query) == math.ceil(bernstein)
+        assert ncf._subsample_size(prob, self.eps_H, self.delta) == math.ceil(bernstein)
         dim = 10**6  # above the step count, which the cap at d would hide
         rel = self.eps_H / (16 * prob.smoothness.L1)
         kw = 0.5 + math.log(1.648 * math.sqrt(dim) / (self.delta / 2)) / (2 * math.sqrt(rel))
-        assert ncf._lanczos_steps(query, prob.smoothness.L1, dim, subsampled=True) == math.ceil(kw)
+        L1 = prob.smoothness.L1
+        assert ncf._lanczos_steps(self.eps_H, self.delta, L1, dim, True) == math.ceil(kw)
 
     @pytest.mark.parametrize("bent", [True, False])
     def test_products_read_one_index_set_and_certificates_the_population(self, monkeypatch, bent):
@@ -442,9 +426,9 @@ class TestSubsampledLanczos:
         prob, z = regularized_bent(seed=3, dim=60)
         if not bent:
             z = np.zeros(prob.dim)
-        query = query_for(z, self.eps_H, self.delta)
-        budget = ncf._lanczos_steps(query, prob.smoothness.L1, prob.dim, subsampled=True)
-        assert ncf._lanczos_steps(query, prob.smoothness.L1, prob.dim) < budget < prob.dim
+        L1 = prob.smoothness.L1
+        budget = ncf._lanczos_steps(self.eps_H, self.delta, L1, prob.dim, True)
+        assert ncf._lanczos_steps(self.eps_H, self.delta, L1, prob.dim, False) < budget < prob.dim
         res, counter, calls, subsamples = self.spy_run(monkeypatch, prob, z, seed=5)
         assert len(subsamples) == 1
         idx, view = subsamples[0]
@@ -470,15 +454,14 @@ class TestSubsampledLanczos:
         prob, z = regularized_bent(seed=4, n=300)
         if not bent:
             z = np.zeros(prob.dim)
-        query = query_for(z, self.eps_H, self.delta)
-        assert ncf._subsample_size(prob, query) == prob.n
+        assert ncf._subsample_size(prob, self.eps_H, self.delta) == prob.n
         undeclared, _ = regularized_bent(seed=4, n=300)
         undeclared.hessian_spread = None
         monkeypatch.setattr(prob, "subsample", None)  # never called
         results = []
         for p in (prob, undeclared):
             rng, counter = make_rng(9), GradCounter()
-            res = find_nc_direction(p, query, rng, counter)
+            res = find_nc_direction(p, z, self.eps_H, self.delta, rng, counter)
             # the next draw matches only if neither search took an index set
             results.append((res, counter.count, rng.random()))
         (a, count_a, next_a), (b, count_b, next_b) = results
@@ -497,16 +480,14 @@ class TestSubsampledLanczos:
         found = sound = bottom = 0
         for s in range(40):
             prob, z = regularized_bent(seed=2000 + s)
-            query = query_for(z, eps_H, delta)
-            assert ncf._subsample_size(prob, query) < prob.n
+            assert ncf._subsample_size(prob, eps_H, delta) < prob.n
             assert np.linalg.eigvalsh(prob.hessian(z))[0] < -eps_H
-            res = find_nc_direction(prob, query, make_rng(2500 + s), GradCounter())
+            res = find_nc_direction(prob, z, eps_H, delta, make_rng(2500 + s), GradCounter())
             if res.direction is not None:
                 found += 1
                 sound += rayleigh(prob, z, res.direction) <= -eps_H / 2 + 1e-6
-            origin = query_for(prob.x0, eps_H, delta)
             assert np.linalg.eigvalsh(prob.hessian(prob.x0))[0] >= -eps_H / 2
-            res = find_nc_direction(prob, origin, make_rng(3500 + s), GradCounter())
+            res = find_nc_direction(prob, prob.x0, eps_H, delta, make_rng(3500 + s), GradCounter())
             bottom += res.is_bottom
         assert sound == found
         assert found >= floor

@@ -67,9 +67,9 @@ def run_epoch(
     The length T is drawn from Geom(p) with the schedule's parameter p.  A
     drawn T = 0 performs no gradient work at all -- the loop body never
     executes, so not even the level-0 anchor is sampled.  Every refresh is
-    charged to ``counter``.  Deterministic given the generator state.
+    charged to ``counter``, in one sum when the epoch ends.  Deterministic
+    given the generator state.
     """
-    start_count = counter.count
     K = schedule.K
     T = draw_epoch_length(schedule.p, rng)
 
@@ -89,6 +89,7 @@ def run_epoch(
     loops = (0, *schedule.T)  # loops[l] = T_l: level-l refreshes per level l - 1 one
     left = list(loops)  # level-l refreshes left before level l - 1 refreshes
     r = 0
+    charged = 0
     out_of_domain = False
 
     step = 1.0 / (10.0 * schedule.M)
@@ -98,7 +99,7 @@ def run_epoch(
             g = problem.sample_batch_grad(x, batches[0], rng)
         else:
             g = problem.sample_batch_grad_diff(x, refs[r - 1], batches[r], rng)
-        counter.add(charges[r])
+        charged += charges[r]
         v = prefix[r] + g
         prefix[r + 1 :] = [v] * (K - r)
         x = x - step * v
@@ -113,10 +114,11 @@ def run_epoch(
                 break
             left[r] = loops[r]
             r -= 1
+    counter.add(charged)
 
     return EpochResult(
         x_out=x,
         T=T,
-        grads_used=counter.count - start_count,
+        grads_used=charged,
         out_of_domain=out_of_domain,
     )

@@ -18,11 +18,16 @@ correction over a batch of size ``B`` costs ``2 B`` units.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 import math
 import operator
+import os
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
 
 Array = np.ndarray
 
@@ -206,20 +211,31 @@ def sample_indices_without_replacement(n: int, m: int, rng: np.random.Generator)
     return rng.choice(n, size=m, replace=False)
 
 
+@lru_cache(maxsize=8)  # an epoch's levels, K <= 6 in practice
 def _leading_rows(n: int, size: int) -> Array | int:
     """The batch a difference that reads no rows takes for ``size``
-    components: the integer ``n``, or the first ``size`` indices."""
+    components: the integer ``n``, or the first ``size`` indices, kept per
+    ``(n, size)`` and read-only, since every such call shares it."""
     if not 1 <= size <= n:
         raise ValueError(f"batch size must lie in 1..{n}, got {size}")
-    return n if size == n else np.arange(size)
+    if size == n:
+        return n
+    idx = np.arange(size)
+    idx.setflags(write=False)
+    return idx
 
 
 def _is_population(idx: Array | int, n: int) -> bool:
     """True for the integer batch ``n`` (every component); False for a
-    non-empty index array.  Any other batch is rejected."""
-    if np.ndim(idx) != 0:
-        if np.size(idx) == 0:
+    non-empty index array.  Any other batch is rejected, a boolean mask too:
+    a gather with ``take`` would read it as the indices 0 and 1."""
+    if not isinstance(idx, (np.ndarray, int)):
+        idx = np.asarray(idx)  # a list or a numpy scalar
+    if isinstance(idx, np.ndarray) and idx.ndim:
+        if idx.size == 0:
             raise ValueError("an index batch must not be empty")
+        if idx.dtype.kind not in "iu":
+            raise ValueError(f"an index batch must hold integers, got dtype {idx.dtype}")
         return False
     if idx != n:
         raise ValueError(f"an integer batch must be the population size {n}, got {idx}")
@@ -383,8 +399,55 @@ def make_saddle_problem(
 
 
 #: bytes of design rows a subsampled regularized batch gathers at a time:
-#: a few hundred KB, well inside a core's L2 (163 rows at d = 200)
+#: a few hundred KB, well inside a core's L2 (163 rows at d = 200).  A batch's
+#: blocks are split into one contiguous run per usable core; the caller
+#: computes the first run and a worker thread each other one, and the caller
+#: adds every block's term in block order, so a batch has the same bits on
+#: any number of cores.  Against one thread gathering with fancy indexing and
+#: multiplying with @ (same digests; ten alternating 30 s perfbench pairs,
+#: seeds 21-30, 2-core Xeon) the median trials_per_s on regularized-d200 was
+#: 8.23 vs 6.59, ahead in 10 of 10 pairs
 ROW_BLOCK_BYTES = 2**18
+
+
+def _usable_cores() -> int:
+    """The number of cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@cache
+def _row_pool() -> ThreadPoolExecutor:
+    """Worker threads for the runs of row blocks after a batch's first, made
+    on the first batch that splits, so that importing starts no thread."""
+    # imported here: concurrent.futures loads logging, about 0.8 MB of
+    # resident memory that a process whose batches never split need not hold
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(max_workers=max(1, _usable_cores() - 1), thread_name_prefix="nestvr-rows")
+
+
+if hasattr(os, "register_at_fork"):
+    # a forked child has none of its parent's threads, and a pool that waits
+    # on them would never run its work: the child makes its own
+    os.register_at_fork(after_in_child=_row_pool.cache_clear)
+
+
+def _block_term(A: Array, targets: Array | None, block: Array, u: Array) -> Array:
+    """sum over the rows of ``block`` of a_i (a_i . u - t_i), where t gathers
+    ``targets``, or is 0 when that is None.  Arithmetic only, so that a worker
+    thread may run it; its rows are freed before the next block's gather."""
+    rows = A.take(block, axis=0)
+    res = rows.dot(u)
+    if targets is not None:
+        res -= targets.take(block)
+    return rows.T.dot(res)
+
+
+def _block_terms(A: Array, targets: Array | None, blocks: list[Array], u: Array) -> list[Array]:
+    """:func:`_block_term` of each block, in block order."""
+    return [_block_term(A, targets, block, u) for block in blocks]
 
 
 class _RegularizedLeastSquaresProblem(FiniteSumProblem):
@@ -408,10 +471,20 @@ class _RegularizedLeastSquaresProblem(FiniteSumProblem):
     least-squares part's sufficient statistics ``gram = A^T A / n``,
     ``Aty = A^T y / n`` and ``mean_y2`` (the mean of y_i^2), computed once
     here.  An index-array batch is gathered ``block_rows`` rows at a time
-    (about ``ROW_BLOCK_BYTES`` of rows), and each block serves both of its
-    products while it is still in cache, so no batch-sized copy of the rows
-    is made.  Both match the single-gather row form to roundoff, not bit for
-    bit.
+    (about ``ROW_BLOCK_BYTES`` of rows, with ``ndarray.take``), and each block
+    serves both of its products (``ndarray.dot``) while it is still in cache,
+    so no batch-sized copy of the rows is made.  The blocks are split into
+    one contiguous run per usable core (``os.sched_getaffinity``), capped at
+    the number of blocks: the calling thread computes the first run and a
+    worker thread each other one, touching no counter, generator or oracle
+    method, and each run holds one block of rows at a time.  The caller then adds every block's term to the sum in block
+    order, so a batch has the same bits on any number of cores; a batch of
+    one block, or a process with one core, starts no thread.  The worker
+    pool is made on the first batch that splits, and afresh in a forked
+    child, which has none of its parent's threads.  ``subsample`` gathers
+    its Gram matrix block by block in the calling thread alone.  Both the
+    population and the blocked forms match the single-gather row form to
+    roundoff, not bit for bit.
 
     The regularizer is common to every component, so H_i - H = a_i a_i^T - G
     with G = ``gram``, and mean_i (H_i - H)^2 = mean_i |a_i|^2 a_i a_i^T - G^2
@@ -480,22 +553,33 @@ class _RegularizedLeastSquaresProblem(FiniteSumProblem):
         lsq = x @ (0.5 * (self.gram @ x) - self.Aty) + 0.5 * self.mean_y2
         return float((0.0 if lsq < 0.0 else lsq) + self._reg_value(x))
 
-    def _gathered(self, idx: Array):
-        """The rows of ``idx``, gathered ``block_rows`` at a time, each with
-        its indices."""
-        for start in range(0, idx.size, self.block_rows):
-            block = idx[start : start + self.block_rows]
-            yield block, self.A[block]
+    def _blocks(self, idx: Array) -> list[Array]:
+        """``idx`` cut into blocks of ``block_rows`` indices, in order."""
+        step = self.block_rows
+        return [idx[start : start + step] for start in range(0, idx.size, step)]
 
     def _row_blocks(self, idx: Array, u: Array, targets: bool) -> Array:
         """(1/m) sum over the m indices of a_i (a_i . u - t_i), where t_i is
-        y_i with ``targets`` and 0 without, gathered in row blocks."""
+        y_i with ``targets`` and 0 without, gathered in row blocks: one
+        contiguous run of them per usable core, the first computed here."""
+        blocks = self._blocks(idx)
+        runs = min(_usable_cores(), len(blocks))
+        cuts = [len(blocks) * k // runs for k in range(runs + 1)]
+        args = (self.A, self.y if targets else None)
+        futures = [
+            _row_pool().submit(_block_terms, *args, blocks[start:stop], u)
+            for start, stop in zip(cuts[1:-1], cuts[2:])
+        ]
+        try:
+            terms = _block_terms(*args, blocks[: cuts[1]], u)
+        finally:
+            for future in futures:  # no worker reads u once this call has ended
+                future.exception()
+        for future in futures:
+            terms += future.result()
         out = np.zeros(self.dim)
-        for block, rows in self._gathered(idx):
-            res = rows @ u
-            if targets:
-                res -= self.y[block]
-            out += rows.T @ res
+        for term in terms:  # in block order, as a single loop over the blocks adds them
+            out += term
         return out / idx.size
 
     @cached_property
@@ -504,8 +588,11 @@ class _RegularizedLeastSquaresProblem(FiniteSumProblem):
         return self.max_row_sq * lam, max(self.max_row_sq, lam)
 
     def subsample(self, idx: Array) -> FiniteSumProblem:
+        # in this thread alone: a sum in block order over split runs would
+        # hold a d x d term per block, 320 KB each at d = 200
         gram = np.zeros((self.dim, self.dim))
-        for _, rows in self._gathered(idx):
+        for block in self._blocks(idx):
+            rows = self.A.take(block, axis=0)
             gram += rows.T @ rows
         return _RegularizedRowView(gram / idx.size, idx.size)
 

@@ -1,5 +1,12 @@
 import math
+import os
+from pathlib import Path
+import signal
+import subprocess
+import sys
+import threading
 import tracemalloc
+import warnings
 
 from hypothesis import assume, example, given, settings, strategies as st
 import numpy as np
@@ -7,6 +14,7 @@ import pytest
 
 from conftest import QuadraticProblem, make_quadratic_problem, streaming_quadratic
 
+import nestvr
 from nestvr import (
     GradCounter,
     SmoothnessSpec,
@@ -17,6 +25,7 @@ from nestvr import (
     sample_indices_without_replacement,
     spawn_rngs,
 )
+from nestvr import problems
 from nestvr.problems import (
     GRAD_MEMO_SIZE,
     _RegularizedLeastSquaresProblem,
@@ -162,6 +171,17 @@ class TestPopulationBatch:
         with pytest.raises(ValueError, match="empty"):
             prob.batch_grad_diff(prob.x0 + 1.0, prob.x0, empty)
 
+    @pytest.mark.parametrize("family", sorted(FINITE_FAMILIES))
+    @pytest.mark.parametrize("dtype", [bool, float])
+    def test_non_integer_index_batch_rejected(self, family, dtype):
+        # a row gather with take reads a boolean mask as the indices 0 and 1
+        prob = FINITE_FAMILIES[family]()
+        batch = np.ones(prob.n, dtype=dtype)
+        with pytest.raises(ValueError, match="must hold integers"):
+            prob.batch_grad(prob.x0, batch)
+        with pytest.raises(ValueError, match="must hold integers"):
+            prob.batch_grad_diff(prob.x0 + 1.0, prob.x0, batch)
+
 
 class TestRegularizedRowBlocks:
     """Index batches are summed block by block, equal to one gather to roundoff."""
@@ -170,22 +190,75 @@ class TestRegularizedRowBlocks:
     def close(got, ref):
         assert np.all(np.abs(got - ref) <= 1e-12 * (1 + np.abs(ref)))
 
-    def test_blocked_batches_match_single_gather(self, rng):
-        prob = make_regularized_problem(64, 1200, seed=31)
+    @staticmethod
+    def batches(prob, rng):
         block = prob.block_rows
         assert 1 < block < prob.n // 2
-        A = prob.A
         batches = [np.arange(prob.n)]
         for m in (1, block - 1, block, block + 1, 2 * block + 7):
             batches.append(rng.permutation(prob.n)[:m])  # unsorted, distinct
             batches.append(rng.integers(0, 40, size=m))  # repeated rows
-        for idx in batches:
+        return batches
+
+    def test_blocked_batches_match_single_gather(self, rng):
+        prob = make_regularized_problem(64, 1200, seed=31)
+        A = prob.A
+        for idx in self.batches(prob, rng):
             x, y = 2 * rng.standard_normal((2, prob.dim))
             rows = A[idx]
             grad = rows.T @ (rows @ x - prob.y[idx]) / idx.size + prob._reg_grad(x)
             diff = rows.T @ (rows @ (x - y)) / idx.size + prob._reg_grad(x) - prob._reg_grad(y)
             self.close(prob.batch_grad(x, idx), grad)
             self.close(prob.batch_grad_diff(x, y, idx), diff)
+
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    def test_split_batches_equal_the_block_loop_bit_for_bit(self, cores, rng, monkeypatch):
+        # one loop over the blocks, a fancy gather and @ products summed in
+        # block order, is the reference on any number of cores
+        prob = make_regularized_problem(64, 1200, seed=36)
+        monkeypatch.setattr(problems, "_usable_cores", lambda: cores)
+        runs = []
+        block_terms = problems._block_terms
+
+        def recorded(A, targets, blocks, u):
+            runs.append((threading.get_ident(), len(blocks)))
+            return block_terms(A, targets, blocks, u)
+
+        monkeypatch.setattr(problems, "_block_terms", recorded)
+
+        def block_loop(idx, u, targets):
+            out = np.zeros(prob.dim)
+            for start in range(0, idx.size, prob.block_rows):
+                block = idx[start : start + prob.block_rows]
+                rows = prob.A[block]
+                res = rows @ u
+                if targets:
+                    res -= prob.y[block]
+                out += rows.T @ res
+            return out / idx.size
+
+        for idx in self.batches(prob, rng):
+            x, y = 2 * rng.standard_normal((2, prob.dim))
+            grad = block_loop(idx, x, True) + prob._reg_grad(x)
+            diff = block_loop(idx, x - y, False) + prob._reg_grad(x) - prob._reg_grad(y)
+            runs.clear()
+            assert np.array_equal(prob.batch_grad(x, idx), grad)
+            # one run per core, capped at the blocks, the first run here
+            blocks = -(-idx.size // prob.block_rows)
+            sizes = [size for _, size in runs]
+            assert len(runs) == min(cores, blocks) and sum(sizes) == blocks
+            assert max(sizes) - min(sizes) <= 1
+            assert [ident == threading.get_ident() for ident, _ in runs].count(True) == 1
+            assert np.array_equal(prob.batch_grad_diff(x, y, idx), diff)
+
+    def test_subsample_gram_equals_the_block_loop_bit_for_bit(self, rng):
+        prob = make_regularized_problem(64, 1200, seed=37)
+        for idx in self.batches(prob, rng)[::2]:  # distinct indices
+            gram = np.zeros((prob.dim, prob.dim))
+            for start in range(0, idx.size, prob.block_rows):
+                rows = prob.A[idx[start : start + prob.block_rows]]
+                gram += rows.T @ rows
+            assert np.array_equal(prob.subsample(idx).gram, gram / idx.size)
 
     def test_value_matches_rows(self, rng):
         prob = make_regularized_problem(20, 300, seed=32)
@@ -211,21 +284,27 @@ class TestRegularizedRowBlocks:
                 reg = prob._reg_value(x)
                 assert reg <= prob.value(x) <= reg + 1e-12
 
-    def test_subsampled_batch_allocates_no_batch_sized_rows(self, rng):
+    def test_subsampled_batch_allocates_no_batch_sized_rows(self, rng, monkeypatch):
+        # each run of blocks holds one block of rows at a time, so up to three
+        # runs hold less than this batch's four blocks on any machine
         n, m, d = 4096, 2048, 64
         prob = make_regularized_problem(d, n, seed=33)
         idx = sample_indices_without_replacement(n, m, rng)
         x, y = rng.standard_normal((2, d))
-        tracemalloc.start()
-        try:
-            for call in (lambda: prob.batch_grad_diff(x, y, idx), lambda: prob.batch_grad(x, idx)):
-                tracemalloc.reset_peak()
-                base = tracemalloc.get_traced_memory()[0]
-                call()
-                peak = tracemalloc.get_traced_memory()[1] - base
-                assert peak < m * d * 8, peak  # an m x d gather takes m * d * 8 bytes
-        finally:
-            tracemalloc.stop()
+        assert m // prob.block_rows == 4
+        for cores in (1, 2, 3):
+            monkeypatch.setattr(problems, "_usable_cores", lambda: cores)
+            prob.batch_grad(x, idx)  # a first split makes the worker pool
+            tracemalloc.start()
+            try:
+                for call in (lambda: prob.batch_grad_diff(x, y, idx), lambda: prob.batch_grad(x, idx)):
+                    tracemalloc.reset_peak()
+                    base = tracemalloc.get_traced_memory()[0]
+                    call()
+                    peak = tracemalloc.get_traced_memory()[1] - base
+                    assert peak < m * d * 8, (cores, peak)  # an m x d gather takes m * d * 8 bytes
+            finally:
+                tracemalloc.stop()
 
     def test_subsample_view_is_the_rows_population(self, rng):
         prob = make_regularized_problem(64, 1200, seed=34)
@@ -252,6 +331,82 @@ class TestRegularizedRowBlocks:
         finally:
             tracemalloc.stop()
         assert peak < m * d * 8, peak  # an m x d gather takes m * d * 8 bytes
+
+
+class TestRowWorkers:
+    """Worker threads for split row batches: made only when a batch splits,
+    and made afresh in a forked child."""
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_computes_the_parents_batch(self, rng, monkeypatch):
+        monkeypatch.setattr(problems, "_usable_cores", lambda: 2)
+        prob = make_regularized_problem(64, 1200, seed=38)
+        idx = sample_indices_without_replacement(prob.n, 2 * prob.block_rows + 7, rng)
+        x = rng.standard_normal(prob.dim)
+        want = prob.batch_grad(x, idx).tobytes()  # the parent's worker is running now
+        read, write = os.pipe()
+        with warnings.catch_warnings():  # forking a threaded process is the point
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:  # pragma: no cover - the child
+            code = 1
+            try:
+                os.close(read)
+                signal.alarm(5)
+                os.write(write, prob.batch_grad(x, idx).tobytes())
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(write)
+        with os.fdopen(read, "rb") as pipe:
+            got = pipe.read()
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert got == want
+
+    def test_concurrent_callers_get_the_one_core_bits(self, rng, monkeypatch):
+        # more callers than cores, each splitting into more runs than cores,
+        # with frequent thread switches
+        prob = make_regularized_problem(64, 1200, seed=39)
+        batches = [sample_indices_without_replacement(prob.n, 2 * prob.block_rows + 7, rng) for _ in range(4)]
+        x = rng.standard_normal(prob.dim)
+        monkeypatch.setattr(problems, "_usable_cores", lambda: 1)
+        want = [prob.batch_grad(x, idx).tobytes() for idx in batches]
+        monkeypatch.setattr(problems, "_usable_cores", lambda: 3)
+        got = [[] for _ in batches]
+
+        def caller(k):
+            for _ in range(20):
+                got[k].append(prob.batch_grad(x, batches[k]).tobytes())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller, args=(k,)) for k in range(len(batches))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == [[bits] * 20 for bits in want]
+
+    def test_import_and_saddle_run_start_no_thread(self):
+        script = (
+            "import threading\n"
+            "before = threading.active_count()\n"
+            "import nestvr\n"
+            "assert threading.active_count() == before\n"
+            "prob = nestvr.make_saddle_problem(10, 256, -1.0, seed=1, radius=1.5)\n"
+            "cfg = nestvr.configure(prob, eps=1e-3, eps_H=0.1, order=2, overrides={'U': 50})\n"
+            "nestvr.run_driver(prob, cfg, nestvr.make_rng(7))\n"
+            "assert threading.active_count() == before, threading.enumerate()\n"
+        )
+        src = str(Path(nestvr.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
 
 
 @settings(max_examples=60, deadline=None)

@@ -296,10 +296,11 @@ class TestScheduleProperties:
     @example(B0=65536, length=3 * 256)
     def test_step_charge_is_tail_of_level_costs(self, B0, length):
         # streaming batch means cost O(d) whatever the batch size, so even
-        # the largest bases run an epoch quickly.  The tails strictly fall
-        # with the level, so the charges name the levels run_epoch's
-        # countdowns step through; the examples cover three whole sweeps of
-        # the canonical schedules, K = 1..4
+        # the largest bases run an epoch quickly.  Each step costs the tail
+        # of the level costs from its reset level, and the epoch charges the
+        # sum of its steps' costs once, when it ends (the epoch-law tests
+        # check each step's reset level); the examples cover three whole
+        # sweeps of the canonical schedules, K = 1..4
         class Recording(GradCounter):
             __slots__ = ("charges",)
 
@@ -317,4 +318,4 @@ class TestScheduleProperties:
         with fixed_length(length):
             run_epoch(prob.x0, prob, sch, make_rng(B0 % 997), counter)
         want = [sum(sch.level_costs[reset_level(t, sch) :]) for t in range(length)]
-        assert counter.charges == want
+        assert counter.charges == [sum(want)]

@@ -18,10 +18,11 @@ correction over a batch of size ``B`` costs ``2 B`` units.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cache, cached_property, lru_cache
+from functools import cached_property, lru_cache
 import math
 import operator
 import os
+import threading
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -399,15 +400,18 @@ def make_saddle_problem(
 
 
 #: bytes of design rows a subsampled regularized batch gathers at a time:
-#: a few hundred KB, well inside a core's L2 (163 rows at d = 200).  A batch's
-#: blocks are split into one contiguous run per usable core; the caller
-#: computes the first run and a worker thread each other one, and the caller
-#: adds every block's term in block order, so a batch has the same bits on
-#: any number of cores.  Against one thread gathering with fancy indexing and
-#: multiplying with @ (same digests; ten alternating 30 s perfbench pairs,
-#: seeds 21-30, 2-core Xeon) the median trials_per_s on regularized-d200 was
-#: 8.23 vs 6.59, ahead in 10 of 10 pairs
+#: a few hundred KB, well inside a core's L2 (163 rows at d = 200)
 ROW_BLOCK_BYTES = 2**18
+
+#: most runs a subsampled regularized batch's row blocks are split into: the
+#: calling thread's and one worker thread's, so at most two blocks of rows are
+#: gathered at once.  The caller adds every block's term in block order, so a
+#: batch has the same bits however many runs it takes.  Against one thread
+#: gathering with fancy indexing and multiplying with @ (same digests; ten
+#: alternating 30 s perfbench pairs, seeds 21-30, 2-core Xeon) the median
+#: trials_per_s on regularized-d200 was 8.23 vs 6.59, ahead in 10 of 10 pairs;
+#: against take and dot in one thread (seeds 41-50), 8.20 vs 6.76, 10 of 10
+ROW_RUNS = 2
 
 
 def _usable_cores() -> int:
@@ -417,21 +421,36 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-@cache
-def _row_pool() -> ThreadPoolExecutor:
-    """Worker threads for the runs of row blocks after a batch's first, made
-    on the first batch that splits, so that importing starts no thread."""
-    # imported here: concurrent.futures loads logging, about 0.8 MB of
-    # resident memory that a process whose batches never split need not hold
-    from concurrent.futures import ThreadPoolExecutor
+_row_pool_lock = threading.Lock()
+_row_pool_made: ThreadPoolExecutor | None = None
 
-    return ThreadPoolExecutor(max_workers=max(1, _usable_cores() - 1), thread_name_prefix="nestvr-rows")
+
+def _row_pool() -> ThreadPoolExecutor:
+    """The worker threads for the runs of row blocks after a batch's first,
+    made on the first batch that splits, so that importing starts no thread,
+    and under a lock, so that racing callers share one pool."""
+    global _row_pool_made
+    with _row_pool_lock:
+        if _row_pool_made is None:
+            # imported here: concurrent.futures loads logging, about 0.8 MB of
+            # resident memory that a process whose batches never split need not hold
+            from concurrent.futures import ThreadPoolExecutor
+
+            _row_pool_made = ThreadPoolExecutor(max_workers=ROW_RUNS - 1, thread_name_prefix="nestvr-rows")
+        return _row_pool_made
+
+
+def _forget_row_pool() -> None:
+    """Drop the pool and its lock: a forked child has none of its parent's
+    threads, so a pool that waits on them would never run its work, and a
+    lock one of them held would never be released.  The child makes its own."""
+    global _row_pool_lock, _row_pool_made
+    _row_pool_lock = threading.Lock()
+    _row_pool_made = None
 
 
 if hasattr(os, "register_at_fork"):
-    # a forked child has none of its parent's threads, and a pool that waits
-    # on them would never run its work: the child makes its own
-    os.register_at_fork(after_in_child=_row_pool.cache_clear)
+    os.register_at_fork(after_in_child=_forget_row_pool)
 
 
 def _block_term(A: Array, targets: Array | None, block: Array, u: Array) -> Array:
@@ -472,19 +491,19 @@ class _RegularizedLeastSquaresProblem(FiniteSumProblem):
     ``Aty = A^T y / n`` and ``mean_y2`` (the mean of y_i^2), computed once
     here.  An index-array batch is gathered ``block_rows`` rows at a time
     (about ``ROW_BLOCK_BYTES`` of rows, with ``ndarray.take``), and each block
-    serves both of its products (``ndarray.dot``) while it is still in cache,
-    so no batch-sized copy of the rows is made.  The blocks are split into
-    one contiguous run per usable core (``os.sched_getaffinity``), capped at
-    the number of blocks: the calling thread computes the first run and a
-    worker thread each other one, touching no counter, generator or oracle
-    method, and each run holds one block of rows at a time.  The caller then adds every block's term to the sum in block
-    order, so a batch has the same bits on any number of cores; a batch of
-    one block, or a process with one core, starts no thread.  The worker
-    pool is made on the first batch that splits, and afresh in a forked
-    child, which has none of its parent's threads.  ``subsample`` gathers
-    its Gram matrix block by block in the calling thread alone.  Both the
-    population and the blocked forms match the single-gather row form to
-    roundoff, not bit for bit.
+    serves both of its products (``ndarray.dot``) while it is still in cache.
+    The blocks are split into contiguous runs, one per usable core
+    (``os.sched_getaffinity``) up to ``ROW_RUNS`` and the number of blocks:
+    the calling thread computes the first run and a worker thread the other,
+    touching no counter, generator or oracle method.  Each run holds one
+    block of rows at a time, so no batch-sized copy of the rows is made.  The
+    caller then adds every block's term to the sum in block order, so a batch
+    has the same bits on any number of cores; a batch of one block, or a
+    process with one core, starts no thread.  The worker pool is made on the
+    first batch that splits, and afresh in a forked child, which has none of
+    its parent's threads.  ``subsample`` gathers its Gram matrix block by
+    block in the calling thread alone.  Both the population and the blocked
+    forms match the single-gather row form to roundoff, not bit for bit.
 
     The regularizer is common to every component, so H_i - H = a_i a_i^T - G
     with G = ``gram``, and mean_i (H_i - H)^2 = mean_i |a_i|^2 a_i a_i^T - G^2
@@ -561,9 +580,10 @@ class _RegularizedLeastSquaresProblem(FiniteSumProblem):
     def _row_blocks(self, idx: Array, u: Array, targets: bool) -> Array:
         """(1/m) sum over the m indices of a_i (a_i . u - t_i), where t_i is
         y_i with ``targets`` and 0 without, gathered in row blocks: one
-        contiguous run of them per usable core, the first computed here."""
+        contiguous run of them per usable core up to ``ROW_RUNS``, the first
+        computed here."""
         blocks = self._blocks(idx)
-        runs = min(_usable_cores(), len(blocks))
+        runs = min(ROW_RUNS, _usable_cores(), len(blocks))
         cuts = [len(blocks) * k // runs for k in range(runs + 1)]
         args = (self.A, self.y if targets else None)
         futures = [

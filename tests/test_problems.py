@@ -211,11 +211,12 @@ class TestRegularizedRowBlocks:
             self.close(prob.batch_grad(x, idx), grad)
             self.close(prob.batch_grad_diff(x, y, idx), diff)
 
-    @pytest.mark.parametrize("cores", [1, 2, 3])
-    def test_split_batches_equal_the_block_loop_bit_for_bit(self, cores, rng, monkeypatch):
+    @pytest.mark.parametrize("row_runs, cores", [(2, 1), (2, 2), (2, 64), (3, 64)])
+    def test_split_batches_equal_the_block_loop_bit_for_bit(self, row_runs, cores, rng, monkeypatch):
         # one loop over the blocks, a fancy gather and @ products summed in
-        # block order, is the reference on any number of cores
+        # block order, is the reference for 1, 2 and 3 runs
         prob = make_regularized_problem(64, 1200, seed=36)
+        monkeypatch.setattr(problems, "ROW_RUNS", row_runs)
         monkeypatch.setattr(problems, "_usable_cores", lambda: cores)
         runs = []
         block_terms = problems._block_terms
@@ -243,10 +244,10 @@ class TestRegularizedRowBlocks:
             diff = block_loop(idx, x - y, False) + prob._reg_grad(x) - prob._reg_grad(y)
             runs.clear()
             assert np.array_equal(prob.batch_grad(x, idx), grad)
-            # one run per core, capped at the blocks, the first run here
+            # one run per core up to ROW_RUNS and the blocks, the first here
             blocks = -(-idx.size // prob.block_rows)
             sizes = [size for _, size in runs]
-            assert len(runs) == min(cores, blocks) and sum(sizes) == blocks
+            assert len(runs) == min(row_runs, cores, blocks) and sum(sizes) == blocks
             assert max(sizes) - min(sizes) <= 1
             assert [ident == threading.get_ident() for ident, _ in runs].count(True) == 1
             assert np.array_equal(prob.batch_grad_diff(x, y, idx), diff)
@@ -285,24 +286,29 @@ class TestRegularizedRowBlocks:
                 assert reg <= prob.value(x) <= reg + 1e-12
 
     def test_subsampled_batch_allocates_no_batch_sized_rows(self, rng, monkeypatch):
-        # each run of blocks holds one block of rows at a time, so up to three
-        # runs hold less than this batch's four blocks on any machine
+        # each run of blocks holds one block of rows at a time, and a batch
+        # takes at most ROW_RUNS = 2 runs, so it holds two of this batch's
+        # four blocks at most: on this machine's cores and on more cores than
+        # blocks, where one run per core would hold up to all four.  Calls are
+        # repeated, since how many blocks overlap depends on thread timing
         n, m, d = 4096, 2048, 64
         prob = make_regularized_problem(d, n, seed=33)
         idx = sample_indices_without_replacement(n, m, rng)
         x, y = rng.standard_normal((2, d))
-        assert m // prob.block_rows == 4
-        for cores in (1, 2, 3):
+        block = prob.block_rows * d * 8  # bytes of one block of rows
+        assert m * d * 8 == 4 * block and problems.ROW_RUNS == 2  # an m x d gather is four blocks
+        for cores in (problems._usable_cores(), 64):
             monkeypatch.setattr(problems, "_usable_cores", lambda: cores)
-            prob.batch_grad(x, idx)  # a first split makes the worker pool
+            monkeypatch.setattr(problems, "_row_pool_made", None)
+            prob.batch_grad(x, idx)  # a first split makes the pool, for these cores
             tracemalloc.start()
             try:
-                for call in (lambda: prob.batch_grad_diff(x, y, idx), lambda: prob.batch_grad(x, idx)):
+                for call in 10 * (lambda: prob.batch_grad_diff(x, y, idx), lambda: prob.batch_grad(x, idx)):
                     tracemalloc.reset_peak()
                     base = tracemalloc.get_traced_memory()[0]
                     call()
                     peak = tracemalloc.get_traced_memory()[1] - base
-                    assert peak < m * d * 8, (cores, peak)  # an m x d gather takes m * d * 8 bytes
+                    assert peak < 3 * block, (cores, peak)  # two blocks and their terms
             finally:
                 tracemalloc.stop()
 
@@ -365,8 +371,8 @@ class TestRowWorkers:
         assert got == want
 
     def test_concurrent_callers_get_the_one_core_bits(self, rng, monkeypatch):
-        # more callers than cores, each splitting into more runs than cores,
-        # with frequent thread switches
+        # more callers than runs, each splitting its batch, queued on the one
+        # worker, with frequent thread switches
         prob = make_regularized_problem(64, 1200, seed=39)
         batches = [sample_indices_without_replacement(prob.n, 2 * prob.block_rows + 7, rng) for _ in range(4)]
         x = rng.standard_normal(prob.dim)
@@ -391,6 +397,28 @@ class TestRowWorkers:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert got == [[bits] * 20 for bits in want]
+
+    def test_racing_first_splits_share_one_pool(self, monkeypatch):
+        # no pool yet, and callers released together with frequent switches
+        monkeypatch.setattr(problems, "_row_pool_made", None)
+        barrier = threading.Barrier(8)
+        pools = []
+
+        def caller():
+            barrier.wait()
+            pools.append(problems._row_pool())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(pools) == 8 and all(pool is pools[0] for pool in pools)
 
     def test_import_and_saddle_run_start_no_thread(self):
         script = (

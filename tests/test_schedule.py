@@ -4,7 +4,7 @@ from fractions import Fraction
 from hypothesis import example, given, strategies as st
 import pytest
 
-from conftest import fixed_length, reset_level
+from conftest import fixed_length, recording, reset_level
 from nestvr import (
     GradCounter,
     check_series_domination,
@@ -296,11 +296,11 @@ class TestScheduleProperties:
     @example(B0=65536, length=3 * 256)
     def test_step_charge_is_tail_of_level_costs(self, B0, length):
         # streaming batch means cost O(d) whatever the batch size, so even
-        # the largest bases run an epoch quickly.  Each step costs the tail
-        # of the level costs from its reset level, and the epoch charges the
-        # sum of its steps' costs once, when it ends (the epoch-law tests
-        # check each step's reset level); the examples cover three whole
-        # sweeps of the canonical schedules, K = 1..4
+        # the largest bases run an epoch quickly.  Each step makes its reset
+        # level's call and costs the tail of the level costs from that level;
+        # the epoch charges the sum of its steps' costs once, when it ends.
+        # The examples cover three whole sweeps of the canonical schedules,
+        # K = 1..4
         class Recording(GradCounter):
             __slots__ = ("charges",)
 
@@ -312,10 +312,14 @@ class TestScheduleProperties:
                 self.charges.append(units)
                 super().add(units)
 
-        prob = make_streaming_saddle_problem(2, -1.0, seed=3)
+        prob = recording(make_streaming_saddle_problem(2, -1.0, seed=3))
         sch = derive_schedule(B0, M=6.0 * prob.smoothness.L1)
         counter = Recording()
         with fixed_length(length):
-            run_epoch(prob.x0, prob, sch, make_rng(B0 % 997), counter)
-        want = [sum(sch.level_costs[reset_level(t, sch) :]) for t in range(length)]
-        assert counter.charges == [sum(want)]
+            res = run_epoch(prob.x0, prob, sch, make_rng(B0 % 997), counter)
+        sizes = (sch.B0, *sch.B)
+        levels = [reset_level(t, sch) for t in range(length)]
+        calls = [(size, y is None) for _, y, size, _ in prob.steps]
+        assert calls == [(sizes[r], r == 0) for r in levels]
+        want = sum(sum(sch.level_costs[r:]) for r in levels)
+        assert counter.charges == [want] and res.grads_used == want

@@ -131,14 +131,16 @@ class Problem:
         return self.n is not None
 
     def outside_ball(self, x: Array) -> bool:
-        """Whether ``x`` is outside the ball on which the smoothness constants
-        are certified: farther than radius * (1 + 1e-9) from ``x0``.  Nothing
-        is outside when the radius is None (global constants)."""
+        """Whether the point ``x``, or any row of a stack ``x`` of points, is
+        outside the ball on which the smoothness constants are certified:
+        farther than radius * (1 + 1e-9) from ``x0``.  Nothing is outside when
+        the radius is None (global constants)."""
         radius = self.smoothness.radius
         if radius is None:
             return False
-        offset = x - self.x0
-        return math.sqrt(offset.dot(offset)) > radius * (1 + 1e-9)
+        offsets = np.reshape(x - self.x0, (-1, self.dim))
+        distances = np.sqrt(np.einsum("ij,ij->i", offsets, offsets))
+        return bool((distances > radius * (1 + 1e-9)).any())
 
 
 class FiniteSumProblem(Problem):
@@ -226,21 +228,25 @@ def _leading_rows(n: int, size: int) -> Array | int:
     return idx
 
 
-def _is_population(idx: Array | int, n: int) -> bool:
-    """True for the integer batch ``n`` (every component); False for a
-    non-empty index array.  Any other batch is rejected, a boolean mask too:
-    a gather with ``take`` would read it as the indices 0 and 1."""
+def _index_array(idx: Array | int, n: int) -> Array | None:
+    """None for the integer batch ``n`` (every component); else the batch as
+    the non-empty one-dimensional integer array that it was checked as, which
+    callers index with.  Any other batch is rejected: a boolean mask too,
+    which a gather with ``take`` would read as the indices 0 and 1, and an
+    array of more dimensions, which a gather would answer with a stack."""
     if not isinstance(idx, (np.ndarray, int)):
         idx = np.asarray(idx)  # a list or a numpy scalar
     if isinstance(idx, np.ndarray) and idx.ndim:
+        if idx.ndim != 1:
+            raise ValueError(f"an index batch must be one-dimensional, got shape {idx.shape}")
         if idx.size == 0:
             raise ValueError("an index batch must not be empty")
         if idx.dtype.kind not in "iu":
             raise ValueError(f"an index batch must hold integers, got dtype {idx.dtype}")
-        return False
+        return idx
     if idx != n:
         raise ValueError(f"an integer batch must be the population size {n}, got {idx}")
-    return True
+    return None
 
 
 def _zero_sum_noise(n: int, dim: int, scale: float, rng: np.random.Generator) -> Array:
@@ -311,19 +317,21 @@ class _LinearNoiseProblem(FiniteSumProblem):
         return self.noise.mean(axis=0)
 
     def batch_grad(self, x: Array, idx: Array | int) -> Array:
-        noise = self.noise_mean if _is_population(idx, self.n) else self.noise[idx].mean(axis=0)
+        rows = _index_array(idx, self.n)
+        noise = self.noise_mean if rows is None else self.noise[rows].mean(axis=0)
         return self._common_grad(x) + noise
 
     def batch_grad_diff(self, x: Array, y: Array, idx: Array | int) -> Array:
         # Per-component linear noise is identical at both points and drops out.
-        _is_population(idx, self.n)
+        _index_array(idx, self.n)
         return self._common_grad(x) - self._common_grad(y)
 
     def sample_batch_grad_diff(self, x: Array, y: Array, size: int, rng: np.random.Generator) -> Array:
         return self.batch_grad_diff(x, y, _leading_rows(self.n, size))
 
-    def full_grad(self, x: Array) -> Array:
-        return self._common_grad(x)
+    # the memo itself, so that a stream's oracle calls on its core take no
+    # extra frame; a wrapper on an instance's full_grad still shadows it
+    full_grad = _common_grad
 
 
 class _SeparableQuarticProblem(_LinearNoiseProblem):
@@ -617,15 +625,17 @@ class _RegularizedLeastSquaresProblem(FiniteSumProblem):
         return _RegularizedRowView(gram / idx.size, idx.size)
 
     def batch_grad(self, x: Array, idx: Array | int) -> Array:
-        if _is_population(idx, self.n):
+        rows = _index_array(idx, self.n)
+        if rows is None:
             return self.gram @ x - self.Aty + self._reg_grad(x)
-        return self._row_blocks(idx, x, targets=True) + self._reg_grad(x)
+        return self._row_blocks(rows, x, targets=True) + self._reg_grad(x)
 
     def batch_grad_diff(self, x: Array, y: Array, idx: Array | int) -> Array:
-        if _is_population(idx, self.n):
+        rows = _index_array(idx, self.n)
+        if rows is None:
             quad = self.gram @ (x - y)
         else:
-            quad = self._row_blocks(idx, x - y, targets=False)
+            quad = self._row_blocks(rows, x - y, targets=False)
         return quad + self._reg_grad(x) - self._reg_grad(y)
 
     def full_grad(self, x: Array) -> Array:
@@ -646,7 +656,7 @@ class _RegularizedRowView(FiniteSumProblem):
         self.dim = gram.shape[0]
 
     def batch_grad_diff(self, x: Array, y: Array, idx: Array | int) -> Array:
-        if not _is_population(idx, self.n):
+        if _index_array(idx, self.n) is not None:
             raise ValueError("a row view answers population queries only")
         reg_grad = _RegularizedLeastSquaresProblem._reg_grad
         return self.gram @ (x - y) + reg_grad(x) - reg_grad(y)

@@ -63,6 +63,13 @@ class NestedSchedule:
         anchor, 2 B_j for a two-point correction above it."""
         return (self.B0, *(2 * b for b in self.B))
 
+    @cached_property
+    def step_charges(self) -> tuple[int, ...]:
+        """Gradients an epoch step of reset level r = 0..K is charged: the
+        tail ``sum(level_costs[r:])``, its own level and every level above it,
+        which restarts from zero."""
+        return tuple(sum(self.level_costs[r:]) for r in range(self.K + 1))
+
     def as_dict(self) -> dict:
         return {
             "B0": self.B0,

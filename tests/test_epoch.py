@@ -10,6 +10,7 @@ from conftest import QuadraticProblem, fixed_length, make_quadratic_problem, rec
 from nestvr import (
     GradCounter,
     NestedSchedule,
+    SmoothnessSpec,
     clamp_schedule,
     derive_schedule,
     draw_epoch_length,
@@ -22,7 +23,8 @@ from nestvr import (
     run_epoch,
     sample_indices_without_replacement,
 )
-from nestvr.problems import _SeparableQuarticProblem
+from nestvr import epoch
+from nestvr.problems import Problem, _SeparableQuarticProblem
 
 
 @pytest.fixture
@@ -401,3 +403,71 @@ class TestRunEpoch:
         sched = derive_schedule(256, M=6.0)  # B_1 = 55296 > n = 8
         with fixed_length(1), pytest.raises(ValueError):
             run_epoch(prob.x0, prob, sched, make_rng(29), GradCounter())
+
+
+class PathStream(Problem):
+    """A one-dimensional stream with a certified ball of radius 1 whose
+    anchors move an epoch of unit step along ``path``: the t-th gradient,
+    at x_t, is x_t - path[t], so the iterate x_{t+1} is path[t] exactly."""
+
+    dim = 1
+
+    def __init__(self, path):
+        self.x0 = np.zeros(1)
+        self.smoothness = SmoothnessSpec(L1=1.0, L2=1.0, L3=1.0, sigma2=1.0, delta_F=1.0, radius=1.0)
+        self.path = iter(path)
+
+    def sample_batch_grad(self, x, size, rng):
+        return x - next(self.path)
+
+
+class TestChunkedBallCheck:
+    """The iterates are checked against the ball a chunk at a time; the flag
+    is the one a check after every step would give."""
+
+    # one level with a single loop: every step is an anchor, x <- x - g
+    UNIT_STEP = NestedSchedule(B0=1, M=0.1, T=(1,), B=(1,))
+    ROWS = 3  # iterates per chunk: 8 steps make chunks of 3, 3 and 2
+
+    def run(self, monkeypatch, path):
+        monkeypatch.setattr(epoch, "BALL_CHECK_BYTES", self.ROWS * 8)
+        with fixed_length(len(path)):
+            res = run_epoch(np.zeros(1), PathStream(path), self.UNIT_STEP, make_rng(0), GradCounter())
+        assert res.x_out.tolist() == [path[-1]]
+        return res.out_of_domain
+
+    @pytest.mark.parametrize(
+        "outside",
+        [
+            pytest.param({4}, id="after-the-first-chunk"),
+            pytest.param({6}, id="in-the-final-partial-chunk"),
+            pytest.param({2, 3}, id="leaves-and-comes-back"),
+        ],
+    )
+    def test_one_excursion_is_flagged(self, monkeypatch, outside):
+        # each path ends inside the ball, so only the chunks' checks see it
+        path = [2.0 if t in outside else 0.5 for t in range(8)]
+        assert self.run(monkeypatch, path)
+
+    def test_path_inside_the_ball_is_not_flagged(self, monkeypatch):
+        assert not self.run(monkeypatch, [0.5, -1.0, 1.0, 0.0, 0.25, -0.5, 1.0, 0.75])
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 7, 8, 1000])
+    def test_flag_is_any_iterate_outside(self, monkeypatch, rows):
+        # the saddle of radius 0.3 started near its edge, where some epochs'
+        # iterates cross it: the flag against a check of every iterate
+        monkeypatch.setattr(epoch, "BALL_CHECK_BYTES", rows * 8 * 3)
+        prob = make_saddle_problem(3, 8, -1.0, seed=10, radius=0.3)
+        sched = clamp_schedule(derive_schedule(16, M=6.0 * prob.smoothness.L1), 8)
+        flags = set()
+        for seed in range(12):
+            u = make_rng(seed).standard_normal(3)
+            x0 = u * (0.3 + 0.004 * (seed % 4 - 2)) / np.linalg.norm(u)
+            steps, x_out = epoch_steps(prob, sched, 7, x0=x0, seed=seed)
+            iterates = [x for x, *_ in steps[1:]] + [x_out]
+            want = any(prob.outside_ball(x) for x in iterates)
+            with fixed_length(7):
+                res = run_epoch(x0, prob, sched, make_rng(seed), GradCounter())
+            assert res.out_of_domain == want
+            flags.add(want)
+        assert flags == {False, True}

@@ -48,13 +48,22 @@ def test_smoothness_spec_requires_L3():
 
 
 def test_outside_ball_rule():
-    # outside means farther than radius (1 + 1e-9) from x0; no radius, no ball
+    # outside means farther than radius (1 + 1e-9) from x0; no radius, no
+    # ball.  A stack of points is outside when any of its rows is.
     prob = make_saddle_problem(2, 4, -1.0, seed=0, radius=0.5)
-    for distance, outside in ((0.5, False), (0.5 * (1 + 5e-10), False), (0.5 * (1 + 2e-9), True)):
-        assert prob.outside_ball(prob.x0 + np.array([0.0, distance])) is outside
+    cases = ((0.5, False), (0.5 * (1 + 5e-10), False), (0.5 * (1 + 2e-9), True))
+    points = np.array([prob.x0 + np.array([0.0, distance]) for distance, _ in cases])
+    answers = []
+    for point, (_, outside) in zip(points, cases):
+        answers.append(prob.outside_ball(point))
+        assert answers[-1] is outside
+        assert prob.outside_ball(point[None, :]) is outside
+    assert prob.outside_ball(points) is any(answers)
+    assert prob.outside_ball(points[:2]) is False
     quad = make_quadratic_problem(np.eye(2), 4, seed=0)
     assert quad.smoothness.radius is None
-    assert not quad.outside_ball(np.full(2, 1e300))
+    assert quad.outside_ball(np.full(2, 1e300)) is False
+    assert quad.outside_ball(np.full((3, 2), 1e300)) is False
 
 
 class TestSampling:
@@ -170,6 +179,24 @@ class TestPopulationBatch:
             prob.batch_grad(prob.x0, empty)
         with pytest.raises(ValueError, match="empty"):
             prob.batch_grad_diff(prob.x0 + 1.0, prob.x0, empty)
+
+    @pytest.mark.parametrize("family", sorted(FINITE_FAMILIES))
+    def test_list_batch_equals_array_batch(self, family, rng):
+        prob = FINITE_FAMILIES[family]()
+        x, y = rng.standard_normal((2, prob.dim))
+        batch = [3, 0, 1, 3]
+        assert np.array_equal(prob.batch_grad(x, batch), prob.batch_grad(x, np.array(batch)))
+        assert np.array_equal(prob.batch_grad_diff(x, y, batch), prob.batch_grad_diff(x, y, np.array(batch)))
+
+    @pytest.mark.parametrize("family", sorted(FINITE_FAMILIES))
+    def test_two_dimensional_batch_rejected(self, family):
+        # a gather would answer a stack of batches, one row per batch
+        prob = FINITE_FAMILIES[family]()
+        batch = np.array([[0, 1], [2, 3]])
+        with pytest.raises(ValueError, match=r"one-dimensional, got shape \(2, 2\)"):
+            prob.batch_grad(prob.x0, batch)
+        with pytest.raises(ValueError, match=r"one-dimensional, got shape \(2, 2\)"):
+            prob.batch_grad_diff(prob.x0 + 1.0, prob.x0, batch)
 
     @pytest.mark.parametrize("family", sorted(FINITE_FAMILIES))
     @pytest.mark.parametrize("dtype", [bool, float])

@@ -116,6 +116,11 @@ class Problem:
         raise NotImplementedError
 
     def sample_batch_grad_diff(self, x: Array, y: Array, size: int, rng: np.random.Generator) -> Array:
+        """The sampled mean of gradient differences between the new point
+        ``x`` and the reference ``y``, whose gradient a family may keep for
+        later calls, as the saddle families do.  The order changes only cost:
+        swapping the points negates the result, bit for bit on the saddle
+        families and to roundoff on any other."""
         raise NotImplementedError
 
     def full_grad(self, x: Array) -> Array:
@@ -180,7 +185,9 @@ class FiniteSumProblem(Problem):
         raise NotImplementedError
 
     def batch_grad_diff(self, x: Array, y: Array, idx: Array | int) -> Array:
-        """Mean over ``idx`` of component-gradient differences between x and y."""
+        """Mean over ``idx`` of component-gradient differences between the
+        new point x and the reference y, whose gradient a family may keep (see
+        :meth:`Problem.sample_batch_grad_diff`)."""
         raise NotImplementedError
 
     def sample_batch_grad(self, x: Array, size: int, rng: np.random.Generator) -> Array:
@@ -260,11 +267,12 @@ def _zero_sum_noise(n: int, dim: int, scale: float, rng: np.random.Generator) ->
 
 
 #: exact gradients a linear-noise problem keeps: an epoch's reference points
-#: (one per level below the finest, K <= 6 in practice), the current iterate
-#: and a curvature probe's centre.  Against calling ``_exact_grad`` directly
-#: (same digests; six alternating 8 s perfbench pairs, seeds 11-16, 2-core
-#: Xeon) the memo's median trials_per_s was 14.1 vs 13.4 on saddle-d10, ahead
-#: in 5 of 6 pairs, and 10.2 vs 8.5 on streaming-saddle-d10, ahead in 6 of 6
+#: (one per level below the finest, K <= 6 in practice; level 0's is the
+#: anchor) and a curvature probe's centre, but no difference's new point.
+#: Against calling ``_exact_grad`` directly (same digests; five alternating
+#: 20 s perfbench pairs, seeds 111-115, 2-core Xeon) the memo's median
+#: trials_per_s was 32.0 vs 27.8 on saddle-d10 and 20.7 vs 16.7 on
+#: streaming-saddle-d10, ahead in 5 of 5 pairs on each
 GRAD_MEMO_SIZE = 8
 
 
@@ -276,9 +284,10 @@ class _LinearNoiseProblem(FiniteSumProblem):
 
     Subclasses set ``dim``, ``x0`` and ``smoothness`` and implement ``value``,
     ``hessian`` and ``_exact_grad``, the uncached gradient of F.  The oracle
-    methods reach it through the memo ``_common_grad``, never through
-    ``full_grad``, so that a wrapper on an instance's ``full_grad`` sees only
-    the verification calls.
+    methods call it directly for a difference's new point and through the
+    memo ``_common_grad`` for every other point, never through ``full_grad``,
+    so that a wrapper on an instance's ``full_grad`` sees only the
+    verification calls.
     """
 
     def __init__(self, noise_rows: Array):
@@ -303,10 +312,13 @@ class _LinearNoiseProblem(FiniteSumProblem):
     def _common_grad(self, x: Array) -> Array:
         """Exact gradient of F, kept for the last ``GRAD_MEMO_SIZE`` points.
 
-        Epoch corrections ask again for the gradient at a reference point, and
-        every product of a curvature probe for the one at its centre.  The
-        memo is keyed on the point's float64 bytes, so a hit has the bits of
-        a fresh evaluation; its entries are read-only, since callers share them.
+        Only points whose gradient may be asked for again come here: a
+        batch gradient's point (an epoch's level-0 anchor, a gradient check's
+        point) and a difference's reference (an epoch's reference point, a
+        curvature probe's centre).  A difference's new point is evaluated
+        directly and never kept.  The memo is keyed on the point's float64
+        bytes, so a hit has the bits of a fresh evaluation; its entries are
+        read-only, since callers share them.
         """
         return self._grad_memo(np.asarray(x, dtype=float).tobytes())
 
@@ -324,7 +336,7 @@ class _LinearNoiseProblem(FiniteSumProblem):
     def batch_grad_diff(self, x: Array, y: Array, idx: Array | int) -> Array:
         # Per-component linear noise is identical at both points and drops out.
         _index_array(idx, self.n)
-        return self._common_grad(x) - self._common_grad(y)
+        return self._exact_grad(np.asarray(x, dtype=float)) - self._common_grad(y)
 
     def sample_batch_grad_diff(self, x: Array, y: Array, size: int, rng: np.random.Generator) -> Array:
         return self.batch_grad_diff(x, y, _leading_rows(self.n, size))
@@ -365,11 +377,14 @@ class _SeparableQuarticProblem(_LinearNoiseProblem):
             radius=radius,
         )
 
+    # products, not ``**``, which calls libm ``pow`` per entry at many times
+    # the cost; both agree with exact arithmetic to a few ulp
     def value(self, x: Array) -> float:
-        return float(0.5 * (self.diag * x * x).sum() + self.quartic * (x**4).sum())
+        x2 = x * x
+        return float(0.5 * (self.diag * x2).sum() + self.quartic * (x2 * x2).sum())
 
     def _exact_grad(self, x: Array) -> Array:
-        return self.diag * x + 4.0 * self.quartic * x**3
+        return self.diag * x + 4.0 * self.quartic * (x * x * x)
 
     def hessian(self, x: Array) -> Array:
         return np.diag(self.diag + 12.0 * self.quartic * x * x)
@@ -679,7 +694,8 @@ class AdditiveNoiseStreamingProblem(Problem):
 
     The mean of a batch of B fresh noises is N(0, s^2/B I), so batch means are
     drawn from their exact law in one shot; two-point corrections pair the same
-    xi at both points, where the additive noise cancels identically.
+    xi at both points, where the additive noise cancels identically, so a
+    correction is the core's population difference.
     """
 
     def __init__(self, core: FiniteSumProblem, noise_std: float):
@@ -701,7 +717,7 @@ class AdditiveNoiseStreamingProblem(Problem):
     def sample_batch_grad_diff(self, x: Array, y: Array, size: int, rng: np.random.Generator) -> Array:
         if size < 1:
             raise ValueError(f"batch size must be >= 1, got {size}")
-        return self.core.full_grad(x) - self.core.full_grad(y)
+        return self.core.batch_grad_diff(x, y, self.core.n)
 
     def full_grad(self, x: Array) -> Array:
         return self.core.full_grad(x)

@@ -405,6 +405,48 @@ class TestRunEpoch:
             run_epoch(prob.x0, prob, sched, make_rng(29), GradCounter())
 
 
+class TestGradientMemoInEpochs:
+    """An epoch has the same bits with the saddle families' gradient memo as
+    with every gradient evaluated fresh, and only the points it asks for
+    again enter the memo: its anchors and the reference points that its
+    differences pair with, not every iterate."""
+
+    @staticmethod
+    def build(streaming, sched256):
+        if streaming:
+            return make_streaming_saddle_problem(6, -1.0, seed=5), sched256
+        # B0 = 256 of 300 rows draws an index set for every anchor
+        return make_saddle_problem(6, 300, -1.0, seed=5), clamp_schedule(sched256, 300)
+
+    @pytest.mark.parametrize("streaming", [False, True], ids=["saddle", "stream"])
+    def test_same_bits_and_one_miss_per_reference(self, streaming, sched256):
+        length = 3 * sched256.loop_product + 1
+        prob, sched = self.build(streaming, sched256)
+        proxy, memo = recording(prob), getattr(prob, "core", prob)._grad_memo
+        counter = GradCounter()
+        with fixed_length(length):
+            res = run_epoch(prob.x0, proxy, sched, make_rng(8), counter)
+
+        fresh, _ = self.build(streaming, sched256)
+        core = getattr(fresh, "core", fresh)
+        core._common_grad = core.full_grad = lambda x: core._exact_grad(np.asarray(x, dtype=float))
+        fresh_counter = GradCounter()
+        with fixed_length(length):
+            want = run_epoch(fresh.x0, fresh, sched, make_rng(8), fresh_counter)
+        assert core._grad_memo.cache_info().currsize == 0  # every gradient was fresh
+        assert res.x_out.tobytes() == want.x_out.tobytes()
+        assert counter.count == fresh_counter.count == res.grads_used
+
+        # differences pair with the iterates at every 4th step, where the
+        # levels below K refresh; the last of the 4 anchors pairs with none
+        iterates = [x.tobytes() for x, *_ in proxy.steps]
+        anchors = {x for x, (_, y, *_) in zip(iterates, proxy.steps) if y is None}
+        refs = {y.tobytes() for _, y, *_ in proxy.steps if y is not None}
+        assert anchors == set(iterates[::16]) and refs == set(iterates[:-1:4])
+        # one miss per point asked for again, not one per step
+        assert memo.cache_info().misses == len(anchors | refs) == 13
+
+
 class PathStream(Problem):
     """A one-dimensional stream with a certified ball of radius 1 whose
     anchors move an epoch of unit step along ``path``: the t-th gradient,

@@ -1,3 +1,4 @@
+from fractions import Fraction
 import math
 import os
 from pathlib import Path
@@ -540,6 +541,34 @@ class TestSaddleProblem:
             assert np.linalg.norm(mean - full) <= 1e-10 * (1 + np.linalg.norm(full))
 
 
+@pytest.mark.parametrize("streaming", [False, True], ids=["saddle", "streaming-saddle"])
+def test_saddle_oracle_matches_exact_arithmetic(streaming, rng):
+    # Each gradient entry h x + 4a x^3 takes five roundings, so its error is
+    # under 4 u (|h x| + |4a x^3|), u = 2^-53, i.e. under 4 ulp of that scale;
+    # value sums 2 d such terms, so its error is under (d + 4) ulp of the sum
+    # of their magnitudes.  Both hold with products as with libm pow.
+    for case in range(60):
+        dim = int(rng.integers(2, 13))
+        radius = float(rng.uniform(0.5, 3.0))
+        lam, a = -float(rng.uniform(0.01, 3.0)), float(rng.uniform(0.05, 2.0))
+        if streaming:
+            prob = make_streaming_saddle_problem(dim, lam, seed=case, quartic=a, radius=radius)
+        else:
+            prob = make_saddle_problem(dim, 3, lam, seed=case, quartic=a, radius=radius)
+        u = rng.standard_normal(dim)
+        x = u / np.linalg.norm(u) * radius * rng.uniform() ** (1.0 / dim)  # uniform in the ball
+        assert not prob.outside_ball(x)
+        h = [Fraction(v) for v in (prob.core if streaming else prob).diag.tolist()]
+        xs, A = [Fraction(v) for v in x.tolist()], Fraction(a)
+        quad = [hj * xj * xj / 2 for hj, xj in zip(h, xs)]
+        quart = [A * xj**4 for xj in xs]
+        value_scale = float(sum(abs(t) for t in quad) + sum(quart))
+        assert abs(Fraction(prob.value(x)) - sum(quad) - sum(quart)) <= (dim + 4) * np.spacing(value_scale)
+        for gj, hj, xj in zip(prob.full_grad(x).tolist(), h, xs):
+            t1, t2 = hj * xj, 4 * A * xj**3
+            assert abs(Fraction(gj) - t1 - t2) <= 4 * np.spacing(float(abs(t1) + abs(t2)))
+
+
 def memo_problem(family, dim, n, seed):
     """A linear-noise instance, with ``n=None`` its streaming counterpart."""
     if family == "saddle":
@@ -556,14 +585,15 @@ def memo_problem(family, dim, n, seed):
 
 @pytest.mark.parametrize("family", ["saddle", "quadratic"])
 class TestGradientMemo:
-    """The linear-noise families keep the exact gradient of recent points."""
+    """The linear-noise families keep the exact gradient of recent reference
+    points: a difference's new point is evaluated fresh and never kept."""
 
     @staticmethod
     def formula(prob, x):
         x = np.asarray(x, dtype=float)
         if isinstance(prob, QuadraticProblem):
             return prob.H @ x + prob.b
-        return prob.diag * x + 4.0 * prob.quartic * x**3
+        return prob.diag * x + 4.0 * prob.quartic * (x * x * x)
 
     def test_same_bits_bounded_and_read_only(self, family, rng):
         prob = memo_problem(family, 5, 40, seed=21)
@@ -596,7 +626,27 @@ class TestGradientMemo:
             d = prob.sample_batch_grad_diff(z + q * v, z, 8, rng)
             ref = self.formula(prob.core, z + q * v) - self.formula(prob.core, z)
             assert d.tobytes() == ref.tobytes()
-        assert prob.core._grad_memo.cache_info().currsize == 3
+        # the centre alone is kept: one miss, then two hits
+        info = prob.core._grad_memo.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (1, 1, 2)
+
+    @pytest.mark.parametrize("n", [6, None])
+    def test_difference_bits_do_not_depend_on_the_memo(self, family, n, rng):
+        # a cold memo, one that holds both points, and one that evicted them
+        core = (lambda prob: prob) if n else (lambda prob: prob.core)
+        warm, evicted = (memo_problem(family, 5, n, seed=24) for _ in range(2))
+        for x, y in rng.standard_normal((20, 2, 5)):
+            cold = memo_problem(family, 5, n, seed=24)
+            core(warm).full_grad(x)
+            core(warm).full_grad(y)
+            for p in rng.standard_normal((GRAD_MEMO_SIZE, 5)):
+                core(evicted).full_grad(p)
+            diffs = [prob.sample_batch_grad_diff(x, y, 3, rng) for prob in (cold, warm, evicted)]
+            assert diffs[0].tobytes() == diffs[1].tobytes() == diffs[2].tobytes()
+            ref = self.formula(core(cold), x) - self.formula(core(cold), y)
+            assert diffs[0].tobytes() == ref.tobytes()
+            # the order of the points changes only cost: swapped, the result is negated
+            assert cold.sample_batch_grad_diff(y, x, 3, rng).tobytes() == (-ref).tobytes()
 
 
 class TestRegularizedProblem:

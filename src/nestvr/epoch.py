@@ -9,10 +9,17 @@ decides which references refresh: points at levels r..K snap to the current
 iterate, the level-r gradient is re-sampled (a plain batch-B0 gradient at
 level 0, a two-point batch-B_r correction above), and finer levels restart
 from zero.  The update direction is the sum of all reference gradients and
-the step is x <- x - v / (10 M).  The loop steps r(t) with one countdown per
-level.  Each step makes one sampled oracle call at its level's batch size,
-which draws from the epoch's generator only what it reads: on a finite sum,
-nothing for a clamped level or for a difference that reads no rows.
+the step is x <- x - v / (10 M).
+
+Every T_K-th step resets a level r < K; the T_K - 1 steps between two resets
+refresh the finest level K alone.  The loop runs each reset step and then
+that finest-level run as one tight inner loop, whose reference point,
+gradient prefix, batch size and oracle method the reset fixed, so the run
+looks them up once and is charged in one add.  Only a reset step counts down
+the coarser levels, from level K - 1.  Each step makes one sampled oracle
+call at its level's batch size, which draws from the epoch's generator only
+what it reads: on a finite sum, nothing for a clamped level or for a
+difference that reads no rows.
 
 Cost model: every level whose period divides t is charged at that step, at
 ``NestedSchedule.level_costs`` (B0 gradients for the level-0 anchor, 2 B_l for
@@ -99,40 +106,59 @@ def run_epoch(
     charges = schedule.step_charges
     loops = (0, *schedule.T)  # loops[l] = T_l: level-l refreshes per level l - 1 one
     left = list(loops)  # level-l refreshes left before level l - 1 refreshes
+    run, size = loops[K] - 1, batches[K]  # each reset's finest-level steps, their batch
     r = 0
+    t = 0
     charged = 0
     out_of_domain = False
     sample = problem.sample_batch_grad
     sample_diff = problem.sample_batch_grad_diff
     rows = max(1, BALL_CHECK_BYTES // (x.itemsize * problem.dim))
     chunk = np.empty((min(rows, T), problem.dim))
-
-    step = 1.0 / (10.0 * schedule.M)
-    for start in range(0, T, rows):
-        iterates = chunk[: T - start]
-        for i in range(len(iterates)):
-            if r == 0:
-                g = sample(x, batches[0], rng)
-            else:
-                g = sample_diff(x, refs[r - 1], batches[r], rng)
-            charged += charges[r]
-            v = prefix[r] + g
-            if r < K:  # at level K both slices are empty
-                refs[r:] = [x] * (K - r)
-                prefix[r + 1 :] = [v] * (K - r)
-            x = x - step * v
-            iterates[i] = x
-            # the next step's reset level: count down level K and carry each
-            # countdown that runs out one level up; r = 0 when all have run out
-            r = K
-            while r:
-                left[r] -= 1
-                if left[r]:
-                    break
-                left[r] = loops[r]
-                r -= 1
-        if not out_of_domain:
-            out_of_domain = problem.outside_ball(iterates)
+    i = 0  # the chunk's next row
+    # a 0-d array, not a Python float: numpy 2.4 multiplies a d = 10 vector
+    # by it in 0.31 us against 0.46-0.50 us on a 2-core Xeon, with the same
+    # bits, and no slower at d = 10000
+    step = np.array(1.0 / (10.0 * schedule.M))
+    while t < T:
+        # a reset step, at level r < K
+        if r == 0:
+            g = sample(x, batches[0], rng)
+        else:
+            g = sample_diff(x, refs[r - 1], batches[r], rng)
+        v = prefix[r] + g
+        refs[r:] = [x] * (K - r)
+        prefix[r + 1 :] = [v] * (K - r)
+        x = x - step * v
+        chunk[i] = x
+        i += 1
+        # then level K alone until T_K divides t, checking each full chunk
+        n_run = min(run, T - t - 1)
+        t += 1 + n_run
+        charged += charges[r] + n_run * charges[K]
+        ref, pre = refs[K - 1], prefix[K]
+        while n_run or i == rows:
+            if i == rows:
+                if not out_of_domain:
+                    out_of_domain = problem.outside_ball(chunk)
+                i = 0
+            stop = min(rows, i + n_run)
+            for j in range(i, stop):
+                x = x - step * (pre + sample_diff(x, ref, size, rng))
+                chunk[j] = x
+            n_run -= stop - i
+            i = stop
+        # the next reset level: count down level K - 1 and carry each
+        # countdown that runs out one level up; r = 0 when all have run out
+        r = K - 1
+        while r:
+            left[r] -= 1
+            if left[r]:
+                break
+            left[r] = loops[r]
+            r -= 1
+    if i and not out_of_domain:
+        out_of_domain = problem.outside_ball(chunk[:i])
     counter.add(charged)
 
     return EpochResult(

@@ -29,10 +29,15 @@ error budget is the Taylor term alone.  On a stream each step draws a fresh
 batch, and a certificate re-measures the candidate over several large
 batches, adding a 5-standard-error allowance from their spread.
 
-Self-certification makes soundness of returned directions unconditional;
-failure to certify yields the abstention signal (direction ``None``),
-indistinguishable by contract from a genuine absence of curvature below the
-threshold.
+Self-certification makes a returned direction sound unconditionally
+wherever the certificate is exact: on a finite sum, and on a stream whose
+paired differences are exact, as every stream in :mod:`nestvr.problems` has
+(the batches' spread is then zero).  On a stream with noisy products it holds
+with high probability only: the mean of 8 batches plus 5 standard errors
+fails under normal batch means with the t_7 tail P ~ 7.8e-4 per
+certificate, whatever delta is.  Failure to certify yields the abstention
+signal (direction ``None``), indistinguishable by contract from a genuine
+absence of curvature below the threshold.
 """
 
 from __future__ import annotations
@@ -190,14 +195,16 @@ def find_nc_direction(
     samples each.
 
     Contract: a returned direction v satisfies v' H(z) v <= -eps_H / 2,
-    whatever the declared spread or the noise of the products, since it is
-    returned only when its certificate clears that bar; if lambda_min(H(z)) <
-    -eps_H a direction is found with probability at least 1 - delta; if
-    lambda_min >= -eps_H / 2 abstention is returned with probability at least
-    1 - delta.  The band in between carries no contract.  On a stream,
-    detection and abstention assume exact paired differences (each product
-    deterministic given z, v and q), as every stream in
-    :mod:`nestvr.problems` has.
+    since it is returned only when its certificate clears that bar: whatever
+    the declared spread on a finite sum, and on a stream with exact paired
+    differences (each product deterministic given z, v and q), as every
+    stream in :mod:`nestvr.problems` has.  On a stream with noisy products
+    it holds only with probability about 1 - 7.8e-4 per certificate (see the
+    module docstring).  If lambda_min(H(z)) < -eps_H a direction is found
+    with probability at least 1 - delta; if lambda_min >= -eps_H / 2
+    abstention is returned with probability at least 1 - delta.  The band in
+    between carries no contract.  On a stream, detection and abstention
+    assume exact paired differences.
 
     A Ritz vector that fails its certificate is not measured again until
     another Ritz value crosses the bar."""

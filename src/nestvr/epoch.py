@@ -11,22 +11,23 @@ level 0, a two-point batch-B_r correction above), and finer levels restart
 from zero.  The update direction is the sum of all reference gradients and
 the step is x <- x - v / (10 M).
 
-Every T_K-th step resets a level r < K; the T_K - 1 steps between two resets
-refresh the finest level K alone.  The loop runs each reset step and then
-that finest-level run as one tight inner loop, whose reference point,
-gradient prefix, batch size and oracle method the reset fixed, so the run
-looks them up once and is charged in one add.  Only a reset step counts down
-the coarser levels, from level K - 1.  Each step makes one sampled oracle
-call at its level's batch size, which draws from the epoch's generator only
-what it reads: on a finite sum, nothing for a clamped level or for a
-difference that reads no rows.
+Since T_K divides the periods of all levels below K, every T_K-th step
+resets a level r < K, and the T_K - 1 steps between two resets refresh the
+finest level K alone.  The loop takes t = 0, T_K, 2 T_K, ... and finds r by
+the divisibility rule; the finest-level run after each reset is a plain
+inner loop on the reference point, gradient prefix and batch size that the
+reset fixed.  Each step makes one sampled oracle call at its level's batch
+size, which draws from the epoch's generator only what it reads: on a finite
+sum, nothing for a clamped level or for a difference that reads no rows.
 
-Cost model: every level whose period divides t is charged at that step, at
+Cost model: every level whose period divides t is charged for step t, at
 ``NestedSchedule.level_costs`` (B0 gradients for the level-0 anchor, 2 B_l for
 each level above), including the levels above r whose refreshed difference
 pairs identical points and is therefore identically zero (the zero is written
 without evaluating gradients; the charge is still made so the tally matches
-the closed-form epoch cost).
+the closed-form epoch cost).  An epoch of length T is charged once, with the
+closed form ``NestedSchedule.epoch_charge(T)``: level j at ceil(T / D_j)
+refreshes, with D_j its period.
 """
 
 from __future__ import annotations
@@ -42,7 +43,9 @@ from .problems import sample_indices_without_replacement
 from .schedule import NestedSchedule
 
 #: bytes of iterates an epoch keeps before it checks them against the
-#: certified ball in one call: a few hundred KB (3276 iterates at d = 10)
+#: certified ball in one call: a few hundred KB (3276 iterates at d = 10).  A
+#: chunk holds whole finest-level runs, so it is at most
+#: max(BALL_CHECK_BYTES, T_K d 8) bytes
 BALL_CHECK_BYTES = 2**18
 
 @dataclass
@@ -77,15 +80,17 @@ def run_epoch(
 
     The length T is drawn from Geom(p) with the schedule's parameter p.  A
     drawn T = 0 performs no gradient work at all -- the loop body never
-    executes, so not even the level-0 anchor is sampled.  Every refresh is
-    charged to ``counter``, in one sum when the epoch ends.  Deterministic
-    given the generator state.
+    executes, so not even the level-0 anchor is sampled.  The epoch's
+    refreshes are charged to ``counter`` in one add of
+    ``schedule.epoch_charge(T)`` when it ends.  Deterministic given the
+    generator state.
 
     ``out_of_domain`` is set when any iterate x_1 .. x_T lies outside the
     certified ball (:meth:`Problem.outside_ball`).  The iterates are checked
-    a chunk at a time, up to ``BALL_CHECK_BYTES`` of them at once, and the
-    last partial chunk when the epoch ends, so the flag is the one a check
-    after every step would give.
+    a chunk at a time.  A chunk holds up to max(T_K, ``BALL_CHECK_BYTES`` //
+    (8 d)) iterates, and is checked before a reset step whose run would not
+    fit in it, and when the epoch ends, so the flag is the one a check after
+    every step would give.
     """
     K = schedule.K
     T = draw_epoch_length(schedule.p, rng)
@@ -103,25 +108,29 @@ def run_epoch(
     # reference gradients bit for bit.
     prefix = [zero] * (K + 1)
     batches = (schedule.B0, *schedule.B)
-    charges = schedule.step_charges
-    loops = (0, *schedule.T)  # loops[l] = T_l: level-l refreshes per level l - 1 one
-    left = list(loops)  # level-l refreshes left before level l - 1 refreshes
-    run, size = loops[K] - 1, batches[K]  # each reset's finest-level steps, their batch
-    r = 0
-    t = 0
-    charged = 0
-    out_of_domain = False
+    D = schedule.level_divisors
+    T_K, size = schedule.T[-1], batches[K]
     sample = problem.sample_batch_grad
     sample_diff = problem.sample_batch_grad_diff
-    rows = max(1, BALL_CHECK_BYTES // (x.itemsize * problem.dim))
+    rows = max(T_K, BALL_CHECK_BYTES // (x.itemsize * problem.dim))
     chunk = np.empty((min(rows, T), problem.dim))
     i = 0  # the chunk's next row
+    out_of_domain = False
     # a 0-d array, not a Python float: numpy 2.4 multiplies a d = 10 vector
     # by it in 0.31 us against 0.46-0.50 us on a 2-core Xeon, with the same
     # bits, and no slower at d = 10000
     step = np.array(1.0 / (10.0 * schedule.M))
-    while t < T:
-        # a reset step, at level r < K
+    for t in range(0, T, T_K):
+        # the reset step t and the finest-level run after it write n
+        # iterates; when they would overflow the chunk, it is checked first
+        n = min(T_K, T - t)
+        if i + n > rows:
+            out_of_domain = out_of_domain or problem.outside_ball(chunk[:i])
+            i = 0
+        # the reset level, the least r whose period divides t (r < K)
+        r = 0
+        while t % D[r]:
+            r += 1
         if r == 0:
             g = sample(x, batches[0], rng)
         else:
@@ -131,34 +140,15 @@ def run_epoch(
         prefix[r + 1 :] = [v] * (K - r)
         x = x - step * v
         chunk[i] = x
-        i += 1
-        # then level K alone until T_K divides t, checking each full chunk
-        n_run = min(run, T - t - 1)
-        t += 1 + n_run
-        charged += charges[r] + n_run * charges[K]
+        # then level K alone, on the reference and prefix the reset fixed
         ref, pre = refs[K - 1], prefix[K]
-        while n_run or i == rows:
-            if i == rows:
-                if not out_of_domain:
-                    out_of_domain = problem.outside_ball(chunk)
-                i = 0
-            stop = min(rows, i + n_run)
-            for j in range(i, stop):
-                x = x - step * (pre + sample_diff(x, ref, size, rng))
-                chunk[j] = x
-            n_run -= stop - i
-            i = stop
-        # the next reset level: count down level K - 1 and carry each
-        # countdown that runs out one level up; r = 0 when all have run out
-        r = K - 1
-        while r:
-            left[r] -= 1
-            if left[r]:
-                break
-            left[r] = loops[r]
-            r -= 1
-    if i and not out_of_domain:
-        out_of_domain = problem.outside_ball(chunk[:i])
+        for j in range(i + 1, i + n):
+            x = x - step * (pre + sample_diff(x, ref, size, rng))
+            chunk[j] = x
+        i += n
+    if i:
+        out_of_domain = out_of_domain or problem.outside_ball(chunk[:i])
+    charged = schedule.epoch_charge(T)
     counter.add(charged)
 
     return EpochResult(

@@ -37,13 +37,16 @@ class NestedSchedule:
     clamped: bool = False
 
     def __post_init__(self) -> None:
-        # an epoch runs T_K - 1 finest-level steps after each reset and
-        # counts level l down from T_l: with no level above the anchor, or a
-        # loop length below 1, its step count would never advance
+        # an epoch steps from one multiple of T_K to the next: with no level
+        # above the anchor, or a loop length below 1, it would never advance
         if not self.T or len(self.T) != len(self.B):
             raise ValueError(f"a schedule needs K >= 1 levels, one batch each: got T={self.T}, B={self.B}")
         if min(self.T) < 1:
             raise ValueError(f"loop lengths must be >= 1, got T={self.T}")
+        # the step is 1 / (10 M): zero divides by zero, and a negative, NaN or
+        # infinite M ascends, poisons or freezes the iterates
+        if not (math.isfinite(self.M) and self.M > 0):
+            raise ValueError(f"M must be positive and finite, got {self.M}")
 
     @property
     def K(self) -> int:
@@ -72,12 +75,12 @@ class NestedSchedule:
         anchor, 2 B_j for a two-point correction above it."""
         return (self.B0, *(2 * b for b in self.B))
 
-    @cached_property
-    def step_charges(self) -> tuple[int, ...]:
-        """Gradients an epoch step of reset level r = 0..K is charged: the
-        tail ``sum(level_costs[r:])``, its own level and every level above it,
-        which restarts from zero."""
-        return tuple(sum(self.level_costs[r:]) for r in range(self.K + 1))
+    def epoch_charge(self, T: int) -> int:
+        """Gradients an epoch of length ``T`` is charged: each level j at
+        ``level_costs[j]`` per step t < T that its period D_j divides, so
+        ceil(T / D_j) times.  :func:`exact_expected_epoch_cost` is its
+        expectation under the geometric length."""
+        return sum(cost * _ceil_div(T, D) for cost, D in zip(self.level_costs, self.level_divisors))
 
     def as_dict(self) -> dict:
         return {
@@ -104,8 +107,6 @@ def derive_schedule(B0: int, M: float) -> NestedSchedule:
     """
     if B0 < 4:
         raise ValueError(f"B0 must be >= 4 (nesting depth would underflow), got {B0}")
-    if not (math.isfinite(M) and M > 0):
-        raise ValueError(f"M must be positive and finite, got {M}")
     # K = floor(log2 log2 B0) in exact integer arithmetic.
     K = (B0.bit_length() - 1).bit_length() - 1
     T = [2] + [2 ** (2 ** (l - 2)) for l in range(2, K + 1)]

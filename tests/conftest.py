@@ -114,8 +114,9 @@ class DeclaredSpecStreaming:
 
 
 def reset_level(t, schedule):
-    """Least level j in [0, K] whose refresh period divides t: the modulo rule
-    that ``run_epoch`` steps with countdowns, kept here as its test oracle.
+    """Least level j in [0, K] whose refresh period divides t, for every step
+    t: the rule that ``run_epoch`` applies at its reset steps only, kept here
+    as its test oracle.
 
     Level K has the empty product 1 as its period, so every step refreshes at
     least the finest level; t = 0 refreshes everything (r = 0).

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+from unittest import mock
 
 from hypothesis import example, given, settings, strategies as st
 import numpy as np
@@ -232,8 +233,9 @@ class TestEpochLaw:
             res = run_epoch(prob.x0, proxy, sched, make_rng(length), GradCounter())
         assert len(proxy.steps) == length
         assert_epoch_law(proxy.steps, res.x_out, sched)
-        charges = sched.step_charges
-        assert res.grads_used == sum(charges[reset_level(t, sched)] for t in range(length))
+        # each step charges its reset level and every level above it
+        costs = sched.level_costs
+        assert res.grads_used == sum(sum(costs[reset_level(t, sched):]) for t in range(length))
 
 
 class TestReferenceGradients:
@@ -547,3 +549,78 @@ class TestChunkedBallCheck:
             assert res.out_of_domain == want
             flags.add(want)
         assert flags == {False, True}
+
+
+def ball_checks(problem):
+    """A ``recording`` copy of ``problem`` that also keeps a copy of each
+    stack of iterates it checks against the ball, in ``stacks``."""
+    proxy = recording(problem)
+
+    class BallRecording(type(proxy)):
+        def outside_ball(self, x):
+            self.stacks.append(np.array(x))
+            return super().outside_ball(x)
+
+    proxy.__class__ = BallRecording
+    proxy.stacks = []
+    return proxy
+
+
+class TestBallCheckChunks:
+    """The ball is checked a chunk of whole runs at a time: a chunk holds at
+    most max(T_K, BALL_CHECK_BYTES // (8 d)) iterates, and is checked when the
+    next reset step's run would not fit, or when the epoch ends."""
+
+    def stacks(self, sched, length, byte_rows=None, dim=3):
+        """The stacks one ``length``-step epoch checks, after each was
+        matched against the epoch's iterates and the chunk rule; with
+        ``byte_rows``, BALL_CHECK_BYTES is patched to that many iterates."""
+        nbytes = epoch.BALL_CHECK_BYTES if byte_rows is None else byte_rows * 8 * dim
+        prob = ball_checks(make_streaming_saddle_problem(dim, -1.0, seed=23))
+        with fixed_length(length), mock.patch.object(epoch, "BALL_CHECK_BYTES", nbytes):
+            res = run_epoch(prob.x0, prob, sched, make_rng(length), GradCounter())
+        # x_1 .. x_T, each checked exactly once and in order
+        iterates = [x for x, *_ in prob.steps[1:]] + [res.x_out] * bool(length)
+        checked = [row for stack in prob.stacks for row in stack]
+        assert np.array(checked).tobytes() == np.array(iterates).tobytes()
+        T_K = sched.T[-1]
+        rows = max(T_K, nbytes // (8 * dim))
+        end = 0
+        for k, stack in enumerate(prob.stacks):
+            assert 1 <= len(stack) <= rows
+            end += len(stack)
+            if k < len(prob.stacks) - 1:
+                # x_end is the last iterate before the reset step t = end,
+                # whose run would overflow the chunk
+                assert end % T_K == 0
+                assert len(stack) + min(T_K, length - end) > rows
+        return prob.stacks
+
+    @pytest.mark.parametrize("B0", [4, 16, 256, 65536], ids=["K=1", "K=2", "K=3", "K=4"])
+    @pytest.mark.parametrize("below", [1, 2])
+    def test_canonical_nests(self, B0, below):
+        # BALL_CHECK_BYTES below one finest-level run, so every chunk is a run
+        sched = derive_schedule(B0, M=6.0)
+        T_K = sched.T[-1]
+        stacks = self.stacks(sched, 2 * sched.loop_product + T_K // 2 + 1, max(0, T_K - below))
+        assert [len(s) for s in stacks[:-1]] == [T_K] * (len(stacks) - 1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        T=st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=4),
+        length=st.integers(min_value=0, max_value=300),
+        byte_rows=st.integers(min_value=0, max_value=40),
+    )
+    @example(T=[3, 9], length=50, byte_rows=8)  # below one run of 9
+    @example(T=[4, 1], length=13, byte_rows=0)  # T_K = 1: a chunk of one
+    @example(T=[2, 4], length=23, byte_rows=10)  # 10 rows hold two runs of 4
+    def test_hand_built_nests(self, T, length, byte_rows):
+        sched = NestedSchedule(B0=5, M=6.0, T=tuple(T), B=(3,) * len(T))
+        self.stacks(sched, length, byte_rows)
+
+    @pytest.mark.parametrize("length,calls", [(0, 0), (51, 1), (3276, 1), (3277, 2)])
+    def test_default_bytes_hold_an_epoch(self, length, calls):
+        # 2^18 bytes are 3276 iterates at d = 10: an epoch of up to that many
+        # steps is checked in one call when it ends
+        stacks = self.stacks(derive_schedule(256, M=6.0), length, dim=10)
+        assert len(stacks) == calls

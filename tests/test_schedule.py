@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 from hypothesis import example, given, strategies as st
@@ -67,11 +68,17 @@ def test_malformed_nest_rejected(T, B):
         NestedSchedule(B0=4, M=6.0, T=T, B=B)
 
 
-@pytest.mark.parametrize("M", [math.inf, math.nan, 0.0, -1.0])
+@pytest.mark.parametrize("M", [math.inf, math.nan, 0, 0.0, -1, -1.0])
 def test_step_parameter_must_be_positive_and_finite(M):
-    # the rule check_override applies to an M override
+    # the rule check_override applies to an M override.  The step is
+    # 1 / (10 M): an epoch would divide by zero, ascend, return NaN iterates
+    # or never move, so no schedule holds such an M, however it is built
     with pytest.raises(ValueError, match="M must be positive and finite"):
         derive_schedule(16, M=M)
+    with pytest.raises(ValueError, match="M must be positive and finite"):
+        NestedSchedule(B0=16, M=M, T=(2, 2), B=(64, 16))
+    with pytest.raises(ValueError, match="M must be positive and finite"):
+        replace(derive_schedule(16, M=6.0), M=M)
 
 
 def test_non_power_base_rounds_batches_up():
@@ -301,17 +308,21 @@ class TestScheduleProperties:
         assert clamp_schedule(out, n) is out
 
     @given(B0=bases, length=st.integers(min_value=1, max_value=40))
+    @example(B0=16, length=0)
+    @example(B0=256, length=1)
     @example(B0=4, length=3 * 2)
     @example(B0=16, length=3 * 4)
     @example(B0=256, length=3 * 16)
     @example(B0=65536, length=3 * 256)
+    @example(B0=65536, length=3 * 16 + 7)  # stops inside a finest-level run
     def test_step_charge_is_tail_of_level_costs(self, B0, length):
         # streaming batch means cost O(d) whatever the batch size, so even
         # the largest bases run an epoch quickly.  Each step makes its reset
         # level's call and costs the tail of the level costs from that level;
-        # the epoch charges the sum of its steps' costs once, when it ends.
-        # The examples cover three whole sweeps of the canonical schedules,
-        # K = 1..4
+        # the epoch charges the sum of its steps' costs once, when it ends,
+        # which is the closed form epoch_charge.  The examples cover the
+        # empty epoch, a lone anchor and three whole sweeps of the canonical
+        # schedules, K = 1..4
         class Recording(GradCounter):
             __slots__ = ("charges",)
 
@@ -334,3 +345,4 @@ class TestScheduleProperties:
         assert calls == [(sizes[r], r == 0) for r in levels]
         want = sum(sum(sch.level_costs[r:]) for r in levels)
         assert counter.charges == [want] and res.grads_used == want
+        assert sch.epoch_charge(length) == want

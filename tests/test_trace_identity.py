@@ -1,0 +1,60 @@
+"""Bit identity of whole runs: one short experiment per family, run the way
+``nestvr run`` runs it (parse_config, run_experiment, write_trace) and hashed
+with the wall-clock column blanked.
+
+Any change to an oracle call's arguments or order, a random draw, a float
+operation or a charge moves a digest.  A change that means to do so updates
+the pin and says why in CHANGES.md.  The pins were taken with numpy 2.4 and
+its bundled OpenBLAS on x86-64; a numpy or BLAS that rounds differently
+moves them too.
+"""
+
+import csv
+import hashlib
+import io
+
+import pytest
+
+from nestvr.harness import CSV_HEADER, parse_config, run_experiment, write_trace
+
+ALGORITHM = {"smoothness_order": 2, "eps": 1e-3, "eps_H": 0.1, "overrides": {"U": 400}}
+
+# family -> (problem, SHA-256 of the blanked events.csv and the summaries)
+RUNS = {
+    "saddle": (
+        {"family": "saddle", "dim": 10, "n": 256, "negative_eigenvalue": -1.0, "radius": 1.5},
+        "5b8c64395a47b1718606c1d9b0d74844f779c2bbf7b19012e36f8fa5ccdb3ed2",
+    ),
+    "regularized": (
+        {"family": "regularized", "dim": 20, "n": 400},
+        "d7092e04419fb735bd3405522f4687789f54eacda13f21d745c9e5b9beefbb1b",
+    ),
+    "streaming-saddle": (
+        {"family": "streaming-saddle", "dim": 10, "negative_eigenvalue": -1.0, "radius": 1.5},
+        "6ee33404f9eaa8dba441083c9fd32d0f6c562d0a0e1612208037c73b68767860",
+    ),
+}
+
+
+def trace_digest(problem, out_dir):
+    """SHA-256 of a two-trial run's events.csv, its wall_ms column blanked,
+    followed by its summaries in trial order."""
+    config = parse_config({"problem": {**problem, "seed": 3}, "algorithm": ALGORITHM, "trials": 2, "seed": 11})
+    results = run_experiment(config)
+    events = write_trace(results, out_dir)
+    wall = CSV_HEADER.index("wall_ms")
+    blanked = io.StringIO()
+    writer = csv.writer(blanked)
+    with events.open(newline="") as fh:
+        for row in csv.reader(fh):
+            writer.writerow(row[:wall] + [""] + row[wall + 1 :])
+    digest = hashlib.sha256(blanked.getvalue().encode())
+    for res in results:
+        digest.update((out_dir / f"summary_{res.trial:03d}.json").read_bytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("family", list(RUNS))
+def test_trace_is_pinned(family, tmp_path):
+    problem, pin = RUNS[family]
+    assert trace_digest(problem, tmp_path) == pin

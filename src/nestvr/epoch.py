@@ -15,10 +15,13 @@ Since T_K divides the periods of all levels below K, every T_K-th step
 resets a level r < K, and the T_K - 1 steps between two resets refresh the
 finest level K alone.  The loop takes t = 0, T_K, 2 T_K, ... and finds r by
 the divisibility rule; the finest-level run after each reset is a plain
-inner loop on the reference point, gradient prefix and batch size that the
-reset fixed.  Each step makes one sampled oracle call at its level's batch
-size, which draws from the epoch's generator only what it reads: on a finite
-sum, nothing for a clamped level or for a difference that reads no rows.
+inner loop on the reference, gradient prefix and batch size that the reset
+fixed.  A reset of level r binds one difference oracle to the iterate
+(``Problem.difference_from``) as the reference of levels r..K-1, so a family
+reads each reference once per refresh, not once per step.  Each step makes
+one sampled oracle call at its level's batch size, which draws from the
+epoch's generator only what it reads: on a finite sum, nothing for a clamped
+level or for a difference that reads no rows.
 
 Cost model: every level whose period divides t is charged for step t, at
 ``NestedSchedule.level_costs`` (B0 gradients for the level-0 anchor, 2 B_l for
@@ -37,7 +40,7 @@ import math
 
 import numpy as np
 
-from .problems import Array, GradCounter, Problem
+from .problems import Array, Difference, GradCounter, Problem
 # re-exported: perfbench/spans.py wraps it here as its "problems.sample" site
 from .problems import sample_indices_without_replacement
 from .schedule import NestedSchedule
@@ -98,9 +101,10 @@ def run_epoch(
     x = np.asarray(x0, dtype=float).copy()
     zero = np.zeros(problem.dim)
     zero.flags.writeable = False
-    # refs[j]: level j's reference point, which level j + 1's differences
-    # pair with.  The finest level K has none, since nothing lies above it.
-    refs = [x] * K
+    # ops[j]: the difference oracle bound to level j's reference point, which
+    # level j + 1's differences pair with (the finest level K has none, since
+    # nothing lies above it).  Step t = 0 resets level 0 and binds them all.
+    ops: list[Difference] = []
     # prefix[j] = 0.0 + g_0 + ... + g_{j-1}, the levels' latest reference
     # gradients added in level order.  No partial sum is -0.0 (x + y is -0.0
     # only when both are), so the levels above r, which restart from zero,
@@ -110,8 +114,7 @@ def run_epoch(
     batches = (schedule.B0, *schedule.B)
     D = schedule.level_divisors
     T_K, size = schedule.T[-1], batches[K]
-    sample = problem.sample_batch_grad
-    sample_diff = problem.sample_batch_grad_diff
+    sample, bind = problem.sample_batch_grad, problem.difference_from
     rows = max(T_K, BALL_CHECK_BYTES // (x.itemsize * problem.dim))
     chunk = np.empty((min(rows, T), problem.dim))
     i = 0  # the chunk's next row
@@ -134,16 +137,16 @@ def run_epoch(
         if r == 0:
             g = sample(x, batches[0], rng)
         else:
-            g = sample_diff(x, refs[r - 1], batches[r], rng)
+            g = ops[r - 1](x, batches[r], rng)
         v = prefix[r] + g
-        refs[r:] = [x] * (K - r)
+        ops[r:] = [bind(x)] * (K - r)
         prefix[r + 1 :] = [v] * (K - r)
         x = x - step * v
         chunk[i] = x
         # then level K alone, on the reference and prefix the reset fixed
-        ref, pre = refs[K - 1], prefix[K]
+        diff, pre = ops[K - 1], prefix[K]
         for j in range(i + 1, i + n):
-            x = x - step * (pre + sample_diff(x, ref, size, rng))
+            x = x - step * (pre + diff(x, size, rng))
             chunk[j] = x
         i += n
     if i:

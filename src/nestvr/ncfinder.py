@@ -106,7 +106,7 @@ def hvp_estimate(
     v = np.asarray(v, dtype=float)
     if abs(float(np.linalg.norm(v)) - 1.0) > 1e-6:
         raise ValueError("direction must be unit norm")
-    if not (isinstance(batch, numbers.Integral) and batch >= 1):
+    if isinstance(batch, bool) or not (isinstance(batch, numbers.Integral) and batch >= 1):
         raise ValueError(f"batch must be a sample size >= 1, got {batch!r}")
     z = np.asarray(z, dtype=float)
     diff = problem.sample_batch_grad_diff(z + q * v, z, batch, rng)

@@ -17,8 +17,9 @@ correction over a batch of size ``B`` costs ``2 B`` units.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import cached_property
 import math
 import operator
 import os
@@ -31,6 +32,9 @@ if TYPE_CHECKING:
     from concurrent.futures import ThreadPoolExecutor
 
 Array = np.ndarray
+#: ``diff(x, size, rng)``: a difference oracle bound to its reference point
+#: (:meth:`Problem.difference_from`)
+Difference = Callable[[Array, int, np.random.Generator], Array]
 
 
 def make_rng(seed: int | np.random.SeedSequence) -> np.random.Generator:
@@ -99,10 +103,10 @@ class Problem:
     """An objective F with the sampled stochastic-gradient oracle that epochs,
     curvature probes and gradient tests call: the mean over ``size`` sampled
     components of their gradients at x, or of their differences between x and
-    y.  It draws from ``rng`` only what it reads.  ``n`` is the number of
-    components, None for a stream, whose call draws ``size`` fresh samples,
-    any number of them, and pairs the same samples at both points of a
-    difference."""
+    a reference y, bound once (:meth:`difference_from`).  It draws from
+    ``rng`` only what it reads.  ``n`` is the number of components, None for
+    a stream, whose call draws ``size`` fresh samples, any number of them,
+    and pairs the same samples at both points of a difference."""
 
     dim: int
     x0: Array
@@ -117,10 +121,17 @@ class Problem:
 
     def sample_batch_grad_diff(self, x: Array, y: Array, size: int, rng: np.random.Generator) -> Array:
         """The sampled mean of gradient differences between the new point
-        ``x`` and the reference ``y``, whose gradient a family may keep for
-        later calls, as the saddle families do.  The order changes only cost:
+        ``x`` and the reference ``y``: one call of ``difference_from(y)``."""
+        return self.difference_from(y)(x, size, rng)
+
+    def difference_from(self, y: Array) -> Difference:
+        """``diff(x, size, rng)``, the sampled mean of gradient differences
+        between a new point ``x``, a float array, and the reference ``y``
+        bound here, which a family may read once for every call, as the
+        saddle families evaluate its gradient.  The order changes only cost:
         swapping the points negates the result, bit for bit on the saddle
-        families and to roundoff on any other."""
+        families and to roundoff on any other.  A subclass that changes
+        differences overrides this method alone."""
         raise NotImplementedError
 
     def full_grad(self, x: Array) -> Array:
@@ -152,7 +163,7 @@ class FiniteSumProblem(Problem):
     """Average of ``n`` components, F(x) = (1/n) sum_i f_i(x).
 
     Subclasses implement ``value``, ``batch_grad``, ``batch_grad_diff``,
-    ``full_grad`` and ``hessian``.
+    ``full_grad`` and ``hessian``, and may override ``difference_from``.
 
     A batch is a non-empty index array or the integer ``n``: every component,
     answered without gathering rows and charged as ``n`` components like any
@@ -164,9 +175,9 @@ class FiniteSumProblem(Problem):
 
     A sampled call's ``size`` lies in 1..n.  It passes the row-level method
     the integer ``n`` for size n, with no draw, and else a uniform subset
-    drawn from ``rng``.  A family whose difference reads no rows passes the
-    leading ``size`` indices there instead (:func:`_leading_rows`) and draws
-    nothing, since every index set gives it the same result.
+    drawn from ``rng``.  A family whose difference reads no rows overrides
+    ``difference_from`` and draws nothing there, since every index set gives
+    it the same result.
 
     ``hessian_spread`` is the family's declared component-Hessian spread
     ``(sigma_H^2, R_H)``: at every point, ``|mean_i (H_i - H)^2| <= sigma_H^2``
@@ -186,15 +197,17 @@ class FiniteSumProblem(Problem):
 
     def batch_grad_diff(self, x: Array, y: Array, idx: Array | int) -> Array:
         """Mean over ``idx`` of component-gradient differences between the
-        new point x and the reference y, whose gradient a family may keep (see
-        :meth:`Problem.sample_batch_grad_diff`)."""
+        new point x and the reference y."""
         raise NotImplementedError
 
     def sample_batch_grad(self, x: Array, size: int, rng: np.random.Generator) -> Array:
         return self.batch_grad(x, self._draw(size, rng))
 
-    def sample_batch_grad_diff(self, x: Array, y: Array, size: int, rng: np.random.Generator) -> Array:
-        return self.batch_grad_diff(x, y, self._draw(size, rng))
+    def difference_from(self, y: Array) -> Difference:
+        def diff(x: Array, size: int, rng: np.random.Generator) -> Array:
+            return self.batch_grad_diff(x, y, self._draw(size, rng))
+
+        return diff
 
     def _draw(self, size: int, rng: np.random.Generator) -> Array | int:
         if size == self.n:
@@ -219,20 +232,6 @@ def sample_indices_without_replacement(n: int, m: int, rng: np.random.Generator)
     if m > n:
         raise ValueError(f"batch size {m} exceeds population size {n}; clamp the schedule first")
     return rng.choice(n, size=m, replace=False)
-
-
-@lru_cache(maxsize=8)  # an epoch's levels, K <= 6 in practice
-def _leading_rows(n: int, size: int) -> Array | int:
-    """The batch a difference that reads no rows takes for ``size``
-    components: the integer ``n``, or the first ``size`` indices, kept per
-    ``(n, size)`` and read-only, since every such call shares it."""
-    if not 1 <= size <= n:
-        raise ValueError(f"batch size must lie in 1..{n}, got {size}")
-    if size == n:
-        return n
-    idx = np.arange(size)
-    idx.setflags(write=False)
-    return idx
 
 
 def _index_array(idx: Array | int, n: int) -> Array | None:
@@ -270,16 +269,6 @@ def _zero_sum_noise(n: int, dim: int, scale: float, rng: np.random.Generator) ->
     return c - c.mean(axis=0)
 
 
-#: exact gradients a linear-noise problem keeps: an epoch's reference points
-#: (one per level below the finest, K <= 6 in practice; level 0's is the
-#: anchor) and a curvature probe's centre, but no difference's new point.
-#: Against calling ``_exact_grad`` directly (same digests; five alternating
-#: 20 s perfbench pairs, seeds 111-115, 2-core Xeon) the memo's median
-#: trials_per_s was 32.0 vs 27.8 on saddle-d10 and 20.7 vs 16.7 on
-#: streaming-saddle-d10, ahead in 5 of 5 pairs on each
-GRAD_MEMO_SIZE = 8
-
-
 class _LinearNoiseProblem(FiniteSumProblem):
     """f_i(x) = F(x) + c_i . x with sum_i c_i = 0 up to roundoff: the mean is F
     plus the residue's linear term, and every component shares F's Hessian.
@@ -287,11 +276,11 @@ class _LinearNoiseProblem(FiniteSumProblem):
     therefore read no rows and draw no indices.
 
     Subclasses set ``dim``, ``x0`` and ``smoothness`` and implement ``value``,
-    ``hessian`` and ``_exact_grad``, the uncached gradient of F.  The oracle
-    methods call it directly for a difference's new point and through the
-    memo ``_common_grad`` for every other point, never through ``full_grad``,
-    so that a wrapper on an instance's ``full_grad`` sees only the
-    verification calls.
+    ``hessian`` and ``_exact_grad``, the gradient of F at a float array.  The
+    oracle methods call it directly, never through ``full_grad``, so that a
+    wrapper on an instance's ``full_grad`` sees only the verification calls.
+    A bound difference evaluates its reference's gradient once, when it is
+    bound, and each call its new point's alone.
     """
 
     def __init__(self, noise_rows: Array):
@@ -301,30 +290,12 @@ class _LinearNoiseProblem(FiniteSumProblem):
         rows = self.noise
         sigma2 = float(np.einsum("ij,ij->i", rows, rows).mean()) if self.n > 1 else 0.0
         self.sigma2 = max(sigma2, 1e-12)  # the spec's variance proxy must be positive
-        # per instance, so that entries and hit counts (``cache_info()``)
-        # belong to one problem
-        self._grad_memo = lru_cache(maxsize=GRAD_MEMO_SIZE)(self._grad_at)
 
     def _exact_grad(self, x: Array) -> Array:
         raise NotImplementedError
 
-    def _grad_at(self, key: bytes) -> Array:
-        g = self._exact_grad(np.frombuffer(key))
-        g.setflags(write=False)
-        return g
-
-    def _common_grad(self, x: Array) -> Array:
-        """Exact gradient of F, kept for the last ``GRAD_MEMO_SIZE`` points.
-
-        Only points whose gradient may be asked for again come here: a
-        batch gradient's point (an epoch's level-0 anchor, a gradient check's
-        point) and a difference's reference (an epoch's reference point, a
-        curvature probe's centre).  A difference's new point is evaluated
-        directly and never kept.  The memo is keyed on the point's float64
-        bytes, so a hit has the bits of a fresh evaluation; its entries are
-        read-only, since callers share them.
-        """
-        return self._grad_memo(np.asarray(x, dtype=float).tobytes())
+    def full_grad(self, x: Array) -> Array:
+        return self._exact_grad(np.asarray(x, dtype=float))
 
     @cached_property
     def noise_mean(self) -> Array:
@@ -335,19 +306,24 @@ class _LinearNoiseProblem(FiniteSumProblem):
     def batch_grad(self, x: Array, idx: Array | int) -> Array:
         rows = _index_array(idx, self.n)
         noise = self.noise_mean if rows is None else self.noise[rows].mean(axis=0)
-        return self._common_grad(x) + noise
+        return self._exact_grad(np.asarray(x, dtype=float)) + noise
 
     def batch_grad_diff(self, x: Array, y: Array, idx: Array | int) -> Array:
-        # Per-component linear noise is identical at both points and drops out.
         _index_array(idx, self.n)
-        return self._exact_grad(np.asarray(x, dtype=float)) - self._common_grad(y)
+        return self.difference_from(y)(np.asarray(x, dtype=float), self.n, None)
 
-    def sample_batch_grad_diff(self, x: Array, y: Array, size: int, rng: np.random.Generator) -> Array:
-        return self.batch_grad_diff(x, y, _leading_rows(self.n, size))
+    # Per-component linear noise is identical at both points and drops out,
+    # so a difference reads no rows and draws nothing.
+    def difference_from(self, y: Array) -> Difference:
+        n, grad = self.n, self._exact_grad
+        gy = grad(np.asarray(y, dtype=float))
 
-    # the memo itself, so that a stream's oracle calls on its core take no
-    # extra frame; a wrapper on an instance's full_grad still shadows it
-    full_grad = _common_grad
+        def diff(x: Array, size: int, rng: np.random.Generator) -> Array:
+            if not 1 <= size <= n:
+                raise ValueError(f"batch size must lie in 1..{n}, got {size}")
+            return grad(x) - gy
+
+        return diff
 
 
 class _SeparableQuarticProblem(_LinearNoiseProblem):
@@ -722,10 +698,15 @@ class AdditiveNoiseStreamingProblem(Problem):
         scale = self.noise_std / math.sqrt(size)
         return self.core.full_grad(x) + scale * rng.standard_normal(self.dim)
 
-    def sample_batch_grad_diff(self, x: Array, y: Array, size: int, rng: np.random.Generator) -> Array:
-        if size < 1:
-            raise ValueError(f"batch size must be >= 1, got {size}")
-        return self.core.batch_grad_diff(x, y, self.core.n)
+    def difference_from(self, y: Array) -> Difference:
+        n, core_diff = self.core.n, self.core.difference_from(y)
+
+        def diff(x: Array, size: int, rng: np.random.Generator) -> Array:
+            if size < 1:
+                raise ValueError(f"batch size must be >= 1, got {size}")
+            return core_diff(x, n, rng)
+
+        return diff
 
     def full_grad(self, x: Array) -> Array:
         return self.core.full_grad(x)

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cached_property
 import math
+import numbers
 
 from fractions import Fraction
 
@@ -41,8 +42,15 @@ class NestedSchedule:
         # above the anchor, or a loop length below 1, it would never advance
         if not self.T or len(self.T) != len(self.B):
             raise ValueError(f"a schedule needs K >= 1 levels, one batch each: got T={self.T}, B={self.B}")
-        if min(self.T) < 1:
-            raise ValueError(f"loop lengths must be >= 1, got T={self.T}")
+        # counts: a float or a bool would run as some other count, or fail
+        # only inside an epoch, after its draws and steps
+        for name, counts in (("B0", (self.B0,)), ("B", self.B), ("T", self.T)):
+            for c in counts:
+                # exact ints skip the ABC check, which takes about 0.3 us
+                if type(c) is not int and (isinstance(c, bool) or not isinstance(c, numbers.Integral)):
+                    raise TypeError(f"{name} must hold integers, got {name}={getattr(self, name)!r}")
+                if c < 1:
+                    raise ValueError(f"{name} must hold counts >= 1, got {name}={getattr(self, name)!r}")
         # the step is 1 / (10 M): zero divides by zero, and a negative, NaN or
         # infinite M ascends, poisons or freezes the iterates
         if not (math.isfinite(self.M) and self.M > 0):

@@ -167,9 +167,10 @@ def recording(problem):
     """A shallow copy of ``problem`` that records the oracle calls it answers.
 
     ``steps`` gets ``(x, y, size, g)`` for each sampled call: its points
-    (``y`` is None for a plain batch gradient), its sample size and the mean
-    it returned.  ``batches`` gets each row-level batch that a finite sum's
-    sampled calls pass on.
+    (``y`` is None for a plain batch gradient, else the reference that the
+    difference was bound to), its sample size and the mean it returned.
+    ``batches`` gets each row-level batch that a finite sum's sampled calls
+    pass on.
     """
 
     class Recording(type(problem)):
@@ -178,10 +179,15 @@ def recording(problem):
             self.steps.append((x, None, size, g))
             return g
 
-        def sample_batch_grad_diff(self, x, y, size, rng):
-            g = super().sample_batch_grad_diff(x, y, size, rng)
-            self.steps.append((x, y, size, g))
-            return g
+        def difference_from(self, y):
+            diff = super().difference_from(y)
+
+            def recorded(x, size, rng):
+                g = diff(x, size, rng)
+                self.steps.append((x, y, size, g))
+                return g
+
+            return recorded
 
         def batch_grad(self, x, idx):
             self.batches.append(idx)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 from unittest import mock
@@ -80,27 +81,33 @@ class TestResetLevel:
         assert reset_level(t, sched) == want
 
 
-def replay_epochs(prob, sched, draws, epochs=8):
+def replay_epochs(prob, sched, draws, passes=lambda level: True, epochs=8):
     """Run ``epochs`` epochs of a ``recording`` problem and replay each one's
     randomness on a twin generator: its length, then one index set for each
     step whose (level, size) ``draws`` names, which must be the batch the
-    step passed.  The two generators must end level.  Returns every step's
-    (level, size, batch)."""
+    step passed.  Each step at a level that ``passes`` names passes one
+    batch to a row-level method, in step order, and no other step passes
+    one.  The two generators must end level.  Returns every step's (level,
+    size, batch), with batch None for a step that passes none."""
     sizes = (sched.B0, *sched.B)
     rng, replay = make_rng(31), make_rng(31)
     steps = []
     for _ in range(epochs):
+        prob.steps.clear()
         prob.batches.clear()
         T = run_epoch(prob.x0, prob, sched, rng, GradCounter()).T
-        assert len(prob.batches) == T
+        assert len(prob.steps) == T
         assert draw_epoch_length(sched.p, replay) == T
-        for t, idx in enumerate(prob.batches):
+        batches = iter(prob.batches)
+        for t, (_, _, size, _) in enumerate(prob.steps):
             level = reset_level(t, sched)
-            size = sizes[level]
+            assert size == sizes[level]
+            idx = next(batches) if passes(level) else None
             if draws(level, size):
                 drawn = sample_indices_without_replacement(prob.n, size, replay)
                 assert np.array_equal(idx, drawn)
             steps.append((level, size, idx))
+        assert next(batches, None) is None
         assert generator_state(rng) == generator_state(replay)
     return steps
 
@@ -179,8 +186,8 @@ class TestEpochLaw:
             def batch_grad(self, x, idx):
                 return np.full(self.dim, -0.0)
 
-            def batch_grad_diff(self, x, y, idx):
-                return np.full(self.dim, -0.0)
+            def difference_from(self, y):
+                return lambda x, size, rng: np.full(self.dim, -0.0)
 
         prob = NegativeZeroOracle(np.eye(3), None, np.zeros((8, 3)))
         sched = clamp_schedule(derive_schedule(16, M=6.0), 8)
@@ -369,30 +376,20 @@ class TestRunEpoch:
         se = tallies.std(ddof=1) / math.sqrt(tallies.size)
         assert abs(tallies.mean() - exact) <= 4 * se
 
-    def test_clamped_levels_read_the_population(self):
+    def test_row_free_differences_draw_nothing(self):
         # n = 300 clamps levels 1 and 2 (B = 55296, 2304) but not level 0
-        # (B0 = 256) or level 3 (96).  Clamped levels reach the oracle as the
-        # integer n and draw nothing.  The quadratic's differences read no
-        # rows, so level 3 draws nothing either and passes its leading 96
-        # indices; only the subsampled anchor draws an index set.
+        # (B0 = 256) or level 3 (96).  The quadratic's differences read no
+        # rows, so at every level above 0, clamped or not, they pass no
+        # batch and draw nothing; only the subsampled anchor draws an index
+        # set
         n = 300
         prob = recording(
             QuadraticProblem(np.diag([1.0, -0.5, 2.0]), None, make_rng(1).standard_normal((n, 3)))
         )
         sched = clamp_schedule(derive_schedule(256, M=6.0 * prob.smoothness.L1), n)
         assert (sched.B0, *sched.B) == (256, n, n, 96)
-        steps = replay_epochs(prob, sched, lambda level, size: level == 0 and size < n)
-        kinds = set()
-        for level, size, idx in steps:
-            if size == n:
-                assert np.ndim(idx) == 0 and idx == n
-                kinds.add("population")
-            elif level > 0:
-                assert np.array_equal(idx, np.arange(size))
-                kinds.add("leading")
-            else:
-                kinds.add("drawn")
-        assert kinds == {"population", "leading", "drawn"}
+        steps = replay_epochs(prob, sched, lambda level, size: level == 0, lambda level: level == 0)
+        assert {size for _, size, _ in steps} == {256, n, 96}
 
     def test_saddle_epoch_draws_only_its_length(self):
         # the criterion-07 saddle (d = 10, n = 256): levels 0..2 are clamped
@@ -406,18 +403,22 @@ class TestRunEpoch:
         )
         sched = clamp_schedule(derive_schedule(256, M=6.0 * prob.smoothness.L1), n)
         assert (sched.B0, *sched.B) == (n, n, n, 96)
-        steps = replay_epochs(prob, sched, lambda level, size: False)
+        steps = replay_epochs(prob, sched, lambda level, size: False, lambda level: level == 0)
         assert {size for _, size, _ in steps} == {n, 96}
+        # the anchor reads the population as the integer n
+        assert all(idx == n and type(idx) is int for level, _, idx in steps if level == 0)
 
     def test_regularized_draws_one_index_set_per_subsampled_step(self):
         # the regularized family reads rows at every subsampled level (the
-        # anchor's 256 and level 3's 96 of 300) and nowhere else
+        # anchor's 256 and level 3's 96 of 300) and nowhere else: clamped
+        # levels reach the oracle as the integer n and draw nothing
         n = 300
         prob = recording(make_regularized_problem(4, n, seed=5))
         sched = clamp_schedule(derive_schedule(256, M=6.0 * prob.smoothness.L1), n)
         assert (sched.B0, *sched.B) == (256, n, n, 96)
         steps = replay_epochs(prob, sched, lambda level, size: size < n)
         assert {size for _, size, _ in steps} == {256, n, 96}
+        assert all(idx == n and type(idx) is int for _, size, idx in steps if size == n)
 
     def test_out_of_domain_flagged(self):
         # start outside the certified ball: the first step trips the flag
@@ -435,46 +436,48 @@ class TestRunEpoch:
             run_epoch(prob.x0, prob, sched, make_rng(29), GradCounter())
 
 
-class TestGradientMemoInEpochs:
-    """An epoch has the same bits with the saddle families' gradient memo as
-    with every gradient evaluated fresh, and only the points it asks for
-    again enter the memo: its anchors and the reference points that its
-    differences pair with, not every iterate."""
+class TestReferenceBinding:
+    """An epoch binds each reference once per refresh, and the saddle
+    families evaluate its gradient then: one exact gradient per step, at its
+    iterate, and one per reset step, at the reference it binds."""
 
-    @staticmethod
-    def build(streaming, sched256):
-        if streaming:
-            return make_streaming_saddle_problem(6, -1.0, seed=5), sched256
-        # B0 = 256 of 300 rows draws an index set for every anchor
-        return make_saddle_problem(6, 300, -1.0, seed=5), clamp_schedule(sched256, 300)
+    # sha256 of x_out's bytes, as the gradient memo that this binding
+    # replaced computed them
+    X_OUT = {
+        False: "04d27716f6e70322c473e3b0f9f47ec6c5a093eded29c5d01a67b734604b6b59",
+        True: "0f6f9f0ae537ab07ba016104eb9d6e85041cf1d8316476602ad778252fe126f2",
+    }
 
     @pytest.mark.parametrize("streaming", [False, True], ids=["saddle", "stream"])
-    def test_same_bits_and_one_miss_per_reference(self, streaming, sched256):
-        length = 3 * sched256.loop_product + 1
-        prob, sched = self.build(streaming, sched256)
-        proxy, memo = recording(prob), getattr(prob, "core", prob)._grad_memo
+    def test_one_gradient_per_step_and_per_reset(self, streaming, sched256):
+        length = 3 * sched256.loop_product + 1  # 49 steps, 13 of them reset steps
+        if streaming:
+            prob, sched = make_streaming_saddle_problem(6, -1.0, seed=5), sched256
+        else:
+            # B0 = 256 of 300 rows draws an index set for every anchor
+            prob, sched = make_saddle_problem(6, 300, -1.0, seed=5), clamp_schedule(sched256, 300)
+        core = getattr(prob, "core", prob)
+        points, exact = [], core._exact_grad
+
+        def counted(x):
+            points.append(x)
+            return exact(x)
+
+        core._exact_grad = counted
+        proxy = recording(prob)
         counter = GradCounter()
         with fixed_length(length):
             res = run_epoch(prob.x0, proxy, sched, make_rng(8), counter)
-
-        fresh, _ = self.build(streaming, sched256)
-        core = getattr(fresh, "core", fresh)
-        core._common_grad = core.full_grad = lambda x: core._exact_grad(np.asarray(x, dtype=float))
-        fresh_counter = GradCounter()
-        with fixed_length(length):
-            want = run_epoch(fresh.x0, fresh, sched, make_rng(8), fresh_counter)
-        assert core._grad_memo.cache_info().currsize == 0  # every gradient was fresh
-        assert res.x_out.tobytes() == want.x_out.tobytes()
-        assert counter.count == fresh_counter.count == res.grads_used
-
-        # differences pair with the iterates at every 4th step, where the
-        # levels below K refresh; the last of the 4 anchors pairs with none
+        assert_epoch_law(proxy.steps, res.x_out, sched)
+        resets = len(range(0, length, sched.T[-1]))
+        assert len(points) == length + resets == 62
+        # the reset steps' iterates are each evaluated twice: as the step's
+        # point and as the reference bound there
         iterates = [x.tobytes() for x, *_ in proxy.steps]
-        anchors = {x for x, (_, y, *_) in zip(iterates, proxy.steps) if y is None}
-        refs = {y.tobytes() for _, y, *_ in proxy.steps if y is not None}
-        assert anchors == set(iterates[::16]) and refs == set(iterates[:-1:4])
-        # one miss per point asked for again, not one per step
-        assert memo.cache_info().misses == len(anchors | refs) == 13
+        evaluated = sorted(x.tobytes() for x in points)
+        assert evaluated == sorted(iterates + iterates[:: sched.T[-1]])
+        assert hashlib.sha256(res.x_out.tobytes()).hexdigest() == self.X_OUT[streaming]
+        assert counter.count == res.grads_used == sched.epoch_charge(length)
 
 
 class PathStream(Problem):
@@ -491,6 +494,13 @@ class PathStream(Problem):
 
     def sample_batch_grad(self, x, size, rng):
         return x - next(self.path)
+
+    def difference_from(self, y):
+        # bound at every anchor, and never called: every step is an anchor
+        def diff(x, size, rng):
+            raise AssertionError("a one-level nest with T = (1,) pairs no points")
+
+        return diff
 
 
 class TestChunkedBallCheck:

@@ -30,10 +30,15 @@ class HessianNoiseStream(Problem):
         self.core, self.noise = core, noise
         self.dim, self.x0, self.smoothness = core.dim, core.x0, core.smoothness
 
-    def sample_batch_grad_diff(self, x, y, size, rng):
-        G = rng.standard_normal((self.dim, self.dim))
-        E = self.noise / math.sqrt(size) * (G + G.T) / math.sqrt(2.0)
-        return self.core.full_grad(x) - self.core.full_grad(y) + E @ (x - y)
+    def difference_from(self, y):
+        gy = self.core.full_grad(y)
+
+        def diff(x, size, rng):
+            G = rng.standard_normal((self.dim, self.dim))
+            E = self.noise / math.sqrt(size) * (G + G.T) / math.sqrt(2.0)
+            return self.core.full_grad(x) - gy + E @ (x - y)
+
+        return diff
 
     def hessian(self, x):
         return self.core.hessian(x)
@@ -118,6 +123,18 @@ class TestHvpEstimate:
         counter = GradCounter()
         with pytest.raises(ValueError):
             e1 = np.array([1.0, 0, 0, 0])
+            hvp_estimate(prob, prob.x0, e1, 1e-3, batch, make_rng(0), counter=counter)
+        assert counter.count == 0
+
+    @pytest.mark.parametrize("batch", [True, np.True_], ids=["bool", "np.bool_"])
+    @pytest.mark.parametrize("streaming", [False, True], ids=["finite", "stream"])
+    def test_bool_batch_rejected(self, batch, streaming):
+        # True equals 1 but is no sample size: it would run a one-sample
+        # product and charge 2
+        prob, _ = random_symmetric_fixture(4, -0.5, seed=3, streaming=streaming)
+        counter = GradCounter()
+        e1 = np.array([1.0, 0, 0, 0])
+        with pytest.raises(ValueError, match="batch must be a sample size"):
             hvp_estimate(prob, prob.x0, e1, 1e-3, batch, make_rng(0), counter=counter)
         assert counter.count == 0
 

@@ -27,11 +27,7 @@ from nestvr import (
     spawn_rngs,
 )
 from nestvr import problems
-from nestvr.problems import (
-    GRAD_MEMO_SIZE,
-    _RegularizedLeastSquaresProblem,
-    subsample_variance_report,
-)
+from nestvr.problems import _RegularizedLeastSquaresProblem, subsample_variance_report
 
 
 def test_smoothness_spec_rejects_nonpositive():
@@ -597,84 +593,85 @@ def test_saddle_oracle_matches_exact_arithmetic(streaming, rng):
             assert abs(Fraction(gj) - t1 - t2) <= 4 * np.spacing(float(abs(t1) + abs(t2)))
 
 
-def memo_problem(family, dim, n, seed):
-    """A linear-noise instance, with ``n=None`` its streaming counterpart."""
+def difference_problem(family):
+    """An instance of each family with a difference oracle."""
     if family == "saddle":
-        if n is None:
-            return make_streaming_saddle_problem(dim, -1.0, seed=seed, noise=0.2)
-        return make_saddle_problem(dim, n, -1.0, seed=seed)
-    gen = np.random.default_rng(seed)
-    M = gen.standard_normal((dim, dim))
-    H = (M + M.T) / 2
-    if n is None:
-        return streaming_quadratic(H, seed=seed, noise=0.2)
-    return make_quadratic_problem(H, n, seed=seed, b=gen.standard_normal(dim))
+        return make_saddle_problem(5, 40, -1.0, seed=21)
+    if family == "streaming-saddle":
+        return make_streaming_saddle_problem(5, -1.0, seed=24, noise=0.2)
+    if family == "regularized":
+        return make_regularized_problem(5, 45, seed=22)
+    gen = np.random.default_rng(23)
+    M = gen.standard_normal((5, 5))
+    return make_quadratic_problem((M + M.T) / 2, 30, seed=23, b=gen.standard_normal(5))
+
+
+def exact_grad_formula(prob, x):
+    """The linear-noise families' gradient of F, from its definition."""
+    if isinstance(prob, QuadraticProblem):
+        return prob.H @ x + prob.b
+    return prob.diag * x + 4.0 * prob.quartic * (x * x * x)
+
+
+DIFFERENCE_FAMILIES = ["saddle", "quadratic", "streaming-saddle", "regularized"]
+LINEAR_NOISE = {"saddle", "quadratic", "streaming-saddle"}
+
+
+@pytest.mark.parametrize("family", DIFFERENCE_FAMILIES)
+class TestBoundDifference:
+    """``difference_from(y)`` binds the reference y once for any number of
+    calls: from the same generator state, a bound call, the one-shot
+    ``sample_batch_grad_diff`` and the family's formula agree bit for bit
+    and draw the same."""
+
+    @staticmethod
+    def formula(prob, x, y, size, rng):
+        if prob.n is None:  # the stream's paired noise cancels
+            prob = prob.core
+        if isinstance(prob, _RegularizedLeastSquaresProblem):
+            idx = prob.n if size == prob.n else sample_indices_without_replacement(prob.n, size, rng)
+            return prob.batch_grad_diff(x, y, idx)
+        return exact_grad_formula(prob, x) - exact_grad_formula(prob, y)
+
+    def test_bound_one_shot_and_formula_agree(self, family, rng):
+        prob = difference_problem(family)
+        sizes = (1, 7, 2**40) if prob.n is None else (1, prob.n // 2, prob.n - 1, prob.n)
+        for y in rng.standard_normal((3, prob.dim)):
+            bound = prob.difference_from(y)
+            for size in sizes:
+                for x in rng.standard_normal((2, prob.dim)):
+                    seed = int(rng.integers(2**32))
+                    gens = [make_rng(seed) for _ in range(3)]
+                    got = bound(x, size, gens[0])
+                    one_shot = prob.sample_batch_grad_diff(x, y, size, gens[1])
+                    want = self.formula(prob, x, y, size, gens[2])
+                    assert got.tobytes() == one_shot.tobytes() == want.tobytes()
+                    assert got.flags.writeable
+                    assert len({gen.random() for gen in gens}) == 1  # each drew the same
+                    if family in LINEAR_NOISE:
+                        # swapped, the result is negated bit for bit
+                        swapped = prob.difference_from(x)(y, size, make_rng(seed))
+                        assert swapped.tobytes() == (-want).tobytes()
+
+    def test_size_checked(self, family):
+        prob = difference_problem(family)
+        bound = prob.difference_from(prob.x0)
+        for size in (0, -1) if prob.n is None else (0, prob.n + 1):
+            with pytest.raises(ValueError, match="batch size"):
+                bound(prob.x0 + 1.0, size, make_rng(0))
+            with pytest.raises(ValueError, match="batch size"):
+                prob.sample_batch_grad_diff(prob.x0 + 1.0, prob.x0, size, make_rng(0))
 
 
 @pytest.mark.parametrize("family", ["saddle", "quadratic"])
-class TestGradientMemo:
-    """The linear-noise families keep the exact gradient of recent reference
-    points: a difference's new point is evaluated fresh and never kept."""
-
-    @staticmethod
-    def formula(prob, x):
-        x = np.asarray(x, dtype=float)
-        if isinstance(prob, QuadraticProblem):
-            return prob.H @ x + prob.b
-        return prob.diag * x + 4.0 * prob.quartic * (x * x * x)
-
-    def test_same_bits_bounded_and_read_only(self, family, rng):
-        prob = memo_problem(family, 5, 40, seed=21)
-        points = rng.standard_normal((3 * GRAD_MEMO_SIZE, prob.dim))
-        for i in rng.integers(0, len(points), size=400):
-            g = prob.full_grad(points[i])
-            assert g.tobytes() == self.formula(prob, points[i]).tobytes()
-            assert not g.flags.writeable
-            assert prob._grad_memo.cache_info().currsize <= GRAD_MEMO_SIZE
-        x, y = points[:2]
-        first = prob.full_grad(x)
-        hits = prob._grad_memo.cache_info().hits
-        assert prob.full_grad(x.copy()) is first  # a hit, keyed on the values
-        assert prob._grad_memo.cache_info().hits == hits + 1
-        diff = prob.batch_grad_diff(x, y, np.array([0, 3]))
-        assert diff.tobytes() == (self.formula(prob, x) - self.formula(prob, y)).tobytes()
-        assert diff.flags.writeable
-
-    def test_other_dtypes_do_not_collide(self, family):
-        prob = memo_problem(family, 4, 3, seed=22)
-        ints = np.array([1, -2, 3, 0])
-        aliased = ints.view(np.float64)  # tiny subnormals with the same bytes
-        prob.full_grad(aliased)
-        assert np.array_equal(prob.full_grad(ints), self.formula(prob, ints))
-
-    def test_streaming_shares_the_memo(self, family, rng):
-        prob = memo_problem(family, 4, None, seed=23)
-        z, v = rng.standard_normal((2, 4))
-        for q in (1e-3, 2e-3, 1e-3):
-            d = prob.sample_batch_grad_diff(z + q * v, z, 8, rng)
-            ref = self.formula(prob.core, z + q * v) - self.formula(prob.core, z)
-            assert d.tobytes() == ref.tobytes()
-        # the centre alone is kept: one miss, then two hits
-        info = prob.core._grad_memo.cache_info()
-        assert (info.currsize, info.misses, info.hits) == (1, 1, 2)
-
-    @pytest.mark.parametrize("n", [6, None])
-    def test_difference_bits_do_not_depend_on_the_memo(self, family, n, rng):
-        # a cold memo, one that holds both points, and one that evicted them
-        core = (lambda prob: prob) if n else (lambda prob: prob.core)
-        warm, evicted = (memo_problem(family, 5, n, seed=24) for _ in range(2))
-        for x, y in rng.standard_normal((20, 2, 5)):
-            cold = memo_problem(family, 5, n, seed=24)
-            core(warm).full_grad(x)
-            core(warm).full_grad(y)
-            for p in rng.standard_normal((GRAD_MEMO_SIZE, 5)):
-                core(evicted).full_grad(p)
-            diffs = [prob.sample_batch_grad_diff(x, y, 3, rng) for prob in (cold, warm, evicted)]
-            assert diffs[0].tobytes() == diffs[1].tobytes() == diffs[2].tobytes()
-            ref = self.formula(core(cold), x) - self.formula(core(cold), y)
-            assert diffs[0].tobytes() == ref.tobytes()
-            # the order of the points changes only cost: swapped, the result is negated
-            assert cold.sample_batch_grad_diff(y, x, 3, rng).tobytes() == (-ref).tobytes()
+def test_full_grad_is_the_formula(family, rng):
+    # a fresh, writable array with the formula's bits, also from integers
+    prob = difference_problem(family)
+    for x in rng.standard_normal((5, prob.dim)):
+        g = prob.full_grad(x)
+        assert g.tobytes() == exact_grad_formula(prob, x).tobytes() and g.flags.writeable
+    ints = np.arange(prob.dim) - 2
+    assert np.array_equal(prob.full_grad(ints), exact_grad_formula(prob, ints.astype(float)))
 
 
 class TestRegularizedProblem:

@@ -3,6 +3,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 from hypothesis import example, given, strategies as st
+import numpy as np
 import pytest
 
 from conftest import fixed_length, recording, reset_level
@@ -66,6 +67,36 @@ def test_malformed_nest_rejected(T, B):
     # step count would never advance, and the second leaves a batch unused
     with pytest.raises(ValueError):
         NestedSchedule(B0=4, M=6.0, T=T, B=B)
+
+
+@pytest.mark.parametrize(
+    "field,value,error",
+    [
+        ("B0", 0, ValueError),
+        ("B", (8, 0), ValueError),
+        ("B", (-3, 4), ValueError),
+        ("B0", 4.5, TypeError),
+        ("B", (8, 2.5), TypeError),
+        ("T", (2.0, 2), TypeError),
+        ("B0", True, TypeError),  # would run as a batch of 1
+        ("B", (8, np.True_), TypeError),
+    ],
+    ids=["B0=0", "B_2=0", "B_1<0", "B0=4.5", "B_2=2.5", "T_1=2.0", "B0=True", "B_2=np.True_"],
+)
+def test_counts_must_be_integers_at_least_one(field, value, error):
+    # B0, every B_l and every T_l, however the schedule is built; before, an
+    # epoch ran its draws and steps and failed only inside, or ran silently
+    fields = {"B0": 16, "M": 6.0, "T": (2, 2), "B": (64, 16), field: value}
+    match = rf"^{field} must hold"
+    with pytest.raises(error, match=match):
+        NestedSchedule(**fields)
+    with pytest.raises(error, match=match):
+        replace(derive_schedule(16, M=6.0), **{field: value})
+
+
+def test_numpy_integer_counts_accepted():
+    sched = NestedSchedule(B0=np.int64(16), M=6.0, T=(np.int32(2), 2), B=(np.uint16(64), 16))
+    assert sched.epoch_charge(5) == NestedSchedule(B0=16, M=6.0, T=(2, 2), B=(64, 16)).epoch_charge(5)
 
 
 @pytest.mark.parametrize("M", [math.inf, math.nan, 0, 0.0, -1, -1.0])

@@ -22,6 +22,7 @@ from .driver import (
     run_driver,
 )
 from .epoch import (
+    BallLog,
     EpochResult,
     draw_epoch_length,
     run_epoch,
@@ -64,6 +65,7 @@ __all__ = [
     "configure",
     "nc_descent_step",
     "run_driver",
+    "BallLog",
     "EpochResult",
     "draw_epoch_length",
     "run_epoch",

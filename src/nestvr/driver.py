@@ -19,7 +19,7 @@ import time
 
 import numpy as np
 
-from .epoch import run_epoch
+from .epoch import BallLog, run_epoch
 from .ncfinder import find_nc_direction
 from .problems import Array, GradCounter, Problem
 from .schedule import NestedSchedule, clamp_schedule, derive_schedule
@@ -259,8 +259,11 @@ def run_driver(problem: Problem, config: DriverConfig, rng: np.random.Generator)
     The gradient test's batch is ``n`` on a finite sum (the population,
     against eps), else the base batch (against eps / 2).  A non-finite
     measured gradient or iterate ends the run as diverged.  ``out_of_domain``
-    is set once an epoch iterate or an escape step leaves the certified ball
-    (:meth:`Problem.outside_ball`).
+    is set when an epoch iterate or an escape step leaves the certified ball
+    (:meth:`Problem.outside_ball`).  Every point the run visits goes into one
+    :class:`BallLog`, which checks them a chunk at a time across epochs and
+    escape steps; the run reads its flag once, when it ends, after the
+    points not yet checked are.
     """
     finite = problem.is_finite_sum
     counter = GradCounter()
@@ -274,7 +277,7 @@ def run_driver(problem: Problem, config: DriverConfig, rng: np.random.Generator)
     nc_delta = min(max(config.delta, DELTA_FLOOR), 0.5)
     z = np.asarray(problem.x0, dtype=float).copy()
     f_z = problem.value(z)  # F is evaluated once per new point
-    out_of_domain = False
+    log = BallLog(problem, config.schedule)
 
     def finish(status: str, u: int, grad_norm: float, **kw) -> DriverOutcome:
         trace.add("terminate", u, counter.count, f_value=f_z, grad_norm=grad_norm, **kw)
@@ -284,22 +287,20 @@ def run_driver(problem: Problem, config: DriverConfig, rng: np.random.Generator)
             trace=trace,
             grads_total=counter.count,
             final_grad_norm=grad_norm,
-            out_of_domain=out_of_domain,
+            out_of_domain=log.outside(),
         )
 
     for u in range(1, config.U + 1):
         counter.add(check_batch)
         g = problem.sample_batch_grad(z, check_batch, rng)
-        gnorm = float(np.linalg.norm(g))
+        gnorm = math.sqrt(g.dot(g))  # the bits of np.linalg.norm(g), in a third of the time
         trace.add("grad-check", u, counter.count, f_value=f_z, grad_norm=gnorm)
         if not _is_finite(gnorm, z):
             # a NaN norm fails the threshold test too; without this stop the
             # probe's abstention on NaN products would read as a certificate
             return finish(STATUS_DIVERGED, u, gnorm)
         if gnorm >= threshold:
-            res = run_epoch(z, problem, config.schedule, rng, counter)
-            z = res.x_out
-            out_of_domain = out_of_domain or res.out_of_domain
+            z = run_epoch(z, problem, config.schedule, rng, counter, log).x_out
             f_z = problem.value(z)
             trace.add("epoch", u, counter.count, f_value=f_z)
         else:
@@ -308,7 +309,7 @@ def run_driver(problem: Problem, config: DriverConfig, rng: np.random.Generator)
             if nc.is_bottom:
                 return finish(STATUS_CERTIFIED, u, gnorm, rayleigh=nc.rayleigh_estimate)
             z = nc_descent_step(z, nc.direction, config.eta, rng)
-            out_of_domain = out_of_domain or problem.outside_ball(z)
+            log.add(z)
             f_z = problem.value(z)
             trace.add("nc-step", u, counter.count, f_value=f_z)
 

@@ -45,18 +45,72 @@ from .problems import Array, Difference, GradCounter, Problem
 from .problems import sample_indices_without_replacement
 from .schedule import NestedSchedule
 
-#: bytes of iterates an epoch keeps before it checks them against the
-#: certified ball in one call: a few hundred KB (3276 iterates at d = 10).  A
+#: bytes of visited points a run keeps before it checks them against the
+#: certified ball in one call: a few hundred KB (3276 points at d = 10).  A
 #: chunk holds whole finest-level runs, so it is at most
-#: max(BALL_CHECK_BYTES, T_K d 8) bytes
+#: max(BALL_CHECK_BYTES, T_K d 8) bytes.  The chunk is the run's
+#: (:class:`BallLog`), not an epoch's: epochs are short (saddle-d10's average
+#: 16 steps), and a check costs about 4.6 us on a few rows at d = 10
 BALL_CHECK_BYTES = 2**18
+
+
+class BallLog:
+    """The points one run visits, checked against the certified ball
+    (:meth:`Problem.outside_ball`) a chunk at a time.
+
+    A chunk holds up to ``rows`` = max(T_K, ``BALL_CHECK_BYTES`` // (8 d))
+    points, and spans every epoch and escape step of the run: it is checked
+    before a finest-level run (or a single point) that would not fit in it,
+    and once more when :meth:`outside` is read, so the flag is the one a
+    check after every step would give.  The chunk is allocated on first need
+    and grows, by doubling, to at most ``rows``.
+    """
+
+    def __init__(self, problem: Problem, schedule: NestedSchedule):
+        self.problem = problem
+        self.rows = max(schedule.T[-1], BALL_CHECK_BYTES // (8 * problem.dim))
+        self.chunk = np.empty((0, problem.dim))
+        self.i = 0  # the chunk's next row
+        self._outside = False
+
+    def room(self, i: int, n: int) -> tuple[Array, int]:
+        """The chunk and the row at which ``n`` more points go, given that
+        rows ``[:i]`` are filled: the filled rows are checked first when
+        ``n`` more would overflow ``rows``, and the chunk grows when they fit
+        in ``rows`` but not in its allocation."""
+        if i + n > self.rows:
+            self._outside = self._outside or self.problem.outside_ball(self.chunk[:i])
+            i = 0
+        if i + n > len(self.chunk):
+            grown = np.empty((min(self.rows, max(i + n, 2 * len(self.chunk))), self.problem.dim))
+            grown[:i] = self.chunk[:i]
+            self.chunk = grown
+        return self.chunk, i
+
+    def add(self, x: Array) -> None:
+        """Log the one point ``x``, an escape step."""
+        chunk, i = self.room(self.i, 1)
+        chunk[i] = x
+        self.i = i + 1
+
+    def outside(self) -> bool:
+        """Whether any logged point lies outside the ball, after the points
+        not yet checked are."""
+        if self.i:
+            self._outside = self._outside or self.problem.outside_ball(self.chunk[: self.i])
+            self.i = 0
+        return self._outside
+
 
 @dataclass
 class EpochResult:
+    """An epoch's final iterate, its length T and the gradients charged for
+    it.  Whether its iterates left the ball is the run's :class:`BallLog`'s
+    to say, since the epoch does not check its own chunk."""
+
     x_out: Array
     T: int
     grads_used: int
-    out_of_domain: bool = False
 
 
 def draw_epoch_length(p: float, rng: np.random.Generator) -> int:
@@ -78,6 +132,7 @@ def run_epoch(
     schedule: NestedSchedule,
     rng: np.random.Generator,
     counter: GradCounter,
+    log: BallLog,
 ) -> EpochResult:
     """Run one epoch from ``x0`` and return the final iterate.
 
@@ -88,19 +143,15 @@ def run_epoch(
     ``schedule.epoch_charge(T)`` when it ends.  Deterministic given the
     generator state.
 
-    ``out_of_domain`` is set when any iterate x_1 .. x_T lies outside the
-    certified ball (:meth:`Problem.outside_ball`).  The iterates are checked
-    a chunk at a time.  A chunk holds up to max(T_K, ``BALL_CHECK_BYTES`` //
-    (8 d)) iterates, and is checked before a reset step whose run would not
-    fit in it, and when the epoch ends, so the flag is the one a check after
-    every step would give.
+    The iterates x_1 .. x_T go into the run's ``log``, a :class:`BallLog`
+    for ``problem`` and ``schedule``, one finest-level run at a time.  The
+    log checks them against the certified ball when its chunk fills, and the
+    rest when its flag is read, so an epoch makes no check of its own.
     """
     K = schedule.K
     T = draw_epoch_length(schedule.p, rng)
 
     x = np.asarray(x0, dtype=float).copy()
-    zero = np.zeros(problem.dim)
-    zero.flags.writeable = False
     # ops[j]: the difference oracle bound to level j's reference point, which
     # level j + 1's differences pair with (the finest level K has none, since
     # nothing lies above it).  Step t = 0 resets level 0 and binds them all.
@@ -110,26 +161,23 @@ def run_epoch(
     # only when both are), so the levels above r, which restart from zero,
     # add nothing: v = prefix[r] + g_r is the level-ordered sum of all K + 1
     # reference gradients bit for bit.
-    prefix = [zero] * (K + 1)
+    prefix: list[Array | float] = [0.0] * (K + 1)
     batches = (schedule.B0, *schedule.B)
     D = schedule.level_divisors
     T_K, size = schedule.T[-1], batches[K]
     sample, bind = problem.sample_batch_grad, problem.difference_from
-    rows = max(T_K, BALL_CHECK_BYTES // (x.itemsize * problem.dim))
-    chunk = np.empty((min(rows, T), problem.dim))
-    i = 0  # the chunk's next row
-    out_of_domain = False
+    chunk, i = log.chunk, log.i  # i: the chunk's next row
     # a 0-d array, not a Python float: numpy 2.4 multiplies a d = 10 vector
     # by it in 0.31 us against 0.46-0.50 us on a 2-core Xeon, with the same
     # bits, and no slower at d = 10000
     step = np.array(1.0 / (10.0 * schedule.M))
     for t in range(0, T, T_K):
         # the reset step t and the finest-level run after it write n
-        # iterates; when they would overflow the chunk, it is checked first
+        # iterates; when they would overflow the chunk's allocation, the log
+        # checks it or grows it first
         n = min(T_K, T - t)
-        if i + n > rows:
-            out_of_domain = out_of_domain or problem.outside_ball(chunk[:i])
-            i = 0
+        if i + n > len(chunk):
+            chunk, i = log.room(i, n)
         # the reset level, the least r whose period divides t (r < K)
         r = 0
         while t % D[r]:
@@ -149,14 +197,8 @@ def run_epoch(
             x = x - step * (pre + diff(x, size, rng))
             chunk[j] = x
         i += n
-    if i:
-        out_of_domain = out_of_domain or problem.outside_ball(chunk[:i])
+    log.i = i
     charged = schedule.epoch_charge(T)
     counter.add(charged)
 
-    return EpochResult(
-        x_out=x,
-        T=T,
-        grads_used=charged,
-        out_of_domain=out_of_domain,
-    )
+    return EpochResult(x_out=x, T=T, grads_used=charged)

@@ -42,7 +42,7 @@ import numpy as np
 
 from . import driver as drv
 from .driver import DriverConfig, DriverOutcome, classify_point
-from .epoch import run_epoch
+from .epoch import BallLog, run_epoch
 from .problems import (
     FiniteSumProblem,
     GradCounter,
@@ -532,9 +532,10 @@ def verify_epoch_decrease(
     lhs = np.empty(trials)
     rhs = np.empty(trials)
     counts = np.empty(trials)
+    log = BallLog(problem, schedule)  # its flag is not this check's concern
     for i in range(trials):
         counter = GradCounter()
-        res = run_epoch(x0, problem, schedule, rng, counter)
+        res = run_epoch(x0, problem, schedule, rng, counter, log)
         g = problem.full_grad(res.x_out)
         lhs[i] = float(g @ g)
         decrease = f0 - problem.value(res.x_out)

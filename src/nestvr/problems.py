@@ -150,7 +150,9 @@ class Problem:
         """Whether the point ``x``, or any row of a stack ``x`` of points, is
         outside the ball on which the smoothness constants are certified:
         farther than radius * (1 + 1e-9) from ``x0``.  Nothing is outside when
-        the radius is None (global constants)."""
+        the radius is None (global constants).  A row with an infinite entry
+        and no NaN is outside, and a row with a NaN entry never is, so a stack
+        that holds a NaN row is outside exactly when another row is."""
         radius = self.smoothness.radius
         if radius is None:
             return False

@@ -6,7 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from nestvr import SmoothnessSpec, make_rng
+from nestvr import BallLog, SmoothnessSpec, make_rng, run_epoch
 from nestvr.problems import (
     AdditiveNoiseStreamingProblem,
     FiniteSumProblem,
@@ -163,6 +163,13 @@ def fixed_length(T):
         yield
 
 
+def one_epoch(x0, problem, schedule, rng, counter, log=None):
+    """``run_epoch`` into the run's ``log``, by default a fresh ``BallLog``:
+    the epoch as the only one of its run."""
+    log = BallLog(problem, schedule) if log is None else log
+    return run_epoch(x0, problem, schedule, rng, counter, log)
+
+
 def recording(problem):
     """A shallow copy of ``problem`` that records the oracle calls it answers.
 
@@ -200,6 +207,21 @@ def recording(problem):
     proxy = copy.copy(problem)
     proxy.__class__ = Recording
     proxy.steps, proxy.batches = [], []
+    return proxy
+
+
+def ball_checks(problem):
+    """A ``recording`` copy of ``problem`` that also keeps a copy of each
+    stack of points it checks against the ball, in ``stacks``."""
+    proxy = recording(problem)
+
+    class BallRecording(type(proxy)):
+        def outside_ball(self, x):
+            self.stacks.append(np.array(x))
+            return super().outside_ball(x)
+
+    proxy.__class__ = BallRecording
+    proxy.stacks = []
     return proxy
 
 

@@ -13,6 +13,7 @@ from conftest import (
     DeclaredSpecProblem,
     DeclaredSpecStreaming,
     fixed_length,
+    one_epoch,
     random_symmetric_fixture,
     rayleigh,
     recording,
@@ -36,7 +37,6 @@ from nestvr import (
     make_saddle_problem,
     make_streaming_saddle_problem,
     run_driver,
-    run_epoch,
     spawn_rngs,
 )
 from nestvr.harness import (
@@ -81,7 +81,7 @@ def test_criterion_02_epoch_cost_accounting():
     rng = make_rng(2024)
     tallies = np.array(
         [
-            run_epoch(problem.x0, problem, schedule, rng, GradCounter()).grads_used
+            one_epoch(problem.x0, problem, schedule, rng, GradCounter()).grads_used
             for _ in range(10_000)
         ],
         dtype=float,
@@ -122,7 +122,7 @@ def test_criterion_04_full_batch_estimator_identity():
     schedule = clamp_schedule(derive_schedule(64, M=6.0 * problem.smoothness.L1), 60)
     proxy = recording(problem)
     with fixed_length(100):
-        res = run_epoch(problem.x0, proxy, schedule, make_rng(404), GradCounter())
+        res = one_epoch(problem.x0, proxy, schedule, make_rng(404), GradCounter())
     # the step is x_{t+1} = x_t - v_t / (10 M), so consecutive iterates give v_t
     iterates = [x for x, *_ in proxy.steps] + [res.x_out]
     worst = 0.0

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from conftest import (
     DeclaredSpecProblem,
     DeclaredSpecStreaming,
+    ball_checks,
     make_quadratic_problem,
     streaming_quadratic,
     subgaussian_check_batch,
@@ -29,6 +31,7 @@ from nestvr import (
     run_driver,
     spawn_rngs,
 )
+from nestvr import driver, epoch
 from nestvr.problems import _RegularizedLeastSquaresProblem
 
 
@@ -553,6 +556,149 @@ class TestRunOnline:
         out = run_driver(prob, cfg, make_rng(41))
         first = out.trace.events[0]
         assert first.kind == "grad-check" and first.grads_cum == cfg.schedule.B0
+
+
+def visited_run(problem, cfg, seed, radius):
+    """Run the driver from ``make_rng(seed)`` on a ``ball_checks`` copy of
+    ``problem`` whose certified radius is ``radius``, which moves no step
+    once ``cfg`` is made.  Returns the outcome, the copy, the points the run
+    visited in order (each epoch's x_1 .. x_T and each escape step) and, for
+    each, ``("epoch", k)`` or ``("escape", k)`` for the k-th such call."""
+    prob = ball_checks(problem)
+    prob.smoothness = dataclasses.replace(problem.smoothness, radius=radius)
+    points, kinds, calls = [], [], {"epoch": 0, "escape": 0}
+
+    def visit(kind, new):
+        points.extend(new)
+        kinds.extend([(kind, calls[kind])] * len(new))
+        calls[kind] += 1
+
+    def run_epoch(x0, problem, schedule, rng, counter, log):
+        start = len(problem.steps)
+        res = epoch.run_epoch(x0, problem, schedule, rng, counter, log)
+        visit("epoch", [x for x, *_ in problem.steps[start + 1 :]] + [res.x_out] * bool(res.T))
+        return res
+
+    def escape(*args):
+        z = nc_descent_step(*args)
+        visit("escape", [z])
+        return z
+
+    with mock.patch.object(driver, "run_epoch", run_epoch), mock.patch.object(
+        driver, "nc_descent_step", escape
+    ):
+        out = run_driver(prob, cfg, make_rng(seed))
+    return out, prob, np.array(points), kinds
+
+
+class TestRunBallFlag:
+    """A run's ``out_of_domain`` is a check of every point it visits, made a
+    chunk at a time by one log whose chunks span epochs and escape steps."""
+
+    ROWS = 40  # BALL_CHECK_BYTES is patched to this many points at d = 4
+
+    FAMILIES = {
+        "saddle": lambda seed: make_saddle_problem(4, 32, -1.0, seed=seed, radius=1.0),
+        "streaming-saddle": lambda seed: make_streaming_saddle_problem(4, -1.0, seed=seed, radius=1.0),
+    }
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(epoch, "BALL_CHECK_BYTES", self.ROWS * 8 * 4)
+
+    def free_run(self, family, seed, overrides):
+        """The run without a ball, so that every stack is checked: its
+        problem, config, stacks, visited points and their kinds."""
+        prob = self.FAMILIES[family](seed)
+        cfg = configure(prob, 1e-3, 0.1, order=2, overrides={"U": 60, **overrides})
+        _, free, points, kinds = visited_run(prob, cfg, seed, None)
+        return prob, cfg, free.stacks, points, kinds
+
+    def ball_run(self, prob, cfg, seed, radius, points):
+        """The same run with the certified ``radius``: its outcome, and
+        whether each visited point is outside the ball."""
+        out, ball, visited, _ = visited_run(prob, cfg, seed, radius)
+        assert visited.tobytes() == points.tobytes()
+        # every visited point is checked once and in order, until one is out
+        checked = np.concatenate(ball.stacks)
+        assert checked.tobytes() == points[: len(checked)].tobytes()
+        outside = np.array([ball.outside_ball(p) for p in points])
+        assert out.out_of_domain == outside.any()
+        return out, outside
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("q", [0.5, 0.98, 1.0, 1.01])
+    def test_flag_is_any_visited_point_outside(self, family, q):
+        # radii at quantiles of the run's distances from x0, and beyond them
+        spans = mid_epoch = flags = 0
+        for seed in range(3):
+            prob, cfg, stacks, points, kinds = self.free_run(family, seed, {})
+            ends = np.cumsum([len(s) for s in stacks])[:-1]
+            spans += any(kinds[e - len(s)] != kinds[e - 1] for s, e in zip(stacks, ends))
+            mid_epoch += any(kinds[e - 1] == kinds[e] for e in ends)
+            d = np.linalg.norm(points - prob.x0, axis=1)
+            out, _ = self.ball_run(prob, cfg, seed, q * np.quantile(d, min(q, 1.0)), points)
+            flags += out.out_of_domain
+        assert spans and mid_epoch
+        assert flags == (3 if q < 1.0 else 0)
+
+    @pytest.mark.parametrize(
+        "case,family",
+        [
+            ("early-epoch", "saddle"),
+            ("final-partial-chunk", "saddle"),
+            ("final-partial-chunk", "streaming-saddle"),
+            ("escape-step", "saddle"),
+            ("escape-step", "streaming-saddle"),
+        ],
+    )
+    def test_one_excursion_is_flagged(self, monkeypatch, case, family):
+        # the radius puts one group of points outside and every other point
+        # inside: the epoch that holds the farthest point, when a step of
+        # 1 / (10 M) overshoots the minimizer and comes back; the last stack,
+        # checked only when the run ends; or the escape steps, when eta = 2
+        # is longer than the path back to the minimizer
+        overrides = {"early-epoch": {"M": 0.12}, "escape-step": {"eta": 2.0}}.get(case, {})
+        # the overshooting runs visit about 22 points: chunks of 8 split them
+        rows = 8 if case == "early-epoch" else self.ROWS
+        monkeypatch.setattr(epoch, "BALL_CHECK_BYTES", rows * 8 * 4)
+        for seed in range(3):
+            prob, cfg, stacks, points, kinds = self.free_run(family, seed, overrides)
+            d = np.linalg.norm(points - prob.x0, axis=1)
+            last = len(points) - len(stacks[-1])  # the last stack's first point
+            far = kinds[int(d.argmax())]
+            if case == "early-epoch":
+                group = np.array([k == far for k in kinds])
+            elif case == "escape-step":
+                group = np.array([k[0] == "escape" for k in kinds])
+            else:
+                group = np.arange(len(points)) >= last
+            inner, outer = d[~group].max(), d[group].max()
+            assert outer > inner * (1 + 1e-6)
+            out, outside = self.ball_run(prob, cfg, seed, (inner + outer) / 2, points)
+            assert out.out_of_domain and not (outside & ~group).any()
+            if case == "early-epoch":
+                # an epoch before the last, caught before the run ends
+                assert far[0] == "epoch" and kinds[-1] != far
+                assert not outside[last:].any()
+            elif case == "final-partial-chunk":
+                assert len(stacks[-1]) < max(cfg.schedule.T[-1], rows)
+
+
+def test_ball_is_checked_per_run_not_per_epoch():
+    # saddle-d10's shape, d = 10, n = 256 and derive_schedule(256) clamped:
+    # its epochs average 16 steps, so a check per epoch made about 220 per
+    # run, where a run's chunk of 3276 points makes one per chunk it fills
+    # and one when the run ends
+    for seed in range(3):
+        prob = ball_checks(make_saddle_problem(10, 256, -1.0, seed=seed, radius=1.5))
+        cfg = configure(prob, 1e-3, 0.1, order=2, overrides={"U": 500})
+        assert cfg.schedule == clamp_schedule(derive_schedule(256, M=cfg.schedule.M), 256)
+        out = run_driver(prob, cfg, make_rng(seed))
+        epochs = sum(e.kind == "epoch" for e in out.trace.events)
+        visited = sum(map(len, prob.stacks))
+        assert not out.out_of_domain and epochs > 100
+        assert 1 <= len(prob.stacks) <= 1 + visited // (3276 - 3) <= 3
 
 
 class TestClassifyPoint:

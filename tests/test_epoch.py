@@ -8,8 +8,17 @@ from hypothesis import example, given, settings, strategies as st
 import numpy as np
 import pytest
 
-from conftest import QuadraticProblem, fixed_length, make_quadratic_problem, recording, reset_level
+from conftest import (
+    QuadraticProblem,
+    ball_checks,
+    fixed_length,
+    make_quadratic_problem,
+    one_epoch,
+    recording,
+    reset_level,
+)
 from nestvr import (
+    BallLog,
     GradCounter,
     NestedSchedule,
     SmoothnessSpec,
@@ -22,7 +31,6 @@ from nestvr import (
     make_rng,
     make_saddle_problem,
     make_streaming_saddle_problem,
-    run_epoch,
     sample_indices_without_replacement,
 )
 from nestvr import epoch
@@ -95,7 +103,7 @@ def replay_epochs(prob, sched, draws, passes=lambda level: True, epochs=8):
     for _ in range(epochs):
         prob.steps.clear()
         prob.batches.clear()
-        T = run_epoch(prob.x0, prob, sched, rng, GradCounter()).T
+        T = one_epoch(prob.x0, prob, sched, rng, GradCounter()).T
         assert len(prob.steps) == T
         assert draw_epoch_length(sched.p, replay) == T
         batches = iter(prob.batches)
@@ -124,7 +132,7 @@ def epoch_steps(problem, schedule, length, x0=None, seed=0):
     proxy = recording(problem)
     x0 = problem.x0 if x0 is None else x0
     with fixed_length(length):
-        res = run_epoch(x0, proxy, schedule, make_rng(seed), GradCounter())
+        res = one_epoch(x0, proxy, schedule, make_rng(seed), GradCounter())
     assert len(proxy.steps) == length
     if length:
         assert proxy.steps[0][0].tobytes() == np.asarray(x0, dtype=float).tobytes()
@@ -205,7 +213,7 @@ class TestEpochLaw:
         assert_epoch_law(steps, x_out, sched256)
         # anchor plus the zero refreshes of levels 1..K are all charged
         with fixed_length(1):
-            res = run_epoch(np.full(4, 0.3), prob, sched256, make_rng(2), GradCounter())
+            res = one_epoch(np.full(4, 0.3), prob, sched256, make_rng(2), GradCounter())
         assert res.grads_used == 256 + 2 * (55296 + 2304 + 96)
 
     @settings(max_examples=50)
@@ -237,7 +245,7 @@ class TestEpochLaw:
         sched = NestedSchedule(B0=B0, M=6.0 * prob.smoothness.L1, T=tuple(T), B=tuple(B))
         proxy = recording(prob)
         with fixed_length(length):
-            res = run_epoch(prob.x0, proxy, sched, make_rng(length), GradCounter())
+            res = one_epoch(prob.x0, proxy, sched, make_rng(length), GradCounter())
         assert len(proxy.steps) == length
         assert_epoch_law(proxy.steps, res.x_out, sched)
         # each step charges its reset level and every level above it
@@ -260,7 +268,7 @@ class TestReferenceGradients:
         costs = []
         for T in (4, 5):
             with fixed_length(T):
-                res = run_epoch(prob.x0, prob, sched256, make_rng(3), GradCounter())
+                res = one_epoch(prob.x0, prob, sched256, make_rng(3), GradCounter())
             costs.append(res.grads_used)
         assert costs[1] - costs[0] == 2 * 2304 + 2 * 96
 
@@ -314,7 +322,7 @@ class TestRunEpoch:
         sched = clamp_schedule(derive_schedule(4, M=6.0), 8)
         counter = GradCounter()
         with fixed_length(0):
-            res = run_epoch(prob.x0, prob, sched, make_rng(0), counter)
+            res = one_epoch(prob.x0, prob, sched, make_rng(0), counter)
         assert res.T == 0
         assert np.array_equal(res.x_out, prob.x0)
         assert res.grads_used == 0 and counter.count == 0
@@ -325,14 +333,14 @@ class TestRunEpoch:
         prob = make_quadratic_problem(np.eye(3), 1, seed=0, noise=0.0, x0=np.full(3, 2.0))
         sched = clamp_schedule(derive_schedule(4, M=6.0), 1)
         with fixed_length(1):
-            res = run_epoch(prob.x0, prob, sched, make_rng(1), GradCounter())
+            res = one_epoch(prob.x0, prob, sched, make_rng(1), GradCounter())
         assert np.allclose(res.x_out, prob.x0 * (1 - 1 / 60.0), atol=1e-15)
 
     def test_deterministic_given_seed(self):
         prob = make_regularized_problem(6, 50, seed=4)
         sched = clamp_schedule(derive_schedule(16, M=6.0 * prob.smoothness.L1), 50)
-        a = run_epoch(prob.x0, prob, sched, make_rng(7), GradCounter())
-        b = run_epoch(prob.x0, prob, sched, make_rng(7), GradCounter())
+        a = one_epoch(prob.x0, prob, sched, make_rng(7), GradCounter())
+        b = one_epoch(prob.x0, prob, sched, make_rng(7), GradCounter())
         assert a.T == b.T
         assert np.array_equal(a.x_out, b.x_out)
         assert a.grads_used == b.grads_used
@@ -361,7 +369,7 @@ class TestRunEpoch:
     def test_counter_is_periodic_multiple_of_closed_form(self, B0, n, k):
         prob, sched = epoch_case(B0, n, seed=8)
         with fixed_length(k * sched.loop_product):
-            res = run_epoch(prob.x0, prob, sched, make_rng(17), GradCounter())
+            res = one_epoch(prob.x0, prob, sched, make_rng(17), GradCounter())
         assert res.grads_used == k * expected_epoch_cost(sched)
 
     def test_counter_mean_matches_exact_expectation(self):
@@ -370,7 +378,7 @@ class TestRunEpoch:
         sched = derive_schedule(16, M=6.0 * prob.smoothness.L1)
         rng = make_rng(19)
         tallies = np.array(
-            [run_epoch(prob.x0, prob, sched, rng, GradCounter()).grads_used for _ in range(4000)]
+            [one_epoch(prob.x0, prob, sched, rng, GradCounter()).grads_used for _ in range(4000)]
         )
         exact = exact_expected_epoch_cost(sched)
         se = tallies.std(ddof=1) / math.sqrt(tallies.size)
@@ -421,19 +429,21 @@ class TestRunEpoch:
         assert all(idx == n and type(idx) is int for _, size, idx in steps if size == n)
 
     def test_out_of_domain_flagged(self):
-        # start outside the certified ball: the first step trips the flag
+        # start outside the certified ball: the first step trips the flag,
+        # which the run's log gives when it is read
         prob = make_saddle_problem(3, 8, -1.0, seed=10, radius=0.5)
         sched = clamp_schedule(derive_schedule(4, M=6.0 * prob.smoothness.L1), 8)
         x_far = np.full(3, 5.0)
+        log = BallLog(prob, sched)
         with fixed_length(3):
-            res = run_epoch(x_far, prob, sched, make_rng(23), GradCounter())
-        assert res.out_of_domain
+            one_epoch(x_far, prob, sched, make_rng(23), GradCounter(), log)
+        assert log.i == 3 and log.outside()
 
     def test_unclamped_finite_schedule_rejected(self):
         prob = make_saddle_problem(3, 8, -1.0, seed=11)
         sched = derive_schedule(256, M=6.0)  # B_1 = 55296 > n = 8
         with fixed_length(1), pytest.raises(ValueError):
-            run_epoch(prob.x0, prob, sched, make_rng(29), GradCounter())
+            one_epoch(prob.x0, prob, sched, make_rng(29), GradCounter())
 
 
 class TestReferenceBinding:
@@ -467,7 +477,7 @@ class TestReferenceBinding:
         proxy = recording(prob)
         counter = GradCounter()
         with fixed_length(length):
-            res = run_epoch(prob.x0, proxy, sched, make_rng(8), counter)
+            res = one_epoch(prob.x0, proxy, sched, make_rng(8), counter)
         assert_epoch_law(proxy.steps, res.x_out, sched)
         resets = len(range(0, length, sched.T[-1]))
         assert len(points) == length + resets == 62
@@ -504,20 +514,31 @@ class PathStream(Problem):
 
 
 class TestChunkedBallCheck:
-    """The iterates are checked against the ball a chunk at a time; the flag
-    is the one a check after every step would give."""
+    """The iterates go into the run's log, which checks them against the
+    ball a chunk at a time across epochs; the flag is the one a check after
+    every step would give."""
 
     # one level with a single loop: every step is an anchor, x <- x - g
     UNIT_STEP = NestedSchedule(B0=1, M=0.1, T=(1,), B=(1,))
     ROWS = 3  # iterates per chunk: 8 steps make chunks of 3, 3 and 2
 
-    def run(self, monkeypatch, path):
+    def run(self, monkeypatch, path, lengths):
+        """The log's flag after epochs of ``lengths`` steps walk ``path``."""
         monkeypatch.setattr(epoch, "BALL_CHECK_BYTES", self.ROWS * 8)
-        with fixed_length(len(path)):
-            res = run_epoch(np.zeros(1), PathStream(path), self.UNIT_STEP, make_rng(0), GradCounter())
-        assert res.x_out.tolist() == [path[-1]]
-        return res.out_of_domain
+        prob = PathStream(path)
+        log = BallLog(prob, self.UNIT_STEP)
+        x = np.zeros(1)
+        for length in lengths:
+            with fixed_length(length):
+                x = one_epoch(x, prob, self.UNIT_STEP, make_rng(0), GradCounter(), log).x_out
+        assert x.tolist() == [path[-1]]
+        assert len(log.chunk) <= self.ROWS
+        return log.outside()
 
+    # one epoch, and the same 8 steps as epochs that chunks span
+    SPLITS = [(8,), (2, 3, 3), (1, 0, 1, 6), (5, 3)]
+
+    @pytest.mark.parametrize("lengths", SPLITS, ids=str)
     @pytest.mark.parametrize(
         "outside",
         [
@@ -526,13 +547,14 @@ class TestChunkedBallCheck:
             pytest.param({2, 3}, id="leaves-and-comes-back"),
         ],
     )
-    def test_one_excursion_is_flagged(self, monkeypatch, outside):
+    def test_one_excursion_is_flagged(self, monkeypatch, outside, lengths):
         # each path ends inside the ball, so only the chunks' checks see it
         path = [2.0 if t in outside else 0.5 for t in range(8)]
-        assert self.run(monkeypatch, path)
+        assert self.run(monkeypatch, path, lengths)
 
-    def test_path_inside_the_ball_is_not_flagged(self, monkeypatch):
-        assert not self.run(monkeypatch, [0.5, -1.0, 1.0, 0.0, 0.25, -0.5, 1.0, 0.75])
+    @pytest.mark.parametrize("lengths", SPLITS, ids=str)
+    def test_path_inside_the_ball_is_not_flagged(self, monkeypatch, lengths):
+        assert not self.run(monkeypatch, [0.5, -1.0, 1.0, 0.0, 0.25, -0.5, 1.0, 0.75], lengths)
 
     @pytest.mark.parametrize(
         "rows,B0",
@@ -554,47 +576,50 @@ class TestChunkedBallCheck:
             steps, x_out = epoch_steps(prob, sched, 7, x0=x0, seed=seed)
             iterates = [x for x, *_ in steps[1:]] + [x_out]
             want = any(prob.outside_ball(x) for x in iterates)
+            log = BallLog(prob, sched)
             with fixed_length(7):
-                res = run_epoch(x0, prob, sched, make_rng(seed), GradCounter())
-            assert res.out_of_domain == want
+                one_epoch(x0, prob, sched, make_rng(seed), GradCounter(), log)
+            assert log.outside() == want
             flags.add(want)
         assert flags == {False, True}
 
 
-def ball_checks(problem):
-    """A ``recording`` copy of ``problem`` that also keeps a copy of each
-    stack of iterates it checks against the ball, in ``stacks``."""
-    proxy = recording(problem)
-
-    class BallRecording(type(proxy)):
-        def outside_ball(self, x):
-            self.stacks.append(np.array(x))
-            return super().outside_ball(x)
-
-    proxy.__class__ = BallRecording
-    proxy.stacks = []
-    return proxy
+def epoch_runs(schedule, lengths):
+    """The finest-level runs of epochs of ``lengths`` steps, in order: each
+    reset step t = 0, T_K, 2 T_K, ... starts a run of min(T_K, T - t)."""
+    T_K = schedule.T[-1]
+    return [min(T_K, T - t) for T in lengths for t in range(0, T, T_K)]
 
 
 class TestBallCheckChunks:
-    """The ball is checked a chunk of whole runs at a time: a chunk holds at
-    most max(T_K, BALL_CHECK_BYTES // (8 d)) iterates, and is checked when the
-    next reset step's run would not fit, or when the epoch ends."""
+    """The ball is checked a chunk of whole runs at a time, and a chunk spans
+    the epochs of a run: it holds at most max(T_K, BALL_CHECK_BYTES // (8 d))
+    iterates, and is checked when the next reset step's run would not fit,
+    or when the log's flag is read."""
 
-    def stacks(self, sched, length, byte_rows=None, dim=3):
-        """The stacks one ``length``-step epoch checks, after each was
-        matched against the epoch's iterates and the chunk rule; with
-        ``byte_rows``, BALL_CHECK_BYTES is patched to that many iterates."""
+    def stacks(self, sched, lengths, byte_rows=None, dim=3):
+        """The stacks that epochs of ``lengths`` steps, one run's log, check,
+        after each was matched against the epochs' iterates and the chunk
+        rule; with ``byte_rows``, BALL_CHECK_BYTES is patched to that many
+        iterates."""
         nbytes = epoch.BALL_CHECK_BYTES if byte_rows is None else byte_rows * 8 * dim
         prob = ball_checks(make_streaming_saddle_problem(dim, -1.0, seed=23))
-        with fixed_length(length), mock.patch.object(epoch, "BALL_CHECK_BYTES", nbytes):
-            res = run_epoch(prob.x0, prob, sched, make_rng(length), GradCounter())
-        # x_1 .. x_T, each checked exactly once and in order
-        iterates = [x for x, *_ in prob.steps[1:]] + [res.x_out] * bool(length)
+        iterates = []
+        with mock.patch.object(epoch, "BALL_CHECK_BYTES", nbytes):
+            log = BallLog(prob, sched)
+        x = prob.x0
+        for k, length in enumerate(lengths):
+            prob.steps.clear()
+            with fixed_length(length):
+                x = one_epoch(x, prob, sched, make_rng((k, length)), GradCounter(), log).x_out
+            iterates += [x for x, *_ in prob.steps[1:]] + [x] * bool(length)
+        assert not log.outside()
+        # x_1 .. x_T of every epoch, each checked exactly once and in order
         checked = [row for stack in prob.stacks for row in stack]
         assert np.array(checked).tobytes() == np.array(iterates).tobytes()
-        T_K = sched.T[-1]
-        rows = max(T_K, nbytes // (8 * dim))
+        rows = max(sched.T[-1], nbytes // (8 * dim))
+        runs = epoch_runs(sched, lengths)
+        starts = dict(zip(np.cumsum([0] + runs).tolist(), runs))
         end = 0
         for k, stack in enumerate(prob.stacks):
             assert 1 <= len(stack) <= rows
@@ -602,35 +627,44 @@ class TestBallCheckChunks:
             if k < len(prob.stacks) - 1:
                 # x_end is the last iterate before the reset step t = end,
                 # whose run would overflow the chunk
-                assert end % T_K == 0
-                assert len(stack) + min(T_K, length - end) > rows
+                assert len(stack) + starts[end] > rows
+        # allocated on need and grown by doubling, never past rows
+        assert len(log.chunk) <= min(rows, 2 * max(map(len, prob.stacks), default=0))
         return prob.stacks
 
     @pytest.mark.parametrize("B0", [4, 16, 256, 65536], ids=["K=1", "K=2", "K=3", "K=4"])
     @pytest.mark.parametrize("below", [1, 2])
     def test_canonical_nests(self, B0, below):
-        # BALL_CHECK_BYTES below one finest-level run, so every chunk is a run
+        # BALL_CHECK_BYTES below one finest-level run, so every chunk is a run,
+        # the partial run that ends each epoch included
         sched = derive_schedule(B0, M=6.0)
         T_K = sched.T[-1]
-        stacks = self.stacks(sched, 2 * sched.loop_product + T_K // 2 + 1, max(0, T_K - below))
-        assert [len(s) for s in stacks[:-1]] == [T_K] * (len(stacks) - 1)
+        lengths = [2 * sched.loop_product + T_K // 2 + 1] * 2
+        stacks = self.stacks(sched, lengths, max(0, T_K - below))
+        assert [len(s) for s in stacks] == epoch_runs(sched, lengths)
 
     @settings(max_examples=100, deadline=None)
     @given(
         T=st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=4),
-        length=st.integers(min_value=0, max_value=300),
+        lengths=st.lists(st.integers(min_value=0, max_value=300), min_size=1, max_size=4),
         byte_rows=st.integers(min_value=0, max_value=40),
     )
-    @example(T=[3, 9], length=50, byte_rows=8)  # below one run of 9
-    @example(T=[4, 1], length=13, byte_rows=0)  # T_K = 1: a chunk of one
-    @example(T=[2, 4], length=23, byte_rows=10)  # 10 rows hold two runs of 4
-    def test_hand_built_nests(self, T, length, byte_rows):
+    @example(T=[3, 9], lengths=[50], byte_rows=8)  # below one run of 9
+    @example(T=[4, 1], lengths=[13], byte_rows=0)  # T_K = 1: a chunk of one
+    @example(T=[2, 4], lengths=[23], byte_rows=10)  # 10 rows hold two runs of 4
+    @example(T=[2, 4], lengths=[3, 2, 5], byte_rows=10)  # runs of 3 and 2 share a chunk
+    def test_hand_built_nests(self, T, lengths, byte_rows):
         sched = NestedSchedule(B0=5, M=6.0, T=tuple(T), B=(3,) * len(T))
-        self.stacks(sched, length, byte_rows)
+        self.stacks(sched, lengths, byte_rows)
 
-    @pytest.mark.parametrize("length,calls", [(0, 0), (51, 1), (3276, 1), (3277, 2)])
-    def test_default_bytes_hold_an_epoch(self, length, calls):
-        # 2^18 bytes are 3276 iterates at d = 10: an epoch of up to that many
-        # steps is checked in one call when it ends
-        stacks = self.stacks(derive_schedule(256, M=6.0), length, dim=10)
+    @pytest.mark.parametrize(
+        "lengths,calls",
+        [([0], 0), ([51], 1), ([3276], 1), ([3277], 2), ([1638, 0, 1638], 1), ([1638, 1639], 2)]
+        # saddle-d10's epochs average 16 steps
+        + [pytest.param([16] * k, calls, id=f"{k}x16-{calls}") for k, calls in ((204, 1), (205, 2))],
+    )
+    def test_default_bytes_hold_a_run(self, lengths, calls):
+        # 2^18 bytes are 3276 iterates at d = 10: a run of up to that many
+        # epoch steps is checked in one call when its flag is read
+        stacks = self.stacks(derive_schedule(256, M=6.0), lengths, dim=10)
         assert len(stacks) == calls

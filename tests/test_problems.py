@@ -63,6 +63,22 @@ def test_outside_ball_rule():
     assert quad.outside_ball(np.full((3, 2), 1e300)) is False
 
 
+@pytest.mark.parametrize("inf", [np.inf, -np.inf])
+def test_outside_ball_on_non_finite_rows(inf):
+    # a run's visited points are checked a chunk at a time, so the rule for
+    # non-finite rows decides what a diverged run's stack reads: a row with an
+    # infinite entry (and no NaN) is outside, a NaN row never is, and a stack
+    # is outside when any finite or infinite row is
+    prob = make_saddle_problem(2, 4, -1.0, seed=0, radius=0.5)
+    far, nan = np.array([0.0, 0.6]), np.array([np.nan, 0.0])
+    assert prob.outside_ball(np.array([inf, 0.0])) is True
+    assert prob.outside_ball(np.array([[0.1, 0.1], [0.0, inf]])) is True
+    assert prob.outside_ball(nan) is False
+    assert prob.outside_ball(np.array([nan, [0.1, 0.1]])) is False
+    assert prob.outside_ball(np.array([nan, far])) is True
+    assert prob.outside_ball(np.array([far, nan])) is True
+
+
 class TestSampling:
     def test_full_set_forced(self, rng):
         idx = sample_indices_without_replacement(5, 5, rng)

@@ -6,7 +6,7 @@ from hypothesis import example, given, strategies as st
 import numpy as np
 import pytest
 
-from conftest import fixed_length, recording, reset_level
+from conftest import fixed_length, one_epoch, recording, reset_level
 from nestvr import (
     GradCounter,
     NestedSchedule,
@@ -18,7 +18,6 @@ from nestvr import (
     expected_epoch_cost,
     make_rng,
     make_streaming_saddle_problem,
-    run_epoch,
 )
 
 
@@ -369,7 +368,7 @@ class TestScheduleProperties:
         sch = derive_schedule(B0, M=6.0 * prob.smoothness.L1)
         counter = Recording()
         with fixed_length(length):
-            res = run_epoch(prob.x0, prob, sch, make_rng(B0 % 997), counter)
+            res = one_epoch(prob.x0, prob, sch, make_rng(B0 % 997), counter)
         sizes = (sch.B0, *sch.B)
         levels = [reset_level(t, sch) for t in range(length)]
         calls = [(size, y is None) for _, y, size, _ in prob.steps]

@@ -261,9 +261,9 @@ def run_driver(problem: Problem, config: DriverConfig, rng: np.random.Generator)
     measured gradient or iterate ends the run as diverged.  ``out_of_domain``
     is set when an epoch iterate or an escape step leaves the certified ball
     (:meth:`Problem.outside_ball`).  Every point the run visits goes into one
-    :class:`BallLog`, which checks them a chunk at a time across epochs and
-    escape steps; the run reads its flag once, when it ends, after the
-    points not yet checked are.
+    :class:`BallLog`, which keeps them in a list and checks them a stack at a
+    time across epochs and escape steps; the run reads its flag once, when
+    it ends, after the points not yet checked are.
     """
     finite = problem.is_finite_sum
     counter = GradCounter()
@@ -309,7 +309,7 @@ def run_driver(problem: Problem, config: DriverConfig, rng: np.random.Generator)
             if nc.is_bottom:
                 return finish(STATUS_CERTIFIED, u, gnorm, rayleigh=nc.rayleigh_estimate)
             z = nc_descent_step(z, nc.direction, config.eta, rng)
-            log.add(z)
+            log.extend([z])
             f_z = problem.value(z)
             trace.add("nc-step", u, counter.count, f_value=f_z)
 

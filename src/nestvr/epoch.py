@@ -41,64 +41,56 @@ import math
 import numpy as np
 
 from .problems import Array, Difference, GradCounter, Problem
-# re-exported: perfbench/spans.py wraps it here as its "problems.sample" site
+# re-exported only because perfbench/spans.py wraps it here as its
+# "problems.sample" site (spans.MODULE_SITES, pinned by
+# tests/test_benchmark_sites.py).  Epochs draw their index sets through
+# FiniteSumProblem._draw, which calls the problems module's own name, so
+# the site sees no call
 from .problems import sample_indices_without_replacement
 from .schedule import NestedSchedule
 
-#: bytes of visited points a run keeps before it checks them against the
-#: certified ball in one call: a few hundred KB (3276 points at d = 10).  A
-#: chunk holds whole finest-level runs, so it is at most
-#: max(BALL_CHECK_BYTES, T_K d 8) bytes.  The chunk is the run's
-#: (:class:`BallLog`), not an epoch's: epochs are short (saddle-d10's average
-#: 16 steps), and a check costs about 4.6 us on a few rows at d = 10
+#: bytes of the stack of visited points a run checks against the certified
+#: ball in one call: a few hundred KB (3276 points at d = 10).  A stack holds
+#: whole finest-level runs, so at most max(BALL_CHECK_BYTES, T_K d 8) bytes.
+#: The points are the run's (:class:`BallLog`), not an epoch's: epochs are
+#: short (saddle-d10's average 16 steps), and a check costs about 4.6 us on a
+#: few rows at d = 10, plus about 0.3 us per point to stack them with
+#: ``np.array``
 BALL_CHECK_BYTES = 2**18
 
 
 class BallLog:
     """The points one run visits, checked against the certified ball
-    (:meth:`Problem.outside_ball`) a chunk at a time.
+    (:meth:`Problem.outside_ball`) a stack at a time.
 
-    A chunk holds up to ``rows`` = max(T_K, ``BALL_CHECK_BYTES`` // (8 d))
-    points, and spans every epoch and escape step of the run: it is checked
-    before a finest-level run (or a single point) that would not fit in it,
-    and once more when :meth:`outside` is read, so the flag is the one a
-    check after every step would give.  The chunk is allocated on first need
-    and grows, by doubling, to at most ``rows``.
+    The points wait in a list, which spans every epoch and escape step of
+    the run.  They are stacked and checked when the points passed to
+    :meth:`extend` (a finest-level run, or a single escape step) would take
+    the list past ``rows`` = max(T_K, ``BALL_CHECK_BYTES`` // (8 d)), and
+    once more when :meth:`outside` is read, so the flag is the one a check
+    after every step would give.  A logged point must not change later:
+    iterates are new arrays at every step.
     """
 
     def __init__(self, problem: Problem, schedule: NestedSchedule):
         self.problem = problem
         self.rows = max(schedule.T[-1], BALL_CHECK_BYTES // (8 * problem.dim))
-        self.chunk = np.empty((0, problem.dim))
-        self.i = 0  # the chunk's next row
+        self.points: list[Array] = []  # visited, not yet checked
         self._outside = False
 
-    def room(self, i: int, n: int) -> tuple[Array, int]:
-        """The chunk and the row at which ``n`` more points go, given that
-        rows ``[:i]`` are filled: the filled rows are checked first when
-        ``n`` more would overflow ``rows``, and the chunk grows when they fit
-        in ``rows`` but not in its allocation."""
-        if i + n > self.rows:
-            self._outside = self._outside or self.problem.outside_ball(self.chunk[:i])
-            i = 0
-        if i + n > len(self.chunk):
-            grown = np.empty((min(self.rows, max(i + n, 2 * len(self.chunk))), self.problem.dim))
-            grown[:i] = self.chunk[:i]
-            self.chunk = grown
-        return self.chunk, i
-
-    def add(self, x: Array) -> None:
-        """Log the one point ``x``, an escape step."""
-        chunk, i = self.room(self.i, 1)
-        chunk[i] = x
-        self.i = i + 1
+    def extend(self, points: list[Array]) -> None:
+        """Log ``points``, after checking those waiting if all would not
+        fit in ``rows``."""
+        if len(self.points) + len(points) > self.rows:
+            self.outside()
+        self.points += points
 
     def outside(self) -> bool:
         """Whether any logged point lies outside the ball, after the points
         not yet checked are."""
-        if self.i:
-            self._outside = self._outside or self.problem.outside_ball(self.chunk[: self.i])
-            self.i = 0
+        if self.points:
+            self._outside = self._outside or self.problem.outside_ball(np.array(self.points))
+            self.points = []
         return self._outside
 
 
@@ -106,7 +98,7 @@ class BallLog:
 class EpochResult:
     """An epoch's final iterate, its length T and the gradients charged for
     it.  Whether its iterates left the ball is the run's :class:`BallLog`'s
-    to say, since the epoch does not check its own chunk."""
+    to say, since the epoch makes no check of its own."""
 
     x_out: Array
     T: int
@@ -144,9 +136,10 @@ def run_epoch(
     generator state.
 
     The iterates x_1 .. x_T go into the run's ``log``, a :class:`BallLog`
-    for ``problem`` and ``schedule``, one finest-level run at a time.  The
-    log checks them against the certified ball when its chunk fills, and the
-    rest when its flag is read, so an epoch makes no check of its own.
+    for ``problem`` and ``schedule``, in one ``log.extend`` call per reset
+    step and the finest-level run after it.  The log checks them against
+    the certified ball when they fill its ``rows``, and the rest when its
+    flag is read, so an epoch makes no check of its own.
     """
     K = schedule.K
     T = draw_epoch_length(schedule.p, rng)
@@ -166,18 +159,11 @@ def run_epoch(
     D = schedule.level_divisors
     T_K, size = schedule.T[-1], batches[K]
     sample, bind = problem.sample_batch_grad, problem.difference_from
-    chunk, i = log.chunk, log.i  # i: the chunk's next row
     # a 0-d array, not a Python float: numpy 2.4 multiplies a d = 10 vector
     # by it in 0.31 us against 0.46-0.50 us on a 2-core Xeon, with the same
     # bits, and no slower at d = 10000
     step = np.array(1.0 / (10.0 * schedule.M))
     for t in range(0, T, T_K):
-        # the reset step t and the finest-level run after it write n
-        # iterates; when they would overflow the chunk's allocation, the log
-        # checks it or grows it first
-        n = min(T_K, T - t)
-        if i + n > len(chunk):
-            chunk, i = log.room(i, n)
         # the reset level, the least r whose period divides t (r < K)
         r = 0
         while t % D[r]:
@@ -190,14 +176,13 @@ def run_epoch(
         ops[r:] = [bind(x)] * (K - r)
         prefix[r + 1 :] = [v] * (K - r)
         x = x - step * v
-        chunk[i] = x
+        run = [x]
         # then level K alone, on the reference and prefix the reset fixed
         diff, pre = ops[K - 1], prefix[K]
-        for j in range(i + 1, i + n):
+        for _ in range(1, min(T_K, T - t)):
             x = x - step * (pre + diff(x, size, rng))
-            chunk[j] = x
-        i += n
-    log.i = i
+            run.append(x)
+        log.extend(run)
     charged = schedule.epoch_charge(T)
     counter.add(charged)
 

@@ -149,13 +149,11 @@ def expected_epoch_cost(schedule: NestedSchedule) -> int:
     ``level_costs[l]`` gradients per refresh.  With the mean epoch length
     equal to prod T_j this gives
 
-        B0 + 2 sum_{l=1}^K B_l prod_{j=1}^l T_j.
+        B0 + 2 sum_{l=1}^K B_l prod_{j=1}^l T_j,
+
+    the charge of one full sweep, since every period divides it.
     """
-    sweep = schedule.loop_product
-    return sum(
-        cost * (sweep // period)
-        for cost, period in zip(schedule.level_costs, schedule.level_divisors)
-    )
+    return schedule.epoch_charge(schedule.loop_product)
 
 
 def exact_expected_epoch_cost(schedule: NestedSchedule) -> float:

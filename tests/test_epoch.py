@@ -31,6 +31,7 @@ from nestvr import (
     make_rng,
     make_saddle_problem,
     make_streaming_saddle_problem,
+    run_epoch,
     sample_indices_without_replacement,
 )
 from nestvr import epoch
@@ -251,6 +252,10 @@ class TestEpochLaw:
         # each step charges its reset level and every level above it
         costs = sched.level_costs
         assert res.grads_used == sum(sum(costs[reset_level(t, sched):]) for t in range(length))
+        # every period divides the loop product, so one sweep's charge is
+        # the closed form
+        sweep = B0 + 2 * sum(b * math.prod(T[: l + 1]) for l, b in enumerate(B))
+        assert expected_epoch_cost(sched) == sched.epoch_charge(sched.loop_product) == sweep
 
 
 class TestReferenceGradients:
@@ -430,14 +435,17 @@ class TestRunEpoch:
 
     def test_out_of_domain_flagged(self):
         # start outside the certified ball: the first step trips the flag,
-        # which the run's log gives when it is read
-        prob = make_saddle_problem(3, 8, -1.0, seed=10, radius=0.5)
+        # which the run's log gives when it is read, after one check of the
+        # epoch's 3 iterates
+        prob = ball_checks(make_saddle_problem(3, 8, -1.0, seed=10, radius=0.5))
         sched = clamp_schedule(derive_schedule(4, M=6.0 * prob.smoothness.L1), 8)
         x_far = np.full(3, 5.0)
         log = BallLog(prob, sched)
         with fixed_length(3):
             one_epoch(x_far, prob, sched, make_rng(23), GradCounter(), log)
-        assert log.i == 3 and log.outside()
+        assert prob.stacks == []
+        assert log.outside()
+        assert [len(stack) for stack in prob.stacks] == [3]
 
     def test_unclamped_finite_schedule_rejected(self):
         prob = make_saddle_problem(3, 8, -1.0, seed=11)
@@ -526,14 +534,17 @@ class TestChunkedBallCheck:
         """The log's flag after epochs of ``lengths`` steps walk ``path``."""
         monkeypatch.setattr(epoch, "BALL_CHECK_BYTES", self.ROWS * 8)
         prob = PathStream(path)
+        stacks, check = [], prob.outside_ball
+        prob.outside_ball = lambda points: stacks.append(len(points)) or check(points)
         log = BallLog(prob, self.UNIT_STEP)
         x = np.zeros(1)
         for length in lengths:
             with fixed_length(length):
                 x = one_epoch(x, prob, self.UNIT_STEP, make_rng(0), GradCounter(), log).x_out
         assert x.tolist() == [path[-1]]
-        assert len(log.chunk) <= self.ROWS
-        return log.outside()
+        flag = log.outside()
+        assert all(1 <= n <= self.ROWS for n in stacks)
+        return flag
 
     # one epoch, and the same 8 steps as epochs that chunks span
     SPLITS = [(8,), (2, 3, 3), (1, 0, 1, 6), (5, 3)]
@@ -584,6 +595,44 @@ class TestChunkedBallCheck:
         assert flags == {False, True}
 
 
+class ExtendOnlyLog:
+    """A stand-in for the run's log that has ``extend`` and nothing else: it
+    keeps each list ``extend`` is passed, in ``calls``, and reading or
+    writing any other attribute raises AttributeError."""
+
+    __slots__ = ("calls",)
+
+    def __init__(self):
+        self.calls = []
+
+    def extend(self, points):
+        self.calls.append(list(points))
+
+
+class TestEpochToLog:
+    """An epoch passes its iterates to the run's log in one ``extend`` call
+    per reset step, holding that step and the finest-level run after it,
+    and uses the log for nothing else."""
+
+    @pytest.mark.parametrize("B0", [4, 16, 256, 65536], ids=["K=1", "K=2", "K=3", "K=4"])
+    @pytest.mark.parametrize("stop", ["empty", "one-step", "two-sweeps", "inside-a-run"])
+    def test_one_call_per_reset_step(self, B0, stop):
+        prob = recording(make_streaming_saddle_problem(3, -1.0, seed=29))
+        sched = derive_schedule(B0, M=6.0 * prob.smoothness.L1)
+        L, T_K = sched.loop_product, sched.T[-1]
+        # "inside-a-run": two sweeps, a whole run and all but one step of the next
+        length = {"empty": 0, "one-step": 1, "two-sweeps": 2 * L, "inside-a-run": 2 * L + 2 * T_K - 1}[stop]
+        log = ExtendOnlyLog()
+        with fixed_length(length):
+            res = run_epoch(prob.x0, prob, sched, make_rng(B0), GradCounter(), log)
+        assert [len(c) for c in log.calls] == [min(T_K, length - t) for t in range(0, length, T_K)]
+        # x_1 .. x_T, in order
+        iterates = [x for x, *_ in prob.steps[1:]] + [res.x_out] * bool(length)
+        logged = [x for call in log.calls for x in call]
+        assert len(logged) == length
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(logged, iterates))
+
+
 def epoch_runs(schedule, lengths):
     """The finest-level runs of epochs of ``lengths`` steps, in order: each
     reset step t = 0, T_K, 2 T_K, ... starts a run of min(T_K, T - t)."""
@@ -628,8 +677,6 @@ class TestBallCheckChunks:
                 # x_end is the last iterate before the reset step t = end,
                 # whose run would overflow the chunk
                 assert len(stack) + starts[end] > rows
-        # allocated on need and grown by doubling, never past rows
-        assert len(log.chunk) <= min(rows, 2 * max(map(len, prob.stacks), default=0))
         return prob.stacks
 
     @pytest.mark.parametrize("B0", [4, 16, 256, 65536], ids=["K=1", "K=2", "K=3", "K=4"])

@@ -22,14 +22,8 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 import math
 import operator
-import os
-import threading
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from concurrent.futures import ThreadPoolExecutor
 
 Array = np.ndarray
 #: ``diff(x, size, rng)``: a difference oracle bound to its reference point
@@ -167,9 +161,9 @@ class FiniteSumProblem(Problem):
     Subclasses implement ``value``, ``batch_grad``, ``batch_grad_diff``,
     ``full_grad`` and ``hessian``, and may override ``difference_from``.
 
-    A batch is a non-empty index array or the integer ``n``: every component,
-    answered without gathering rows and charged as ``n`` components like any
-    other batch.  Results equal the plain row form (the mean over one gather
+    A batch is a non-empty array of indices in 0..n-1 or the integer ``n``:
+    every component, answered without gathering rows and charged as ``n``
+    components like any other batch.  Results equal the plain row form (the mean over one gather
     of the batch's rows, with ``np.arange(n)`` for ``n``) to roundoff, about
     1e-15 relative, not necessarily bit for bit: a family may serve the
     population from statistics computed once, as the regularized family does
@@ -241,8 +235,9 @@ def _index_array(idx: Array | int, n: int) -> Array | None:
     the non-empty one-dimensional integer array that it was checked as, which
     callers index with.  Any other batch is rejected: another integer; a bool
     or a float, even one equal to ``n``; a boolean mask, which a gather with
-    ``take`` would read as the indices 0 and 1; and an array of more
-    dimensions, which a gather would answer with a stack."""
+    ``take`` would read as the indices 0 and 1; an array of more dimensions,
+    which a gather would answer with a stack; and an index outside 0..n-1,
+    which a gather would read from the end of the rows or fail on."""
     if type(idx) is int:  # exactly int, so not a bool: every population step's batch
         if idx == n:
             return None
@@ -255,6 +250,9 @@ def _index_array(idx: Array | int, n: int) -> Array | None:
                 raise ValueError("an index batch must not be empty")
             if rows.dtype.kind not in "iu":
                 raise ValueError(f"an index batch must hold integers, got dtype {rows.dtype}")
+            lo, hi = rows.min(), rows.max()
+            if lo < 0 or hi >= n:
+                raise ValueError(f"an index batch must lie in 0..{n - 1}, got indices {lo}..{hi}")
             return rows
         if rows.dtype.kind in "iu" and idx == n:
             return None
@@ -376,6 +374,15 @@ class _SeparableQuarticProblem(_LinearNoiseProblem):
         return np.diag(self.diag + 12.0 * self.quartic * x * x)
 
 
+def _check_constant(name: str, value: float, ok: bool, rule: str) -> None:
+    """Reject a factory's constant ``name`` if it is not finite or breaks
+    ``rule``, as a config would, before the factory draws anything."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    if not ok:
+        raise ValueError(f"{name} must be {rule}, got {value}")
+
+
 def make_saddle_problem(
     dim: int,
     n: int,
@@ -397,10 +404,10 @@ def make_saddle_problem(
         raise ValueError(f"dim must be >= 2, got {dim}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if not negative_eigenvalue < 0:
-        raise ValueError(f"negative_eigenvalue must be < 0, got {negative_eigenvalue}")
-    if not quartic > 0:
-        raise ValueError(f"quartic must be > 0, got {quartic}")
+    _check_constant("negative_eigenvalue", negative_eigenvalue, negative_eigenvalue < 0, "< 0")
+    _check_constant("quartic", quartic, quartic > 0, "> 0")
+    _check_constant("radius", radius, radius > 0, "> 0")
+    _check_constant("noise", noise, noise >= 0, ">= 0")
     rng = make_rng(seed)
     diag = np.ones(dim)
     diag[-1] = negative_eigenvalue
@@ -411,72 +418,6 @@ def make_saddle_problem(
 #: bytes of design rows a subsampled regularized batch gathers at a time:
 #: a few hundred KB, well inside a core's L2 (163 rows at d = 200)
 ROW_BLOCK_BYTES = 2**18
-
-#: most runs a subsampled regularized batch's row blocks are split into: the
-#: calling thread's and one worker thread's, so at most two blocks of rows are
-#: gathered at once.  The caller adds every block's term in block order, so a
-#: batch has the same bits however many runs it takes.  Against one thread
-#: gathering with fancy indexing and multiplying with @ (same digests; ten
-#: alternating 30 s perfbench pairs, seeds 21-30, 2-core Xeon) the median
-#: trials_per_s on regularized-d200 was 8.23 vs 6.59, ahead in 10 of 10 pairs;
-#: against take and dot in one thread (seeds 41-50), 8.20 vs 6.76, 10 of 10
-ROW_RUNS = 2
-
-
-def _usable_cores() -> int:
-    """The number of cores this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-_row_pool_lock = threading.Lock()
-_row_pool_made: ThreadPoolExecutor | None = None
-
-
-def _row_pool() -> ThreadPoolExecutor:
-    """The worker threads for the runs of row blocks after a batch's first,
-    made on the first batch that splits, so that importing starts no thread,
-    and under a lock, so that racing callers share one pool."""
-    global _row_pool_made
-    with _row_pool_lock:
-        if _row_pool_made is None:
-            # imported here: concurrent.futures loads logging, about 0.8 MB of
-            # resident memory that a process whose batches never split need not hold
-            from concurrent.futures import ThreadPoolExecutor
-
-            _row_pool_made = ThreadPoolExecutor(max_workers=ROW_RUNS - 1, thread_name_prefix="nestvr-rows")
-        return _row_pool_made
-
-
-def _forget_row_pool() -> None:
-    """Drop the pool and its lock: a forked child has none of its parent's
-    threads, so a pool that waits on them would never run its work, and a
-    lock one of them held would never be released.  The child makes its own."""
-    global _row_pool_lock, _row_pool_made
-    _row_pool_lock = threading.Lock()
-    _row_pool_made = None
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_row_pool)
-
-
-def _block_term(A: Array, targets: Array | None, block: Array, u: Array) -> Array:
-    """sum over the rows of ``block`` of a_i (a_i . u - t_i), where t gathers
-    ``targets``, or is 0 when that is None.  Arithmetic only, so that a worker
-    thread may run it; its rows are freed before the next block's gather."""
-    rows = A.take(block, axis=0)
-    res = rows.dot(u)
-    if targets is not None:
-        res -= targets.take(block)
-    return rows.T.dot(res)
-
-
-def _block_terms(A: Array, targets: Array | None, blocks: list[Array], u: Array) -> list[Array]:
-    """:func:`_block_term` of each block, in block order."""
-    return [_block_term(A, targets, block, u) for block in blocks]
-
 
 class _RegularizedLeastSquaresProblem(FiniteSumProblem):
     """f_i(x) = 1/2 (a_i . x - y_i)^2 + sum_j r(x_j), r(t) = t^2 / (1 + t^2).
@@ -501,18 +442,11 @@ class _RegularizedLeastSquaresProblem(FiniteSumProblem):
     here.  An index-array batch is gathered ``block_rows`` rows at a time
     (about ``ROW_BLOCK_BYTES`` of rows, with ``ndarray.take``), and each block
     serves both of its products (``ndarray.dot``) while it is still in cache.
-    The blocks are split into contiguous runs, one per usable core
-    (``os.sched_getaffinity``) up to ``ROW_RUNS`` and the number of blocks:
-    the calling thread computes the first run and a worker thread the other,
-    touching no counter, generator or oracle method.  Each run holds one
-    block of rows at a time, so no batch-sized copy of the rows is made.  The
-    caller then adds every block's term to the sum in block order, so a batch
-    has the same bits on any number of cores; a batch of one block, or a
-    process with one core, starts no thread.  The worker pool is made on the
-    first batch that splits, and afresh in a forked child, which has none of
-    its parent's threads.  ``subsample`` gathers its Gram matrix block by
-    block in the calling thread alone.  Both the population and the blocked
-    forms match the single-gather row form to roundoff, not bit for bit.
+    Its term is added to the sum in block order, and its rows are freed before
+    the next gather, so no batch-sized copy of the rows is made.
+    ``subsample`` gathers its Gram matrix block by block too.  Both the
+    population and the blocked forms match the single-gather row form to
+    roundoff, not bit for bit.
 
     The regularizer is common to every component, so H_i - H = a_i a_i^T - G
     with G = ``gram``, and mean_i (H_i - H)^2 = mean_i |a_i|^2 a_i a_i^T - G^2
@@ -588,27 +522,16 @@ class _RegularizedLeastSquaresProblem(FiniteSumProblem):
 
     def _row_blocks(self, idx: Array, u: Array, targets: bool) -> Array:
         """(1/m) sum over the m indices of a_i (a_i . u - t_i), where t_i is
-        y_i with ``targets`` and 0 without, gathered in row blocks: one
-        contiguous run of them per usable core up to ``ROW_RUNS``, the first
-        computed here."""
-        blocks = self._blocks(idx)
-        runs = min(ROW_RUNS, _usable_cores(), len(blocks))
-        cuts = [len(blocks) * k // runs for k in range(runs + 1)]
-        args = (self.A, self.y if targets else None)
-        futures = [
-            _row_pool().submit(_block_terms, *args, blocks[start:stop], u)
-            for start, stop in zip(cuts[1:-1], cuts[2:])
-        ]
-        try:
-            terms = _block_terms(*args, blocks[: cuts[1]], u)
-        finally:
-            for future in futures:  # no worker reads u once this call has ended
-                future.exception()
-        for future in futures:
-            terms += future.result()
+        y_i with ``targets`` and 0 without, gathered in row blocks and added
+        in block order."""
         out = np.zeros(self.dim)
-        for term in terms:  # in block order, as a single loop over the blocks adds them
-            out += term
+        for block in self._blocks(idx):
+            rows = self.A.take(block, axis=0)
+            res = rows.dot(u)
+            if targets:
+                res -= self.y.take(block)
+            out += rows.T.dot(res)
+            del rows  # freed before the next gather: one block of rows at a time
         return out / idx.size
 
     @cached_property
@@ -617,8 +540,6 @@ class _RegularizedLeastSquaresProblem(FiniteSumProblem):
         return self.max_row_sq * lam, max(self.max_row_sq, lam)
 
     def subsample(self, idx: Array) -> FiniteSumProblem:
-        # in this thread alone: a sum in block order over split runs would
-        # hold a d x d term per block, 320 KB each at d = 200
         gram = np.zeros((self.dim, self.dim))
         for block in self._blocks(idx):
             rows = self.A.take(block, axis=0)
@@ -727,6 +648,7 @@ def make_streaming_saddle_problem(
     noise: float = 0.1,
 ) -> Problem:
     """Streaming counterpart of :func:`make_saddle_problem`."""
+    _check_constant("noise", noise, noise >= 0, ">= 0")  # the core below has none
     core = make_saddle_problem(
         dim, 1, negative_eigenvalue, seed, quartic=quartic, radius=radius, noise=0.0
     )

@@ -2,6 +2,7 @@ from fractions import Fraction
 import math
 import os
 from pathlib import Path
+import re
 import signal
 import subprocess
 import sys
@@ -26,7 +27,6 @@ from nestvr import (
     sample_indices_without_replacement,
     spawn_rngs,
 )
-from nestvr import problems
 from nestvr.problems import _RegularizedLeastSquaresProblem, subsample_variance_report
 
 
@@ -250,6 +250,19 @@ class TestPopulationBatch:
         with pytest.raises(ValueError, match="must hold integers"):
             prob.batch_grad_diff(prob.x0 + 1.0, prob.x0, batch)
 
+    @pytest.mark.parametrize("family", sorted(FINITE_FAMILIES))
+    @pytest.mark.parametrize(
+        "batch", [lambda n: [-1], lambda n: [n], lambda n: [0, n]], ids=["minus-one", "n", "zero-and-n"]
+    )
+    def test_out_of_range_index_batch_rejected(self, family, batch):
+        # a gather reads -1 as the last row and fails on n with an IndexError
+        prob = FINITE_FAMILIES[family]()
+        batch = np.array(batch(prob.n))
+        with pytest.raises(ValueError, match=rf"must lie in 0\.\.{prob.n - 1}, got indices"):
+            prob.batch_grad(prob.x0, batch)
+        with pytest.raises(ValueError, match=rf"must lie in 0\.\.{prob.n - 1}, got indices"):
+            prob.batch_grad_diff(prob.x0 + 1.0, prob.x0, batch)
+
 
 class TestRegularizedRowBlocks:
     """Index batches are summed block by block, equal to one gather to roundoff."""
@@ -279,21 +292,10 @@ class TestRegularizedRowBlocks:
             self.close(prob.batch_grad(x, idx), grad)
             self.close(prob.batch_grad_diff(x, y, idx), diff)
 
-    @pytest.mark.parametrize("row_runs, cores", [(2, 1), (2, 2), (2, 64), (3, 64)])
-    def test_split_batches_equal_the_block_loop_bit_for_bit(self, row_runs, cores, rng, monkeypatch):
-        # one loop over the blocks, a fancy gather and @ products summed in
-        # block order, is the reference for 1, 2 and 3 runs
+    def test_batches_equal_the_block_loop_bit_for_bit(self, rng):
+        # the reference: one loop over the blocks, a fancy gather and @
+        # products summed in block order
         prob = make_regularized_problem(64, 1200, seed=36)
-        monkeypatch.setattr(problems, "ROW_RUNS", row_runs)
-        monkeypatch.setattr(problems, "_usable_cores", lambda: cores)
-        runs = []
-        block_terms = problems._block_terms
-
-        def recorded(A, targets, blocks, u):
-            runs.append((threading.get_ident(), len(blocks)))
-            return block_terms(A, targets, blocks, u)
-
-        monkeypatch.setattr(problems, "_block_terms", recorded)
 
         def block_loop(idx, u, targets):
             out = np.zeros(prob.dim)
@@ -310,14 +312,7 @@ class TestRegularizedRowBlocks:
             x, y = 2 * rng.standard_normal((2, prob.dim))
             grad = block_loop(idx, x, True) + prob._reg_grad(x)
             diff = block_loop(idx, x - y, False) + prob._reg_grad(x) - prob._reg_grad(y)
-            runs.clear()
             assert np.array_equal(prob.batch_grad(x, idx), grad)
-            # one run per core up to ROW_RUNS and the blocks, the first here
-            blocks = -(-idx.size // prob.block_rows)
-            sizes = [size for _, size in runs]
-            assert len(runs) == min(row_runs, cores, blocks) and sum(sizes) == blocks
-            assert max(sizes) - min(sizes) <= 1
-            assert [ident == threading.get_ident() for ident, _ in runs].count(True) == 1
             assert np.array_equal(prob.batch_grad_diff(x, y, idx), diff)
 
     def test_subsample_gram_equals_the_block_loop_bit_for_bit(self, rng):
@@ -353,32 +348,25 @@ class TestRegularizedRowBlocks:
                 reg = prob._reg_value(x)
                 assert reg <= prob.value(x) <= reg + 1e-12
 
-    def test_subsampled_batch_allocates_no_batch_sized_rows(self, rng, monkeypatch):
-        # each run of blocks holds one block of rows at a time, and a batch
-        # takes at most ROW_RUNS = 2 runs, so it holds two of this batch's
-        # four blocks at most: on this machine's cores and on more cores than
-        # blocks, where one run per core would hold up to all four.  Calls are
-        # repeated, since how many blocks overlap depends on thread timing
+    def test_subsampled_batch_allocates_no_batch_sized_rows(self, rng):
+        # a batch holds one of its four blocks of rows at a time, freed
+        # before the next gather
         n, m, d = 4096, 2048, 64
         prob = make_regularized_problem(d, n, seed=33)
         idx = sample_indices_without_replacement(n, m, rng)
         x, y = rng.standard_normal((2, d))
         block = prob.block_rows * d * 8  # bytes of one block of rows
-        assert m * d * 8 == 4 * block and problems.ROW_RUNS == 2  # an m x d gather is four blocks
-        for cores in (problems._usable_cores(), 64):
-            monkeypatch.setattr(problems, "_usable_cores", lambda: cores)
-            monkeypatch.setattr(problems, "_row_pool_made", None)
-            prob.batch_grad(x, idx)  # a first split makes the pool, for these cores
-            tracemalloc.start()
-            try:
-                for call in 10 * (lambda: prob.batch_grad_diff(x, y, idx), lambda: prob.batch_grad(x, idx)):
-                    tracemalloc.reset_peak()
-                    base = tracemalloc.get_traced_memory()[0]
-                    call()
-                    peak = tracemalloc.get_traced_memory()[1] - base
-                    assert peak < 3 * block, (cores, peak)  # two blocks and their terms
-            finally:
-                tracemalloc.stop()
+        assert m * d * 8 == 4 * block  # an m x d gather is four blocks
+        tracemalloc.start()
+        try:
+            for call in (lambda: prob.batch_grad_diff(x, y, idx), lambda: prob.batch_grad(x, idx)):
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                call()
+                peak = tracemalloc.get_traced_memory()[1] - base
+                assert peak < 2 * block, peak  # one block and its terms
+        finally:
+            tracemalloc.stop()
 
     def test_subsample_view_is_the_rows_population(self, rng):
         prob = make_regularized_problem(64, 1200, seed=34)
@@ -408,18 +396,17 @@ class TestRegularizedRowBlocks:
 
 
 class TestRowWorkers:
-    """Worker threads for split row batches: made only when a batch splits,
-    and made afresh in a forked child."""
+    """Row batches computed in a forked child or in several threads at once
+    have the bits of one caller's, and computing them starts no thread."""
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    def test_forked_child_computes_the_parents_batch(self, rng, monkeypatch):
-        monkeypatch.setattr(problems, "_usable_cores", lambda: 2)
+    def test_forked_child_computes_the_parents_batch(self, rng):
         prob = make_regularized_problem(64, 1200, seed=38)
         idx = sample_indices_without_replacement(prob.n, 2 * prob.block_rows + 7, rng)
         x = rng.standard_normal(prob.dim)
-        want = prob.batch_grad(x, idx).tobytes()  # the parent's worker is running now
+        want = prob.batch_grad(x, idx).tobytes()
         read, write = os.pipe()
-        with warnings.catch_warnings():  # forking a threaded process is the point
+        with warnings.catch_warnings():  # other tests may have left threads running
             warnings.simplefilter("ignore", DeprecationWarning)
             pid = os.fork()
         if pid == 0:  # pragma: no cover - the child
@@ -438,15 +425,13 @@ class TestRowWorkers:
         assert os.waitstatus_to_exitcode(status) == 0
         assert got == want
 
-    def test_concurrent_callers_get_the_one_core_bits(self, rng, monkeypatch):
-        # more callers than runs, each splitting its batch, queued on the one
-        # worker, with frequent thread switches
+    def test_concurrent_callers_get_the_one_core_bits(self, rng):
+        # four callers of one problem, each with its own batch of three
+        # blocks, with frequent thread switches
         prob = make_regularized_problem(64, 1200, seed=39)
         batches = [sample_indices_without_replacement(prob.n, 2 * prob.block_rows + 7, rng) for _ in range(4)]
         x = rng.standard_normal(prob.dim)
-        monkeypatch.setattr(problems, "_usable_cores", lambda: 1)
         want = [prob.batch_grad(x, idx).tobytes() for idx in batches]
-        monkeypatch.setattr(problems, "_usable_cores", lambda: 3)
         got = [[] for _ in batches]
 
         def caller(k):
@@ -466,28 +451,6 @@ class TestRowWorkers:
         assert not any(thread.is_alive() for thread in threads)
         assert got == [[bits] * 20 for bits in want]
 
-    def test_racing_first_splits_share_one_pool(self, monkeypatch):
-        # no pool yet, and callers released together with frequent switches
-        monkeypatch.setattr(problems, "_row_pool_made", None)
-        barrier = threading.Barrier(8)
-        pools = []
-
-        def caller():
-            barrier.wait()
-            pools.append(problems._row_pool())
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=caller) for _ in range(8)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert len(pools) == 8 and all(pool is pools[0] for pool in pools)
-
     def test_import_and_saddle_run_start_no_thread(self):
         script = (
             "import threading\n"
@@ -498,6 +461,27 @@ class TestRowWorkers:
             "cfg = nestvr.configure(prob, eps=1e-3, eps_H=0.1, order=2, overrides={'U': 50})\n"
             "nestvr.run_driver(prob, cfg, nestvr.make_rng(7))\n"
             "assert threading.active_count() == before, threading.enumerate()\n"
+        )
+        src = str(Path(nestvr.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+
+    def test_regularized_batches_start_no_thread(self):
+        # batches of three blocks, in a fresh process, which has not imported
+        # concurrent.futures
+        script = (
+            "import sys, threading\n"
+            "before = threading.active_count()\n"
+            "import nestvr\n"
+            "prob = nestvr.make_regularized_problem(64, 1200, seed=40)\n"
+            "rng = nestvr.make_rng(8)\n"
+            "idx = nestvr.sample_indices_without_replacement(prob.n, 2 * prob.block_rows + 7, rng)\n"
+            "x, y = rng.standard_normal((2, prob.dim))\n"
+            "prob.batch_grad(x, idx)\n"
+            "prob.batch_grad_diff(x, y, idx)\n"
+            "assert threading.active_count() == before, threading.enumerate()\n"
+            "assert 'concurrent.futures' not in sys.modules\n"
         )
         src = str(Path(nestvr.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src}
@@ -542,6 +526,32 @@ class TestSaddleProblem:
     def test_quartic_must_be_positive(self, quartic):
         with pytest.raises(ValueError, match=r"^quartic must be > 0, got "):
             make_saddle_problem(2, 1, -1.0, seed=0, quartic=quartic)
+
+    @pytest.mark.parametrize("factory", ["saddle", "streaming"])
+    @pytest.mark.parametrize(
+        "name, value, rule",
+        [
+            ("noise", -0.1, ">= 0"),
+            ("noise", math.nan, "finite"),
+            ("noise", math.inf, "finite"),
+            ("radius", 0.0, "> 0"),
+            ("radius", -1.0, "> 0"),
+            ("radius", math.inf, "finite"),
+            ("quartic", math.inf, "finite"),
+            ("negative_eigenvalue", -math.inf, "finite"),
+        ],
+    )
+    def test_factories_reject_what_configs_reject(self, factory, name, value, rule):
+        # named here, before any draw, not later as a SmoothnessSpec constant
+        constants = {"negative_eigenvalue": -1.0, name: value}
+        make = {
+            "saddle": lambda: make_saddle_problem(4, 8, seed=0, **constants),
+            "streaming": lambda: make_streaming_saddle_problem(4, seed=0, **constants),
+        }[factory]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"^{name} must be {re.escape(rule)}, got "):
+                make()
 
     def test_origin_is_strict_saddle(self):
         prob = make_saddle_problem(2, 1, -1.0, seed=0)

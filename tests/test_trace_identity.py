@@ -19,27 +19,37 @@ from nestvr.harness import CSV_HEADER, parse_config, run_experiment, write_trace
 
 ALGORITHM = {"smoothness_order": 2, "eps": 1e-3, "eps_H": 0.1, "overrides": {"U": 400}}
 
-# family -> (problem, SHA-256 of the blanked events.csv and the summaries)
+# run -> (problem, algorithm, SHA-256 of the blanked events.csv and the summaries)
 RUNS = {
     "saddle": (
         {"family": "saddle", "dim": 10, "n": 256, "negative_eigenvalue": -1.0, "radius": 1.5},
+        ALGORITHM,
         "5b8c64395a47b1718606c1d9b0d74844f779c2bbf7b19012e36f8fa5ccdb3ed2",
     ),
     "regularized": (
         {"family": "regularized", "dim": 20, "n": 400},
+        ALGORITHM,
         "d7092e04419fb735bd3405522f4687789f54eacda13f21d745c9e5b9beefbb1b",
     ),
     "streaming-saddle": (
         {"family": "streaming-saddle", "dim": 10, "negative_eigenvalue": -1.0, "radius": 1.5},
+        ALGORITHM,
         "6ee33404f9eaa8dba441083c9fd32d0f6c562d0a0e1612208037c73b68767860",
+    ),
+    # the one pin whose curvature probes run on a row subsample (1635 of
+    # 3000 rows, three blocks) and whose level-3 batches read 1125 rows
+    "regularized-subsampled": (
+        {"family": "regularized", "dim": 60, "n": 3000},
+        {"smoothness_order": 2, "eps": 3e-3, "eps_H": 0.3, "overrides": {"U": 400}},
+        "1b8f1c8dfbb85e4c1db52b6eac59fddad633a40881776775d97d0c6e6942a411",
     ),
 }
 
 
-def trace_digest(problem, out_dir):
+def trace_digest(problem, algorithm, out_dir):
     """SHA-256 of a two-trial run's events.csv, its wall_ms column blanked,
     followed by its summaries in trial order."""
-    config = parse_config({"problem": {**problem, "seed": 3}, "algorithm": ALGORITHM, "trials": 2, "seed": 11})
+    config = parse_config({"problem": {**problem, "seed": 3}, "algorithm": algorithm, "trials": 2, "seed": 11})
     results = run_experiment(config)
     events = write_trace(results, out_dir)
     wall = CSV_HEADER.index("wall_ms")
@@ -56,5 +66,5 @@ def trace_digest(problem, out_dir):
 
 @pytest.mark.parametrize("family", list(RUNS))
 def test_trace_is_pinned(family, tmp_path):
-    problem, pin = RUNS[family]
-    assert trace_digest(problem, tmp_path) == pin
+    problem, algorithm, pin = RUNS[family]
+    assert trace_digest(problem, algorithm, tmp_path) == pin

@@ -53,7 +53,6 @@ from .problems import (
     FiniteSumProblem,
     GradCounter,
     Problem,
-    sample_indices_without_replacement,
 )
 
 #: a Lanczos residual at most this fraction of max(1, |alpha_k|) ends the
@@ -99,12 +98,13 @@ def hvp_estimate(
 
     ``batch`` is a sample size, drawn from ``rng`` by the oracle; on a finite
     sum it lies in 1..n, and ``problem.n`` (every component, read in place)
-    draws nothing.  Charges ``2 batch`` to ``counter``.
+    draws nothing.  Charges ``2 batch`` to ``counter``, and nothing when it
+    rejects ``q`` or ``v``: NaN is neither positive nor of unit norm.
     """
-    if not q > 0.0:
-        raise ValueError(f"displacement must be positive, got {q}")
+    if not (math.isfinite(q) and q > 0.0):
+        raise ValueError(f"displacement must be positive and finite, got {q}")
     v = np.asarray(v, dtype=float)
-    if abs(float(np.linalg.norm(v)) - 1.0) > 1e-6:
+    if not abs(float(np.linalg.norm(v)) - 1.0) <= 1e-6:
         raise ValueError("direction must be unit norm")
     if isinstance(batch, bool) or not (isinstance(batch, numbers.Integral) and batch >= 1):
         raise ValueError(f"batch must be a sample size >= 1, got {batch!r}")
@@ -220,7 +220,7 @@ def find_nc_direction(
     if problem.is_finite_sum:
         rows = _subsample_size(problem, eps_H, delta)
         if rows < problem.n:
-            operator = problem.subsample(sample_indices_without_replacement(problem.n, rows, rng))
+            operator = problem.subsample(rows, rng)
         batch = operator.n
     else:
         batch = max(ONLINE_PRODUCT_BATCH_MIN, math.ceil(4.0 * s.L1 / eps_H))

@@ -179,9 +179,9 @@ class FiniteSumProblem(Problem):
     ``(sigma_H^2, R_H)``: at every point, ``|mean_i (H_i - H)^2| <= sigma_H^2``
     and ``max_i |H_i - H| <= R_H`` in spectral norm, where ``H_i`` is the
     Hessian of ``f_i`` and ``H`` their mean.  A family that declares it
-    implements ``subsample(idx)``, the finite sum of the rows ``idx`` alone,
-    whose population products the curvature search runs on.  ``None`` (the
-    default) declares nothing, and that search reads the whole population.
+    implements ``subsample(size, rng)``, the finite sum of ``size`` rows it
+    draws, whose population products the curvature search runs on.  ``None``
+    (the default) declares nothing, and that search reads the whole population.
     """
 
     n: int
@@ -210,10 +210,12 @@ class FiniteSumProblem(Problem):
             return self.n
         return sample_indices_without_replacement(self.n, size, rng)
 
-    def subsample(self, idx: Array) -> FiniteSumProblem:
-        """The finite sum of the components ``idx`` (distinct indices) alone:
-        its population is those rows.  Implemented by the families that
-        declare a ``hessian_spread``."""
+    def subsample(self, size: int, rng: np.random.Generator) -> FiniteSumProblem:
+        """The finite sum of ``size`` components alone, drawn as
+        ``sample_indices_without_replacement(n, size, rng)`` draws them: the
+        uniform subsample that the curvature search's matrix Bernstein bound
+        assumes.  A size outside 1..n is a ``ValueError``.  Implemented by the
+        families that declare a ``hessian_spread``."""
         raise NotImplementedError
 
 
@@ -439,14 +441,14 @@ class _RegularizedLeastSquaresProblem(FiniteSumProblem):
     ``full_grad`` and ``hessian``) are served in O(d^2) from the
     least-squares part's sufficient statistics ``gram = A^T A / n``,
     ``Aty = A^T y / n`` and ``mean_y2`` (the mean of y_i^2), computed once
-    here.  An index-array batch is gathered ``block_rows`` rows at a time
+    here.  An index-array batch and the rows of a ``subsample`` are summed by
+    one block loop, ``_row_sum``: it gathers ``block_rows`` rows at a time
     (about ``ROW_BLOCK_BYTES`` of rows, with ``ndarray.take``), and each block
-    serves both of its products (``ndarray.dot``) while it is still in cache.
-    Its term is added to the sum in block order, and its rows are freed before
-    the next gather, so no batch-sized copy of the rows is made.
-    ``subsample`` gathers its Gram matrix block by block too.  Both the
-    population and the blocked forms match the single-gather row form to
-    roundoff, not bit for bit.
+    serves its products (``ndarray.dot``, or its Gram term) while it is still
+    in cache.  Its term is added to the sum in block order, and its rows are
+    freed before the next gather, so no batch-sized copy of the rows is made.
+    Both the population and the blocked forms match the single-gather row
+    form to roundoff, not bit for bit.
 
     The regularizer is common to every component, so H_i - H = a_i a_i^T - G
     with G = ``gram``, and mean_i (H_i - H)^2 = mean_i |a_i|^2 a_i a_i^T - G^2
@@ -515,49 +517,42 @@ class _RegularizedLeastSquaresProblem(FiniteSumProblem):
         lsq = x @ (0.5 * (self.gram @ x) - self.Aty) + 0.5 * self.mean_y2
         return float((0.0 if lsq < 0.0 else lsq) + self._reg_value(x))
 
-    def _blocks(self, idx: Array) -> list[Array]:
-        """``idx`` cut into blocks of ``block_rows`` indices, in order."""
-        step = self.block_rows
-        return [idx[start : start + step] for start in range(0, idx.size, step)]
-
-    def _row_blocks(self, idx: Array, u: Array, targets: bool) -> Array:
-        """(1/m) sum over the m indices of a_i (a_i . u - t_i), where t_i is
-        y_i with ``targets`` and 0 without, gathered in row blocks and added
-        in block order."""
-        out = np.zeros(self.dim)
-        for block in self._blocks(idx):
+    def _row_sum(self, idx: Array, term: Callable[[Array, Array], Array]) -> Array:
+        """(1/m) sum of ``term(rows, block)`` over the m indices ``idx``, cut
+        into blocks of ``block_rows`` indices: each block's rows are gathered
+        once and freed before the next gather, and the terms are added in
+        block order."""
+        total = 0.0
+        for start in range(0, idx.size, self.block_rows):
+            block = idx[start : start + self.block_rows]
             rows = self.A.take(block, axis=0)
-            res = rows.dot(u)
-            if targets:
-                res -= self.y.take(block)
-            out += rows.T.dot(res)
-            del rows  # freed before the next gather: one block of rows at a time
-        return out / idx.size
+            total += term(rows, block)
+            del rows  # one block of rows at a time
+        return total / idx.size
 
     @cached_property
     def hessian_spread(self) -> tuple[float, float]:
         lam = float(np.linalg.eigvalsh(self.gram)[-1])
         return self.max_row_sq * lam, max(self.max_row_sq, lam)
 
-    def subsample(self, idx: Array) -> FiniteSumProblem:
-        gram = np.zeros((self.dim, self.dim))
-        for block in self._blocks(idx):
-            rows = self.A.take(block, axis=0)
-            gram += rows.T @ rows
-        return _RegularizedRowView(gram / idx.size, idx.size)
+    def subsample(self, size: int, rng: np.random.Generator) -> FiniteSumProblem:
+        idx = sample_indices_without_replacement(self.n, size, rng)
+        return _RegularizedRowView(self._row_sum(idx, lambda rows, block: rows.T @ rows), idx.size)
 
     def batch_grad(self, x: Array, idx: Array | int) -> Array:
-        rows = _index_array(idx, self.n)
-        if rows is None:
+        batch = _index_array(idx, self.n)
+        if batch is None:
             return self.gram @ x - self.Aty + self._reg_grad(x)
-        return self._row_blocks(rows, x, targets=True) + self._reg_grad(x)
+        lsq = self._row_sum(batch, lambda rows, block: rows.T.dot(rows.dot(x) - self.y.take(block)))
+        return lsq + self._reg_grad(x)
 
     def batch_grad_diff(self, x: Array, y: Array, idx: Array | int) -> Array:
-        rows = _index_array(idx, self.n)
-        if rows is None:
-            quad = self.gram @ (x - y)
+        batch = _index_array(idx, self.n)
+        u = x - y
+        if batch is None:
+            quad = self.gram @ u
         else:
-            quad = self._row_blocks(rows, x - y, targets=False)
+            quad = self._row_sum(batch, lambda rows, block: rows.T.dot(rows.dot(u)))
         return quad + self._reg_grad(x) - self._reg_grad(y)
 
     def full_grad(self, x: Array) -> Array:

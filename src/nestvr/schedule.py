@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 import math
 import numbers
+import operator
 
 from fractions import Fraction
 
@@ -110,9 +111,12 @@ def _ceil_div(num: int, den: int) -> int:
 def derive_schedule(B0: int, M: float) -> NestedSchedule:
     """Canonical schedule for base batch size ``B0`` and step parameter ``M``.
 
-    ``B0`` must be at least 4: smaller bases give K = 0, collapsing the nest,
-    and are rejected rather than special-cased.
+    ``B0``, an integer (a numpy one too, read as a Python int, so that 6^K B0
+    cannot wrap; a float is a ``TypeError``), must be at least 4: smaller
+    bases give K = 0, collapsing the nest, and are rejected rather than
+    special-cased.
     """
+    B0 = operator.index(B0)
     if B0 < 4:
         raise ValueError(f"B0 must be >= 4 (nesting depth would underflow), got {B0}")
     # K = floor(log2 log2 B0) in exact integer arithmetic.

@@ -1,3 +1,4 @@
+import copy
 import math
 import re
 
@@ -16,6 +17,7 @@ from nestvr import (
     make_rng,
     make_saddle_problem,
     make_streaming_saddle_problem,
+    sample_indices_without_replacement,
 )
 from nestvr.problems import Problem
 
@@ -150,18 +152,27 @@ class TestHvpEstimate:
         assert np.array_equal(est, full)
 
     def test_non_unit_direction_rejected(self):
-        prob, _ = random_symmetric_fixture(4, -0.5, seed=3)
-        counter = GradCounter()
-        with pytest.raises(ValueError, match="unit norm"):
-            v = np.array([1.01, 0, 0, 0])
-            hvp_estimate(prob, prob.x0, v, 1e-3, prob.n, make_rng(0), counter=counter)
-        assert counter.count == 0
+        # a direction of NaNs has a NaN norm, which no bound on |norm - 1|
+        # holds, on both finite families
+        quadratic, _ = random_symmetric_fixture(4, -0.5, seed=3)
+        for prob in (quadratic, make_regularized_problem(4, 10, seed=0)):
+            for v in ([1.01, 0, 0, 0], [math.nan] * 4, [math.inf, 0, 0, 0]):
+                counter = GradCounter()
+                with pytest.raises(ValueError, match="unit norm"):
+                    hvp_estimate(prob, prob.x0, np.array(v), 1e-3, prob.n, make_rng(0), counter=counter)
+                assert counter.count == 0
 
     def test_zero_displacement_rejected(self):
-        prob, _ = random_symmetric_fixture(4, -0.5, seed=4)
-        with pytest.raises(ValueError):
-            e1 = np.array([1.0, 0, 0, 0])
-            hvp_estimate(prob, prob.x0, e1, 0.0, prob.n, make_rng(0), counter=GradCounter())
+        # an infinite displacement would charge and return NaNs after numpy
+        # warnings, on both finite families
+        quadratic, _ = random_symmetric_fixture(4, -0.5, seed=4)
+        e1 = np.array([1.0, 0, 0, 0])
+        for prob in (quadratic, make_regularized_problem(4, 10, seed=0)):
+            for q in (0.0, -1e-3, math.nan, math.inf):
+                counter = GradCounter()
+                with pytest.raises(ValueError, match="displacement must be positive and finite"):
+                    hvp_estimate(prob, prob.x0, e1, q, prob.n, make_rng(0), counter=counter)
+                assert counter.count == 0
 
     def test_forward_difference_error_slope(self):
         # full-batch estimates converge at rate O(q): log-log slope 1 +- 0.2
@@ -410,9 +421,11 @@ class TestSubsampledLanczos:
             calls.append((problem, batch, counter.count - before))
             return out
 
-        def subsample(idx):
-            view = type(prob).subsample(prob, idx)
-            subsamples.append((np.array(idx), view))
+        def subsample(size, rng):
+            # the rows the family draws: the same draw from a copy of rng
+            idx = sample_indices_without_replacement(prob.n, size, copy.deepcopy(rng))
+            view = type(prob).subsample(prob, size, rng)
+            subsamples.append((idx, view))
             return view
 
         monkeypatch.setattr(ncf, "hvp_estimate", spy)

@@ -1,3 +1,4 @@
+import copy
 from fractions import Fraction
 import math
 import os
@@ -315,14 +316,39 @@ class TestRegularizedRowBlocks:
             assert np.array_equal(prob.batch_grad(x, idx), grad)
             assert np.array_equal(prob.batch_grad_diff(x, y, idx), diff)
 
+    @staticmethod
+    def block_gram(prob, idx):
+        """The reference: the Gram of the rows ``idx`` over one loop of fancy
+        gathers and @ products, summed in block order."""
+        gram = np.zeros((prob.dim, prob.dim))
+        for start in range(0, idx.size, prob.block_rows):
+            rows = prob.A[idx[start : start + prob.block_rows]]
+            gram += rows.T @ rows
+        return gram / idx.size
+
     def test_subsample_gram_equals_the_block_loop_bit_for_bit(self, rng):
         prob = make_regularized_problem(64, 1200, seed=37)
-        for idx in self.batches(prob, rng)[::2]:  # distinct indices
-            gram = np.zeros((prob.dim, prob.dim))
-            for start in range(0, idx.size, prob.block_rows):
-                rows = prob.A[idx[start : start + prob.block_rows]]
-                gram += rows.T @ rows
-            assert np.array_equal(prob.subsample(idx).gram, gram / idx.size)
+        block = prob.block_rows
+        for m in (1, block - 1, block, block + 1, 2 * block + 7, prob.n):
+            # the family's draw, replayed from a copy of the generator
+            idx = sample_indices_without_replacement(prob.n, m, copy.deepcopy(rng))
+            assert np.array_equal(prob.subsample(m, rng).gram, self.block_gram(prob, idx))
+
+    def test_subsample_draws_its_rows_as_the_sampler_does(self, rng):
+        # the view's rows are the ones sample_indices_without_replacement
+        # draws from an equal generator, and the family's draw leaves the
+        # generator where that one does, so a probe's stream is unchanged
+        prob = make_regularized_problem(64, 1200, seed=41)
+        for m in (1, prob.block_rows + 1, prob.n):
+            replay = copy.deepcopy(rng)
+            idx = sample_indices_without_replacement(prob.n, m, replay)
+            view = prob.subsample(m, rng)
+            assert view.n == m
+            assert np.array_equal(view.gram, self.block_gram(prob, idx))
+            assert np.array_equal(rng.random(4), replay.random(4))  # the same next draws
+        for m in (0, prob.n + 1):
+            with pytest.raises(ValueError):
+                prob.subsample(m, rng)
 
     def test_value_matches_rows(self, rng):
         prob = make_regularized_problem(20, 300, seed=32)
@@ -371,8 +397,8 @@ class TestRegularizedRowBlocks:
     def test_subsample_view_is_the_rows_population(self, rng):
         prob = make_regularized_problem(64, 1200, seed=34)
         for m in (1, prob.block_rows + 1, 700):
-            idx = sample_indices_without_replacement(prob.n, m, rng)
-            view = prob.subsample(idx)
+            idx = sample_indices_without_replacement(prob.n, m, copy.deepcopy(rng))
+            view = prob.subsample(m, rng)
             assert view.n == m and view.dim == prob.dim
             x, y = 2 * rng.standard_normal((2, prob.dim))
             rows = prob.A[idx]
@@ -384,15 +410,16 @@ class TestRegularizedRowBlocks:
     def test_subsample_view_allocates_no_batch_sized_rows(self, rng):
         n, m, d = 4096, 2048, 64
         prob = make_regularized_problem(d, n, seed=35)
-        idx = sample_indices_without_replacement(n, m, rng)
+        block = prob.block_rows * d * 8  # bytes of one block of rows
+        assert m * d * 8 == 4 * block  # an m x d gather is four blocks
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            prob.subsample(idx)
+            prob.subsample(m, rng)  # draws its m indices, then gathers
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak < m * d * 8, peak  # an m x d gather takes m * d * 8 bytes
+        assert peak < 2 * block, peak  # one block and its Gram terms
 
 
 class TestRowWorkers:

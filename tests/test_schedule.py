@@ -58,6 +58,20 @@ def test_small_base_rejected(B0):
         derive_schedule(B0, M=1.0)
 
 
+def test_base_takes_the_counts_the_schedule_takes():
+    # a numpy integer is read as a Python int, so 6^K B0 cannot wrap in int64
+    for B0 in (np.int64(256), np.uint16(256), np.int64(2**62)):
+        schedule = derive_schedule(B0, M=6.0)
+        assert schedule == derive_schedule(int(B0), M=6.0)
+        assert type(schedule.B0) is int and all(type(b) is int for b in schedule.B)
+    for B0 in (256.0, np.float64(256.0)):
+        with pytest.raises(TypeError):
+            derive_schedule(B0, M=6.0)
+    for B0 in (True, np.True_):
+        with pytest.raises((TypeError, ValueError)):
+            derive_schedule(B0, M=6.0)
+
+
 @pytest.mark.parametrize(
     "T,B", [((), ()), ((2,), (3, 3)), ((2, 0), (3, 3)), ((-1,), (1,))], ids=["depth-0", "unpaired", "T=0", "T<0"]
 )

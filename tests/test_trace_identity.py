@@ -1,6 +1,7 @@
-"""Bit identity of whole runs: one short experiment per family, run the way
-``nestvr run`` runs it (parse_config, run_experiment, write_trace) and hashed
-with the wall-clock column blanked.
+"""Bit identity of whole runs: one short experiment per family, and one whose
+curvature probes search a row subsample, run the way ``nestvr run`` runs it
+(parse_config, run_experiment, write_trace) and hashed with the wall-clock
+column blanked.
 
 Any change to an oracle call's arguments or order, a random draw, a float
 operation or a charge moves a digest.  A change that means to do so updates
@@ -64,7 +65,7 @@ def trace_digest(problem, algorithm, out_dir):
     return digest.hexdigest()
 
 
-@pytest.mark.parametrize("family", list(RUNS))
-def test_trace_is_pinned(family, tmp_path):
-    problem, algorithm, pin = RUNS[family]
+@pytest.mark.parametrize("run", list(RUNS))
+def test_trace_is_pinned(run, tmp_path):
+    problem, algorithm, pin = RUNS[run]
     assert trace_digest(problem, algorithm, tmp_path) == pin

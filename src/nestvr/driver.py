@@ -277,7 +277,7 @@ def run_driver(problem: Problem, config: DriverConfig, rng: np.random.Generator)
     nc_delta = min(max(config.delta, DELTA_FLOOR), 0.5)
     z = np.asarray(problem.x0, dtype=float).copy()
     f_z = problem.value(z)  # F is evaluated once per new point
-    log = BallLog(problem, config.schedule)
+    log = BallLog(problem)
 
     def finish(status: str, u: int, grad_norm: float, **kw) -> DriverOutcome:
         trace.add("terminate", u, counter.count, f_value=f_z, grad_norm=grad_norm, **kw)

@@ -50,8 +50,9 @@ from .problems import sample_indices_without_replacement
 from .schedule import NestedSchedule
 
 #: bytes of the stack of visited points a run checks against the certified
-#: ball in one call: a few hundred KB (3276 points at d = 10).  A stack holds
-#: whole finest-level runs, so at most max(BALL_CHECK_BYTES, T_K d 8) bytes.
+#: ball in one call: a few hundred KB (3276 points at d = 10, 163 at
+#: d = 200).  A stack holds whole batches of points, so at most
+#: max(BALL_CHECK_BYTES, 8 d T_K) bytes, a batch being at most T_K points.
 #: The points are the run's (:class:`BallLog`), not an epoch's: epochs are
 #: short (saddle-d10's average 16 steps), and a check costs about 4.6 us on a
 #: few rows at d = 10, plus about 0.3 us per point to stack them with
@@ -66,15 +67,17 @@ class BallLog:
     The points wait in a list, which spans every epoch and escape step of
     the run.  They are stacked and checked when the points passed to
     :meth:`extend` (a finest-level run, or a single escape step) would take
-    the list past ``rows`` = max(T_K, ``BALL_CHECK_BYTES`` // (8 d)), and
-    once more when :meth:`outside` is read, so the flag is the one a check
-    after every step would give.  A logged point must not change later:
-    iterates are new arrays at every step.
+    the list past ``rows`` = ``BALL_CHECK_BYTES`` // (8 d), and once more
+    when :meth:`outside` is read, so the flag is the one a check after every
+    step would give.  The waiting points are checked before a batch is
+    added, so the list holds at most max(``rows``, one batch) points, and a
+    batch larger than ``rows`` is checked on its own.  A logged point must
+    not change later: iterates are new arrays at every step.
     """
 
-    def __init__(self, problem: Problem, schedule: NestedSchedule):
+    def __init__(self, problem: Problem):
         self.problem = problem
-        self.rows = max(schedule.T[-1], BALL_CHECK_BYTES // (8 * problem.dim))
+        self.rows = BALL_CHECK_BYTES // (8 * problem.dim)
         self.points: list[Array] = []  # visited, not yet checked
         self._outside = False
 
@@ -136,10 +139,10 @@ def run_epoch(
     generator state.
 
     The iterates x_1 .. x_T go into the run's ``log``, a :class:`BallLog`
-    for ``problem`` and ``schedule``, in one ``log.extend`` call per reset
-    step and the finest-level run after it.  The log checks them against
-    the certified ball when they fill its ``rows``, and the rest when its
-    flag is read, so an epoch makes no check of its own.
+    for ``problem``, in one ``log.extend`` call per reset step and the
+    finest-level run after it.  The log checks them against the certified
+    ball when they fill its ``rows``, and the rest when its flag is read, so
+    an epoch makes no check of its own.
     """
     K = schedule.K
     T = draw_epoch_length(schedule.p, rng)

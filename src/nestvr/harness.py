@@ -44,13 +44,13 @@ from . import driver as drv
 from .driver import DriverConfig, DriverOutcome, classify_point
 from .epoch import BallLog, run_epoch
 from .problems import (
+    FAMILIES,
     FiniteSumProblem,
     GradCounter,
     Problem,
+    check_problem,
     make_regularized_problem,
     make_rng,
-    make_saddle_problem,
-    make_streaming_saddle_problem,
     spawn_rngs,
     subsample_variance_report,
 )
@@ -63,36 +63,6 @@ from .schedule import (
 )
 
 CSV_HEADER = ("trial", "u", "event", "grads_cum", "f_value", "grad_norm", "rayleigh", "wall_ms")
-
-
-@dataclass(frozen=True)
-class Family:
-    """How one problem family is built: ``factory`` takes ``dim``, ``seed`` and
-    each of ``fields`` as keywords.  A config that sets a problem field outside
-    ``fields``, other than ``family``, ``dim`` and ``seed``, is rejected, and
-    so is one below the factory's smallest ``dim`` or ``n``."""
-
-    factory: Callable[..., Problem]
-    fields: tuple[str, ...]
-    min_dim: int = 1
-    min_n: int = 1
-
-    @property
-    def is_finite_sum(self) -> bool:
-        """The finite-sum families are exactly the ones with a component count."""
-        return "n" in self.fields
-
-
-FAMILIES = {
-    "saddle": Family(
-        make_saddle_problem, ("n", "negative_eigenvalue", "noise", "quartic", "radius"), min_dim=2
-    ),
-    "regularized": Family(make_regularized_problem, ("n",), min_n=2),
-    "streaming-saddle": Family(
-        make_streaming_saddle_problem, ("negative_eigenvalue", "noise", "quartic", "radius"),
-        min_dim=2,
-    ),
-}
 
 
 class ConfigError(ValueError):
@@ -120,6 +90,10 @@ def _check_number(path: str, value: object, integer: bool) -> None:
 
 @dataclass(frozen=True)
 class ProblemSpec:
+    """A config's problem fields.  Their JSON types and the seed are checked
+    here, and their values by the family's own :func:`check_problem`, whose
+    message a ConfigError repeats under the ``problem.`` path."""
+
     family: str
     dim: int
     n: int | None = None
@@ -137,26 +111,13 @@ class ProblemSpec:
             value = getattr(self, name)
             if value is not None or name not in ("n", "seed"):  # only these may be absent
                 _check_number(f"problem.{name}", value, integer=name in ("dim", "n", "seed"))
-        for name, ok, rule in (
-            ("negative_eigenvalue", self.negative_eigenvalue < 0.0, "negative"),
-            ("noise", self.noise >= 0.0, ">= 0"),
-            ("quartic", self.quartic > 0.0, "positive"),
-            ("radius", self.radius > 0.0, "positive"),
-        ):
-            value = getattr(self, name)
-            if not (ok and math.isfinite(value)):
-                raise ConfigError(f"problem.{name}: must be {rule} and finite, got {value}")
         if self.seed is not None and self.seed < 0:
             raise ConfigError(f"problem.seed: must be >= 0, got {self.seed}")
-        family = FAMILIES[self.family]
-        if self.dim < family.min_dim:
-            raise ConfigError(
-                f"problem.dim: family {self.family!r} needs dim >= {family.min_dim}, got {self.dim}"
-            )
-        if family.is_finite_sum and (self.n is None or self.n < family.min_n):
-            raise ConfigError(
-                f"problem.n: family {self.family!r} needs n >= {family.min_n}, got {self.n}"
-            )
+        try:
+            check_problem(self.family, dim=self.dim, n=self.n, noise=self.noise, quartic=self.quartic,
+                          radius=self.radius, negative_eigenvalue=self.negative_eigenvalue)
+        except ValueError as exc:
+            raise ConfigError(f"problem.{exc}") from None
 
 
 @dataclass(frozen=True)
@@ -532,7 +493,7 @@ def verify_epoch_decrease(
     lhs = np.empty(trials)
     rhs = np.empty(trials)
     counts = np.empty(trials)
-    log = BallLog(problem, schedule)  # its flag is not this check's concern
+    log = BallLog(problem)  # its flag is not this check's concern
     for i in range(trials):
         counter = GradCounter()
         res = run_epoch(x0, problem, schedule, rng, counter, log)

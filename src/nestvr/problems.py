@@ -21,6 +21,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, replace
 from functools import cached_property
 import math
+import numbers
 import operator
 
 import numpy as np
@@ -206,6 +207,8 @@ class FiniteSumProblem(Problem):
         return diff
 
     def _draw(self, size: int, rng: np.random.Generator) -> Array | int:
+        if type(size) is not int:  # exact ints skip the check
+            _check_size(size)
         if size == self.n:
             return self.n
         return sample_indices_without_replacement(self.n, size, rng)
@@ -225,11 +228,21 @@ def sample_indices_without_replacement(n: int, m: int, rng: np.random.Generator)
     Deterministic given the generator state.  Callers must clamp ``m`` to the
     population size first; oversized requests are rejected.
     """
+    if type(m) is not int:  # exact ints skip the check
+        _check_size(m)
     if m < 1:
         raise ValueError(f"batch size must be >= 1, got {m}")
     if m > n:
         raise ValueError(f"batch size {m} exceeds population size {n}; clamp the schedule first")
     return rng.choice(n, size=m, replace=False)
+
+
+def _check_size(size: object) -> None:
+    """Reject a sampled batch ``size`` that is a bool or not an integer, 2.0
+    included, which would draw or scale noise as some other count; a numpy
+    integer passes, as in :class:`~nestvr.schedule.NestedSchedule`."""
+    if isinstance(size, bool) or not isinstance(size, numbers.Integral):
+        raise TypeError(f"batch size must be an integer, got {size!r}")
 
 
 def _index_array(idx: Array | int, n: int) -> Array | None:
@@ -261,13 +274,15 @@ def _index_array(idx: Array | int, n: int) -> Array | None:
     raise ValueError(f"an integer batch must be the population size {n}, got {idx!r}")
 
 
-def _zero_sum_noise(n: int, dim: int, scale: float, rng: np.random.Generator) -> Array:
+def _zero_sum_noise(n: int, dim: int, scale: float, seed: int | np.random.SeedSequence) -> Array:
     """Rows of per-component linear-noise vectors, centred on their mean: they
     sum to zero up to roundoff (a few 1e-15 per entry for 256 rows at scale
-    0.1), which is why the population reads their mean, ``noise_mean``."""
+    0.1), which is why the population reads their mean, ``noise_mean``.  The
+    generator of ``seed`` is made only when rows are drawn: a single row, or
+    scale 0, is zero and draws nothing."""
     if n == 1 or scale == 0.0:
         return np.zeros((n, dim))
-    c = rng.standard_normal((n, dim)) * scale
+    c = make_rng(seed).standard_normal((n, dim)) * scale
     return c - c.mean(axis=0)
 
 
@@ -376,13 +391,32 @@ class _SeparableQuarticProblem(_LinearNoiseProblem):
         return np.diag(self.diag + 12.0 * self.quartic * x * x)
 
 
-def _check_constant(name: str, value: float, ok: bool, rule: str) -> None:
-    """Reject a factory's constant ``name`` if it is not finite or breaks
-    ``rule``, as a config would, before the factory draws anything."""
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value}")
-    if not ok:
-        raise ValueError(f"{name} must be {rule}, got {value}")
+#: each problem constant's rule, as a message words it, and its test
+_CONSTANT_RULES = (
+    ("negative_eigenvalue", "negative", lambda v: v < 0.0),
+    ("noise", ">= 0", lambda v: v >= 0.0),
+    ("quartic", "positive", lambda v: v > 0.0),
+    ("radius", "positive", lambda v: v > 0.0),
+)
+
+
+def check_problem(family: str, **values: float) -> None:
+    """Reject the ``values`` of a problem of ``family``, a key of
+    :data:`FAMILIES`, that break its rules: each constant among them that is
+    not finite or breaks its rule, in the order of ``_CONSTANT_RULES``, then
+    a count below the family's minimum, ``dim`` before ``n`` (a count left
+    out reads None).  The ``ValueError`` names the value as a config field is
+    named, without the ``problem.`` path.  It reads the values alone, so a
+    factory calls it before it draws anything."""
+    for name, rule, ok in _CONSTANT_RULES:
+        if name in values:
+            value = values[name]
+            if not (ok(value) and math.isfinite(value)):
+                raise ValueError(f"{name}: must be {rule} and finite, got {value}")
+    for name, least in FAMILIES[family].minimums.items():
+        value = values.get(name)
+        if value is None or value < least:
+            raise ValueError(f"{name}: family {family!r} needs {name} >= {least}, got {value}")
 
 
 def make_saddle_problem(
@@ -400,20 +434,14 @@ def make_saddle_problem(
     F(x) = 1/2 x^T A x + a sum_j x_j^4 with A = diag(1, ..., 1, lam) and
     lam = ``negative_eigenvalue`` < 0, so grad F(0) = 0 and
     lambda_min(hess F(0)) = lam.  Global minimizers sit at
-    x_last = +-sqrt(-lam / (4 a)) with value -lam^2 / (16 a).
+    x_last = +-sqrt(-lam / (4 a)) with value -lam^2 / (16 a).  Its values
+    are checked as a config's are (:func:`check_problem`).
     """
-    if dim < 2:
-        raise ValueError(f"dim must be >= 2, got {dim}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    _check_constant("negative_eigenvalue", negative_eigenvalue, negative_eigenvalue < 0, "< 0")
-    _check_constant("quartic", quartic, quartic > 0, "> 0")
-    _check_constant("radius", radius, radius > 0, "> 0")
-    _check_constant("noise", noise, noise >= 0, ">= 0")
-    rng = make_rng(seed)
+    check_problem("saddle", dim=dim, n=n, negative_eigenvalue=negative_eigenvalue, noise=noise,
+                  quartic=quartic, radius=radius)
     diag = np.ones(dim)
     diag[-1] = negative_eigenvalue
-    rows = _zero_sum_noise(n, dim, noise, rng)
+    rows = _zero_sum_noise(n, dim, noise, seed)
     return _SeparableQuarticProblem(diag, quartic, rows, radius)
 
 
@@ -580,11 +608,9 @@ class _RegularizedRowView(FiniteSumProblem):
 
 
 def make_regularized_problem(dim: int, n: int, seed: int | np.random.SeedSequence) -> FiniteSumProblem:
-    """Random least-squares data with a smooth nonconvex regularizer."""
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+    """Random least-squares data with a smooth nonconvex regularizer; its
+    ``dim`` and ``n`` are checked as a config's are (:func:`check_problem`)."""
+    check_problem("regularized", dim=dim, n=n)
     rng = make_rng(seed)
     A = rng.standard_normal((n, dim)) / math.sqrt(dim)
     y = rng.standard_normal(n)
@@ -605,12 +631,17 @@ class AdditiveNoiseStreamingProblem(Problem):
         self.noise_std = float(noise_std)
         self.dim = core.dim
         self.x0 = core.x0.copy()
-        self.smoothness = replace(core.smoothness, sigma2=max(self.dim * self.noise_std**2, 1e-12))
+        # a product, not ``**``, which raises OverflowError where this reads
+        # inf, for SmoothnessSpec to reject as it does the saddle's
+        variance = self.dim * (self.noise_std * self.noise_std)
+        self.smoothness = replace(core.smoothness, sigma2=max(variance, 1e-12))
 
     def value(self, x: Array) -> float:
         return self.core.value(x)
 
     def sample_batch_grad(self, x: Array, size: int, rng: np.random.Generator) -> Array:
+        if type(size) is not int:  # exact ints skip the check
+            _check_size(size)
         if size < 1:
             raise ValueError(f"batch size must be >= 1, got {size}")
         scale = self.noise_std / math.sqrt(size)
@@ -642,12 +673,48 @@ def make_streaming_saddle_problem(
     radius: float = 2.0,
     noise: float = 0.1,
 ) -> Problem:
-    """Streaming counterpart of :func:`make_saddle_problem`."""
-    _check_constant("noise", noise, noise >= 0, ">= 0")  # the core below has none
+    """Streaming counterpart of :func:`make_saddle_problem`, its values
+    checked as a config's are (:func:`check_problem`) before its noiseless
+    core checks its own."""
+    check_problem("streaming-saddle", dim=dim, negative_eigenvalue=negative_eigenvalue, noise=noise,
+                  quartic=quartic, radius=radius)
     core = make_saddle_problem(
         dim, 1, negative_eigenvalue, seed, quartic=quartic, radius=radius, noise=0.0
     )
     return AdditiveNoiseStreamingProblem(core, noise)
+
+
+@dataclass(frozen=True)
+class Family:
+    """How one problem family is built and checked, declared once: ``factory``
+    takes ``dim``, ``seed`` and each of ``fields`` as keywords, and the family
+    reads ``n`` exactly when it is a finite sum.  ``minimums`` holds the least
+    ``dim`` and, on a finite sum, the least ``n``, which :func:`check_problem`
+    applies both to the factory's arguments and to a config's fields.  A
+    config that sets a problem field outside ``fields``, other than
+    ``family``, ``dim`` and ``seed``, is rejected."""
+
+    factory: Callable[..., Problem]
+    fields: tuple[str, ...]
+    minimums: dict[str, int]
+
+    @property
+    def is_finite_sum(self) -> bool:
+        """The finite-sum families are exactly the ones with a component count."""
+        return "n" in self.fields
+
+
+FAMILIES = {
+    "saddle": Family(
+        make_saddle_problem, ("n", "negative_eigenvalue", "noise", "quartic", "radius"),
+        {"dim": 2, "n": 1},
+    ),
+    "regularized": Family(make_regularized_problem, ("n",), {"dim": 1, "n": 2}),
+    "streaming-saddle": Family(
+        make_streaming_saddle_problem, ("negative_eigenvalue", "noise", "quartic", "radius"),
+        {"dim": 2},
+    ),
+}
 
 
 def subsample_variance_report(

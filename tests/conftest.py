@@ -60,9 +60,8 @@ class QuadraticProblem(_LinearNoiseProblem):
 
 
 def make_quadratic_problem(H, n, seed, *, noise=0.1, b=None, x0=None):
-    rng = make_rng(seed)
     H = np.asarray(H, dtype=float)
-    rows = _zero_sum_noise(n, H.shape[0], noise, rng)
+    rows = _zero_sum_noise(n, H.shape[0], noise, seed)
     return QuadraticProblem(H, b, rows, x0=x0)
 
 
@@ -166,7 +165,7 @@ def fixed_length(T):
 def one_epoch(x0, problem, schedule, rng, counter, log=None):
     """``run_epoch`` into the run's ``log``, by default a fresh ``BallLog``:
     the epoch as the only one of its run."""
-    log = BallLog(problem, schedule) if log is None else log
+    log = BallLog(problem) if log is None else log
     return run_epoch(x0, problem, schedule, rng, counter, log)
 
 

@@ -440,7 +440,7 @@ class TestRunEpoch:
         prob = ball_checks(make_saddle_problem(3, 8, -1.0, seed=10, radius=0.5))
         sched = clamp_schedule(derive_schedule(4, M=6.0 * prob.smoothness.L1), 8)
         x_far = np.full(3, 5.0)
-        log = BallLog(prob, sched)
+        log = BallLog(prob)
         with fixed_length(3):
             one_epoch(x_far, prob, sched, make_rng(23), GradCounter(), log)
         assert prob.stacks == []
@@ -536,7 +536,7 @@ class TestChunkedBallCheck:
         prob = PathStream(path)
         stacks, check = [], prob.outside_ball
         prob.outside_ball = lambda points: stacks.append(len(points)) or check(points)
-        log = BallLog(prob, self.UNIT_STEP)
+        log = BallLog(prob)
         x = np.zeros(1)
         for length in lengths:
             with fixed_length(length):
@@ -587,7 +587,7 @@ class TestChunkedBallCheck:
             steps, x_out = epoch_steps(prob, sched, 7, x0=x0, seed=seed)
             iterates = [x for x, *_ in steps[1:]] + [x_out]
             want = any(prob.outside_ball(x) for x in iterates)
-            log = BallLog(prob, sched)
+            log = BallLog(prob)
             with fixed_length(7):
                 one_epoch(x0, prob, sched, make_rng(seed), GradCounter(), log)
             assert log.outside() == want
@@ -642,9 +642,9 @@ def epoch_runs(schedule, lengths):
 
 class TestBallCheckChunks:
     """The ball is checked a chunk of whole runs at a time, and a chunk spans
-    the epochs of a run: it holds at most max(T_K, BALL_CHECK_BYTES // (8 d))
-    iterates, and is checked when the next reset step's run would not fit,
-    or when the log's flag is read."""
+    the epochs of a run: it holds at most BALL_CHECK_BYTES // (8 d) iterates,
+    or one run that is longer, and is checked when the next reset step's run
+    would not fit, or when the log's flag is read."""
 
     def stacks(self, sched, lengths, byte_rows=None, dim=3):
         """The stacks that epochs of ``lengths`` steps, one run's log, check,
@@ -655,7 +655,7 @@ class TestBallCheckChunks:
         prob = ball_checks(make_streaming_saddle_problem(dim, -1.0, seed=23))
         iterates = []
         with mock.patch.object(epoch, "BALL_CHECK_BYTES", nbytes):
-            log = BallLog(prob, sched)
+            log = BallLog(prob)
         x = prob.x0
         for k, length in enumerate(lengths):
             prob.steps.clear()
@@ -666,12 +666,12 @@ class TestBallCheckChunks:
         # x_1 .. x_T of every epoch, each checked exactly once and in order
         checked = [row for stack in prob.stacks for row in stack]
         assert np.array(checked).tobytes() == np.array(iterates).tobytes()
-        rows = max(sched.T[-1], nbytes // (8 * dim))
+        rows = nbytes // (8 * dim)
         runs = epoch_runs(sched, lengths)
         starts = dict(zip(np.cumsum([0] + runs).tolist(), runs))
         end = 0
         for k, stack in enumerate(prob.stacks):
-            assert 1 <= len(stack) <= rows
+            assert 1 <= len(stack) <= rows or len(stack) == starts[end]
             end += len(stack)
             if k < len(prob.stacks) - 1:
                 # x_end is the last iterate before the reset step t = end,

@@ -3,7 +3,6 @@ from fractions import Fraction
 import math
 import os
 from pathlib import Path
-import re
 import signal
 import subprocess
 import sys
@@ -28,7 +27,8 @@ from nestvr import (
     sample_indices_without_replacement,
     spawn_rngs,
 )
-from nestvr.problems import _RegularizedLeastSquaresProblem, subsample_variance_report
+from nestvr.harness import ConfigError, parse_config
+from nestvr.problems import FAMILIES, _RegularizedLeastSquaresProblem, subsample_variance_report
 
 
 def test_smoothness_spec_rejects_nonpositive():
@@ -548,37 +548,98 @@ def quartic_min_value(prob):
     return -float((neg**2).sum()) / (16.0 * prob.quartic)
 
 
+#: valid factory arguments of each family, one of which a case replaces
+FACTORY_ARGUMENTS = {
+    "saddle": {"dim": 4, "n": 8, "negative_eigenvalue": -1.0},
+    "streaming-saddle": {"dim": 4, "negative_eigenvalue": -1.0},
+    "regularized": {"dim": 4, "n": 8},
+}
+
+
+@pytest.mark.parametrize(
+    "family, name, value",
+    [
+        *[
+            (family, name, value)
+            for family in ("saddle", "streaming-saddle")
+            for name, value in [
+                ("noise", -0.1),
+                ("noise", math.nan),
+                ("noise", math.inf),
+                ("radius", 0.0),
+                ("radius", -1.0),
+                ("radius", math.inf),
+                ("quartic", math.inf),
+                ("negative_eigenvalue", -math.inf),
+            ]
+        ],
+        ("saddle", "dim", 1),
+        ("streaming-saddle", "dim", 1),
+        ("regularized", "dim", 0),
+        ("regularized", "n", 1),
+    ],
+)
+def test_factories_reject_what_configs_reject(family, name, value):
+    # one check names the value, before any draw, not later as a
+    # SmoothnessSpec constant, and a config repeats it under its path
+    arguments = {**FACTORY_ARGUMENTS[family], name: value}
+    doc = {
+        "problem": {"family": family, **arguments},
+        "algorithm": {"smoothness_order": 2, "eps": 1e-3, "eps_H": 0.1},
+        "trials": 1,
+        "seed": 0,
+    }
+    with pytest.raises(ConfigError) as config_error:
+        parse_config(doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as factory_error:
+            FAMILIES[family].factory(seed=0, **arguments)
+    assert type(factory_error.value) is ValueError
+    assert f"problem.{factory_error.value}" == str(config_error.value)
+
+
+@pytest.mark.parametrize("noise", [1e155, 1e200])
+def test_stream_noise_overflow_is_named(noise):
+    # d noise^2 reads inf, which the spec rejects by name as it does the
+    # saddle's, where noise**2 raised OverflowError
+    message = r"^SmoothnessSpec\.sigma2 must be positive and finite, got inf$"
+    with pytest.raises(ValueError, match=message):
+        make_streaming_saddle_problem(4, -1.0, seed=0, noise=noise)
+
+
+#: each sampled draw of a batch of ``size``, at a population of 4 components
+SIZED_DRAWS = {
+    "saddle": lambda size, rng: make_saddle_problem(3, 4, -1.0, seed=0).sample_batch_grad(
+        np.ones(3), size, rng
+    ),
+    "regularized": lambda size, rng: make_regularized_problem(3, 4, seed=0).sample_batch_grad(
+        np.ones(3), size, rng
+    ),
+    "streaming-saddle": lambda size, rng: make_streaming_saddle_problem(
+        3, -1.0, seed=0
+    ).sample_batch_grad(np.ones(3), size, rng),
+    "sampler": lambda size, rng: sample_indices_without_replacement(4, size, rng),
+}
+
+
+@pytest.mark.parametrize("where", list(SIZED_DRAWS))
+def test_sampled_size_must_be_an_integer(where):
+    # a bool or a float, even one equal to the population, would draw or
+    # scale noise as some other count
+    draw = SIZED_DRAWS[where]
+    for size in (True, 2.0, 2.5, 4.0):
+        with pytest.raises(TypeError) as error:
+            draw(size, make_rng(0))
+        assert str(error.value) == f"batch size must be an integer, got {size!r}"
+    assert np.array_equal(draw(np.int64(2), make_rng(0)), draw(2, make_rng(0)))
+
+
 class TestSaddleProblem:
     @pytest.mark.parametrize("quartic", [0.0, -0.25])
     def test_quartic_must_be_positive(self, quartic):
-        with pytest.raises(ValueError, match=r"^quartic must be > 0, got "):
+        with pytest.raises(ValueError, match=r"^quartic: must be positive and finite, got "):
             make_saddle_problem(2, 1, -1.0, seed=0, quartic=quartic)
-
-    @pytest.mark.parametrize("factory", ["saddle", "streaming"])
-    @pytest.mark.parametrize(
-        "name, value, rule",
-        [
-            ("noise", -0.1, ">= 0"),
-            ("noise", math.nan, "finite"),
-            ("noise", math.inf, "finite"),
-            ("radius", 0.0, "> 0"),
-            ("radius", -1.0, "> 0"),
-            ("radius", math.inf, "finite"),
-            ("quartic", math.inf, "finite"),
-            ("negative_eigenvalue", -math.inf, "finite"),
-        ],
-    )
-    def test_factories_reject_what_configs_reject(self, factory, name, value, rule):
-        # named here, before any draw, not later as a SmoothnessSpec constant
-        constants = {"negative_eigenvalue": -1.0, name: value}
-        make = {
-            "saddle": lambda: make_saddle_problem(4, 8, seed=0, **constants),
-            "streaming": lambda: make_streaming_saddle_problem(4, seed=0, **constants),
-        }[factory]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=rf"^{name} must be {re.escape(rule)}, got "):
-                make()
 
     def test_origin_is_strict_saddle(self):
         prob = make_saddle_problem(2, 1, -1.0, seed=0)

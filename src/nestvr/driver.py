@@ -115,14 +115,15 @@ class PointClassification:
 
 
 def classify_point(problem: Problem, z: Array, eps: float, eps_H: float) -> PointClassification:
-    """Exact second-order stationarity check via the verification oracles.
-
-    Uses a dense symmetric eigendecomposition; never charges the gradient
+    """Exact second-order stationarity check via the verification oracles
+    ``full_grad`` and :meth:`Problem.lambda_min`, a dense symmetric
+    eigensolve unless the family reads its Hessian's least eigenvalue off a
+    structure (the saddle families' diagonal); never charges the gradient
     counter.
     """
     z = np.asarray(z, dtype=float)
     gnorm = float(np.linalg.norm(problem.full_grad(z)))
-    lam = float(np.linalg.eigvalsh(problem.hessian(z)).min())
+    lam = problem.lambda_min(z)
     return PointClassification(
         gradient_norm=gnorm, lambda_min=lam, is_sosp=(gnorm <= eps and lam >= -eps_H)
     )
@@ -257,7 +258,14 @@ def run_driver(problem: Problem, config: DriverConfig, rng: np.random.Generator)
     """Gradient test, then an epoch or a probe-and-step, until certified or out of budget.
 
     The gradient test's batch is ``n`` on a finite sum (the population,
-    against eps), else the base batch (against eps / 2).  A non-finite
+    against eps), else the base batch (against eps / 2).  On a finite sum
+    whose schedule has B0 = n, the test's population gradient is also the
+    level-0 anchor of the epoch that starts at the same point, so it is
+    passed to :func:`run_epoch`, which is charged B0 less: an outer
+    iteration pays for one population gradient, not two.  A stream's test
+    batch, and a finite sum's with B0 < n, is no anchor: the first would
+    pick the anchor by its own norm, and the second is not the B0-sample
+    mean the epoch needs, so such epochs sample their own.  A non-finite
     measured gradient or iterate ends the run as diverged.  ``out_of_domain``
     is set when an epoch iterate or an escape step leaves the certified ball
     (:meth:`Problem.outside_ball`).  Every point the run visits goes into one
@@ -270,6 +278,8 @@ def run_driver(problem: Problem, config: DriverConfig, rng: np.random.Generator)
     trace = RunTrace()
     check_batch = problem.n if finite else config.schedule.B0
     threshold = config.eps if finite else config.eps / 2.0
+    # the test's population gradient is the epoch's level-0 anchor at z
+    reuse = finite and config.schedule.B0 == problem.n
     probe = find_nc_direction_finite if finite else find_nc_direction_online
     # the derived per-call failure probability can degenerate in both
     # directions (tiny at theory scale, above 1 when L2 or L3 is nearly zero);
@@ -300,7 +310,7 @@ def run_driver(problem: Problem, config: DriverConfig, rng: np.random.Generator)
             # probe's abstention on NaN products would read as a certificate
             return finish(STATUS_DIVERGED, u, gnorm)
         if gnorm >= threshold:
-            z = run_epoch(z, problem, config.schedule, rng, counter, log).x_out
+            z = run_epoch(z, problem, config.schedule, rng, counter, log, g if reuse else None).x_out
             f_z = problem.value(z)
             trace.add("epoch", u, counter.count, f_value=f_z)
         else:

@@ -30,7 +30,9 @@ pairs identical points and is therefore identically zero (the zero is written
 without evaluating gradients; the charge is still made so the tally matches
 the closed-form epoch cost).  An epoch of length T is charged once, with the
 closed form ``NestedSchedule.epoch_charge(T)``: level j at ceil(T / D_j)
-refreshes, with D_j its period.
+refreshes, with D_j its period.  A caller that passes the level-0 anchor
+(``run_epoch``'s ``anchor``) has paid for it, and the epoch is charged
+``epoch_charge(T) - B0`` for T >= 1.
 """
 
 from __future__ import annotations
@@ -100,8 +102,10 @@ class BallLog:
 @dataclass
 class EpochResult:
     """An epoch's final iterate, its length T and the gradients charged for
-    it.  Whether its iterates left the ball is the run's :class:`BallLog`'s
-    to say, since the epoch makes no check of its own."""
+    it: ``grads_used`` is ``schedule.epoch_charge(T)``, less B0 when the
+    caller passed the level-0 anchor and T >= 1.  Whether its iterates left
+    the ball is the run's :class:`BallLog`'s to say, since the epoch makes
+    no check of its own."""
 
     x_out: Array
     T: int
@@ -128,6 +132,7 @@ def run_epoch(
     rng: np.random.Generator,
     counter: GradCounter,
     log: BallLog,
+    anchor: Array | None,
 ) -> EpochResult:
     """Run one epoch from ``x0`` and return the final iterate.
 
@@ -137,6 +142,15 @@ def run_epoch(
     refreshes are charged to ``counter`` in one add of
     ``schedule.epoch_charge(T)`` when it ends.  Deterministic given the
     generator state.
+
+    ``anchor`` is the level-0 gradient at ``x0``, B0 components' mean, which
+    the caller has already measured and paid for, or None.  Given, it is the
+    first step's anchor in place of ``sample(x0, B0, rng)``, and the epoch is
+    charged ``epoch_charge(T) - B0`` for T >= 1 (0 for T = 0).  The driver
+    passes its gradient test's population gradient on a finite sum with
+    B0 = n, where the sampled anchor is that same vector and draws nothing,
+    so the generator stream and every iterate are those of an epoch that
+    samples its own.
 
     The iterates x_1 .. x_T go into the run's ``log``, a :class:`BallLog`
     for ``problem``, in one ``log.extend`` call per reset step and the
@@ -172,7 +186,7 @@ def run_epoch(
         while t % D[r]:
             r += 1
         if r == 0:
-            g = sample(x, batches[0], rng)
+            g = sample(x, batches[0], rng) if t or anchor is None else anchor
         else:
             g = ops[r - 1](x, batches[r], rng)
         v = prefix[r] + g
@@ -187,6 +201,8 @@ def run_epoch(
             run.append(x)
         log.extend(run)
     charged = schedule.epoch_charge(T)
+    if anchor is not None and T:
+        charged -= schedule.B0  # the caller paid for the first anchor
     counter.add(charged)
 
     return EpochResult(x_out=x, T=T, grads_used=charged)

@@ -496,7 +496,7 @@ def verify_epoch_decrease(
     log = BallLog(problem)  # its flag is not this check's concern
     for i in range(trials):
         counter = GradCounter()
-        res = run_epoch(x0, problem, schedule, rng, counter, log)
+        res = run_epoch(x0, problem, schedule, rng, counter, log, None)
         g = problem.full_grad(res.x_out)
         lhs[i] = float(g @ g)
         decrease = f0 - problem.value(res.x_out)

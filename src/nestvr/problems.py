@@ -137,6 +137,12 @@ class Problem:
         """Verification oracle: exact (symmetric) Hessian of F."""
         raise NotImplementedError
 
+    def lambda_min(self, x: Array) -> float:
+        """Verification oracle: the least eigenvalue of F's Hessian at x, by
+        a dense symmetric eigensolve of :meth:`hessian`.  A family whose
+        Hessian has a structure overrides it with the same value."""
+        return float(np.linalg.eigvalsh(self.hessian(x)).min())
+
     @property
     def is_finite_sum(self) -> bool:
         return self.n is not None
@@ -387,8 +393,16 @@ class _SeparableQuarticProblem(_LinearNoiseProblem):
     def _exact_grad(self, x: Array) -> Array:
         return self.diag * x + self._four_a * (x * x * x)
 
+    def _hessian_diag(self, x: Array) -> Array:
+        return self.diag + 12.0 * self.quartic * x * x
+
     def hessian(self, x: Array) -> Array:
-        return np.diag(self.diag + 12.0 * self.quartic * x * x)
+        return np.diag(self._hessian_diag(x))
+
+    def lambda_min(self, x: Array) -> float:
+        # the Hessian is diagonal: its least entry, in O(d) where a dense
+        # eigensolve takes O(d^3), with the same bits
+        return float(self._hessian_diag(x).min())
 
 
 #: each problem constant's rule, as a message words it, and its test
@@ -402,12 +416,19 @@ _CONSTANT_RULES = (
 
 def check_problem(family: str, **values: float) -> None:
     """Reject the ``values`` of a problem of ``family``, a key of
-    :data:`FAMILIES`, that break its rules: each constant among them that is
-    not finite or breaks its rule, in the order of ``_CONSTANT_RULES``, then
-    a count below the family's minimum, ``dim`` before ``n`` (a count left
-    out reads None).  The ``ValueError`` names the value as a config field is
-    named, without the ``problem.`` path.  It reads the values alone, so a
-    factory calls it before it draws anything."""
+    :data:`FAMILIES`, that break its rules: a count, ``dim`` before ``n``,
+    that is not an integer (a bool or a float is not; a numpy integer is),
+    then each constant that is not finite or breaks its rule, in the order of
+    ``_CONSTANT_RULES``, then a count below the family's minimum, ``dim``
+    before ``n`` (a count left out reads None).  The ``ValueError`` is a
+    config's message without its ``problem.`` path.  It reads the values
+    alone, so a factory calls it before it draws anything."""
+    for name in ("dim", "n"):
+        value = values.get(name)
+        if value is None or type(value) is int:  # exact ints skip the check
+            continue
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name}: expected an integer, got {value!r}")
     for name, rule, ok in _CONSTANT_RULES:
         if name in values:
             value = values[name]
@@ -662,6 +683,9 @@ class AdditiveNoiseStreamingProblem(Problem):
 
     def hessian(self, x: Array) -> Array:
         return self.core.hessian(x)
+
+    def lambda_min(self, x: Array) -> float:
+        return self.core.lambda_min(x)
 
 
 def make_streaming_saddle_problem(

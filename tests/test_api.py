@@ -13,7 +13,7 @@ def test_public_names_resolve_without_duplicates():
 
 def test_epoch_and_product_take_only_what_the_program_passes():
     params = inspect.signature(nestvr.run_epoch).parameters
-    assert list(params) == ["x0", "problem", "schedule", "rng", "counter", "log"]
+    assert list(params) == ["x0", "problem", "schedule", "rng", "counter", "log", "anchor"]
     assert all(p.default is inspect.Parameter.empty for p in params.values())
     counter = inspect.signature(nestvr.hvp_estimate).parameters["counter"]
     assert counter.kind is inspect.Parameter.KEYWORD_ONLY

@@ -573,10 +573,13 @@ def visited_run(problem, cfg, seed, radius):
         kinds.extend([(kind, calls[kind])] * len(new))
         calls[kind] += 1
 
-    def run_epoch(x0, problem, schedule, rng, counter, log):
+    def run_epoch(x0, problem, schedule, rng, counter, log, anchor):
         start = len(problem.steps)
-        res = epoch.run_epoch(x0, problem, schedule, rng, counter, log)
-        visit("epoch", [x for x, *_ in problem.steps[start + 1 :]] + [res.x_out] * bool(res.T))
+        res = epoch.run_epoch(x0, problem, schedule, rng, counter, log, anchor)
+        # every step's call after the first is at x_1 .. x_{T-1}; the first,
+        # at x0, is the anchor's, which a passed anchor leaves unmade
+        first = int(anchor is None)
+        visit("epoch", [x for x, *_ in problem.steps[start + first :]] + [res.x_out] * bool(res.T))
         return res
 
     def escape(*args):
@@ -701,6 +704,94 @@ def test_ball_is_checked_per_run_not_per_epoch():
         assert 1 <= len(prob.stacks) <= 1 + visited // (3276 - 3) <= 3
 
 
+def anchored_run(problem, cfg, seed, drop=False):
+    """Run the driver from ``make_rng(seed)``; return its outcome and, per
+    epoch, the start point, the anchor the driver passed and the length.
+    With ``drop``, every epoch samples its own anchor, as it did before the
+    gradient test's was passed on."""
+    epochs = []
+
+    def run_epoch(x0, problem, schedule, rng, counter, log, anchor):
+        res = epoch.run_epoch(x0, problem, schedule, rng, counter, log, None if drop else anchor)
+        epochs.append((x0, anchor, res.T))
+        return res
+
+    with mock.patch.object(driver, "run_epoch", run_epoch):
+        out = run_driver(problem, cfg, make_rng(seed))
+    return out, epochs
+
+
+class TestAnchorReuse:
+    """On a finite sum with B0 = n, the gradient test's population gradient
+    is the level-0 anchor of the epoch it starts: the run keeps every bit but
+    is charged B0 less per epoch of length T >= 1."""
+
+    REUSED = {
+        "saddle": (lambda seed: make_saddle_problem(10, 256, -1.0, seed=seed, radius=1.5), {"U": 300}),
+        # an override above n is clamped to B0 = n
+        "saddle-B0-above-n": (
+            lambda seed: make_saddle_problem(6, 64, -1.0, seed=seed, radius=1.5),
+            {"U": 200, "B0": 1024},
+        ),
+        "regularized": (lambda seed: make_regularized_problem(20, 400, seed=seed), {"U": 200}),
+    }
+
+    @pytest.mark.parametrize("family", REUSED)
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_reuse_keeps_the_run_and_saves_B0_per_epoch(self, family, seed):
+        make, overrides = self.REUSED[family]
+        prob = make(seed)
+        cfg = configure(prob, 1e-3, 0.1, order=2, overrides=overrides)
+        B0 = cfg.schedule.B0
+        assert B0 == prob.n
+        out, epochs = anchored_run(prob, cfg, seed)
+        plain, plain_epochs = anchored_run(prob, cfg, seed, drop=True)
+        assert len(epochs) > 10 and any(T == 0 for *_, T in epochs)
+        assert [T for *_, T in epochs] == [T for *_, T in plain_epochs]
+        for x0, anchor, _ in epochs:
+            assert anchor.tobytes() == prob.sample_batch_grad(x0, prob.n, make_rng(0)).tobytes()
+        fields = ("kind", "u", "f_value", "grad_norm", "rayleigh")
+        assert [[getattr(e, f) for f in fields] for e in out.trace.events] == [
+            [getattr(e, f) for f in fields] for e in plain.trace.events
+        ]
+        assert out.status == plain.status and out.z_final.tobytes() == plain.z_final.tobytes()
+        # each event's count is B0 below the plain run's per anchored epoch
+        # of length T >= 1 so far
+        lengths, saved = iter([T for *_, T in epochs]), 0
+        for a, b in zip(out.trace.events, plain.trace.events):
+            if a.kind == "epoch":
+                saved += B0 * (next(lengths) >= 1)
+            assert b.grads_cum - a.grads_cum == saved
+        assert plain.grads_total - out.grads_total == B0 * sum(T >= 1 for *_, T in epochs) == saved
+
+    # each run's grads_total, as counted before any anchor was passed: these
+    # runs sample their own anchors, so their counts must not move
+    SAMPLED = {
+        "saddle-B0-below-n": (
+            lambda: make_saddle_problem(6, 64, -1.0, seed=4, radius=1.5), {"U": 80, "B0": 16}, 47184
+        ),
+        "regularized-B0-below-n": (
+            lambda: make_regularized_problem(8, 120, seed=4), {"U": 80, "B0": 32}, 78576
+        ),
+        "streaming-saddle": (
+            lambda: make_streaming_saddle_problem(6, -1.0, seed=4, radius=1.5),
+            {"U": 80},
+            259667370251088,
+        ),
+    }
+
+    @pytest.mark.parametrize("family", SAMPLED)
+    def test_no_anchor_below_n_or_on_a_stream(self, family):
+        make, overrides, grads_total = self.SAMPLED[family]
+        prob = make()
+        cfg = configure(prob, 1e-3, 0.1, order=2, overrides=overrides)
+        assert prob.n is None or cfg.schedule.B0 < prob.n
+        out, epochs = anchored_run(prob, cfg, 5)
+        assert len(epochs) > 10
+        assert all(anchor is None for _, anchor, _ in epochs)
+        assert out.grads_total == grads_total
+
+
 class TestClassifyPoint:
     def test_saddle_origin(self):
         prob = make_saddle_problem(4, 8, -1.0, seed=11)
@@ -722,6 +813,17 @@ class TestClassifyPoint:
         prob = make_quadratic_problem(np.eye(3), 4, seed=3, noise=0.05)
         z = 1e-3 * rng.standard_normal(3)
         assert classify_point(prob, z, eps=1.0, eps_H=1.0).is_sosp
+
+    @pytest.mark.parametrize("make", [
+        lambda: make_saddle_problem(4, 8, -1.0, seed=11),
+        lambda: make_streaming_saddle_problem(4, -1.0, seed=11),
+    ])
+    def test_saddle_families_build_no_dense_hessian(self, make, monkeypatch):
+        prob = make()
+        core = getattr(prob, "core", prob)
+        monkeypatch.setattr(core, "hessian", lambda x: pytest.fail("dense Hessian built"))
+        x = np.array([0.0, 0.5, 0.0, 0.0])
+        assert classify_point(prob, x, eps=0.5, eps_H=0.5).lambda_min == -1.0
 
     def test_never_charges(self):
         prob = make_saddle_problem(4, 8, -1.0, seed=13)

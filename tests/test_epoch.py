@@ -1,3 +1,4 @@
+from contextlib import nullcontext
 import dataclasses
 import hashlib
 import json
@@ -454,6 +455,69 @@ class TestRunEpoch:
             one_epoch(prob.x0, prob, sched, make_rng(29), GradCounter())
 
 
+class TestAnchor:
+    """An epoch given its level-0 anchor, as the driver passes its gradient
+    test's population gradient on a finite sum with B0 = n."""
+
+    FAMILIES = {
+        "saddle": lambda: make_saddle_problem(6, 64, -1.0, seed=5),
+        "regularized": lambda: make_regularized_problem(5, 64, seed=5),
+    }
+
+    def case(self, family):
+        """A recording copy of the family at B0 = n, a start point and its
+        anchor, the population gradient there."""
+        prob = recording(self.FAMILIES[family]())
+        sched = clamp_schedule(derive_schedule(64, M=6.0 * prob.smoothness.L1), prob.n)
+        assert sched.B0 == prob.n
+        x0 = np.full(prob.dim, 0.3)
+        anchor = prob.sample_batch_grad(x0, prob.n, make_rng(0))
+        prob.steps.clear()
+        prob.batches.clear()
+        return prob, sched, x0, anchor
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_zero_length_charges_nothing_and_calls_no_oracle(self, family):
+        prob, sched, x0, anchor = self.case(family)
+        counter = GradCounter()
+        with fixed_length(0):
+            res = one_epoch(x0, prob, sched, make_rng(1), counter, anchor=anchor)
+        assert res.T == 0 and res.grads_used == 0 and counter.count == 0
+        assert res.x_out.tobytes() == x0.tobytes()
+        assert prob.steps == [] and prob.batches == []
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("length", [1, 2, 8, 9, 19, 64, None])
+    def test_anchor_keeps_the_epoch_and_saves_B0(self, family, length):
+        # None: the length is drawn, from the same generator state
+        prob, sched, x0, anchor = self.case(family)
+        plain_rng, anchored_rng = make_rng(length or 7), make_rng(length or 7)
+        draw = nullcontext() if length is None else fixed_length(length)
+        counter = GradCounter()
+        with draw:
+            plain = one_epoch(x0, prob, sched, plain_rng, GradCounter())
+            plain_steps = prob.steps[:]
+            prob.steps.clear()
+            anchored = one_epoch(x0, prob, sched, anchored_rng, counter, anchor=anchor)
+        assert anchored.T == plain.T >= 1
+        assert anchored.x_out.tobytes() == plain.x_out.tobytes()
+        assert generator_state(anchored_rng) == generator_state(plain_rng)
+        # the one call left out is the first step's anchor, at x0
+        assert plain_steps[0][0].tobytes() == x0.tobytes() and plain_steps[0][1] is None
+        assert plain_steps[0][3].tobytes() == anchor.tobytes()
+        assert [x.tobytes() for x, *_ in prob.steps] == [x.tobytes() for x, *_ in plain_steps[1:]]
+        assert anchored.grads_used == counter.count == sched.epoch_charge(plain.T) - sched.B0
+        assert plain.grads_used - anchored.grads_used == sched.B0
+
+    def test_first_step_reads_the_anchor(self):
+        # a zero anchor at x0 makes the first step's direction zero
+        prob, sched, x0, anchor = self.case("saddle")
+        with fixed_length(1):
+            res = one_epoch(x0, prob, sched, make_rng(3), GradCounter(), anchor=np.zeros_like(anchor))
+        assert res.x_out.tobytes() == x0.tobytes()
+        assert prob.steps == []
+
+
 class TestReferenceBinding:
     """An epoch binds each reference once per refresh, and the saddle
     families evaluate its gradient then: one exact gradient per step, at its
@@ -624,7 +688,7 @@ class TestEpochToLog:
         length = {"empty": 0, "one-step": 1, "two-sweeps": 2 * L, "inside-a-run": 2 * L + 2 * T_K - 1}[stop]
         log = ExtendOnlyLog()
         with fixed_length(length):
-            res = run_epoch(prob.x0, prob, sched, make_rng(B0), GradCounter(), log)
+            res = run_epoch(prob.x0, prob, sched, make_rng(B0), GradCounter(), log, None)
         assert [len(c) for c in log.calls] == [min(T_K, length - t) for t in range(0, length, T_K)]
         # x_1 .. x_T, in order
         iterates = [x for x, *_ in prob.steps[1:]] + [res.x_out] * bool(length)

@@ -548,6 +548,32 @@ def quartic_min_value(prob):
     return -float((neg**2).sum()) / (16.0 * prob.quartic)
 
 
+#: a small problem of each family at ``dim``, for the verification oracles
+VERIFY_BUILDERS = {
+    "saddle": lambda dim, seed: make_saddle_problem(dim, 8, -1.0, seed=seed),
+    "streaming-saddle": lambda dim, seed: make_streaming_saddle_problem(dim, -1.0, seed=seed),
+    "regularized": lambda dim, seed: make_regularized_problem(dim, 8, seed=seed),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    family=st.sampled_from(sorted(VERIFY_BUILDERS)),
+    dim=st.integers(min_value=2, max_value=48),
+    seed=st.integers(min_value=0, max_value=2**16),
+    scale=st.floats(min_value=0.0, max_value=1.0),
+)
+@example(family="saddle", dim=10, seed=0, scale=0.0)
+def test_lambda_min_is_the_dense_least_eigenvalue(family, dim, seed, scale):
+    # the saddle families read it off their diagonal, bit for bit the dense
+    # eigensolve's value at any point of the ball; the others solve
+    assert set(VERIFY_BUILDERS) == set(FAMILIES)
+    prob = VERIFY_BUILDERS[family](dim, seed)
+    u = make_rng(seed).standard_normal(dim)
+    x = prob.x0 + 2.0 * scale * u / np.linalg.norm(u)
+    assert prob.lambda_min(x) == float(np.linalg.eigvalsh(prob.hessian(x)).min())
+
+
 #: valid factory arguments of each family, one of which a case replaces
 FACTORY_ARGUMENTS = {
     "saddle": {"dim": 4, "n": 8, "negative_eigenvalue": -1.0},
@@ -577,6 +603,15 @@ FACTORY_ARGUMENTS = {
         ("streaming-saddle", "dim", 1),
         ("regularized", "dim", 0),
         ("regularized", "n", 1),
+        # counts that are not integers, which numpy would refuse without
+        # naming them
+        *[
+            (family, name, value)
+            for family in ("saddle", "streaming-saddle", "regularized")
+            for name in ("dim", "n")
+            if name in FACTORY_ARGUMENTS[family]
+            for value in (2.5, 4.0, True)
+        ],
     ],
 )
 def test_factories_reject_what_configs_reject(family, name, value):
@@ -597,6 +632,24 @@ def test_factories_reject_what_configs_reject(family, name, value):
             FAMILIES[family].factory(seed=0, **arguments)
     assert type(factory_error.value) is ValueError
     assert f"problem.{factory_error.value}" == str(config_error.value)
+
+
+def test_count_types_are_checked_first_and_numpy_integers_pass():
+    # the order of a config's checks: a count's type before any constant
+    with pytest.raises(ValueError, match=r"^n: expected an integer, got 2\.5$"):
+        make_saddle_problem(4, 2.5, -1.0, seed=0, noise=-1.0, radius=0.0)
+    with pytest.raises(ValueError, match=r"^dim: expected an integer, got 4\.0$"):
+        make_streaming_saddle_problem(4.0, math.inf, seed=0)
+    for make in (
+        lambda dim, n: make_saddle_problem(dim, n, -1.0, seed=0),
+        lambda dim, n: make_regularized_problem(dim, n, seed=0),
+    ):
+        plain, numpy_counts = make(4, 8), make(np.int64(4), np.int32(8))
+        assert (plain.dim, plain.n) == (numpy_counts.dim, numpy_counts.n)
+        x = np.full(4, 0.3)
+        grads = [prob.sample_batch_grad(x, 8, None).tobytes() for prob in (plain, numpy_counts)]
+        assert grads[0] == grads[1]
+    assert make_streaming_saddle_problem(np.int16(4), -1.0, seed=0).dim == 4
 
 
 @pytest.mark.parametrize("noise", [1e155, 1e200])

@@ -25,12 +25,12 @@ RUNS = {
     "saddle": (
         {"family": "saddle", "dim": 10, "n": 256, "negative_eigenvalue": -1.0, "radius": 1.5},
         ALGORITHM,
-        "5b8c64395a47b1718606c1d9b0d74844f779c2bbf7b19012e36f8fa5ccdb3ed2",
+        "bf535e0b0905a4a11dd96afafe31754e36c184e85c92196d272cf0ebd2c0c6c8",
     ),
     "regularized": (
         {"family": "regularized", "dim": 20, "n": 400},
         ALGORITHM,
-        "d7092e04419fb735bd3405522f4687789f54eacda13f21d745c9e5b9beefbb1b",
+        "1993a985c5b569c4b255c0cd8960aa233b6b0a603d609faeffe9be7292ed0778",
     ),
     "streaming-saddle": (
         {"family": "streaming-saddle", "dim": 10, "negative_eigenvalue": -1.0, "radius": 1.5},
@@ -42,7 +42,7 @@ RUNS = {
     "regularized-subsampled": (
         {"family": "regularized", "dim": 60, "n": 3000},
         {"smoothness_order": 2, "eps": 3e-3, "eps_H": 0.3, "overrides": {"U": 400}},
-        "1b8f1c8dfbb85e4c1db52b6eac59fddad633a40881776775d97d0c6e6942a411",
+        "f4c4f874bd63f5eb3939a4c9c3480cfc130168fa671d229b43c30ec9f7f8d1a6",
     ),
 }
 

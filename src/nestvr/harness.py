@@ -4,8 +4,7 @@ a numeric verification suite, and the command-line front end.
 Config documents are a single JSON object::
 
     {
-      "problem": {"family": "saddle", "dim": 10, "n": 256,
-                  "negative_eigenvalue": -1.0, "noise": 0.1, "seed": 7},
+      "problem": {"family": "saddle", "dim": 10, "n": 256, "seed": 7},
       "algorithm": {"smoothness_order": 2, "eps": 1e-3, "eps_H": 0.1,
                     "overrides": {"U": 500}},
       "trials": 4,
@@ -90,32 +89,32 @@ def _check_number(path: str, value: object, integer: bool) -> None:
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """A config's problem fields.  Their JSON types and the seed are checked
-    here, and their values by the family's own :func:`check_problem`, whose
-    message a ConfigError repeats under the ``problem.`` path."""
+    """A config's problem: its ``family``, ``dim``, ``seed`` and ``values``,
+    the family's fields (:attr:`~nestvr.problems.Family.fields`), where the
+    table's default fills in each field a config leaves out.  Their JSON
+    types and the seed are checked here, the counts first (``dim``, ``n``,
+    ``seed``), then the constants in table order, and their values by the
+    family's own :func:`check_problem`, whose message a ConfigError repeats
+    under the ``problem.`` path."""
 
     family: str
     dim: int
-    n: int | None = None
-    negative_eigenvalue: float = -1.0
-    noise: float = 0.1
-    quartic: float = 0.25
-    radius: float = 2.0
     seed: int | None = None
+    values: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         families = list(FAMILIES)
         if self.family not in families:
             raise ConfigError(f"problem.family: {self.family!r} not one of {families}")
-        for name in ("dim", "n", "seed", "negative_eigenvalue", "noise", "quartic", "radius"):
-            value = getattr(self, name)
+        object.__setattr__(self, "values", {**FAMILIES[self.family].fields, **self.values})
+        # a family's n takes the place of the None here, between dim and seed
+        for name, value in {"dim": self.dim, "n": None, "seed": self.seed, **self.values}.items():
             if value is not None or name not in ("n", "seed"):  # only these may be absent
                 _check_number(f"problem.{name}", value, integer=name in ("dim", "n", "seed"))
         if self.seed is not None and self.seed < 0:
             raise ConfigError(f"problem.seed: must be >= 0, got {self.seed}")
         try:
-            check_problem(self.family, dim=self.dim, n=self.n, noise=self.noise, quartic=self.quartic,
-                          radius=self.radius, negative_eigenvalue=self.negative_eigenvalue)
+            check_problem(self.family, dim=self.dim, **self.values)
         except ValueError as exc:
             raise ConfigError(f"problem.{exc}") from None
 
@@ -179,13 +178,14 @@ def parse_config(doc: dict) -> ExperimentConfig:
         if ignored:
             paths = ", ".join(f"problem.{key}" for key in ignored)
             raise ConfigError(f"{paths}: not used by family {family!r}")
+    values = {key: value for key, value in p.items() if key not in ("family", "dim", "seed")}
     a = doc["algorithm"]
     _require_keys(a, "algorithm", {"smoothness_order", "eps", "eps_H"}, {"mode", "overrides"})
     overrides = a.get("overrides", {})
     if not isinstance(overrides, dict):
         raise ConfigError("algorithm.overrides: expected an object")
     config = ExperimentConfig(
-        problem=ProblemSpec(**p),
+        problem=ProblemSpec(family, p["dim"], p.get("seed"), values),
         algorithm=AlgorithmSpec(
             smoothness_order=a["smoothness_order"],
             eps=a["eps"],
@@ -200,7 +200,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if fam.is_finite_sum and "B0" not in overrides:
         # the derived base batch is n, which must meet B0's minimum
         try:
-            drv.check_override("B0", config.problem.n, "problem.n")
+            drv.check_override("B0", config.problem.values["n"], "problem.n")
         except ValueError as exc:
             raise ConfigError(
                 f"{exc}; it is the base batch unless algorithm.overrides.B0 is set"
@@ -257,10 +257,7 @@ def load_point(path: str | Path, dim: int) -> np.ndarray:
 
 def build_problem(spec: ProblemSpec, default_seed: int) -> Problem:
     seed = spec.seed if spec.seed is not None else default_seed
-    family = FAMILIES[spec.family]
-    return family.factory(
-        dim=spec.dim, seed=seed, **{name: getattr(spec, name) for name in family.fields}
-    )
+    return FAMILIES[spec.family].factory(dim=spec.dim, seed=seed, **spec.values)
 
 
 # kept by name: perfbench's set-up timing (time_setup) calls it

@@ -342,6 +342,8 @@ class _LinearNoiseProblem(FiniteSumProblem):
         gy = grad(np.asarray(y, dtype=float))
 
         def diff(x: Array, size: int, rng: np.random.Generator) -> Array:
+            if type(size) is not int:  # exact ints skip the check
+                _check_size(size)
             if not 1 <= size <= n:
                 raise ValueError(f"batch size must lie in 1..{n}, got {size}")
             return grad(x) - gy
@@ -413,6 +415,10 @@ _CONSTANT_RULES = (
     ("radius", "positive", lambda v: v > 0.0),
 )
 
+#: the saddle families' constants, each with its default: their fields in
+#: :data:`FAMILIES` and their factories' keyword defaults
+_SADDLE = {"negative_eigenvalue": -1.0, "noise": 0.1, "quartic": 0.25, "radius": 2.0}
+
 
 def check_problem(family: str, **values: float) -> None:
     """Reject the ``values`` of a problem of ``family``, a key of
@@ -446,9 +452,9 @@ def make_saddle_problem(
     negative_eigenvalue: float,
     seed: int | np.random.SeedSequence,
     *,
-    quartic: float = 0.25,
-    radius: float = 2.0,
-    noise: float = 0.1,
+    quartic: float = _SADDLE["quartic"],
+    radius: float = _SADDLE["radius"],
+    noise: float = _SADDLE["noise"],
 ) -> FiniteSumProblem:
     """Finite-sum objective with a strict saddle at the start point x0 = 0.
 
@@ -460,10 +466,15 @@ def make_saddle_problem(
     """
     check_problem("saddle", dim=dim, n=n, negative_eigenvalue=negative_eigenvalue, noise=noise,
                   quartic=quartic, radius=radius)
+    return _saddle(dim, n, negative_eigenvalue, seed, quartic, radius, noise)
+
+
+def _saddle(dim: int, n: int, negative_eigenvalue: float, seed: int | np.random.SeedSequence,
+            quartic: float, radius: float, noise: float) -> _SeparableQuarticProblem:
+    """The saddle of :func:`make_saddle_problem`, from values already checked."""
     diag = np.ones(dim)
     diag[-1] = negative_eigenvalue
-    rows = _zero_sum_noise(n, dim, noise, seed)
-    return _SeparableQuarticProblem(diag, quartic, rows, radius)
+    return _SeparableQuarticProblem(diag, quartic, _zero_sum_noise(n, dim, noise, seed), radius)
 
 
 #: bytes of design rows a subsampled regularized batch gathers at a time:
@@ -672,6 +683,8 @@ class AdditiveNoiseStreamingProblem(Problem):
         n, core_diff = self.core.n, self.core.difference_from(y)
 
         def diff(x: Array, size: int, rng: np.random.Generator) -> Array:
+            if type(size) is not int:  # exact ints skip the check
+                _check_size(size)
             if size < 1:
                 raise ValueError(f"batch size must be >= 1, got {size}")
             return core_diff(x, n, rng)
@@ -693,33 +706,34 @@ def make_streaming_saddle_problem(
     negative_eigenvalue: float,
     seed: int | np.random.SeedSequence,
     *,
-    quartic: float = 0.25,
-    radius: float = 2.0,
-    noise: float = 0.1,
+    quartic: float = _SADDLE["quartic"],
+    radius: float = _SADDLE["radius"],
+    noise: float = _SADDLE["noise"],
 ) -> Problem:
     """Streaming counterpart of :func:`make_saddle_problem`, its values
-    checked as a config's are (:func:`check_problem`) before its noiseless
-    core checks its own."""
+    checked as a config's are (:func:`check_problem`), once: its noiseless
+    core is one zero row, which draws nothing."""
     check_problem("streaming-saddle", dim=dim, negative_eigenvalue=negative_eigenvalue, noise=noise,
                   quartic=quartic, radius=radius)
-    core = make_saddle_problem(
-        dim, 1, negative_eigenvalue, seed, quartic=quartic, radius=radius, noise=0.0
-    )
+    core = _saddle(dim, 1, negative_eigenvalue, seed, quartic, radius, 0.0)
     return AdditiveNoiseStreamingProblem(core, noise)
 
 
 @dataclass(frozen=True)
 class Family:
-    """How one problem family is built and checked, declared once: ``factory``
-    takes ``dim``, ``seed`` and each of ``fields`` as keywords, and the family
-    reads ``n`` exactly when it is a finite sum.  ``minimums`` holds the least
+    """How one problem family is built and checked, declared once: ``fields``
+    maps each problem field the family reads, other than ``dim`` and
+    ``seed``, to its default, None where it has none (``n``); a config that
+    leaves a field out reads that default, and a config that sets a problem
+    field outside ``fields``, other than ``family``, ``dim`` and ``seed``, is
+    rejected.  ``factory`` takes ``dim``, ``seed`` and each field as
+    keywords, with the same defaults where it has any, and the family reads
+    ``n`` exactly when it is a finite sum.  ``minimums`` holds the least
     ``dim`` and, on a finite sum, the least ``n``, which :func:`check_problem`
-    applies both to the factory's arguments and to a config's fields.  A
-    config that sets a problem field outside ``fields``, other than
-    ``family``, ``dim`` and ``seed``, is rejected."""
+    applies both to the factory's arguments and to a config's fields."""
 
     factory: Callable[..., Problem]
-    fields: tuple[str, ...]
+    fields: dict[str, float | None]
     minimums: dict[str, int]
 
     @property
@@ -729,15 +743,9 @@ class Family:
 
 
 FAMILIES = {
-    "saddle": Family(
-        make_saddle_problem, ("n", "negative_eigenvalue", "noise", "quartic", "radius"),
-        {"dim": 2, "n": 1},
-    ),
-    "regularized": Family(make_regularized_problem, ("n",), {"dim": 1, "n": 2}),
-    "streaming-saddle": Family(
-        make_streaming_saddle_problem, ("negative_eigenvalue", "noise", "quartic", "radius"),
-        {"dim": 2},
-    ),
+    "saddle": Family(make_saddle_problem, {"n": None, **_SADDLE}, {"dim": 2, "n": 1}),
+    "regularized": Family(make_regularized_problem, {"n": None}, {"dim": 1, "n": 2}),
+    "streaming-saddle": Family(make_streaming_saddle_problem, _SADDLE, {"dim": 2}),
 }
 
 

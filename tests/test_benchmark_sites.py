@@ -1,31 +1,46 @@
 """The traced benchmark (perfbench/spans.py) wraps nestvr call sites by name and
-reads batch sizes by argument position; these tests pin those sites, so a
-refactor that would break the traced benchmark fails here first."""
+reads batch sizes by argument position, and every benchmark run times its
+workload's set-up (perfbench/workload.py); these tests pin those sites and
+run that set-up, so a refactor that would break the benchmark fails here
+first."""
 
 import importlib
 import importlib.util
 import inspect
 from pathlib import Path
+import sys
 
 import numpy as np
 import pytest
 
-from nestvr import ncfinder
+from nestvr import harness, ncfinder
 from nestvr.harness import FAMILIES, build_problem, parse_config
 
-SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_spans():
-    """perfbench/spans.py as a module, compiled in memory so that nothing is
-    written beside it."""
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
+def load_perfbench(name: str, **imports):
+    """perfbench/<name>.py as a module, compiled in memory so that nothing is
+    written beside it.  For the exec alone, the module is registered under
+    its own name, which its dataclasses look up, and each of ``imports``
+    under its name, by which the module imports it as a sibling file."""
+    path = PERFBENCH / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
-    exec(spec.loader.source_to_code(SPANS_PATH.read_bytes(), str(SPANS_PATH)), module.__dict__)
+    imports[spec.name] = module
+    saved = {key: sys.modules[key] for key in imports if key in sys.modules}
+    sys.modules.update(imports)
+    try:
+        exec(spec.loader.source_to_code(path.read_bytes(), str(path)), module.__dict__)
+    finally:
+        for key in imports:
+            del sys.modules[key]
+        sys.modules.update(saved)
     return module
 
 
-spans = load_spans()
+spans = load_perfbench("spans")
+workload = load_perfbench("workload", spans=spans)
 
 
 @pytest.mark.parametrize("module,attr,name", spans.MODULE_SITES)
@@ -69,3 +84,12 @@ def test_oracle_batch_positions(family):
 
 def test_hvp_batch_is_fifth_argument():
     assert list(inspect.signature(ncfinder.hvp_estimate).parameters)[4] == "batch"
+
+
+@pytest.mark.parametrize("name", list(workload.WORKLOADS))
+def test_workload_setup_runs(name):
+    # the set-up the benchmark times as setup_s, once, on the workload's own
+    # config: a change that breaks it leaves the benchmark no run to time
+    config = parse_config(workload.config_doc(workload.WORKLOADS[name], 1, 0))
+    times = workload.time_setup(harness, config, 0)
+    assert len(times) == 1 and times[0] > 0

@@ -272,7 +272,8 @@ class TestStrictProblemFields:
         # every field the family does read is accepted and lands on the spec
         doc = {"family": family, "dim": 4, "seed": 3, **{k: value[k] for k in FAMILIES[family].fields}}
         cfg = parse_config(with_problem(doc))
-        assert {key: getattr(cfg.problem, key) for key in doc} == doc
+        spec = cfg.problem
+        assert {"family": spec.family, "dim": spec.dim, "seed": spec.seed, **spec.values} == doc
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,6 @@
 import copy
 from fractions import Fraction
+import inspect
 import math
 import os
 from pathlib import Path
@@ -27,8 +28,13 @@ from nestvr import (
     sample_indices_without_replacement,
     spawn_rngs,
 )
-from nestvr.harness import ConfigError, parse_config
-from nestvr.problems import FAMILIES, _RegularizedLeastSquaresProblem, subsample_variance_report
+from nestvr.harness import ConfigError, build_problem, parse_config
+from nestvr.problems import (
+    _CONSTANT_RULES,
+    FAMILIES,
+    _RegularizedLeastSquaresProblem,
+    subsample_variance_report,
+)
 
 
 def test_smoothness_spec_rejects_nonpositive():
@@ -634,6 +640,44 @@ def test_factories_reject_what_configs_reject(family, name, value):
     assert f"problem.{factory_error.value}" == str(config_error.value)
 
 
+#: each family built by its factory from literal defaults: negative_eigenvalue
+#: -1.0, and the factory's own keyword defaults for the rest
+LITERAL_DEFAULT_BUILDS = {
+    "saddle": lambda: make_saddle_problem(4, 8, -1.0, seed=5),
+    "regularized": lambda: make_regularized_problem(4, 8, seed=5),
+    "streaming-saddle": lambda: make_streaming_saddle_problem(4, -1.0, seed=5),
+}
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_table_declares_the_factory_fields_and_defaults(family):
+    # the table names each field and its default once: the factory takes
+    # exactly those fields beside dim and seed, with the table's defaults,
+    # and its constants come in the order a config checks them
+    fam = FAMILIES[family]
+    parameters = inspect.signature(fam.factory).parameters
+    assert set(parameters) - {"dim", "seed"} == set(fam.fields)
+    for name, parameter in parameters.items():
+        if parameter.default is not parameter.empty:
+            assert parameter.default == fam.fields[name], name
+    constants = [name for name, _, _ in _CONSTANT_RULES if name in fam.fields]
+    assert [name for name in fam.fields if name != "n"] == constants
+    # a config that leaves out every optional field builds the same problem
+    counts = {"dim": 4, "n": 8} if fam.is_finite_sum else {"dim": 4}
+    doc = {
+        "problem": {"family": family, **counts, "seed": 5},
+        "algorithm": {"smoothness_order": 2, "eps": 1e-3, "eps_H": 0.1},
+        "trials": 1,
+        "seed": 0,
+    }
+    cfg = parse_config(doc)
+    from_config, direct = build_problem(cfg.problem, cfg.seed), LITERAL_DEFAULT_BUILDS[family]()
+    assert from_config.smoothness == direct.smoothness
+    for x in (np.zeros(4), np.linspace(-0.7, 0.9, 4)):
+        assert from_config.value(x) == direct.value(x)
+        assert from_config.hessian(x).tobytes() == direct.hessian(x).tobytes()
+
+
 def test_count_types_are_checked_first_and_numpy_integers_pass():
     # the order of a config's checks: a count's type before any constant
     with pytest.raises(ValueError, match=r"^n: expected an integer, got 2\.5$"):
@@ -673,6 +717,16 @@ SIZED_DRAWS = {
         3, -1.0, seed=0
     ).sample_batch_grad(np.ones(3), size, rng),
     "sampler": lambda size, rng: sample_indices_without_replacement(4, size, rng),
+    # bound differences, from the reference 0 to the point 1
+    "saddle-difference": lambda size, rng: make_saddle_problem(3, 4, -1.0, seed=0).difference_from(
+        np.zeros(3)
+    )(np.ones(3), size, rng),
+    "regularized-difference": lambda size, rng: make_regularized_problem(
+        3, 4, seed=0
+    ).difference_from(np.zeros(3))(np.ones(3), size, rng),
+    "streaming-saddle-difference": lambda size, rng: make_streaming_saddle_problem(
+        3, -1.0, seed=0
+    ).difference_from(np.zeros(3))(np.ones(3), size, rng),
 }
 
 

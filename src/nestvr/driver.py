@@ -14,14 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 import math
-import numbers
 import time
 
 import numpy as np
 
 from .epoch import BallLog, run_epoch
 from .ncfinder import find_nc_direction
-from .problems import Array, GradCounter, Problem
+from .problems import Array, GradCounter, Problem, is_number
 from .schedule import NestedSchedule, clamp_schedule, derive_schedule
 
 # one search under both names that perfbench/spans.py wraps
@@ -136,8 +135,7 @@ def check_override(key: str, value: object, path: str | None = None) -> int | fl
     ``U >= 1``), and reals positive and finite."""
     path = path or f"overrides.{key}"
     integer = OVERRIDE_KEYS[key] is int
-    kinds = numbers.Integral if integer else numbers.Real
-    if isinstance(value, bool) or not isinstance(value, kinds):
+    if not is_number(value, integer):
         kind = "an integer" if integer else "a number"
         raise ValueError(f"{path}: expected {kind}, got {value!r}")
     if integer:
@@ -147,6 +145,28 @@ def check_override(key: str, value: object, path: str | None = None) -> int | fl
     if not (math.isfinite(value) and value > 0):
         raise ValueError(f"{path}: must be positive and finite, got {value}")
     return float(value)
+
+
+def check_algorithm(smoothness_order: int, eps: float, eps_H: float, overrides: dict) -> dict:
+    """The checked ``overrides``, in :data:`OVERRIDE_KEYS` order, after the
+    rules of an algorithm's inputs: ``smoothness_order`` is an integer, 2 or
+    3; ``eps`` and ``eps_H`` are numbers in (0, 1) (NaN is not); each
+    override key is known and its value passes :func:`check_override`.  A
+    bool is neither an integer nor a number.  The ``ValueError`` is a
+    config's message without its ``algorithm.`` path."""
+    if not is_number(smoothness_order, integer=True):
+        raise ValueError(f"smoothness_order: expected an integer, got {smoothness_order!r}")
+    if smoothness_order not in (2, 3):
+        raise ValueError(f"smoothness_order: must be 2 or 3, got {smoothness_order}")
+    for name, value in (("eps", eps), ("eps_H", eps_H)):
+        if not is_number(value, integer=False):
+            raise ValueError(f"{name}: expected a number, got {value!r}")
+        if not 0.0 < value < 1.0:  # NaN fails too
+            raise ValueError(f"{name}: must lie in (0, 1), got {value}")
+    unknown = set(overrides) - set(OVERRIDE_KEYS)
+    if unknown:
+        raise ValueError(f"overrides: unknown keys {sorted(unknown)}")
+    return {key: check_override(key, overrides[key]) for key in OVERRIDE_KEYS if key in overrides}
 
 
 def _positive_finite(name: str, value: float) -> float:
@@ -176,17 +196,16 @@ def configure(
     eta = eps_H / L2 at order 2.  At order 3 it is sqrt(3 eps_H / L3) on a
     finite sum and sqrt(eps_H / L3) on a stream: the larger step that the
     extra smoothness buys.  ``overrides`` replace the derived ``B0``, ``U``,
-    ``M`` or ``eta`` (checked by :func:`check_override`), and each replaced
-    value stays recorded in ``derived``.  The schedule is clamped at ``n``.
-    ``eps`` and ``eps_H`` must lie in (0, 1), checked before any formula.
+    ``M`` or ``eta``, and each replaced value stays recorded in ``derived``.
+    The schedule is clamped at ``n``.  Before any formula, the order,
+    ``eps``, ``eps_H`` and ``overrides`` are checked by
+    :func:`check_algorithm`, whose message is a config's without its
+    ``algorithm.`` path.
     A value that a constant at the edge of the float range takes to 0 or to
     infinity (the powers c and g, eps^2, ``B0`` or ``U``) is a ValueError that
     names it, with or without overrides.
     """
-    if isinstance(order, bool) or not isinstance(order, numbers.Integral) or order not in (2, 3):
-        raise ValueError(f"order: must be 2 or 3, got {order!r}")
-    if not (0.0 < eps < 1.0 and 0.0 < eps_H < 1.0):  # NaN fails too
-        raise ValueError(f"eps and eps_H must lie in (0, 1), got eps={eps!r}, eps_H={eps_H!r}")
+    checked = check_algorithm(order, eps, eps_H, overrides or {})
     s = problem.smoothness
     finite = problem.is_finite_sum
     if order == 2:
@@ -219,15 +238,8 @@ def configure(
         U = u * s.delta_F * c / g + 96.0 * C1 * rho * s.delta_F * s.L1 / (math.sqrt(B0) * eps**2)
     U = max(1, math.ceil(_positive_finite("U", U)))
     values: dict[str, float] = {"B0": B0, "U": U, "M": M, "eta": eta}
-    derived: dict[str, float] = {}
-    if overrides:
-        unknown = set(overrides) - set(OVERRIDE_KEYS)
-        if unknown:
-            raise ValueError(f"unknown override keys: {sorted(unknown)}")
-        for key in OVERRIDE_KEYS:
-            if key in overrides:
-                derived[key] = values[key]
-                values[key] = check_override(key, overrides[key])
+    derived = {key: values[key] for key in checked}
+    values.update(checked)
     schedule = clamp_schedule(derive_schedule(values["B0"], values["M"]), problem.n)
     return DriverConfig(
         eps=eps,
@@ -266,7 +278,8 @@ def run_driver(problem: Problem, config: DriverConfig, rng: np.random.Generator)
     batch, and a finite sum's with B0 < n, is no anchor: the first would
     pick the anchor by its own norm, and the second is not the B0-sample
     mean the epoch needs, so such epochs sample their own.  A non-finite
-    measured gradient or iterate ends the run as diverged.  ``out_of_domain``
+    measured gradient or iterate, or a probe whose Rayleigh estimate is not
+    finite, ends the run as diverged.  ``out_of_domain``
     is set when an epoch iterate or an escape step leaves the certified ball
     (:meth:`Problem.outside_ball`).  Every point the run visits goes into one
     :class:`BallLog`, which keeps them in a list and checks them a stack at a
@@ -316,6 +329,8 @@ def run_driver(problem: Problem, config: DriverConfig, rng: np.random.Generator)
         else:
             nc = probe(problem, z, config.eps_H, nc_delta, rng, counter)
             trace.add("nc-probe", u, counter.count, f_value=f_z, rayleigh=nc.rayleigh_estimate)
+            if not math.isfinite(nc.rayleigh_estimate):  # neither abstention nor a certificate
+                return finish(STATUS_DIVERGED, u, gnorm)
             if nc.is_bottom:
                 return finish(STATUS_CERTIFIED, u, gnorm, rayleigh=nc.rayleigh_estimate)
             z = nc_descent_step(z, nc.direction, config.eta, rng)

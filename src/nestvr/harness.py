@@ -48,6 +48,7 @@ from .problems import (
     GradCounter,
     Problem,
     check_problem,
+    is_number,
     make_regularized_problem,
     make_rng,
     spawn_rngs,
@@ -81,8 +82,7 @@ def _require_keys(obj: dict, path: str, required: set[str], optional: set[str]) 
 
 def _check_number(path: str, value: object, integer: bool) -> None:
     """Counts take JSON integers, reals any JSON number; booleans are neither."""
-    kinds = int if integer else (int, float)
-    if isinstance(value, bool) or not isinstance(value, kinds):
+    if not is_number(value, integer):
         kind = "an integer" if integer else "a number"
         raise ConfigError(f"{path}: expected {kind}, got {value!r}")
 
@@ -91,11 +91,11 @@ def _check_number(path: str, value: object, integer: bool) -> None:
 class ProblemSpec:
     """A config's problem: its ``family``, ``dim``, ``seed`` and ``values``,
     the family's fields (:attr:`~nestvr.problems.Family.fields`), where the
-    table's default fills in each field a config leaves out.  Their JSON
-    types and the seed are checked here, the counts first (``dim``, ``n``,
-    ``seed``), then the constants in table order, and their values by the
-    family's own :func:`check_problem`, whose message a ConfigError repeats
-    under the ``problem.`` path."""
+    table's default fills in each field a config leaves out.  A value whose
+    key is not one of the family's fields is rejected.  The ``seed``, which
+    a factory may also take as a ``SeedSequence``, is checked here; ``dim``
+    and the values are checked by :func:`check_problem` alone, whose message
+    a ConfigError repeats under the ``problem.`` path."""
 
     family: str
     dim: int
@@ -106,13 +106,16 @@ class ProblemSpec:
         families = list(FAMILIES)
         if self.family not in families:
             raise ConfigError(f"problem.family: {self.family!r} not one of {families}")
-        object.__setattr__(self, "values", {**FAMILIES[self.family].fields, **self.values})
-        # a family's n takes the place of the None here, between dim and seed
-        for name, value in {"dim": self.dim, "n": None, "seed": self.seed, **self.values}.items():
-            if value is not None or name not in ("n", "seed"):  # only these may be absent
-                _check_number(f"problem.{name}", value, integer=name in ("dim", "n", "seed"))
-        if self.seed is not None and self.seed < 0:
-            raise ConfigError(f"problem.seed: must be >= 0, got {self.seed}")
+        fields = FAMILIES[self.family].fields
+        ignored = sorted(set(self.values) - set(fields))
+        if ignored:
+            paths = ", ".join(f"problem.{key}" for key in ignored)
+            raise ConfigError(f"{paths}: not used by family {self.family!r}")
+        object.__setattr__(self, "values", {**fields, **self.values})
+        if self.seed is not None:
+            _check_number("problem.seed", self.seed, integer=True)
+            if self.seed < 0:
+                raise ConfigError(f"problem.seed: must be >= 0, got {self.seed}")
         try:
             check_problem(self.family, dim=self.dim, **self.values)
         except ValueError as exc:
@@ -121,29 +124,20 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class AlgorithmSpec:
+    """A config's algorithm, checked by :func:`~nestvr.driver.check_algorithm`
+    alone, whose message a ConfigError repeats under the ``algorithm.``
+    path."""
+
     smoothness_order: int
     eps: float
     eps_H: float
     overrides: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        _check_number("algorithm.smoothness_order", self.smoothness_order, integer=True)
-        if self.smoothness_order not in (2, 3):
-            raise ConfigError(
-                f"algorithm.smoothness_order: must be 2 or 3, got {self.smoothness_order}"
-            )
-        _check_number("algorithm.eps", self.eps, integer=False)
-        _check_number("algorithm.eps_H", self.eps_H, integer=False)
-        if not (0.0 < self.eps < 1.0 and 0.0 < self.eps_H < 1.0):
-            raise ConfigError("algorithm.eps/eps_H: must lie in (0, 1)")
-        unknown = set(self.overrides) - set(drv.OVERRIDE_KEYS)
-        if unknown:
-            raise ConfigError(f"algorithm.overrides: unknown keys {sorted(unknown)}")
-        for key, value in self.overrides.items():
-            try:
-                drv.check_override(key, value, f"algorithm.overrides.{key}")
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from None
+        try:
+            drv.check_algorithm(self.smoothness_order, self.eps, self.eps_H, self.overrides)
+        except ValueError as exc:
+            raise ConfigError(f"algorithm.{exc}") from None
 
 
 @dataclass(frozen=True)
@@ -170,14 +164,9 @@ class ExperimentConfig:
 def parse_config(doc: dict) -> ExperimentConfig:
     _require_keys(doc, "config", {"problem", "algorithm", "trials", "seed"}, {"out"})
     p = doc["problem"]
-    fields = {name for family in FAMILIES.values() for name in family.fields}
-    _require_keys(p, "problem", {"family", "dim"}, {*fields, "seed"})
+    # any other key is a family's field, or ProblemSpec's error
+    _require_keys(p, "problem", {"family", "dim"}, set(p) if isinstance(p, dict) else set())
     family = p["family"]
-    if family in list(FAMILIES):  # an unknown family is ProblemSpec's error
-        ignored = sorted(set(p) - {"family", "dim", "seed", *FAMILIES[family].fields})
-        if ignored:
-            paths = ", ".join(f"problem.{key}" for key in ignored)
-            raise ConfigError(f"{paths}: not used by family {family!r}")
     values = {key: value for key, value in p.items() if key not in ("family", "dim", "seed")}
     a = doc["algorithm"]
     _require_keys(a, "algorithm", {"smoothness_order", "eps", "eps_H"}, {"mode", "overrides"})
@@ -594,8 +583,11 @@ def cli_main(argv: list[str] | None = None) -> int:
                 raise ConfigError("no output directory: set 'out' in the config or pass --out")
             results = run_experiment(config)
             path = write_trace(results, out_dir)
-            certified = sum(1 for r in results if r.outcome.status == drv.STATUS_CERTIFIED)
-            print(f"{len(results)} trials ({certified} certified) -> {path}")
+            statuses = [r.outcome.status for r in results]
+            diverged = statuses.count(drv.STATUS_DIVERGED)
+            tally = f"{statuses.count(drv.STATUS_CERTIFIED)} certified"
+            tally += f", {diverged} diverged" if diverged else ""
+            print(f"{len(results)} trials ({tally}) -> {path}")
             return 0
 
         if args.command == "verify":

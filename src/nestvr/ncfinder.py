@@ -44,7 +44,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import math
-import numbers
 
 import numpy as np
 
@@ -53,6 +52,7 @@ from .problems import (
     FiniteSumProblem,
     GradCounter,
     Problem,
+    is_number,
 )
 
 #: a Lanczos residual at most this fraction of max(1, |alpha_k|) ends the
@@ -106,7 +106,7 @@ def hvp_estimate(
     v = np.asarray(v, dtype=float)
     if not abs(float(np.linalg.norm(v)) - 1.0) <= 1e-6:
         raise ValueError("direction must be unit norm")
-    if isinstance(batch, bool) or not (isinstance(batch, numbers.Integral) and batch >= 1):
+    if not (is_number(batch, integer=True) and batch >= 1):
         raise ValueError(f"batch must be a sample size >= 1, got {batch!r}")
     z = np.asarray(z, dtype=float)
     diff = problem.sample_batch_grad_diff(z + q * v, z, batch, rng)
@@ -207,7 +207,8 @@ def find_nc_direction(
     assume exact paired differences.
 
     A Ritz vector that fails its certificate is not measured again until
-    another Ritz value crosses the bar."""
+    another Ritz value crosses the bar.  A step whose product is not finite
+    ends the search with no direction and a NaN ``rayleigh_estimate``."""
     for name, value in (("eps_H", eps_H), ("delta", delta)):
         if not 0.0 < value < 1.0:  # NaN fails too
             raise ValueError(f"{name} must lie in (0, 1), got {value}")
@@ -242,6 +243,10 @@ def find_nc_direction(
         for _ in range(2):
             w -= V.T @ (V @ w)
         b = float(np.linalg.norm(w))
+        if not math.isfinite(a + b):  # a non-finite product: no Ritz value to trust
+            return NCResult(
+                direction=None, rayleigh_estimate=math.nan, grads_used=counter.count - start_count
+            )
         alpha[k], beta[k] = a, b
         if below > tried:
             tried = below

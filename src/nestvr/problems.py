@@ -234,21 +234,32 @@ def sample_indices_without_replacement(n: int, m: int, rng: np.random.Generator)
     Deterministic given the generator state.  Callers must clamp ``m`` to the
     population size first; oversized requests are rejected.
     """
-    if type(m) is not int:  # exact ints skip the check
-        _check_size(m)
-    if m < 1:
-        raise ValueError(f"batch size must be >= 1, got {m}")
-    if m > n:
-        raise ValueError(f"batch size {m} exceeds population size {n}; clamp the schedule first")
+    if type(m) is not int or not 1 <= m <= n:  # exact ints in range skip the check
+        _check_size(m, n)
     return rng.choice(n, size=m, replace=False)
 
 
-def _check_size(size: object) -> None:
+def is_number(value: object, integer: bool) -> bool:
+    """Whether ``value`` is an integer, or with ``integer`` false a real
+    number: a bool is neither, and a numpy scalar of the kind is either.  An
+    exact ``int`` (or ``float``, for a real) skips the ABC checks."""
+    if type(value) is (int if integer else float):
+        return True
+    kinds = numbers.Integral if integer else numbers.Real
+    return not isinstance(value, bool) and isinstance(value, kinds)
+
+
+def _check_size(size: object, n: int | None = None) -> None:
     """Reject a sampled batch ``size`` that is a bool or not an integer, 2.0
-    included, which would draw or scale noise as some other count; a numpy
-    integer passes, as in :class:`~nestvr.schedule.NestedSchedule`."""
-    if isinstance(size, bool) or not isinstance(size, numbers.Integral):
+    included, which would draw or scale noise as some other count, with a
+    TypeError (a numpy integer passes, as in
+    :class:`~nestvr.schedule.NestedSchedule`), and a size outside 1..``n``,
+    or below 1 on a stream (``n`` None), with a ValueError.  Each sampled
+    call tests an exact ``int`` in range inline and calls this otherwise."""
+    if not is_number(size, integer=True):
         raise TypeError(f"batch size must be an integer, got {size!r}")
+    if size < 1 or (n is not None and size > n):
+        raise ValueError(f"batch size must lie in 1..{n or ''}, got {size}")
 
 
 def _index_array(idx: Array | int, n: int) -> Array | None:
@@ -342,10 +353,8 @@ class _LinearNoiseProblem(FiniteSumProblem):
         gy = grad(np.asarray(y, dtype=float))
 
         def diff(x: Array, size: int, rng: np.random.Generator) -> Array:
-            if type(size) is not int:  # exact ints skip the check
-                _check_size(size)
-            if not 1 <= size <= n:
-                raise ValueError(f"batch size must lie in 1..{n}, got {size}")
+            if type(size) is not int or not 1 <= size <= n:  # exact ints in range skip it
+                _check_size(size, n)
             return grad(x) - gy
 
         return diff
@@ -423,21 +432,24 @@ _SADDLE = {"negative_eigenvalue": -1.0, "noise": 0.1, "quartic": 0.25, "radius":
 def check_problem(family: str, **values: float) -> None:
     """Reject the ``values`` of a problem of ``family``, a key of
     :data:`FAMILIES`, that break its rules: a count, ``dim`` before ``n``,
-    that is not an integer (a bool or a float is not; a numpy integer is),
-    then each constant that is not finite or breaks its rule, in the order of
-    ``_CONSTANT_RULES``, then a count below the family's minimum, ``dim``
-    before ``n`` (a count left out reads None).  The ``ValueError`` is a
-    config's message without its ``problem.`` path.  It reads the values
+    that is not an integer (a bool, a float or None is not; a numpy integer
+    is), though ``n`` may be None, left out; then, in the order of
+    ``_CONSTANT_RULES``, each constant that is not a number (a bool, a
+    string or None is not) or is not finite or breaks its rule; then a count
+    below the family's minimum, ``dim`` before ``n``.  The ``ValueError`` is
+    a config's message without its ``problem.`` path.  It reads the values
     alone, so a factory calls it before it draws anything."""
     for name in ("dim", "n"):
         value = values.get(name)
-        if value is None or type(value) is int:  # exact ints skip the check
+        if value is None and name == "n":  # left out: the minimum below names it
             continue
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        if not is_number(value, integer=True):
             raise ValueError(f"{name}: expected an integer, got {value!r}")
     for name, rule, ok in _CONSTANT_RULES:
         if name in values:
             value = values[name]
+            if not is_number(value, integer=False):
+                raise ValueError(f"{name}: expected a number, got {value!r}")
             if not (ok(value) and math.isfinite(value)):
                 raise ValueError(f"{name}: must be {rule} and finite, got {value}")
     for name, least in FAMILIES[family].minimums.items():
@@ -672,10 +684,8 @@ class AdditiveNoiseStreamingProblem(Problem):
         return self.core.value(x)
 
     def sample_batch_grad(self, x: Array, size: int, rng: np.random.Generator) -> Array:
-        if type(size) is not int:  # exact ints skip the check
+        if type(size) is not int or size < 1:  # exact positive ints skip the check
             _check_size(size)
-        if size < 1:
-            raise ValueError(f"batch size must be >= 1, got {size}")
         scale = self.noise_std / math.sqrt(size)
         return self.core.full_grad(x) + scale * rng.standard_normal(self.dim)
 
@@ -683,10 +693,8 @@ class AdditiveNoiseStreamingProblem(Problem):
         n, core_diff = self.core.n, self.core.difference_from(y)
 
         def diff(x: Array, size: int, rng: np.random.Generator) -> Array:
-            if type(size) is not int:  # exact ints skip the check
+            if type(size) is not int or size < 1:  # exact positive ints skip the check
                 _check_size(size)
-            if size < 1:
-                raise ValueError(f"batch size must be >= 1, got {size}")
             return core_diff(x, n, rng)
 
         return diff

@@ -32,6 +32,7 @@ from nestvr import (
     spawn_rngs,
 )
 from nestvr import driver, epoch
+from nestvr.harness import ConfigError, parse_config
 from nestvr.problems import _RegularizedLeastSquaresProblem
 
 
@@ -237,7 +238,9 @@ class TestConfigure:
     @pytest.mark.parametrize("family", list(SHELLS))
     def test_order_must_be_2_or_3(self, family, order):
         problem = SHELLS[family](spec(L3=1.0))
-        with pytest.raises(ValueError, match=r"^order: must be 2 or 3, got "):
+        with pytest.raises(
+            ValueError, match=r"^smoothness_order: (must be 2 or 3|expected an integer), got "
+        ):
             configure(problem, 0.1, 0.1, order=order)
 
     @pytest.mark.parametrize("bad", [0.0, math.nan, -0.1, 1.0])
@@ -249,7 +252,7 @@ class TestConfigure:
         # formulas; both are rejected before any formula reads them
         problem = SHELLS[family](spec(L3=1.0))
         thresholds = {"eps": 0.1, "eps_H": 0.1, name: bad}
-        with pytest.raises(ValueError, match=r"^eps and eps_H must lie in \(0, 1\), got "):
+        with pytest.raises(ValueError, match=rf"^{name}: must lie in \(0, 1\), got "):
             configure(problem, thresholds["eps"], thresholds["eps_H"], order=order)
 
     @pytest.mark.parametrize(
@@ -290,6 +293,42 @@ class TestConfigure:
         cfg = configure(stream, 1e-3, 0.1, order=2, overrides={"U": 500})
         assert cfg.delta == 1.0 / (3000.0 * s.delta_F * s.L2**2 / 0.1**3)
         assert cfg.schedule.M == 2.0 * 6.0 * s.L1  # 2 rho L1 at the floor rho = 6
+
+
+#: one bad algorithm input each: a field and its value, or an override
+BAD_ALGORITHM_INPUTS = [
+    *[("smoothness_order", value) for value in (1, 4, 2.5, True, "2")],
+    *[(name, value) for name in ("eps", "eps_H") for value in (0, 1, math.nan, "0.1", None, True)],
+    ("overrides", {"Q": 1}),
+    *[("overrides", {key: value}) for key, value in
+      [("B0", 2), ("U", 0), ("U", 2.5), ("M", -1), ("eta", 0), ("M", None)]],
+]
+
+
+@pytest.mark.parametrize("name, value", BAD_ALGORITHM_INPUTS)
+@pytest.mark.parametrize("family", list(SHELLS))
+def test_configure_rejects_what_configs_reject(family, name, value):
+    # one check names the input before any formula reads it, and a config
+    # repeats its message under the algorithm. path
+    algorithm = {"smoothness_order": 2, "eps": 0.1, "eps_H": 0.1, "overrides": {}, name: value}
+    doc = {
+        "problem": {"family": "saddle", "dim": 4, "n": 8},
+        "algorithm": algorithm,
+        "trials": 1,
+        "seed": 0,
+    }
+    with pytest.raises(ConfigError) as config_error:
+        parse_config(doc)
+    with pytest.raises(ValueError) as library_error:
+        configure(
+            SHELLS[family](spec()),
+            algorithm["eps"],
+            algorithm["eps_H"],
+            order=algorithm["smoothness_order"],
+            overrides=algorithm["overrides"],
+        )
+    assert type(library_error.value) is ValueError
+    assert f"algorithm.{library_error.value}" == str(config_error.value)
 
 
 class TestNCDescentStep:

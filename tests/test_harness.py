@@ -5,6 +5,7 @@ import math
 from pathlib import Path
 import re
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -63,9 +64,9 @@ def with_problem(problem, **algorithm):
     return dict(BASE_CONFIG, problem=problem, algorithm={**alg, **algorithm})
 
 
-def with_value(path, value):
-    """A copy of BASE_CONFIG with the field at dotted ``path`` set to ``value``."""
-    doc = json.loads(json.dumps(BASE_CONFIG))
+def with_value(path, value, base=BASE_CONFIG):
+    """A copy of ``base`` with the field at dotted ``path`` set to ``value``."""
+    doc = json.loads(json.dumps(base))
     *parents, key = path.split(".")
     node = doc
     for name in parents:
@@ -173,6 +174,7 @@ class TestConfig:
             ("seed", 1.9, "an integer"),
             ("out", 5, "a string"),
             ("problem.dim", "4", "an integer"),
+            ("problem.dim", None, "an integer"),
             ("problem.n", 2.5, "an integer"),
             ("problem.n", True, "an integer"),
             ("problem.seed", 7.0, "an integer"),
@@ -238,8 +240,8 @@ class TestConfig:
             ("problem", [1], "problem: expected an object, got list"),
             ("algorithm.overrides", [1], "algorithm.overrides: expected an object"),
             ("algorithm.overrides", {"Q": 1}, "algorithm.overrides: unknown keys ['Q']"),
-            ("algorithm.eps", 1.5, "algorithm.eps/eps_H: must lie in (0, 1)"),
-            ("algorithm.eps_H", 0.0, "algorithm.eps/eps_H: must lie in (0, 1)"),
+            ("algorithm.eps", 1.5, "algorithm.eps: must lie in (0, 1), got 1.5"),
+            ("algorithm.eps_H", 0.0, "algorithm.eps_H: must lie in (0, 1), got 0.0"),
         ],
     )
     def test_malformed_fields_rejected_with_path(self, path, value, message):
@@ -269,11 +271,56 @@ class TestStrictProblemFields:
                     ConfigError, match=rf"problem\.{key}: not used by family '{family}'"
                 ):
                     parse_config(with_problem(doc))
+                # the spec itself rejects it, as a library call builds one
+                with pytest.raises(
+                    ConfigError, match=rf"^problem\.{key}: not used by family '{family}'$"
+                ):
+                    hz.ProblemSpec(family, 4, None, {**base, key: given})
         # every field the family does read is accepted and lands on the spec
         doc = {"family": family, "dim": 4, "seed": 3, **{k: value[k] for k in FAMILIES[family].fields}}
         cfg = parse_config(with_problem(doc))
         spec = cfg.problem
         assert {"family": spec.family, "dim": spec.dim, "seed": spec.seed, **spec.values} == doc
+
+
+#: a field's edge values: zero, signs, non-integers, bools, strings, None,
+#: non-finite and extreme floats, and lists
+EDGE_VALUES = [0, -1, 2.5, 4.0, True, "x", None, math.inf, -math.inf, math.nan,
+               1e-300, 1e300, 1e-155, [1]]
+#: every field a mutation may set, for any family
+MUTABLE_PATHS = [
+    *[f"problem.{key}" for key in ("dim", "n", "seed", "negative_eigenvalue", "noise",
+                                   "quartic", "radius")],
+    *[f"algorithm.{key}" for key in ("smoothness_order", "eps", "eps_H")],
+    *[f"algorithm.overrides.{key}" for key in drv.OVERRIDE_KEYS],
+    "trials",
+    "seed",
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    family=st.sampled_from(list(FAMILIES)),
+    changes=st.lists(
+        st.tuples(st.sampled_from(MUTABLE_PATHS), st.sampled_from(EDGE_VALUES)), max_size=3
+    ),
+)
+def test_library_accepts_what_configs_accept(family, changes):
+    # the config's checks are the library's: a config that parses builds its
+    # problem and its driver config, or fails only where a formula's value
+    # leaves the float range
+    counts = {"dim": 4, "n": 16} if FAMILIES[family].is_finite_sum else {"dim": 4}
+    doc = with_problem({"family": family, **counts}, overrides={})
+    for path, value in changes:
+        doc = with_value(path, value, doc)
+    try:
+        config = parse_config(doc)
+    except ConfigError:
+        return
+    try:
+        build_driver_config(build_problem(config.problem, config.seed), config.algorithm)
+    except ValueError as exc:
+        assert type(exc) is ValueError and str(exc).startswith(("derived ", "SmoothnessSpec."))
 
 
 @pytest.fixture(scope="module")
@@ -545,6 +592,22 @@ class TestCli:
         doc = json.loads(text, parse_constant=reject)
         assert doc["status"] == "diverged"
         assert doc["final_grad_norm"] is None and doc["final_lambda_min"] is None
+
+    def test_non_finite_probe_does_not_certify(self, tmp_path, capsys):
+        # at radius 1e-155 the probe's displacement eps_H / (10 L2) is about
+        # 1e153, and its products overflow; their NaN estimate ends each
+        # trial as diverged, where it once read as an abstention
+        problem = {"family": "saddle", "dim": 3, "n": 10, "radius": 1e-155}
+        doc = dict(with_problem(problem, eps=0.7, eps_H=0.6, overrides={"U": 1}), seed=8)
+        path = write_config(tmp_path, doc)
+        out = tmp_path / "nan"
+        with np.errstate(all="ignore"):  # the overflow itself is not stopped
+            assert cli_main(["run", "--config", str(path), "--out", str(out)]) == 0
+        assert "2 trials (0 certified, 2 diverged) -> " in capsys.readouterr().out
+        for trial in range(2):
+            summary = json.loads((out / f"summary_{trial:03d}.json").read_text())
+            assert summary["status"] == drv.STATUS_DIVERGED
+            assert summary["final_lambda_min"] is None
 
     def test_run_malformed_config_exits_1(self, tmp_path, capsys):
         path = write_config(tmp_path, dict(BASE_CONFIG, mystery=1))

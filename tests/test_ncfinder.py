@@ -215,6 +215,33 @@ def test_sturm_count_matches_eigenvalues(alpha, beta, bar):
 
 
 class TestFinderContracts:
+    @pytest.mark.parametrize("step", [1, 3])
+    def test_non_finite_product_ends_the_search_with_nan(self, step):
+        # a product that holds an inf, as one that overflows does, ends the
+        # search at its step with no direction and a NaN estimate, which the
+        # driver reads as divergence rather than as an abstention
+        prob = make_quadratic_problem(np.diag([1.0, 2.0, 3.0, 4.0]), 8, seed=0)
+        bind, calls = prob.difference_from, []
+
+        def overflowing(y):
+            diff = bind(y)
+
+            def product(x, size, rng):
+                out = diff(x, size, rng)
+                calls.append(size)
+                if len(calls) == step:
+                    out[0] = math.inf
+                return out
+
+            return product
+
+        prob.difference_from = overflowing
+        counter = GradCounter()
+        with np.errstate(all="ignore"):  # the inf meets the reorthogonalization
+            res = find_nc_direction(prob, prob.x0, 0.5, 0.1, make_rng(31), counter)
+        assert res.direction is None and math.isnan(res.rayleigh_estimate)
+        assert calls == [prob.n] * step and res.grads_used == counter.count == 2 * step * prob.n
+
     def test_saddle_direction_found_and_sound(self):
         prob = make_saddle_problem(6, 12, -1.0, seed=6)
         res = find_nc_direction(prob, prob.x0, 0.5, 0.1, make_rng(31), GradCounter())

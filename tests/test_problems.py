@@ -603,6 +603,11 @@ FACTORY_ARGUMENTS = {
                 ("radius", math.inf),
                 ("quartic", math.inf),
                 ("negative_eigenvalue", -math.inf),
+                # constants that are not numbers, which a comparison would
+                # refuse without naming them
+                ("noise", "0.1"),
+                ("radius", None),
+                ("quartic", True),
             ]
         ],
         ("saddle", "dim", 1),
@@ -618,6 +623,7 @@ FACTORY_ARGUMENTS = {
             if name in FACTORY_ARGUMENTS[family]
             for value in (2.5, 4.0, True)
         ],
+        *[(family, "dim", None) for family in ("saddle", "streaming-saddle", "regularized")],
     ],
 )
 def test_factories_reject_what_configs_reject(family, name, value):

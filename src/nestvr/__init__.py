@@ -34,7 +34,6 @@ from .ncfinder import (
 )
 from .problems import (
     FiniteSumProblem,
-    GradCounter,
     SmoothnessSpec,
     make_regularized_problem,
     make_rng,
@@ -73,7 +72,6 @@ __all__ = [
     "find_nc_direction",
     "hvp_estimate",
     "FiniteSumProblem",
-    "GradCounter",
     "SmoothnessSpec",
     "make_regularized_problem",
     "make_rng",

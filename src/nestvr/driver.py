@@ -20,7 +20,7 @@ import numpy as np
 
 from .epoch import BallLog, run_epoch
 from .ncfinder import find_nc_direction
-from .problems import Array, GradCounter, Problem, is_number
+from .problems import Array, Problem, is_number
 from .schedule import NestedSchedule, clamp_schedule, derive_schedule
 
 # one search under both names that perfbench/spans.py wraps
@@ -64,7 +64,7 @@ class RunTrace:
         if kind not in EVENT_KINDS:
             raise ValueError(f"unknown event kind {kind!r}")
         if self.events and grads_cum < self.events[-1].grads_cum:
-            raise ValueError("gradient counter went backwards")
+            raise ValueError("gradient tally went backwards")
         ev = TraceEvent(
             kind=kind,
             u=u,
@@ -117,8 +117,7 @@ def classify_point(problem: Problem, z: Array, eps: float, eps_H: float) -> Poin
     """Exact second-order stationarity check via the verification oracles
     ``full_grad`` and :meth:`Problem.lambda_min`, a dense symmetric
     eigensolve unless the family reads its Hessian's least eigenvalue off a
-    structure (the saddle families' diagonal); never charges the gradient
-    counter.
+    structure (the saddle families' diagonal); charges nothing.
     """
     z = np.asarray(z, dtype=float)
     gnorm = float(np.linalg.norm(problem.full_grad(z)))
@@ -285,9 +284,13 @@ def run_driver(problem: Problem, config: DriverConfig, rng: np.random.Generator)
     :class:`BallLog`, which keeps them in a list and checks them a stack at a
     time across epochs and escape steps; the run reads its flag once, when
     it ends, after the points not yet checked are.
+
+    The run's gradient tally, each event's ``grads_cum`` and the outcome's
+    ``grads_total``, is one int: the sum of the test batches and of each
+    epoch's and probe's ``grads_used``.
     """
     finite = problem.is_finite_sum
-    counter = GradCounter()
+    grads = 0
     trace = RunTrace()
     check_batch = problem.n if finite else config.schedule.B0
     threshold = config.eps if finite else config.eps / 2.0
@@ -303,32 +306,35 @@ def run_driver(problem: Problem, config: DriverConfig, rng: np.random.Generator)
     log = BallLog(problem)
 
     def finish(status: str, u: int, grad_norm: float, **kw) -> DriverOutcome:
-        trace.add("terminate", u, counter.count, f_value=f_z, grad_norm=grad_norm, **kw)
+        trace.add("terminate", u, grads, f_value=f_z, grad_norm=grad_norm, **kw)
         return DriverOutcome(
             z_final=z,
             status=status,
             trace=trace,
-            grads_total=counter.count,
+            grads_total=grads,
             final_grad_norm=grad_norm,
             out_of_domain=log.outside(),
         )
 
     for u in range(1, config.U + 1):
-        counter.add(check_batch)
+        grads += check_batch
         g = problem.sample_batch_grad(z, check_batch, rng)
         gnorm = math.sqrt(g.dot(g))  # the bits of np.linalg.norm(g), in a third of the time
-        trace.add("grad-check", u, counter.count, f_value=f_z, grad_norm=gnorm)
+        trace.add("grad-check", u, grads, f_value=f_z, grad_norm=gnorm)
         if not _is_finite(gnorm, z):
             # a NaN norm fails the threshold test too; without this stop the
             # probe's abstention on NaN products would read as a certificate
             return finish(STATUS_DIVERGED, u, gnorm)
         if gnorm >= threshold:
-            z = run_epoch(z, problem, config.schedule, rng, counter, log, g if reuse else None).x_out
+            epoch = run_epoch(z, problem, config.schedule, rng, log, g if reuse else None)
+            grads += epoch.grads_used
+            z = epoch.x_out
             f_z = problem.value(z)
-            trace.add("epoch", u, counter.count, f_value=f_z)
+            trace.add("epoch", u, grads, f_value=f_z)
         else:
-            nc = probe(problem, z, config.eps_H, nc_delta, rng, counter)
-            trace.add("nc-probe", u, counter.count, f_value=f_z, rayleigh=nc.rayleigh_estimate)
+            nc = probe(problem, z, config.eps_H, nc_delta, rng)
+            grads += nc.grads_used
+            trace.add("nc-probe", u, grads, f_value=f_z, rayleigh=nc.rayleigh_estimate)
             if not math.isfinite(nc.rayleigh_estimate):  # neither abstention nor a certificate
                 return finish(STATUS_DIVERGED, u, gnorm)
             if nc.is_bottom:
@@ -336,7 +342,7 @@ def run_driver(problem: Problem, config: DriverConfig, rng: np.random.Generator)
             z = nc_descent_step(z, nc.direction, config.eta, rng)
             log.extend([z])
             f_z = problem.value(z)
-            trace.add("nc-step", u, counter.count, f_value=f_z)
+            trace.add("nc-step", u, grads, f_value=f_z)
 
     final_norm = float(np.linalg.norm(problem.full_grad(z)))  # verification, uncharged
     status = STATUS_EXHAUSTED if _is_finite(final_norm, z) else STATUS_DIVERGED

@@ -42,7 +42,7 @@ import math
 
 import numpy as np
 
-from .problems import Array, Difference, GradCounter, Problem
+from .problems import Array, Difference, Problem
 # re-exported only because perfbench/spans.py wraps it here as its
 # "problems.sample" site (spans.MODULE_SITES, pinned by
 # tests/test_benchmark_sites.py).  Epochs draw their index sets through
@@ -130,7 +130,6 @@ def run_epoch(
     problem: Problem,
     schedule: NestedSchedule,
     rng: np.random.Generator,
-    counter: GradCounter,
     log: BallLog,
     anchor: Array | None,
 ) -> EpochResult:
@@ -139,9 +138,8 @@ def run_epoch(
     The length T is drawn from Geom(p) with the schedule's parameter p.  A
     drawn T = 0 performs no gradient work at all -- the loop body never
     executes, so not even the level-0 anchor is sampled.  The epoch's
-    refreshes are charged to ``counter`` in one add of
-    ``schedule.epoch_charge(T)`` when it ends.  Deterministic given the
-    generator state.
+    refreshes are charged in one sum, ``schedule.epoch_charge(T)``, returned
+    as ``grads_used``.  Deterministic given the generator state.
 
     ``anchor`` is the level-0 gradient at ``x0``, B0 components' mean, which
     the caller has already measured and paid for, or None.  Given, it is the
@@ -203,6 +201,4 @@ def run_epoch(
     charged = schedule.epoch_charge(T)
     if anchor is not None and T:
         charged -= schedule.B0  # the caller paid for the first anchor
-    counter.add(charged)
-
     return EpochResult(x_out=x, T=T, grads_used=charged)

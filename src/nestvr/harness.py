@@ -45,7 +45,6 @@ from .epoch import BallLog, run_epoch
 from .problems import (
     FAMILIES,
     FiniteSumProblem,
-    GradCounter,
     Problem,
     check_problem,
     is_number,
@@ -481,8 +480,7 @@ def verify_epoch_decrease(
     counts = np.empty(trials)
     log = BallLog(problem)  # its flag is not this check's concern
     for i in range(trials):
-        counter = GradCounter()
-        res = run_epoch(x0, problem, schedule, rng, counter, log, None)
+        res = run_epoch(x0, problem, schedule, rng, log, None)
         g = problem.full_grad(res.x_out)
         lhs[i] = float(g @ g)
         decrease = f0 - problem.value(res.x_out)
@@ -493,13 +491,13 @@ def verify_epoch_decrease(
         counts[i] = res.grads_used
     diff = rhs - lhs
     allowance = 3.0 * float(diff.std(ddof=1)) / math.sqrt(trials)
-    counter_bound = 7.0 * schedule.B0 * math.log2(schedule.B0) ** 3
+    cost_bound = 7.0 * schedule.B0 * math.log2(schedule.B0) ** 3
     cost = float(counts.mean())
     detail = (
         f"lhs {lhs.mean():.4g} vs rhs {rhs.mean():.4g} (+/- {allowance:.2g}), "
-        f"mean cost {cost:.0f} <= {counter_bound:.0f}"
+        f"mean cost {cost:.0f} <= {cost_bound:.0f}"
     )
-    passed = float(diff.mean()) >= -allowance and cost <= counter_bound
+    passed = float(diff.mean()) >= -allowance and cost <= cost_bound
     return SuiteResult("epoch-decrease", passed, detail)
 
 

@@ -47,13 +47,7 @@ import math
 
 import numpy as np
 
-from .problems import (
-    Array,
-    FiniteSumProblem,
-    GradCounter,
-    Problem,
-    is_number,
-)
+from .problems import Array, FiniteSumProblem, Problem, _check_size
 
 #: a Lanczos residual at most this fraction of max(1, |alpha_k|) ends the
 #: search: the Krylov space is invariant
@@ -91,27 +85,23 @@ def hvp_estimate(
     q: float,
     batch: int,
     rng: np.random.Generator,
-    *,
-    counter: GradCounter,
 ) -> Array:
     """Forward-difference Hessian-vector product estimate at displacement q.
 
-    ``batch`` is a sample size, drawn from ``rng`` by the oracle; on a finite
-    sum it lies in 1..n, and ``problem.n`` (every component, read in place)
-    draws nothing.  Charges ``2 batch`` to ``counter``, and nothing when it
-    rejects ``q`` or ``v``: NaN is neither positive nor of unit norm.
+    ``batch`` is a sample size, drawn from ``rng`` by the oracle and checked
+    by the oracle's rule: an integer, on a finite sum in 1..n, where
+    ``problem.n`` (every component, read in place) draws nothing.  The
+    product costs ``2 batch`` gradients, which its caller tallies.  NaN is
+    neither a positive ``q`` nor a unit ``v``.
     """
     if not (math.isfinite(q) and q > 0.0):
         raise ValueError(f"displacement must be positive and finite, got {q}")
     v = np.asarray(v, dtype=float)
     if not abs(float(np.linalg.norm(v)) - 1.0) <= 1e-6:
         raise ValueError("direction must be unit norm")
-    if not (is_number(batch, integer=True) and batch >= 1):
-        raise ValueError(f"batch must be a sample size >= 1, got {batch!r}")
+    _check_size(batch, problem.n)
     z = np.asarray(z, dtype=float)
-    diff = problem.sample_batch_grad_diff(z + q * v, z, batch, rng)
-    counter.add(2 * int(batch))
-    return diff / q
+    return problem.sample_batch_grad_diff(z + q * v, z, batch, rng) / q
 
 
 def _displacement(eps_H: float, L2: float) -> float:
@@ -161,22 +151,23 @@ def _tridiagonal(alpha: Array, beta: Array) -> Array:
 
 
 def _certify(
-    problem: Problem, z: Array, v: Array, q: float, rng: np.random.Generator, counter: GradCounter
-) -> tuple[float, float]:
-    """Rayleigh value of ``v`` and its sampling allowance, to which the
-    Taylor term is added: on a finite sum one population product, with a
-    roundoff allowance; on a stream the mean over several independent
-    batches, with a 5-standard-error allowance from their spread."""
+    problem: Problem, z: Array, v: Array, q: float, rng: np.random.Generator
+) -> tuple[float, float, int]:
+    """Rayleigh value of ``v``, its sampling allowance, to which the Taylor
+    term is added, and the gradients its products cost: on a finite sum one
+    population product, with a roundoff allowance; on a stream the mean over
+    several independent batches, with a 5-standard-error allowance from
+    their spread."""
     if problem.is_finite_sum:
-        w = hvp_estimate(problem, z, v, q, problem.n, rng, counter=counter)
+        w = hvp_estimate(problem, z, v, q, problem.n, rng)
         value = float(v @ w)
-        return value, 1e-9 * (1.0 + abs(value))
+        return value, 1e-9 * (1.0 + abs(value)), 2 * problem.n
     vals = np.empty(ONLINE_CERT_BATCHES)
     for i in range(ONLINE_CERT_BATCHES):
-        w = hvp_estimate(problem, z, v, q, ONLINE_CERT_BATCH_MIN, rng, counter=counter)
+        w = hvp_estimate(problem, z, v, q, ONLINE_CERT_BATCH_MIN, rng)
         vals[i] = float(v @ w)
     spread = float(vals.std(ddof=1)) / math.sqrt(ONLINE_CERT_BATCHES)
-    return float(vals.mean()), 5.0 * spread + 1e-9
+    return float(vals.mean()), 5.0 * spread + 1e-9, 2 * ONLINE_CERT_BATCHES * ONLINE_CERT_BATCH_MIN
 
 
 def find_nc_direction(
@@ -185,14 +176,14 @@ def find_nc_direction(
     eps_H: float,
     delta: float,
     rng: np.random.Generator,
-    counter: GradCounter,
 ) -> NCResult:
     """Negative-curvature search at ``z`` for threshold ``eps_H`` and failure
     probability ``delta``, both in (0, 1): one Lanczos run over the
     products of the population, of one row subsample or of fresh stream
     batches, each Ritz candidate certified by :func:`_certify` (see the
     module docstring).  A stream's products read max(64, ceil(4 L1 / eps_H))
-    samples each.
+    samples each, and ``grads_used`` is 2 batch per product, certificate
+    products included.
 
     Contract: a returned direction v satisfies v' H(z) v <= -eps_H / 2,
     since it is returned only when its certificate clears that bar: whatever
@@ -212,7 +203,6 @@ def find_nc_direction(
     for name, value in (("eps_H", eps_H), ("delta", delta)):
         if not 0.0 < value < 1.0:  # NaN fails too
             raise ValueError(f"{name} must lie in (0, 1), got {value}")
-    start_count = counter.count
     s = problem.smoothness  # the parent's constants, also over a row subsample
     q = _displacement(eps_H, s.L2)
     candidate_bar = -0.75 * eps_H
@@ -233,9 +223,11 @@ def find_nc_direction(
     v /= np.linalg.norm(v)  # a random unit start
     pivot, b = math.inf, 0.0
     below = tried = 0  # Ritz values below the bar, and at the last certificate
+    grads = 0
     for k in range(steps):
         basis[k] = v
-        w = hvp_estimate(operator, z, v, q, batch, rng, counter=counter)
+        w = hvp_estimate(operator, z, v, q, batch, rng)
+        grads += 2 * batch
         a = float(v @ w)
         pivot = _ldl_pivot(a, b, pivot, candidate_bar)
         below += pivot < 0.0
@@ -244,24 +236,19 @@ def find_nc_direction(
             w -= V.T @ (V @ w)
         b = float(np.linalg.norm(w))
         if not math.isfinite(a + b):  # a non-finite product: no Ritz value to trust
-            return NCResult(
-                direction=None, rayleigh_estimate=math.nan, grads_used=counter.count - start_count
-            )
+            return NCResult(direction=None, rayleigh_estimate=math.nan, grads_used=grads)
         alpha[k], beta[k] = a, b
         if below > tried:
             tried = below
             _, ritz = np.linalg.eigh(_tridiagonal(alpha[: k + 1], beta[:k]))
             u = V.T @ ritz[:, 0]
             u /= np.linalg.norm(u)
-            cert, allowance = _certify(problem, z, u, q, rng, counter)
+            cert, allowance, cost = _certify(problem, z, u, q, rng)
+            grads += cost
             if cert + 0.5 * s.L2 * q + allowance <= accept_bar:
-                return NCResult(
-                    direction=u, rayleigh_estimate=cert, grads_used=counter.count - start_count
-                )
+                return NCResult(direction=u, rayleigh_estimate=cert, grads_used=grads)
         if not b > BREAKDOWN_TOL * max(1.0, abs(a)):
             break  # the Krylov space is invariant: its Ritz values are eigenvalues
         v = w / b
     smallest = float(np.linalg.eigvalsh(_tridiagonal(alpha[: k + 1], beta[:k]))[0])
-    return NCResult(
-        direction=None, rayleigh_estimate=smallest, grads_used=counter.count - start_count
-    )
+    return NCResult(direction=None, rayleigh_estimate=smallest, grads_used=grads)

@@ -10,9 +10,10 @@ Every oracle is a :class:`Problem`, and ``n`` tells its family
 
 All synthetic problems carry hand-coded gradients and Hessians (no autodiff)
 and a :class:`SmoothnessSpec` with constants certified on a declared ball.
-Stochastic-gradient work is tallied by :class:`GradCounter`: one unit per
-single component-gradient (or fresh-sample) evaluation, so a two-point
-correction over a batch of size ``B`` costs ``2 B`` units.
+Stochastic-gradient work is tallied by the phase that asks for it, in
+``grads_used``: one unit per single component-gradient (or fresh-sample)
+evaluation, so a two-point correction over a batch of size ``B`` costs ``2 B``
+units.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 import math
 import numbers
-import operator
 
 import numpy as np
 
@@ -42,29 +42,6 @@ def spawn_rngs(seed: int | np.random.SeedSequence, k: int) -> list[np.random.Gen
     """Split one master seed into ``k`` independent reproducible streams."""
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     return [make_rng(child) for child in ss.spawn(k)]
-
-
-class GradCounter:
-    """Cumulative count of stochastic-gradient evaluations.
-
-    Verification oracles (full gradient / Hessian used by tests) never go
-    through this counter; drivers charge them explicitly where the cost model
-    says so.
-    """
-
-    __slots__ = ("count",)
-
-    def __init__(self) -> None:
-        self.count = 0
-
-    def add(self, units: int) -> None:
-        units = operator.index(units)  # a charge counts gradients; 2.5 or 2.0 is a TypeError
-        if units < 0:
-            raise ValueError(f"negative gradient charge: {units}")
-        self.count += units
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"GradCounter(count={self.count})"
 
 
 @dataclass(frozen=True)
@@ -195,7 +172,7 @@ class FiniteSumProblem(Problem):
     hessian_spread: tuple[float, float] | None = None
 
     def batch_grad(self, x: Array, idx: Array | int) -> Array:
-        """Mean of component gradients over ``idx``. Does not touch counters."""
+        """Mean of component gradients over ``idx``."""
         raise NotImplementedError
 
     def batch_grad_diff(self, x: Array, y: Array, idx: Array | int) -> Array:

@@ -14,12 +14,12 @@ epoch length is geometric with p = 1 / (1 + prod_l T_l).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from functools import cached_property
 import math
-import numbers
 import operator
 
-from fractions import Fraction
+from .problems import is_number
 
 
 @dataclass(frozen=True)
@@ -27,9 +27,11 @@ class NestedSchedule:
     """Parameter bundle for one nested variance-reduction epoch.
 
     ``T[l-1]`` and ``B[l-1]`` hold the level-l loop length and batch size for
-    l = 1..K, so the depth K is ``len(T)``.  ``clamped`` records whether any
-    batch size was capped at a finite component count (which voids the
-    batch-size hypothesis of the variance analysis).
+    l = 1..K, so the depth K is ``len(T)``.  The counts are stored as Python
+    ints (a numpy integer is read as one), so the charges cannot wrap.
+    ``clamped`` records whether any batch size was capped at a finite
+    component count (which voids the batch-size hypothesis of the variance
+    analysis).
     """
 
     B0: int
@@ -45,13 +47,21 @@ class NestedSchedule:
             raise ValueError(f"a schedule needs K >= 1 levels, one batch each: got T={self.T}, B={self.B}")
         # counts: a float or a bool would run as some other count, or fail
         # only inside an epoch, after its draws and steps
+        exact = True  # every count a Python int already, as derive_schedule's are
         for name, counts in (("B0", (self.B0,)), ("B", self.B), ("T", self.T)):
             for c in counts:
-                # exact ints skip the ABC check, which takes about 0.3 us
-                if type(c) is not int and (isinstance(c, bool) or not isinstance(c, numbers.Integral)):
-                    raise TypeError(f"{name} must hold integers, got {name}={getattr(self, name)!r}")
+                if type(c) is not int:
+                    if not is_number(c, integer=True):
+                        raise TypeError(f"{name} must hold integers, got {name}={getattr(self, name)!r}")
+                    exact = False
                 if c < 1:
                     raise ValueError(f"{name} must hold counts >= 1, got {name}={getattr(self, name)!r}")
+        if not exact:
+            # a numpy integer is stored as the Python int it equals, so that
+            # no charge wraps, and json.dumps writes every total
+            object.__setattr__(self, "B0", operator.index(self.B0))
+            object.__setattr__(self, "T", tuple(map(operator.index, self.T)))
+            object.__setattr__(self, "B", tuple(map(operator.index, self.B)))
         # the step is 1 / (10 M): zero divides by zero, and a negative, NaN or
         # infinite M ascends, poisons or freezes the iterates
         if not (math.isfinite(self.M) and self.M > 0):
@@ -166,7 +176,7 @@ def exact_expected_epoch_cost(schedule: NestedSchedule) -> float:
     The number of level-j refreshes in an epoch of length T is ceil(T / D_j)
     with D_j the level period; for T ~ Geom(p) its expectation is
     (1 - p) / (1 - (1 - p)^D_j).  This is the true mean of the implementation's
-    counter; the closed form above replaces E ceil(T / D) by (E T) / D and is
+    tally; the closed form above replaces E ceil(T / D) by (E T) / D and is
     exact only when the realized length is a multiple of every period.
     """
     q = Fraction(schedule.loop_product, 1 + schedule.loop_product)

@@ -162,12 +162,12 @@ def fixed_length(T):
         yield
 
 
-def one_epoch(x0, problem, schedule, rng, counter, log=None, anchor=None):
+def one_epoch(x0, problem, schedule, rng, log=None, anchor=None):
     """``run_epoch`` into the run's ``log``, by default a fresh ``BallLog``:
     the epoch as the only one of its run, sampling its own level-0 anchor
     unless one is given."""
     log = BallLog(problem) if log is None else log
-    return run_epoch(x0, problem, schedule, rng, counter, log, anchor)
+    return run_epoch(x0, problem, schedule, rng, log, anchor)
 
 
 def recording(problem):

@@ -22,7 +22,6 @@ from conftest import (
 )
 
 from nestvr import (
-    GradCounter,
     SmoothnessSpec,
     classify_point,
     clamp_schedule,
@@ -81,7 +80,7 @@ def test_criterion_02_epoch_cost_accounting():
     rng = make_rng(2024)
     tallies = np.array(
         [
-            one_epoch(problem.x0, problem, schedule, rng, GradCounter()).grads_used
+            one_epoch(problem.x0, problem, schedule, rng).grads_used
             for _ in range(10_000)
         ],
         dtype=float,
@@ -122,7 +121,7 @@ def test_criterion_04_full_batch_estimator_identity():
     schedule = clamp_schedule(derive_schedule(64, M=6.0 * problem.smoothness.L1), 60)
     proxy = recording(problem)
     with fixed_length(100):
-        res = one_epoch(problem.x0, proxy, schedule, make_rng(404), GradCounter())
+        res = one_epoch(problem.x0, proxy, schedule, make_rng(404))
     # the step is x_{t+1} = x_t - v_t / (10 M), so consecutive iterates give v_t
     iterates = [x for x, *_ in proxy.steps] + [res.x_out]
     worst = 0.0
@@ -152,7 +151,7 @@ def test_criterion_06_nc_finder_contracts():
                 20, -2 * eps_H, seed=6000 + s, streaming=streaming
             )
             rng = make_rng(6500 + s)
-            res = find_nc_direction(problem, problem.x0, eps_H, delta, rng, GradCounter())
+            res = find_nc_direction(problem, problem.x0, eps_H, delta, rng)
             if res.direction is not None:
                 found += 1
                 if rayleigh(problem, problem.x0, res.direction) > -eps_H / 2 + 1e-6:
@@ -163,7 +162,7 @@ def test_criterion_06_nc_finder_contracts():
                 20, 0.0, seed=7000 + s, streaming=streaming, lambda_rest=(0.0, 1.0)
             )
             rng = make_rng(7500 + s)
-            res = find_nc_direction(problem, problem.x0, eps_H, delta, rng, GradCounter())
+            res = find_nc_direction(problem, problem.x0, eps_H, delta, rng)
             if res.direction is None:
                 bottoms += 1
             elif rayleigh(problem, problem.x0, res.direction) > -eps_H / 2 + 1e-6:
@@ -209,7 +208,7 @@ def test_criterion_08_nc_step_decrease():
     assert eta2 == pytest.approx(eps_H / sm.L2, rel=1e-12)
     assert eta3 == pytest.approx(math.sqrt(3 * eps_H / sm.L3), rel=1e-12)
 
-    res = find_nc_direction(problem, problem.x0, eps_H, 0.1, make_rng(808), GradCounter())
+    res = find_nc_direction(problem, problem.x0, eps_H, 0.1, make_rng(808))
     assert res.direction is not None
     v = res.direction
     ray = rayleigh(problem, problem.x0, v)

@@ -13,18 +13,18 @@ def test_public_names_resolve_without_duplicates():
 
 def test_epoch_and_product_take_only_what_the_program_passes():
     params = inspect.signature(nestvr.run_epoch).parameters
-    assert list(params) == ["x0", "problem", "schedule", "rng", "counter", "log", "anchor"]
+    assert list(params) == ["x0", "problem", "schedule", "rng", "log", "anchor"]
     assert all(p.default is inspect.Parameter.empty for p in params.values())
-    counter = inspect.signature(nestvr.hvp_estimate).parameters["counter"]
-    assert counter.kind is inspect.Parameter.KEYWORD_ONLY
-    assert counter.default is inspect.Parameter.empty
-    rng = inspect.signature(nestvr.hvp_estimate).parameters["rng"]
-    assert rng.default is inspect.Parameter.empty
+    params = inspect.signature(nestvr.hvp_estimate).parameters
+    # the benchmark reads the batch as the fifth positional argument
+    assert list(params) == ["problem", "z", "v", "q", "batch", "rng"]
+    assert all(p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD for p in params.values())
+    assert all(p.default is inspect.Parameter.empty for p in params.values())
 
 
 def test_one_curvature_search():
     params = inspect.signature(nestvr.find_nc_direction).parameters
-    assert list(params) == ["problem", "z", "eps_H", "delta", "rng", "counter"]
+    assert list(params) == ["problem", "z", "eps_H", "delta", "rng"]
     assert all(p.default is inspect.Parameter.empty for p in params.values())
     # the benchmark wraps the driver's two names; both are the one search
     assert driver.find_nc_direction_finite is driver.find_nc_direction_online

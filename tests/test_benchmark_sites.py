@@ -1,8 +1,8 @@
 """The traced benchmark (perfbench/spans.py) wraps nestvr call sites by name and
 reads batch sizes by argument position, and every benchmark run times its
-workload's set-up (perfbench/workload.py); these tests pin those sites and
-run that set-up, so a refactor that would break the benchmark fails here
-first."""
+workload's set-up (perfbench/workload.py); these tests pin those sites, run
+that set-up and check that a traced run's gradient ledger reconciles on every
+family, so a refactor that would break the benchmark fails here first."""
 
 import importlib
 import importlib.util
@@ -15,6 +15,7 @@ import pytest
 
 from nestvr import harness, ncfinder
 from nestvr.harness import FAMILIES, build_problem, parse_config
+from test_trace_identity import RUNS
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -93,3 +94,28 @@ def test_workload_setup_runs(name):
     config = parse_config(workload.config_doc(workload.WORKLOADS[name], 1, 0))
     times = workload.time_setup(harness, config, 0)
     assert len(times) == 1 and times[0] > 0
+
+
+@pytest.mark.parametrize("run", list(RUNS))
+def test_traced_ledger_reconciles(run):
+    # the traced benchmark's ledger, on a two-trial run of each pinned
+    # config: each trial's epoch, probe and gradient-test charges, read off
+    # the wrapped calls, sum to its grads_total
+    problem_doc, algorithm, _ = RUNS[run]
+    config = parse_config({"problem": {**problem_doc, "seed": 3}, "algorithm": algorithm, "trials": 2, "seed": 11})
+    mods = {module: importlib.import_module(f"nestvr.{module}") for module, _, _ in spans.MODULE_SITES}
+    recorder = spans.Recorder()
+    with recorder.installed(mods):
+        results = harness.run_experiment(config)
+    trials = [
+        {
+            "status": r.outcome.status,
+            "grads_total": r.outcome.grads_total,
+            "outer_iters": sum(ev.kind == "grad-check" for ev in r.outcome.trace.events),
+            "nc_steps": sum(ev.kind == "nc-step" for ev in r.outcome.trace.events),
+        }
+        for r in results
+    ]
+    problem = build_problem(config.problem, config.seed)
+    _, ledger = spans.summarise(recorder.to_arrays(), n=problem.n, dim=problem.dim, trials=trials)
+    assert len(ledger) == 2 and all(row["reconciles"] for row in ledger), ledger

@@ -14,6 +14,7 @@ from conftest import (
     streaming_quadratic,
     subgaussian_check_batch,
 )
+from test_trace_identity import RUNS
 
 from nestvr import (
     DriverConfig,
@@ -32,7 +33,7 @@ from nestvr import (
     spawn_rngs,
 )
 from nestvr import driver, epoch
-from nestvr.harness import ConfigError, parse_config
+from nestvr.harness import ConfigError, build_driver_config, build_problem, parse_config
 from nestvr.problems import _RegularizedLeastSquaresProblem
 
 
@@ -612,9 +613,9 @@ def visited_run(problem, cfg, seed, radius):
         kinds.extend([(kind, calls[kind])] * len(new))
         calls[kind] += 1
 
-    def run_epoch(x0, problem, schedule, rng, counter, log, anchor):
+    def run_epoch(x0, problem, schedule, rng, log, anchor):
         start = len(problem.steps)
-        res = epoch.run_epoch(x0, problem, schedule, rng, counter, log, anchor)
+        res = epoch.run_epoch(x0, problem, schedule, rng, log, anchor)
         # every step's call after the first is at x_1 .. x_{T-1}; the first,
         # at x0, is the anchor's, which a passed anchor leaves unmade
         first = int(anchor is None)
@@ -750,8 +751,8 @@ def anchored_run(problem, cfg, seed, drop=False):
     gradient test's was passed on."""
     epochs = []
 
-    def run_epoch(x0, problem, schedule, rng, counter, log, anchor):
-        res = epoch.run_epoch(x0, problem, schedule, rng, counter, log, None if drop else anchor)
+    def run_epoch(x0, problem, schedule, rng, log, anchor):
+        res = epoch.run_epoch(x0, problem, schedule, rng, log, None if drop else anchor)
         epochs.append((x0, anchor, res.T))
         return res
 
@@ -866,7 +867,7 @@ class TestClassifyPoint:
 
     def test_never_charges(self):
         prob = make_saddle_problem(4, 8, -1.0, seed=13)
-        # classify has no counter argument at all; nothing to charge
+        # classify takes no tally and returns no charge: nothing to count
         classify_point(prob, prob.x0, 0.1, 0.1)
 
 
@@ -880,3 +881,45 @@ def test_running_minimum_of_prepoch_gradients_nonincreasing():
     ]
     running = np.minimum.accumulate(pre_epoch)
     assert all(running[i + 1] <= running[i] for i in range(len(running) - 1))
+
+
+@pytest.mark.parametrize("run", ["saddle", "regularized-subsampled", "streaming-saddle"])
+def test_each_count_step_is_its_phase_charge(run):
+    # the trace's counts are the run's one tally: a gradient test adds its
+    # batch (n on a finite sum, B0 on a stream), an epoch or a probe adds the
+    # grads_used it returned, and an escape step or the end adds nothing
+    problem_doc, algorithm, _ = RUNS[run]
+    config = parse_config({"problem": {**problem_doc, "seed": 3}, "algorithm": algorithm, "trials": 1, "seed": 11})
+    prob = build_problem(config.problem, config.seed)
+    cfg = build_driver_config(prob, config.algorithm)
+    returned = []
+
+    def spy(kind, phase):
+        def wrapped(*args):
+            out = phase(*args)
+            returned.append((kind, out.grads_used))
+            return out
+
+        return wrapped
+
+    with (
+        mock.patch.object(driver, "run_epoch", spy("epoch", driver.run_epoch)),
+        mock.patch.object(driver, "find_nc_direction_finite", spy("nc-probe", driver.find_nc_direction_finite)),
+        mock.patch.object(driver, "find_nc_direction_online", spy("nc-probe", driver.find_nc_direction_online)),
+    ):
+        out = run_driver(prob, cfg, make_rng(11))
+    check = prob.n if prob.is_finite_sum else cfg.schedule.B0
+    phases = iter(returned)
+    want, counts = [], [0]
+    for ev in out.trace.events:
+        if ev.kind == "grad-check":
+            want.append(("grad-check", check))
+        elif ev.kind in ("epoch", "nc-probe"):
+            want.append(next(phases))
+        else:
+            want.append((ev.kind, 0))
+        counts.append(ev.grads_cum)
+    assert next(phases, None) is None
+    assert [(ev.kind, b - a) for ev, a, b in zip(out.trace.events, counts, counts[1:])] == want
+    assert {"epoch", "nc-probe"} <= {ev.kind for ev in out.trace.events}
+    assert type(out.grads_total) is int and out.grads_total == counts[-1]

@@ -20,7 +20,6 @@ from conftest import (
 )
 from nestvr import (
     BallLog,
-    GradCounter,
     NestedSchedule,
     SmoothnessSpec,
     clamp_schedule,
@@ -105,7 +104,7 @@ def replay_epochs(prob, sched, draws, passes=lambda level: True, epochs=8):
     for _ in range(epochs):
         prob.steps.clear()
         prob.batches.clear()
-        T = one_epoch(prob.x0, prob, sched, rng, GradCounter()).T
+        T = one_epoch(prob.x0, prob, sched, rng).T
         assert len(prob.steps) == T
         assert draw_epoch_length(sched.p, replay) == T
         batches = iter(prob.batches)
@@ -134,7 +133,7 @@ def epoch_steps(problem, schedule, length, x0=None, seed=0):
     proxy = recording(problem)
     x0 = problem.x0 if x0 is None else x0
     with fixed_length(length):
-        res = one_epoch(x0, proxy, schedule, make_rng(seed), GradCounter())
+        res = one_epoch(x0, proxy, schedule, make_rng(seed))
     assert len(proxy.steps) == length
     if length:
         assert proxy.steps[0][0].tobytes() == np.asarray(x0, dtype=float).tobytes()
@@ -215,7 +214,7 @@ class TestEpochLaw:
         assert_epoch_law(steps, x_out, sched256)
         # anchor plus the zero refreshes of levels 1..K are all charged
         with fixed_length(1):
-            res = one_epoch(np.full(4, 0.3), prob, sched256, make_rng(2), GradCounter())
+            res = one_epoch(np.full(4, 0.3), prob, sched256, make_rng(2))
         assert res.grads_used == 256 + 2 * (55296 + 2304 + 96)
 
     @settings(max_examples=50)
@@ -247,7 +246,7 @@ class TestEpochLaw:
         sched = NestedSchedule(B0=B0, M=6.0 * prob.smoothness.L1, T=tuple(T), B=tuple(B))
         proxy = recording(prob)
         with fixed_length(length):
-            res = one_epoch(prob.x0, proxy, sched, make_rng(length), GradCounter())
+            res = one_epoch(prob.x0, proxy, sched, make_rng(length))
         assert len(proxy.steps) == length
         assert_epoch_law(proxy.steps, res.x_out, sched)
         # each step charges its reset level and every level above it
@@ -274,7 +273,7 @@ class TestReferenceGradients:
         costs = []
         for T in (4, 5):
             with fixed_length(T):
-                res = one_epoch(prob.x0, prob, sched256, make_rng(3), GradCounter())
+                res = one_epoch(prob.x0, prob, sched256, make_rng(3))
             costs.append(res.grads_used)
         assert costs[1] - costs[0] == 2 * 2304 + 2 * 96
 
@@ -326,12 +325,11 @@ class TestRunEpoch:
     def test_zero_length_is_identity_and_free(self):
         prob = make_saddle_problem(3, 8, -1.0, seed=3)
         sched = clamp_schedule(derive_schedule(4, M=6.0), 8)
-        counter = GradCounter()
         with fixed_length(0):
-            res = one_epoch(prob.x0, prob, sched, make_rng(0), counter)
+            res = one_epoch(prob.x0, prob, sched, make_rng(0))
         assert res.T == 0
         assert np.array_equal(res.x_out, prob.x0)
-        assert res.grads_used == 0 and counter.count == 0
+        assert res.grads_used == 0
 
     def test_single_full_gradient_step(self):
         # one-component quadratic F(x) = |x|^2 / 2 with every batch clamped to 1:
@@ -339,14 +337,14 @@ class TestRunEpoch:
         prob = make_quadratic_problem(np.eye(3), 1, seed=0, noise=0.0, x0=np.full(3, 2.0))
         sched = clamp_schedule(derive_schedule(4, M=6.0), 1)
         with fixed_length(1):
-            res = one_epoch(prob.x0, prob, sched, make_rng(1), GradCounter())
+            res = one_epoch(prob.x0, prob, sched, make_rng(1))
         assert np.allclose(res.x_out, prob.x0 * (1 - 1 / 60.0), atol=1e-15)
 
     def test_deterministic_given_seed(self):
         prob = make_regularized_problem(6, 50, seed=4)
         sched = clamp_schedule(derive_schedule(16, M=6.0 * prob.smoothness.L1), 50)
-        a = one_epoch(prob.x0, prob, sched, make_rng(7), GradCounter())
-        b = one_epoch(prob.x0, prob, sched, make_rng(7), GradCounter())
+        a = one_epoch(prob.x0, prob, sched, make_rng(7))
+        b = one_epoch(prob.x0, prob, sched, make_rng(7))
         assert a.T == b.T
         assert np.array_equal(a.x_out, b.x_out)
         assert a.grads_used == b.grads_used
@@ -375,7 +373,7 @@ class TestRunEpoch:
     def test_counter_is_periodic_multiple_of_closed_form(self, B0, n, k):
         prob, sched = epoch_case(B0, n, seed=8)
         with fixed_length(k * sched.loop_product):
-            res = one_epoch(prob.x0, prob, sched, make_rng(17), GradCounter())
+            res = one_epoch(prob.x0, prob, sched, make_rng(17))
         assert res.grads_used == k * expected_epoch_cost(sched)
 
     def test_counter_mean_matches_exact_expectation(self):
@@ -384,7 +382,7 @@ class TestRunEpoch:
         sched = derive_schedule(16, M=6.0 * prob.smoothness.L1)
         rng = make_rng(19)
         tallies = np.array(
-            [one_epoch(prob.x0, prob, sched, rng, GradCounter()).grads_used for _ in range(4000)]
+            [one_epoch(prob.x0, prob, sched, rng).grads_used for _ in range(4000)]
         )
         exact = exact_expected_epoch_cost(sched)
         se = tallies.std(ddof=1) / math.sqrt(tallies.size)
@@ -443,7 +441,7 @@ class TestRunEpoch:
         x_far = np.full(3, 5.0)
         log = BallLog(prob)
         with fixed_length(3):
-            one_epoch(x_far, prob, sched, make_rng(23), GradCounter(), log)
+            one_epoch(x_far, prob, sched, make_rng(23), log)
         assert prob.stacks == []
         assert log.outside()
         assert [len(stack) for stack in prob.stacks] == [3]
@@ -452,7 +450,7 @@ class TestRunEpoch:
         prob = make_saddle_problem(3, 8, -1.0, seed=11)
         sched = derive_schedule(256, M=6.0)  # B_1 = 55296 > n = 8
         with fixed_length(1), pytest.raises(ValueError):
-            one_epoch(prob.x0, prob, sched, make_rng(29), GradCounter())
+            one_epoch(prob.x0, prob, sched, make_rng(29))
 
 
 class TestAnchor:
@@ -479,10 +477,9 @@ class TestAnchor:
     @pytest.mark.parametrize("family", FAMILIES)
     def test_zero_length_charges_nothing_and_calls_no_oracle(self, family):
         prob, sched, x0, anchor = self.case(family)
-        counter = GradCounter()
         with fixed_length(0):
-            res = one_epoch(x0, prob, sched, make_rng(1), counter, anchor=anchor)
-        assert res.T == 0 and res.grads_used == 0 and counter.count == 0
+            res = one_epoch(x0, prob, sched, make_rng(1), anchor=anchor)
+        assert res.T == 0 and res.grads_used == 0
         assert res.x_out.tobytes() == x0.tobytes()
         assert prob.steps == [] and prob.batches == []
 
@@ -493,12 +490,11 @@ class TestAnchor:
         prob, sched, x0, anchor = self.case(family)
         plain_rng, anchored_rng = make_rng(length or 7), make_rng(length or 7)
         draw = nullcontext() if length is None else fixed_length(length)
-        counter = GradCounter()
         with draw:
-            plain = one_epoch(x0, prob, sched, plain_rng, GradCounter())
+            plain = one_epoch(x0, prob, sched, plain_rng)
             plain_steps = prob.steps[:]
             prob.steps.clear()
-            anchored = one_epoch(x0, prob, sched, anchored_rng, counter, anchor=anchor)
+            anchored = one_epoch(x0, prob, sched, anchored_rng, anchor=anchor)
         assert anchored.T == plain.T >= 1
         assert anchored.x_out.tobytes() == plain.x_out.tobytes()
         assert generator_state(anchored_rng) == generator_state(plain_rng)
@@ -506,14 +502,14 @@ class TestAnchor:
         assert plain_steps[0][0].tobytes() == x0.tobytes() and plain_steps[0][1] is None
         assert plain_steps[0][3].tobytes() == anchor.tobytes()
         assert [x.tobytes() for x, *_ in prob.steps] == [x.tobytes() for x, *_ in plain_steps[1:]]
-        assert anchored.grads_used == counter.count == sched.epoch_charge(plain.T) - sched.B0
+        assert anchored.grads_used == sched.epoch_charge(plain.T) - sched.B0
         assert plain.grads_used - anchored.grads_used == sched.B0
 
     def test_first_step_reads_the_anchor(self):
         # a zero anchor at x0 makes the first step's direction zero
         prob, sched, x0, anchor = self.case("saddle")
         with fixed_length(1):
-            res = one_epoch(x0, prob, sched, make_rng(3), GradCounter(), anchor=np.zeros_like(anchor))
+            res = one_epoch(x0, prob, sched, make_rng(3), anchor=np.zeros_like(anchor))
         assert res.x_out.tobytes() == x0.tobytes()
         assert prob.steps == []
 
@@ -547,9 +543,8 @@ class TestReferenceBinding:
 
         core._exact_grad = counted
         proxy = recording(prob)
-        counter = GradCounter()
         with fixed_length(length):
-            res = one_epoch(prob.x0, proxy, sched, make_rng(8), counter)
+            res = one_epoch(prob.x0, proxy, sched, make_rng(8))
         assert_epoch_law(proxy.steps, res.x_out, sched)
         resets = len(range(0, length, sched.T[-1]))
         assert len(points) == length + resets == 62
@@ -559,7 +554,7 @@ class TestReferenceBinding:
         evaluated = sorted(x.tobytes() for x in points)
         assert evaluated == sorted(iterates + iterates[:: sched.T[-1]])
         assert hashlib.sha256(res.x_out.tobytes()).hexdigest() == self.X_OUT[streaming]
-        assert counter.count == res.grads_used == sched.epoch_charge(length)
+        assert res.grads_used == sched.epoch_charge(length)
 
 
 class PathStream(Problem):
@@ -604,7 +599,7 @@ class TestChunkedBallCheck:
         x = np.zeros(1)
         for length in lengths:
             with fixed_length(length):
-                x = one_epoch(x, prob, self.UNIT_STEP, make_rng(0), GradCounter(), log).x_out
+                x = one_epoch(x, prob, self.UNIT_STEP, make_rng(0), log).x_out
         assert x.tolist() == [path[-1]]
         flag = log.outside()
         assert all(1 <= n <= self.ROWS for n in stacks)
@@ -653,7 +648,7 @@ class TestChunkedBallCheck:
             want = any(prob.outside_ball(x) for x in iterates)
             log = BallLog(prob)
             with fixed_length(7):
-                one_epoch(x0, prob, sched, make_rng(seed), GradCounter(), log)
+                one_epoch(x0, prob, sched, make_rng(seed), log)
             assert log.outside() == want
             flags.add(want)
         assert flags == {False, True}
@@ -688,7 +683,7 @@ class TestEpochToLog:
         length = {"empty": 0, "one-step": 1, "two-sweeps": 2 * L, "inside-a-run": 2 * L + 2 * T_K - 1}[stop]
         log = ExtendOnlyLog()
         with fixed_length(length):
-            res = run_epoch(prob.x0, prob, sched, make_rng(B0), GradCounter(), log, None)
+            res = run_epoch(prob.x0, prob, sched, make_rng(B0), log, None)
         assert [len(c) for c in log.calls] == [min(T_K, length - t) for t in range(0, length, T_K)]
         # x_1 .. x_T, in order
         iterates = [x for x, *_ in prob.steps[1:]] + [res.x_out] * bool(length)
@@ -724,7 +719,7 @@ class TestBallCheckChunks:
         for k, length in enumerate(lengths):
             prob.steps.clear()
             with fixed_length(length):
-                x = one_epoch(x, prob, sched, make_rng((k, length)), GradCounter(), log).x_out
+                x = one_epoch(x, prob, sched, make_rng((k, length)), log).x_out
             iterates += [x for x, *_ in prob.steps[1:]] + [x] * bool(length)
         assert not log.outside()
         # x_1 .. x_T of every epoch, each checked exactly once and in order

@@ -6,11 +6,16 @@ from hypothesis import assume, given, settings, strategies as st
 import numpy as np
 import pytest
 
-from conftest import make_quadratic_problem, random_symmetric_fixture, rayleigh, streaming_quadratic
+from conftest import (
+    make_quadratic_problem,
+    random_symmetric_fixture,
+    rayleigh,
+    recording,
+    streaming_quadratic,
+)
 
 import nestvr.ncfinder as ncf
 from nestvr import (
-    GradCounter,
     find_nc_direction,
     hvp_estimate,
     make_regularized_problem,
@@ -76,13 +81,13 @@ class TestHvpEstimate:
         v = rng.standard_normal(6)
         v /= np.linalg.norm(v)
         for q in (1e-1, 1e-4):
-            est = hvp_estimate(prob, prob.x0, v, q, prob.n, rng, counter=GradCounter())
+            est = hvp_estimate(prob, prob.x0, v, q, prob.n, rng)
             assert np.allclose(est, H @ v, atol=1e-9)
 
     def test_basis_action_on_diagonal(self):
         prob = make_quadratic_problem(np.diag([3.0, -2.0]), 2, seed=0, noise=0.0)
         e1 = np.array([1.0, 0.0])
-        est = hvp_estimate(prob, prob.x0, e1, 1e-3, prob.n, make_rng(0), counter=GradCounter())
+        est = hvp_estimate(prob, prob.x0, e1, 1e-3, prob.n, make_rng(0))
         assert np.allclose(est, [3.0, 0.0], atol=1e-10)
 
     def test_quartic_taylor_bound(self):
@@ -92,26 +97,27 @@ class TestHvpEstimate:
         z = np.array([1.0, 0.0])
         v = np.array([1.0, 0.0])
         q = 1e-4
-        est = hvp_estimate(prob, z, v, q, prob.n, make_rng(0), counter=GradCounter())
+        est = hvp_estimate(prob, z, v, q, prob.n, make_rng(0))
         # hessian entry along v at z: 1 + 3 z^2 = 4
         assert abs(est[0] - 4.0) <= 3 * 6.0 * q
 
-    def test_charges_two_per_sample(self, rng):
+    def test_one_paired_difference_per_product(self, rng):
+        # a product reads ``batch`` samples at two points: the 2 batch
+        # gradients its caller charges
         prob, _ = random_symmetric_fixture(4, -0.5, seed=3)
-        counter = GradCounter()
-        v = np.array([1.0, 0, 0, 0])
-        hvp_estimate(prob, prob.x0, v, 1e-3, prob.n, rng, counter=counter)
-        assert counter.count == 2 * 6
         sprob, _ = random_symmetric_fixture(4, -0.5, seed=3, streaming=True)
-        hvp_estimate(sprob, sprob.x0, v, 1e-3, 8, rng, counter=counter)
-        assert counter.count == 2 * 6 + 2 * 8
+        v = np.array([1.0, 0, 0, 0])
+        for problem, batch in ((prob, 6), (sprob, 8)):
+            proxy = recording(problem)
+            hvp_estimate(proxy, proxy.x0, v, 1e-3, batch, rng)
+            assert [(size, y is not None) for _, y, size, _ in proxy.steps] == [(batch, True)]
 
-    def test_population_batch_charges_two_n(self):
+    def test_population_batch_is_the_population_product(self):
         prob, _ = random_symmetric_fixture(4, -0.5, seed=3)
         v = np.array([0.0, 1.0, 0, 0])
-        counter = GradCounter()
-        est = hvp_estimate(prob, prob.x0, v, 1e-3, prob.n, make_rng(0), counter=counter)
-        assert counter.count == 2 * prob.n
+        proxy = recording(prob)
+        est = hvp_estimate(proxy, prob.x0, v, 1e-3, prob.n, make_rng(0))
+        assert [size for _, _, size, _ in proxy.steps] == [prob.n]
         diff = prob.batch_grad_diff(prob.x0 + 1e-3 * v, prob.x0, np.arange(prob.n))
         assert np.array_equal(est, diff / 1e-3)
 
@@ -119,36 +125,36 @@ class TestHvpEstimate:
         "batch", [7, np.asarray(5), 0, np.array([], dtype=int), np.arange(6), np.arange(3)]
     )
     def test_bad_finite_batch_rejected(self, batch):
-        # n = 6: a product takes a sample size in 1..n, so a size outside it
-        # and every index array, even all of them, is refused
-        prob, _ = random_symmetric_fixture(4, -0.5, seed=3)
-        counter = GradCounter()
-        with pytest.raises(ValueError):
+        # n = 6: a product takes a sample size in 1..n, by the oracle's rule,
+        # so a size outside it is a ValueError, and a 0-d or index array,
+        # even of all the rows, is no integer
+        prob = recording(random_symmetric_fixture(4, -0.5, seed=3)[0])
+        error = ValueError if isinstance(batch, int) else TypeError
+        with pytest.raises(error, match="batch size must"):
             e1 = np.array([1.0, 0, 0, 0])
-            hvp_estimate(prob, prob.x0, e1, 1e-3, batch, make_rng(0), counter=counter)
-        assert counter.count == 0
+            hvp_estimate(prob, prob.x0, e1, 1e-3, batch, make_rng(0))
+        assert prob.steps == []
 
     @pytest.mark.parametrize("batch", [True, np.True_], ids=["bool", "np.bool_"])
     @pytest.mark.parametrize("streaming", [False, True], ids=["finite", "stream"])
     def test_bool_batch_rejected(self, batch, streaming):
         # True equals 1 but is no sample size: it would run a one-sample
-        # product and charge 2
-        prob, _ = random_symmetric_fixture(4, -0.5, seed=3, streaming=streaming)
-        counter = GradCounter()
+        # product
+        prob = recording(random_symmetric_fixture(4, -0.5, seed=3, streaming=streaming)[0])
         e1 = np.array([1.0, 0, 0, 0])
-        with pytest.raises(ValueError, match="batch must be a sample size"):
-            hvp_estimate(prob, prob.x0, e1, 1e-3, batch, make_rng(0), counter=counter)
-        assert counter.count == 0
+        with pytest.raises(TypeError, match="batch size must be an integer"):
+            hvp_estimate(prob, prob.x0, e1, 1e-3, batch, make_rng(0))
+        assert prob.steps == []
 
-    def test_sampled_finite_batch_charges_two_per_sample(self):
+    def test_sampled_finite_batch(self):
         # n = 6: size 5 is a product over 5 sampled rows, whose linear noise
         # cancels, so it equals the population's product
         prob, _ = random_symmetric_fixture(4, -0.5, seed=3)
         e1 = np.array([1.0, 0, 0, 0])
-        counter = GradCounter()
-        est = hvp_estimate(prob, prob.x0, e1, 1e-3, 5, make_rng(0), counter=counter)
-        assert counter.count == 10
-        full = hvp_estimate(prob, prob.x0, e1, 1e-3, prob.n, make_rng(0), counter=GradCounter())
+        proxy = recording(prob)
+        est = hvp_estimate(proxy, prob.x0, e1, 1e-3, 5, make_rng(0))
+        assert [size for _, _, size, _ in proxy.steps] == [5]
+        full = hvp_estimate(prob, prob.x0, e1, 1e-3, prob.n, make_rng(0))
         assert np.array_equal(est, full)
 
     def test_non_unit_direction_rejected(self):
@@ -157,10 +163,10 @@ class TestHvpEstimate:
         quadratic, _ = random_symmetric_fixture(4, -0.5, seed=3)
         for prob in (quadratic, make_regularized_problem(4, 10, seed=0)):
             for v in ([1.01, 0, 0, 0], [math.nan] * 4, [math.inf, 0, 0, 0]):
-                counter = GradCounter()
+                proxy = recording(prob)
                 with pytest.raises(ValueError, match="unit norm"):
-                    hvp_estimate(prob, prob.x0, np.array(v), 1e-3, prob.n, make_rng(0), counter=counter)
-                assert counter.count == 0
+                    hvp_estimate(proxy, prob.x0, np.array(v), 1e-3, prob.n, make_rng(0))
+                assert proxy.steps == []
 
     def test_zero_displacement_rejected(self):
         # an infinite displacement would charge and return NaNs after numpy
@@ -169,10 +175,10 @@ class TestHvpEstimate:
         e1 = np.array([1.0, 0, 0, 0])
         for prob in (quadratic, make_regularized_problem(4, 10, seed=0)):
             for q in (0.0, -1e-3, math.nan, math.inf):
-                counter = GradCounter()
+                proxy = recording(prob)
                 with pytest.raises(ValueError, match="displacement must be positive and finite"):
-                    hvp_estimate(prob, prob.x0, e1, q, prob.n, make_rng(0), counter=counter)
-                assert counter.count == 0
+                    hvp_estimate(proxy, prob.x0, e1, q, prob.n, make_rng(0))
+                assert proxy.steps == []
 
     def test_forward_difference_error_slope(self):
         # full-batch estimates converge at rate O(q): log-log slope 1 +- 0.2
@@ -183,7 +189,7 @@ class TestHvpEstimate:
         qs = np.array([1e-2, 1e-3, 1e-4, 1e-5])
         errs = []
         for q in qs:
-            est = hvp_estimate(prob, z, v, float(q), prob.n, make_rng(0), counter=GradCounter())
+            est = hvp_estimate(prob, z, v, float(q), prob.n, make_rng(0))
             errs.append(np.linalg.norm(est - H @ v))
         slope = np.polyfit(np.log(qs), np.log(errs), 1)[0]
         assert abs(slope - 1.0) <= 0.2
@@ -236,15 +242,14 @@ class TestFinderContracts:
             return product
 
         prob.difference_from = overflowing
-        counter = GradCounter()
         with np.errstate(all="ignore"):  # the inf meets the reorthogonalization
-            res = find_nc_direction(prob, prob.x0, 0.5, 0.1, make_rng(31), counter)
+            res = find_nc_direction(prob, prob.x0, 0.5, 0.1, make_rng(31))
         assert res.direction is None and math.isnan(res.rayleigh_estimate)
-        assert calls == [prob.n] * step and res.grads_used == counter.count == 2 * step * prob.n
+        assert calls == [prob.n] * step and res.grads_used == 2 * step * prob.n
 
     def test_saddle_direction_found_and_sound(self):
         prob = make_saddle_problem(6, 12, -1.0, seed=6)
-        res = find_nc_direction(prob, prob.x0, 0.5, 0.1, make_rng(31), GradCounter())
+        res = find_nc_direction(prob, prob.x0, 0.5, 0.1, make_rng(31))
         assert res.direction is not None
         assert np.linalg.norm(res.direction) == pytest.approx(1.0, abs=1e-12)
         assert rayleigh(prob, prob.x0, res.direction) <= -0.25 + 1e-6
@@ -266,36 +271,31 @@ class TestFinderContracts:
             cert_products = 1
         calls = []
 
-        def spy(problem, z, v, q, batch, rng, *, counter):
-            before = counter.count
-            out = hvp(problem, z, v, q, batch, rng, counter=counter)
-            calls.append((np.array(v), batch, counter.count - before))
-            return out
+        def spy(problem, z, v, q, batch, rng):
+            calls.append((np.array(v), batch))
+            return hvp(problem, z, v, q, batch, rng)
 
         hvp = ncf.hvp_estimate
         monkeypatch.setattr(ncf, "hvp_estimate", spy)
-        counter = GradCounter()
-        res = find_nc_direction(prob, prob.x0, 0.5, 0.1, make_rng(31), counter)
+        res = find_nc_direction(prob, prob.x0, 0.5, 0.1, make_rng(31))
         assert res.direction is not None
         steps, certs = calls[:-cert_products], calls[-cert_products:]
-        assert all(batch == step_batch and charge == 2 * step_batch for _, batch, charge in steps)
-        assert all(np.array_equal(v, res.direction) and batch == cert_batch and charge == 2 * cert_batch
-                   for v, batch, charge in certs)
-        V = np.array([v for v, _, _ in steps])
+        assert all(batch == step_batch for _, batch in steps)
+        assert all(np.array_equal(v, res.direction) and batch == cert_batch for v, batch in certs)
+        V = np.array([v for v, _ in steps])
         assert len({v.tobytes() for v in [*V, res.direction]}) == len(V) + 1
         assert np.allclose(V @ V.T, np.eye(len(V)), atol=1e-10)
         assert len(V) <= ncf._lanczos_steps(0.5, 0.1, prob.smoothness.L1, prob.dim, False)
-        assert res.grads_used == counter.count == 2 * (step_batch * len(V) + cert_batch * cert_products)
+        assert res.grads_used == 2 * (step_batch * len(V) + cert_batch * cert_products)
 
     def test_saddle_at_origin_found_in_three_products(self, monkeypatch):
         # H(0) = diag(1, ..., 1, -1): the Krylov space of a random start is
         # spanned by it and the last axis, so two Lanczos steps hold the exact
         # eigenvalue -1, and one more product certifies its Ritz vector
         prob = make_saddle_problem(6, 12, -1.0, seed=6)
-        counter = GradCounter()
-        res = find_nc_direction(prob, prob.x0, 0.5, 0.1, make_rng(31), counter)
+        res = find_nc_direction(prob, prob.x0, 0.5, 0.1, make_rng(31))
         assert res.direction is not None
-        assert res.grads_used == counter.count == 3 * 2 * prob.n
+        assert res.grads_used == 3 * 2 * prob.n
         # up to the forward difference's cubic term, 4 a q^2 v_j^3 ~ 2e-5
         assert res.rayleigh_estimate == pytest.approx(-1.0, abs=1e-4)
         assert abs(res.direction[-1]) == pytest.approx(1.0, abs=1e-4)
@@ -306,8 +306,8 @@ class TestFinderContracts:
         prob = make_saddle_problem(6, 12, -1.0, seed=6)
         steps = []
 
-        def spy(problem, z, v, q, batch, rng, *, counter):
-            out = hvp(problem, z, v, q, batch, rng, counter=counter)
+        def spy(problem, z, v, q, batch, rng):
+            out = hvp(problem, z, v, q, batch, rng)
             if steps and np.linalg.norm(np.array(steps) @ v) > 0.5:
                 return out + 2.0 * v  # a Ritz vector, measured 2 too high
             steps.append(np.array(v))  # a Lanczos step, orthogonal to the others
@@ -315,39 +315,37 @@ class TestFinderContracts:
 
         hvp = ncf.hvp_estimate
         monkeypatch.setattr(ncf, "hvp_estimate", spy)
-        counter = GradCounter()
-        res = find_nc_direction(prob, prob.x0, 0.5, 0.1, make_rng(31), counter)
+        res = find_nc_direction(prob, prob.x0, 0.5, 0.1, make_rng(31))
         assert res.is_bottom
         assert len(steps) == ncf._lanczos_steps(0.5, 0.1, prob.smoothness.L1, 6, False)
         # one certificate: the failed Ritz value is not re-measured at each step
-        assert counter.count == 2 * prob.n * (len(steps) + 1)
+        assert res.grads_used == 2 * prob.n * (len(steps) + 1)
         assert res.rayleigh_estimate == pytest.approx(-1.0, abs=1e-4)
 
     def test_convex_abstention_reports_smallest_eigenvalue(self):
         # with d within the step budget the Krylov space is exhausted, so the
         # smallest Ritz value is the Hessian's smallest eigenvalue
         prob, eigs = random_symmetric_fixture(8, 0.05, seed=11)
-        counter = GradCounter()
-        res = find_nc_direction(prob, prob.x0, 0.1, 0.1, make_rng(53), counter)
+        res = find_nc_direction(prob, prob.x0, 0.1, 0.1, make_rng(53))
         assert res.is_bottom
         steps = ncf._lanczos_steps(0.1, 0.1, prob.smoothness.L1, 8, False)
-        assert counter.count <= 2 * prob.n * steps
+        assert res.grads_used <= 2 * prob.n * steps
         lam = float(np.linalg.eigvalsh(prob.hessian(prob.x0)).min())
         assert abs(res.rayleigh_estimate - lam) <= 1e-8 * (1.0 + abs(lam))
 
     def test_convex_quadratic_abstains(self):
         prob = make_quadratic_problem(np.eye(8), 4, seed=1, noise=0.1)
-        res = find_nc_direction(prob, prob.x0, 0.1, 0.1, make_rng(37), GradCounter())
+        res = find_nc_direction(prob, prob.x0, 0.1, 0.1, make_rng(37))
         assert res.is_bottom
 
     def test_streaming_convex_abstains(self):
         prob = streaming_quadratic(np.eye(8), seed=2, noise=0.1)
-        res = find_nc_direction(prob, prob.x0, 0.1, 0.1, make_rng(41), GradCounter())
+        res = find_nc_direction(prob, prob.x0, 0.1, 0.1, make_rng(41))
         assert res.is_bottom
 
     def test_streaming_saddle_found(self):
         prob, eigs = random_symmetric_fixture(10, -0.4, seed=7, streaming=True)
-        res = find_nc_direction(prob, prob.x0, 0.2, 0.1, make_rng(43), GradCounter())
+        res = find_nc_direction(prob, prob.x0, 0.2, 0.1, make_rng(43))
         assert res.direction is not None
         assert rayleigh(prob, prob.x0, res.direction) <= -0.1 + 1e-6
 
@@ -358,7 +356,7 @@ class TestFinderContracts:
         found = sound = 0
         for s in range(40):
             prob, _ = random_symmetric_fixture(12, -2 * eps_H, seed=100 + s, streaming=streaming)
-            res = find_nc_direction(prob, prob.x0, eps_H, delta, make_rng(500 + s), GradCounter())
+            res = find_nc_direction(prob, prob.x0, eps_H, delta, make_rng(500 + s))
             if res.direction is not None:
                 found += 1
                 sound += rayleigh(prob, prob.x0, res.direction) <= -eps_H / 2 + 1e-6
@@ -369,7 +367,7 @@ class TestFinderContracts:
             prob, _ = random_symmetric_fixture(
                 12, 0.02, seed=900 + s, streaming=streaming, lambda_rest=(0.02, 1.0)
             )
-            res = find_nc_direction(prob, prob.x0, eps_H, delta, make_rng(1500 + s), GradCounter())
+            res = find_nc_direction(prob, prob.x0, eps_H, delta, make_rng(1500 + s))
             bottom += res.is_bottom
         assert bottom >= math.floor((1 - delta) * 40 - 3 * math.sqrt(40 * delta * (1 - delta)))
 
@@ -399,7 +397,7 @@ class TestFinderContracts:
                 prob = HessianNoiseStream(core, noise)
                 before = len(certificates)
                 rng = make_rng(500 + s)
-                res = find_nc_direction(prob, prob.x0, eps_H, delta, rng, GradCounter())
+                res = find_nc_direction(prob, prob.x0, eps_H, delta, rng)
                 if res.direction is not None:
                     assert rayleigh(prob, prob.x0, res.direction) <= -eps_H / 2
                 if core is flat:
@@ -408,19 +406,18 @@ class TestFinderContracts:
 
     def test_abstention_reports_best_estimate(self):
         prob = make_quadratic_problem(np.eye(5), 4, seed=3, noise=0.0)
-        res = find_nc_direction(prob, prob.x0, 0.1, 0.1, make_rng(47), GradCounter())
+        res = find_nc_direction(prob, prob.x0, 0.1, 0.1, make_rng(47))
         assert res.is_bottom
         assert res.rayleigh_estimate >= 0.5  # spectrum is all ones
 
     @pytest.mark.parametrize("name", ["eps_H", "delta"])
     @pytest.mark.parametrize("bad", [0.0, 1.0, 1.5, -0.1, math.nan])
     def test_threshold_and_probability_lie_in_open_unit_interval(self, name, bad):
-        prob = make_quadratic_problem(np.eye(2), 4, seed=3, noise=0.0)
+        prob = recording(make_quadratic_problem(np.eye(2), 4, seed=3, noise=0.0))
         args = {"eps_H": 0.1, "delta": 0.1, name: bad}
-        rng, counter = make_rng(0), GradCounter()
         with pytest.raises(ValueError, match=re.escape(f"{name} must lie in (0, 1), got {bad}")):
-            find_nc_direction(prob, prob.x0, args["eps_H"], args["delta"], rng, counter)
-        assert counter.count == 0
+            find_nc_direction(prob, prob.x0, args["eps_H"], args["delta"], make_rng(0))
+        assert prob.steps == []  # no product made
 
 
 def regularized_bent(seed, n=4000, dim=20):
@@ -442,11 +439,9 @@ class TestSubsampledLanczos:
         calls, subsamples = [], []
         hvp = ncf.hvp_estimate
 
-        def spy(problem, z, v, q, batch, rng, *, counter):
-            before = counter.count
-            out = hvp(problem, z, v, q, batch, rng, counter=counter)
-            calls.append((problem, batch, counter.count - before))
-            return out
+        def spy(problem, z, v, q, batch, rng):
+            calls.append((problem, batch))
+            return hvp(problem, z, v, q, batch, rng)
 
         def subsample(size, rng):
             # the rows the family draws: the same draw from a copy of rng
@@ -457,9 +452,8 @@ class TestSubsampledLanczos:
 
         monkeypatch.setattr(ncf, "hvp_estimate", spy)
         monkeypatch.setattr(prob, "subsample", subsample)
-        counter = GradCounter()
-        res = find_nc_direction(prob, z, self.eps_H, self.delta, make_rng(seed), counter)
-        return res, counter, calls, subsamples
+        res = find_nc_direction(prob, z, self.eps_H, self.delta, make_rng(seed))
+        return res, calls, subsamples
 
     def test_error_budget_split(self):
         # the subsample's error s = eps_H / 8 at delta / 2 (matrix Bernstein)
@@ -486,7 +480,7 @@ class TestSubsampledLanczos:
         L1 = prob.smoothness.L1
         budget = ncf._lanczos_steps(self.eps_H, self.delta, L1, prob.dim, True)
         assert ncf._lanczos_steps(self.eps_H, self.delta, L1, prob.dim, False) < budget < prob.dim
-        res, counter, calls, subsamples = self.spy_run(monkeypatch, prob, z, seed=5)
+        res, calls, subsamples = self.spy_run(monkeypatch, prob, z, seed=5)
         assert len(subsamples) == 1
         idx, view = subsamples[0]
         b = idx.size
@@ -495,14 +489,13 @@ class TestSubsampledLanczos:
         assert np.allclose(view.gram, rows.T @ rows / b, rtol=0, atol=1e-14)
         steps = [c for c in calls if c[0] is view]
         certs = [c for c in calls if c[0] is not view]
-        assert all(batch == b and charge == 2 * b for _, batch, charge in steps)
-        assert all(p is prob and batch == prob.n and charge == 2 * prob.n
-                   for p, batch, charge in certs)
+        assert all(batch == b for _, batch in steps)
+        assert all(p is prob and batch == prob.n for p, batch in certs)
         # an abstaining run takes every step of its budget
         assert len(steps) <= budget if bent else len(steps) == budget
         assert len(certs) == (1 if bent else 0)
         assert res.is_bottom is not bent
-        assert res.grads_used == counter.count == 2 * b * len(steps) + 2 * prob.n * len(certs)
+        assert res.grads_used == 2 * b * len(steps) + 2 * prob.n * len(certs)
 
     @pytest.mark.parametrize("bent", [True, False])
     def test_population_search_when_subsample_reaches_n(self, monkeypatch, bent):
@@ -517,16 +510,16 @@ class TestSubsampledLanczos:
         monkeypatch.setattr(prob, "subsample", None)  # never called
         results = []
         for p in (prob, undeclared):
-            rng, counter = make_rng(9), GradCounter()
-            res = find_nc_direction(p, z, self.eps_H, self.delta, rng, counter)
+            rng = make_rng(9)
+            res = find_nc_direction(p, z, self.eps_H, self.delta, rng)
             # the next draw matches only if neither search took an index set
-            results.append((res, counter.count, rng.random()))
-        (a, count_a, next_a), (b, count_b, next_b) = results
+            results.append((res, rng.random()))
+        (a, next_a), (b, next_b) = results
         assert (a.direction is None) == (b.direction is None) == (not bent)
         if bent:
             assert np.array_equal(a.direction, b.direction)
         assert a.rayleigh_estimate == b.rayleigh_estimate
-        assert a.grads_used == b.grads_used and count_a == count_b
+        assert a.grads_used == b.grads_used
         assert next_a == next_b
 
     def test_statistical_contracts_on_subsamples(self):
@@ -539,12 +532,12 @@ class TestSubsampledLanczos:
             prob, z = regularized_bent(seed=2000 + s)
             assert ncf._subsample_size(prob, eps_H, delta) < prob.n
             assert np.linalg.eigvalsh(prob.hessian(z))[0] < -eps_H
-            res = find_nc_direction(prob, z, eps_H, delta, make_rng(2500 + s), GradCounter())
+            res = find_nc_direction(prob, z, eps_H, delta, make_rng(2500 + s))
             if res.direction is not None:
                 found += 1
                 sound += rayleigh(prob, z, res.direction) <= -eps_H / 2 + 1e-6
             assert np.linalg.eigvalsh(prob.hessian(prob.x0))[0] >= -eps_H / 2
-            res = find_nc_direction(prob, prob.x0, eps_H, delta, make_rng(3500 + s), GradCounter())
+            res = find_nc_direction(prob, prob.x0, eps_H, delta, make_rng(3500 + s))
             bottom += res.is_bottom
         assert sound == found
         assert found >= floor

@@ -19,7 +19,6 @@ from conftest import QuadraticProblem, make_quadratic_problem, streaming_quadrat
 
 import nestvr
 from nestvr import (
-    GradCounter,
     SmoothnessSpec,
     make_regularized_problem,
     make_rng,
@@ -1054,22 +1053,3 @@ def test_spawned_streams_are_independent_and_reproducible():
     assert a1.random() == a2.random()
     assert b1.random() == b2.random()
     assert make_rng(42).random() != make_rng(43).random()
-
-
-def test_counter_monotone_and_rejects_negative():
-    c = GradCounter()
-    c.add(3)
-    c.add(0)
-    assert c.count == 3
-    with pytest.raises(ValueError):
-        c.add(-1)
-    c.add(np.int64(2))
-    assert c.count == 5
-
-
-@pytest.mark.parametrize("units", [2.5, 2.0, np.float64(3.0), "2", None])
-def test_counter_rejects_non_integral_charges(units):
-    c = GradCounter()
-    with pytest.raises(TypeError):
-        c.add(units)
-    assert c.count == 0

@@ -20,7 +20,7 @@ import numpy as np
 
 from .epoch import BallLog, run_epoch
 from .ncfinder import find_nc_direction
-from .problems import Array, Problem, is_number
+from .problems import Array, Problem, check_count, check_fraction, check_number, check_positive
 from .schedule import NestedSchedule, clamp_schedule, derive_schedule
 
 # one search under both names that perfbench/spans.py wraps
@@ -88,12 +88,13 @@ class DriverConfig:
     derived: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.eps < 1.0 and 0.0 < self.eps_H < 1.0):
-            raise ValueError("eps and eps_H must lie in (0, 1)")
-        if self.U < 1:
-            raise ValueError(f"U must be >= 1, got {self.U}")
-        if not self.eta > 0.0:
-            raise ValueError(f"eta must be positive, got {self.eta}")
+        # the inputs' rules, as configure checks them; a delta above 1 is
+        # legal, since run_driver caps it
+        check_fraction("eps", self.eps)
+        check_fraction("eps_H", self.eps_H)
+        check_override("U", self.U, "U")
+        check_override("eta", self.eta, "eta")
+        check_positive("delta", self.delta)
 
 
 @dataclass
@@ -133,16 +134,10 @@ def check_override(key: str, value: object, path: str | None = None) -> int | fl
     refused, counts must be integers at or above their minimum (``B0 >= 4``,
     ``U >= 1``), and reals positive and finite."""
     path = path or f"overrides.{key}"
-    integer = OVERRIDE_KEYS[key] is int
-    if not is_number(value, integer):
-        kind = "an integer" if integer else "a number"
-        raise ValueError(f"{path}: expected {kind}, got {value!r}")
-    if integer:
-        if value < _OVERRIDE_MIN[key]:
-            raise ValueError(f"{path}: must be >= {_OVERRIDE_MIN[key]}, got {value}")
+    if OVERRIDE_KEYS[key] is int:
+        check_count(path, value, _OVERRIDE_MIN[key])
         return int(value)
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{path}: must be positive and finite, got {value}")
+    check_positive(path, value)
     return float(value)
 
 
@@ -153,26 +148,15 @@ def check_algorithm(smoothness_order: int, eps: float, eps_H: float, overrides: 
     override key is known and its value passes :func:`check_override`.  A
     bool is neither an integer nor a number.  The ``ValueError`` is a
     config's message without its ``algorithm.`` path."""
-    if not is_number(smoothness_order, integer=True):
-        raise ValueError(f"smoothness_order: expected an integer, got {smoothness_order!r}")
+    check_number("smoothness_order", smoothness_order, integer=True)
     if smoothness_order not in (2, 3):
         raise ValueError(f"smoothness_order: must be 2 or 3, got {smoothness_order}")
-    for name, value in (("eps", eps), ("eps_H", eps_H)):
-        if not is_number(value, integer=False):
-            raise ValueError(f"{name}: expected a number, got {value!r}")
-        if not 0.0 < value < 1.0:  # NaN fails too
-            raise ValueError(f"{name}: must lie in (0, 1), got {value}")
+    check_fraction("eps", eps)
+    check_fraction("eps_H", eps_H)
     unknown = set(overrides) - set(OVERRIDE_KEYS)
     if unknown:
         raise ValueError(f"overrides: unknown keys {sorted(unknown)}")
     return {key: check_override(key, overrides[key]) for key in OVERRIDE_KEYS if key in overrides}
-
-
-def _positive_finite(name: str, value: float) -> float:
-    """``value``, or a ValueError naming it when it is not positive and finite."""
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"derived {name} = {value!r} is not positive and finite")
-    return value
 
 
 def configure(
@@ -218,7 +202,7 @@ def configure(
         eta = math.sqrt((3.0 if finite else 1.0) * eps_H / s.L3)
     # the formulas divide by these: one that underflows to 0 is an error
     for name, value in ((names[0], c), (names[1], g), ("eps^2", eps**2)):
-        _positive_finite(name, value)
+        check_positive(f"derived {name}", value)
     if finite:
         a, u, b = (144.0, 24.0, 1800.0) if order == 2 else (72.0, 12.0, 1800.0 * 600.0)
         B0, M = problem.n, 6.0 * s.L1
@@ -230,12 +214,15 @@ def configure(
         log_arg = 2500.0 * C1 * max(r * s.sigma2 * c / (s.L1 * g), 6.0) * s.delta_F * s.L1 / eps**2
         branch = max(64.0 * (1.0 + math.log2(log_arg)), 96.0 * C1)
         # nesting needs B0 >= 4 even when sigma^2 eps^-2 is degenerately small
-        B0 = max(4, math.ceil(_positive_finite("B0", s.sigma2 / eps**2 * branch)))
+        B0 = s.sigma2 / eps**2 * branch
+        check_positive("derived B0", B0)
+        B0 = max(4, math.ceil(B0))
         rho = max(r * s.sigma2 * c / (s.L1 * g * math.sqrt(B0)), 6.0)
         M = 2.0 * rho * s.L1
         delta = 1.0 / (q * s.delta_F * c / g)
         U = u * s.delta_F * c / g + 96.0 * C1 * rho * s.delta_F * s.L1 / (math.sqrt(B0) * eps**2)
-    U = max(1, math.ceil(_positive_finite("U", U)))
+    check_positive("derived U", U)
+    U = max(1, math.ceil(U))
     values: dict[str, float] = {"B0": B0, "U": U, "M": M, "eta": eta}
     derived = {key: values[key] for key in checked}
     values.update(checked)

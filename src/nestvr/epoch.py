@@ -42,7 +42,7 @@ import math
 
 import numpy as np
 
-from .problems import Array, Difference, Problem
+from .problems import Array, Difference, Problem, check_fraction
 # re-exported only because perfbench/spans.py wraps it here as its
 # "problems.sample" site (spans.MODULE_SITES, pinned by
 # tests/test_benchmark_sites.py).  Epochs draw their index sets through
@@ -119,8 +119,7 @@ def draw_epoch_length(p: float, rng: np.random.Generator) -> int:
     53 ln 2 / -ln(1 - p) <= 36.8 / p: for the schedule's p = 1 / (1 + L),
     under 37 (1 + L) steps, where L is the loop product.
     """
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"geometric parameter must lie in (0, 1), got {p}")
+    check_fraction("p", p)
     u = 1.0 - rng.random()  # uniform on (0, 1]
     return int(math.log(u) / math.log1p(-p))
 

@@ -33,6 +33,7 @@ import math
 import os
 import re
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable
@@ -46,8 +47,10 @@ from .problems import (
     FAMILIES,
     FiniteSumProblem,
     Problem,
+    check_count,
+    check_fraction,
+    check_number,
     check_problem,
-    is_number,
     make_regularized_problem,
     make_rng,
     spawn_rngs,
@@ -79,11 +82,14 @@ def _require_keys(obj: dict, path: str, required: set[str], optional: set[str]) 
         raise ConfigError(f"{path}: missing keys {sorted(missing)}")
 
 
-def _check_number(path: str, value: object, integer: bool) -> None:
-    """Counts take JSON integers, reals any JSON number; booleans are neither."""
-    if not is_number(value, integer):
-        kind = "an integer" if integer else "a number"
-        raise ConfigError(f"{path}: expected {kind}, got {value!r}")
+@contextmanager
+def _config_error(prefix: str = ""):
+    """Repeat a library check's ValueError as a ConfigError, its message
+    under the config path ``prefix``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{prefix}{exc}") from None
 
 
 @dataclass(frozen=True)
@@ -111,14 +117,10 @@ class ProblemSpec:
             paths = ", ".join(f"problem.{key}" for key in ignored)
             raise ConfigError(f"{paths}: not used by family {self.family!r}")
         object.__setattr__(self, "values", {**fields, **self.values})
-        if self.seed is not None:
-            _check_number("problem.seed", self.seed, integer=True)
-            if self.seed < 0:
-                raise ConfigError(f"problem.seed: must be >= 0, got {self.seed}")
-        try:
+        with _config_error("problem."):
+            if self.seed is not None:
+                check_count("seed", self.seed, 0)
             check_problem(self.family, dim=self.dim, **self.values)
-        except ValueError as exc:
-            raise ConfigError(f"problem.{exc}") from None
 
 
 @dataclass(frozen=True)
@@ -133,10 +135,8 @@ class AlgorithmSpec:
     overrides: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        try:
+        with _config_error("algorithm."):
             drv.check_algorithm(self.smoothness_order, self.eps, self.eps_H, self.overrides)
-        except ValueError as exc:
-            raise ConfigError(f"algorithm.{exc}") from None
 
 
 @dataclass(frozen=True)
@@ -148,16 +148,13 @@ class ExperimentConfig:
     out: str | None = None
 
     def __post_init__(self) -> None:
-        _check_number("trials", self.trials, integer=True)
-        _check_number("seed", self.seed, integer=True)
+        with _config_error():
+            check_count("trials", self.trials, 1)
+            check_count("seed", self.seed, 0)
         if self.out is not None and not isinstance(self.out, str):
             raise ConfigError(f"out: expected a string, got {self.out!r}")
         if self.out == "":  # would write into, and prune, the working directory
             raise ConfigError("out: must be a non-empty path")
-        if self.trials < 1:
-            raise ConfigError(f"trials: must be >= 1, got {self.trials}")
-        if self.seed < 0:
-            raise ConfigError(f"seed: must be >= 0, got {self.seed}")
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
@@ -232,8 +229,9 @@ def load_point(path: str | Path, dim: int) -> np.ndarray:
         raise ConfigError(f"point: expected an array of {dim} numbers, got {type(doc).__name__}")
     if len(doc) != dim:
         raise ConfigError(f"point: expected {dim} coordinates, got {len(doc)}")
-    for i, value in enumerate(doc):
-        _check_number(f"point[{i}]", value, integer=False)
+    with _config_error():
+        for i, value in enumerate(doc):
+            check_number(f"point[{i}]", value, integer=False)
     try:
         point = np.asarray(doc, dtype=float)
     except OverflowError as exc:  # an integer beyond the float range
@@ -589,8 +587,8 @@ def cli_main(argv: list[str] | None = None) -> int:
             return 0
 
         if args.command == "verify":
-            if args.seed < 0:
-                raise ConfigError(f"--seed: must be >= 0, got {args.seed}")
+            with _config_error():
+                check_count("--seed", args.seed, 0)
             names = list(SUITES) if args.suite == "all" else [args.suite]
             results = run_verify_suite(names, args.seed)
             width = max(len(r.name) for r in results)
@@ -602,9 +600,10 @@ def cli_main(argv: list[str] | None = None) -> int:
             config = load_config(args.config)
             problem = build_problem(config.problem, config.seed)
             point = load_point(args.point, problem.dim)
-            for flag, value in (("--eps", args.eps), ("--eps-H", args.eps_H)):
-                if value is not None and not 0.0 < value < 1.0:  # NaN fails too
-                    raise ConfigError(f"{flag}: must lie in (0, 1), got {value}")
+            with _config_error():
+                for flag, value in (("--eps", args.eps), ("--eps-H", args.eps_H)):
+                    if value is not None:
+                        check_fraction(flag, value)
             eps = args.eps if args.eps is not None else config.algorithm.eps
             eps_H = args.eps_H if args.eps_H is not None else config.algorithm.eps_H
             cls = classify_point(problem, point, eps, eps_H)

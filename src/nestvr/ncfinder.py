@@ -47,7 +47,7 @@ import math
 
 import numpy as np
 
-from .problems import Array, FiniteSumProblem, Problem, _check_size
+from .problems import Array, FiniteSumProblem, Problem, check_fraction, check_positive
 
 #: a Lanczos residual at most this fraction of max(1, |alpha_k|) ends the
 #: search: the Krylov space is invariant
@@ -94,12 +94,10 @@ def hvp_estimate(
     product costs ``2 batch`` gradients, which its caller tallies.  NaN is
     neither a positive ``q`` nor a unit ``v``.
     """
-    if not (math.isfinite(q) and q > 0.0):
-        raise ValueError(f"displacement must be positive and finite, got {q}")
+    check_positive("q", q)
     v = np.asarray(v, dtype=float)
     if not abs(float(np.linalg.norm(v)) - 1.0) <= 1e-6:
         raise ValueError("direction must be unit norm")
-    _check_size(batch, problem.n)
     z = np.asarray(z, dtype=float)
     return problem.sample_batch_grad_diff(z + q * v, z, batch, rng) / q
 
@@ -200,9 +198,8 @@ def find_nc_direction(
     A Ritz vector that fails its certificate is not measured again until
     another Ritz value crosses the bar.  A step whose product is not finite
     ends the search with no direction and a NaN ``rayleigh_estimate``."""
-    for name, value in (("eps_H", eps_H), ("delta", delta)):
-        if not 0.0 < value < 1.0:  # NaN fails too
-            raise ValueError(f"{name} must lie in (0, 1), got {value}")
+    check_fraction("eps_H", eps_H)
+    check_fraction("delta", delta)
     s = problem.smoothness  # the parent's constants, also over a row subsample
     q = _displacement(eps_H, s.L2)
     candidate_bar = -0.75 * eps_H

@@ -63,12 +63,9 @@ class SmoothnessSpec:
     radius: float | None = None
 
     def __post_init__(self) -> None:
-        for name in ("L1", "L2", "L3", "sigma2", "delta_F"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0):
-                raise ValueError(f"SmoothnessSpec.{name} must be positive and finite, got {v}")
-        if self.radius is not None and not (math.isfinite(self.radius) and self.radius > 0):
-            raise ValueError(f"SmoothnessSpec.radius must be positive and finite, got {self.radius}")
+        for name in ("L1", "L2", "L3", "sigma2", "delta_F", "radius"):
+            if name != "radius" or self.radius is not None:  # None: global constants
+                check_positive(f"SmoothnessSpec.{name}", getattr(self, name))
 
 
 class Problem:
@@ -224,6 +221,40 @@ def is_number(value: object, integer: bool) -> bool:
         return True
     kinds = numbers.Integral if integer else numbers.Real
     return not isinstance(value, bool) and isinstance(value, kinds)
+
+
+# the four value rules: every check of a number, a count, a positive finite
+# real or a fraction calls one, so each rule and its message live here alone
+def check_number(name: str, value: object, integer: bool) -> None:
+    """A ValueError whose message starts ``name:`` unless ``value`` is an
+    integer, or with ``integer`` false a number (:func:`is_number`).  The
+    other three checks call it only to word a wrong kind's error: they pass
+    an exact ``int`` or ``float`` inline, since a build makes dozens of
+    checks."""
+    if not is_number(value, integer):
+        expected = "expected an integer" if integer else "expected a number"
+        raise ValueError(f"{name}: {expected}, got {value!r}")
+
+
+def check_count(name: str, value: object, least: int) -> None:
+    """The same, unless ``value`` is an integer at or above ``least``."""
+    if not ((type(value) is int or is_number(value, integer=True)) and value >= least):
+        check_number(name, value, integer=True)
+        raise ValueError(f"{name}: must be >= {least}, got {value}")
+
+
+def check_positive(name: str, value: object) -> None:
+    """The same, unless ``value`` is a positive and finite number."""
+    if not ((type(value) is float or is_number(value, integer=False)) and 0.0 < value < math.inf):
+        check_number(name, value, integer=False)
+        raise ValueError(f"{name}: must be positive and finite, got {value}")
+
+
+def check_fraction(name: str, value: object) -> None:
+    """The same, unless ``value`` is a number in (0, 1); NaN is not."""
+    if not ((type(value) is float or is_number(value, integer=False)) and 0.0 < value < 1.0):
+        check_number(name, value, integer=False)
+        raise ValueError(f"{name}: must lie in (0, 1), got {value}")
 
 
 def _check_size(size: object, n: int | None = None) -> None:
@@ -420,13 +451,11 @@ def check_problem(family: str, **values: float) -> None:
         value = values.get(name)
         if value is None and name == "n":  # left out: the minimum below names it
             continue
-        if not is_number(value, integer=True):
-            raise ValueError(f"{name}: expected an integer, got {value!r}")
+        check_number(name, value, integer=True)
     for name, rule, ok in _CONSTANT_RULES:
         if name in values:
             value = values[name]
-            if not is_number(value, integer=False):
-                raise ValueError(f"{name}: expected a number, got {value!r}")
+            check_number(name, value, integer=False)
             if not (ok(value) and math.isfinite(value)):
                 raise ValueError(f"{name}: must be {rule} and finite, got {value}")
     for name, least in FAMILIES[family].minimums.items():

@@ -19,7 +19,7 @@ from functools import cached_property
 import math
 import operator
 
-from .problems import is_number
+from .problems import check_positive, is_number
 
 
 @dataclass(frozen=True)
@@ -64,8 +64,7 @@ class NestedSchedule:
             object.__setattr__(self, "B", tuple(map(operator.index, self.B)))
         # the step is 1 / (10 M): zero divides by zero, and a negative, NaN or
         # infinite M ascends, poisons or freezes the iterates
-        if not (math.isfinite(self.M) and self.M > 0):
-            raise ValueError(f"M must be positive and finite, got {self.M}")
+        check_positive("M", self.M)
 
     @property
     def K(self) -> int:

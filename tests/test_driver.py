@@ -271,15 +271,43 @@ class TestConfigure:
         # the formulas divide by these; a float ** that overflows raises,
         # and one that underflows reads 0
         problem = SHELLS[family](smooth)
-        message = rf"^derived {re.escape(name)} is not positive and finite$"
+        power, value = name.split(" = ")
+        message = rf"^derived {re.escape(power)}: must be positive and finite, got {value}$"
         with pytest.raises(ValueError, match=message):
             configure(problem, eps, eps_H, order=order, overrides={"U": 5})
 
-    @pytest.mark.parametrize("change", [{"eps": 1.0}, {"eps_H": 0.0}, {"U": 0}, {"eta": 0.0}])
-    def test_config_fields_checked(self, change):
+    @pytest.mark.parametrize(
+        "name,value,message",
+        [
+            ("U", 2.5, "expected an integer"),
+            ("U", True, "expected an integer"),
+            ("U", np.float64(3.0), "expected an integer"),
+            ("U", 0, "must be >= 1"),
+            ("eta", math.inf, "must be positive and finite"),
+            ("eta", math.nan, "must be positive and finite"),
+            ("eta", True, "expected a number"),
+            ("eta", 0.0, "must be positive and finite"),
+            ("delta", -1.0, "must be positive and finite"),
+            ("delta", 0.0, "must be positive and finite"),
+            ("delta", math.nan, "must be positive and finite"),
+            ("eps", True, "expected a number"),
+            ("eps", 1.0, r"must lie in \(0, 1\)"),
+            ("eps", "0.1", "expected a number"),
+            ("eps_H", 0.0, r"must lie in \(0, 1\)"),
+        ],
+    )
+    def test_config_fields_checked(self, name, value, message):
+        # as configure checks them: a float U would fail mid-run, a bool U
+        # run one iteration, an infinite eta diverge, and a non-positive
+        # delta be floored unseen
         cfg = configure(DeclaredSpecProblem(100, 4, spec()), 0.1, 0.5, order=2)
-        with pytest.raises(ValueError, match=r"^(eps and eps_H|U|eta) must "):
-            dataclasses.replace(cfg, **change)
+        with pytest.raises(ValueError, match=rf"^{name}: {message}, got "):
+            dataclasses.replace(cfg, **{name: value})
+
+    def test_config_delta_above_one_is_capped_not_rejected(self):
+        # run_driver caps a delta above 1/2 before the finder reads it
+        cfg = configure(DeclaredSpecProblem(100, 4, spec()), 0.1, 0.5, order=2)
+        assert dataclasses.replace(cfg, delta=2.0).delta == 2.0
 
     def test_family_comes_from_the_problem(self):
         # the criterion-07 saddle, a finite sum, gets the finite-sum formulas,
@@ -442,7 +470,7 @@ class TestRunFinite:
             trace.add(kind, 1, grads_cum)
         assert len(trace.events) == 1
 
-    def test_counter_monotone_in_trace(self):
+    def test_charge_monotone_in_trace(self):
         prob, cfg = saddle_and_config(seed=5)
         out = run_driver(prob, cfg, make_rng(17))
         counts = [e.grads_cum for e in out.trace.events]

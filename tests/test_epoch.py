@@ -370,13 +370,13 @@ class TestRunEpoch:
     @example(B0=256, n=None, k=1)
     @example(B0=256, n=None, k=2)
     @example(B0=256, n=None, k=3)
-    def test_counter_is_periodic_multiple_of_closed_form(self, B0, n, k):
+    def test_charge_is_periodic_multiple_of_closed_form(self, B0, n, k):
         prob, sched = epoch_case(B0, n, seed=8)
         with fixed_length(k * sched.loop_product):
             res = one_epoch(prob.x0, prob, sched, make_rng(17))
         assert res.grads_used == k * expected_epoch_cost(sched)
 
-    def test_counter_mean_matches_exact_expectation(self):
+    def test_charge_mean_matches_exact_expectation(self):
         # Monte-Carlo mean of the tally against the analytic refresh-count law
         prob = make_streaming_saddle_problem(4, -1.0, seed=9)
         sched = derive_schedule(16, M=6.0 * prob.smoothness.L1)

@@ -746,12 +746,30 @@ class TestCli:
     @pytest.mark.parametrize(
         "problem,algorithm,name",
         [
-            ({"family": "saddle", "n": 256, "quartic": 1e-300}, {}, "L2^2 = 0.0"),
-            ({"family": "saddle", "n": 256, "quartic": 1e300}, {}, "L2^2 = inf"),
-            ({"family": "saddle", "n": 256}, {"eps_H": 1e-110}, "eps_H^3 = 0.0"),
-            ({"family": "saddle", "n": 256}, {"eps": 1e-200}, "eps^2 = 0.0"),
-            ({"family": "saddle", "n": 256, "negative_eigenvalue": -1e150}, {}, "U = inf"),
-            ({"family": "streaming-saddle", "noise": 1e150}, {}, "B0 = inf"),
+            (
+                {"family": "saddle", "n": 256, "quartic": 1e-300}, {},
+                "derived L2^2: must be positive and finite, got 0.0",
+            ),
+            (
+                {"family": "saddle", "n": 256, "quartic": 1e300}, {},
+                "derived L2^2: must be positive and finite, got inf",
+            ),
+            (
+                {"family": "saddle", "n": 256}, {"eps_H": 1e-110},
+                "derived eps_H^3: must be positive and finite, got 0.0",
+            ),
+            (
+                {"family": "saddle", "n": 256}, {"eps": 1e-200},
+                "derived eps^2: must be positive and finite, got 0.0",
+            ),
+            (
+                {"family": "saddle", "n": 256, "negative_eigenvalue": -1e150}, {},
+                "derived U: must be positive and finite, got inf",
+            ),
+            (
+                {"family": "streaming-saddle", "noise": 1e150}, {},
+                "derived B0: must be positive and finite, got inf",
+            ),
             ({"family": "saddle", "n": 256, "radius": 1e200}, {}, "SmoothnessSpec.L1"),
             # the well depth h^2 / (16 a) overflows, with no numpy warning on stderr
             (
@@ -831,7 +849,7 @@ class TestCli:
         point_path.write_text(json.dumps([0.0] * 8))
         assert cli_main(["classify", "--config", str(cfg_path), "--point", str(point_path)]) == 1
         out, err = capsys.readouterr()
-        assert out == "" and err.startswith("error: SmoothnessSpec.L1 must be positive and finite")
+        assert out == "" and err.startswith("error: SmoothnessSpec.L1: must be positive and finite")
 
     def test_classify_design_too_large_to_allocate(self, tmp_path, capsys):
         # 14.2 PiB: the allocation fails at once

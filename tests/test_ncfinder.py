@@ -176,7 +176,7 @@ class TestHvpEstimate:
         for prob in (quadratic, make_regularized_problem(4, 10, seed=0)):
             for q in (0.0, -1e-3, math.nan, math.inf):
                 proxy = recording(prob)
-                with pytest.raises(ValueError, match="displacement must be positive and finite"):
+                with pytest.raises(ValueError, match=r"^q: must be positive and finite, got "):
                     hvp_estimate(proxy, prob.x0, e1, q, prob.n, make_rng(0))
                 assert proxy.steps == []
 
@@ -415,7 +415,7 @@ class TestFinderContracts:
     def test_threshold_and_probability_lie_in_open_unit_interval(self, name, bad):
         prob = recording(make_quadratic_problem(np.eye(2), 4, seed=3, noise=0.0))
         args = {"eps_H": 0.1, "delta": 0.1, name: bad}
-        with pytest.raises(ValueError, match=re.escape(f"{name} must lie in (0, 1), got {bad}")):
+        with pytest.raises(ValueError, match=re.escape(f"{name}: must lie in (0, 1), got {bad}")):
             find_nc_direction(prob, prob.x0, args["eps_H"], args["delta"], make_rng(0))
         assert prob.steps == []  # no product made
 

@@ -40,7 +40,7 @@ def test_smoothness_spec_rejects_nonpositive():
     for name in ("L1", "L2", "L3"):
         for value in (0.0, -1.0, math.nan, math.inf):
             constants = {"L1": 1.0, "L2": 1.0, "L3": 1.0, name: value}
-            message = rf"^SmoothnessSpec\.{name} must be positive and finite"
+            message = rf"^SmoothnessSpec\.{name}: must be positive and finite, got {value}$"
             with pytest.raises(ValueError, match=message):
                 SmoothnessSpec(sigma2=1.0, delta_F=1.0, **constants)
 
@@ -705,7 +705,7 @@ def test_count_types_are_checked_first_and_numpy_integers_pass():
 def test_stream_noise_overflow_is_named(noise):
     # d noise^2 reads inf, which the spec rejects by name as it does the
     # saddle's, where noise**2 raised OverflowError
-    message = r"^SmoothnessSpec\.sigma2 must be positive and finite, got inf$"
+    message = r"^SmoothnessSpec\.sigma2: must be positive and finite, got inf$"
     with pytest.raises(ValueError, match=message):
         make_streaming_saddle_problem(4, -1.0, seed=0, noise=noise)
 

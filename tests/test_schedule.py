@@ -123,11 +123,11 @@ def test_step_parameter_must_be_positive_and_finite(M):
     # the rule check_override applies to an M override.  The step is
     # 1 / (10 M): an epoch would divide by zero, ascend, return NaN iterates
     # or never move, so no schedule holds such an M, however it is built
-    with pytest.raises(ValueError, match="M must be positive and finite"):
+    with pytest.raises(ValueError, match=r"^M: must be positive and finite, got "):
         derive_schedule(16, M=M)
-    with pytest.raises(ValueError, match="M must be positive and finite"):
+    with pytest.raises(ValueError, match=r"^M: must be positive and finite, got "):
         NestedSchedule(B0=16, M=M, T=(2, 2), B=(64, 16))
-    with pytest.raises(ValueError, match="M must be positive and finite"):
+    with pytest.raises(ValueError, match=r"^M: must be positive and finite, got "):
         replace(derive_schedule(16, M=6.0), M=M)
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from .epoch import BallLog, run_epoch
 from .ncfinder import find_nc_direction
 from .problems import Array, Problem, check_count, check_fraction, check_number, check_positive
-from .schedule import NestedSchedule, clamp_schedule, derive_schedule
+from .schedule import B0_MIN, NestedSchedule, clamp_schedule, derive_schedule
 
 # one search under both names that perfbench/spans.py wraps
 find_nc_direction_finite = find_nc_direction_online = find_nc_direction
@@ -39,7 +39,7 @@ STATUS_DIVERGED = "diverged"
 OVERRIDE_KEYS = {"B0": int, "U": int, "M": float, "eta": float}
 #: the smallest value each count override may take; real overrides must be
 #: positive and finite
-_OVERRIDE_MIN = {"B0": 4, "U": 1}
+_OVERRIDE_MIN = {"B0": B0_MIN, "U": 1}
 
 
 @dataclass
@@ -131,7 +131,7 @@ def classify_point(problem: Problem, z: Array, eps: float, eps_H: float) -> Poin
 def check_override(key: str, value: object, path: str | None = None) -> int | float:
     """``value`` as override ``key``'s type, or a ValueError that names
     ``path`` (default ``overrides.<key>``).  Booleans and non-numbers are
-    refused, counts must be integers at or above their minimum (``B0 >= 4``,
+    refused, counts must be integers at or above their minimum (``B0 >= B0_MIN``,
     ``U >= 1``), and reals positive and finite."""
     path = path or f"overrides.{key}"
     if OVERRIDE_KEYS[key] is int:
@@ -171,7 +171,7 @@ def configure(
       U = u c dF / g + b L1 dF eps^-2 n^-1/2, where (a, u, b) is
       (144, 24, 1800) at order 2 and (72, 12, 1800 * 600) at order 3;
     * stream: B0 = sigma^2 eps^-2 max{64 (1 + log2[2500 C1 r' dF L1 eps^-2]),
-      96 C1} (at least 4) with C1 = 200 and r' = max{r sigma^2 c / (L1 g), 6},
+      96 C1} (at least B0_MIN) with C1 = 200 and r' = max{r sigma^2 c / (L1 g), 6},
       rho = max{r sigma^2 c / (L1 g sqrt(B0)), 6}, M = 2 rho L1,
       delta = 1 / (q dF c / g), U = u dF c / g + 96 C1 rho dF L1 eps^-2 / sqrt(B0),
       where (r, q, u) is (54, 3000, 216) at order 2 and (36, 1000, 72) at 3.
@@ -213,10 +213,10 @@ def configure(
         C1 = 200.0
         log_arg = 2500.0 * C1 * max(r * s.sigma2 * c / (s.L1 * g), 6.0) * s.delta_F * s.L1 / eps**2
         branch = max(64.0 * (1.0 + math.log2(log_arg)), 96.0 * C1)
-        # nesting needs B0 >= 4 even when sigma^2 eps^-2 is degenerately small
+        # nesting needs B0 >= B0_MIN even when sigma^2 eps^-2 is degenerately small
         B0 = s.sigma2 / eps**2 * branch
         check_positive("derived B0", B0)
-        B0 = max(4, math.ceil(B0))
+        B0 = max(B0_MIN, math.ceil(B0))
         rho = max(r * s.sigma2 * c / (s.L1 * g * math.sqrt(B0)), 6.0)
         M = 2.0 * rho * s.L1
         delta = 1.0 / (q * s.delta_F * c / g)

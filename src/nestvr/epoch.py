@@ -117,9 +117,13 @@ def draw_epoch_length(p: float, rng: np.random.Generator) -> int:
 
     ``rng.random()`` has 53-bit resolution, so u >= 2^-53 and T is at most
     53 ln 2 / -ln(1 - p) <= 36.8 / p: for the schedule's p = 1 / (1 + L),
-    under 37 (1 + L) steps, where L is the loop product.
+    under 37 (1 + L) steps, where L is the loop product.  A ``p`` below
+    2.1e-307, where 36.8 / p would overflow a float, is a ValueError, raised
+    before the generator advances.
     """
     check_fraction("p", p)
+    if p < 2.1e-307:
+        raise ValueError(f"p: must be >= 2.1e-307 for a length a float can hold, got {p}")
     u = 1.0 - rng.random()  # uniform on (0, 1]
     return int(math.log(u) / math.log1p(-p))
 

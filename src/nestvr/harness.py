@@ -57,6 +57,7 @@ from .problems import (
     subsample_variance_report,
 )
 from .schedule import (
+    B0_MIN,
     NestedSchedule,
     check_series_domination,
     clamp_schedule,
@@ -536,7 +537,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sched = sub.add_parser("derive-schedule", help="print the canonical schedule as JSON")
-    p_sched.add_argument("--b0", type=int, required=True, help="base batch size (>= 4)")
+    p_sched.add_argument("--b0", type=int, required=True, help=f"base batch size (>= {B0_MIN})")
 
     p_run = sub.add_parser("run", help="execute an experiment config and write traces")
     p_run.add_argument("--config", required=True, help="path to a JSON experiment config")

@@ -2,9 +2,11 @@
 
 Hessian-vector products are approximated by forward gradient differences
 (H v ~ [grad F(z + q v) - grad F(z)] / q, error at most L2 q / 2 plus
-sampling noise), so the search consumes only stochastic gradients.  A
-candidate whose curvature estimate reaches -3/4 eps_H is returned only when
-a certified estimate plus its error budget clears -eps_H / 2.
+sampling noise), so the search consumes only stochastic gradients.  The
+displacement q = eps_H / (10 L2) is capped at the room that the ball of the
+declared constants leaves around z, so every probe point lies where L2
+holds.  A candidate whose curvature estimate reaches -3/4 eps_H is returned
+only when a certified estimate plus its error budget clears -eps_H / 2.
 
 Both oracle families run one search: Lanczos with full reorthogonalization
 from one random unit start, over the products of one operator.  One LDL^T
@@ -102,9 +104,19 @@ def hvp_estimate(
     return problem.sample_batch_grad_diff(z + q * v, z, batch, rng) / q
 
 
-def _displacement(eps_H: float, L2: float) -> float:
-    """Keep the Taylor error L2 q / 2 at eps_H / 20, an order below threshold."""
-    return eps_H / (10.0 * L2)
+def _displacement(problem: Problem, z: Array, eps_H: float) -> float:
+    """Keep the Taylor error L2 q / 2 at eps_H / 20, an order below threshold,
+    and each probe point z + q v inside the ball where L2 holds: q is capped
+    at the room radius - |z - x0| that the ball leaves around z.  A z with no
+    room, on the sphere or beyond it (where the run's ``BallLog`` flags it),
+    keeps eps_H / (10 L2)."""
+    s = problem.smoothness
+    q = eps_H / (10.0 * s.L2)
+    if s.radius is not None:
+        room = s.radius - float(np.linalg.norm(z - problem.x0))
+        if 0.0 < room < q:
+            return room
+    return q
 
 
 def _lanczos_steps(eps_H: float, delta: float, L1: float, dim: int, subsampled: bool) -> int:
@@ -184,10 +196,11 @@ def find_nc_direction(
     products included.
 
     Contract: a returned direction v satisfies v' H(z) v <= -eps_H / 2,
-    since it is returned only when its certificate clears that bar: whatever
-    the declared spread on a finite sum, and on a stream with exact paired
-    differences (each product deterministic given z, v and q), as every
-    stream in :mod:`nestvr.problems` has.  On a stream with noisy products
+    since it is returned only when its certificate clears that bar, with
+    every probe point inside the ball of the declared constants when z is:
+    whatever the declared spread on a finite sum, and on a stream with exact
+    paired differences (each product deterministic given z, v and q), as
+    every stream in :mod:`nestvr.problems` has.  On a stream with noisy products
     it holds only with probability about 1 - 7.8e-4 per certificate (see the
     module docstring).  If lambda_min(H(z)) < -eps_H a direction is found
     with probability at least 1 - delta; if lambda_min >= -eps_H / 2
@@ -201,7 +214,7 @@ def find_nc_direction(
     check_fraction("eps_H", eps_H)
     check_fraction("delta", delta)
     s = problem.smoothness  # the parent's constants, also over a row subsample
-    q = _displacement(eps_H, s.L2)
+    q = _displacement(problem, z, eps_H)
     candidate_bar = -0.75 * eps_H
     accept_bar = -0.5 * eps_H
     operator = problem

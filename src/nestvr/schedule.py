@@ -19,7 +19,11 @@ from functools import cached_property
 import math
 import operator
 
-from .problems import check_positive, is_number
+from .problems import check_count, check_positive, is_number
+
+#: the least base batch size: below it K = floor(log2 log2 B0) would be 0,
+#: a nest with no level above the anchor
+B0_MIN = 4
 
 
 @dataclass(frozen=True)
@@ -29,16 +33,12 @@ class NestedSchedule:
     ``T[l-1]`` and ``B[l-1]`` hold the level-l loop length and batch size for
     l = 1..K, so the depth K is ``len(T)``.  The counts are stored as Python
     ints (a numpy integer is read as one), so the charges cannot wrap.
-    ``clamped`` records whether any batch size was capped at a finite
-    component count (which voids the batch-size hypothesis of the variance
-    analysis).
     """
 
     B0: int
     M: float
     T: tuple[int, ...]
     B: tuple[int, ...]
-    clamped: bool = False
 
     def __post_init__(self) -> None:
         # an epoch steps from one multiple of T_K to the next: with no level
@@ -108,7 +108,6 @@ class NestedSchedule:
             "T": list(self.T),
             "B": list(self.B),
             "p": self.p,
-            "clamped": self.clamped,
             "expected_epoch_cost": expected_epoch_cost(self),
         }
 
@@ -121,13 +120,10 @@ def derive_schedule(B0: int, M: float) -> NestedSchedule:
     """Canonical schedule for base batch size ``B0`` and step parameter ``M``.
 
     ``B0``, an integer (a numpy one too, read as a Python int, so that 6^K B0
-    cannot wrap; a float is a ``TypeError``), must be at least 4: smaller
-    bases give K = 0, collapsing the nest, and are rejected rather than
-    special-cased.
+    cannot wrap; a float is a ``TypeError``), must be at least ``B0_MIN``.
     """
     B0 = operator.index(B0)
-    if B0 < 4:
-        raise ValueError(f"B0 must be >= 4 (nesting depth would underflow), got {B0}")
+    check_count("B0", B0, B0_MIN)
     # K = floor(log2 log2 B0) in exact integer arithmetic.
     K = (B0.bit_length() - 1).bit_length() - 1
     T = [2] + [2 ** (2 ** (l - 2)) for l in range(2, K + 1)]
@@ -138,20 +134,19 @@ def derive_schedule(B0: int, M: float) -> NestedSchedule:
 def clamp_schedule(schedule: NestedSchedule, n: int | None) -> NestedSchedule:
     """Cap every batch size at the component count ``n``.
 
-    ``None`` (the streaming sentinel) leaves the schedule untouched.  A
-    clamped schedule is flagged: the variance analysis' batch-size hypothesis
-    no longer holds and verification suites report it as not applicable.
+    ``None`` (the streaming sentinel) leaves the schedule untouched, and so
+    does an ``n`` no batch exceeds.  A capped schedule is no longer the
+    canonical one, so :func:`check_series_domination` reports it as not
+    applicable.
     """
     if n is None:
         return schedule
-    if n < 1:
-        raise ValueError(f"component count must be >= 1, got {n}")
+    check_count("n", n, 1)
     B0 = min(schedule.B0, n)
     B = tuple(min(b, n) for b in schedule.B)
-    changed = B0 != schedule.B0 or B != schedule.B
-    if not changed:
+    if B0 == schedule.B0 and B == schedule.B:
         return schedule
-    return replace(schedule, B0=B0, B=B, clamped=True)
+    return replace(schedule, B0=B0, B=B)
 
 
 def expected_epoch_cost(schedule: NestedSchedule) -> int:
@@ -191,7 +186,7 @@ def damping_series(schedule: NestedSchedule, L: float, s: int) -> tuple[float, .
     The endpoint c_{T_s} is M / (6^(K-s+1) prod_{l=s}^K T_l), and each step
     backwards multiplies by (1 + 1/T_s) and adds 3 L^2 / M * (prod_{l>s} T_l)
     / B_s.  The constants are defined for any M > 0; their ordering needs
-    M >= 6 L and an unclamped schedule (see :func:`check_series_domination`).
+    M >= 6 L and the canonical schedule (see :func:`check_series_domination`).
     ``L`` must be finite and >= 0.
     """
     if not 1 <= s <= schedule.K:
@@ -218,8 +213,8 @@ class SeriesDominationReport:
     2 <= s <= K, 0 <= j <= T_{s-1}, and of M - c_j^(K) (1 + T_K) over
     0 <= j <= T_K, so every inequality holds strictly exactly when it is
     positive (``passed``).  ``applicable`` is False when the hypotheses (M >= 6 L,
-    unclamped canonical schedule) are not met, in which case the margin is
-    reported but carries no guarantee.
+    the schedule ``derive_schedule(B0, M)``) are not met, in which case the
+    margin is reported but carries no guarantee.
     """
 
     applicable: bool
@@ -239,6 +234,5 @@ def check_series_domination(schedule: NestedSchedule, L: float) -> SeriesDominat
         for values, T, bound in zip(series, schedule.T, bounds)
         for c in values
     )
-    return SeriesDominationReport(
-        applicable=schedule.M >= 6.0 * L and not schedule.clamped, margin=margin
-    )
+    canonical = schedule.B0 >= B0_MIN and schedule == derive_schedule(schedule.B0, schedule.M)
+    return SeriesDominationReport(applicable=schedule.M >= 6.0 * L and canonical, margin=margin)

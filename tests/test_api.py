@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 
 import nestvr
@@ -34,3 +35,9 @@ def test_one_curvature_search():
 def test_epoch_decrease_check_takes_no_trial_count():
     params = inspect.signature(verify_epoch_decrease).parameters
     assert list(params) == ["problem", "schedule", "rng"]
+
+
+def test_schedule_is_its_four_numbers():
+    # no stored flag: what the lemma needs is read from B0, M, T and B
+    fields = [f.name for f in dataclasses.fields(nestvr.NestedSchedule)]
+    assert fields == ["B0", "M", "T", "B"]

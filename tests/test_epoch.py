@@ -320,6 +320,23 @@ class TestGeometricLength:
         with pytest.raises(ValueError):
             draw_epoch_length(1.0, rng)
 
+    @pytest.mark.parametrize("p", [1e-320, 5e-324, 1e-308])
+    def test_parameter_too_small_for_a_float_length_rejected(self, p):
+        # in (0, 1), but 36.8 / p, the longest draw, overflows a float (at
+        # 1e-308 about one draw in seven does): p is named before the
+        # generator advances
+        rng, twin = make_rng(5), make_rng(5)
+        with pytest.raises(ValueError, match=rf"^p: must be >= 2\.1e-307 .*, got {p}$"):
+            draw_epoch_length(p, rng)
+        assert rng.random() == twin.random()
+
+    def test_smallest_parameter_holds_the_longest_draw(self):
+        class Largest:
+            def random(self):
+                return 1.0 - 2.0**-53
+
+        assert draw_epoch_length(2.1e-307, Largest()) > 10**308
+
 
 class TestRunEpoch:
     def test_zero_length_is_identity_and_free(self):

@@ -36,6 +36,7 @@ from nestvr.harness import (
     verify_series_domination,
     write_trace,
 )
+from nestvr.schedule import SeriesDominationReport
 
 BASE_CONFIG = {
     "problem": {
@@ -424,10 +425,58 @@ class TestTracePersistence:
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
         assert path.read_bytes() == before["events.csv"]
 
+    def test_output_path_that_is_a_file_names_the_directory(self, results, tmp_path):
+        out = tmp_path / "taken"
+        out.write_text("not a directory\n")
+        with pytest.raises(OSError, match=rf"^writing traces under {re.escape(str(out))}: "):
+            write_trace(results, out)
+
+
+def _with_counts(B0, M, T=None, B=None):
+    """derive_schedule's schedule with its loop lengths or batches swapped."""
+    schedule = derive_schedule(B0, M)
+    return dataclasses.replace(schedule, T=T or schedule.T, B=B or schedule.B)
+
 
 class TestVerifySuites:
     def test_schedule_identities(self):
         assert verify_schedule_identities().passed
+
+    @pytest.mark.parametrize(
+        "name,fake,detail",
+        [
+            ("derive_schedule", lambda B0, M: _with_counts(B0, M, T=(3,)),
+             "B0=4: loop product 3 != sqrt(B0)"),
+            ("derive_schedule", lambda B0, M: _with_counts(B0, M, B=(25,)),
+             "B0=4, level 1: batch-product identity failed"),
+            ("expected_epoch_cost", lambda schedule: 10**9, "B0=4: cost 1000000000 exceeds bound 224"),
+        ],
+        ids=["loop-product", "batch-product", "cost"],
+    )
+    def test_schedule_identity_violation_fails(self, monkeypatch, name, fake, detail):
+        monkeypatch.setattr(hz, name, fake)
+        result = verify_schedule_identities()
+        assert (result.name, result.passed, result.detail) == ("schedule", False, detail)
+
+    def test_geometric_tail_violation_fails(self, monkeypatch):
+        monkeypatch.setattr(hz, "_geometric_tail_sides", lambda p, a, slack: (1.0, 0.5))
+        result = hz.verify_geometric_tail_inequality(make_rng(0))
+        assert (result.name, result.passed) == ("geom-tail", False)
+        assert re.fullmatch(r"violated by 5\.000e-01 at p=0\.\d{3}", result.detail)
+
+    def test_subsample_variance_violation_fails(self, monkeypatch):
+        monkeypatch.setattr(hz, "subsample_variance_report", lambda a, m, draws, rng: (2.0, 1.0))
+        result = hz.verify_subsample_variance(make_rng(0))
+        assert (result.name, result.passed) == ("subsample-variance", False)
+        assert re.fullmatch(r"N=\d+, m=\d+: estimate 2 above 1\.05 \* bound 1", result.detail)
+
+    @pytest.mark.parametrize("applicable,margin", [(True, -1.0), (False, 1.0)])
+    def test_series_domination_violation_fails(self, monkeypatch, applicable, margin):
+        report = SeriesDominationReport(applicable=applicable, margin=margin)
+        monkeypatch.setattr(hz, "check_series_domination", lambda schedule, L: report)
+        result = verify_series_domination()
+        detail = f"B0=4: margin {margin:.3e}"
+        assert (result.name, result.passed, result.detail) == ("series-domination", False, detail)
 
     def test_geometric_tail_tight_case(self):
         # a(j) = 1, b(k) = k: both sides equal (1-p)/p; truncated sums agree

@@ -371,6 +371,40 @@ class TestFinderContracts:
             bottom += res.is_bottom
         assert bottom >= math.floor((1 - delta) * 40 - 3 * math.sqrt(40 * delta * (1 - delta)))
 
+    @pytest.mark.parametrize("radius", [0.01, 0.02, 2.0])
+    def test_probe_points_stay_inside_the_ball(self, radius):
+        # the saddle's L2 = 24 a radius holds on its ball alone.  Uncapped,
+        # q = eps_H / (10 L2) would be 0.83 at radius 0.01, and the quartic's
+        # curvature beyond the ball would pull estimates up to 0.69 off
+        # against a Taylor budget of 0.025, with 24 of 200 searches
+        # abstaining.  q capped at the room left around z keeps each
+        # certified estimate within its budget of the exact value, and
+        # detection at criterion 06's rate; radius 2.0 leaves room for
+        # q = eps_H / (10 L2)
+        eps_H, delta, trials = 0.5, 0.01, 200
+        prob = make_saddle_problem(4, 16, -1.0, seed=1, radius=radius)
+        z = np.zeros(4)
+        q = ncf._displacement(prob, z, eps_H)
+        assert q == min(radius, eps_H / (10.0 * prob.smoothness.L2))
+        hessian = prob.hessian(z)
+        found = 0
+        for s in range(trials):
+            res = find_nc_direction(prob, z, eps_H, delta, make_rng(s))
+            if res.direction is not None:
+                found += 1
+                exact = float(res.direction @ hessian @ res.direction)
+                budget = 0.5 * prob.smoothness.L2 * q + 1e-9 * (1.0 + abs(res.rayleigh_estimate))
+                assert abs(res.rayleigh_estimate - exact) <= budget
+        assert found >= (1 - delta) * trials - 3 * math.sqrt(trials * delta * (1 - delta))
+
+    def test_probe_outside_the_ball_keeps_its_displacement(self):
+        # z on the sphere or beyond leaves no room, and the run's BallLog
+        # flags a z beyond it
+        prob = make_saddle_problem(4, 16, -1.0, seed=1, radius=0.01)
+        uncapped = 0.5 / (10.0 * prob.smoothness.L2)
+        for z in (np.array([0.01, 0.0, 0.0, 0.0]), np.full(4, 0.01)):
+            assert ncf._displacement(prob, z, 0.5) == uncapped
+
     @pytest.mark.parametrize("noise", [0.5, 2.0])
     def test_certificate_keeps_noisy_streams_sound(self, monkeypatch, noise):
         # products with Hessian noise, where detection carries no contract:

@@ -1011,6 +1011,20 @@ class TestStreaming:
 
 
 class TestSubsampleVariance:
+    @pytest.mark.parametrize("m", [0, 9])
+    def test_subset_size_out_of_range_rejected(self, rng, m):
+        a = rng.standard_normal((8, 3))
+        a -= a.mean(axis=0)
+        with pytest.raises(ValueError, match=rf"^subset size {m} out of range 1\.\.8$"):
+            subsample_variance_report(a, m, 10, rng)
+
+    def test_rows_that_do_not_sum_to_zero_rejected(self, rng):
+        a = rng.standard_normal((8, 3))
+        a -= a.mean(axis=0)
+        a[0, 0] += 1e-3
+        with pytest.raises(ValueError, match="^rows must sum to zero$"):
+            subsample_variance_report(a, 4, 10, rng)
+
     def test_full_subset_is_exactly_zero(self, rng):
         a = rng.standard_normal((8, 3))
         a -= a.mean(axis=0)

@@ -18,6 +18,7 @@ from nestvr import (
     make_rng,
     make_streaming_saddle_problem,
 )
+from nestvr.schedule import B0_MIN
 
 
 # hand-evaluated canonical schedules: B0 -> (K, T, B, loop product)
@@ -39,7 +40,7 @@ def test_derive_schedule_canonical(B0):
     assert sch.loop_product == prod
     assert prod * prod == B0
     assert sch.p == 1.0 / (1 + prod)
-    assert not sch.clamped
+    assert check_series_domination(sch, L=1.0).applicable
 
 
 def test_derive_schedule_formula_levels():
@@ -53,8 +54,11 @@ def test_derive_schedule_formula_levels():
 
 @pytest.mark.parametrize("B0", [2, 3, 0, -5])
 def test_small_base_rejected(B0):
-    with pytest.raises(ValueError):
+    # the count rule that overrides.B0 keeps, at the one minimum B0_MIN = 4,
+    # the least base with K = floor(log2 log2 B0) >= 1
+    with pytest.raises(ValueError, match=rf"^B0: must be >= 4, got {B0}$"):
         derive_schedule(B0, M=1.0)
+    assert derive_schedule(B0_MIN, M=1.0).K == 1
 
 
 def test_base_takes_the_counts_the_schedule_takes():
@@ -153,11 +157,18 @@ def test_batch_lower_bound_holds_with_equality_on_canonical():
 def test_clamp_schedule():
     sch = derive_schedule(256, M=6.0)
     clamped = clamp_schedule(sch, 1000)
-    assert clamped.clamped
+    assert not check_series_domination(clamped, L=1.0).applicable
     assert clamped.B == (1000, 1000, 96)
     assert clamped.B0 == 256
     # the streaming sentinel leaves the schedule untouched
     assert clamp_schedule(sch, None) is sch
+
+
+@pytest.mark.parametrize("n", [2.5, True, 0, -3, np.float64(8.0)])
+def test_clamp_count_is_named(n):
+    # n is checked itself: a float or a bool would fail later, naming B0
+    with pytest.raises(ValueError, match=r"^n: "):
+        clamp_schedule(derive_schedule(256, M=6.0), n)
 
 
 def test_clamp_all_levels():
@@ -222,6 +233,12 @@ def test_damping_series_endpoint_and_recursion():
     assert series[0] == pytest.approx(float(Fraction(113, 96)), rel=1e-13)
 
 
+@pytest.mark.parametrize("s", [0, 4, -1])
+def test_damping_series_level_out_of_range_rejected(s):
+    with pytest.raises(ValueError, match=rf"^level {s} out of range 1\.\.3$"):
+        damping_series(derive_schedule(256, M=6.0), L=1.0, s=s)
+
+
 def test_damping_series_zero_smoothness_is_pure_geometric():
     sch = derive_schedule(256, M=6.0)
     for s in range(1, sch.K + 1):
@@ -252,6 +269,20 @@ def test_series_domination_flagged_when_hypothesis_unmet():
     assert not report.applicable  # M < 6 L: computed anyway, no guarantee
 
 
+@pytest.mark.parametrize(
+    "schedule",
+    [
+        NestedSchedule(B0=256, M=6.0, T=(2, 2, 4), B=(1, 1, 1)),  # margin -29.99
+        NestedSchedule(B0=16, M=6.0, T=(3,), B=(5,)),
+    ],
+    ids=["unit-batches", "depth-1"],
+)
+def test_series_domination_not_applicable_to_hand_built_nests(schedule):
+    # M >= 6 L holds, but neither is derive_schedule(B0, M): the lemma
+    # orders the constants of the canonical nest alone
+    assert not check_series_domination(schedule, L=1.0).applicable
+
+
 def reference_damping_series(schedule, L, s):
     """The level-s constants filled in backwards from the endpoint, slot by slot."""
     M = schedule.M
@@ -279,6 +310,11 @@ def reference_gaps(schedule, L):
     return gaps
 
 
+def canonical(schedule):
+    """Whether ``schedule`` is the one derive_schedule gives its B0 and M."""
+    return schedule == derive_schedule(schedule.B0, schedule.M)
+
+
 class TestSeriesDominationReference:
     """The check's one margin against every gap, inequality by inequality."""
 
@@ -287,13 +323,14 @@ class TestSeriesDominationReference:
     ] + [clamp_schedule(derive_schedule(256, M=6.0), 1000)]
 
     @pytest.mark.parametrize("L", [0.0, 0.5, 1.0, 3.0])
-    @pytest.mark.parametrize("schedule", schedules, ids=lambda s: f"B0={s.B0},M={s.M},{s.clamped}")
+    # the last id field is True for the one schedule that is not the canonical one
+    @pytest.mark.parametrize("schedule", schedules, ids=lambda s: f"B0={s.B0},M={s.M},{not canonical(s)}")
     def test_margin_is_least_gap(self, schedule, L):
         report = check_series_domination(schedule, L)
         gaps = reference_gaps(schedule, L)
         assert report.margin == min(gaps)  # bit for bit
         assert report.passed == all(gap > 0 for gap in gaps)
-        assert report.applicable == (schedule.M >= 6.0 * L and not schedule.clamped)
+        assert report.applicable == (schedule.M >= 6.0 * L and canonical(schedule))
         for s in range(1, schedule.K + 1):
             assert list(damping_series(schedule, L, s)) == reference_damping_series(schedule, L, s)
 
@@ -351,7 +388,8 @@ class TestScheduleProperties:
         out = clamp_schedule(sch, n)
         assert out.B0 == min(B0, n) and out.B == tuple(min(b, n) for b in sch.B)
         changed = (out.B0, out.B) != (sch.B0, sch.B)
-        assert out.clamped == changed
+        # a capped schedule is no canonical one: the lemma's hypotheses fail
+        assert check_series_domination(out, L=1.0).applicable == (not changed)
         if not changed:
             assert out is sch
         assert (out.K, out.T, out.M, out.p) == (sch.K, sch.T, sch.M, sch.p)

@@ -23,7 +23,9 @@ import nestvr
 from nestvr import (
     NestedSchedule,
     SmoothnessSpec,
+    clamp_schedule,
     configure,
+    derive_schedule,
     find_nc_direction,
     hvp_estimate,
     make_rng,
@@ -70,6 +72,7 @@ SPEC = {"L1": 1.0, "L2": 1.0, "L3": 1.0, "sigma2": 1.0, "delta_F": 1.0, "radius"
 SHELL = DeclaredSpecProblem(100, 4, SmoothnessSpec(**SPEC))
 CONFIG = configure(SHELL, 0.1, 0.5, order=2)
 QUADRATIC = make_quadratic_problem(np.eye(2), 4, seed=3, noise=0.0)
+SCHEDULE = derive_schedule(16, M=6.0)
 
 
 def load_point_with(value):
@@ -110,6 +113,9 @@ ENTRIES = {
     },
     "NestedSchedule-M": Entry(
         "M", POSITIVE, lambda v: NestedSchedule(B0=16, M=v, T=(2, 2), B=(64, 16))
+    ),
+    "clamp_schedule-n": Entry(
+        "n", count(1), lambda v: clamp_schedule(SCHEDULE, v), none_ok=True  # a stream
     ),
     "find_nc_direction-eps_H": Entry(
         "eps_H", FRACTION, lambda v: find_nc_direction(QUADRATIC, QUADRATIC.x0, v, 0.1, make_rng(0))

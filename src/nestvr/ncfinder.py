@@ -16,30 +16,34 @@ is certified.  The run ends at the Kuczynski-Wozniakowski step count (never
 more than d steps), or earlier when the Krylov space becomes invariant.
 That count is for accuracy eps_H / 4 with probability 1 - delta.
 
-Only the operator and the certificate depend on the family.  On a finite sum
-each product is deterministic given z, v and q.  The operator is the
-population, unless the family declares its component-Hessian spread
-(sigma_H^2, R_H) and matrix Bernstein then needs b < n rows: b rows drawn
-without replacement put H_S within s = eps_H / 8 of H with probability
-1 - delta / 2 once b >= 2 (sigma_H^2 + R_H s / 3) ln(4 d / delta) / s^2, and
-the probe draws one such subsample S.  The step count is then for eps_H / 8
-with probability 1 - delta / 2, and s takes the other eighth and the other
-half of delta: a Ritz value lies within s + eps_H / 8 of lambda_min(H), and a
-Ritz vector's Rayleigh value on H within s of its value on H_S, which keeps
-both bars.  A finite-sum certificate is one fresh population product, whose
-error budget is the Taylor term alone.  On a stream each step draws a fresh
-batch, and a certificate re-measures the candidate over several large
-batches, adding a 5-standard-error allowance from their spread.
+The operator is the population, unless the family declares its
+sample-Hessian spread (sigma_H^2, R_H) and matrix Bernstein then needs b < n
+samples (any b, on a stream): b samples put H_S within s = eps_H / 8 of H
+with probability 1 - delta / 2 once
+b >= 2 (sigma_H^2 + R_H s / 3) ln(4 d / delta) / s^2, and the probe draws
+one such operator, ``problem.subsample(b, rng)``, on which every product is
+deterministic given z, v and q.  A declared spread of zero makes it exact,
+as the population is.  On an inexact operator the step count is for
+eps_H / 8 with probability 1 - delta / 2, and s takes the other eighth and
+the other half of delta: a Ritz value lies within s + eps_H / 8 of
+lambda_min(H), and a Ritz vector's Rayleigh value on H within s of its value
+on H_S, which keeps both bars.  A certificate is one product on the
+population, or on a stream on an independent operator of b samples, whose
+error budget is the Taylor term plus s on an inexact operator.
 
-Self-certification makes a returned direction sound unconditionally
-wherever the certificate is exact: on a finite sum, and on a stream whose
-paired differences are exact, as every stream in :mod:`nestvr.problems` has
-(the batches' spread is then zero).  On a stream with noisy products it holds
-with high probability only: the mean of 8 batches plus 5 standard errors
-fails under normal batch means with the t_7 tail P ~ 7.8e-4 per
-certificate, whatever delta is.  Failure to certify yields the abstention
-signal (direction ``None``), indistinguishable by contract from a genuine
-absence of curvature below the threshold.
+The contracts hold at 1 - delta wherever the certificate is exact: on a
+finite sum, and on a stream whose declared spread is zero, as every stream
+in :mod:`nestvr.problems` declares.  A returned direction is then sound
+unconditionally.  On a stream with a non-zero spread the certificate's
+operator is one more draw, within s of H with probability 1 - delta / 2, and
+its allowance s keeps a returned direction sound with that probability per
+certificate.  Abstention keeps 1 - delta there, since over a good S no Ritz
+value reaches the candidate bar.  Detection does not quite: the
+certificate's error and allowance take two more eighths of the margin, so it
+is guaranteed only where lambda_min(H) < -1.225 eps_H, with probability
+1 - 3 delta / 2.  Failure to certify yields the abstention signal (direction
+``None``), indistinguishable by contract from a genuine absence of curvature
+below the threshold.
 """
 
 from __future__ import annotations
@@ -49,15 +53,11 @@ import math
 
 import numpy as np
 
-from .problems import Array, FiniteSumProblem, Problem, check_fraction, check_positive
+from .problems import Array, Problem, check_fraction, check_positive
 
 #: a Lanczos residual at most this fraction of max(1, |alpha_k|) ends the
 #: search: the Krylov space is invariant
 BREAKDOWN_TOL = 1e-12
-#: streaming batch sizes for Lanczos products and certification
-ONLINE_PRODUCT_BATCH_MIN = 64
-ONLINE_CERT_BATCHES = 8
-ONLINE_CERT_BATCH_MIN = 256
 _TINY = float(np.finfo(float).tiny)
 
 
@@ -67,7 +67,7 @@ class NCResult:
 
     ``rayleigh_estimate`` carries the certified value for a returned direction.
     At abstention it is a diagnostic only: the smallest Ritz value of the
-    Lanczos run (over a row subsample S, a Ritz value of H_S, whose smallest
+    Lanczos run (over a subsample S, a Ritz value of H_S, whose smallest
     eigenvalue lies within eps_H / 8 of H's with probability 1 - delta / 2).
     """
 
@@ -123,8 +123,9 @@ def _lanczos_steps(eps_H: float, delta: float, L1: float, dim: int, subsampled: 
     """Kuczynski-Wozniakowski step count, capped at ``dim``: from a random
     start, Lanczos on L1 I - H (spectrum in [0, 2 L1]) finds its top
     eigenvalue to relative accuracy eps_H / (8 L1), i.e. absolute eps_H / 4,
-    with probability at least 1 - delta.  A ``subsampled`` operator leaves
-    half of each to its sampling error: eps_H / (16 L1) at 1 - delta / 2."""
+    with probability at least 1 - delta.  A ``subsampled`` operator, one
+    that is not exact, leaves half of each to its sampling error:
+    eps_H / (16 L1) at 1 - delta / 2."""
     share = 2.0 if subsampled else 1.0
     rel = eps_H / (8.0 * share * L1)
     delta /= share
@@ -132,18 +133,23 @@ def _lanczos_steps(eps_H: float, delta: float, L1: float, dim: int, subsampled: 
     return min(dim, steps)
 
 
-def _subsample_size(problem: FiniteSumProblem, eps_H: float, delta: float) -> int:
-    """Rows b whose subsample Hessian lies within eps_H / 8 of the
+def _subsample_size(problem: Problem, eps_H: float, delta: float) -> int:
+    """Samples b whose operator's Hessian lies within eps_H / 8 of the
     population's with probability 1 - delta / 2, by matrix Bernstein over the
-    declared spread (see the module docstring); ``n`` when none is declared
-    or b would reach it."""
+    declared spread (see the module docstring), at least 1 and on a finite
+    sum at most ``n``; ``n`` when a finite sum declares no spread.  A stream
+    that declares none is a ``ValueError``: it has no population to read."""
     spread = problem.hessian_spread
     if spread is None:
+        if problem.n is None:
+            raise ValueError(f"{type(problem).__name__}: a stream must declare its hessian_spread "
+                             "for the curvature search to size its operator")
         return problem.n
     var, R = spread
     s = eps_H / 8.0
     log_term = math.log(4.0 * problem.dim / delta)
-    return min(problem.n, math.ceil(2.0 * (var + R * s / 3.0) * log_term / s**2))
+    rows = max(1, math.ceil(2.0 * (var + R * s / 3.0) * log_term / s**2))
+    return rows if problem.n is None else min(problem.n, rows)
 
 
 def _ldl_pivot(alpha: float, beta_prev: float, pivot_prev: float, bar: float) -> float:
@@ -160,24 +166,25 @@ def _tridiagonal(alpha: Array, beta: Array) -> Array:
     return np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
 
 
+def _exact(problem: Problem, operator: Problem) -> bool:
+    """Whether ``operator``'s products are ``problem``'s population ones: it
+    is the population, or the declared spread is zero."""
+    return operator is problem or problem.hessian_spread == (0.0, 0.0)
+
+
 def _certify(
-    problem: Problem, z: Array, v: Array, q: float, rng: np.random.Generator
+    problem: Problem, z: Array, v: Array, q: float, rows: int, eps_H: float, rng: np.random.Generator
 ) -> tuple[float, float, int]:
-    """Rayleigh value of ``v``, its sampling allowance, to which the Taylor
-    term is added, and the gradients its products cost: on a finite sum one
-    population product, with a roundoff allowance; on a stream the mean over
-    several independent batches, with a 5-standard-error allowance from
-    their spread."""
-    if problem.is_finite_sum:
-        w = hvp_estimate(problem, z, v, q, problem.n, rng)
-        value = float(v @ w)
-        return value, 1e-9 * (1.0 + abs(value)), 2 * problem.n
-    vals = np.empty(ONLINE_CERT_BATCHES)
-    for i in range(ONLINE_CERT_BATCHES):
-        w = hvp_estimate(problem, z, v, q, ONLINE_CERT_BATCH_MIN, rng)
-        vals[i] = float(v @ w)
-    spread = float(vals.std(ddof=1)) / math.sqrt(ONLINE_CERT_BATCHES)
-    return float(vals.mean()), 5.0 * spread + 1e-9, 2 * ONLINE_CERT_BATCHES * ONLINE_CERT_BATCH_MIN
+    """Rayleigh value of ``v`` from one product, its allowance, to which the
+    Taylor term is added, and the gradients the product costs: on the
+    population, or on a stream on an independent operator of ``rows``
+    samples.  The allowance is roundoff, plus eps_H / 8 on an inexact
+    operator."""
+    operator = problem if problem.n is not None else problem.subsample(rows, rng)
+    w = hvp_estimate(operator, z, v, q, operator.n, rng)
+    value = float(v @ w)
+    slack = 0.0 if _exact(problem, operator) else eps_H / 8.0
+    return value, 1e-9 * (1.0 + abs(value)) + slack, 2 * operator.n
 
 
 def find_nc_direction(
@@ -189,43 +196,35 @@ def find_nc_direction(
 ) -> NCResult:
     """Negative-curvature search at ``z`` for threshold ``eps_H`` and failure
     probability ``delta``, both in (0, 1): one Lanczos run over the
-    products of the population, of one row subsample or of fresh stream
-    batches, each Ritz candidate certified by :func:`_certify` (see the
-    module docstring).  A stream's products read max(64, ceil(4 L1 / eps_H))
-    samples each, and ``grads_used`` is 2 batch per product, certificate
-    products included.
+    products of the population or of one sampled operator, each Ritz
+    candidate certified by :func:`_certify` (see the module docstring).
+    ``grads_used`` is 2 samples per product, certificate products included.
 
     Contract: a returned direction v satisfies v' H(z) v <= -eps_H / 2,
     since it is returned only when its certificate clears that bar, with
-    every probe point inside the ball of the declared constants when z is:
-    whatever the declared spread on a finite sum, and on a stream with exact
-    paired differences (each product deterministic given z, v and q), as
-    every stream in :mod:`nestvr.problems` has.  On a stream with noisy products
-    it holds only with probability about 1 - 7.8e-4 per certificate (see the
-    module docstring).  If lambda_min(H(z)) < -eps_H a direction is found
-    with probability at least 1 - delta; if lambda_min >= -eps_H / 2
-    abstention is returned with probability at least 1 - delta.  The band in
-    between carries no contract.  On a stream, detection and abstention
-    assume exact paired differences.
+    every probe point inside the ball of the declared constants when z is.
+    If lambda_min(H(z)) < -eps_H a direction is found with probability at
+    least 1 - delta; if lambda_min >= -eps_H / 2 abstention is returned with
+    probability at least 1 - delta.  The band in between carries no
+    contract.  These hold as stated wherever the certificate is exact; on a
+    stream with a non-zero spread, soundness holds with probability
+    1 - delta / 2 per certificate and detection below -1.225 eps_H at
+    1 - 3 delta / 2 (see the module docstring).  A stream that declares no
+    ``hessian_spread`` is a ``ValueError``.
 
     A Ritz vector that fails its certificate is not measured again until
     another Ritz value crosses the bar.  A step whose product is not finite
     ends the search with no direction and a NaN ``rayleigh_estimate``."""
     check_fraction("eps_H", eps_H)
     check_fraction("delta", delta)
-    s = problem.smoothness  # the parent's constants, also over a row subsample
+    s = problem.smoothness  # the parent's constants, also over a subsample
     q = _displacement(problem, z, eps_H)
     candidate_bar = -0.75 * eps_H
     accept_bar = -0.5 * eps_H
-    operator = problem
-    if problem.is_finite_sum:
-        rows = _subsample_size(problem, eps_H, delta)
-        if rows < problem.n:
-            operator = problem.subsample(rows, rng)
-        batch = operator.n
-    else:
-        batch = max(ONLINE_PRODUCT_BATCH_MIN, math.ceil(4.0 * s.L1 / eps_H))
-    steps = _lanczos_steps(eps_H, delta, s.L1, problem.dim, operator is not problem)
+    rows = _subsample_size(problem, eps_H, delta)
+    operator = problem if rows == problem.n else problem.subsample(rows, rng)
+    batch = operator.n
+    steps = _lanczos_steps(eps_H, delta, s.L1, problem.dim, not _exact(problem, operator))
     basis = np.empty((steps, problem.dim))
     alpha = np.empty(steps)
     beta = np.empty(steps)
@@ -253,7 +252,7 @@ def find_nc_direction(
             _, ritz = np.linalg.eigh(_tridiagonal(alpha[: k + 1], beta[:k]))
             u = V.T @ ritz[:, 0]
             u /= np.linalg.norm(u)
-            cert, allowance, cost = _certify(problem, z, u, q, rng)
+            cert, allowance, cost = _certify(problem, z, u, q, rows, eps_H, rng)
             grads += cost
             if cert + 0.5 * s.L2 * q + allowance <= accept_bar:
                 return NCResult(direction=u, rayleigh_estimate=cert, grads_used=grads)

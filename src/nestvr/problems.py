@@ -75,12 +75,23 @@ class Problem:
     a reference y, bound once (:meth:`difference_from`).  It draws from
     ``rng`` only what it reads.  ``n`` is the number of components, None for
     a stream, whose call draws ``size`` fresh samples, any number of them,
-    and pairs the same samples at both points of a difference."""
+    and pairs the same samples at both points of a difference.
+
+    ``hessian_spread`` is the family's declared sample-Hessian spread
+    ``(sigma_H^2, R_H)``: at every point, ``|E (H_xi - H)^2| <= sigma_H^2``
+    and ``|H_xi - H| <= R_H`` in spectral norm, where ``H_xi`` is the
+    Hessian that one sample's paired difference reads and ``H`` their mean
+    (on a finite sum, the component Hessians and their average).  A family
+    that declares it implements :meth:`subsample`, on which the curvature
+    search runs.  ``None`` (the default) declares nothing: a finite sum's
+    search then reads the whole population, and a stream cannot be searched.
+    """
 
     dim: int
     x0: Array
     smoothness: SmoothnessSpec
     n: int | None = None
+    hessian_spread: tuple[float, float] | None = None
 
     def value(self, x: Array) -> float:
         raise NotImplementedError
@@ -116,6 +127,16 @@ class Problem:
         a dense symmetric eigensolve of :meth:`hessian`.  A family whose
         Hessian has a structure overrides it with the same value."""
         return float(np.linalg.eigvalsh(self.hessian(x)).min())
+
+    def subsample(self, size: int, rng: np.random.Generator) -> Problem:
+        """The operator of ``size`` samples, drawn once from ``rng``: a
+        problem whose population differences (its own ``n`` as the batch)
+        average those samples alone, as the matrix Bernstein bound of the
+        curvature search assumes.  A finite sum draws its rows as
+        ``sample_indices_without_replacement(n, size, rng)`` does, and a
+        size outside 1..n is a ``ValueError``.  Implemented by the families
+        that declare a ``hessian_spread``."""
+        raise NotImplementedError
 
     @property
     def is_finite_sum(self) -> bool:
@@ -155,18 +176,9 @@ class FiniteSumProblem(Problem):
     drawn from ``rng``.  A family whose difference reads no rows overrides
     ``difference_from`` and draws nothing there, since every index set gives
     it the same result.
-
-    ``hessian_spread`` is the family's declared component-Hessian spread
-    ``(sigma_H^2, R_H)``: at every point, ``|mean_i (H_i - H)^2| <= sigma_H^2``
-    and ``max_i |H_i - H| <= R_H`` in spectral norm, where ``H_i`` is the
-    Hessian of ``f_i`` and ``H`` their mean.  A family that declares it
-    implements ``subsample(size, rng)``, the finite sum of ``size`` rows it
-    draws, whose population products the curvature search runs on.  ``None``
-    (the default) declares nothing, and that search reads the whole population.
     """
 
     n: int
-    hessian_spread: tuple[float, float] | None = None
 
     def batch_grad(self, x: Array, idx: Array | int) -> Array:
         """Mean of component gradients over ``idx``."""
@@ -192,14 +204,6 @@ class FiniteSumProblem(Problem):
         if size == self.n:
             return self.n
         return sample_indices_without_replacement(self.n, size, rng)
-
-    def subsample(self, size: int, rng: np.random.Generator) -> FiniteSumProblem:
-        """The finite sum of ``size`` components alone, drawn as
-        ``sample_indices_without_replacement(n, size, rng)`` draws them: the
-        uniform subsample that the curvature search's matrix Bernstein bound
-        assumes.  A size outside 1..n is a ``ValueError``.  Implemented by the
-        families that declare a ``hessian_spread``."""
-        raise NotImplementedError
 
 
 def sample_indices_without_replacement(n: int, m: int, rng: np.random.Generator) -> Array:
@@ -673,8 +677,12 @@ class AdditiveNoiseStreamingProblem(Problem):
     The mean of a batch of B fresh noises is N(0, s^2/B I), so batch means are
     drawn from their exact law in one shot; two-point corrections pair the same
     xi at both points, where the additive noise cancels identically, so a
-    correction is the core's population difference.
+    correction is the core's population difference.  Every sample's Hessian
+    is the core's: the declared spread is zero, and the operator of any
+    number of samples is the core, drawn with nothing.
     """
+
+    hessian_spread = (0.0, 0.0)
 
     def __init__(self, core: FiniteSumProblem, noise_std: float):
         self.core = core
@@ -704,6 +712,9 @@ class AdditiveNoiseStreamingProblem(Problem):
             return core_diff(x, n, rng)
 
         return diff
+
+    def subsample(self, size: int, rng: np.random.Generator) -> Problem:
+        return self.core
 
     def full_grad(self, x: Array) -> Array:
         return self.core.full_grad(x)

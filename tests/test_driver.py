@@ -844,7 +844,7 @@ class TestAnchorReuse:
         "streaming-saddle": (
             lambda: make_streaming_saddle_problem(6, -1.0, seed=4, radius=1.5),
             {"U": 80},
-            259667370251088,
+            259667370242050,
         ),
     }
 

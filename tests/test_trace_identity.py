@@ -35,7 +35,7 @@ RUNS = {
     "streaming-saddle": (
         {"family": "streaming-saddle", "dim": 10, "negative_eigenvalue": -1.0, "radius": 1.5},
         ALGORITHM,
-        "6ee33404f9eaa8dba441083c9fd32d0f6c562d0a0e1612208037c73b68767860",
+        "37b1b51a5ced5afe49ea9f87931979477723ed0f7c55de4c17cdd05c3394dd65",
     ),
     # the one pin whose curvature probes run on a row subsample (1635 of
     # 3000 rows, three blocks) and whose level-3 batches read 1125 rows

@@ -27,23 +27,33 @@ as the population is.  On an inexact operator the step count is for
 eps_H / 8 with probability 1 - delta / 2, and s takes the other eighth and
 the other half of delta: a Ritz value lies within s + eps_H / 8 of
 lambda_min(H), and a Ritz vector's Rayleigh value on H within s of its value
-on H_S, which keeps both bars.  A certificate is one product on the
-population, or on a stream on an independent operator of b samples, whose
-error budget is the Taylor term plus s on an inexact operator.
+on H_S, which keeps both bars.
 
-The contracts hold at 1 - delta wherever the certificate is exact: on a
-finite sum, and on a stream whose declared spread is zero, as every stream
-in :mod:`nestvr.problems` declares.  A returned direction is then sound
-unconditionally.  On a stream with a non-zero spread the certificate's
-operator is one more draw, within s of H with probability 1 - delta / 2, and
-its allowance s keeps a returned direction sound with that probability per
-certificate.  Abstention keeps 1 - delta there, since over a good S no Ritz
-value reaches the candidate bar.  Detection does not quite: the
-certificate's error and allowance take two more eighths of the margin, so it
-is guaranteed only where lambda_min(H) < -1.225 eps_H, with probability
-1 - 3 delta / 2.  Failure to certify yields the abstention signal (direction
-``None``), indistinguishable by contract from a genuine absence of curvature
-below the threshold.
+A certificate is one product on the population, with the Taylor term as its
+error budget.  A stream has no population, which is the one fact about the
+family that the search reads (``problem.n`` is None): its operators are
+sized from its declared spread alone, so a stream that declares none is a
+``ValueError``, and its certificate reads an independent operator of its
+own, whose budget adds t = eps_H / 80 unless the spread is zero.  The
+candidate is fixed before that operator is drawn, so scalar Bernstein
+bounds the error of its Rayleigh value by t with failure delta / (4 d) once
+b_c >= 2 (sigma_H^2 + R_H t / 3) ln(8 d / delta) / t^2.
+A probe makes at most d certificates, one per rise of the Sturm count, so
+they all hold with probability 1 - delta / 4, and that quarter of delta is
+taken from the Lanczos step count's half, which is then for delta / 4.
+
+The contracts then hold at 1 - delta on a finite sum and on every stream
+that declares its spread.  Soundness: a returned direction passed
+a certificate whose error its budget covers, unconditionally where the
+certificate is exact and with probability 1 - delta / 4 on a sampled one.
+Detection: over a good operator and a good Lanczos run, the first Ritz
+vector below the candidate bar has a Rayleigh value on H below
+-eps_H + eps_H / 4 + s = -5/8 eps_H, so its certificate, two Taylor terms
+eps_H / 20 and two shares t above it at most, clears -eps_H / 2.
+Abstention: over a good operator no Ritz value reaches the candidate bar.
+Failure to certify yields the abstention signal (direction ``None``),
+indistinguishable by contract from a genuine absence of curvature below the
+threshold.
 """
 
 from __future__ import annotations
@@ -133,23 +143,49 @@ def _lanczos_steps(eps_H: float, delta: float, L1: float, dim: int, subsampled: 
     return min(dim, steps)
 
 
+def _bernstein_size(spread: tuple[float, float], error: float, log_term: float) -> int:
+    """Samples b whose mean lies within ``error`` of the population's by
+    Bernstein's inequality over the spread (sigma_H^2, R_H):
+    b >= 2 (sigma_H^2 + R_H error / 3) log_term / error^2, at least 1, where
+    ``log_term`` is ln(2 D / failure) for a D x D matrix."""
+    var, R = spread
+    return max(1, math.ceil(2.0 * (var + R * error / 3.0) * log_term / error**2))
+
+
 def _subsample_size(problem: Problem, eps_H: float, delta: float) -> int:
     """Samples b whose operator's Hessian lies within eps_H / 8 of the
     population's with probability 1 - delta / 2, by matrix Bernstein over the
-    declared spread (see the module docstring), at least 1 and on a finite
-    sum at most ``n``; ``n`` when a finite sum declares no spread.  A stream
-    that declares none is a ``ValueError``: it has no population to read."""
+    declared spread (see the module docstring), on a finite sum at most
+    ``n``; ``n`` when a finite sum declares no spread.  A stream that
+    declares none is a ``ValueError``: it has no population to read."""
     spread = problem.hessian_spread
     if spread is None:
         if problem.n is None:
             raise ValueError(f"{type(problem).__name__}: a stream must declare its hessian_spread "
                              "for the curvature search to size its operator")
         return problem.n
-    var, R = spread
-    s = eps_H / 8.0
-    log_term = math.log(4.0 * problem.dim / delta)
-    rows = max(1, math.ceil(2.0 * (var + R * s / 3.0) * log_term / s**2))
-    return rows if problem.n is None else min(problem.n, rows)
+    rows = _bernstein_size(spread, eps_H / 8.0, math.log(4.0 * problem.dim / delta))
+    return min(rows, problem.n or rows)
+
+
+def _certificate_size(problem: Problem, eps_H: float, delta: float) -> int:
+    """Samples for one certificate: the population ``n``, or on a stream
+    those that hold a fixed unit vector's Rayleigh value within eps_H / 80
+    with failure delta / (4 d), by scalar Bernstein (see the module
+    docstring)."""
+    log_term = math.log(8.0 * problem.dim / delta)
+    return problem.n or _bernstein_size(problem.hessian_spread, eps_H / 80.0, log_term)
+
+
+def _operator(problem: Problem, rows: int, rng: np.random.Generator) -> Problem:
+    """The operator of ``rows`` samples: the population itself at ``n``."""
+    return problem if rows == problem.n else problem.subsample(rows, rng)
+
+
+def _exact(problem: Problem, rows: int) -> bool:
+    """Whether the operator of ``rows`` samples has ``problem``'s population
+    products: it is the population, or the declared spread is zero."""
+    return rows == problem.n or problem.hessian_spread == (0.0, 0.0)
 
 
 def _ldl_pivot(alpha: float, beta_prev: float, pivot_prev: float, bar: float) -> float:
@@ -166,27 +202,6 @@ def _tridiagonal(alpha: Array, beta: Array) -> Array:
     return np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
 
 
-def _exact(problem: Problem, operator: Problem) -> bool:
-    """Whether ``operator``'s products are ``problem``'s population ones: it
-    is the population, or the declared spread is zero."""
-    return operator is problem or problem.hessian_spread == (0.0, 0.0)
-
-
-def _certify(
-    problem: Problem, z: Array, v: Array, q: float, rows: int, eps_H: float, rng: np.random.Generator
-) -> tuple[float, float, int]:
-    """Rayleigh value of ``v`` from one product, its allowance, to which the
-    Taylor term is added, and the gradients the product costs: on the
-    population, or on a stream on an independent operator of ``rows``
-    samples.  The allowance is roundoff, plus eps_H / 8 on an inexact
-    operator."""
-    operator = problem if problem.n is not None else problem.subsample(rows, rng)
-    w = hvp_estimate(operator, z, v, q, operator.n, rng)
-    value = float(v @ w)
-    slack = 0.0 if _exact(problem, operator) else eps_H / 8.0
-    return value, 1e-9 * (1.0 + abs(value)) + slack, 2 * operator.n
-
-
 def find_nc_direction(
     problem: Problem,
     z: Array,
@@ -197,7 +212,7 @@ def find_nc_direction(
     """Negative-curvature search at ``z`` for threshold ``eps_H`` and failure
     probability ``delta``, both in (0, 1): one Lanczos run over the
     products of the population or of one sampled operator, each Ritz
-    candidate certified by :func:`_certify` (see the module docstring).
+    candidate certified by one product (see the module docstring).
     ``grads_used`` is 2 samples per product, certificate products included.
 
     Contract: a returned direction v satisfies v' H(z) v <= -eps_H / 2,
@@ -206,11 +221,10 @@ def find_nc_direction(
     If lambda_min(H(z)) < -eps_H a direction is found with probability at
     least 1 - delta; if lambda_min >= -eps_H / 2 abstention is returned with
     probability at least 1 - delta.  The band in between carries no
-    contract.  These hold as stated wherever the certificate is exact; on a
-    stream with a non-zero spread, soundness holds with probability
-    1 - delta / 2 per certificate and detection below -1.225 eps_H at
-    1 - 3 delta / 2 (see the module docstring).  A stream that declares no
-    ``hessian_spread`` is a ``ValueError``.
+    contract.  On a stream with a non-zero spread, whose certificates are
+    sampled, soundness holds with probability 1 - delta / 4 over the probe,
+    and elsewhere unconditionally (see the module docstring).  A stream that
+    declares no ``hessian_spread`` is a ``ValueError``.
 
     A Ritz vector that fails its certificate is not measured again until
     another Ritz value crosses the bar.  A step whose product is not finite
@@ -222,9 +236,14 @@ def find_nc_direction(
     candidate_bar = -0.75 * eps_H
     accept_bar = -0.5 * eps_H
     rows = _subsample_size(problem, eps_H, delta)
-    operator = problem if rows == problem.n else problem.subsample(rows, rng)
+    operator = _operator(problem, rows, rng)
     batch = operator.n
-    steps = _lanczos_steps(eps_H, delta, s.L1, problem.dim, not _exact(problem, operator))
+    cert_rows = _certificate_size(problem, eps_H, delta)
+    cert_exact = _exact(problem, cert_rows)
+    # sampled certificates take a quarter of delta from the Lanczos half
+    lanczos_delta = delta if cert_exact else delta / 2.0
+    steps = _lanczos_steps(eps_H, lanczos_delta, s.L1, problem.dim, not _exact(problem, rows))
+    slack = 0.0 if cert_exact else eps_H / 80.0
     basis = np.empty((steps, problem.dim))
     alpha = np.empty(steps)
     beta = np.empty(steps)
@@ -252,8 +271,10 @@ def find_nc_direction(
             _, ritz = np.linalg.eigh(_tridiagonal(alpha[: k + 1], beta[:k]))
             u = V.T @ ritz[:, 0]
             u /= np.linalg.norm(u)
-            cert, allowance, cost = _certify(problem, z, u, q, rows, eps_H, rng)
-            grads += cost
+            certifier = _operator(problem, cert_rows, rng)  # drawn after u, so independent of it
+            cert = float(u @ hvp_estimate(certifier, z, u, q, certifier.n, rng))
+            grads += 2 * certifier.n
+            allowance = 1e-9 * (1.0 + abs(cert)) + slack  # roundoff, and the sampling share
             if cert + 0.5 * s.L2 * q + allowance <= accept_bar:
                 return NCResult(direction=u, rayleigh_estimate=cert, grads_used=grads)
         if not b > BREAKDOWN_TOL * max(1.0, abs(a)):

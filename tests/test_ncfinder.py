@@ -456,9 +456,7 @@ class TestFinderContracts:
     def test_noisy_streams_keep_the_contracts(self, noise):
         # criterion 06's battery at d = 12 over streams with Hessian noise:
         # the probe runs on one operator of b samples, sized by the declared
-        # spread, and certifies on another.  Every return is sound, on the
-        # flat spectrum too, whose curvatures all lie in [-0.45 eps_H,
-        # 0.2 eps_H], above the accept bar
+        # spread, and certifies on others.  Every return is sound
         eps_H, delta, trials = 0.1, 0.1, 200
         floor = (1 - delta) * trials - 3 * math.sqrt(trials * delta * (1 - delta))
         sizes = {0.5: 239049, 2.0: 3801077}
@@ -477,13 +475,119 @@ class TestFinderContracts:
             bottoms += res.is_bottom
             assert res.is_bottom or rayleigh(prob, prob.x0, res.direction) <= -eps_H / 2
         assert found >= floor and bottoms >= floor
-        for s in range(40):
-            flat, _ = random_symmetric_fixture(
-                12, -0.45 * eps_H, seed=900 + s, lambda_rest=(-0.4 * eps_H, 0.2 * eps_H)
-            )
-            prob = HessianNoiseStream(flat, noise)
-            res = find_nc_direction(prob, prob.x0, eps_H, delta, make_rng(500 + s))
-            assert res.is_bottom or rayleigh(prob, prob.x0, res.direction) <= -eps_H / 2
+
+    @pytest.mark.parametrize("bent", [True, False])
+    def test_noisy_stream_certifies_on_an_operator_of_its_own(self, monkeypatch, bent):
+        # the Lanczos products read one operator of b samples, and a
+        # certificate another, drawn after its Ritz vector, of b_c samples:
+        # scalar Bernstein for error eps_H / 80 at failure delta / (4 d).
+        # That quarter of delta comes from the Lanczos step count's half,
+        # which at d = 60 is then 39 steps where an exact certificate would
+        # leave 35, and an abstaining run takes all 39
+        eps_H, delta, dim = 0.1, 0.1, 60
+        core, _ = random_symmetric_fixture(dim, -2 * eps_H if bent else 0.02, seed=8, lambda_rest=(0.02, 1.0))
+        prob = HessianNoiseStream(core, 0.5)
+        var, R = prob.hessian_spread
+        t = eps_H / 80
+        cert_rows = math.ceil(2 * (var + R * t / 3) * math.log(8 * dim / delta) / t**2)
+        assert ncf._certificate_size(prob, eps_H, delta) == cert_rows
+        rows = ncf._subsample_size(prob, eps_H, delta)
+        assert rows < cert_rows
+        L1 = prob.smoothness.L1
+        budget = ncf._lanczos_steps(eps_H, delta / 2, L1, dim, True)
+        assert ncf._lanczos_steps(eps_H, delta, L1, dim, True) < budget < dim
+        operators, calls = [], []
+        draw, hvp = prob.subsample, ncf.hvp_estimate
+
+        def subsample(size, rng):
+            operators.append((size, draw(size, rng)))
+            return operators[-1][1]
+
+        def spy(problem, z, v, q, batch, rng):
+            calls.append((problem, batch))
+            return hvp(problem, z, v, q, batch, rng)
+
+        monkeypatch.setattr(prob, "subsample", subsample)
+        monkeypatch.setattr(ncf, "hvp_estimate", spy)
+        res = find_nc_direction(prob, prob.x0, eps_H, delta, make_rng(5))
+        assert [size for size, _ in operators] == ([rows, cert_rows] if bent else [rows])
+        steps = [batch for p, batch in calls if p is operators[0][1]]
+        certs = [(p, batch) for p, batch in calls if p is not operators[0][1]]
+        assert steps == [rows] * len(steps)
+        if bent:
+            assert certs == [(operators[1][1], cert_rows)]
+            assert rayleigh(prob, prob.x0, res.direction) <= -eps_H / 2
+        else:
+            assert certs == [] and res.is_bottom and len(steps) == budget
+        assert res.grads_used == 2 * rows * len(steps) + 2 * cert_rows * len(certs)
+
+    @pytest.mark.parametrize("streaming", [True, False])
+    @pytest.mark.parametrize("beyond", [1 / 160, 1 / 80 + 1 / 160], ids=["inside", "outside"])
+    def test_sampled_certificate_adds_its_allowance(self, monkeypatch, streaming, beyond):
+        # every certificate is forced to read the accept bar less the Taylor
+        # term L2 q / 2 and ``beyond`` eps_H.  eps_H / 160 beyond passes an
+        # exact certificate, on a finite sum, and is refused on a noisy
+        # stream, whose sampled certificate adds eps_H / 80 to its budget;
+        # eps_H / 160 past that passes both.  A refused run abstains
+        eps_H, delta = 0.1, 0.1
+        core, _ = random_symmetric_fixture(12, -2 * eps_H, seed=6000)
+        prob = HessianNoiseStream(core, 0.5) if streaming else core
+        taylor = 0.5 * prob.smoothness.L2 * ncf._displacement(prob, prob.x0, eps_H)
+        target = -eps_H / 2 - taylor - beyond * eps_H
+        steps, certs = [], []
+
+        def spy(problem, z, v, q, batch, rng):
+            out = hvp(problem, z, v, q, batch, rng)
+            if steps and np.linalg.norm(np.array(steps) @ v) > 0.5:
+                certs.append(batch)  # a Ritz vector
+                return target * v
+            steps.append(np.array(v))  # a Lanczos step, orthogonal to the others
+            return out
+
+        hvp = ncf.hvp_estimate
+        monkeypatch.setattr(ncf, "hvp_estimate", spy)
+        res = find_nc_direction(prob, prob.x0, eps_H, delta, make_rng(6500))
+        assert certs
+        if streaming and beyond < 1 / 80:
+            assert res.is_bottom
+        else:
+            assert res.rayleigh_estimate == pytest.approx(target, abs=1e-15) and len(certs) == 1
+
+    @pytest.mark.parametrize("noise", [0.5, 2.0])
+    def test_sampled_certificates_alone_keep_returns_sound(self, monkeypatch, noise):
+        # Lanczos here reads an operator of b / 100 samples, outside its
+        # contract, so its Ritz values stray by up to ten times eps_H / 8
+        # and cross the candidate bar where H has no such curvature: on a
+        # band spectrum (lambda_min = -0.7 eps_H, which a search at size b
+        # never certifies) and on a flat one, whose curvatures all lie in
+        # [-0.45 eps_H, 0.2 eps_H], above the accept bar.  Certificates are
+        # made on both, and they alone keep every return sound: on the band
+        # some pass and some are refused, and on the flat spectrum all are
+        # refused
+        eps_H, delta = 0.1, 0.1
+        size, hvp = ncf._subsample_size, ncf.hvp_estimate
+        certs = []
+
+        def spy(problem, z, v, q, batch, rng):
+            certs.append(batch > 10**7)  # b_c is 26390998 or 421992278
+            return hvp(problem, z, v, q, batch, rng)
+
+        monkeypatch.setattr(ncf, "_subsample_size", lambda *args: size(*args) // 100)
+        monkeypatch.setattr(ncf, "hvp_estimate", spy)
+        for least in (-0.7, -0.45):
+            made = found = 0
+            for s in range(40):
+                core, _ = random_symmetric_fixture(
+                    12, least * eps_H, seed=900 + s, lambda_rest=(-0.4 * eps_H, 0.2 * eps_H)
+                )
+                prob = HessianNoiseStream(core, noise)
+                certs.clear()
+                res = find_nc_direction(prob, prob.x0, eps_H, delta, make_rng(500 + s))
+                made += sum(certs)
+                if res.direction is not None:
+                    found += 1
+                    assert rayleigh(prob, prob.x0, res.direction) <= -eps_H / 2
+            assert (made > found > 0) if least == -0.7 else (made > found == 0)
 
     def test_abstention_reports_best_estimate(self):
         prob = make_quadratic_problem(np.eye(5), 4, seed=3, noise=0.0)
